@@ -8,7 +8,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: test race bench bench-serve bench-serve-sharded fuzz-smoke lint
+.PHONY: test race bench bench-serve bench-serve-sharded bench-check fuzz-smoke lint
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -33,7 +33,7 @@ lint:
 # non-stationary (epoch swaps land mid-loop), which defeats go test's
 # time-based iteration estimation; the mutating variant warms up untimed
 # until churn equilibrium, and 120 iterations average across enough swaps
-# for a stable retained/op. ChurnRestore pairs with it: the cost of
+# for a stable searches/op. ChurnRestore pairs with it: the cost of
 # restoring a stable-ID snapshot after k mutation batches. EpochBuild is
 # the full-vs-delta epoch construction comparison (10k items, 16-item
 # batches). ScaleTopK is the large-catalogue tier: 100k and 1M items
@@ -88,10 +88,20 @@ bench-serve-sharded:
 	  | $(GO) run ./cmd/benchjson -serve -out BENCH_serve.json
 	@echo wrote BENCH_serve.json
 
+# bench-check proves the repo benchmark (BENCHMARK.json, bench/ — its own
+# module, outside `go test ./...`) still builds, passes its own tests and
+# runs: a short traced --quick pass of the churn and the static workload.
+# Exit status only — the runs' output checks are the gate, not their
+# timings.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+	for w in serve_churn serve_static; do \
+	  bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 --quick; done
+
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
-	$(GO) test -run '^TestCacheRetentionBitIdentical$$|^TestCacheRevivalAfterRacingPut$$' -count=1 ./internal/core
+	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
 	$(GO) test -race -run '^TestPartition' -count=1 ./internal/search

@@ -524,10 +524,10 @@ func BenchmarkChurnRecommend(b *testing.B) {
 			if tc.mutate {
 				// Time the steady state, not the warm start: keep serving
 				// untimed until enough swaps have landed for the cache to
-				// reach its churn equilibrium (retention, revival and
-				// re-search rates stable). Measuring from equilibrium also
-				// keeps per-op cost roughly uniform, so the framework's
-				// iteration-count extrapolation stays accurate.
+				// reach its churn equilibrium (drop and re-search rates
+				// stable). Measuring from equilibrium also keeps per-op
+				// cost roughly uniform, so the framework's iteration-count
+				// extrapolation stays accurate.
 				for cat.Current().ID < 12 {
 					if _, err := eng.Recommend(); err != nil {
 						b.Fatal(err)
@@ -537,7 +537,6 @@ func BenchmarkChurnRecommend(b *testing.B) {
 
 			startEpoch := cat.Current().ID
 			base := eng.Stats()
-			cbase := sh.SearchCache().Stats()
 			mutBase := mutations.Load() // exclude warm-up-period mutations from mut/s
 			start := time.Now()
 			b.ResetTimer()
@@ -551,9 +550,6 @@ func BenchmarkChurnRecommend(b *testing.B) {
 			close(stop)
 			<-done
 			reportPipelineMetrics(b, eng, base)
-			cst := sh.SearchCache().Stats()
-			b.ReportMetric(float64(cst.Retained-cbase.Retained)/float64(b.N), "retained/op")
-			b.ReportMetric(float64(cst.Revived-cbase.Revived)/float64(b.N), "revived/op")
 			b.ReportMetric(float64(cat.Current().ID-startEpoch)/float64(b.N), "swaps/op")
 			if secs := elapsed.Seconds(); secs > 0 {
 				b.ReportMetric(float64(mutations.Load()-mutBase)/secs, "mut/s")

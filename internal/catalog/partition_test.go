@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"toppkg/internal/feature"
-	"toppkg/internal/partition"
 	"toppkg/internal/search"
 )
 
@@ -56,8 +55,8 @@ func assertPartitionedExact(t *testing.T, ep *Epoch, u *feature.Utility, k int) 
 // TestPartitionMaintainedAcrossDeltas mirrors the skyline test: once a
 // monotone search materializes the partition, delta batches carry it
 // forward incrementally (same Gen, new items assigned, exact search
-// results preserved), the change set reports the delta, and the Stats
-// counters /healthz surfaces record the incremental/recluster split.
+// results preserved), and the Stats counters /healthz surfaces record the
+// incremental/recluster split.
 func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
 	c, err := New(Config{Profile: p, MaxPackageSize: 2, Items: partItems(16, 2),
@@ -66,15 +65,6 @@ func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var lastPD *partition.Delta
-	var sawSwap bool
-	c.Subscribe(func(_ *Epoch, cs *ChangeSet) {
-		sawSwap = true
-		lastPD = nil
-		if cs != nil {
-			lastPD = cs.Partition
-		}
-	})
 	u, err := feature.NewUtility(p, []float64{1, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -104,16 +94,13 @@ func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 		if len(np.Assign) != len(ep.Items()) {
 			t.Fatalf("insert %d: Assign covers %d of %d items", id, len(np.Assign), len(ep.Items()))
 		}
-		if !sawSwap || lastPD == nil || lastPD.Recluster {
-			t.Fatalf("insert %d: change set partition delta = %+v, want incremental", id, lastPD)
+		if st := c.Stats(); st.PartitionIncremental != int64(i+1) || st.PartitionReclusters != 0 {
+			t.Fatalf("insert %d: incremental=%d reclusters=%d, want %d/0",
+				id, st.PartitionIncremental, st.PartitionReclusters, i+1)
 		}
 		assertPartitionedExact(t, ep, u, 3)
 	}
 	st := c.Stats()
-	if st.PartitionIncremental != 3 || st.PartitionReclusters != 0 {
-		t.Fatalf("insert-only batches: incremental=%d reclusters=%d, want 3/0",
-			st.PartitionIncremental, st.PartitionReclusters)
-	}
 	if st.PartitionClusters != pp.K {
 		t.Fatalf("stats clusters=%d, want %d", st.PartitionClusters, pp.K)
 	}
@@ -123,8 +110,8 @@ func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 }
 
 // TestPartitionReclusterOnImbalance: a threshold of 1 tolerates no drift,
-// so the first delta build re-clusters from scratch, bumping Gen and
-// flagging Recluster in the change set.
+// so the first delta build re-clusters from scratch, bumping Gen and the
+// Stats recluster counter.
 func TestPartitionReclusterOnImbalance(t *testing.T) {
 	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
 	c, err := New(Config{Profile: p, MaxPackageSize: 2, Items: partItems(16, 3),
@@ -134,13 +121,6 @@ func TestPartitionReclusterOnImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var lastPD *partition.Delta
-	c.Subscribe(func(_ *Epoch, cs *ChangeSet) {
-		lastPD = nil
-		if cs != nil {
-			lastPD = cs.Partition
-		}
-	})
 	u, err := feature.NewUtility(p, []float64{1, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -164,11 +144,8 @@ func TestPartitionReclusterOnImbalance(t *testing.T) {
 	if np.Gen != pp.Gen+1 {
 		t.Fatalf("recluster Gen = %d, want %d", np.Gen, pp.Gen+1)
 	}
-	if lastPD == nil || !lastPD.Recluster {
-		t.Fatalf("change set partition delta = %+v, want Recluster", lastPD)
-	}
-	if st := c.Stats(); st.PartitionReclusters != 1 {
-		t.Fatalf("reclusters=%d, want 1", st.PartitionReclusters)
+	if st := c.Stats(); st.PartitionReclusters != 1 || st.PartitionIncremental != 0 {
+		t.Fatalf("reclusters=%d incremental=%d, want 1/0", st.PartitionReclusters, st.PartitionIncremental)
 	}
 	assertPartitionedExact(t, ep, u, 3)
 }

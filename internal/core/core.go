@@ -380,10 +380,8 @@ func NewShared(cfg Config) (*Shared, error) {
 // the catalogue's current epoch per Recommend instead of holding a frozen
 // index. The catalogue owns the profile and φ, so cfg.Profile,
 // cfg.MaxPackageSize, and cfg.Items are taken from cat (any values set on
-// cfg for those fields are ignored). On every delta epoch swap the shared
-// Top-k-Pkg result cache is reconciled against the change set (provably
-// unaffected entries survive, re-keyed to the new epoch); full rebuilds
-// invalidate it wholesale. Results are additionally keyed by epoch ID, so
+// cfg for those fields are ignored). Every epoch swap drops the shared
+// Top-k-Pkg result cache; results are additionally keyed by epoch ID, so
 // even a Recommend racing the swap can never mix epochs.
 func NewLiveShared(cfg Config, cat *catalog.Catalog) (*Shared, error) {
 	if cat == nil {
@@ -398,29 +396,10 @@ func NewLiveShared(cfg Config, cat *catalog.Catalog) (*Shared, error) {
 	}
 	sh := &Shared{cfg: cfg, cat: cat, cache: newCache(cfg)}
 	if sh.cache != nil {
-		// Delta swaps reconcile the result cache against the change set:
-		// entries whose footprints prove the batch could not reach them are
-		// re-keyed to the new epoch and keep serving; everything else is
-		// dropped. Full rebuilds (and swaps without attribution) still wipe
-		// the cache — results are additionally keyed by epoch ID, so even a
-		// Recommend racing the swap can never mix epochs.
-		cat.Subscribe(func(ep *catalog.Epoch, cs *catalog.ChangeSet) {
-			if cs == nil || cs.Full {
-				sh.cache.Invalidate()
-				return
-			}
-			sh.cache.Reconcile(ranking.Swap{
-				Parent:    cs.Parent,
-				Next:      ep.ID,
-				Dirty:     cs.Dirty,
-				Fresh:     cs.Fresh,
-				Touched:   cs.Touched,
-				Remap:     cs.Remap,
-				OldSpace:  cs.OldSpace,
-				Space:     ep.Space,
-				Partition: cs.Partition,
-			})
-		})
+		// A result is served only under the (cache epoch, catalogue epoch)
+		// it was computed on (see ranking's key prefix), so a search pinned
+		// to a superseded epoch can Put after this drop and never be read.
+		cat.Subscribe(func(*catalog.Epoch, *catalog.ChangeSet) { sh.cache.Invalidate() })
 	}
 	return sh, nil
 }

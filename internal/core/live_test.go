@@ -158,15 +158,16 @@ func TestLiveRecommendBitIdenticalAfterMutations(t *testing.T) {
 		}
 		sameSlate(t, "after mutation batch", live, want)
 	}
-	// Every swap must have run the cache through reconciliation (or a full
-	// invalidation): entries either survive with a proof or drop. The
-	// mutation mix above deterministically exercises both outcomes.
-	st := sh.SearchCache().Stats()
-	if st.ReconcileDrops+st.InvalidationDrops == 0 {
-		t.Error("epoch swaps never dropped anything from the shared result cache")
+	// Every swap drops the shared result cache wholesale: one more swap on
+	// the warm cache must leave it empty.
+	if err := cat.Upsert([]feature.Item{{ID: nextID, Values: []float64{0.5, 0.5}}}); err != nil {
+		t.Fatal(err)
 	}
-	if st.Retained == 0 {
-		t.Error("epoch swaps never retained a provably-unaffected cache entry")
+	if n := sh.SearchCache().Len(); n != 0 {
+		t.Errorf("%d result-cache entries survived an epoch swap", n)
+	}
+	if st := sh.SearchCache().Stats(); st.InvalidationDrops == 0 {
+		t.Error("epoch swaps never dropped anything from the shared result cache")
 	}
 }
 

@@ -1,0 +1,205 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"toppkg/internal/catalog"
+	"toppkg/internal/feature"
+	"toppkg/internal/ranking"
+	"toppkg/internal/search"
+)
+
+// The shared result cache's serving invariant across catalogue swaps: a
+// cache entry reachable under an epoch's key always serves the exact result
+// a fresh Top-k-Pkg search on that epoch would produce — bit-identical
+// packages and utility bits. Every swap drops the cache, so the only way to
+// break it is a Put from a search still pinned to a superseded epoch; the
+// (cache epoch, catalogue epoch) key prefix is what keeps such a Put dead.
+
+// liveSearchOpts is the per-sample search configuration liveConfig's
+// engines key cache entries under (K=2, Sigma=2 ⇒ per-sample K=2).
+func liveSearchOpts() search.Options {
+	so := liveConfig().Search
+	so.K = 2
+	return so
+}
+
+// cacheKeyPrefix is the batched pipeline's key prefix (see
+// ranking.groupResults): cache invalidation epoch + catalogue epoch.
+func cacheKeyPrefix(cacheEpoch, catEpoch uint64) string {
+	var ep [16]byte
+	binary.LittleEndian.PutUint64(ep[:8], cacheEpoch)
+	binary.LittleEndian.PutUint64(ep[8:], catEpoch)
+	return string(ep[:])
+}
+
+type cacheKV struct {
+	key string
+	res search.Result
+}
+
+// cacheEntries snapshots the resident entries under the cache lock.
+func cacheEntries(c *ranking.Cache) []cacheKV {
+	var entries []cacheKV
+	c.Range(func(key string, res search.Result) bool {
+		entries = append(entries, cacheKV{key, res})
+		return true
+	})
+	return entries
+}
+
+// verifyReachable re-searches every cache entry reachable under epoch ep
+// (stale-keyed entries are unreachable by construction and skipped) and
+// fails the test unless the cached packages are bit-identical to the
+// fresh result. Returns the number of entries audited. Safe to run while
+// other goroutines mutate the cache: the entry snapshot is taken under
+// the cache lock and compared against the immutable ep.
+func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so search.Options) int {
+	t.Helper()
+	prefix := cacheKeyPrefix(c.Epoch(), ep.ID)
+	checked := 0
+	for _, e := range cacheEntries(c) {
+		if !strings.HasPrefix(e.key, prefix) {
+			continue // pre-Invalidate or keyed to another epoch: unreachable under ep
+		}
+		rest := e.key[16:]
+		wkey := rest[strings.Index(rest, "|")+1:]
+		w := make([]float64, len(wkey)/8)
+		for i := range w {
+			w[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(wkey[8*i : 8*i+8])))
+		}
+		u, err := feature.NewUtility(ep.Space.Profile, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ep.Index.TopK(u, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fresh.Packages) != len(e.res.Packages) {
+			t.Fatalf("epoch %d: cached entry w=%v has %d packages, fresh search %d",
+				ep.ID, w, len(e.res.Packages), len(fresh.Packages))
+		}
+		for i := range fresh.Packages {
+			g, f := e.res.Packages[i], fresh.Packages[i]
+			if g.Pkg.Signature() != f.Pkg.Signature() || math.Float64bits(g.Utility) != math.Float64bits(f.Utility) {
+				t.Fatalf("epoch %d: cached entry w=%v diverges at package %d: cached %s/%v, fresh %s/%v",
+					ep.ID, w, i, g.Pkg.Signature(), g.Utility, f.Pkg.Signature(), f.Utility)
+			}
+		}
+		checked++
+	}
+	return checked
+}
+
+// TestStalePutNeverServedAcrossSwaps: a Put from a search pinned to a
+// superseded epoch is never served. First the interleaving the two-epoch
+// key exists for, replayed deterministically — searches pin epoch N, the
+// swap to N+1 (and its Invalidate) lands, the pinned searches then Put —
+// then the same under real concurrency: the mutating goroutine swaps while
+// engines, some mid-Recommend on the epoch they resolved at entry, Get and
+// Put continuously. Run under -race this exercises the locking; the sweeps
+// assert no reachable entry ever differs from a fresh search on its epoch.
+func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
+	cat := liveCatalog(t, -1, 200)
+	sh, err := NewLiveShared(liveConfig(), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := sh.SearchCache()
+	so := liveSearchOpts()
+	rng := rand.New(rand.NewSource(91))
+
+	// What the shared-seed engine's searches pinned to epoch N Put.
+	mustSlate(t, sh)
+	epN := cat.Current()
+	pinned := cacheEntries(cache)
+	if len(pinned) == 0 {
+		t.Fatal("warm-up Recommend cached nothing")
+	}
+	batch := make([]feature.Item, len(epN.Items())) // reprice all: every top-k changes
+	for i := range batch {
+		batch[i] = feature.Item{ID: epN.StableID(i), Values: []float64{rng.Float64(), rng.Float64()}}
+	}
+	if err := cat.Upsert(batch); err != nil { // synchronous swap + Invalidate
+		t.Fatal(err)
+	}
+	// The pinned searches finish now. Each read the cache epoch either
+	// before the Invalidate (its key is dead twice over) or after it, where
+	// only the catalogue-epoch half of the key tells its result from N+1's.
+	afterInvalidate := cacheKeyPrefix(cache.Epoch(), epN.ID)
+	for _, e := range pinned {
+		cache.Put(e.key, e.res)
+		cache.Put(afterInvalidate+e.key[16:], e.res)
+	}
+	cfg := liveConfig()
+	cfg.Items = cat.Current().Items()
+	cfg.SearchCacheSize = -1
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Recommend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSlate(t, "after stale Puts", mustSlate(t, sh), want) // same seed: probes the pinned weight vectors
+	live := cacheKeyPrefix(cache.Epoch(), cat.Current().ID)
+	for _, e := range pinned {
+		if _, ok := cache.Get(live + e.key[16:]); !ok {
+			t.Fatal("vacuous: the post-swap Recommend did not probe the pinned weight vectors")
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			eng, err := sh.NewEngine(seed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := eng.Recommend(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	audited := 0
+	for i := 0; i < 40; i++ {
+		time.Sleep(2 * time.Millisecond) // let Recommends interleave between swaps
+		if i%8 == 7 {
+			audited += verifyReachable(t, cache, cat.Current(), so)
+		}
+		ep := cat.Current()
+		j := rng.Intn(len(ep.Items()))
+		it := ep.Items()[j]
+		it.ID = ep.StableID(j)
+		it.Values = []float64{rng.Float64(), rng.Float64()}
+		if err := cat.Upsert([]feature.Item{it}); err != nil { // synchronous swap + Invalidate
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	mustSlate(t, sh) // resident entries on the final epoch beside the racers' late Puts
+	if audited += verifyReachable(t, cache, cat.Current(), so); audited == 0 {
+		t.Fatalf("vacuous run: no entries audited, stats %+v", cache.Stats())
+	}
+}

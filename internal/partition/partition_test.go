@@ -53,7 +53,7 @@ func assertDerived(t *testing.T, sp *feature.Space, p *Partition) {
 		if p.Reps[c] != want.Reps[c] {
 			t.Fatalf("cluster %d rep %d != derived %d", c, p.Reps[c], want.Reps[c])
 		}
-		if !boundsEqual(p.Mins[c], want.Mins[c]) || !boundsEqual(p.Maxs[c], want.Maxs[c]) {
+		if !slices.Equal(p.Mins[c], want.Mins[c]) || !slices.Equal(p.Maxs[c], want.Maxs[c]) {
 			t.Fatalf("cluster %d bounds differ from derived", c)
 		}
 		if !slices.Equal(p.AnyNull[c], want.AnyNull[c]) {
@@ -172,9 +172,8 @@ func fuzzValue(b byte) float64 {
 // FuzzPartitionDelta drives random mutation batches through Apply and
 // asserts the incrementally maintained partition stays the canonical
 // derivation of its own assignment (the invariant the search layer's
-// soundness rests on: bounds and representatives never go stale), that
-// untouched clusters really are untouched, and that every observable
-// difference lands in Delta.Changed. Input: data[0] sizes the initial
+// soundness rests on: bounds and representatives never go stale — in
+// touched and untouched clusters alike). Input: data[0] sizes the initial
 // catalogue; then 4-byte records [op, id, v0, v1] — op%3: 1 delete, else
 // upsert.
 func FuzzPartitionDelta(f *testing.F) {
@@ -215,7 +214,7 @@ func FuzzPartitionDelta(f *testing.F) {
 			}
 			nsp, nstable := densify(t, shadow, p, maxSize)
 			remap, dirty, added := deltaArgs(stable, nstable, changed)
-			np, delta, ok := part.Apply(nsp, remap, dirty, added)
+			np, ok := part.Apply(nsp, remap, dirty, added)
 			if !ok {
 				// Apply may only refuse when no representative survives to
 				// anchor added items.
@@ -233,42 +232,10 @@ func FuzzPartitionDelta(f *testing.F) {
 					t.Fatalf("Apply refused with surviving anchors (dirty=%v added=%v)", dirty, added)
 				}
 				np = Build(nsp, 3) // re-cluster, as the catalogue would
-				delta = &Delta{Recluster: true}
-			}
-			if delta.Recluster == false {
+			} else {
 				assertDerived(t, nsp, np)
 				if np.Gen != part.Gen {
 					t.Fatalf("incremental Apply changed Gen %d -> %d", part.Gen, np.Gen)
-				}
-				// Untouched clusters must be bitwise untouched (reps
-				// renumbered through remap), and Changed must flag exactly
-				// the touched clusters with an observable difference.
-				touched := map[int32]bool{}
-				for _, c := range delta.Touched {
-					touched[c] = true
-				}
-				chgd := map[int32]bool{}
-				for _, c := range delta.Changed {
-					chgd[c] = true
-					if !touched[c] {
-						t.Fatalf("changed cluster %d not in touched %v", c, delta.Touched)
-					}
-				}
-				for c := 0; c < np.K; c++ {
-					oldRep := part.Reps[c]
-					if oldRep >= 0 {
-						oldRep = remap[oldRep]
-					}
-					same := np.Reps[c] == oldRep &&
-						boundsEqual(np.Mins[c], part.Mins[c]) &&
-						boundsEqual(np.Maxs[c], part.Maxs[c]) &&
-						slices.Equal(np.AnyNull[c], part.AnyNull[c])
-					if !touched[int32(c)] && !same {
-						t.Fatalf("untouched cluster %d drifted", c)
-					}
-					if touched[int32(c)] && same != !chgd[int32(c)] {
-						t.Fatalf("cluster %d: same=%v but changed=%v", c, same, chgd[int32(c)])
-					}
 				}
 			}
 			sp, stable, part = nsp, nstable, np

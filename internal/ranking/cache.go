@@ -8,12 +8,8 @@ package ranking
 
 import (
 	"container/list"
-	"encoding/binary"
 	"sync"
 
-	"toppkg/internal/feature"
-	"toppkg/internal/partition"
-	"toppkg/internal/pkgspace"
 	"toppkg/internal/search"
 )
 
@@ -23,8 +19,10 @@ const DefaultCacheSize = 4096
 
 // Cache is a thread-safe LRU over per-weight-vector search results, shared
 // by every engine serving one catalogue (results depend only on the shared
-// immutable index). Cached results are handed out by reference and must be
-// treated as immutable by callers.
+// immutable index). Entries never outlive the index they were computed on:
+// the owner of a live catalogue calls Invalidate on every epoch swap, and
+// callers key by catalogue epoch as well (see groupResults). Cached results
+// are handed out by reference and must be treated as immutable by callers.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -32,16 +30,7 @@ type Cache struct {
 	m     map[string]*list.Element
 	epoch uint64
 
-	hits, misses, evictions                              uint64
-	retained, revived, reconcileDrops, invalidationDrops uint64
-
-	// history records the most recent delta swaps, newest last, bounded to
-	// maxSwapHistory. Reconcile uses it to carry entries keyed several
-	// epochs back — e.g. a Put racing an earlier swap — forward to the
-	// current epoch, re-proving the footprint argument for every
-	// intervening hop. Reset by Invalidate: a full rebuild breaks the
-	// chain of attributable changes.
-	history []Swap
+	hits, misses, evictions, invalidationDrops uint64
 }
 
 type cacheEntry struct {
@@ -61,19 +50,16 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	// Retained counts entries carried across epoch swaps by Reconcile;
-	// ReconcileDrops counts entries a swap's change set invalidated;
-	// InvalidationDrops counts entries dropped by whole-cache Invalidate
-	// calls. Together with Evictions they account for every entry that ever
-	// left the cache.
-	Retained          uint64 `json:"retained"`
-	ReconcileDrops    uint64 `json:"reconcile_drops"`
+	// InvalidationDrops counts entries dropped by Invalidate calls. Together
+	// with Evictions it accounts for every entry that ever left the cache.
 	InvalidationDrops uint64 `json:"invalidation_drops"`
-	// Revived counts the subset of Retained that was keyed to an epoch
-	// older than the swap's parent — results from searches that raced an
-	// earlier swap, landed dead, and were proven forward through the
-	// recorded swap history.
-	Revived uint64 `json:"revived"`
+	// Retained, ReconcileDrops and Revived are always zero: the cache no
+	// longer carries entries across catalogue epochs. The fields remain only
+	// because the frozen bench/run.go still reads them; the next benchmark
+	// PR drops those reads and these fields together.
+	Retained       uint64 `json:"-"`
+	ReconcileDrops uint64 `json:"-"`
+	Revived        uint64 `json:"-"`
 }
 
 // NewCache returns an empty cache bounded to capacity entries
@@ -97,14 +83,13 @@ func (c *Cache) Epoch() uint64 {
 
 // Invalidate advances the epoch and drops every entry. Use it when
 // something outside the keys that results depend on changes — e.g. the
-// index is rebuilt over an updated catalogue.
+// catalogue swaps in a new epoch's index.
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	c.epoch++
 	c.invalidationDrops += uint64(c.ll.Len())
 	c.ll.Init()
 	c.m = make(map[string]*list.Element)
-	c.history = nil
 	c.mu.Unlock()
 }
 
@@ -161,9 +146,6 @@ func (c *Cache) Stats() CacheStats {
 		Hits:              c.hits,
 		Misses:            c.misses,
 		Evictions:         c.evictions,
-		Retained:          c.retained,
-		Revived:           c.revived,
-		ReconcileDrops:    c.reconcileDrops,
 		InvalidationDrops: c.invalidationDrops,
 	}
 }
@@ -180,303 +162,4 @@ func (c *Cache) Range(fn func(key string, res search.Result) bool) {
 			return
 		}
 	}
-}
-
-// Swap describes one delta epoch transition to Reconcile: the parent and
-// successor catalogue epoch IDs, the change set between them, and both
-// epochs' feature spaces for value lookups. Full rebuilds have no change
-// attribution and must call Invalidate instead.
-type Swap struct {
-	// Parent is the epoch the delta was built from; Next the epoch just
-	// installed. Entries keyed to any other epoch are dropped outright.
-	Parent, Next uint64
-	// Dirty holds parent-dense ids of items the batch replaced or deleted,
-	// ascending. Fresh holds new-dense ids of items it inserted or
-	// re-priced, ascending.
-	Dirty, Fresh []int32
-	// Touched lists profile dimensions whose normalizer scale bits or
-	// null-set membership moved across the swap.
-	Touched []int
-	// Remap translates parent-dense ids to new-dense ids (-1 for items not
-	// carried); nil when the assignment is unchanged. Retained footprints
-	// are renumbered through it so the next swap's ids stay comparable.
-	Remap []int32
-	// OldSpace is Parent's feature space (Dirty value lookups); Space is
-	// Next's (Fresh value lookups and admission scoring).
-	OldSpace, Space *feature.Space
-	// Partition describes what the swap did to the sketch-refine
-	// partition (catalog.ChangeSet.Partition): nil when the parent epoch
-	// had none carried forward. Entries whose footprints depend on the
-	// partition (Footprint.Clusters non-empty) are dropped unless the
-	// partition survived incrementally with no cluster's bounds or
-	// representative changed and none of the entry's opened clusters
-	// touched — a beamed refine's cluster admission order, sketch seeds
-	// and subset lists could all shift otherwise.
-	Partition *partition.Delta
-}
-
-// maxSwapHistory bounds the recorded swap chain. Entries keyed further
-// back than the window can no longer be proven forward and are dropped.
-const maxSwapHistory = 8
-
-// Reconcile walks the cache after a delta epoch swap and retains every
-// entry whose footprint proves the recorded change sets cannot have altered
-// its result, re-keying it to the just-installed epoch in place (LRU order
-// preserved). Entries keyed to the swap's parent epoch are checked against
-// this swap alone; entries keyed further back — Puts from searches that
-// raced an earlier swap and landed dead — are revived by chaining the same
-// proof through every recorded intervening swap. Everything else — entries
-// without a footprint, older than the recorded history, or reachable by a
-// change set — is dropped. Retention is sound because a retained entry's
-// search replays bit-identically on the new epoch: no accessed item
-// changed, no consumed list prefix gained or lost a member, no normalizer
-// scale or null-set the utility weights moved, and no new orphan lands in
-// the drained region; the admission-bound test (inserted items must score
-// strictly below the entry's k-th package utility as singletons) is applied
-// on top as an extra conservative drop. A racing Put keyed to a superseded
-// epoch therefore stays unservable from the moment of the swap until this
-// proof admits it — a stale result is never handed out.
-func (c *Cache) Reconcile(sw Swap) {
-	var next [8]byte
-	binary.LittleEndian.PutUint64(next[:], sw.Next)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.history = append(c.history, sw)
-	if len(c.history) > maxSwapHistory {
-		copy(c.history, c.history[len(c.history)-maxSwapHistory:])
-		c.history = c.history[:maxSwapHistory]
-	}
-	nextKey := string(next[:])
-	var e, n *list.Element
-	for e = c.ll.Front(); e != nil; e = n {
-		n = e.Next()
-		ent := e.Value.(*cacheEntry)
-		revived, ok := c.proveForward(ent)
-		if !ok {
-			c.ll.Remove(e)
-			delete(c.m, ent.key)
-			c.reconcileDrops++
-			continue
-		}
-		if ent.key[8:16] != nextKey {
-			key := []byte(ent.key)
-			copy(key[8:16], next[:])
-			delete(c.m, ent.key)
-			ent.key = string(key)
-			c.m[ent.key] = e
-		}
-		c.retained++
-		if revived {
-			c.revived++
-		}
-	}
-}
-
-// proveForward chain-checks one entry from its keyed epoch through every
-// recorded swap up to the newest, renumbering its ids hop by hop. revived
-// reports that the entry started more than one swap behind. The entry is
-// mutated only on success paths (renumbering), and only via copy-on-write —
-// results already handed out to callers are never touched.
-func (c *Cache) proveForward(ent *cacheEntry) (revived bool, ok bool) {
-	key := ent.key
-	if len(key) < 16 {
-		return false, false
-	}
-	if binary.LittleEndian.Uint64([]byte(key[:8])) != c.epoch {
-		return false, false
-	}
-	entEp := binary.LittleEndian.Uint64([]byte(key[8:16]))
-	if entEp == c.history[len(c.history)-1].Next {
-		// Put from a search already pinned to the new epoch, racing ahead
-		// of this reconcile: nothing to prove.
-		return false, true
-	}
-	start := -1
-	for i := range c.history {
-		if c.history[i].Parent == entEp {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		// Keyed past the recorded window: no provable path forward.
-		return false, false
-	}
-	if ent.res.FP == nil {
-		return false, false
-	}
-	cow := false
-	for i := start; i < len(c.history); i++ {
-		hop := &c.history[i]
-		if !footprintSurvives(ent.res.FP, hop) {
-			return false, false
-		}
-		remapEntry(ent, hop.Remap, &cow)
-	}
-	return start < len(c.history)-1, true
-}
-
-// remapEntry renumbers the entry's result — package member ids and the
-// footprint's accessed ids, all dense positions of the hop's parent epoch —
-// through the hop's remap, copy-on-write (the old result may still be
-// referenced by callers served before the swap; after the first hop the
-// entry owns fresh slices and later hops renumber in place). Every
-// renumbered id was accessed and carried (dirty ∩ accessed = ∅, or the
-// entry would have dropped), so the remapped ids stay non-negative and, the
-// remap being order-preserving over carried items, both id lists stay
-// ascending.
-func remapEntry(ent *cacheEntry, remap []int32, cow *bool) {
-	if remap == nil {
-		return
-	}
-	if !*cow {
-		*cow = true
-		pkgs := make([]pkgspace.Scored, len(ent.res.Packages))
-		for i, sc := range ent.res.Packages {
-			ids := make([]int, len(sc.Pkg.IDs))
-			copy(ids, sc.Pkg.IDs)
-			pkgs[i] = pkgspace.Scored{Pkg: pkgspace.Package{IDs: ids}, Utility: sc.Utility}
-		}
-		ent.res.Packages = pkgs
-		fp := *ent.res.FP
-		fp.Accessed = append([]int32(nil), fp.Accessed...)
-		ent.res.FP = &fp
-	}
-	for _, sc := range ent.res.Packages {
-		for j, id := range sc.Pkg.IDs {
-			sc.Pkg.IDs[j] = int(remap[id])
-		}
-	}
-	fp := ent.res.FP
-	for i, id := range fp.Accessed {
-		fp.Accessed[i] = remap[id]
-	}
-	if fp.OrphanTau >= 0 {
-		fp.OrphanTau = remap[fp.OrphanTau]
-	}
-}
-
-// footprintSurvives decides whether one swap provably leaves the
-// footprinted search unaffected.
-func footprintSurvives(fp *search.Footprint, sw *Swap) bool {
-	// A partition-dependent result (beamed sketch-refine) additionally
-	// replays over the cluster structure: any cluster whose bounds or
-	// representative moved can reorder beam admission or reseed the
-	// sketch, and membership churn in an opened cluster changes the
-	// subset lists. Only a clean incremental carry with the entry's
-	// clusters untouched is provably inert.
-	if len(fp.Clusters) > 0 {
-		pd := sw.Partition
-		if pd == nil || pd.Recluster || len(pd.Changed) > 0 {
-			return false
-		}
-		for _, c := range pd.Touched {
-			if _, ok := sortedFind(fp.Clusters, c); ok {
-				return false
-			}
-		}
-	}
-	// A rescaled (or null-set-shifted) dimension the utility weights makes
-	// every package score incomparable across the swap.
-	for _, d := range sw.Touched {
-		if d < len(fp.Weights) && fp.Weights[d] != 0 {
-			return false
-		}
-	}
-	for _, id := range sw.Dirty {
-		// Any materialized item that changed invalidates the run outright.
-		if _, ok := sortedFind(fp.Accessed, id); ok {
-			return false
-		}
-		// A non-accessed removed item can still change the trace if its old
-		// value sat inside a consumed list prefix — e.g. the head of a list
-		// the run never drew from still seeded that cursor's initial τ.
-		it := sw.OldSpace.Items[id]
-		for i := range fp.Bounds {
-			if !boundClears(&fp.Bounds[i], it.Values) {
-				return false
-			}
-		}
-	}
-	for _, id := range sw.Fresh {
-		it := sw.Space.Items[id]
-		util := 0.0
-		orphan := true
-		for i := range fp.Bounds {
-			b := &fp.Bounds[i]
-			if !boundClears(b, it.Values) {
-				return false
-			}
-			if v := it.Values[b.Feat]; !feature.IsNull(v) {
-				util += fp.Weights[b.Dim] * v / sw.Space.Norm.Scale(int(b.Dim))
-			}
-		}
-		// The issue's admission rule: an inserted item scoring at or above
-		// the entry's k-th package utility as a singleton could displace the
-		// slate even if the replay argument alone already covers it.
-		if util >= fp.Admission {
-			return false
-		}
-		// New orphans (null on every non-AggNull profile feature) enter the
-		// drain list; unless the cached run never drained (its queues were
-		// already empty), conservatively assume the fresh search would draw
-		// this one — dense ids are not comparable across epochs, so the
-		// exact break position cannot be replayed.
-		for d := 0; d < sw.Space.Dims(); d++ {
-			en := sw.Space.Profile.Entry(d)
-			if en.Agg == feature.AggNull {
-				continue
-			}
-			if !feature.IsNull(it.Values[en.Feature]) {
-				orphan = false
-				break
-			}
-		}
-		if orphan && (fp.OrphanOpen || fp.OrphanTau >= 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// boundClears reports that an un-accessed item with the given raw values
-// provably stays outside the consumed region of one dimension cursor: null
-// on the feature, or strictly on the unseen side of the boundary value τ
-// (ties included in the consumed side — list order breaks value ties by
-// dense id, which is not comparable across epochs).
-func boundClears(b *search.DimBound, values []float64) bool {
-	v := values[b.Feat]
-	if feature.IsNull(v) {
-		return true
-	}
-	if !b.HasList {
-		// A weighted dimension with no list: the cached run had no cursor
-		// there, a fresh search over an item valued on it would.
-		return false
-	}
-	if b.Done {
-		// The whole list was consumed; any member is in the footprint.
-		return false
-	}
-	if b.Desc {
-		return v < b.Tau
-	}
-	return v > b.Tau
-}
-
-// sortedFind locates id in an ascending slice by binary search.
-func sortedFind(xs []int32, id int32) (int, bool) {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(xs) && xs[lo] == id {
-		return lo, true
-	}
-	return lo, false
 }

@@ -243,15 +243,6 @@ func TestPartitionBeamedRefine(t *testing.T) {
 		t.Errorf("partitioned top %.9f below plain beam top %.9f",
 			res.Packages[0].Utility, plain.Packages[0].Utility)
 	}
-	// Without dominance skips the truncation rule keeps the footprint, and
-	// it must carry the opened clusters for cache reconciliation.
-	noDom, err := ix.TopK(u, Options{K: 5, DisableDominancePrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noDom.FP == nil || len(noDom.FP.Clusters) != noDom.RefineClustersOpened {
-		t.Errorf("footprint %+v vs opened %d", noDom.FP, noDom.RefineClustersOpened)
-	}
 }
 
 // TestPartitionCacheKey: DisablePartition must produce a distinct cache

@@ -220,7 +220,6 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 // the utility of a real package, so L ≤ the final k-th utility: nothing
 // that could enter the results — or shift an equal-utility tie-break — is
 // ever skipped, and the outcome is bit-identical to the unpartitioned run.
-// The standard footprint therefore remains sound without partition guards.
 func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
 	pc := &partCtx{p: p, floorL: floorL}
 	res, err := ix.topKRun(u, opts, pc)
@@ -290,13 +289,11 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 
 	keep := make([]bool, ix.space.N())
 	subsetSize, openedCount := 0, 0
-	var clusters []int32
 	for c, o := range open {
 		if !o {
 			continue
 		}
 		openedCount++
-		clusters = append(clusters, int32(c))
 		for _, id := range p.Members[c] {
 			keep[id] = true
 			subsetSize++
@@ -321,21 +318,6 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 	merged.DomPruned += skRes.DomPruned
 	merged.SketchSkipped = ix.space.N() - subsetSize
 	merged.RefineClustersOpened = openedCount
-	if refRes.FP != nil && skRes.FP != nil {
-		// A beamed partitioned result depends on the partition (cluster
-		// bounds order admission, representatives seed the sketch): record
-		// the opened clusters and the representative reads so Reconcile
-		// can drop the entry when either could have shifted.
-		fp := merged.FP
-		fp.Accessed = unionSorted(fp.Accessed, skRes.FP.Accessed)
-		fp.Clusters = clusters
-		fp.Admission = negInf
-		if len(merged.Packages) >= opts.K {
-			fp.Admission = merged.Packages[opts.K-1].Utility
-		}
-	} else {
-		merged.FP = nil
-	}
 	ix.recordPartStats(merged)
 	return merged, nil
 }
@@ -485,31 +467,5 @@ func mergeScored(a, b []pkgspace.Scored, k int) []pkgspace.Scored {
 	if len(out) > k {
 		out = out[:k]
 	}
-	return out
-}
-
-// unionSorted merges two ascending id slices without duplicates, reusing
-// a's storage when possible.
-func unionSorted(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }

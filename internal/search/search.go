@@ -121,70 +121,6 @@ type Result struct {
 	// RefineClustersOpened is the number of distinct clusters the refine
 	// phase read (zero when partitioning never engaged).
 	RefineClustersOpened int
-	// FP is the conservative read footprint of the run, recorded so an
-	// epoch-survivable result cache can prove a catalogue delta cannot have
-	// changed this result (see Footprint). Nil for degenerate runs (no
-	// active lists), which read the whole space.
-	FP *Footprint
-}
-
-// DimBound records, for one utility dimension the search weighted, how far
-// its sorted list was consumed. The search replays bit-identically on a new
-// epoch as long as no unconsumed item moves into a consumed prefix: an
-// inserted or re-priced item whose value reaches Tau (ties included — list
-// order breaks ties by dense id) would be drawn and change the trace.
-type DimBound struct {
-	// Dim is the profile entry index; Feat its underlying item feature.
-	Dim, Feat int32
-	// HasList reports whether the dimension had a sorted-list cursor. A
-	// weighted dimension without one (every item null on the feature) is
-	// invalidated by any item gaining a value there: the fresh search would
-	// build a cursor the cached run never had.
-	HasList bool
-	// Desc is the traversal direction (true for positive weight).
-	Desc bool
-	// Done reports the cursor consumed its whole list; any new list member
-	// would extend the consumed prefix.
-	Done bool
-	// Tau is the boundary value of the last drawn item (meaningful only
-	// when HasList).
-	Tau float64
-}
-
-// Footprint is everything a Top-k-Pkg run read, summarized conservatively:
-// the distinct items materialized into the run (sorted dense ids), the
-// per-dimension list prefixes consumed, how far the orphan drain got, and
-// the admission bound (k-th package utility) the issue's retention rule
-// additionally tests inserted items against.
-type Footprint struct {
-	// Accessed holds the dense ids of every item the run drew, sorted
-	// ascending. Any change to one of these items changes what the search
-	// read.
-	Accessed []int32
-	// Bounds has one entry per weighted non-null profile dimension.
-	Bounds []DimBound
-	// OrphanOpen reports the orphan drain loop ran to completion without
-	// closing the bound: a fresh search would access any newly orphaned
-	// item, wherever it lands.
-	OrphanOpen bool
-	// OrphanTau is the dense id of the orphan the drain loop broke at (-1
-	// if it never drew one): newly orphaned items at or below it would be
-	// drawn before the same break.
-	OrphanTau int32
-	// Admission is the k-th best package utility at termination (-Inf when
-	// fewer than K candidates were found).
-	Admission float64
-	// Weights aliases the run's weight vector (utilities are immutable).
-	Weights []float64
-	// Clusters lists the partition clusters a beamed sketch-refine run
-	// opened (sorted ascending; nil for unpartitioned and for uncapped
-	// partitioned runs, whose results are bit-identical to unpartitioned
-	// and so survive on the standard rules alone). A beamed partitioned
-	// result additionally depends on the partition itself: the cache must
-	// drop it when the partition re-clusters, when any cluster's bounds or
-	// representative change, or when one of these clusters' membership is
-	// touched.
-	Clusters []int32
 }
 
 // Index holds the per-entry sorted item lists for a space, so that repeated
@@ -339,13 +275,12 @@ type run struct {
 	qPlus []*pkg
 	cands *candHeap
 
-	seen        *seenSet
-	accessedIDs []int32
-	accessed    int
-	created     int
-	truncated   bool
-	maxQueue    int
-	round       int
+	seen      *seenSet
+	accessed  int
+	created   int
+	truncated bool
+	maxQueue  int
+	round     int
 
 	// Dominance pruning (engaged only for monotone utilities with bound
 	// pruning on): heads is the space's skyline, emptyState scores
@@ -367,9 +302,6 @@ type run struct {
 	pc           *partCtx
 	floorL       float64
 	partContribs []feature.Contrib
-
-	// hasList[d] reports whether profile entry d has an active cursor.
-	hasList []bool
 
 	// Fused-kernel plans (per-dimension constants hoisted out of the hot
 	// loops): scorePlan drives ScoreAfter, padPlan drives PadUpper.
@@ -522,13 +454,13 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	if len(r.lists) == 0 {
 		return r, false
 	}
-	r.hasList = make([]bool, ix.space.Dims())
+	hasList := make([]bool, ix.space.Dims())
 	for li := range r.lists {
-		r.hasList[r.lists[li].dim] = true
+		hasList[r.lists[li].dim] = true
 	}
 	var skipDims, listDims []int
 	for d := 0; d < ix.space.Dims(); d++ {
-		if u.W[d] != 0 && !r.hasList[d] {
+		if u.W[d] != 0 && !hasList[d] {
 			skipDims = append(skipDims, d)
 		}
 	}
@@ -606,7 +538,6 @@ func (r *run) exec() Result {
 			continue
 		}
 		r.seen.marks[item] = r.seen.stamp
-		r.accessedIDs = append(r.accessedIDs, item)
 		r.accessed++
 		// Sketch skip: when a partition context is active, an item whose
 		// whole cluster bounds strictly below the sketch floor L can head
@@ -629,10 +560,10 @@ func (r *run) exec() Result {
 		// Dominance skip: a non-head item whose best package-membership
 		// bound falls strictly below the current k-th best can head or
 		// join no package that enters the results — don't expand it. The
-		// item still advanced τ (nextItem) and still counts as accessed,
-		// so footprints stay conservative. While the heap is not full
-		// ηlo is -Inf and nothing is skipped (unless a sketch floor is
-		// active, which is a sound k-th stand-in from the start).
+		// item still advanced τ (nextItem) and still counts as accessed.
+		// While the heap is not full ηlo is -Inf and nothing is skipped
+		// (unless a sketch floor is active, which is a sound k-th stand-in
+		// from the start).
 		if thr := max(r.cands.kthUtility(), r.floorL); r.heads != nil && !r.heads.Contains(item) && r.headBound(item) < thr {
 			r.domPruned++
 			if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
@@ -653,40 +584,25 @@ func (r *run) exec() Result {
 	// Drain orphans (items null on every active feature): they can only
 	// matter through size effects (avg denominators), so only in ExpandAll
 	// mode can they change results; access them for completeness.
-	orphanOpen := false
-	orphanTau := int32(-1)
 	if len(r.qPlus) > 0 {
-		orphanOpen = true
 		for _, o := range r.ix.orphans {
 			if r.seen.marks[o] != r.seen.stamp {
 				r.seen.marks[o] = r.seen.stamp
-				r.accessedIDs = append(r.accessedIDs, o)
 				r.accessed++
 				etaLo, etaUp := r.expand(int(o))
 				if etaUp <= etaLo || len(r.qPlus) == 0 {
-					orphanOpen = false
-					orphanTau = o
 					break
 				}
 			}
 		}
 	}
 
-	fp := r.footprint(orphanOpen, orphanTau)
-	if r.domPruned > 0 && r.truncated {
-		// Beam truncation plus dominance skips: the skipped items'
-		// children no longer competed for beam slots, so this result is
-		// not provably replayable after a catalogue delta — withhold the
-		// footprint and let the cache drop it on any swap.
-		fp = nil
-	}
 	return Result{
 		Packages:  r.cands.sorted(),
 		Accessed:  r.accessed,
 		Created:   r.created,
 		Truncated: r.truncated,
 		DomPruned: r.domPruned,
-		FP:        fp,
 	}
 }
 
@@ -741,40 +657,6 @@ func (r *run) headBound(id int32) float64 {
 		}
 	}
 	return b
-}
-
-// footprint assembles the run's conservative read summary (see Footprint).
-// The accessed-id slice is donated to the footprint after an in-place sort
-// (safe: the deferred bitmap reset only reads the values), so capture costs
-// two allocations per run — the Footprint itself and its Bounds slice.
-func (r *run) footprint(orphanOpen bool, orphanTau int32) *Footprint {
-	slices.Sort(r.accessedIDs)
-	bounds := make([]DimBound, 0, len(r.lists))
-	li := 0
-	for d := 0; d < r.ix.space.Dims(); d++ {
-		e := r.ix.space.Profile.Entry(d)
-		if r.u.W[d] == 0 || e.Agg == feature.AggNull {
-			continue
-		}
-		if r.hasList[d] {
-			lc := &r.lists[li]
-			li++
-			bounds = append(bounds, DimBound{
-				Dim: int32(d), Feat: int32(e.Feature),
-				HasList: true, Desc: lc.desc, Done: lc.done, Tau: lc.tau,
-			})
-		} else {
-			bounds = append(bounds, DimBound{Dim: int32(d), Feat: int32(e.Feature)})
-		}
-	}
-	return &Footprint{
-		Accessed:   r.accessedIDs,
-		Bounds:     bounds,
-		OrphanOpen: orphanOpen,
-		OrphanTau:  orphanTau,
-		Admission:  r.cands.kthUtility(),
-		Weights:    r.u.W,
-	}
 }
 
 // nextItem performs one sorted access in round-robin fashion, updating the

@@ -399,9 +399,10 @@ func TestCatalogGetStableSchema(t *testing.T) {
 	}
 }
 
-// TestHealthzSearchCacheCounters: the cache's retention accounting —
-// retained, reconcile_drops, invalidation_drops, revived — is visible to
-// operators through /healthz.
+// TestHealthzSearchCacheCounters: the cache's accounting — hits, misses
+// and both ways an entry leaves (evictions, invalidation_drops) — is visible
+// to operators through /healthz, and the always-zero cross-epoch retention
+// counters are not.
 func TestHealthzSearchCacheCounters(t *testing.T) {
 	_, ts := liveServer(t)
 	var hz struct {
@@ -410,9 +411,14 @@ func TestHealthzSearchCacheCounters(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/healthz", &hz); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz = %d", resp.StatusCode)
 	}
-	for _, k := range []string{"hits", "misses", "evictions", "retained", "reconcile_drops", "invalidation_drops", "revived"} {
+	for _, k := range []string{"hits", "misses", "evictions", "invalidation_drops"} {
 		if _, ok := hz.SearchCache[k]; !ok {
 			t.Errorf("healthz search_cache is missing counter %q", k)
+		}
+	}
+	for _, k := range []string{"retained", "reconcile_drops", "revived"} {
+		if _, ok := hz.SearchCache[k]; ok {
+			t.Errorf("healthz search_cache still advertises dead counter %q", k)
 		}
 	}
 }
