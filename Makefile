@@ -90,12 +90,13 @@ bench-serve-sharded:
 
 # bench-check proves the repo benchmark (BENCHMARK.json, bench/ — its own
 # module, outside `go test ./...`) still builds, passes its own tests and
-# runs: a short traced --quick pass of the churn and the static workload.
+# runs: a short traced --quick pass of all five workloads, so the heads +
+# partition + beamed-refine path of large_* meets the output checks too.
 # Exit status only — the runs' output checks are the gate, not their
 # timings.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
-	for w in serve_churn serve_static; do \
+	for w in serve_static serve_churn serve_hot large_uni large_cor; do \
 	  bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 --quick; done
 
 fuzz-smoke:

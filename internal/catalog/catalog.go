@@ -574,7 +574,11 @@ func (c *Catalog) rebuildLocked() {
 	if muts != nil {
 		if ep, cs, err = buildEpochFrom(parent, muts, c.maxSize); err == nil {
 			delta = true
-			ep.Index.ConfigurePartition(c.partClusters, c.partStats)
+			// A change set that netted out hands back the parent's index,
+			// configured already and serving searches: do not write to it.
+			if ep.Index != parent.Index {
+				ep.Index.ConfigurePartition(c.partClusters, c.partStats)
+			}
 			skyInc, skyRec = maintainHeads(parent, ep, cs)
 			partInc, partRec = maintainPartition(parent, ep, cs, c.partClusters, c.partImbalance)
 		} else {

@@ -919,9 +919,12 @@ func NewScorePlan(s *Space, u *Utility) *ScorePlan {
 	return pl
 }
 
-// PadPlan caches the constants PadUpper reads: skips are the non-zero-weight
-// dimensions without an active sorted list, lists the dimensions with one,
-// both in ascending dimension order.
+// PadPlan caches the constants the pad kernels read: skips are the
+// non-zero-weight dimensions without an active sorted list, lists the
+// dimensions with one, both in ascending dimension order. The τ-only kernels
+// read weight, scale and aggregation kind — which is their per-dimension
+// class: constant (min/max), sum or avg — straight from the plan; nothing is
+// copied or classified per call.
 type PadPlan struct {
 	skips []kernelDim
 	lists []kernelDim
@@ -1211,89 +1214,152 @@ func (st *State) PadUpper(pl *PadPlan, modes []uint8, taus []float64, phi int) f
 	return best
 }
 
-// padFastDims caps the list-dimension count PadUpperTau can handle with its
-// stack-resident scratch; callers fall back to PadUpper above it.
+// padFastDims caps the dimension count (skips plus lists) the τ-only kernels
+// can handle with their stack-resident scratch; see PadPlan.TauOnly.
 const padFastDims = 16
+
+// TauOnly reports whether the plan fits the τ-only kernels (PadUpperTau,
+// PadUpperTauAfter). Callers must additionally hold every list dimension in
+// mode PadTau, and fall back to PadUpper otherwise.
+func (pl *PadPlan) TauOnly() bool { return len(pl.skips)+len(pl.lists) <= padFastDims }
 
 // PadUpperTau is PadUpper specialized to runs where every list dimension
 // still pads with its boundary value τ (mode PadTau throughout) — the common
 // case for null-free datasets with live cursors. τ is constant within a
 // call, so a dimension's min/max slots stop moving after the first fold and
-// its sum advances by exactly τ per round; the loop below replays PadUpper's
-// float operation sequence on stack locals instead of folding into the agg
-// array, which lets callers skip the scratch copy entirely. The receiver is
-// not modified. Bit-identical to PadUpper with all modes PadTau: per-round
-// sums chain through the same additions, min/max fold to the same constant,
-// and the per-dimension w·a/scale terms accumulate in the same order.
-// len(pl.lists) must be at most padFastDims.
+// its sum advances by exactly τ per round; padTau replays PadUpper's float
+// operation sequence on one stack-resident running value per dimension
+// instead of folding into the agg array, which lets callers skip the scratch
+// copy entirely. The receiver is not modified. Bit-identical to PadUpper with
+// all modes PadTau: per-round sums chain through the same additions, min/max
+// fold to the same constant, and the per-dimension w·a/scale terms accumulate
+// in the same order. pl.TauOnly() must hold.
 func (st *State) PadUpperTau(pl *PadPlan, taus []float64, phi int) float64 {
+	return st.padTau(pl, -1, taus, st.Size, phi)
+}
+
+// PadUpperTauAfter returns the upper-exp bound of the receiver grown by the
+// item with dense id — GrowFrom followed by PadUpperTau, bit for bit — without
+// materializing the grown state: the item's column values fold into the
+// per-dimension running values as they are seeded, and the pad rounds start
+// one size up. The receiver is not modified. pl.TauOnly() must hold.
+func (st *State) PadUpperTauAfter(pl *PadPlan, id int32, taus []float64, phi int) float64 {
+	return st.padTau(pl, id, taus, st.Size+1, phi)
+}
+
+// padTau is the body of the τ-only kernels: pad the receiver — grown by item
+// id first when id ≥ 0 — from package size `size` up to phi. One running
+// value per dimension (skips first, then lists) is seeded from the summary
+// slot the dimension's aggregation reads, with the item's column value
+// folded in: for min/max and empty dimensions the round-invariant
+// contribution w·a/scale itself, for sum/avg the sum the rounds advance
+// (lists, by τ) or only re-divide (avg skips). A null item value, like no
+// item at all, is a NaN that no min/max comparison admits.
+func (st *State) padTau(pl *PadPlan, id int32, taus []float64, size, phi int) float64 {
 	agg := st.agg
-	n := len(pl.lists)
-	// cls 0: constant contribution (min/max — precomputed in consts);
-	// cls 1: sum (linear in pad count); cls 2: avg (sum with moving divisor).
-	var sums, consts, ws, scales [padFastDims]float64
-	var cls [padFastDims]uint8
-	for i := 0; i < n; i++ {
-		kd := &pl.lists[i]
+	null := math.NaN()
+	var run [padFastDims]float64
+	ns := len(pl.skips)
+	for i := range pl.skips {
+		kd := &pl.skips[i]
 		b := kd.b
-		tau := taus[i]
-		ws[i], scales[i] = kd.w, kd.scale
+		v, count := null, agg[b]
+		if id >= 0 {
+			v = kd.col[id]
+		}
+		if !IsNull(v) {
+			count++
+		}
+		var a float64 // the aggregate — for avg the sum, whose divisor moves
+		if count != 0 {
+			switch kd.kind {
+			case AggMin:
+				a = agg[b+2]
+				if v < a {
+					a = v
+				}
+			case AggMax:
+				a = agg[b+3]
+				if v > a {
+					a = v
+				}
+			case AggSum, AggAvg:
+				a = agg[b+1]
+				if !IsNull(v) {
+					a += v
+				}
+			}
+		}
+		if kd.kind == AggAvg {
+			run[i] = a // +0 while the dimension is empty, like PadUpper's a
+		} else {
+			run[i] = kd.w * a / kd.scale
+		}
+	}
+	lists := pl.lists
+	for i := range lists {
+		kd := &lists[i]
+		b := kd.b
+		v, tau := null, taus[i]
+		if id >= 0 {
+			v = kd.col[id]
+		}
 		switch kd.kind {
 		case AggMin:
 			mn := agg[b+2]
+			if v < mn {
+				mn = v
+			}
 			if tau < mn {
 				mn = tau
 			}
-			consts[i] = kd.w * mn / kd.scale
+			run[ns+i] = kd.w * mn / kd.scale
 		case AggMax:
 			mx := agg[b+3]
+			if v > mx {
+				mx = v
+			}
 			if tau > mx {
 				mx = tau
 			}
-			consts[i] = kd.w * mx / kd.scale
-		case AggSum:
-			sums[i], cls[i] = agg[b+1], 1
-		case AggAvg:
-			sums[i], cls[i] = agg[b+1], 2
+			run[ns+i] = kd.w * mx / kd.scale
+		case AggSum, AggAvg:
+			sum := agg[b+1]
+			if !IsNull(v) {
+				sum += v
+			}
+			run[ns+i] = sum
+		default:
+			run[ns+i] = kd.w * 0 / kd.scale
 		}
 	}
 	best := math.Inf(-1)
-	for sz := st.Size; sz < phi; sz++ {
+	for sz := size; sz < phi; sz++ {
 		szp1 := float64(sz + 1)
 		util := 0.0
 		for i := range pl.skips {
 			kd := &pl.skips[i]
-			var a float64
-			if kd.kind != AggNull {
-				b := kd.b
-				if agg[b] != 0 {
-					switch kd.kind {
-					case AggMin:
-						a = agg[b+2]
-					case AggMax:
-						a = agg[b+3]
-					case AggSum:
-						a = agg[b+1]
-					case AggAvg:
-						a = agg[b+1] / szp1
-					}
-				}
+			if kd.kind == AggAvg {
+				a := run[i] / szp1
+				util += kd.w * a / kd.scale
+			} else {
+				util += run[i]
 			}
-			util += kd.w * a / kd.scale
 		}
-		for i := 0; i < n; i++ {
-			switch cls[i] {
-			case 0:
-				util += consts[i]
-			case 1:
-				s := sums[i] + taus[i]
-				sums[i] = s
-				util += ws[i] * s / scales[i]
-			default:
-				s := sums[i] + taus[i]
-				sums[i] = s
+		for i := range lists {
+			kd := &lists[i]
+			switch kd.kind {
+			case AggSum:
+				s := run[ns+i] + taus[i]
+				run[ns+i] = s
+				util += kd.w * s / kd.scale
+			case AggAvg:
+				s := run[ns+i] + taus[i]
+				run[ns+i] = s
 				a := s / szp1
-				util += ws[i] * a / scales[i]
+				util += kd.w * a / kd.scale
+			default:
+				util += run[ns+i]
 			}
 		}
 		if util > best {

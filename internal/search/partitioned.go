@@ -427,7 +427,7 @@ func (r *run) computeClusterBound(c int32) float64 {
 		}
 		contribs[d] = feature.Contrib{Value: v}
 	}
-	st := r.scratchGrow
+	st := r.scratch
 	st.CopyFrom(r.emptyState)
 	st.AddContrib(contribs)
 	b := r.u.ScoreState(st)
@@ -436,9 +436,7 @@ func (r *run) computeClusterBound(c int32) float64 {
 		if r.initFastPad {
 			ext = st.PadUpperTau(r.padPlan, r.initTaus, sp.MaxSize)
 		} else {
-			s := r.scratch
-			s.CopyFrom(st)
-			ext = s.PadUpper(r.padPlan, r.initModes, r.initTaus, sp.MaxSize)
+			ext = st.PadUpper(r.padPlan, r.initModes, r.initTaus, sp.MaxSize) // scored above: pad in place
 		}
 		if ext > b {
 			b = ext

@@ -257,8 +257,12 @@ type pkg struct {
 // package's extension bound is recomputed against the current τ.
 const boundRefresh = 16
 
-func (p *pkg) toPackage() pkgspace.Package {
-	ids := append([]int(nil), p.ids...)
+// childPackage returns p ∪ {item} as a result package: its own sorted id
+// slice, aliasing nothing in p.
+func childPackage(p *pkg, item int) pkgspace.Package {
+	ids := make([]int, len(p.ids)+1)
+	copy(ids, p.ids)
+	ids[len(p.ids)] = item
 	slices.Sort(ids)
 	return pkgspace.Package{IDs: ids}
 }
@@ -313,15 +317,14 @@ type run struct {
 	padTaus   []float64
 
 	// fastPad is true while every pad mode is PadTau (no nullable features,
-	// no exhausted cursors), enabling the non-mutating PadUpperTau kernel
-	// that skips the scratch copy. Cleared the moment any cursor exhausts.
+	// no exhausted cursors) and the plan fits the τ-only kernels, which bound
+	// a package — or a package plus one item — straight from its state, with
+	// no scratch copy. Cleared the moment any cursor exhausts.
 	fastPad bool
 
-	// Reusable scratch buffers for the hot expansion path. scratch backs
-	// upperExp's padding; scratchGrow holds tentative grown states (the two
-	// must stay distinct — upperExp copies its argument into scratch).
-	scratch     *feature.State
-	scratchGrow *feature.State
+	// scratch is the state the general pad path mutates: PadUpper folds its
+	// imaginary items into a copy (upperExp) or a grown child (growBound).
+	scratch *feature.State
 
 	// Recycling pools scoped to this run: packages dropped from Q+ donate
 	// their aggregate states and id buffers to newly materialized children,
@@ -342,11 +345,11 @@ type run struct {
 	guScratch []float64
 }
 
-// newChild materializes p ∪ {item} with the given precomputed utility,
-// reusing a recycled pkg shell and state when available. The child state is
-// grown through the score plan (GrowFrom), which only maintains the
-// dimensions the run ever reads.
-func (r *run) newChild(p *pkg, item int, util float64) *pkg {
+// newChild materializes p ∪ {item} with the given precomputed utility and
+// extension bound (taken this round), reusing a recycled pkg shell and state
+// when available. The child state is grown through the score plan
+// (GrowFrom), which only maintains the dimensions the run ever reads.
+func (r *run) newChild(p *pkg, item int, util, bound float64) *pkg {
 	var np *pkg
 	if n := len(r.freePkgs); n > 0 {
 		np = r.freePkgs[n-1]
@@ -365,12 +368,12 @@ func (r *run) newChild(p *pkg, item int, util float64) *pkg {
 	np.state = st
 	np.ids = append(append(np.ids[:0], p.ids...), item)
 	np.util = util
-	np.bound, np.boundRound = 0, 0
+	np.bound, np.boundRound = bound, r.round
 	return np
 }
 
 // release recycles a package leaving Q+. Candidates keep their own sorted
-// id copies (toPackage), so nothing aliases the recycled buffers.
+// id copies (childPackage), so nothing aliases the recycled buffers.
 func (r *run) release(p *pkg) {
 	r.freeStates = append(r.freeStates, p.state)
 	p.state = nil
@@ -418,15 +421,14 @@ func (ix *Index) topKRun(u *feature.Utility, opts Options, pc *partCtx) (Result,
 // degenerate no-active-list case.
 func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, ok bool) {
 	r = &run{
-		ix:          ix,
-		u:           u,
-		opts:        opts,
-		cands:       &candHeap{k: opts.K},
-		maxQueue:    opts.MaxQueue,
-		pc:          pc,
-		floorL:      negInf,
-		scratch:     feature.NewState(ix.space),
-		scratchGrow: feature.NewState(ix.space),
+		ix:       ix,
+		u:        u,
+		opts:     opts,
+		cands:    &candHeap{k: opts.K},
+		maxQueue: opts.MaxQueue,
+		pc:       pc,
+		floorL:   negInf,
+		scratch:  feature.NewState(ix.space),
 	}
 	if pc != nil {
 		r.floorL = pc.floorL
@@ -476,14 +478,14 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 			r.padModes[li] = feature.PadTau
 		}
 	}
-	r.fastPad = len(r.lists) <= 16
+	r.scorePlan = feature.NewScorePlan(ix.space, u)
+	r.padPlan = feature.NewPadPlan(ix.space, u, skipDims, listDims)
+	r.fastPad = r.padPlan.TauOnly()
 	for _, m := range r.padModes {
 		if m != feature.PadTau {
 			r.fastPad = false
 		}
 	}
-	r.scorePlan = feature.NewScorePlan(ix.space, u)
-	r.padPlan = feature.NewPadPlan(ix.space, u, skipDims, listDims)
 
 	// Engage the dominance filter only when it is provably safe: the
 	// utility must be monotone for the profile (a dominated item is then
@@ -583,16 +585,22 @@ func (r *run) exec() Result {
 	}
 	// Drain orphans (items null on every active feature): they can only
 	// matter through size effects (avg denominators), so only in ExpandAll
-	// mode can they change results; access them for completeness.
+	// mode can they change results; access them for completeness — within
+	// the access budget, like any other draw.
 	if len(r.qPlus) > 0 {
 		for _, o := range r.ix.orphans {
-			if r.seen.marks[o] != r.seen.stamp {
-				r.seen.marks[o] = r.seen.stamp
-				r.accessed++
-				etaLo, etaUp := r.expand(int(o))
-				if etaUp <= etaLo || len(r.qPlus) == 0 {
-					break
-				}
+			if r.seen.marks[o] == r.seen.stamp {
+				continue
+			}
+			if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
+				r.truncated = true
+				break
+			}
+			r.seen.marks[o] = r.seen.stamp
+			r.accessed++
+			etaLo, etaUp := r.expand(int(o))
+			if etaUp <= etaLo || len(r.qPlus) == 0 {
+				break
 			}
 		}
 	}
@@ -642,17 +650,7 @@ func (r *run) monotone() bool {
 func (r *run) headBound(id int32) float64 {
 	b := r.emptyState.ScoreAfter(r.scorePlan, id)
 	if r.ix.space.MaxSize > 1 {
-		st := r.scratchGrow
-		st.GrowFrom(r.emptyState, r.scorePlan, id)
-		var ext float64
-		if r.initFastPad {
-			ext = st.PadUpperTau(r.padPlan, r.initTaus, r.ix.space.MaxSize)
-		} else {
-			s := r.scratch
-			s.CopyFrom(st)
-			ext = s.PadUpper(r.padPlan, r.initModes, r.initTaus, r.ix.space.MaxSize)
-		}
-		if ext > b {
+		if ext := r.growBound(r.emptyState, id, r.initFastPad, r.initModes, r.initTaus); ext > b {
 			b = ext
 		}
 	}
@@ -748,59 +746,43 @@ func (r *run) expand(item int) (etaLo, etaUp float64) {
 			r.release(p)
 			continue
 		}
-		if p.state.Size < phi {
-			// Utility after adding the item, from the batched pre-pass.
-			gu := gus[pi]
-			// Line 3: the paper grows a package only when the new item
-			// strictly improves it; ExpandAll disables that heuristic, and
-			// the empty package always grows (correction 1).
-			if r.opts.ExpandAll || p.state.Size == 0 || gu > p.util {
-				// Materialize the child only if it can matter — as a
-				// candidate (gu above the bar) or as an ancestor of one
-				// (extension bound above the bar, checked on scratch). The
-				// bound computed here is reused as the child's queue bound:
-				// both are taken against this round's τ.
-				worth := !prune || gu > etaLo
-				growBound, haveBound := 0.0, false
-				if !worth {
-					r.scratchGrow.GrowFrom(p.state, r.scorePlan, int32(item))
-					growBound, haveBound = r.upperExp(r.scratchGrow), true
-					worth = growBound > etaLo
+		// Utility after adding the item, from the batched pre-pass. Line 3:
+		// the paper grows a package only when the new item strictly improves
+		// it; ExpandAll disables that heuristic, and the empty package always
+		// grows (correction 1).
+		if gu := gus[pi]; r.opts.ExpandAll || p.state.Size == 0 || gu > p.util {
+			// The child's extension bound, taken against this round's τ
+			// straight from p's state. A child at the size cap has no
+			// extensions (upperExp's −∞), so it is never bounded, grown or
+			// queued: it can only be a candidate, offered from p's ids.
+			size, bound := p.state.Size+1, negInf
+			if size < phi {
+				bound = r.growBound(p.state, int32(item), r.fastPad, r.padModes, r.padTaus)
+			}
+			// Create the child only if it can matter — as a candidate (gu
+			// above the bar) or as an ancestor of one (bound above the bar).
+			if (!prune || gu > etaLo || bound > etaLo) &&
+				(r.opts.Expand == nil || r.opts.Expand(r.ix.space, childPackage(p, item))) {
+				r.created++
+				r.offer(p, item, gu)
+				if r.cands.full() {
+					etaLo = r.cands.kthUtility()
+					prune = !r.opts.DisableBoundPrune
 				}
-				if worth {
-					np := r.newChild(p, item, gu)
-					if r.opts.Expand == nil || r.opts.Expand(r.ix.space, np.toPackage()) {
-						r.created++
-						r.offer(np)
-						if r.cands.full() {
-							etaLo = r.cands.kthUtility()
-							prune = !r.opts.DisableBoundPrune
-						}
-						// Lines 5–8: keep the new package expandable while
-						// its extensions can still matter.
-						if haveBound {
-							np.bound = growBound
-						} else {
-							np.bound = r.upperExp(np.state)
-						}
-						np.boundRound = r.round
-						if r.keep(np, etaLo, prune) {
-							if np.bound > etaUp {
-								etaUp = np.bound
-							}
-							newcomers = append(newcomers, np)
-						} else {
-							r.release(np)
-						}
-					} else {
-						r.release(np)
+				// Lines 5–8: the new package becomes expandable — and only
+				// then gets a state of its own — while its extensions can
+				// still matter.
+				if r.keep(size, gu, bound, etaLo, prune) {
+					if bound > etaUp {
+						etaUp = bound
 					}
+					newcomers = append(newcomers, r.newChild(p, item, gu, bound))
 				}
 			}
 		}
 		// Lines 9–11: re-check p itself against the (possibly stale)
 		// boundary bound.
-		if r.keep(p, etaLo, prune) {
+		if r.keep(p.state.Size, p.util, p.bound, etaLo, prune) {
 			if p.bound > etaUp {
 				etaUp = p.bound
 			}
@@ -911,37 +893,37 @@ func selectKth(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// keep decides whether a package stays in Q+ given its refreshed extension
-// bound. In ExpandAll (exact) mode retention is purely bound-based; in the
-// paper's mode a package additionally leaves Q+ once no extension can
-// improve on its own utility (the paper's line-9 semantics, which trades
-// top-k completeness for a smaller queue). The empty package is exempt from
-// the improvement test (correction 1 above).
-func (r *run) keep(p *pkg, etaLo float64, prune bool) bool {
-	if p.state.Size >= r.ix.space.MaxSize || math.IsInf(p.bound, -1) {
+// keep decides whether a package of the given size, utility and extension
+// bound belongs in Q+. In ExpandAll (exact) mode retention is purely
+// bound-based; in the paper's mode a package additionally leaves Q+ once no
+// extension can improve on its own utility (the paper's line-9 semantics,
+// which trades top-k completeness for a smaller queue). The empty package is
+// exempt from the improvement test (correction 1 above).
+func (r *run) keep(size int, util, bound, etaLo float64, prune bool) bool {
+	if size >= r.ix.space.MaxSize || math.IsInf(bound, -1) {
 		return false
 	}
-	if (prune && p.bound <= etaLo) || p.bound < r.floorL {
+	if (prune && bound <= etaLo) || bound < r.floorL {
 		return false
 	}
-	if !r.opts.ExpandAll && p.state.Size > 0 && p.bound <= p.util {
+	if !r.opts.ExpandAll && size > 0 && bound <= util {
 		return false
 	}
 	return true
 }
 
-// offer proposes a completed package as a result candidate. The utility
-// pre-check avoids materializing the sorted id slice for the (common)
-// packages that cannot enter the heap.
-func (r *run) offer(p *pkg) {
-	if r.cands.full() && p.util < r.cands.kthUtility() {
+// offer proposes p ∪ {item}, of the given utility, as a result candidate.
+// The utility pre-check avoids materializing the sorted id slice for the
+// (common) packages that cannot enter the heap.
+func (r *run) offer(p *pkg, item int, util float64) {
+	if r.cands.full() && util < r.cands.kthUtility() {
 		return
 	}
-	cand := p.toPackage()
+	cand := childPackage(p, item)
 	if r.opts.Candidate != nil && !r.opts.Candidate(r.ix.space, cand) {
 		return
 	}
-	r.cands.offer(pkgspace.Scored{Pkg: cand, Utility: p.util})
+	r.cands.offer(pkgspace.Scored{Pkg: cand, Utility: util})
 }
 
 // upperExp is Algorithm 3 with a sound stopping rule: the maximum utility
@@ -970,6 +952,22 @@ func (r *run) upperExp(st *feature.State) float64 {
 	s := r.scratch
 	s.CopyFrom(st)
 	return s.PadUpper(r.padPlan, r.padModes, r.padTaus, phi)
+}
+
+// growBound is upperExp of st ∪ {item}, for a grown package still below the
+// size cap, against the given pad descriptors (the run's current ones, or
+// headBound's frozen initial ones). All-PadTau descriptors take the fused
+// kernel, which reads st and the item's column values and materializes
+// nothing; nullable or exhausted lists take the one general path — grow into
+// scratch, pad it in place.
+func (r *run) growBound(st *feature.State, item int32, fast bool, modes []uint8, taus []float64) float64 {
+	phi := r.ix.space.MaxSize
+	if fast {
+		return st.PadUpperTauAfter(r.padPlan, item, taus, phi)
+	}
+	s := r.scratch
+	s.GrowFrom(st, r.scorePlan, item)
+	return s.PadUpper(r.padPlan, modes, taus, phi)
 }
 
 // degenerate handles the all-zero-weight utility: every package scores 0,

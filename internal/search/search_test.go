@@ -549,3 +549,37 @@ func TestMaxAccessedBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxAccessedBudgetCoversOrphanDrain: orphans (items null on every
+// profile feature) are drawn after the sorted lists, and those draws count
+// against the same budget — the drain neither starts past it nor runs
+// through it, and stopping it short flags truncation.
+func TestMaxAccessedBudgetCoversOrphanDrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	items := make([]feature.Item, 400)
+	for i := range items {
+		v := feature.Null
+		if i%2 == 0 {
+			v = rng.Float64()
+		}
+		items[i] = feature.Item{ID: i, Values: []float64{v}}
+	}
+	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggAvg), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex(sp)
+	u := mustUtility(t, sp, -0.5) // null members dilute the avg: orphans matter
+	for _, expandAll := range []bool{false, true} {
+		res, err := ix.TopK(u, Options{K: 3, MaxAccessed: 10, ExpandAll: expandAll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accessed > 10 {
+			t.Errorf("ExpandAll=%t: accessed %d > budget 10", expandAll, res.Accessed)
+		}
+		if !res.Truncated {
+			t.Errorf("ExpandAll=%t: budget stopped the search but Truncated is unset", expandAll)
+		}
+	}
+}
