@@ -2,6 +2,9 @@
 // evaluation (§5), plus ablations of this reproduction's design choices.
 // Run with: go test -bench=. -benchmem
 //
+// They are the paper's figures, not the performance gate: serving
+// performance is measured by bench/ (BENCHMARK.json, bash bench/run.sh).
+//
 // Mapping (see DESIGN.md §3 and EXPERIMENTS.md):
 //
 //	Figure 4 → BenchmarkFig4Samplers            (sampler draw cost, 2-D)
@@ -15,11 +18,8 @@ package toppkg_test
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"toppkg/internal/catalog"
 	"toppkg/internal/core"
 	"toppkg/internal/dataset"
 	"toppkg/internal/feature"
@@ -347,10 +347,11 @@ func fig8Engine(b *testing.B, rng *rand.Rand, cacheSize int) *core.Engine {
 	return eng
 }
 
-// reportPipelineMetrics attaches the batching counters the BENCH_*.json
-// trajectory tracks: cache hits and searches per op, and the dedup ratio.
-// base is the counter snapshot taken before the timed loop, so untimed
-// warm-up rounds do not skew the per-op numbers.
+// reportPipelineMetrics attaches the batching counters per op: cache hits,
+// searches and the dedup ratio — the quantities bench/ reports per run as
+// ranking.cache_hit_share, ranking.searches_per_recommend and
+// ranking.dedup_share. base is the counter snapshot taken before the timed
+// loop, so untimed warm-up rounds do not skew the per-op numbers.
 func reportPipelineMetrics(b *testing.B, eng *core.Engine, base core.Stats) {
 	st := eng.Stats()
 	samples := st.RankSamples - base.RankSamples
@@ -392,333 +393,6 @@ func BenchmarkFig8ElicitationRound(b *testing.B) {
 			reportPipelineMetrics(b, eng, base)
 		})
 	}
-}
-
-// BenchmarkFig8PostFeedbackRecommend isolates the batching PR's acceptance
-// metric: the cost of re-running Recommend after a feedback round, when
-// most pool samples survived and (in the cached variant) reuse last
-// round's packages. The click that invalidates part of the pool runs
-// outside the timer.
-func BenchmarkFig8PostFeedbackRecommend(b *testing.B) {
-	for _, tc := range fig8Variants {
-		b.Run(tc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(11))
-			eng := fig8Engine(b, rng, tc.cacheSize)
-			user := simulate.NewRandomUser(eng.Space().Profile, rng)
-			// Warm-up round: draw the pool and learn one click.
-			slate, err := eng.Recommend()
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := eng.Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				pick := user.Choose(eng.Space(), slate.All, rng)
-				if err := eng.Click(slate.All[pick], slate.All); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				slate, err = eng.Recommend()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportPipelineMetrics(b, eng, base)
-		})
-	}
-}
-
-// --- Live catalogue: recommend throughput under mutation churn. ---
-
-// churnMutationInterval paces the background mutator: one single-item
-// reprice batch per interval, i.e. ~500 nominal mutations/sec — a hot
-// admin feed. Each swap invalidates the epoch-keyed result cache, so the
-// mutating variant measures the serving cost of churn, not just the
-// rebuilds themselves. churnCoalesce is the rebuilder's burst window:
-// short enough that swaps land continuously under the recommend loop.
-const (
-	churnMutationInterval = 2 * time.Millisecond
-	churnCoalesce         = 5 * time.Millisecond
-)
-
-var churnVariants = []struct {
-	name   string
-	mutate bool
-}{
-	{"static", false},  // baseline: live catalogue, no mutations (cache stays warm)
-	{"mutating", true}, // epochs swap under the recommend loop
-}
-
-// BenchmarkChurnRecommend measures Recommend on a live catalogue while a
-// background mutator reprices items: the swap path's serving overhead.
-// The static variant is the same live stack with no mutations, so the
-// static/mutating pair is the churn comparison benchjson records.
-func BenchmarkChurnRecommend(b *testing.B) {
-	for _, tc := range churnVariants {
-		b.Run(tc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(21))
-			items := dataset.UNI(500, 5, rng)
-			cat, err := catalog.New(catalog.Config{
-				Profile:        benchProfile(5),
-				MaxPackageSize: 5,
-				Items:          items,
-				Coalesce:       churnCoalesce,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh, err := core.NewLiveShared(core.Config{
-				K:           5,
-				RandomCount: 5,
-				SampleCount: 60,
-				Seed:        12,
-				Parallelism: -1,
-				Search:      search.Options{MaxQueue: 64, MaxAccessed: 120},
-			}, cat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := sh.NewEngine(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Recommend(); err != nil { // warm pool + cache
-				b.Fatal(err)
-			}
-
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			var mutations atomic.Int64
-			if tc.mutate {
-				go func() {
-					defer close(done)
-					mrng := rand.New(rand.NewSource(22))
-					tick := time.NewTicker(churnMutationInterval)
-					defer tick.Stop()
-					for {
-						select {
-						case <-stop:
-							return
-						case <-tick.C:
-							id := mrng.Intn(len(items))
-							err := cat.Upsert([]feature.Item{{
-								ID:   id,
-								Name: items[id].Name,
-								Values: []float64{
-									mrng.Float64(), mrng.Float64(), mrng.Float64(),
-									mrng.Float64(), mrng.Float64(),
-								},
-							}})
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							mutations.Add(1)
-						}
-					}
-				}()
-			} else {
-				close(done)
-			}
-			if tc.mutate {
-				// Time the steady state, not the warm start: keep serving
-				// untimed until enough swaps have landed for the cache to
-				// reach its churn equilibrium (drop and re-search rates
-				// stable). Measuring from equilibrium also keeps per-op
-				// cost roughly uniform, so the framework's iteration-count
-				// extrapolation stays accurate.
-				for cat.Current().ID < 12 {
-					if _, err := eng.Recommend(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-
-			startEpoch := cat.Current().ID
-			base := eng.Stats()
-			mutBase := mutations.Load() // exclude warm-up-period mutations from mut/s
-			start := time.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Recommend(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			elapsed := time.Since(start)
-			close(stop)
-			<-done
-			reportPipelineMetrics(b, eng, base)
-			b.ReportMetric(float64(cat.Current().ID-startEpoch)/float64(b.N), "swaps/op")
-			if secs := elapsed.Seconds(); secs > 0 {
-				b.ReportMetric(float64(mutations.Load()-mutBase)/secs, "mut/s")
-			}
-		})
-	}
-}
-
-// --- Live catalogue: epoch construction, full rebuild vs delta build. ---
-
-// BenchmarkEpochBuild measures producing the next epoch on a large
-// catalogue when a small batch mutates. The full variant rebuilds
-// feature.Space + search.Index from scratch (DeltaThreshold < 0); the
-// delta variant splices the batch into the parent epoch's sorted lists
-// and normalizer state (O(batch·log n) plus O(n) copying). Synchronous
-// rebuild mode times exactly one build per batch; the full/delta pair is
-// the comparison benchjson records.
-const (
-	epochBuildItems = 10000
-	epochBuildBatch = 16
-)
-
-func BenchmarkEpochBuild(b *testing.B) {
-	for _, tc := range []struct {
-		name      string
-		threshold int
-	}{
-		{"full", -1},
-		{"delta", epochBuildBatch},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(41))
-			items := dataset.UNI(epochBuildItems, 5, rng)
-			cat, err := catalog.New(catalog.Config{
-				Profile:        benchProfile(5),
-				MaxPackageSize: 5,
-				Items:          items,
-				Coalesce:       -1,
-				DeltaThreshold: tc.threshold,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := make([]feature.Item, epochBuildBatch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for j := range batch {
-					id := (i*epochBuildBatch + j*101) % epochBuildItems
-					batch[j] = feature.Item{ID: id, Name: items[id].Name, Values: []float64{
-						rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(),
-					}}
-				}
-				b.StartTimer()
-				if err := cat.Upsert(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := cat.Stats()
-			if tc.threshold > 0 && st.DeltaBuilds == 0 {
-				b.Fatal("delta variant never took the delta path")
-			}
-			b.ReportMetric(float64(st.DeltaBuilds)/float64(b.N), "delta/op")
-		})
-	}
-}
-
-// --- Live catalogue: snapshot restore cost under churn. ---
-
-// BenchmarkChurnRestore measures Restore of a stable-ID (v2) snapshot
-// after the catalogue absorbed k mutation batches since the save — the
-// remap + vector-recompute + graph-rebuild work every miss-restore pays
-// under churn. Each iteration applies churnRestoreBatches batches (a
-// rolling delete window, the previous window re-added, reprices) outside
-// the timer, then restores the same snapshot against the churned epoch;
-// dropped_items/op reports how much learned state the churn cost.
-const churnRestoreBatches = 8
-
-func BenchmarkChurnRestore(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	items := dataset.UNI(500, 5, rng)
-	cat, err := catalog.New(catalog.Config{
-		Profile:        benchProfile(5),
-		MaxPackageSize: 5,
-		Items:          items,
-		Coalesce:       -1, // synchronous: batches outside the timer, deterministic epochs
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sh, err := core.NewLiveShared(core.Config{
-		K:           5,
-		RandomCount: 5,
-		SampleCount: 60,
-		Seed:        12,
-		Parallelism: -1,
-		Search:      search.Options{MaxQueue: 64, MaxAccessed: 120},
-	}, cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := sh.NewEngine(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	user := simulate.NewRandomUser(cat.Profile(), rng)
-	for round := 0; round < 6; round++ { // accumulate a realistic preference graph
-		slate, err := eng.Recommend()
-		if err != nil {
-			b.Fatal(err)
-		}
-		pick := user.Choose(slate.Space, slate.All, rng)
-		if err := eng.Click(slate.All[pick], slate.All); err != nil {
-			b.Fatal(err)
-		}
-	}
-	snap := eng.Snapshot()
-
-	window := func(i int) []int {
-		base := (i * 7) % 450
-		return []int{base, base + 1, base + 2}
-	}
-	reprice := func(id int) feature.Item {
-		return feature.Item{ID: id, Name: items[id].Name, Values: []float64{
-			rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(),
-		}}
-	}
-	var droppedItems, droppedPrefs, edges int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if i > 0 { // the previous window returns, keeping the catalogue size steady
-			prev := window(i - 1)
-			back := make([]feature.Item, len(prev))
-			for j, id := range prev {
-				back[j] = reprice(id)
-			}
-			if err := cat.Upsert(back); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := cat.Delete(window(i)); err != nil {
-			b.Fatal(err)
-		}
-		for k := 0; k < churnRestoreBatches-2; k++ {
-			if err := cat.Upsert([]feature.Item{reprice((i*13 + k*37) % 500)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		restored, err := sh.NewEngine(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := restored.Restore(snap); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		di, dp := restored.RestoreDrops()
-		droppedItems += di
-		droppedPrefs += dp
-		edges += restored.Graph().Edges()
-		b.StartTimer()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(droppedItems)/float64(b.N), "dropped_items/op")
-	b.ReportMetric(float64(droppedPrefs)/float64(b.N), "dropped_prefs/op")
-	b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
 }
 
 // --- Ablation: the paper's line-3 pruning vs exact ExpandAll. ---
@@ -851,117 +525,6 @@ func BenchmarkAblationMCMCThin(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Large-catalogue tier: dominance-pruned vs unpruned Top-k-Pkg. ---
-
-// scaleProfile cycles sum/max so positive weights make the utility
-// monotone — the regime where the skyline head filter engages. (The Fig6
-// profile cycles avg/min in as well, which keeps its random-sign runs
-// out of the filter's gate by design.)
-func scaleProfile(m int) *feature.Profile {
-	cycle := []feature.Agg{feature.AggSum, feature.AggMax}
-	aggs := make([]feature.Agg, m)
-	for i := range aggs {
-		aggs[i] = cycle[i%len(cycle)]
-	}
-	return feature.SimpleProfile(aggs...)
-}
-
-// benchScaleTopK measures Top-k-Pkg at catalogue scale: unpruned vs
-// dominance-pruned vs sketch-refine partitioned. The head set and the
-// partition are materialized outside the timer, like the index sort: all
-// are per-epoch precomputations amortized over every per-sample search
-// the epoch serves (and maintained incrementally across delta builds).
-//
-// heads=false drops the dominance-pruned variant and runs the remaining
-// pair with dominance off: the sort-filter skyline build is O(n·|frontier|)
-// and the 1M anti-correlated frontier (~42% of items) puts it hours out
-// of reach — which is fine, because that frontier shape is exactly where
-// dominance pruning is inert (skipped/op = 0 at 100k) and partitioning is
-// the lever that still works.
-func benchScaleTopK(b *testing.B, n int, kinds []string, heads bool) {
-	const m, phi = 5, 5
-	for _, kind := range kinds {
-		rng := rand.New(rand.NewSource(1))
-		items, err := dataset.Generate(kind, n, m, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp, err := feature.NewSpace(items, scaleProfile(m), phi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix := search.NewIndex(sp)
-		if heads {
-			ix.Heads()
-		}
-		ix.EnsurePartition(0)
-		w := make([]float64, m)
-		wrng := rand.New(rand.NewSource(8))
-		for i := range w {
-			w[i] = 0.1 + 0.9*wrng.Float64()
-		}
-		u, err := feature.NewUtility(sp.Profile, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// unpruned/pruned keep DisablePartition so their numbers stay the
-		// baseline series; partitioned is the sketch-refine path over the
-		// same pre-materialized clustering.
-		variants := []struct {
-			name string
-			opts search.Options
-		}{
-			{"unpruned", search.Options{K: 5, DisableDominancePrune: true, DisablePartition: true}},
-			{"pruned", search.Options{K: 5, DisablePartition: true}},
-			{"partitioned", search.Options{K: 5}},
-		}
-		if !heads {
-			variants = []struct {
-				name string
-				opts search.Options
-			}{
-				{"unpruned", search.Options{K: 5, DisableDominancePrune: true, DisablePartition: true}},
-				{"partitioned", search.Options{K: 5, DisableDominancePrune: true}},
-			}
-		}
-		for _, tc := range variants {
-			b.Run(kind+"/"+tc.name, func(b *testing.B) {
-				skipped, sketchSkipped, opened := 0, 0, 0
-				for i := 0; i < b.N; i++ {
-					res, err := ix.TopK(u, tc.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					skipped = res.DomPruned
-					sketchSkipped = res.SketchSkipped
-					opened = res.RefineClustersOpened
-				}
-				if heads {
-					b.ReportMetric(float64(ix.Heads().Len()), "skyline")
-				}
-				b.ReportMetric(float64(skipped), "skipped/op")
-				if sketchSkipped > 0 || opened > 0 {
-					b.ReportMetric(float64(sketchSkipped), "sketch_skipped/op")
-					b.ReportMetric(float64(opened), "clusters_opened/op")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkScaleTopK is the committed 100k-item tier (uni/cor/ant); the
-// CI bench smoke runs it. BenchmarkScaleTopK1M is the million-item tier,
-// run by `make bench` only; its anti-correlated point skips the skyline
-// variant (see benchScaleTopK).
-func BenchmarkScaleTopK(b *testing.B) {
-	benchScaleTopK(b, 100000, []string{"uni", "cor", "ant"}, true)
-}
-
-func BenchmarkScaleTopK1M(b *testing.B) {
-	benchScaleTopK(b, 1000000, []string{"uni", "cor"}, true)
-	benchScaleTopK(b, 1000000, []string{"ant"}, false)
 }
 
 func name2(prefix string, v int) string {

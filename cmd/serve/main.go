@@ -104,7 +104,9 @@ func main() {
 		// The NBA synthesizer has a fixed cardinality and ignores -items.
 		log.Fatalf("-items must be positive for synthetic datasets, got %d", *items)
 	}
-	if err := validatePartitionFlags(*partImb); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validatePartitionFlags(*partImb, *mutable, set); err != nil {
 		log.Fatal(err)
 	}
 
@@ -267,9 +269,17 @@ func main() {
 // (0 auto, negative disables), but an imbalance threshold below 1 can
 // never be satisfied (the fullest cluster is never smaller than the
 // balanced size), so every delta build would re-cluster from scratch.
-func validatePartitionFlags(imbalance float64) error {
+// Both flags only reach the live catalogue's configuration: set (the
+// flags given on the command line) naming either without -mutable-catalog
+// is rejected rather than silently ignored.
+func validatePartitionFlags(imbalance float64, mutable bool, set map[string]bool) error {
 	if imbalance < 1 {
 		return fmt.Errorf("-partition-recluster-imbalance must be >= 1, got %g", imbalance)
+	}
+	for _, name := range []string{"partition-clusters", "partition-recluster-imbalance"} {
+		if set[name] && !mutable {
+			return fmt.Errorf("-%s requires -mutable-catalog: a static catalogue ignores it", name)
+		}
 	}
 	return nil
 }

@@ -1,14 +1,12 @@
 // Package hdrhist is a fixed-footprint, concurrency-safe latency
 // histogram in the HDR style: log-spaced buckets cover five decades of
 // latency (50µs to several minutes) with bounded relative error, so p50,
-// p95 and p99 can be read off a live serving process — or a load
-// generator hammering one — without keeping every sample. Recording is
-// one atomic add; there are no locks on the hot path.
+// p95 and p99 can be read off a live serving process without keeping
+// every sample. Recording is one atomic add; there are no locks on the
+// hot path.
 //
-// The whole-system traffic harness (cmd/loadgen) and the per-route HTTP
-// metrics middleware (internal/server) both record into this type, so the
-// client-side and server-side views of the same traffic are directly
-// comparable bucket for bucket.
+// The per-route HTTP metrics middleware (internal/server) records into
+// this type and /healthz reports its Snapshot.
 package hdrhist
 
 import (
@@ -140,28 +138,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		seen += c
 	}
 	return h.Max() // unreachable unless counters race; max is still safe
-}
-
-// Merge folds other's samples into h (other is read atomically but not
-// snapshotted; merging a histogram under concurrent writes yields a
-// point-in-time-ish view, which is what reporting wants).
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	h.count.Add(other.count.Load())
-	h.sumNs.Add(other.sumNs.Load())
-	for {
-		cur, om := h.maxNs.Load(), other.maxNs.Load()
-		if om <= cur || h.maxNs.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-	for i := range h.buckets {
-		if c := other.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
 }
 
 // Snapshot is a point-in-time summary, shaped for JSON reporting. All

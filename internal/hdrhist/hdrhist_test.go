@@ -91,30 +91,6 @@ func TestOutOfRangeSamples(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Record(time.Millisecond)
-		b.Record(100 * time.Millisecond)
-	}
-	var m Histogram
-	m.Merge(&a)
-	m.Merge(&b)
-	m.Merge(nil)
-	if m.Count() != 200 {
-		t.Fatalf("merged count = %d", m.Count())
-	}
-	if got := m.Quantile(0.25); got > 2*time.Millisecond {
-		t.Errorf("merged q0.25 = %v, want ~1ms", got)
-	}
-	if got := m.Quantile(0.99); got < 80*time.Millisecond {
-		t.Errorf("merged q0.99 = %v, want ~100ms", got)
-	}
-	if m.Max() != 100*time.Millisecond {
-		t.Errorf("merged max = %v", m.Max())
-	}
-}
-
 func TestConcurrentRecord(t *testing.T) {
 	var h Histogram
 	const workers, per = 8, 5000

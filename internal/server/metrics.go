@@ -1,5 +1,5 @@
-// Per-route HTTP metrics: the observability layer the whole-system
-// traffic harness (cmd/loadgen) audits itself against. Every registered
+// Per-route HTTP metrics: the observability layer the benchmark (bench/,
+// its checkCounts output check) audits itself against. Every registered
 // route is wrapped with a recorder counting requests by status class and
 // feeding a latency histogram; /healthz surfaces the lot, so an external
 // load run can check that the server accounted for every request it sent

@@ -6,6 +6,7 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -57,36 +58,89 @@ func TestMetricsCountsAndStatusClasses(t *testing.T) {
 	}
 }
 
-// TestMetricsAccountForEveryRequest: the sum over routes equals the total
-// requests sent to registered routes — the invariant the loadgen smoke
-// test audits externally.
+// TestMetricsAccountForEveryRequest: route by route, /healthz counts every
+// request sent with its status class, and the sum over routes equals the
+// total — the invariant bench/'s checkCounts output check holds every
+// benchmark run to. The second input is a mutable server: the session and
+// catalogue routes a churn run uses, one of them answering 2xx and 4xx.
 func TestMetricsAccountForEveryRequest(t *testing.T) {
-	_, ts := testServer(t)
-	sent := 0
-	for i := 0; i < 5; i++ {
-		if resp := getJSON(t, ts.URL+"/sessions/u/recommend", nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("recommend = %d", resp.StatusCode)
-		}
-		sent++
+	type request struct {
+		route, method, path string
+		body                any
+		status              int
 	}
-	if resp := getJSON(t, ts.URL+"/sessions/u/stats", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats = %d", resp.StatusCode)
+	get := func(route, path string) request {
+		return request{route, http.MethodGet, path, nil, http.StatusOK}
 	}
-	sent++
+	v := func(x float64) *float64 { return &x }
+	_, static := testServer(t)
+	_, live := liveServer(t)
+	for _, tc := range []struct {
+		name string
+		ts   *httptest.Server
+		reqs []request
+	}{
+		{"static", static, []request{
+			get("recommend", "/sessions/u/recommend"), get("recommend", "/sessions/u/recommend"),
+			get("recommend", "/sessions/u/recommend"), get("recommend", "/sessions/u/recommend"),
+			get("recommend", "/sessions/u/recommend"), get("stats", "/sessions/u/stats"),
+		}},
+		{"mutable", live, []request{
+			get("recommend", "/sessions/u/recommend"),
+			{"click", http.MethodPost, "/sessions/u/click", ClickRequest{Chosen: []int{1, 2}, Shown: [][]int{{1, 2}, {3, 4}}}, http.StatusOK},
+			{"feedback", http.MethodPost, "/sessions/u/feedback", FeedbackRequest{Winner: []int{5}, Loser: []int{6}}, http.StatusOK},
+			{"catalog.upsert", http.MethodPost, "/catalog/items?wait=1", UpsertRequest{Items: []ItemJSON{{ID: 200, Values: []*float64{v(0.9), v(0.4)}}}}, http.StatusOK},
+			get("recommend", "/sessions/u/recommend"),
+			{"catalog.delete", http.MethodDelete, "/catalog/items/200", nil, http.StatusAccepted},
+			get("catalog.get", "/catalog"),
+			{"sessions.delete", http.MethodDelete, "/sessions/u", nil, http.StatusNoContent},
+			{"sessions.delete", http.MethodDelete, "/sessions/u", nil, http.StatusNotFound},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := map[string]RouteMetrics{}
+			for _, rq := range tc.reqs {
+				var resp *http.Response
+				switch rq.method {
+				case http.MethodGet:
+					resp = getJSON(t, tc.ts.URL+rq.path, nil)
+				case http.MethodPost:
+					resp = postJSON(t, tc.ts.URL+rq.path, rq.body, nil)
+				default:
+					resp = doDelete(t, tc.ts.URL+rq.path)
+				}
+				if resp.StatusCode != rq.status {
+					t.Fatalf("%s %s = %d, want %d", rq.method, rq.path, resp.StatusCode, rq.status)
+				}
+				w := want[rq.route]
+				w.Requests++
+				if rq.status >= 400 {
+					w.Status4x++
+				} else {
+					w.Status2x++
+				}
+				want[rq.route] = w
+			}
 
-	var hz struct {
-		HTTP map[string]RouteMetrics `json:"http"`
-	}
-	if resp := getJSON(t, ts.URL+"/healthz", &hz); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d", resp.StatusCode)
-	}
-	var total int64
-	for _, rm := range hz.HTTP {
-		total += rm.Requests
-	}
-	// The healthz scrape itself is recorded only after its handler
-	// returns, so it is not part of its own snapshot.
-	if total != int64(sent) {
-		t.Errorf("metrics account for %d requests, sent %d", total, sent)
+			var hz struct {
+				HTTP map[string]RouteMetrics `json:"http"`
+			}
+			if resp := getJSON(t, tc.ts.URL+"/healthz", &hz); resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthz = %d", resp.StatusCode)
+			}
+			// The healthz scrape itself is recorded only after its handler
+			// returns, so it is not part of its own snapshot.
+			var total int64
+			for route, got := range hz.HTTP {
+				total += got.Requests
+				got.Latency = want[route].Latency
+				if got != want[route] {
+					t.Errorf("route %s metrics = %+v, want %+v", route, got, want[route])
+				}
+			}
+			if total != int64(len(tc.reqs)) {
+				t.Errorf("metrics account for %d requests, sent %d", total, len(tc.reqs))
+			}
+		})
 	}
 }

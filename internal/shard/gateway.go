@@ -678,8 +678,8 @@ func convergence(views map[string]ShardHealth) (converged, pending bool) {
 
 // handleCatalogStatus is the settlement endpoint: it probes every member
 // live and reports whether the mutation log is fully delivered and all
-// shards expose identical catalogue fingerprints. loadgen polls it after
-// a churn run before trusting /healthz accounting.
+// shards expose identical catalogue fingerprints. The shard smoke polls
+// it after a churn run before comparing the shards' catalogue hashes.
 func (g *Gateway) handleCatalogStatus(w http.ResponseWriter, r *http.Request) {
 	members := g.members()
 	views := make(map[string]ShardHealth, len(members))

@@ -107,34 +107,41 @@ func newGateway(t *testing.T, cfg shard.Config, ids []string, bks map[string]*ba
 	return gw, ts
 }
 
-// get/post/del are tiny JSON HTTP helpers returning status and body.
-func httpDo(t *testing.T, method, url string, body any) (int, []byte) {
-	t.Helper()
+// httpTry is a tiny JSON HTTP helper returning status and body; it is
+// safe off the test goroutine.
+func httpTry(method, url string, body any) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			t.Fatal(err)
+			return 0, nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, b, err
+}
+
+// httpDo is httpTry for the test goroutine: a transport failure is fatal.
+func httpDo(t *testing.T, method, url string, body any) (int, []byte) {
+	t.Helper()
+	status, b, err := httpTry(method, url, body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
-	return resp.StatusCode, b
+	return status, b
 }
 
 // ownerOf mirrors the gateway's routing decision for assertions.

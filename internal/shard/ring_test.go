@@ -14,8 +14,9 @@ func shardNames(n int) []string {
 	return out
 }
 
-// sessionIDs returns the loadgen-shaped session population ("s%06d") —
-// deliberately structured keys, the worst case for a weak hash.
+// sessionIDs returns the session population bench/ and the shard smoke
+// drive ("s%06d") — deliberately structured keys, the worst case for a
+// weak hash.
 func sessionIDs(n int) []string {
 	out := make([]string, n)
 	for i := range out {
