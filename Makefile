@@ -33,10 +33,14 @@ bench-check:
 	for w in serve_static serve_churn serve_hot large_uni large_cor; do \
 	  bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 --quick || exit 1; done
 
+# fuzz-smoke: the four fuzz targets for 10 s each, then under the race
+# detector the stale-Put property, the sketch-refine suites (TestPartition*:
+# exactness, masked walk ≡ filtered index, the refine's allocation guard)
+# and the beam's bit-identity pin (TestBeamTraceGolden).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
-	$(GO) test -race -run '^TestPartition' -count=1 ./internal/search
+	$(GO) test -race -run '^(TestPartition|TestBeamTraceGolden)' -count=1 ./internal/search

@@ -3,10 +3,14 @@ package search
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"toppkg/internal/dataset"
 	"toppkg/internal/feature"
+	"toppkg/internal/partition"
 	"toppkg/internal/pkgspace"
 )
 
@@ -258,5 +262,358 @@ func TestPartitionCacheKey(t *testing.T) {
 	}
 	if a == b {
 		t.Fatalf("cache keys collide: %q", a)
+	}
+}
+
+// TestPartitionMaskedWalkMatchesSubsetIndex: the beamed refine walks the
+// index's own lists through the opened-cluster mask instead of searching a
+// filtered copy, and must run the filtered copy's trace bit for bit. The
+// reference is that copy — subsetIndex over the open clusters' items with
+// the global head set injected, the path every beamed refine took before —
+// and the comparison covers packages, utility bits and every work counter,
+// over random spaces (agg mixes, light and heavy nulls, rows null
+// everywhere → orphans, tie-heavy values, every weight sign the monotone
+// gate admits, φ 1…4), random masks and beamed, budgeted and uncapped
+// options. The masks aim at the three places a masked walk can diverge:
+// closing a list's top entries (τ must start at the first open entry, and
+// headBound's frozen τ with it), leaving a list no open entry (it must be
+// absent, not exhausted) and keeping so few items that lists run out (a
+// cursor must be done when its last open entry is drawn, not at the
+// physical end — the general pad path engages from there).
+func TestPartitionMaskedWalkMatchesSubsetIndex(t *testing.T) {
+	aggs := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggMin, feature.AggNull}
+	var hit struct{ closedTop, absent, ranOut, closedOrphan, domPruned, truncated, budget int }
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		mode := rng.Intn(3) // 0 beamed, 1 MaxAccessed binding, 2 uncapped
+		n, maxSize := 4+rng.Intn(60), 1+rng.Intn(4)
+		if mode == 2 { // exhaustive: keep the package space small
+			n, maxSize = 4+rng.Intn(20), 1+rng.Intn(3)
+		}
+		m := 1 + rng.Intn(4)
+		dims := make([]feature.Agg, m)
+		for d := range dims {
+			dims[d] = aggs[rng.Intn(len(aggs))]
+		}
+		nulls := rng.Intn(3) // 0 none, 1 light, 2 heavy plus all-null rows
+		items := make([]feature.Item, n)
+		for i := range items {
+			vals := make([]float64, m)
+			allNull := nulls == 2 && rng.Intn(6) == 0
+			for j := range vals {
+				vals[j] = pruneValue(rng, nulls > 0)
+				if allNull || (nulls == 2 && rng.Intn(3) == 0) {
+					vals[j] = feature.Null
+				}
+			}
+			items[i] = feature.Item{ID: i, Values: vals}
+		}
+		prof := feature.SimpleProfile(dims...)
+		sp, err := feature.NewSpace(items, prof, maxSize)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		w := make([]float64, m)
+		for d := range w {
+			if rng.Intn(5) == 0 {
+				continue
+			}
+			w[d] = 0.05 + rng.Float64()
+			if dims[d] == feature.AggMin {
+				w[d] = -w[d]
+			}
+		}
+		u, err := feature.NewUtility(prof, w)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		ix := NewIndex(sp)
+		p := partition.Build(sp, 1+rng.Intn(8))
+
+		// first returns the list's entry nearest the end the run draws from.
+		first := func(d int) int32 {
+			if w[d] > 0 {
+				return ix.asc[d][len(ix.asc[d])-1]
+			}
+			return ix.asc[d][0]
+		}
+		var active []int // dimensions the run opens a cursor on
+		for d := range w {
+			if w[d] != 0 && len(ix.asc[d]) > 0 {
+				active = append(active, d)
+			}
+		}
+		mask := make([]bool, p.K)
+		for c := range mask {
+			mask[c] = true
+		}
+		switch kind := rng.Intn(6); {
+		case kind == 1: // one cluster
+			clear(mask)
+			mask[rng.Intn(p.K)] = true
+		case kind == 2: // close every list's top entry
+			for _, d := range active {
+				mask[p.Assign[first(d)]] = false
+			}
+		case kind == 3 && len(active) > 0: // leave one list no open entry
+			for _, id := range ix.asc[active[rng.Intn(len(active))]] {
+				mask[p.Assign[id]] = false
+			}
+		case kind == 4: // random half
+			for c := range mask {
+				mask[c] = rng.Intn(2) == 0
+			}
+		case kind == 5: // the two smallest clusters: lists run out
+			order := make([]int, p.K)
+			for c := range order {
+				order[c] = c
+			}
+			slices.SortStableFunc(order, func(a, b int) int { return len(p.Members[a]) - len(p.Members[b]) })
+			clear(mask)
+			for _, c := range order[:min(2, p.K)] {
+				mask[c] = true
+			}
+		}
+		keep := make([]bool, n)
+		kept := 0
+		for id, c := range p.Assign {
+			if mask[c] {
+				keep[id] = true
+				kept++
+			}
+		}
+
+		opts := Options{
+			K:                     1 + rng.Intn(6),
+			ExpandAll:             rng.Intn(3) == 0,
+			DisableDominancePrune: rng.Intn(3) == 0,
+		}
+		switch mode {
+		case 0:
+			opts.MaxQueue = 2 + rng.Intn(8)
+		case 1:
+			opts.MaxQueue = 2 + rng.Intn(30)
+			opts.MaxAccessed = 1 + rng.Intn(max(kept, 1))
+		case 2:
+			opts.MaxQueue = -1
+		}
+		// Any float serves as the floor; a real package's utility sits
+		// where it prunes some of the trace and not all of it.
+		floorL := negInf
+		if rng.Intn(2) == 0 {
+			st := feature.NewState(sp)
+			for i := 0; i <= rng.Intn(maxSize); i++ {
+				st.Add(sp.Items[rng.Intn(n)])
+			}
+			floorL = u.ScoreState(st)
+		}
+
+		sub := ix.subsetIndex(keep)
+		if !opts.DisableDominancePrune {
+			sub.SetHeads(ix.Heads())
+		}
+		want, err := sub.topKRun(u, opts, &partCtx{floorL: floorL})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		got, err := ix.topKRun(u, opts, &partCtx{p: p, floorL: floorL, mask: mask})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if !assertSameResult(t, got, want, "masked-walk") {
+			return false
+		}
+		if got.Accessed != want.Accessed || got.Created != want.Created ||
+			got.Truncated != want.Truncated || got.DomPruned != want.DomPruned {
+			t.Logf("masked-walk counters: got accessed=%d created=%d truncated=%t dom=%d, want accessed=%d created=%d truncated=%t dom=%d",
+				got.Accessed, got.Created, got.Truncated, got.DomPruned,
+				want.Accessed, want.Created, want.Truncated, want.DomPruned)
+			return false
+		}
+
+		// Which of the hard cases did this trial reach?
+		listed := 0 // open items some cursor can draw
+		seen := make([]bool, n)
+		for _, d := range active {
+			anyOpen := false
+			for _, id := range ix.asc[d] {
+				if keep[id] {
+					anyOpen = true
+					if !seen[id] {
+						seen[id] = true
+						listed++
+					}
+				}
+			}
+			switch {
+			case !anyOpen && kept > 0:
+				hit.absent++
+			case anyOpen && !keep[first(d)]:
+				hit.closedTop++
+			}
+		}
+		if kept < n && listed > 0 && got.Accessed >= listed {
+			hit.ranOut++
+		}
+		for _, o := range ix.orphans {
+			if !keep[o] && kept > 0 {
+				hit.closedOrphan++
+				break
+			}
+		}
+		if got.DomPruned > 0 {
+			hit.domPruned++
+		}
+		if got.Truncated {
+			hit.truncated++
+		}
+		if mode == 1 && got.Accessed == opts.MaxAccessed {
+			hit.budget++
+		}
+		return true
+	}
+	// A fixed generator seed: the trials, and so what the suite catches,
+	// are the same on every run.
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+	if hit.closedTop == 0 || hit.absent == 0 || hit.ranOut == 0 || hit.closedOrphan == 0 ||
+		hit.domPruned == 0 || hit.truncated == 0 || hit.budget == 0 {
+		t.Errorf("the suite missed one of its cases: %+v", hit)
+	}
+	t.Logf("cases reached: %+v", hit)
+}
+
+// TestPartitionRefineAllocIndependentOfN guards the refine layer where a
+// regression would be caused: what one beamed sketch-refine search
+// allocates must follow the clusters it opens (and the ⌈√n⌉ cluster
+// bounds), not the catalogue size. A refine that copies or filters the
+// sorted lists per search — or marks members in an O(n) array — allocates
+// in proportion to n and fails the ratio. Bytes per search is the smallest
+// of 50 per-call TotalAlloc deltas, not their mean: a per-search O(n) term
+// is in every search, the cheapest included, whereas the seen-stamp array
+// (8n bytes) comes from a sync.Pool that a GC cycle may empty and the race
+// detector empties on a quarter of its Puts — refills that are not the
+// refine's and land in some searches only.
+func TestPartitionRefineAllocIndependentOfN(t *testing.T) {
+	mono := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggSum, feature.AggMax, feature.AggSum}
+	bytesPerSearch := func(n int) float64 {
+		items, err := dataset.Generate("cor", n, 5, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := feature.NewSpace(items, feature.SimpleProfile(mono...), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := NewIndex(sp)
+		ix.Heads()
+		ix.EnsurePartition(0)
+		rng := rand.New(rand.NewSource(7))
+		opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
+		least := math.Inf(1)
+		var before, after runtime.MemStats
+		for i := 0; i <= 50; i++ {
+			w := make([]float64, 5)
+			for d := range w {
+				w[d] = 0.05 + 0.95*rng.Float64()
+			}
+			u, err := feature.NewUtility(sp.Profile, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			res, err := ix.TopK(u, opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RefineClustersOpened == 0 {
+				t.Fatalf("n=%d: the beamed refine never engaged", n)
+			}
+			if i > 0 { // the first search warms the seen pool
+				least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+			}
+		}
+		return least
+	}
+	small, large := bytesPerSearch(20000), bytesPerSearch(80000)
+	t.Logf("bytes/search: %.0f at 20k items, %.0f at 80k", small, large)
+	if large > 1.5*small+8192 {
+		t.Errorf("a beamed refine allocates %.0f B at 80k items against %.0f B at 20k: it grows with the catalogue", large, small)
+	}
+}
+
+// TestPartitionEmptyClusterNotOpened: a cluster emptied by deletions
+// (partition.Apply keeps its index; Reps −1, bounds ±Inf) has no dimension
+// to tighten its bound, so it bounds at the global ceiling — and was ranked
+// first, opened and counted on every beamed search. K is set past what the
+// sketch over the surviving representatives can return, so the floor is
+// −Inf and every non-empty cluster opens: the count is exact, and with
+// nothing closed and the beam not binding the slate is the plain search's.
+func TestPartitionEmptyClusterNotOpened(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	items := make([]feature.Item, 40)
+	for i := range items {
+		items[i] = feature.Item{ID: i, Values: []float64{rng.Float64(), rng.Float64()}}
+	}
+	prof := feature.SimpleProfile(feature.AggSum, feature.AggMax)
+	sp, err := feature.NewSpace(items, prof, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := partition.Build(sp, 4)
+	// Delete every member of cluster 1.
+	gone := parent.Members[1]
+	remap := make([]int32, len(items))
+	var left []feature.Item
+	for i := range items {
+		if _, del := slices.BinarySearch(gone, int32(i)); del {
+			remap[i] = -1
+			continue
+		}
+		remap[i] = int32(len(left))
+		left = append(left, feature.Item{ID: len(left), Values: items[i].Values})
+	}
+	child, err := feature.NewSpace(left, prof, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := parent.Apply(child, remap, gone, nil)
+	if !ok || len(p.Members[1]) != 0 || p.Reps[1] != -1 {
+		t.Fatalf("Apply did not leave cluster 1 empty: ok=%t members=%v rep=%d", ok, p.Members[1], p.Reps[1])
+	}
+	var stats PartitionStats
+	ix := NewIndex(child)
+	ix.ConfigurePartition(0, &stats)
+	ix.SetPartition(p)
+	u, err := feature.NewUtility(prof, []float64{1, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three representatives, φ = 2: the sketch returns at most 6 packages.
+	opts := Options{K: 7}
+	res, err := ix.TopK(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RefineClustersOpened != 3 || stats.ClustersOpened.Load() != 3 {
+		t.Errorf("clusters opened: result %d, stats %d; want 3 (the non-empty ones)",
+			res.RefineClustersOpened, stats.ClustersOpened.Load())
+	}
+	if res.SketchSkipped != 0 {
+		t.Errorf("sketch_skipped = %d with every non-empty cluster open", res.SketchSkipped)
+	}
+	opts.DisablePartition = true
+	plain, err := ix.TopK(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !assertSameResult(t, res, plain, "empty-cluster") {
+		t.Error("slate differs from the unpartitioned search")
 	}
 }

@@ -11,10 +11,13 @@
 //     L. Every lever is strict-below-a-real-utility, so the result is
 //     bit-identical to the unpartitioned run (the property suite's
 //     invariant), mirroring the dominance filter's admission argument.
-//   - Beamed or budgeted runs (already approximate by contract) search
-//     only a subset index over the clusters that can matter: the clusters
-//     contributing to sketch candidates, plus the best-bounded remaining
-//     clusters while they beat L, up to an item budget of 32·⌈√n⌉. Sketch
+//   - Beamed or budgeted runs (already approximate by contract) read only
+//     the clusters that can matter: the clusters contributing to sketch
+//     candidates, plus the best-bounded remaining clusters while they beat
+//     L, up to an item budget of 32·⌈√n⌉. The refine is the ordinary trace
+//     over the index's own sorted lists with cursors that pass over every
+//     id whose cluster is closed (refineBeamed) — no per-search copy of
+//     the lists, so its cost follows the clusters opened, not n. Sketch
 //     candidates merge into the final top-k so refinement never loses
 //     them. This is what makes anti-correlated catalogues — where the
 //     skyline covers ~half the items and dominance pruning is inert —
@@ -71,13 +74,16 @@ type partState struct {
 }
 
 // partCtx threads partition-derived pruning into a run. floorL is the
-// sketch floor L; p, when non-nil, additionally enables the per-item
-// cluster-bound draw skip (the uncapped exact path — beamed refines
-// pre-select their subset instead). bounds caches per-cluster bounds
-// (NaN = not yet computed), opened/skipped feed the result counters.
+// sketch floor L. With p alone (the uncapped exact path) every drawn item
+// is tested against its cluster's bound: bounds caches the per-cluster
+// bounds (NaN = not yet computed), opened/skipped feed the result counters.
+// With mask as well (the beamed path) the clusters to read were chosen
+// before the first draw: cursors and the orphan drain pass over every id
+// whose cluster mask closes, and no draw is tested again.
 type partCtx struct {
 	p       *partition.Partition
 	floorL  float64
+	mask    []bool
 	bounds  []float64
 	opened  []bool
 	skipped int
@@ -212,7 +218,7 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 	if maxQ < 0 && opts.MaxAccessed <= 0 {
 		return ix.refineExact(u, opts, ps.p, skRes, floorL)
 	}
-	return ix.refineBeamed(u, opts, ps, skRes, floorL)
+	return ix.refineBeamed(u, opts, ps.p, skRes, floorL)
 }
 
 // refineExact replays the full uncapped trace under the sketch floor.
@@ -238,14 +244,23 @@ func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Part
 	return res, nil
 }
 
-// refineBeamed searches a subset index over the clusters that can matter
-// and merges the sketch candidates into the final top-k. Beamed/budgeted
-// runs are best-effort by contract, so the subset selection needs no
+// refineBeamed walks the index's own sorted lists through a mask of the
+// clusters that can matter — the ones the sketch candidates came from, then
+// the best-bounded others while they reach L, up to the item budget — and
+// merges the sketch candidates into the final top-k. Nothing is copied or
+// filtered per search: the cost follows the clusters opened, not n. The
+// masked walk is the trace a fresh index over the open clusters' items
+// would run, bit for bit, on three invariants (run.seek, exec): a list's
+// initial τ — and with it the frozen τ vector headBound pads with — is its
+// first open entry's value, not the list top; a cursor is exhausted when
+// its last open entry is drawn, not at the physical end (a list with no
+// open entry is absent); and the orphan drain passes through the mask too.
+// Beamed/budgeted runs are best-effort by contract, so the mask needs no
 // exactness argument — only determinism (bounds and cluster ids order it).
-func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, skRes Result, floorL float64) (Result, error) {
-	p := ps.p
-	pc := &partCtx{p: p, floorL: floorL}
-	rb, ok := ix.newRun(u, opts, pc)
+func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
+	// rb only bounds the clusters: its frozen τ vector holds the full
+	// lists' tops, which a bound over members of any cluster needs.
+	rb, ok := ix.newRun(u, opts, &partCtx{p: p, floorL: floorL})
 	if !ok {
 		// Weighted features all-null: no cursors anywhere, degenerate path.
 		return ix.topKRun(u, opts, nil)
@@ -260,14 +275,19 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 		c     int32
 		bound float64
 	}
-	used := 0
+	used, opened := 0, 0 // items and clusters under the mask
 	scored := make([]clusterScore, 0, p.K)
 	for c := 0; c < p.K; c++ {
-		if open[c] {
+		switch {
+		case open[c]:
 			used += len(p.Members[c])
-			continue
+			opened++
+		case len(p.Members[c]) > 0:
+			// A cluster emptied by deletions bounds at the global ceiling
+			// (nothing tightens its virtual member) yet holds nothing to
+			// read: never score, open or count it.
+			scored = append(scored, clusterScore{int32(c), rb.clusterBound(int32(c))})
 		}
-		scored = append(scored, clusterScore{int32(c), rb.clusterBound(int32(c))})
 	}
 	slices.SortFunc(scored, func(a, b clusterScore) int {
 		if a.bound != b.bound {
@@ -285,28 +305,10 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 		}
 		open[cs.c] = true
 		used += len(p.Members[cs.c])
+		opened++
 	}
 
-	keep := make([]bool, ix.space.N())
-	subsetSize, openedCount := 0, 0
-	for c, o := range open {
-		if !o {
-			continue
-		}
-		openedCount++
-		for _, id := range p.Members[c] {
-			keep[id] = true
-			subsetSize++
-		}
-	}
-	sub := ix.subsetIndex(keep)
-	if !opts.DisableDominancePrune {
-		// The global head set is sound on any subset (headBound depends
-		// only on the item's own values); inject it so the subset index
-		// never computes its own skyline.
-		sub.SetHeads(ix.Heads())
-	}
-	refRes, err := sub.topKRun(u, opts, &partCtx{floorL: floorL})
+	refRes, err := ix.topKRun(u, opts, &partCtx{p: p, floorL: floorL, mask: open})
 	if err != nil {
 		return Result{}, err
 	}
@@ -316,8 +318,8 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, s
 	merged.Created += skRes.Created
 	merged.Truncated = merged.Truncated || skRes.Truncated
 	merged.DomPruned += skRes.DomPruned
-	merged.SketchSkipped = ix.space.N() - subsetSize
-	merged.RefineClustersOpened = openedCount
+	merged.SketchSkipped = ix.space.N() - used
+	merged.RefineClustersOpened = opened
 	ix.recordPartStats(merged)
 	return merged, nil
 }
@@ -336,7 +338,10 @@ func (ix *Index) recordPartStats(res Result) {
 // membership mask. Filtering preserves the (value, id) order, so the
 // subset searches exactly as a freshly built index over the kept items
 // would; the full space (and its dense ids) is shared, as is the seen-set
-// pool of the root index.
+// pool of the root index. O(n·d): built once per partition, for the
+// sketch's representatives (install) — never per search, where the masked
+// walk of refineBeamed stands in for it, with the property suite holding
+// the two to the same trace.
 func (ix *Index) subsetIndex(keep []bool) *Index {
 	src := ix
 	if ix.seenSrc != nil {

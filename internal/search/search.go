@@ -50,6 +50,9 @@ type Options struct {
 	// top packages were found within the first dozens of items (the §4
 	// intuition); a depth budget trades that certification for speed.
 	// When the budget stops the search early, Result.Truncated is set.
+	// On a sketch-refine search the budget bounds the refine's draws; the
+	// sketch's draws over the ⌈√n⌉ representatives come on top (720.6
+	// accessed per search at MaxAccessed 500 on uniform 100k).
 	MaxAccessed int
 	// Candidate, when non-nil, filters which packages may enter the result
 	// (the schema predicates of §7). Packages failing it are still expanded,
@@ -104,7 +107,9 @@ type Result struct {
 	// Packages holds the top-k in descending utility (ties by the
 	// deterministic package order).
 	Packages []pkgspace.Scored
-	// Accessed is the number of distinct items drawn from the sorted lists.
+	// Accessed is the number of distinct items drawn from the sorted lists;
+	// on a sketch-refine search, the sketch's draws plus the refine's (so
+	// it can exceed Options.MaxAccessed by up to the cluster count).
 	Accessed int
 	// Created is the number of candidate packages materialized.
 	Created int
@@ -115,8 +120,8 @@ type Result struct {
 	DomPruned int
 	// SketchSkipped counts items the sketch bound excluded: draws skipped
 	// because their cluster cannot beat the sketch floor (uncapped runs),
-	// or items left outside the refined subset entirely (beamed runs).
-	// Zero when partitioning never engaged.
+	// or items in clusters the refine left closed (beamed runs). Zero when
+	// partitioning never engaged.
 	SketchSkipped int
 	// RefineClustersOpened is the number of distinct clusters the refine
 	// phase read (zero when partitioning never engaged).
@@ -155,9 +160,10 @@ type Index struct {
 	partOnce     sync.Once
 	partClusters int
 	partStats    *PartitionStats
-	// seenSrc, when non-nil, is the index whose seenPool this (subset)
-	// index borrows: subset indexes share the full space's dense id range,
-	// so sharing the pool avoids an O(n) stamp-array allocation per refine.
+	// seenSrc, when non-nil, is the index whose seenPool this subset index
+	// (a partition's sketch index) borrows: it shares the full space's
+	// dense id range, so the sketch and refine phases of one search take
+	// turns on one stamp array instead of keeping an O(n) array each.
 	seenSrc *Index
 }
 
@@ -300,11 +306,13 @@ type run struct {
 	domPruned   int
 
 	// Sketch-refine context (nil for plain runs): pc carries the sketch
-	// floor L and, on uncapped exact runs, the partition for per-cluster
-	// draw skips. floorL caches pc's floor (-Inf when absent) for the hot
-	// loops; partContribs is the virtual-item scratch clusterBound folds.
+	// floor L, the partition and, on beamed refines, the opened-cluster
+	// mask. floorL and mask cache pc's (-Inf and nil when absent) for the
+	// hot loops; partContribs is the virtual-item scratch clusterBound
+	// folds.
 	pc           *partCtx
 	floorL       float64
+	mask         []bool
 	partContribs []feature.Contrib
 
 	// Fused-kernel plans (per-dimension constants hoisted out of the hot
@@ -385,10 +393,18 @@ type listCursor struct {
 	feat int       // underlying item feature
 	col  []float64 // the feature's value column (τ reads)
 	desc bool      // true: traverse descending (weight > 0)
-	pos  int       // entries consumed
+	pos  int       // entries passed: drawn, or closed under a refine mask
 	ids  []int32
 	tau  float64 // value of the last accessed item (best possible unseen)
 	done bool
+}
+
+// at returns the id at traversal position pos (from the desirable end).
+func (lc *listCursor) at(pos int) int32 {
+	if lc.desc {
+		return lc.ids[len(lc.ids)-1-pos]
+	}
+	return lc.ids[pos]
 }
 
 // TopK runs Top-k-Pkg for utility u over the indexed space.
@@ -432,6 +448,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	}
 	if pc != nil {
 		r.floorL = pc.floorL
+		r.mask = pc.mask
 	}
 	if r.maxQueue == 0 {
 		r.maxQueue = DefaultMaxQueue
@@ -440,17 +457,17 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	// with non-zero weight, traversed from the desirable end.
 	for d := 0; d < ix.space.Dims(); d++ {
 		e := ix.space.Profile.Entry(d)
-		if u.W[d] == 0 || e.Agg == feature.AggNull || len(ix.asc[d]) == 0 {
+		if u.W[d] == 0 || e.Agg == feature.AggNull {
 			continue
 		}
 		lc := listCursor{dim: d, feat: e.Feature, col: ix.space.Col(e.Feature), desc: u.W[d] > 0, ids: ix.asc[d]}
-		// Initialize τ to the best value in the list: unseen items can never
-		// beat the top of the list.
-		if lc.desc {
-			lc.tau = lc.col[lc.ids[len(lc.ids)-1]]
-		} else {
-			lc.tau = lc.col[lc.ids[0]]
+		// Initialize τ to the best value the run can draw — the list's top,
+		// or under a refine mask its first open entry: unseen items can
+		// never beat it. A list with nothing to draw is absent.
+		if !r.seek(&lc) {
+			continue
 		}
+		lc.tau = lc.col[lc.at(lc.pos)]
 		r.lists = append(r.lists, lc)
 	}
 	if len(r.lists) == 0 {
@@ -496,7 +513,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	// so headBound bounds membership in any package of the trace. A
 	// partition context needs the same frozen descriptors for its cluster
 	// bounds, under the same monotonicity gate (partitionFor enforces it).
-	if !opts.DisableBoundPrune && r.monotone() &&
+	if !opts.DisableBoundPrune && u.SetMonotone(ix.space.Profile) &&
 		(!opts.DisableDominancePrune || (pc != nil && pc.p != nil)) {
 		r.emptyState = feature.NewState(ix.space)
 		r.initModes = slices.Clone(r.padModes)
@@ -541,13 +558,15 @@ func (r *run) exec() Result {
 		}
 		r.seen.marks[item] = r.seen.stamp
 		r.accessed++
-		// Sketch skip: when a partition context is active, an item whose
-		// whole cluster bounds strictly below the sketch floor L can head
-		// or join no package that enters the results (L is the utility of
-		// real packages, so L ≤ the final k-th best; strict comparison
-		// keeps equal-utility tie-breaks unreachable). Mirrors the
-		// dominance skip below: τ advanced, the item counts as accessed.
-		if r.pc != nil && r.pc.p != nil {
+		// Sketch skip, on the uncapped exact path (a beamed refine's mask
+		// closed whole clusters before the first draw and tests no draw
+		// again): an item whose whole cluster bounds strictly below the
+		// sketch floor L can head or join no package that enters the
+		// results (L is the utility of real packages, so L ≤ the final
+		// k-th best; strict comparison keeps equal-utility tie-breaks
+		// unreachable). Mirrors the dominance skip below: τ advanced, the
+		// item counts as accessed.
+		if r.pc != nil && r.pc.p != nil && r.mask == nil {
 			c := r.pc.p.Assign[item]
 			if r.clusterBound(c) < r.floorL {
 				r.pc.skipped++
@@ -589,7 +608,7 @@ func (r *run) exec() Result {
 	// the access budget, like any other draw.
 	if len(r.qPlus) > 0 {
 		for _, o := range r.ix.orphans {
-			if r.seen.marks[o] == r.seen.stamp {
+			if r.seen.marks[o] == r.seen.stamp || r.closed(o) {
 				continue
 			}
 			if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
@@ -614,33 +633,6 @@ func (r *run) exec() Result {
 	}
 }
 
-// monotone reports whether the utility is monotone for the profile: every
-// weighted dimension can only improve as better items join (positive
-// weight on sum/max, negative on min, no weighted avg). Exactly then does
-// item dominance under skyline.ProfileDirs imply pointwise utility
-// dominance, which is what headBound's pad construction assumes.
-func (r *run) monotone() bool {
-	p := r.ix.space.Profile
-	for d := 0; d < p.Dims(); d++ {
-		if r.u.W[d] == 0 {
-			continue
-		}
-		switch p.Entry(d).Agg {
-		case feature.AggSum, feature.AggMax:
-			if r.u.W[d] < 0 {
-				return false
-			}
-		case feature.AggMin:
-			if r.u.W[d] > 0 {
-				return false
-			}
-		case feature.AggAvg:
-			return false
-		}
-	}
-	return true
-}
-
 // headBound returns a sound upper bound on the utility of every package
 // containing the item: the max of the singleton's own utility and the
 // upper-exp pad bound of the singleton taken against the *initial* τ
@@ -657,6 +649,25 @@ func (r *run) headBound(id int32) float64 {
 	return b
 }
 
+// closed reports whether the beamed refine's cluster mask excludes the item
+// (never, on a run without one).
+func (r *run) closed(id int32) bool {
+	return r.mask != nil && !r.mask[r.pc.p.Assign[id]]
+}
+
+// seek rests the cursor on the next entry the run may draw, passing over
+// closed ids; false when the list has none left. Resting on the next open
+// entry — at construction and after every draw — is what makes a masked
+// walk of the shared list read exactly as a list filtered through the mask
+// would: τ starts at the first open entry and the cursor is done the moment
+// the last open entry is drawn, wherever the physical list ends.
+func (r *run) seek(lc *listCursor) bool {
+	for lc.pos < len(lc.ids) && r.closed(lc.at(lc.pos)) {
+		lc.pos++
+	}
+	return lc.pos < len(lc.ids)
+}
+
 // nextItem performs one sorted access in round-robin fashion, updating the
 // boundary value of the list it draws from. ok is false when every list is
 // exhausted.
@@ -669,16 +680,11 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 		if lc.done {
 			continue
 		}
-		var id int32
-		if lc.desc {
-			id = lc.ids[len(lc.ids)-1-lc.pos]
-		} else {
-			id = lc.ids[lc.pos]
-		}
+		id := lc.at(lc.pos)
 		lc.pos++
 		lc.tau = lc.col[id]
 		r.padTaus[li] = lc.tau
-		if lc.pos >= len(lc.ids) {
+		if !r.seek(lc) {
 			lc.done = true
 			r.padModes[li] = feature.PadSkip
 			r.fastPad = false
