@@ -27,20 +27,24 @@ lint:
 # runs: a short traced --quick pass of all five workloads, so the heads +
 # partition + beamed-refine path of large_* meets the output checks too.
 # Exit status only — the runs' output checks are the gate, not their
-# timings.
+# timings. The binary is removed first: bench/run.sh decides freshness by
+# mtime, so after a copied or switched checkout it would run the old one and
+# the smoke would pass on code it never built.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+	rm -f .bench_build/toppkg-bench
 	for w in serve_static serve_churn serve_hot large_uni large_cor; do \
 	  bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 --quick || exit 1; done
 
 # fuzz-smoke: the four fuzz targets for 10 s each, then under the race
 # detector the stale-Put property, the sketch-refine suites (TestPartition*:
-# exactness, masked walk ≡ filtered index, the refine's allocation guard)
-# and the beam's bit-identity pin (TestBeamTraceGolden).
+# exactness, masked walk ≡ filtered index, the refine's allocation guard),
+# the beam's bit-identity pin (TestBeamTraceGolden) and the barren-round
+# verdict's audit (TestBarren*).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
-	$(GO) test -race -run '^(TestPartition|TestBeamTraceGolden)' -count=1 ./internal/search
+	$(GO) test -race -run '^(TestPartition|TestBeamTraceGolden|TestBarren)' -count=1 ./internal/search

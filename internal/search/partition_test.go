@@ -548,6 +548,37 @@ func TestPartitionRefineAllocIndependentOfN(t *testing.T) {
 	}
 }
 
+// TestNewIndexAllocatesListsOnce: a build allocates its sorted lists at their
+// final size — d·n ids plus the O(n) orphan marks — not the four-to-five
+// times that which growing each list from nil leaves behind as garbage
+// (9.5 MB for 2 MB of lists at 100k items, enough to tip a large set-up into
+// another GC cycle).
+func TestNewIndexAllocatesListsOnce(t *testing.T) {
+	const n, dims = 20000, 5
+	items, err := dataset.Generate("uni", n, dims, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin, feature.AggSum), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := math.Inf(1)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		ix := NewIndex(sp)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(ix)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	lists := float64(dims * n * 4)
+	t.Logf("NewIndex allocated %.0f B for %.0f B of lists", least, lists)
+	if least > 1.25*lists {
+		t.Errorf("NewIndex allocated %.0f B for %.0f B of lists: the lists are being grown, not sized", least, lists)
+	}
+}
+
 // TestPartitionEmptyClusterNotOpened: a cluster emptied by deletions
 // (partition.Apply keeps its index; Reps −1, bounds ±Inf) has no dimension
 // to tighten its bound, so it bounds at the global ceiling — and was ranked

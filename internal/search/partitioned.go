@@ -285,8 +285,11 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Par
 		case len(p.Members[c]) > 0:
 			// A cluster emptied by deletions bounds at the global ceiling
 			// (nothing tightens its virtual member) yet holds nothing to
-			// read: never score, open or count it.
-			scored = append(scored, clusterScore{int32(c), rb.clusterBound(int32(c))})
+			// read: never score, open or count it. Nor is a cluster bounding
+			// below L ever opened, so only the others are worth sorting.
+			if b := rb.clusterBound(int32(c)); b >= floorL {
+				scored = append(scored, clusterScore{int32(c), b})
+			}
 		}
 	}
 	slices.SortFunc(scored, func(a, b clusterScore) int {
@@ -300,7 +303,7 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Par
 	})
 	limit := used + refineBudgetItems(ix.space.N())
 	for _, cs := range scored {
-		if cs.bound < floorL || used >= limit {
+		if used >= limit {
 			break
 		}
 		open[cs.c] = true

@@ -29,7 +29,7 @@ type Options struct {
 	// with an item that strictly improves it). The paper's pruning is a
 	// heuristic for profiles with non-monotone marginals (avg, min): a
 	// discarded equal-utility subpackage can block a strictly better
-	// superset. ExpandAll restores exactness at extra cost; see DESIGN.md.
+	// superset. ExpandAll restores exactness at extra cost; see expand.
 	ExpandAll bool
 	// DisableBoundPrune keeps packages in Q+ even when their upper bound
 	// cannot beat the current k-th best. The pruning (sound, and implied by
@@ -68,8 +68,8 @@ type Options struct {
 	// drawn item only when a sound upper bound over every package
 	// containing it falls strictly below the current k-th best — exact for
 	// uncapped runs; under a Q+ cap the skipped items' children no longer
-	// compete for beam slots, so beam results may differ (see DESIGN
-	// notes on nextItem). Disabling exists for the ablation benchmarks and
+	// compete for beam slots, so beam results may differ (see exec, which
+	// states the bound). Disabling exists for the ablation benchmarks and
 	// the pruned≡unpruned property suite.
 	DisableDominancePrune bool
 	// DisablePartition turns off sketch-refine partitioned search (see
@@ -165,6 +165,10 @@ type Index struct {
 	// dense id range, so the sketch and refine phases of one search take
 	// turns on one stamp array instead of keeping an O(n) array each.
 	seenSrc *Index
+	// barrenAudit is set only by tests (barren_test.go): called on a barren
+	// verdict, it makes expand run the round in full and calls the returned
+	// func after it, to compare against what the barren path would have left.
+	barrenAudit func(*run) func()
 }
 
 // seenSet is a stamped membership set over dense item IDs: item i is a
@@ -209,7 +213,13 @@ func NewIndex(sp *feature.Space) *Index {
 			continue
 		}
 		col := sp.Col(e.Feature)
-		var ids []int32
+		nonNull := 0
+		for _, v := range col {
+			if !feature.IsNull(v) {
+				nonNull++
+			}
+		}
+		ids := make([]int32, 0, nonNull) // exact: growing from nil leaves 4× the list as garbage
 		for i, v := range col {
 			if !feature.IsNull(v) {
 				ids = append(ids, int32(i))
@@ -292,12 +302,12 @@ type run struct {
 	maxQueue  int
 	round     int
 
-	// Dominance pruning (engaged only for monotone utilities with bound
-	// pruning on): heads is the space's skyline, emptyState scores
+	// The membership bound (every bound-pruned run): emptyState scores
 	// singletons, initModes/initTaus/initFastPad freeze the pad
 	// descriptors at their initial values — every list's τ at its best —
 	// so headBound soundly bounds packages joined at any later point of
-	// the trace, not just extensions of the current boundary.
+	// the trace, not just extensions of the current boundary. heads, the
+	// space's skyline, is set only under the dominance filter's gate.
 	heads       *skyline.Set
 	emptyState  *feature.State
 	initModes   []uint8
@@ -504,22 +514,20 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		}
 	}
 
-	// Engage the dominance filter only when it is provably safe: the
-	// utility must be monotone for the profile (a dominated item is then
-	// pointwise no better than its dominator on every weighted dimension)
-	// and bound pruning must be on (its strict admission tests are what
-	// keep equal-utility tie-breaks unreachable for skipped items). The
-	// pad descriptors are frozen now — every τ at its list's best value —
-	// so headBound bounds membership in any package of the trace. A
-	// partition context needs the same frozen descriptors for its cluster
-	// bounds, under the same monotonicity gate (partitionFor enforces it).
-	if !opts.DisableBoundPrune && u.SetMonotone(ix.space.Profile) &&
-		(!opts.DisableDominancePrune || (pc != nil && pc.p != nil)) {
+	// Every bound-pruned run freezes the pad descriptors now — every τ at
+	// its list's best value — so headBound bounds membership in any package
+	// of the trace (exec), and a partition context's cluster bounds with it;
+	// bound pruning's strict admission tests are what keep equal-utility
+	// tie-breaks unreachable for what the bound rules out. Skipping a draw on
+	// it (the dominance filter) is provably safe only for a utility monotone
+	// for the profile: a dominated item is then pointwise no better than its
+	// dominator on every weighted dimension.
+	if !opts.DisableBoundPrune {
 		r.emptyState = feature.NewState(ix.space)
 		r.initModes = slices.Clone(r.padModes)
 		r.initTaus = slices.Clone(r.padTaus)
 		r.initFastPad = r.fastPad
-		if !opts.DisableDominancePrune {
+		if !opts.DisableDominancePrune && u.SetMonotone(ix.space.Profile) {
 			r.heads = ix.Heads()
 		}
 	}
@@ -527,6 +535,19 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 }
 
 // exec runs the prepared trace to completion.
+//
+// A bound-pruned run takes one membership bound per drawn item, hb =
+// headBound(item): it dominates the utility and the extension bound of every
+// package containing the item (list tops bound every item, so the argument is
+// upperExp's own and holds for any profile). hb strictly below the k-th best
+// — strictly, which keeps equal-utility tie-breaks reachable — proves the item
+// can head or join no package that enters the results, with two consequences:
+//
+//  1. A non-head item under the dominance filter's monotone gate is not
+//     expanded at all. It still advanced τ (nextItem) and counts as accessed.
+//  2. Any other item, once the heap is full, makes its round barren: expand
+//     keeps its sweep of Q+ and skips the kernels, since its child-creation
+//     test (gu > ηlo || bound > ηlo) fails for every queued package.
 func (r *run) exec() Result {
 	ix := r.ix
 	opts := r.opts
@@ -578,14 +599,14 @@ func (r *run) exec() Result {
 			}
 			r.pc.open(c)
 		}
-		// Dominance skip: a non-head item whose best package-membership
-		// bound falls strictly below the current k-th best can head or
-		// join no package that enters the results — don't expand it. The
-		// item still advanced τ (nextItem) and still counts as accessed.
-		// While the heap is not full ηlo is -Inf and nothing is skipped
-		// (unless a sketch floor is active, which is a sound k-th stand-in
-		// from the start).
-		if thr := max(r.cands.kthUtility(), r.floorL); r.heads != nil && !r.heads.Contains(item) && r.headBound(item) < thr {
+		hb := math.Inf(1)
+		if r.emptyState != nil {
+			hb = r.headBound(item)
+		}
+		// Dominance skip (consequence 1). While the heap is not full ηlo is
+		// -Inf and nothing is skipped (unless a sketch floor is active, which
+		// is a sound k-th stand-in from the start).
+		if r.heads != nil && !r.heads.Contains(item) && hb < max(r.cands.kthUtility(), r.floorL) {
 			r.domPruned++
 			if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
 				r.truncated = true
@@ -593,7 +614,9 @@ func (r *run) exec() Result {
 			}
 			continue
 		}
-		etaLo, etaUp := r.expand(int(item))
+		// Barren round (consequence 2): against ηlo alone, −∞ until the heap
+		// fills — until then every child is created, whatever floorL says.
+		etaLo, etaUp := r.expand(int(item), hb < r.cands.kthUtility())
 		if etaUp <= etaLo || len(r.qPlus) == 0 {
 			break
 		}
@@ -617,7 +640,7 @@ func (r *run) exec() Result {
 			}
 			r.seen.marks[o] = r.seen.stamp
 			r.accessed++
-			etaLo, etaUp := r.expand(int(o))
+			etaLo, etaUp := r.expand(int(o), false)
 			if etaUp <= etaLo || len(r.qPlus) == 0 {
 				break
 			}
@@ -695,9 +718,13 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 }
 
 // expand implements Algorithm 4 for the newly accessed item, returning the
-// updated (ηlo, ηup) thresholds.
+// updated (ηlo, ηup) thresholds. On a barren round (exec: the item's
+// membership bound proves no child can be created) only the sweep runs —
+// round count, lazy bound refresh, bound drops and the re-check of every
+// queued package — and the batch kernels and the child block are skipped;
+// queue, counters and thresholds come out as the full round would leave them.
 //
-// Two deliberate corrections to the paper's pseudo-code (see DESIGN.md):
+// Two deliberate corrections to the paper's pseudo-code:
 //
 //  1. The empty package always expands and is never dropped by the
 //     improvement test. The paper's line 3 (grow only on strict
@@ -711,11 +738,15 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 //     avg: marginals increase toward zero as the average converges to τ,
 //     so one pad can lose while two pads win when another dimension
 //     compensates.
-func (r *run) expand(item int) (etaLo, etaUp float64) {
+func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 	phi := r.ix.space.MaxSize
 	etaUp = negInf
 	etaLo = r.cands.kthUtility()
 	prune := !r.opts.DisableBoundPrune && r.cands.full()
+	if barren && r.ix.barrenAudit != nil {
+		defer r.ix.barrenAudit(r)()
+		barren = false
+	}
 
 	r.round++
 	// Batched grow-utility pre-pass: score every queued package against the
@@ -725,16 +756,19 @@ func (r *run) expand(item int) (etaLo, etaUp float64) {
 	// main loop below consumes them without any change in decision order.
 	// Packages released by the bound prune before reaching the improvement
 	// test simply leave their entry unused.
-	states := r.stScratch[:0]
-	for _, p := range r.qPlus {
-		states = append(states, p.state)
+	var gus []float64
+	if !barren {
+		states := r.stScratch[:0]
+		for _, p := range r.qPlus {
+			states = append(states, p.state)
+		}
+		r.stScratch = states
+		if cap(r.guScratch) < len(states) {
+			r.guScratch = make([]float64, len(states))
+		}
+		gus = r.guScratch[:len(states)]
+		feature.ScoreAfterBatch(r.scorePlan, int32(item), states, gus)
 	}
-	r.stScratch = states
-	if cap(r.guScratch) < len(states) {
-		r.guScratch = make([]float64, len(states))
-	}
-	gus := r.guScratch[:len(states)]
-	feature.ScoreAfterBatch(r.scorePlan, int32(item), states, gus)
 
 	survivors := r.qPlus[:0]
 	newcomers := r.newcomers[:0]
@@ -756,7 +790,8 @@ func (r *run) expand(item int) (etaLo, etaUp float64) {
 		// the paper grows a package only when the new item strictly improves
 		// it; ExpandAll disables that heuristic, and the empty package always
 		// grows (correction 1).
-		if gu := gus[pi]; r.opts.ExpandAll || p.state.Size == 0 || gu > p.util {
+		if !barren && (r.opts.ExpandAll || p.state.Size == 0 || gus[pi] > p.util) {
+			gu := gus[pi]
 			// The child's extension bound, taken against this round's τ
 			// straight from p's state. A child at the size cap has no
 			// extensions (upperExp's −∞), so it is never bounded, grown or
