@@ -38,13 +38,15 @@ bench-check:
 
 # fuzz-smoke: the four fuzz targets for 10 s each, then under the race
 # detector the stale-Put property, the sketch-refine suites (TestPartition*:
-# exactness, masked walk ≡ filtered index, the refine's allocation guard),
-# the beam's bit-identity pin (TestBeamTraceGolden) and the barren-round
-# verdict's audit (TestBarren*).
+# exactness, masked walk ≡ filtered index, the refine's allocation guard —
+# three times over, so a reintroduced random seed cannot hide behind a lucky
+# run), the beam's bit-identity pin (TestBeamTraceGolden) and the audits of
+# the barren round and package verdicts (TestBarren*).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
-	$(GO) test -race -run '^(TestPartition|TestBeamTraceGolden|TestBarren)' -count=1 ./internal/search
+	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
+	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren)' -count=1 ./internal/search

@@ -13,25 +13,52 @@ import (
 	"toppkg/internal/pkgspace"
 )
 
-// barrenAuditor is the test side of Index.barrenAudit: on every barren
-// verdict it works out, from the run's state before the round, what the
-// barren path must leave behind — the sweep alone: refresh, bound drop,
-// keep, against an ηlo no child can move — lets expand run the round in
-// full, and fails if the kernels changed anything: a child created, the
-// heap touched, or Q+ not exactly the sweep's survivors.
+// barrenAuditor is the test side of Index.barrenAudit, which hands it every
+// round a verdict would skip work in and runs that round in full.
+//
+// On a barren round (need = +∞) it works out, from the run's state before
+// the round, what the barren path must leave behind — the sweep alone:
+// refresh, bound drop, keep, against an ηlo no child can move — and fails if
+// the kernels changed anything: a child created, the heap touched, or Q+ not
+// exactly the sweep's survivors.
+//
+// On a round with the package verdict in effect (need finite) it evaluates
+// every package the verdict rules out — ScoreAfter and growBound, as expand
+// would have — and fails if the child could be created, or if the claim the
+// verdict rests on breaks: max(gu, bound) ≤ p.bound − Δ(t), with Δ(t) taken
+// here from the cursors and the profile, not from the run's constants.
 type barrenAuditor struct {
 	t       *testing.T
 	label   string
-	barren  int // verdicts seen
+	barren  int // round verdicts seen
 	refresh int // of them, with at least one lazy bound refresh in the sweep
+	share   barrenShare
+}
+
+// barrenShare counts what the package verdict rules out: of the (package,
+// round) pairs of the rounds it is in effect on, the ones whose bound — as
+// queued, before the sweep refreshes it — is below need.
+type barrenShare struct{ ruledOut, pairs int }
+
+// count adds one round's pairs, calling each (when given) on every package
+// with whether the verdict rules it out.
+func (s *barrenShare) count(r *run, need float64, each func(p *pkg, ruledOut bool)) {
+	for _, p := range r.qPlus {
+		s.pairs++
+		if p.bound < need {
+			s.ruledOut++
+		}
+		if each != nil {
+			each(p, p.bound < need)
+		}
+	}
 }
 
 // barrenShapeAllocs bounds what one search on the serve_static shape may
-// allocate (TestBarrenShareServeShape): 586 before the membership bound was
-// frozen for every bound-pruned run, four for its descriptors (the empty
-// state is two), and one or two either way as expand's scratch slices now
-// regrow on full rounds only.
-const barrenShapeAllocs = 592
+// allocate (TestBarrenShareServeShape): 560 measured plus one, down from 592
+// while expand's scratch slices grew an element or an append at a time —
+// growScratch now doubles all four together, up to the queue cap.
+const barrenShapeAllocs = 561
 
 // The suite's two profiles: the serving workloads' mixed one (avg and min make
 // it non-monotone under any weights) and the monotone one of large_*.
@@ -49,18 +76,22 @@ type queuedPkg struct {
 
 // setBarrenAudit hooks (nil: unhooks) every run over ix, the sketch phase's
 // over the representatives' index included.
-func setBarrenAudit(ix *Index, hook func(*run) func()) {
+func setBarrenAudit(ix *Index, hook func(*run, int32, float64) func()) {
 	ix.barrenAudit = hook
 	if ps := ix.part.Load(); ps != nil {
 		ps.sketch.barrenAudit = hook
 	}
 }
 
-func (a *barrenAuditor) audit(r *run) func() {
-	a.barren++
+func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
 	if !r.cands.full() || r.opts.DisableBoundPrune {
-		a.t.Errorf("%s: barren verdict without a full heap under bound pruning", a.label)
+		a.t.Errorf("%s: a verdict without a full heap under bound pruning", a.label)
 	}
+	if need < posInf {
+		a.auditPackages(r, item, need)
+		return func() {}
+	}
+	a.barren++
 	etaLo := r.cands.kthUtility()
 	created := r.created
 	heap := slices.Clone(r.cands.xs)
@@ -108,6 +139,57 @@ func (a *barrenAuditor) audit(r *run) func() {
 	}
 }
 
+// auditPackages checks one round's package verdicts before the round runs.
+func (a *barrenAuditor) auditPackages(r *run, item int32, need float64) {
+	if !r.fastPad {
+		a.t.Errorf("%s: a package verdict with a pad descriptor that is not PadTau", a.label)
+		return
+	}
+	sp := r.ix.space
+	etaLo, phi := r.cands.kthUtility(), float64(sp.MaxSize)
+	delta, mag, slack := 0.0, 0.0, 0.0 // Δ(t), Σ|w|·A/|scale| and 2⁻³⁰ of it, sums × φ
+	for li := range r.lists {
+		lc := &r.lists[li]
+		w, scale := r.u.W[lc.dim], sp.Norm.Scale(lc.dim)
+		short := w * (lc.tau - lc.col[item])
+		if !(short >= 0) {
+			a.t.Errorf("%s: drawn item %d beats τ on dimension %d: w·(τ−t) = %v", a.label, item, lc.dim, short)
+		}
+		top := max(math.Abs(lc.col[lc.ids[0]]), math.Abs(lc.col[lc.ids[len(lc.ids)-1]]))
+		m := math.Abs(w) * top / math.Abs(scale)
+		mag += m
+		switch sp.Profile.Entry(lc.dim).Agg {
+		case feature.AggSum:
+			delta += short / scale
+			m *= phi
+		case feature.AggAvg:
+			delta += short / (scale * phi)
+		}
+		slack += 0x1p-30 * m
+	}
+	tol := 1e-12 * mag
+	if math.Abs(r.slack-slack) > 1e-9*slack {
+		a.t.Errorf("%s: slack %v, want 2⁻³⁰·Σ|w|·A/|scale| (sums × φ) = %v", a.label, r.slack, slack)
+	}
+	if want := etaLo - r.slack + delta; math.Abs(need-want) > tol {
+		a.t.Errorf("%s: need %v, want ηlo − slack + Δ(t) = %v", a.label, need, want)
+	}
+	a.share.count(r, need, func(p *pkg, ruledOut bool) {
+		gu, bound := p.state.ScoreAfter(r.scorePlan, item), negInf
+		if p.state.Size+1 < sp.MaxSize {
+			bound = r.growBound(p.state, item, r.fastPad, r.padModes, r.padTaus)
+		}
+		if ruledOut && (gu > etaLo || bound > etaLo) {
+			a.t.Errorf("%s: round %d: ruled-out package %v (bound %v < need %v) would create its child with item %d: gu %v, bound %v, ηlo %v",
+				a.label, r.round+1, p.ids, p.bound, need, item, gu, bound, etaLo)
+		}
+		if got := max(gu, bound); got > p.bound-delta+tol {
+			a.t.Errorf("%s: round %d: package %v with item %d: max(gu, bound) = %v above p.bound − Δ(t) = %v − %v",
+				a.label, r.round+1, p.ids, item, got, p.bound, delta)
+		}
+	})
+}
+
 // barrenSpace builds one data shape of the suite.
 func barrenSpace(t *testing.T, kind string, n int, aggs []feature.Agg, nulls bool) *feature.Space {
 	t.Helper()
@@ -142,11 +224,13 @@ func barrenWeights(rng *rand.Rand, dims int, monotone bool) []float64 {
 	return w
 }
 
-// TestBarrenVerdictSound holds the barren verdict to its claim on every
+// TestBarrenVerdictSound holds both barren verdicts to their claims on every
 // path a run can take: wherever exec declares a round barren, the full
 // round creates no child and leaves created, the heap and Q+ exactly as the
-// sweep alone does (barrenAuditor) — and the search that really skips the
-// kernels returns the audited search's result, counters included.
+// sweep alone does; wherever expand rules a package out, its child could not
+// be created and the deficit inequality holds (barrenAuditor) — and the
+// search that really skips the work returns the audited search's result,
+// counters included.
 func TestBarrenVerdictSound(t *testing.T) {
 	oddOnes := func(it feature.Item) bool { return it.ID%2 == 1 }
 	modes := []struct {
@@ -160,7 +244,8 @@ func TestBarrenVerdictSound(t *testing.T) {
 			o.Candidate = pkgspace.MinCount(1, oddOnes)
 		}},
 	}
-	verdicts := map[string]int{} // per axis value: barren verdicts audited
+	verdicts := map[string]int{} // per axis value: barren rounds audited
+	ruledOut := map[string]int{} // per axis value: ruled-out packages audited
 	refreshes, refined := 0, 0
 	for _, monotone := range []bool{false, true} {
 		for _, kind := range []string{"uni", "cor", "ant"} {
@@ -215,6 +300,7 @@ func TestBarrenVerdictSound(t *testing.T) {
 									fmt.Sprintf("beamed=%t", beamed), fmt.Sprintf("sketch=%t", sketch), mode.name,
 								} {
 									verdicts[axis] += a.barren
+									ruledOut[axis] += a.share.ruledOut
 								}
 								refreshes += a.refresh
 								if audited.RefineClustersOpened > 0 {
@@ -235,6 +321,11 @@ func TestBarrenVerdictSound(t *testing.T) {
 		if verdicts[axis] == 0 {
 			t.Errorf("no barren verdict audited with %s", axis)
 		}
+		// Nullable list features turn fastPad off, and the package verdict
+		// with it (auditPackages fails a verdict taken without fastPad).
+		if (ruledOut[axis] == 0) != (axis == "nulls=true") {
+			t.Errorf("%d packages ruled out and audited with %s", ruledOut[axis], axis)
+		}
 	}
 	if refreshes == 0 {
 		t.Error("no audited barren round refreshed a queued bound")
@@ -242,7 +333,8 @@ func TestBarrenVerdictSound(t *testing.T) {
 	if refined == 0 {
 		t.Error("no barren verdict audited inside a sketch-refine search")
 	}
-	t.Logf("audited verdicts per axis value: %v; %d with a bound refresh, %d inside sketch-refine searches", verdicts, refreshes, refined)
+	t.Logf("audited barren rounds per axis value: %v; %d with a bound refresh, %d inside sketch-refine searches", verdicts, refreshes, refined)
+	t.Logf("audited ruled-out packages per axis value: %v", ruledOut)
 }
 
 // TestBarrenShareServeShape guards the gain where it is claimed: on the
@@ -258,7 +350,12 @@ func TestBarrenShareServeShape(t *testing.T) {
 	opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
 	rng := rand.New(rand.NewSource(7))
 	barren, rounds := 0, 0
-	ix.barrenAudit = func(*run) func() { barren++; return func() {} }
+	ix.barrenAudit = func(_ *run, _ int32, need float64) func() {
+		if need == posInf {
+			barren++
+		}
+		return func() {}
+	}
 	var us []*feature.Utility
 	for v := 0; v < 30; v++ {
 		u, err := feature.NewUtility(sp.Profile, barrenWeights(rng, len(barrenMixed), false))
@@ -289,5 +386,68 @@ func TestBarrenShareServeShape(t *testing.T) {
 	t.Logf("%.0f allocations per search", allocs)
 	if allocs > barrenShapeAllocs {
 		t.Errorf("%.0f allocations per search on the serve_static shape, want ≤ %d", allocs, barrenShapeAllocs)
+	}
+}
+
+// TestBarrenPackageShare guards the package verdict where its gain is
+// claimed: of the (package, round) pairs of the rounds it is in effect on —
+// bound-pruned full rounds with every pad descriptor PadTau — it must rule
+// out most, on the serve_static shape (measured 84 %) and on the large_uni
+// one, uniform data under the monotone profile with the Gaussian(0.5, 0.15)
+// prior, heads and partition on (measured 83 % at 20k items, 75 % at 100k).
+func TestBarrenPackageShare(t *testing.T) {
+	opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
+	for _, shape := range []struct {
+		name     string
+		n        int
+		aggs     []feature.Agg
+		monotone bool
+		want     float64
+	}{
+		{"serve_static", 1000, barrenMixed, false, 0.70},
+		{"large_uni at 20k", 20000, barrenMono, true, 0.60},
+	} {
+		sp := barrenSpace(t, "uni", shape.n, shape.aggs, false)
+		ix := NewIndex(sp)
+		if shape.monotone && ix.EnsurePartition(0) == nil {
+			t.Fatal("no partition")
+		}
+		var share barrenShare
+		setBarrenAudit(ix, func(r *run, _ int32, need float64) func() {
+			if need < posInf {
+				share.count(r, need, nil)
+			}
+			return func() {}
+		})
+		rng := rand.New(rand.NewSource(7))
+		refined := 0
+		for v := 0; v < 30; v++ {
+			w := barrenWeights(rng, len(shape.aggs), false)
+			if shape.monotone { // large_*'s prior, not the suite's uniform one
+				for d := range w {
+					w[d] = 0.5 + 0.15*rng.NormFloat64()
+				}
+			}
+			u, err := feature.NewUtility(sp.Profile, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ix.TopK(u, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RefineClustersOpened > 0 {
+				refined++
+			}
+		}
+		got := float64(share.ruledOut) / float64(share.pairs)
+		t.Logf("%s: %d of %d (package, round) pairs ruled out (%.1f %%); %d of 30 searches sketch-refined",
+			shape.name, share.ruledOut, share.pairs, 100*got, refined)
+		if got < shape.want {
+			t.Errorf("%s: the package verdict ruled out %.1f %% of pairs, want ≥ %.0f %%", shape.name, 100*got, 100*shape.want)
+		}
+		if shape.monotone && refined < 25 {
+			t.Errorf("%s: only %d of 30 searches engaged the partition", shape.name, refined)
+		}
 	}
 }

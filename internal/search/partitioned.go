@@ -10,7 +10,8 @@
 //     strictly below L, and drop queued packages bounding strictly below
 //     L. Every lever is strict-below-a-real-utility, so the result is
 //     bit-identical to the unpartitioned run (the property suite's
-//     invariant), mirroring the dominance filter's admission argument.
+//     invariant), mirroring the dominance filter's admission argument —
+//     under ExpandAll; a paper-mode run replays without L (refineExact).
 //   - Beamed or budgeted runs (already approximate by contract) read only
 //     the clusters that can matter: the clusters contributing to sketch
 //     candidates, plus the best-bounded remaining clusters while they beat
@@ -226,7 +227,13 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 // the utility of a real package, so L ≤ the final k-th utility: nothing
 // that could enter the results — or shift an equal-utility tie-break — is
 // ever skipped, and the outcome is bit-identical to the unpartitioned run.
+// Under ExpandAll only: a paper-mode run is incomplete, its own k-th can end
+// below L and the levers would drop packages the unpartitioned run returns,
+// so it gets no floor (−∞: no cluster skipped, nothing dropped).
 func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
+	if !opts.ExpandAll {
+		floorL = negInf
+	}
 	pc := &partCtx{p: p, floorL: floorL}
 	res, err := ix.topKRun(u, opts, pc)
 	if err != nil {

@@ -75,11 +75,11 @@ type Options struct {
 	// DisablePartition turns off sketch-refine partitioned search (see
 	// partitioned.go). Like the dominance filter it only engages for
 	// monotone utilities with bound pruning on and no predicates; uncapped
-	// unbudgeted runs stay bit-identical with it on or off (the sketch
-	// bound only prunes strictly-below-the-floor work), while beamed runs
-	// refine inside the sketch-selected clusters and may differ from an
-	// unpartitioned beam. Disabling exists for ablations and the
-	// partitioned≡unpartitioned property suite.
+	// unbudgeted runs stay bit-identical with it on or off (the sketch floor
+	// only prunes work strictly below it, and only under ExpandAll: paper
+	// mode, incomplete, takes no floor), while beamed runs refine inside the
+	// sketch-selected clusters and may differ from an unpartitioned beam.
+	// Disabling exists for ablations and the partitioned≡unpartitioned suite.
 	DisablePartition bool
 }
 
@@ -165,10 +165,10 @@ type Index struct {
 	// dense id range, so the sketch and refine phases of one search take
 	// turns on one stamp array instead of keeping an O(n) array each.
 	seenSrc *Index
-	// barrenAudit is set only by tests (barren_test.go): called on a barren
-	// verdict, it makes expand run the round in full and calls the returned
-	// func after it, to compare against what the barren path would have left.
-	barrenAudit func(*run) func()
+	// barrenAudit is set only by tests (barren_test.go): called with expand's
+	// item and need on every round a barren verdict would skip work in, it makes
+	// expand run the round in full and calls the returned func after it.
+	barrenAudit func(r *run, item int32, need float64) func()
 }
 
 // seenSet is a stamped membership set over dense item IDs: item i is a
@@ -339,6 +339,8 @@ type run struct {
 	// a package — or a package plus one item — straight from its state, with
 	// no scratch copy. Cleared the moment any cursor exhausts.
 	fastPad bool
+	// slack keeps expand's barren-package test conservative (newRun).
+	slack float64
 
 	// scratch is the state the general pad path mutates: PadUpper folds its
 	// imaginary items into a copy (upperExp) or a grown child (growBound).
@@ -353,12 +355,10 @@ type run struct {
 	freePkgs   []*pkg
 	newcomers  []*pkg
 
-	// boundScratch backs truncate's primitive bound sort.
-	boundScratch []float64
-
-	// stScratch/guScratch back expand's batched grow-utility pre-pass:
-	// per round, the states of every queued package and their ScoreAfter
-	// utilities against the drawn item, computed in one transposed sweep.
+	// stScratch/guScratch back expand's batched grow-utility pre-pass: per
+	// round, the states of the queued packages no barren verdict rules out
+	// and their ScoreAfter utilities against the drawn item, computed in one
+	// transposed sweep; truncate then borrows guScratch for the queued bounds.
 	stScratch []*feature.State
 	guScratch []float64
 }
@@ -407,6 +407,7 @@ type listCursor struct {
 	ids  []int32
 	tau  float64 // value of the last accessed item (best possible unseen)
 	done bool
+	gap  float64 // utility per unit short of τ: w/scale (sum), ÷ φ (avg), else 0
 }
 
 // at returns the id at traversal position pos (from the desirable end).
@@ -504,6 +505,20 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		} else {
 			r.padModes[li] = feature.PadTau
 		}
+		// expand's barren-package constants. Its test compares four kernel
+		// values, each a sum of D ≤ 16 terms |w·a/scale| ≤ M_d = |w|·A_d/scale
+		// (× φ for sum; A_d the list's largest |value|) that φ adds, a multiply,
+		// two divides and D adds round by ≤ (φ+D+3)·2⁻⁵³·ΣM_d in all: under
+		// 2⁻⁴⁷·ΣM_d at φ = 3, D = 5 — 10⁵ times below the slack, 2⁻³⁰·ΣM_d.
+		ws := u.W[lc.dim] / ix.space.Norm.Scale(lc.dim)
+		a := max(math.Abs(lc.col[lc.ids[0]]), math.Abs(lc.col[lc.ids[len(lc.ids)-1]]))
+		switch phi := float64(ix.space.MaxSize); ix.space.Profile.Entry(lc.dim).Agg {
+		case feature.AggSum:
+			lc.gap, a = ws, a*phi
+		case feature.AggAvg:
+			lc.gap = ws / phi
+		}
+		r.slack += 0x1p-30 * math.Abs(ws) * a
 	}
 	r.scorePlan = feature.NewScorePlan(ix.space, u)
 	r.padPlan = feature.NewPadPlan(ix.space, u, skipDims, listDims)
@@ -548,6 +563,9 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 //  2. Any other item, once the heap is full, makes its round barren: expand
 //     keeps its sweep of Q+ and skips the kernels, since its child-creation
 //     test (gu > ηlo || bound > ηlo) fails for every queued package.
+//
+// On a round not barren as a whole, with the heap full and every pad descriptor
+// PadTau, expand takes the same verdict per queued package, from its own bound.
 func (r *run) exec() Result {
 	ix := r.ix
 	opts := r.opts
@@ -599,7 +617,7 @@ func (r *run) exec() Result {
 			}
 			r.pc.open(c)
 		}
-		hb := math.Inf(1)
+		hb := posInf
 		if r.emptyState != nil {
 			hb = r.headBound(item)
 		}
@@ -718,11 +736,18 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 }
 
 // expand implements Algorithm 4 for the newly accessed item, returning the
-// updated (ηlo, ηup) thresholds. On a barren round (exec: the item's
-// membership bound proves no child can be created) only the sweep runs —
-// round count, lazy bound refresh, bound drops and the re-check of every
-// queued package — and the batch kernels and the child block are skipped;
-// queue, counters and thresholds come out as the full round would leave them.
+// updated (ηlo, ηup) thresholds. Every round sweeps Q+ — round count, lazy
+// bound refresh, bound drops, the re-check of every queued package — but
+// only a package whose bound reaches `need` is scored against the item and
+// may create its child; queue, counters and thresholds come out as the full
+// round would leave them. A barren round (exec) sets need to +∞. Any other,
+// on three preconditions — bound pruning live from the round's start (a full
+// heap), every pad descriptor PadTau (r.fastPad), the round not barren — to
+// ηlo − slack + Δ(t), Δ(t) = Σ_sum w(τ−t)/scale + Σ_avg w(τ−t)/(scale·φ) ≥ 0
+// being what the item falls short of τ by: p ∪ {t} padded j times scores at
+// least that much below p padded j+1 times, so max(gu, growBound(p, t)) ≤
+// p.bound − Δ(t), and below ηlo, which only rises, no child is created
+// (README, "Barren packages").
 //
 // Two deliberate corrections to the paper's pseudo-code:
 //
@@ -743,36 +768,53 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 	etaUp = negInf
 	etaLo = r.cands.kthUtility()
 	prune := !r.opts.DisableBoundPrune && r.cands.full()
-	if barren && r.ix.barrenAudit != nil {
-		defer r.ix.barrenAudit(r)()
-		barren = false
+	need := negInf
+	if barren {
+		need = posInf
+	} else if prune && r.fastPad {
+		need = etaLo - r.slack
+		for li := range r.lists {
+			lc := &r.lists[li]
+			need += lc.gap * (lc.tau - lc.col[item])
+		}
+	}
+	if need > negInf && r.ix.barrenAudit != nil {
+		defer r.ix.barrenAudit(r, int32(item), need)()
+		need = negInf
 	}
 
 	r.round++
-	// Batched grow-utility pre-pass: score every queued package against the
-	// item in one transposed sweep (dimensions outer, states inner), which
-	// hoists the per-dimension constants out of the per-package loop. The
-	// values are exactly what per-package ScoreAfter calls would return; the
-	// main loop below consumes them without any change in decision order.
-	// Packages released by the bound prune before reaching the improvement
-	// test simply leave their entry unused.
-	var gus []float64
-	if !barren {
-		states := r.stScratch[:0]
-		for _, p := range r.qPlus {
-			states = append(states, p.state)
-		}
-		r.stScratch = states
-		if cap(r.guScratch) < len(states) {
-			r.guScratch = make([]float64, len(states))
-		}
-		gus = r.guScratch[:len(states)]
-		feature.ScoreAfterBatch(r.scorePlan, int32(item), states, gus)
+	if n := len(r.qPlus); 2*n > cap(r.guScratch) {
+		// Scratch for the most a round can leave, twice Q+; grown by doubling.
+		c := max(4*n, 32)
+		r.stScratch, r.newcomers = make([]*feature.State, 0, c), make([]*pkg, 0, c)
+		r.guScratch = make([]float64, c)
 	}
+	// Batched grow-utility pre-pass: score the packages need admits against
+	// the item in one transposed sweep (dimensions outer, states inner),
+	// which hoists the per-dimension constants out of the per-package loop.
+	// The values are exactly what per-package ScoreAfter calls would return,
+	// consumed below in the same decision order; a package the bound prune
+	// releases before the improvement test leaves its entry unused.
+	states := r.stScratch[:0]
+	if need < posInf {
+		for _, p := range r.qPlus {
+			if p.bound >= need {
+				states = append(states, p.state)
+			}
+		}
+	}
+	gus := r.guScratch[:len(states)]
+	feature.ScoreAfterBatch(r.scorePlan, int32(item), states, gus)
 
 	survivors := r.qPlus[:0]
 	newcomers := r.newcomers[:0]
-	for pi, p := range r.qPlus {
+	gi := 0 // gathered packages so far: gus[gi-1] is p's entry, if it has one
+	for _, p := range r.qPlus {
+		live := p.bound >= need // as gathered: before the refresh below
+		if live {
+			gi++
+		}
 		// Refresh the extension bound lazily; a stale bound is still an
 		// upper bound, so pruning on it stays sound.
 		if r.round-p.boundRound >= boundRefresh {
@@ -790,8 +832,8 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 		// the paper grows a package only when the new item strictly improves
 		// it; ExpandAll disables that heuristic, and the empty package always
 		// grows (correction 1).
-		if !barren && (r.opts.ExpandAll || p.state.Size == 0 || gus[pi] > p.util) {
-			gu := gus[pi]
+		if live && (r.opts.ExpandAll || p.state.Size == 0 || gus[gi-1] > p.util) {
+			gu := gus[gi-1]
 			// The child's extension bound, taken against this round's τ
 			// straight from p's state. A child at the size cap has no
 			// extensions (upperExp's −∞), so it is never bounded, grown or
@@ -836,7 +878,6 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 		}
 	}
 	r.qPlus = append(survivors, newcomers...)
-	r.newcomers = newcomers[:0]
 
 	if r.maxQueue > 0 && len(r.qPlus) > r.maxQueue {
 		r.truncate()
@@ -845,17 +886,16 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 }
 
 // truncate enforces the Q+ cap, keeping the maxQueue packages with the
-// highest extension bounds. The threshold is found by sorting a scratch
-// copy of the bound values (primitive sort — far cheaper than ordering the
-// packages themselves); survivors keep their queue order, with ties at the
-// threshold resolved in queue order. Deterministic: the outcome depends
-// only on the bounds and the queue order, never on sort internals.
+// highest extension bounds. The threshold is an order statistic of a scratch
+// copy of the bound values (far cheaper than ordering the packages);
+// survivors keep their queue order, with ties at the threshold resolved in
+// queue order. Deterministic: the outcome depends only on the bounds and the
+// queue order, never on how the statistic is found.
 func (r *run) truncate() {
-	bounds := r.boundScratch[:0]
-	for _, p := range r.qPlus {
-		bounds = append(bounds, p.bound)
+	bounds := r.guScratch[:len(r.qPlus)]
+	for i, p := range r.qPlus {
+		bounds[i] = p.bound
 	}
-	r.boundScratch = bounds
 	thr := selectKth(bounds, len(bounds)-r.maxQueue)
 	// Packages strictly above the threshold all survive; ties at the
 	// threshold fill the remaining slots in queue order.
@@ -882,11 +922,34 @@ func (r *run) truncate() {
 	r.truncated = true
 }
 
+// lowKthMax bounds lowKth's k: a full round at the beam's cap overflows by few.
+const lowKthMax = 8
+
+// lowKth is selectKth for k ≤ lowKthMax, xs longer than k and left as it is:
+// one pass keeping the k+1 smallest so far ascending in low (the rest spill).
+func lowKth(xs []float64, k int) float64 {
+	var low [lowKthMax + 2]float64
+	for i := range low {
+		low[i] = posInf
+	}
+	for _, x := range xs {
+		j := k + 1
+		for ; j > 0 && low[j-1] > x; j-- {
+			low[j] = low[j-1]
+		}
+		low[j] = x
+	}
+	return low[k]
+}
+
 // selectKth returns the k-th smallest element of xs (0-based), reordering
-// xs in place — a median-of-three quickselect. The returned order statistic
-// is uniquely defined, so truncation outcomes never depend on the selection
-// algorithm's internals. xs must be NaN-free (bounds always are).
+// xs in place — a median-of-three quickselect, past lowKth's range. The
+// order statistic is uniquely defined, so truncation outcomes never depend on
+// the selection algorithm's internals. xs must be NaN-free (bounds always are).
 func selectKth(xs []float64, k int) float64 {
+	if k <= lowKthMax {
+		return lowKth(xs, k)
+	}
 	lo, hi := 0, len(xs)-1
 	for hi > lo {
 		if hi-lo < 12 {
@@ -1052,7 +1115,7 @@ func pkgspaceEnumerate(s *feature.Space, fn func(pkgspace.Package) bool) {
 	rec(0)
 }
 
-var negInf = math.Inf(-1)
+var negInf, posInf = math.Inf(-1), math.Inf(1)
 
 // candHeap keeps the best k scored packages: a min-heap ordered by utility
 // ascending, ties keeping the smaller package (evicting the larger).

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -405,6 +406,40 @@ func TestMaxQueueTruncation(t *testing.T) {
 	}
 	if len(res.Packages) != 3 {
 		t.Errorf("truncated run returned %d packages", len(res.Packages))
+	}
+}
+
+// TestTruncateThresholdSelectors: truncate reads its threshold off lowKth for
+// small overflows and selectKth for large ones; both must return the order
+// statistic a full sort gives, on inputs with duplicates, leaving the
+// multiset intact (lowKth: the slice itself).
+func TestTruncateThresholdSelectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct{ n, distinct int }{
+		{1, 1}, {2, 1}, {9, 3}, {10, 1000}, {129, 4}, {131, 40}, {136, 1000}, {257, 7}, {400, 1000},
+	} {
+		for trial := 0; trial < 50; trial++ {
+			xs := make([]float64, tc.n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(tc.distinct)) / 8
+			}
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			for k := 0; k < tc.n; k += 1 + k/12 {
+				if k <= lowKthMax {
+					in := slices.Clone(xs)
+					if got := lowKth(in, k); got != sorted[k] || !slices.Equal(in, xs) {
+						t.Fatalf("lowKth(n=%d, k=%d) = %v (input kept: %t), sort gives %v", tc.n, k, got, slices.Equal(in, xs), sorted[k])
+					}
+				}
+				in := slices.Clone(xs)
+				got := selectKth(in, k)
+				slices.Sort(in)
+				if got != sorted[k] || !slices.Equal(in, sorted) {
+					t.Fatalf("selectKth(n=%d, k=%d) = %v, sort gives %v", tc.n, k, got, sorted[k])
+				}
+			}
+		}
 	}
 }
 
