@@ -421,32 +421,6 @@ func BenchmarkAblationExpandAll(b *testing.B) {
 	}
 }
 
-// --- Ablation: bound-based pruning of the expandable queue. ---
-
-func BenchmarkAblationBoundPrune(b *testing.B) {
-	sp := benchSpace(b, "cor", 2000, 4, 4)
-	ix := search.NewIndex(sp)
-	u, err := feature.NewUtility(sp.Profile, []float64{0.7, 0.3, 0.4, -0.3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts search.Options
-	}{
-		{"prune_on", search.Options{K: 5, ExpandAll: true}},
-		{"prune_off", search.Options{K: 5, ExpandAll: true, DisableBoundPrune: true, MaxQueue: 20000}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.TopK(u, tc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Ablation: flat grid vs quadtree center for importance sampling. ---
 
 func BenchmarkAblationCenterFinding(b *testing.B) {

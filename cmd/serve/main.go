@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	serve -addr :8080 -dataset nba -features 5 -capacity 1024 -snapshots ./sessions
+//	serve -addr :8080 -dataset nba -features 5 -capacity 1024 -store ./sessions
 //	curl localhost:8080/sessions/alice/recommend
 //	curl -X POST localhost:8080/sessions/alice/click -d '{"chosen":[1,2],"shown":[[1,2],[3]]}'
 //	curl localhost:8080/sessions            # list resident sessions
@@ -32,7 +32,6 @@ import (
 	_ "net/http/pprof" // registers debug handlers on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -58,8 +57,7 @@ func main() {
 		sem      = flag.String("semantics", "exp", "ranking semantics: exp, tkp, mpo")
 		psi      = flag.Float64("psi", 1, "feedback-noise tolerance (§7): a weight sample violating x preferences survives w.p. (1-psi)^x; 1 = hard constraints")
 		capacity = flag.Int("capacity", session.DefaultCapacity, "resident sessions before LRU eviction")
-		snapdir  = flag.String("snapshots", "", "directory persisting evicted sessions (empty: evicted state is dropped); shorthand for -store dir:DIR")
-		storeSpc = flag.String("store", "", "session store spec, scheme:rest (schemes: "+strings.Join(session.StoreSchemes(), ", ")+"); shards behind one gateway must share a store for rebalancing")
+		storeSpc = flag.String("store", "", "where evicted sessions persist: dir:PATH or a bare PATH (a snapshot directory), mem: (this process only); empty drops evicted state. Shards behind one gateway must share a store for rebalancing")
 		shardID  = flag.String("shard-id", "", "this process's identity in a sharded deployment: reported in /healthz and required to match DrainRequest.Self on /admin/drain")
 		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes")
 		restore  = flag.String("restore", "", "path of a session snapshot to restore into the default session")
@@ -168,14 +166,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *snapdir != "" && *storeSpc != "" {
-		log.Fatal("-snapshots and -store are two spellings of the same thing; set only one")
-	}
-	spec := *storeSpc
-	if *snapdir != "" {
-		spec = *snapdir // bare path opens as a DirStore
-	}
-	store, err := session.OpenStore(spec)
+	store, err := session.OpenStore(*storeSpc)
 	if err != nil {
 		log.Fatal(err)
 	}

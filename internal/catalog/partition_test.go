@@ -31,11 +31,11 @@ func TestNewRejectsBadPartitionImbalance(t *testing.T) {
 // invariant incremental maintenance must preserve across deltas.
 func assertPartitionedExact(t *testing.T, ep *Epoch, u *feature.Utility, k int) {
 	t.Helper()
-	part, err := ep.Index.TopK(u, search.Options{K: k, MaxQueue: -1})
+	part, err := ep.Index.TopK(u, search.Options{K: k, MaxQueue: -1, ExpandAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ep.Index.TopK(u, search.Options{K: k, MaxQueue: -1, DisablePartition: true})
+	plain, err := ep.Index.TopK(u, search.Options{K: k, MaxQueue: -1, ExpandAll: true, DisablePartition: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := c.Current()
-	if _, err := ep.Index.TopK(u, search.Options{K: 2, MaxQueue: -1}); err != nil {
+	if _, err := ep.Index.TopK(u, search.Options{K: 2, MaxQueue: -1, ExpandAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	pp := ep.Index.PeekPartition()
@@ -126,7 +126,7 @@ func TestPartitionReclusterOnImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := c.Current()
-	if _, err := ep.Index.TopK(u, search.Options{K: 2, MaxQueue: -1}); err != nil {
+	if _, err := ep.Index.TopK(u, search.Options{K: 2, MaxQueue: -1, ExpandAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	pp := ep.Index.PeekPartition()

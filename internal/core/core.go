@@ -41,17 +41,10 @@ const (
 	SamplerMCMC       SamplerKind = "mcmc"
 )
 
-// CheckerKind selects the sample-maintenance strategy (§3.4).
-type CheckerKind string
-
-// Maintenance strategies.
-const (
-	CheckerNaive  CheckerKind = "naive"
-	CheckerTA     CheckerKind = "ta"
-	CheckerHybrid CheckerKind = "hybrid"
-)
-
-// Config configures an Engine. Zero values select the paper's defaults.
+// Config configures an Engine. Zero values select the paper's defaults; the
+// rest of the paper's choices are fixed: TKP's σ = K, transitive reduction
+// of the preference graph (§3.3), the hybrid maintenance checker at
+// γ = 0.025 (§3.4) and the samplers' own tuning defaults.
 type Config struct {
 	// Items is the item set T (required).
 	Items []feature.Item
@@ -66,30 +59,17 @@ type Config struct {
 	RandomCount int
 	// Semantics is the ranking semantics (default EXP).
 	Semantics ranking.Semantics
-	// Sigma is TKP's σ (default K).
-	Sigma int
 	// Sampler selects the sampling strategy (default mcmc).
 	Sampler SamplerKind
 	// SampleCount is the size of the weight-vector sample pool
 	// (default 1000).
 	SampleCount int
 	// Prior overrides the weight prior; by default a single Gaussian
-	// centered at the origin with std 0.5 per dimension
-	// (PriorComponents selects a random mixture instead).
+	// centered at the origin with std 0.5 per dimension.
 	Prior *gaussmix.Mixture
-	// PriorComponents sets the number of mixture components of the default
-	// prior (default 1).
-	PriorComponents int
 	// Psi is the feedback noise model of §7: the probability any single
 	// feedback is correct. Default 1 (noise-free).
 	Psi float64
-	// Checker selects the maintenance strategy (default hybrid).
-	Checker CheckerKind
-	// Gamma is the hybrid checker's γ (default 0.025).
-	Gamma float64
-	// DisableReduction turns off transitive reduction of the preference
-	// graph (§3.3); on by default since it only removes redundant checks.
-	DisableReduction bool
 	// Search tunes the per-sample Top-k-Pkg runs (K is set internally).
 	Search search.Options
 	// Parallelism is the worker count for per-sample searches during
@@ -110,13 +90,6 @@ type Config struct {
 	WeightQuantum float64
 	// Seed seeds the engine's random stream (default 1).
 	Seed int64
-	// MCMC / importance tuning; zero values take the samplers' defaults.
-	MCMCLMax           float64
-	MCMCThin           int
-	MCMCBurnIn         int
-	ImportanceGridRes  int
-	ImportanceStd      float64
-	ImportanceQuadtree bool
 }
 
 // Stats reports the engine's cumulative activity.
@@ -313,23 +286,14 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.RandomCount == 0 {
 		cfg.RandomCount = cfg.K
 	}
-	if cfg.Sigma == 0 {
-		cfg.Sigma = cfg.K
-	}
 	if cfg.Sampler == "" {
 		cfg.Sampler = SamplerMCMC
 	}
 	if cfg.SampleCount == 0 {
 		cfg.SampleCount = 1000
 	}
-	if cfg.PriorComponents == 0 {
-		cfg.PriorComponents = 1
-	}
 	if cfg.Psi == 0 {
 		cfg.Psi = 1
-	}
-	if cfg.Checker == "" {
-		cfg.Checker = CheckerHybrid
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -464,7 +428,7 @@ func (sh *Shared) NewEngine(seed int64) (*Engine, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Prior == nil {
-		cfg.Prior = gaussmix.DefaultPrior(cfg.Profile.Dims(), cfg.PriorComponents, rng)
+		cfg.Prior = gaussmix.DefaultPrior(cfg.Profile.Dims(), 1, rng)
 	}
 	if cfg.Prior.Dims() != cfg.Profile.Dims() {
 		return nil, fmt.Errorf("core: prior has %d dims, profile has %d", cfg.Prior.Dims(), cfg.Profile.Dims())
@@ -566,7 +530,7 @@ func (e *Engine) PackageVector(p pkgspace.Package) ([]float64, error) {
 }
 
 func (e *Engine) constraints() []prefgraph.Constraint {
-	return e.graph.Constraints(!e.cfg.DisableReduction)
+	return e.graph.Constraints(true)
 }
 
 // Sampler builds the configured sampling strategy over the current
@@ -578,34 +542,17 @@ func (e *Engine) Sampler() (sampling.Sampler, error) {
 	case SamplerRejection:
 		return &sampling.Rejection{Prior: e.cfg.Prior, V: v}, nil
 	case SamplerImportance:
-		return &sampling.Importance{
-			Prior:       e.cfg.Prior,
-			V:           v,
-			GridRes:     e.cfg.ImportanceGridRes,
-			ProposalStd: e.cfg.ImportanceStd,
-			UseQuadtree: e.cfg.ImportanceQuadtree,
-		}, nil
+		return &sampling.Importance{Prior: e.cfg.Prior, V: v}, nil
 	case SamplerMCMC:
-		return &sampling.MCMC{
-			Prior:  e.cfg.Prior,
-			V:      v,
-			LMax:   e.cfg.MCMCLMax,
-			Thin:   e.cfg.MCMCThin,
-			BurnIn: e.cfg.MCMCBurnIn,
-		}, nil
+		return &sampling.MCMC{Prior: e.cfg.Prior, V: v}, nil
 	}
 	return nil, fmt.Errorf("core: unknown sampler %q", e.cfg.Sampler)
 }
 
+// newChecker is the paper's maintenance strategy: the hybrid TA checker at
+// its default γ (§3.4).
 func (e *Engine) newChecker(p *topk.Pool) maintain.Checker {
-	switch e.cfg.Checker {
-	case CheckerNaive:
-		return &maintain.Naive{P: p}
-	case CheckerTA:
-		return &maintain.TA{P: p}
-	default:
-		return &maintain.Hybrid{P: p, Gamma: e.cfg.Gamma}
-	}
+	return &maintain.Hybrid{P: p}
 }
 
 // ensureSamples draws the initial pool if none exists yet.
@@ -693,7 +640,7 @@ func (e *Engine) Recommend() (*Slate, error) {
 	var m ranking.Metrics
 	ranked, err := ranking.Rank(ep.ix, e.pool.Samples, e.cfg.Semantics, ranking.Options{
 		K:           e.cfg.K,
-		Sigma:       e.cfg.Sigma,
+		Sigma:       e.cfg.K,
 		Parallelism: e.cfg.Parallelism,
 		Search:      e.cfg.Search,
 		Quantum:     e.cfg.WeightQuantum,

@@ -30,11 +30,11 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.K != 3 || e.cfg.RandomCount != 3 || e.cfg.Sigma != 3 {
-		t.Errorf("defaults: K=%d RandomCount=%d Sigma=%d", e.cfg.K, e.cfg.RandomCount, e.cfg.Sigma)
+	if e.cfg.K != 3 || e.cfg.RandomCount != 3 {
+		t.Errorf("defaults: K=%d RandomCount=%d", e.cfg.K, e.cfg.RandomCount)
 	}
-	if e.cfg.Sampler != SamplerMCMC || e.cfg.Checker != CheckerHybrid {
-		t.Errorf("defaults: sampler=%s checker=%s", e.cfg.Sampler, e.cfg.Checker)
+	if e.cfg.Sampler != SamplerMCMC {
+		t.Errorf("defaults: sampler=%s", e.cfg.Sampler)
 	}
 	if e.cfg.Psi != 1 {
 		t.Errorf("default Psi = %g", e.cfg.Psi)
@@ -187,23 +187,6 @@ func TestSamplersSelectable(t *testing.T) {
 	}
 	if _, err := e.Samples(); err == nil {
 		t.Error("bogus sampler accepted")
-	}
-}
-
-func TestCheckersSelectable(t *testing.T) {
-	for _, kind := range []CheckerKind{CheckerNaive, CheckerTA, CheckerHybrid} {
-		cfg := testConfig(t, 30)
-		cfg.Checker = kind
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Samples(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Feedback(pkgspace.New(0, 1), pkgspace.New(2)); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
 	}
 }
 

@@ -18,28 +18,30 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":2}`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"version":1,"samples":[[0.5]],"weights":[]}`))
-	f.Add([]byte(`{"version":1,"preferences":[{"winner":[0],"loser":[1]}],"samples":[[0.1,0.2]],"weights":[1]}`))
-	f.Add([]byte(`{"version":1,"samples":[[1e308,-1e308]],"weights":[0]}`))
-	f.Add([]byte(`{"version":1,"stats":{"Feedback":-1}}`))
+	f.Add([]byte(`{"version":2,"samples":[[0.5]],"weights":[1,2]}`))
+	f.Add([]byte(`{"version":2,"preferences":[{"winner":[0],"loser":[1]}],"samples":[[0.1,0.2]],"weights":[1]}`))
+	f.Add([]byte(`{"version":2,"samples":[[1e308,-1e308]],"weights":[0]}`))
+	f.Add([]byte(`{"version":2,"stats":{"Feedback":-1}}`))
 	f.Add([]byte("\x00\x01\x02garbage"))
-	f.Add([]byte(`{"version":1,"samples":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`))
-	// Wire format v2: stable IDs + capture epoch.
+	f.Add([]byte(`{"version":2,"samples":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`))
 	f.Add([]byte(`{"version":2,"epoch":7,"preferences":[{"winner":[5,900],"loser":[7]}],"samples":[[0.1,0.2]],"weights":[1]}`))
 	f.Add([]byte(`{"version":2,"epoch":18446744073709551615,"preferences":[{"winner":[2147483647],"loser":[0]}]}`))
 	f.Add([]byte(`{"version":2,"samples":[[0.5]],"weights":[]}`))
 	f.Add([]byte(`{"version":2,"preferences":[{"winner":[],"loser":[1]}]}`))
-	// Malformed versions and mixed v1/v2 shapes: a v3 must be rejected, a
-	// v1 carrying an epoch and a v2 without one must both round-trip.
+	// Malformed versions: a v3, a negative one and the v1 above must be
+	// rejected; a v2 with an epoch and one without must both round-trip.
 	f.Add([]byte(`{"version":3,"epoch":1,"preferences":[{"winner":[0],"loser":[1]}]}`))
 	f.Add([]byte(`{"version":-1}`))
-	f.Add([]byte(`{"version":1,"epoch":9,"preferences":[{"winner":[0],"loser":[1]}]}`))
+	f.Add([]byte(`{"version":2,"epoch":9,"preferences":[{"winner":[0],"loser":[1]}]}`))
 	f.Add([]byte(`{"version":2,"preferences":[{"winner":[3],"loser":[1]}],"stats":{"RestoreDroppedItems":5}}`))
 	f.Add([]byte(`{"version":2,"epoch":4,"space_hash":1234567890123456789,"preferences":[{"winner":[0],"loser":[1]}],"samples":[[0.1,0.2]],"weights":[1]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return // rejected cleanly: that is the contract
+		}
+		if s.Version != 2 {
+			t.Fatalf("accepted a version %d snapshot: %q", s.Version, data)
 		}
 		var buf bytes.Buffer
 		if err := WriteSnapshot(&buf, s); err != nil {
@@ -66,8 +68,8 @@ func FuzzReadSnapshot(f *testing.F) {
 // TestRestoreRejectsHostileSnapshots: snapshots that decode fine but do
 // not fit the engine's space must error out of Restore, never panic —
 // this is what stands between a corrupted store file and a crashed
-// serving process. v2 treats unknown stable IDs as churn (dropped, see
-// TestRestoreV2DropsVanished), so its hostile class is smaller: structural
+// serving process. Unknown stable IDs are churn (dropped, see
+// TestRestoreV2DropsVanished), so the hostile class is structural
 // corruption, not unknown items.
 func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 	eng := persistEngine(t) // 2-dim space over 30 items
@@ -75,12 +77,7 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 		"nil":               nil,
 		"wrong version":     {Version: 99},
 		"future version":    {Version: 3},
-		"dim mismatch":      {Version: 1, Samples: [][]float64{{1, 2, 3}}, Weights: []float64{1}},
-		"count mismatch":    {Version: 1, Samples: [][]float64{{1, 2}}, Weights: nil},
-		"bad item id":       {Version: 1, Preferences: []PreferencePair{{Winner: []int{10000}, Loser: []int{0}}}},
-		"negative id":       {Version: 1, Preferences: []PreferencePair{{Winner: []int{-1}, Loser: []int{0}}}},
-		"empty package":     {Version: 1, Preferences: []PreferencePair{{Winner: nil, Loser: []int{0}}}},
-		"self loop":         {Version: 1, Preferences: []PreferencePair{{Winner: []int{0}, Loser: []int{0}}}},
+		"v1":                {Version: 1, Preferences: []PreferencePair{{Winner: []int{0}, Loser: []int{1}}}},
 		"v2 dim mismatch":   {Version: 2, Samples: [][]float64{{1, 2, 3}}, Weights: []float64{1}},
 		"v2 count mismatch": {Version: 2, Samples: [][]float64{{1, 2}}, Weights: nil},
 		"v2 empty package":  {Version: 2, Preferences: []PreferencePair{{Winner: nil, Loser: []int{0}}}},

@@ -505,53 +505,6 @@ func TestSnapshotSameEpochKeepsPool(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRestoresUnderLiveEpoch: a legacy dense-ID snapshot loads
-// into a live deployment by interpreting its IDs against the restore-time
-// epoch (the old semantics), and the next Snapshot emits it re-keyed as
-// v2 stable IDs.
-func TestV1SnapshotRestoresUnderLiveEpoch(t *testing.T) {
-	cat := liveCatalog(t, -1, 25)
-	sh, err := NewLiveShared(liveConfig(), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := &Snapshot{Version: 1, Preferences: []PreferencePair{
-		{Winner: []int{0, 1}, Loser: []int{2}},
-	}}
-	eng, err := sh.NewEngine(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Restore(v1); err != nil {
-		t.Fatalf("v1 restore under live epoch: %v", err)
-	}
-	if eng.Graph().Edges() != 1 {
-		t.Fatalf("restored %d edges, want 1", eng.Graph().Edges())
-	}
-	migrated := eng.Snapshot()
-	if migrated.Version != 2 || migrated.Epoch != cat.Current().ID {
-		t.Fatalf("migrated snapshot version %d epoch %d, want v2 under epoch %d",
-			migrated.Version, migrated.Epoch, cat.Current().ID)
-	}
-	// Stable IDs of dense 0,1,2 in epoch 1 are 0,1,2 (UNI identity); after
-	// deleting stable 0 the same preference survives under new dense IDs.
-	if _, err := cat.Delete([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := sh.NewEngine(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Restore(migrated); err != nil {
-		t.Fatal(err)
-	}
-	items, prefs := eng2.RestoreDrops()
-	if items != 1 || prefs != 0 || eng2.Graph().Edges() != 1 {
-		t.Fatalf("post-churn migrated restore: drops (%d, %d), edges %d; want (1, 0), 1",
-			items, prefs, eng2.Graph().Edges())
-	}
-}
-
 // TestConcurrentRecommendAcrossSwaps is the tentpole's race suite (run
 // under -race): many sessions recommend while the catalogue churns. Each
 // slate must be internally coherent — computed against one epoch, every

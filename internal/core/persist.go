@@ -10,10 +10,7 @@
 // preference through the restore-time epoch, silently dropping items that
 // vanished from the catalogue (counted in Stats.RestoreDroppedItems /
 // RestoreDroppedPrefs, not an error) and recomputing preference vectors
-// against the restore-time space. v1 snapshots (dense item IDs, no epoch)
-// remain readable: their IDs are interpreted as dense positions in the
-// restore-time space — the original epoch-0 semantics — and migrate to
-// stable identity on the next Snapshot.
+// against the restore-time space. v2 is the only version read.
 package core
 
 import (
@@ -31,18 +28,18 @@ import (
 
 // Snapshot is the serializable learned state of an engine session.
 type Snapshot struct {
-	// Version guards the wire format: 1 = dense item IDs (legacy), 2 =
-	// stable catalogue IDs + capture epoch.
+	// Version guards the wire format: 2 = stable catalogue IDs + capture
+	// epoch.
 	Version int `json:"version"`
 	// Epoch is the catalogue epoch the learned state last referenced when
-	// the snapshot was taken (v2; 0 for v1 and static catalogues). Restore
-	// keeps the sample pool verbatim only when restoring under this same
-	// epoch; otherwise the pool is discarded and redrawn under the
-	// remapped constraint set, since its samples were maintained against
-	// another epoch's geometry.
+	// the snapshot was taken (0 for static catalogues). Restore keeps the
+	// sample pool verbatim only when restoring under this same epoch;
+	// otherwise the pool is discarded and redrawn under the remapped
+	// constraint set, since its samples were maintained against another
+	// epoch's geometry.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// SpaceHash fingerprints the vector geometry of the space the state
-	// was captured against (v2; see feature.Space.Hash), and IDHash the
+	// was captured against (see feature.Space.Hash), and IDHash the
 	// stable→dense identity assignment (catalog.IDMapHash). Epoch
 	// counters are per-process, so the pool fast path additionally
 	// requires both to match at restore — a snapshot moved to another
@@ -51,10 +48,10 @@ type Snapshot struct {
 	// maintained against different constraints.
 	SpaceHash uint64 `json:"space_hash,omitempty"`
 	IDHash    uint64 `json:"id_hash,omitempty"`
-	// Preferences lists the recorded pairwise preferences as item-ID sets
-	// (winner, loser): stable catalogue IDs in v2, dense positions in v1.
-	// Vectors are recomputed from the restore-time item space, so
-	// snapshots survive re-normalization and catalogue churn.
+	// Preferences lists the recorded pairwise preferences as stable
+	// catalogue item-ID sets (winner, loser). Vectors are recomputed from
+	// the restore-time item space, so snapshots survive re-normalization
+	// and catalogue churn.
 	Preferences []PreferencePair `json:"preferences"`
 	// Samples is the weight-vector pool; Weights are the importance
 	// weights (same length).
@@ -64,18 +61,16 @@ type Snapshot struct {
 	Stats Stats `json:"stats"`
 }
 
-// PreferencePair is one recorded preference: winner item IDs, loser item
-// IDs (stable catalogue IDs in v2, dense in v1).
+// PreferencePair is one recorded preference: winner and loser stable
+// catalogue item IDs.
 type PreferencePair struct {
 	Winner []int `json:"winner"`
 	Loser  []int `json:"loser"`
 }
 
-// snapshotVersion is the wire format version Snapshot writes.
+// snapshotVersion is the wire format version Snapshot writes and
+// ReadSnapshot/Restore read.
 const snapshotVersion = 2
-
-// validVersion reports whether ReadSnapshot/Restore understand v.
-func validVersion(v int) bool { return v == 1 || v == snapshotVersion }
 
 // Snapshot captures the engine's learned state in wire format v2:
 // preferences under their stable catalogue identity plus the epoch the
@@ -112,12 +107,12 @@ func (e *Engine) Snapshot() *Snapshot {
 	return s
 }
 
-// remapStable translates one side of a v2 preference from stable catalogue
+// remapStable translates one side of a preference from stable catalogue
 // IDs into the restore-time epoch: dense holds the surviving members'
 // dense positions, kept their stable IDs, dropped how many members
 // vanished from the catalogue. A nil IDMap is the static identity mapping
 // over n items (out-of-range stable IDs count as vanished, not as errors —
-// a v2 snapshot moved across deployments shrinks gracefully).
+// a snapshot moved across deployments shrinks gracefully).
 func remapStable(ids *catalog.IDMap, n int, stable []int) (dense, kept []int, dropped int) {
 	for _, s := range stable {
 		if ids == nil {
@@ -141,24 +136,22 @@ func remapStable(ids *catalog.IDMap, n int, stable []int) (dense, kept []int, dr
 }
 
 // Restore replaces the engine's learned state with the snapshot's. The
-// preference DAG is rebuilt against the restore-time epoch: v2 preferences
+// preference DAG is rebuilt against the restore-time epoch: preferences
 // are remapped from stable catalogue IDs (members that vanished from the
 // catalogue are dropped and counted in Stats.RestoreDroppedItems;
 // preferences that empty out, collapse to identical packages, or
 // contradict a surviving preference are dropped and counted in
-// Stats.RestoreDroppedPrefs), while v1 preferences are interpreted as
-// dense positions in the restore-time space (the legacy semantics — a
-// malformed v1 snapshot is still an error, as before). Preference vectors
-// are always recomputed from the restore-time space. The sample pool is
-// installed verbatim only when the snapshot was captured under the
-// restore-time epoch and nothing was dropped; otherwise it is discarded
-// and lazily redrawn under the rebuilt constraint set.
+// Stats.RestoreDroppedPrefs), and their vectors recomputed from the
+// restore-time space. The sample pool is installed verbatim only when the
+// snapshot was captured under the restore-time epoch and nothing was
+// dropped; otherwise it is discarded and lazily redrawn under the rebuilt
+// constraint set.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s == nil {
 		return errors.New("core: nil snapshot")
 	}
-	if !validVersion(s.Version) {
-		return fmt.Errorf("core: snapshot version %d, want 1 or %d", s.Version, snapshotVersion)
+	if s.Version != snapshotVersion {
+		return fmt.Errorf("core: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
 	if len(s.Samples) != len(s.Weights) {
 		return fmt.Errorf("core: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))
@@ -177,42 +170,28 @@ func (e *Engine) Restore(s *Snapshot) error {
 		if len(pr.Winner) == 0 || len(pr.Loser) == 0 {
 			// No interaction can produce a preference over the empty
 			// package (Top-k-Pkg never returns ∅), so such a snapshot is
-			// corrupt or hand-crafted — in either version.
+			// corrupt or hand-crafted.
 			return fmt.Errorf("core: snapshot preference %d: empty package", i)
 		}
-		var winner, loser, sw, sl pkgspace.Package
-		if s.Version == 1 {
-			// Legacy dense IDs: positions in the restore-time space, the
-			// pre-stable-ID semantics. Out-of-range IDs stay hard errors —
-			// there is no way to tell churn from corruption in v1.
-			winner, loser = pkgspace.New(pr.Winner...), pkgspace.New(pr.Loser...)
-			for _, p := range []pkgspace.Package{winner, loser} {
-				if err := pkgspace.ValidateIDs(ep.space, p); err != nil {
-					return fmt.Errorf("core: snapshot preference %d: %w", i, err)
-				}
-			}
-			sw, sl = fv.stablePkg(winner), fv.stablePkg(loser)
-		} else {
-			if pkgspace.Equal(pkgspace.New(pr.Winner...), pkgspace.New(pr.Loser...)) {
-				// A self-preference in the file itself (as opposed to one
-				// produced by remap shrinkage below) is corruption.
-				return fmt.Errorf("core: snapshot preference %d: identical packages", i)
-			}
-			wd, wk, wDrop := remapStable(ep.ids, len(ep.space.Items), pr.Winner)
-			ld, lk, lDrop := remapStable(ep.ids, len(ep.space.Items), pr.Loser)
-			droppedItems += wDrop + lDrop
-			if len(wd) == 0 || len(ld) == 0 {
-				droppedPrefs++
-				continue
-			}
-			winner, loser = pkgspace.New(wd...), pkgspace.New(ld...)
-			sw, sl = pkgspace.New(wk...), pkgspace.New(lk...)
-			if sw.Signature() == sl.Signature() {
-				// Both sides shrank to the same surviving package; a
-				// preference over itself is meaningless, not corrupt.
-				droppedPrefs++
-				continue
-			}
+		if pkgspace.Equal(pkgspace.New(pr.Winner...), pkgspace.New(pr.Loser...)) {
+			// A self-preference in the file itself (as opposed to one
+			// produced by remap shrinkage below) is corruption.
+			return fmt.Errorf("core: snapshot preference %d: identical packages", i)
+		}
+		wd, wk, wDrop := remapStable(ep.ids, len(ep.space.Items), pr.Winner)
+		ld, lk, lDrop := remapStable(ep.ids, len(ep.space.Items), pr.Loser)
+		droppedItems += wDrop + lDrop
+		if len(wd) == 0 || len(ld) == 0 {
+			droppedPrefs++
+			continue
+		}
+		winner, loser := pkgspace.New(wd...), pkgspace.New(ld...)
+		sw, sl := pkgspace.New(wk...), pkgspace.New(lk...)
+		if sw.Signature() == sl.Signature() {
+			// Both sides shrank to the same surviving package; a
+			// preference over itself is meaningless, not corrupt.
+			droppedPrefs++
+			continue
 		}
 		wv := pkgspace.Vector(ep.space, winner)
 		lv := pkgspace.Vector(ep.space, loser)
@@ -221,7 +200,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 		// be refreshed here — the flag is meaningful only for live
 		// feedback (see Engine.Feedback).
 		if _, err := g.AddPreferenceAt(ep.id, sw, wv, sl, lv); err != nil {
-			if s.Version != 1 && errors.Is(err, prefgraph.ErrCycle) && droppedItems > 0 {
+			if errors.Is(err, prefgraph.ErrCycle) && droppedItems > 0 {
 				// Dropping members can make two once-distinct preferences
 				// contradictory; keep the earlier one, count the loss.
 				// Without any observed shrinkage, though, a contradiction
@@ -232,7 +211,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 			}
 			return fmt.Errorf("core: snapshot preference %d: %w", i, err)
 		}
-		if s.Version != 1 && g.Edges() == edgesBefore && droppedItems > 0 {
+		if g.Edges() == edgesBefore && droppedItems > 0 {
 			// Shrinkage merged two once-distinct preferences into one
 			// edge (AddPreferenceAt treats the second as a duplicate
 			// no-op). One recorded preference was lost to the remap, so
@@ -259,11 +238,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 	// with the same stable-ID assignment (epoch counters are per-process;
 	// the two hashes catch a snapshot moved to a deployment that merely
 	// shares the number, or the values with identities permuted) with
-	// nothing dropped. v1 predates the hashes and keeps its legacy
-	// epoch-only gate. A pool with no preferences has no constraints and
+	// nothing dropped. A pool with no preferences has no constraints and
 	// is space-free.
-	sameSpace := s.Epoch == ep.id &&
-		(s.Version == 1 || (s.SpaceHash == ep.space.Hash() && s.IDHash == ep.idh))
+	sameSpace := s.Epoch == ep.id && s.SpaceHash == ep.space.Hash() && s.IDHash == ep.idh
 	keepPool := len(s.Samples) > 0 &&
 		droppedItems == 0 && droppedPrefs == 0 &&
 		(len(s.Preferences) == 0 || sameSpace)
@@ -296,16 +273,16 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	return json.NewEncoder(w).Encode(s)
 }
 
-// ReadSnapshot decodes a snapshot written by WriteSnapshot/Save — either
-// wire version. It checks the version and internal consistency, but not
-// compatibility with any particular item space — Restore does that.
+// ReadSnapshot decodes a snapshot written by WriteSnapshot/Save. It checks
+// the version and internal consistency, but not compatibility with any
+// particular item space — Restore does that.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
-	if !validVersion(s.Version) {
-		return nil, fmt.Errorf("core: snapshot version %d, want 1 or %d", s.Version, snapshotVersion)
+	if s.Version != snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
 	if len(s.Samples) != len(s.Weights) {
 		return nil, fmt.Errorf("core: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))

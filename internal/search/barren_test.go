@@ -84,8 +84,8 @@ func setBarrenAudit(ix *Index, hook func(*run, int32, float64) func()) {
 }
 
 func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
-	if !r.cands.full() || r.opts.DisableBoundPrune {
-		a.t.Errorf("%s: a verdict without a full heap under bound pruning", a.label)
+	if !r.cands.full() {
+		a.t.Errorf("%s: a verdict without a full heap", a.label)
 	}
 	if need < posInf {
 		a.auditPackages(r, item, need)
@@ -104,7 +104,7 @@ func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
 			q.bound, q.boundRound = r.upperExp(p.state), round
 			refreshed = true
 		}
-		if q.bound <= etaLo || q.bound < r.floorL || !r.keep(p.state.Size, p.util, q.bound, etaLo, true) {
+		if q.bound <= etaLo || q.bound < r.floorL || !r.keep(p.state.Size, p.util, q.bound, etaLo) {
 			continue
 		}
 		want = append(want, q)
@@ -267,7 +267,8 @@ func TestBarrenVerdictSound(t *testing.T) {
 						ix := NewIndex(sp)
 						if sketch {
 							// Engages for the monotone, predicate-free rows:
-							// masked refine when beamed, exact refine uncapped.
+							// masked refine when beamed, exact refine uncapped
+							// under ExpandAll.
 							ix.ConfigurePartition(clusters, nil)
 							ix.EnsurePartition(clusters)
 						}
@@ -342,8 +343,8 @@ func TestBarrenVerdictSound(t *testing.T) {
 // serving beam) most rounds of a search must take the barren path — measured
 // at three in four, and every one of them counted here skips the batch
 // kernels in production — and freezing the membership bound's descriptors
-// for every bound-pruned run must cost a search no more than their own
-// allocations (barrenShapeAllocs).
+// for every run must cost a search no more than their own allocations
+// (barrenShapeAllocs).
 func TestBarrenShareServeShape(t *testing.T) {
 	sp := barrenSpace(t, "uni", 1000, barrenMixed, false)
 	ix := NewIndex(sp)
@@ -391,7 +392,7 @@ func TestBarrenShareServeShape(t *testing.T) {
 
 // TestBarrenPackageShare guards the package verdict where its gain is
 // claimed: of the (package, round) pairs of the rounds it is in effect on —
-// bound-pruned full rounds with every pad descriptor PadTau — it must rule
+// full rounds with a full heap and every pad descriptor PadTau — it must rule
 // out most, on the serve_static shape (measured 84 %) and on the large_uni
 // one, uniform data under the monotone profile with the Gaussian(0.5, 0.15)
 // prior, heads and partition on (measured 83 % at 20k items, 75 % at 100k).

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -20,8 +21,8 @@ import (
 // ones that do not (where it must gate itself off), nulls, ties, and k up
 // to the catalogue size. The partition is forced on (explicit cluster
 // count) so small random spaces exercise the levers; dominance runs both
-// on and off, as do paper mode and ExpandAll (under which alone the sketch
-// floor is live: refineExact).
+// on and off, as do paper mode and ExpandAll (under which alone an uncapped
+// run engages: partitionFor).
 //
 // The trials come from a fixed generator seed, so the suite catches the same
 // things on every run; the two seeds that made it fail one run in six while
@@ -109,7 +110,8 @@ func TestPartitionExact(t *testing.T) {
 	}
 	// A paper-mode run is incomplete: line 3 never creates the utility-0 ties
 	// the sketch over the representatives finds, so its own k-th ends below
-	// the sketch floor, which dropped packages the unpartitioned run returns.
+	// the sketch floor, which dropped packages the unpartitioned run returns
+	// while such runs still engaged.
 	t.Run("paper-mode-kth-below-sketch-floor", func(t *testing.T) {
 		if !f(6804449326465067473) {
 			t.Error("seed 6804449326465067473 diverged")
@@ -274,19 +276,45 @@ func TestPartitionBeamedRefine(t *testing.T) {
 	}
 }
 
-// TestPartitionCacheKey: DisablePartition must produce a distinct cache
-// key — a partitioned beam and a plain beam are different results.
+// TestPartitionCacheKey: every option is part of the cache key. Each field
+// of Options set alone to a non-zero value (a partitioned beam and a plain
+// one, say) must key apart from the zero options and from every other
+// single-field change; a func field must make the options uncacheable. A
+// field added without being folded into CacheKey fails here instead of
+// serving stale cache hits.
 func TestPartitionCacheKey(t *testing.T) {
-	a, ok := Options{K: 5}.CacheKey()
+	zero, ok := Options{}.CacheKey()
 	if !ok {
-		t.Fatal("cache key unexpectedly invalid")
+		t.Fatal("zero options uncacheable")
 	}
-	b, ok := Options{K: 5, DisablePartition: true}.CacheKey()
-	if !ok {
-		t.Fatal("cache key unexpectedly invalid")
-	}
-	if a == b {
-		t.Fatalf("cache keys collide: %q", a)
+	keys := map[string]string{zero: "zero options"}
+	pred := pkgspace.Predicate(func(*feature.Space, pkgspace.Package) bool { return true })
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var o Options
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Func:
+			f.Set(reflect.ValueOf(pred))
+			if _, ok := o.CacheKey(); ok {
+				t.Errorf("%s set: options with a func are cacheable", typ.Field(i).Name)
+			}
+			continue
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		default:
+			t.Fatalf("%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		key, ok := o.CacheKey()
+		if !ok {
+			t.Errorf("%s set: options uncacheable", typ.Field(i).Name)
+		}
+		if prev, dup := keys[key]; dup {
+			t.Errorf("%s set: cache key %q collides with %s", typ.Field(i).Name, key, prev)
+		}
+		keys[key] = typ.Field(i).Name + " set"
 	}
 }
 

@@ -5,13 +5,13 @@
 // representatives only, yielding real packages whose k-th utility L is a
 // lower bound on the true k-th — and then refines:
 //
-//   - Uncapped, unbudgeted runs (MaxQueue < 0, MaxAccessed == 0) replay
-//     the full trace but skip every item whose whole cluster bounds
+//   - Uncapped, unbudgeted ExpandAll runs (MaxQueue < 0, MaxAccessed == 0)
+//     replay the full trace but skip every item whose whole cluster bounds
 //     strictly below L, and drop queued packages bounding strictly below
 //     L. Every lever is strict-below-a-real-utility, so the result is
 //     bit-identical to the unpartitioned run (the property suite's
-//     invariant), mirroring the dominance filter's admission argument —
-//     under ExpandAll; a paper-mode run replays without L (refineExact).
+//     invariant), mirroring the dominance filter's admission argument.
+//     An uncapped paper-mode run does not engage (partitionFor).
 //   - Beamed or budgeted runs (already approximate by contract) read only
 //     the clusters that can matter: the clusters contributing to sketch
 //     candidates, plus the best-bounded remaining clusters while they beat
@@ -24,10 +24,10 @@
 //     skyline covers ~half the items and dominance pruning is inert —
 //     sublinear in practice.
 //
-// Partitioning auto-engages for monotone utilities with bound pruning on
-// and no predicates, once the catalogue reaches PartitionMinItems (or a
-// partition was injected/configured); every eligible search materializes
-// it, so results within one epoch are consistent for result caching.
+// Partitioning auto-engages for monotone utilities without predicates,
+// once the catalogue reaches PartitionMinItems (or a partition was
+// injected/configured); every eligible search materializes it, so results
+// within one epoch are consistent for result caching.
 package search
 
 import (
@@ -153,12 +153,14 @@ func (ix *Index) install(p *partition.Partition) {
 
 // partitionFor decides whether a run engages sketch-refine, materializing
 // the partition if the index is eligible. The gates mirror the dominance
-// filter's: monotone utility, bound pruning on, no predicate closures —
-// plus at least one weighted dimension (the degenerate path enumerates the
-// whole space) and the size/configuration gate.
+// filter's: monotone utility, no predicate closures — plus at least one
+// weighted dimension (the degenerate path enumerates the whole space) and
+// the size/configuration gate. An uncapped paper-mode run is incomplete: its
+// own k-th can end below the sketch floor L, so the floor's levers would
+// drop packages it returns, and without the floor the sketch buys nothing.
 func (ix *Index) partitionFor(u *feature.Utility, opts Options) *partState {
-	if opts.DisablePartition || opts.DisableBoundPrune ||
-		opts.Candidate != nil || opts.Expand != nil || ix.partClusters < 0 {
+	if opts.DisablePartition || opts.Candidate != nil || opts.Expand != nil || ix.partClusters < 0 ||
+		(!opts.ExpandAll && opts.MaxQueue < 0 && opts.MaxAccessed <= 0) {
 		return nil
 	}
 	if !u.SetMonotone(ix.space.Profile) {
@@ -226,14 +228,9 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 // Every lever (draw skip, queue drop) compares strictly below L, and L is
 // the utility of a real package, so L ≤ the final k-th utility: nothing
 // that could enter the results — or shift an equal-utility tie-break — is
-// ever skipped, and the outcome is bit-identical to the unpartitioned run.
-// Under ExpandAll only: a paper-mode run is incomplete, its own k-th can end
-// below L and the levers would drop packages the unpartitioned run returns,
-// so it gets no floor (−∞: no cluster skipped, nothing dropped).
+// ever skipped, and the outcome is bit-identical to the unpartitioned run
+// (ExpandAll only: see partitionFor).
 func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
-	if !opts.ExpandAll {
-		floorL = negInf
-	}
 	pc := &partCtx{p: p, floorL: floorL}
 	res, err := ix.topKRun(u, opts, pc)
 	if err != nil {

@@ -31,11 +31,6 @@ type Options struct {
 	// discarded equal-utility subpackage can block a strictly better
 	// superset. ExpandAll restores exactness at extra cost; see expand.
 	ExpandAll bool
-	// DisableBoundPrune keeps packages in Q+ even when their upper bound
-	// cannot beat the current k-th best. The pruning (sound, and implied by
-	// the paper's ηup/ηlo machinery) is on by default; disabling it exists
-	// for the ablation benchmarks.
-	DisableBoundPrune bool
 	// MaxQueue caps the expandable queue Q+. The paper's algorithm keeps
 	// every improvable package, which can grow combinatorially before the
 	// boundary bound tightens; capping turns the search into a beam over
@@ -69,17 +64,18 @@ type Options struct {
 	// containing it falls strictly below the current k-th best — exact for
 	// uncapped runs; under a Q+ cap the skipped items' children no longer
 	// compete for beam slots, so beam results may differ (see exec, which
-	// states the bound). Disabling exists for the ablation benchmarks and
-	// the pruned≡unpruned property suite.
+	// states the bound). Disabling exists for bench's unpruned probe
+	// (search.unpruned_topk_p50_us) and the pruned≡unpruned property suite.
 	DisableDominancePrune bool
 	// DisablePartition turns off sketch-refine partitioned search (see
 	// partitioned.go). Like the dominance filter it only engages for
-	// monotone utilities with bound pruning on and no predicates; uncapped
-	// unbudgeted runs stay bit-identical with it on or off (the sketch floor
-	// only prunes work strictly below it, and only under ExpandAll: paper
-	// mode, incomplete, takes no floor), while beamed runs refine inside the
-	// sketch-selected clusters and may differ from an unpartitioned beam.
-	// Disabling exists for ablations and the partitioned≡unpartitioned suite.
+	// monotone utilities without predicates, and never for an uncapped
+	// paper-mode run (incomplete, so the sketch floor could drop what it
+	// returns); uncapped unbudgeted ExpandAll runs stay bit-identical with it
+	// on or off (the sketch floor only prunes work strictly below it), while
+	// beamed runs refine inside the sketch-selected clusters and may differ
+	// from an unpartitioned beam. Disabling exists for bench's unpruned probe
+	// and the partitioned≡unpartitioned suite.
 	DisablePartition bool
 }
 
@@ -97,8 +93,8 @@ func (o Options) CacheKey() (key string, ok bool) {
 	if o.Candidate != nil || o.Expand != nil {
 		return "", false
 	}
-	return fmt.Sprintf("k%d;ea%t;bp%t;mq%d;ma%d;dp%t;pt%t",
-		o.K, o.ExpandAll, o.DisableBoundPrune, o.MaxQueue, o.MaxAccessed, o.DisableDominancePrune, o.DisablePartition), true
+	return fmt.Sprintf("k%d;ea%t;mq%d;ma%d;dp%t;pt%t",
+		o.K, o.ExpandAll, o.MaxQueue, o.MaxAccessed, o.DisableDominancePrune, o.DisablePartition), true
 }
 
 // Result is the outcome of a Top-k-Pkg run, with the work counters the
@@ -302,12 +298,12 @@ type run struct {
 	maxQueue  int
 	round     int
 
-	// The membership bound (every bound-pruned run): emptyState scores
-	// singletons, initModes/initTaus/initFastPad freeze the pad
-	// descriptors at their initial values — every list's τ at its best —
-	// so headBound soundly bounds packages joined at any later point of
-	// the trace, not just extensions of the current boundary. heads, the
-	// space's skyline, is set only under the dominance filter's gate.
+	// The membership bound: emptyState scores singletons,
+	// initModes/initTaus/initFastPad freeze the pad descriptors at their
+	// initial values — every list's τ at its best — so headBound soundly
+	// bounds packages joined at any later point of the trace, not just
+	// extensions of the current boundary. heads, the space's skyline, is
+	// set only under the dominance filter's gate.
 	heads       *skyline.Set
 	emptyState  *feature.State
 	initModes   []uint8
@@ -529,31 +525,29 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		}
 	}
 
-	// Every bound-pruned run freezes the pad descriptors now — every τ at
-	// its list's best value — so headBound bounds membership in any package
-	// of the trace (exec), and a partition context's cluster bounds with it;
-	// bound pruning's strict admission tests are what keep equal-utility
-	// tie-breaks unreachable for what the bound rules out. Skipping a draw on
-	// it (the dominance filter) is provably safe only for a utility monotone
-	// for the profile: a dominated item is then pointwise no better than its
-	// dominator on every weighted dimension.
-	if !opts.DisableBoundPrune {
-		r.emptyState = feature.NewState(ix.space)
-		r.initModes = slices.Clone(r.padModes)
-		r.initTaus = slices.Clone(r.padTaus)
-		r.initFastPad = r.fastPad
-		if !opts.DisableDominancePrune && u.SetMonotone(ix.space.Profile) {
-			r.heads = ix.Heads()
-		}
+	// Freeze the pad descriptors now — every τ at its list's best value — so
+	// headBound bounds membership in any package of the trace (exec), and a
+	// partition context's cluster bounds with it; bound pruning's strict
+	// admission tests are what keep equal-utility tie-breaks unreachable for
+	// what the bound rules out. Skipping a draw on it (the dominance filter)
+	// is provably safe only for a utility monotone for the profile: a
+	// dominated item is then pointwise no better than its dominator on every
+	// weighted dimension.
+	r.emptyState = feature.NewState(ix.space)
+	r.initModes = slices.Clone(r.padModes)
+	r.initTaus = slices.Clone(r.padTaus)
+	r.initFastPad = r.fastPad
+	if !opts.DisableDominancePrune && u.SetMonotone(ix.space.Profile) {
+		r.heads = ix.Heads()
 	}
 	return r, true
 }
 
 // exec runs the prepared trace to completion.
 //
-// A bound-pruned run takes one membership bound per drawn item, hb =
-// headBound(item): it dominates the utility and the extension bound of every
-// package containing the item (list tops bound every item, so the argument is
+// A run takes one membership bound per drawn item, hb = headBound(item): it
+// dominates the utility and the extension bound of every package containing
+// the item (list tops bound every item, so the argument is
 // upperExp's own and holds for any profile). hb strictly below the k-th best
 // — strictly, which keeps equal-utility tie-breaks reachable — proves the item
 // can head or join no package that enters the results, with two consequences:
@@ -617,10 +611,7 @@ func (r *run) exec() Result {
 			}
 			r.pc.open(c)
 		}
-		hb := posInf
-		if r.emptyState != nil {
-			hb = r.headBound(item)
-		}
+		hb := r.headBound(item)
 		// Dominance skip (consequence 1). While the heap is not full ηlo is
 		// -Inf and nothing is skipped (unless a sketch floor is active, which
 		// is a sound k-th stand-in from the start).
@@ -741,13 +732,12 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 // only a package whose bound reaches `need` is scored against the item and
 // may create its child; queue, counters and thresholds come out as the full
 // round would leave them. A barren round (exec) sets need to +∞. Any other,
-// on three preconditions — bound pruning live from the round's start (a full
-// heap), every pad descriptor PadTau (r.fastPad), the round not barren — to
-// ηlo − slack + Δ(t), Δ(t) = Σ_sum w(τ−t)/scale + Σ_avg w(τ−t)/(scale·φ) ≥ 0
-// being what the item falls short of τ by: p ∪ {t} padded j times scores at
-// least that much below p padded j+1 times, so max(gu, growBound(p, t)) ≤
-// p.bound − Δ(t), and below ηlo, which only rises, no child is created
-// (README, "Barren packages").
+// on two preconditions — a full heap, every pad descriptor PadTau
+// (r.fastPad) — to ηlo − slack + Δ(t), Δ(t) = Σ_sum w(τ−t)/scale +
+// Σ_avg w(τ−t)/(scale·φ) ≥ 0 being what the item falls short of τ by:
+// p ∪ {t} padded j times scores at least that much below p padded j+1
+// times, so max(gu, growBound(p, t)) ≤ p.bound − Δ(t), and below ηlo,
+// which only rises, no child is created (README, "Barren packages").
 //
 // Two deliberate corrections to the paper's pseudo-code:
 //
@@ -767,11 +757,10 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 	phi := r.ix.space.MaxSize
 	etaUp = negInf
 	etaLo = r.cands.kthUtility()
-	prune := !r.opts.DisableBoundPrune && r.cands.full()
 	need := negInf
 	if barren {
 		need = posInf
-	} else if prune && r.fastPad {
+	} else if r.fastPad && r.cands.full() {
 		need = etaLo - r.slack
 		for li := range r.lists {
 			lc := &r.lists[li]
@@ -821,7 +810,7 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 			p.bound = r.upperExp(p.state)
 			p.boundRound = r.round
 		}
-		if (prune && p.bound <= etaLo) || p.bound < r.floorL {
+		if p.bound <= etaLo || p.bound < r.floorL {
 			// Neither p's extensions nor their candidacies can beat the
 			// current k-th best (or the sketch floor, a sound stand-in
 			// before the heap fills): drop p without expanding it.
@@ -844,18 +833,15 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 			}
 			// Create the child only if it can matter — as a candidate (gu
 			// above the bar) or as an ancestor of one (bound above the bar).
-			if (!prune || gu > etaLo || bound > etaLo) &&
+			if (gu > etaLo || bound > etaLo) &&
 				(r.opts.Expand == nil || r.opts.Expand(r.ix.space, childPackage(p, item))) {
 				r.created++
 				r.offer(p, item, gu)
-				if r.cands.full() {
-					etaLo = r.cands.kthUtility()
-					prune = !r.opts.DisableBoundPrune
-				}
+				etaLo = r.cands.kthUtility()
 				// Lines 5–8: the new package becomes expandable — and only
 				// then gets a state of its own — while its extensions can
 				// still matter.
-				if r.keep(size, gu, bound, etaLo, prune) {
+				if r.keep(size, gu, bound, etaLo) {
 					if bound > etaUp {
 						etaUp = bound
 					}
@@ -865,7 +851,7 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 		}
 		// Lines 9–11: re-check p itself against the (possibly stale)
 		// boundary bound.
-		if r.keep(p.state.Size, p.util, p.bound, etaLo, prune) {
+		if r.keep(p.state.Size, p.util, p.bound, etaLo) {
 			if p.bound > etaUp {
 				etaUp = p.bound
 			}
@@ -1003,11 +989,11 @@ func selectKth(xs []float64, k int) float64 {
 // extension can improve on its own utility (the paper's line-9 semantics,
 // which trades top-k completeness for a smaller queue). The empty package is
 // exempt from the improvement test (correction 1 above).
-func (r *run) keep(size int, util, bound, etaLo float64, prune bool) bool {
+func (r *run) keep(size int, util, bound, etaLo float64) bool {
 	if size >= r.ix.space.MaxSize || math.IsInf(bound, -1) {
 		return false
 	}
-	if (prune && bound <= etaLo) || bound < r.floorL {
+	if bound <= etaLo || bound < r.floorL {
 		return false
 	}
 	if !r.opts.ExpandAll && size > 0 && bound <= util {

@@ -215,8 +215,9 @@ func TestExpandAllExactWithNulls(t *testing.T) {
 	}
 }
 
-// TestBoundPruneAblation: disabling bound pruning must not change results,
-// only work (the ablation DESIGN.md calls out).
+// TestBoundPruneAblation: bound pruning changes work, never results — the
+// pruned ExpandAll search matches brute force on a sum/avg profile under
+// mixed-sign weights.
 func TestBoundPruneAblation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,28 +231,7 @@ func TestBoundPruneAblation(t *testing.T) {
 			return false
 		}
 		w := []float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1}
-		u, err := feature.NewUtility(sp.Profile, w)
-		if err != nil {
-			return false
-		}
-		ix := NewIndex(sp)
-		a, err := ix.TopK(u, Options{K: 3, ExpandAll: true})
-		if err != nil {
-			return false
-		}
-		b, err := ix.TopK(u, Options{K: 3, ExpandAll: true, DisableBoundPrune: true})
-		if err != nil {
-			return false
-		}
-		if len(a.Packages) != len(b.Packages) {
-			return false
-		}
-		for i := range a.Packages {
-			if math.Abs(a.Packages[i].Utility-b.Packages[i].Utility) > 1e-9 {
-				return false
-			}
-		}
-		return true
+		return checkAgainstBruteForce(t, sp, w, 3, Options{ExpandAll: true})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -397,7 +377,7 @@ func TestMaxQueueTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := NewIndex(sp)
-	res, err := ix.TopK(mustUtility(t, sp, 1, 1), Options{K: 3, MaxQueue: 2, DisableBoundPrune: true})
+	res, err := ix.TopK(mustUtility(t, sp, 1, 1), Options{K: 3, MaxQueue: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

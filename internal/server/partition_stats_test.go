@@ -69,7 +69,7 @@ func TestPartitionStatsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ep.Index.TopK(u, search.Options{K: 3, MaxQueue: -1}); err != nil {
+	if _, err := ep.Index.TopK(u, search.Options{K: 3, MaxQueue: -1, ExpandAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	v := func(x float64) *float64 { return &x }

@@ -17,7 +17,7 @@
 //	GET    /sessions/{id}/snapshot   → persisted session state (JSON, wire v2:
 //	                                   stable item IDs + capture epoch)
 //	POST   /sessions/{id}/snapshot   ← restores a previously saved session
-//	                                   (v1 or v2); responds with a restore
+//	                                   (wire v2); responds with a restore
 //	                                   report {"epoch", "preferences",
 //	                                   "dropped_items", "dropped_preferences"}
 //	                                   — nonzero drops mean items vanished

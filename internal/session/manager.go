@@ -54,9 +54,6 @@ type Config struct {
 	// Store persists evicted sessions and revives them on their next
 	// request. Nil means evicted sessions lose their learned state.
 	Store Store
-	// Seeds derives a per-session engine seed from the session ID
-	// (default SeedFor).
-	Seeds func(id string) int64
 	// EvictWorkers is the number of background goroutines writing eviction
 	// snapshots (default DefaultEvictWorkers). Negative disables the
 	// background writer: evictions run synchronously on the requesting
@@ -108,7 +105,6 @@ type Manager struct {
 	shared   *core.Shared
 	capacity int
 	store    Store
-	seeds    func(string) int64
 
 	mu           sync.Mutex // guards table, lru, stats; never held across engine work
 	table        map[string]*session
@@ -144,9 +140,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("session: capacity %d < 1", cfg.Capacity)
 	}
-	if cfg.Seeds == nil {
-		cfg.Seeds = SeedFor
-	}
 	if cfg.EvictWorkers == 0 {
 		cfg.EvictWorkers = DefaultEvictWorkers
 	}
@@ -154,7 +147,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		shared:   cfg.Shared,
 		capacity: cfg.Capacity,
 		store:    cfg.Store,
-		seeds:    cfg.Seeds,
 		table:    make(map[string]*session),
 		lru:      list.New(),
 	}
@@ -374,7 +366,7 @@ func (m *Manager) evict(v *session) bool {
 // newEngine builds the engine for a fresh session, restoring its learned
 // state from the store when a snapshot exists.
 func (m *Manager) newEngine(id string) (eng *core.Engine, restored bool, err error) {
-	eng, err = m.shared.NewEngine(m.seeds(id))
+	eng, err = m.shared.NewEngine(SeedFor(id))
 	if err != nil {
 		return nil, false, err
 	}
@@ -389,16 +381,16 @@ func (m *Manager) newEngine(id string) (eng *core.Engine, restored bool, err err
 		return nil, false, err
 	}
 	if err := eng.Restore(snap); err != nil {
-		// An unrestorable snapshot (corrupt file, or item IDs out of range
-		// after a live-catalogue shrink) must not brick the session: every
-		// request would re-attempt the same restore and 500 forever. Drop
-		// the snapshot (so the failure is not retried), count the loss,
-		// and start the session fresh.
+		// An unrestorable snapshot (a corrupt file; vanished items are
+		// churn, not errors) must not brick the session: every request
+		// would re-attempt the same restore and 500 forever. Drop the
+		// snapshot (so the failure is not retried), count the loss, and
+		// start the session fresh.
 		m.mu.Lock()
 		m.restoreFails++
 		m.mu.Unlock()
 		_, _ = m.store.Delete(id)
-		if fresh, ferr := m.shared.NewEngine(m.seeds(id)); ferr == nil {
+		if fresh, ferr := m.shared.NewEngine(SeedFor(id)); ferr == nil {
 			return fresh, false, nil
 		}
 		return nil, false, fmt.Errorf("session: restoring %q: %w", id, err)

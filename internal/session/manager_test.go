@@ -497,7 +497,7 @@ func TestEvictionClearsStaleSnapshotOnReset(t *testing.T) {
 	}
 	// Restore alice, then reset her learned state in place.
 	if err := m.Do("alice", func(eng *core.Engine) error {
-		return eng.Restore(&core.Snapshot{Version: 1})
+		return eng.Restore(&core.Snapshot{Version: 2})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -515,17 +515,16 @@ func TestEvictionClearsStaleSnapshotOnReset(t *testing.T) {
 	}
 }
 
-// TestUnrestorableSnapshotStartsFresh: a snapshot that no longer matches
-// the catalogue (e.g. item IDs out of range after a live-catalogue
-// shrink, or a corrupt file) must not brick the session with an endless
+// TestUnrestorableSnapshotStartsFresh: a snapshot Restore rejects (a
+// corrupt file) must not brick the session with an endless
 // restore-and-500 loop: the manager drops the snapshot, counts the loss,
 // and serves a fresh session.
 func TestUnrestorableSnapshotStartsFresh(t *testing.T) {
 	store := NewMemStore()
-	// Item ID 1000 is far outside testShared's 40-item space.
+	// A self-preference is corruption, not churn.
 	bad := &core.Snapshot{
-		Version:     1,
-		Preferences: []core.PreferencePair{{Winner: []int{1000}, Loser: []int{1}}},
+		Version:     2,
+		Preferences: []core.PreferencePair{{Winner: []int{1}, Loser: []int{1}}},
 	}
 	if err := store.Save("alice", bad); err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func ValidID(id string) bool {
 
 // SeedFor derives a deterministic, non-zero engine seed from a session ID
 // (FNV-1a), so a session restarted from scratch replays the same random
-// stream. The manager's Config.Seeds hook overrides it.
+// stream.
 func SeedFor(id string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(id))

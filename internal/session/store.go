@@ -34,6 +34,29 @@ type Store interface {
 	Delete(id string) (removed bool, err error)
 }
 
+// OpenStore resolves a store spec — cmd/serve's -store; shards behind one
+// gateway point theirs at the same location, so the old owner's Save is the
+// new owner's Load. "" returns (nil, nil): no persistence, matching a nil
+// Config.Store. "dir:PATH" and a bare PATH (any other prefix included) open
+// a DirStore; "mem:" opens a process-local MemStore.
+func OpenStore(spec string) (Store, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	switch scheme, rest, colon := strings.Cut(spec, ":"); {
+	case !colon: // a bare path
+	case scheme == "dir" && rest == "":
+		return nil, fmt.Errorf("session: dir store needs a path (dir:/path)")
+	case scheme == "dir":
+		return NewDirStore(rest)
+	case scheme == "mem" && rest != "":
+		return nil, fmt.Errorf("session: mem store takes no argument, got %q", rest)
+	case scheme == "mem":
+		return NewMemStore(), nil
+	}
+	return NewDirStore(spec)
+}
+
 // MemStore is an in-memory Store, mainly for tests and single-process
 // deployments that want eviction without durability across restarts.
 type MemStore struct {

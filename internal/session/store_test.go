@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func sampleSnapshot() *core.Snapshot {
 	return &core.Snapshot{
-		Version: 1,
+		Version: 2,
 		Preferences: []core.PreferencePair{
 			{Winner: []int{1, 2}, Loser: []int{3}},
 		},
@@ -199,5 +200,32 @@ func TestNewDirStoreSweepsOrphanedTempFiles(t *testing.T) {
 	}
 	if _, err := ds.Load("alice"); err != nil {
 		t.Errorf("snapshot unusable after sweep+save: %v", err)
+	}
+}
+
+func TestOpenStore(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		spec string
+		want string // the store's type, "" for none, "error" for a rejection
+	}{
+		{"", ""},
+		{"mem:", "*session.MemStore"},
+		{"mem:extra", "error"},
+		{"dir:" + dir, "*session.DirStore"},
+		{"dir:", "error"},
+		{filepath.Join(dir, "bare"), "*session.DirStore"}, // a bare path is DirStore shorthand
+	} {
+		s, err := OpenStore(tc.spec)
+		got := "error"
+		if err == nil {
+			got = fmt.Sprintf("%T", s)
+			if s == nil {
+				got = ""
+			}
+		}
+		if got != tc.want {
+			t.Errorf("OpenStore(%q) = %s (%v), want %s", tc.spec, got, err, tc.want)
+		}
 	}
 }
