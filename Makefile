@@ -40,8 +40,10 @@ bench-check:
 # detector the stale-Put property, the sketch-refine suites (TestPartition*:
 # exactness, masked walk ≡ filtered index, the refine's allocation guard —
 # three times over, so a reintroduced random seed cannot hide behind a lucky
-# run), the beam's bit-identity pin (TestBeamTraceGolden) and the audits of
-# the barren round and package verdicts (TestBarren*).
+# run), the beam's bit-identity pin (TestBeamTraceGolden), the audits of
+# the barren round and package verdicts (TestBarren*) and the recycling of
+# run memory across searches and goroutines
+# (TestRecycledRunMemoryBitIdentical).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
@@ -49,4 +51,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
-	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren)' -count=1 ./internal/search
+	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical)' -count=1 ./internal/search

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -14,19 +16,22 @@ import (
 )
 
 // barrenAuditor is the test side of Index.barrenAudit, which hands it every
-// round a verdict would skip work in and runs that round in full.
+// round a verdict is taken in.
 //
-// On a barren round (need = +∞) it works out, from the run's state before
-// the round, what the barren path must leave behind — the sweep alone:
+// On a barren round (need = +∞), which runs elided, it works out from the
+// run's state before the round what the full round's sweep would leave —
 // refresh, bound drop, keep, against an ηlo no child can move — and fails if
-// the kernels changed anything: a child created, the heap touched, or Q+ not
-// exactly the sweep's survivors.
+// any package the sweep keeps could create its child with the item, if the
+// elided round created a child or touched the heap, or if Q+ without its
+// dead packages and the ones bounding ≤ ηlo is not exactly the sweep's
+// survivors (order, bound bits, boundRound), or its ηup not theirs.
 //
-// On a round with the package verdict in effect (need finite) it evaluates
-// every package the verdict rules out — ScoreAfter and growBound, as expand
-// would have — and fails if the child could be created, or if the claim the
-// verdict rests on breaks: max(gu, bound) ≤ p.bound − Δ(t), with Δ(t) taken
-// here from the cursors and the profile, not from the run's constants.
+// On a round with the package verdict in effect (need finite) expand scores
+// every queued package, and the auditor evaluates every package the verdict
+// rules out — ScoreAfter and growBound, as expand would have — and fails if
+// the child could be created, or if the claim the verdict rests on breaks:
+// max(gu, bound) ≤ p.bound − Δ(t), with Δ(t) taken here from the cursors and
+// the profile, not from the run's constants.
 type barrenAuditor struct {
 	t       *testing.T
 	label   string
@@ -37,13 +42,17 @@ type barrenAuditor struct {
 
 // barrenShare counts what the package verdict rules out: of the (package,
 // round) pairs of the rounds it is in effect on, the ones whose bound — as
-// queued, before the sweep refreshes it — is below need.
+// queued, before the sweep refreshes it — is below need. Dead packages, which
+// the sweep only releases, are no pairs.
 type barrenShare struct{ ruledOut, pairs int }
 
 // count adds one round's pairs, calling each (when given) on every package
 // with whether the verdict rules it out.
 func (s *barrenShare) count(r *run, need float64, each func(p *pkg, ruledOut bool)) {
 	for _, p := range r.qPlus {
+		if p.dead {
+			continue
+		}
 		s.pairs++
 		if p.bound < need {
 			s.ruledOut++
@@ -55,10 +64,16 @@ func (s *barrenShare) count(r *run, need float64, each func(p *pkg, ruledOut boo
 }
 
 // barrenShapeAllocs bounds what one search on the serve_static shape may
-// allocate (TestBarrenShareServeShape): 560 measured plus one, down from 592
-// while expand's scratch slices grew an element or an append at a time —
-// growScratch now doubles all four together, up to the queue cap.
-const barrenShapeAllocs = 561
+// allocate (TestBarrenShareServeShape): 77 measured plus one. A run's package
+// shells, states, due queue and scratch come from the index's pool (runMem);
+// most of what is left are the candidates' own id slices and the run's
+// cursors and kernel plans.
+const barrenShapeAllocs = 78
+
+// largeUniShapeAllocs bounds the same on TestBarrenPackageShare's large_uni
+// shape (uniform 20k, monotone profile, partition on): 205 measured plus one,
+// over the sketch, the cluster bounding and the refine.
+const largeUniShapeAllocs = 206
 
 // The suite's two profiles: the serving workloads' mixed one (avg and min make
 // it non-monotone under any weights) and the monotone one of large_*.
@@ -96,18 +111,36 @@ func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
 	created := r.created
 	heap := slices.Clone(r.cands.xs)
 	round := r.round + 1
+	phi := r.ix.space.MaxSize
 	var want []queuedPkg
+	etaUp := negInf
 	refreshed := false
 	for _, p := range r.qPlus {
+		if p.dead {
+			continue
+		}
 		q := queuedPkg{p, slices.Clone(p.ids), p.bound, p.boundRound}
 		if round-p.boundRound >= boundRefresh {
 			q.bound, q.boundRound = r.upperExp(p.state), round
 			refreshed = true
 		}
-		if q.bound <= etaLo || q.bound < r.floorL || !r.keep(p.state.Size, p.util, q.bound, etaLo) {
+		if q.bound <= etaLo || q.bound < r.floorL {
+			continue
+		}
+		// What the full round would score: its child must be impossible.
+		gu, bound := p.state.ScoreAfter(r.scorePlan, item), negInf
+		if p.state.Size+1 < phi {
+			bound = r.growBound(p.state, item, r.fastPad, r.padModes, r.padTaus)
+		}
+		if gu > etaLo || bound > etaLo {
+			a.t.Errorf("%s: round %d: package %v would create its child with item %d under a barren verdict: gu %v, bound %v, ηlo %v",
+				a.label, round, p.ids, item, gu, bound, etaLo)
+		}
+		if !r.keep(p.state.Size, p.util, q.bound, etaLo) {
 			continue
 		}
 		want = append(want, q)
+		etaUp = max(etaUp, q.bound)
 	}
 	if refreshed {
 		a.refresh++
@@ -124,14 +157,29 @@ func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
 		}) {
 			a.t.Errorf("%s: round %d changed the candidate heap under a barren verdict", a.label, round)
 		}
-		if len(r.qPlus) != len(want) {
-			a.t.Errorf("%s: round %d left %d packages in Q+, the barren sweep leaves %d", a.label, round, len(r.qPlus), len(want))
+		// The termination verdict, and ηup's bits whenever the sweep keeps any.
+		if (r.etaUp <= etaLo) != (etaUp <= etaLo) || (len(want) > 0 && math.Float64bits(r.etaUp) != math.Float64bits(etaUp)) {
+			a.t.Errorf("%s: round %d: ηup %v after the elided round, the sweep's %v (ηlo %v)", a.label, round, r.etaUp, etaUp, etaLo)
+		}
+		// When the sweep keeps nothing, Q+ must be empty: exec's exit and
+		// orphan-drain guard read its length.
+		if len(want) == 0 && len(r.qPlus) > 0 {
+			a.t.Errorf("%s: round %d left %d packages in Q+, the sweep none", a.label, round, len(r.qPlus))
+		}
+		var got []*pkg
+		for _, p := range r.qPlus {
+			if !p.dead && p.bound > etaLo {
+				got = append(got, p)
+			}
+		}
+		if len(got) != len(want) {
+			a.t.Errorf("%s: round %d left %d live packages bounding above ηlo in Q+, the sweep leaves %d", a.label, round, len(got), len(want))
 			return
 		}
 		for i, q := range want {
-			if p := r.qPlus[i]; p != q.p || !slices.Equal(p.ids, q.ids) ||
+			if p := got[i]; p != q.p || !slices.Equal(p.ids, q.ids) ||
 				math.Float64bits(p.bound) != math.Float64bits(q.bound) || p.boundRound != q.boundRound {
-				a.t.Errorf("%s: round %d: Q+[%d] is %v (bound %v @%d), the barren sweep leaves %v (bound %v @%d)",
+				a.t.Errorf("%s: round %d: live Q+[%d] is %v (bound %v @%d), the sweep leaves %v (bound %v @%d)",
 					a.label, round, i, p.ids, p.bound, p.boundRound, q.ids, q.bound, q.boundRound)
 				return
 			}
@@ -225,12 +273,13 @@ func barrenWeights(rng *rand.Rand, dims int, monotone bool) []float64 {
 }
 
 // TestBarrenVerdictSound holds both barren verdicts to their claims on every
-// path a run can take: wherever exec declares a round barren, the full
-// round creates no child and leaves created, the heap and Q+ exactly as the
-// sweep alone does; wherever expand rules a package out, its child could not
+// path a run can take: wherever exec declares a round barren, no package the
+// full round's sweep keeps could create its child, and the elided round
+// leaves created, the heap, ηup and Q+'s live packages above ηlo exactly as
+// that sweep does; wherever expand rules a package out, its child could not
 // be created and the deficit inequality holds (barrenAuditor) — and the
-// search that really skips the work returns the audited search's result,
-// counters included.
+// search that really skips the package work returns the audited search's
+// result, counters included.
 func TestBarrenVerdictSound(t *testing.T) {
 	oddOnes := func(it feature.Item) bool { return it.ID%2 == 1 }
 	modes := []struct {
@@ -294,7 +343,7 @@ func TestBarrenVerdictSound(t *testing.T) {
 									t.Fatal(err)
 								}
 								if !assertSameResult(t, skipped, audited, a.label) || !reflect.DeepEqual(skipped, audited) {
-									t.Errorf("%s: skipping barren rounds changed the search: %+v, audited %+v", a.label, skipped, audited)
+									t.Errorf("%s: skipping ruled-out packages changed the search: %+v, audited %+v", a.label, skipped, audited)
 								}
 								for _, axis := range []string{
 									fmt.Sprintf("monotone=%t", monotone), kind, fmt.Sprintf("nulls=%t", nulls),
@@ -341,10 +390,8 @@ func TestBarrenVerdictSound(t *testing.T) {
 // TestBarrenShareServeShape guards the gain where it is claimed: on the
 // serve_static shape (uniform 1k, the mixed profile, origin prior, the
 // serving beam) most rounds of a search must take the barren path — measured
-// at three in four, and every one of them counted here skips the batch
-// kernels in production — and freezing the membership bound's descriptors
-// for every run must cost a search no more than their own allocations
-// (barrenShapeAllocs).
+// at three in four, and every one of them counted here is elided in
+// production — and a search must allocate no more than barrenShapeAllocs.
 func TestBarrenShareServeShape(t *testing.T) {
 	sp := barrenSpace(t, "uni", 1000, barrenMixed, false)
 	ix := NewIndex(sp)
@@ -377,6 +424,30 @@ func TestBarrenShareServeShape(t *testing.T) {
 	if share < 0.60 {
 		t.Errorf("only %.0f %% of rounds took the barren path on the serve_static shape, want ≥ 60 %%", 100*share)
 	}
+	guardSearchAllocs(t, "serve_static", ix, us, opts, barrenShapeAllocs)
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// guardSearchAllocs fails the test when a search over ix, cycling through
+// us, allocates more than limit. It measures a search with the index's
+// memory pool (runMem) in steady state: warmed by every vector on the one P
+// the measurement runs on (AllocsPerRun's), whose slot the pool then never
+// misses, and with the collector, which would empty the pool, off.
+func guardSearchAllocs(t *testing.T, shape string, ix *Index, us []*feature.Utility, opts Options, limit int) {
+	t.Helper()
+	if raceEnabled {
+		t.Logf("%s: allocation guard skipped under the race detector", shape)
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, u := range us {
+		if _, err := ix.TopK(u, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
 	v := 0
 	allocs := testing.AllocsPerRun(len(us), func() {
 		if _, err := ix.TopK(us[v%len(us)], opts); err != nil {
@@ -384,9 +455,9 @@ func TestBarrenShareServeShape(t *testing.T) {
 		}
 		v++
 	})
-	t.Logf("%.0f allocations per search", allocs)
-	if allocs > barrenShapeAllocs {
-		t.Errorf("%.0f allocations per search on the serve_static shape, want ≤ %d", allocs, barrenShapeAllocs)
+	t.Logf("%s: %.0f allocations per search", shape, allocs)
+	if allocs > float64(limit) {
+		t.Errorf("%s: %.0f allocations per search, want ≤ %d", shape, allocs, limit)
 	}
 }
 
@@ -396,6 +467,8 @@ func TestBarrenShareServeShape(t *testing.T) {
 // out most, on the serve_static shape (measured 84 %) and on the large_uni
 // one, uniform data under the monotone profile with the Gaussian(0.5, 0.15)
 // prior, heads and partition on (measured 83 % at 20k items, 75 % at 100k).
+// On the large_uni shape a search must also allocate no more than
+// largeUniShapeAllocs, as barrenShapeAllocs bounds the serve_static one.
 func TestBarrenPackageShare(t *testing.T) {
 	opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
 	for _, shape := range []struct {
@@ -404,9 +477,10 @@ func TestBarrenPackageShare(t *testing.T) {
 		aggs     []feature.Agg
 		monotone bool
 		want     float64
+		allocs   int // per search, at most (0: unguarded)
 	}{
-		{"serve_static", 1000, barrenMixed, false, 0.70},
-		{"large_uni at 20k", 20000, barrenMono, true, 0.60},
+		{"serve_static", 1000, barrenMixed, false, 0.70, 0},
+		{"large_uni at 20k", 20000, barrenMono, true, 0.60, largeUniShapeAllocs},
 	} {
 		sp := barrenSpace(t, "uni", shape.n, shape.aggs, false)
 		ix := NewIndex(sp)
@@ -422,6 +496,7 @@ func TestBarrenPackageShare(t *testing.T) {
 		})
 		rng := rand.New(rand.NewSource(7))
 		refined := 0
+		var us []*feature.Utility
 		for v := 0; v < 30; v++ {
 			w := barrenWeights(rng, len(shape.aggs), false)
 			if shape.monotone { // large_*'s prior, not the suite's uniform one
@@ -433,6 +508,7 @@ func TestBarrenPackageShare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			us = append(us, u)
 			res, err := ix.TopK(u, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -441,6 +517,7 @@ func TestBarrenPackageShare(t *testing.T) {
 				refined++
 			}
 		}
+		setBarrenAudit(ix, nil)
 		got := float64(share.ruledOut) / float64(share.pairs)
 		t.Logf("%s: %d of %d (package, round) pairs ruled out (%.1f %%); %d of 30 searches sketch-refined",
 			shape.name, share.ruledOut, share.pairs, 100*got, refined)
@@ -449,6 +526,9 @@ func TestBarrenPackageShare(t *testing.T) {
 		}
 		if shape.monotone && refined < 25 {
 			t.Errorf("%s: only %d of 30 searches engaged the partition", shape.name, refined)
+		}
+		if shape.allocs > 0 {
+			guardSearchAllocs(t, shape.name, ix, us, opts, shape.allocs)
 		}
 	}
 }

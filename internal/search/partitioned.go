@@ -296,6 +296,7 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Par
 			}
 		}
 	}
+	rb.returnMem()
 	slices.SortFunc(scored, func(a, b clusterScore) int {
 		if a.bound != b.bound {
 			if a.bound > b.bound {

@@ -161,9 +161,16 @@ type Index struct {
 	// dense id range, so the sketch and refine phases of one search take
 	// turns on one stamp array instead of keeping an O(n) array each.
 	seenSrc *Index
-	// barrenAudit is set only by tests (barren_test.go): called with expand's
-	// item and need on every round a barren verdict would skip work in, it makes
-	// expand run the round in full and calls the returned func after it.
+	// memPool recycles a run's package shells, states, due queue and scratch
+	// (runMem) across searches. Every index keeps its own — a sketch index
+	// does not borrow seenSrc's — so a pool only ever serves runs over the
+	// index whose space its states were made for.
+	memPool sync.Pool
+	// barrenAudit is set only by tests (barren_test.go): called with the item
+	// and need on every round a verdict is taken in, and the returned func
+	// after it. need is +∞ on a barren round, which runs elided as it would
+	// unaudited; a finite need (the package verdict) makes expand score every
+	// queued package instead of the ones need admits.
 	barrenAudit func(r *run, item int32, need float64) func()
 }
 
@@ -263,11 +270,39 @@ type pkg struct {
 	// upper bound; it is refreshed lazily (every boundRefresh rounds).
 	bound      float64
 	boundRound int
+	// dead marks a package an elided round's refresh ruled out: it stays in
+	// Q+, inert, until the next full round's sweep releases it.
+	dead bool
 }
 
 // boundRefresh is how many accessed items may pass before a queued
 // package's extension bound is recomputed against the current τ.
 const boundRefresh = 16
+
+// dueEntry schedules a package's next lazy refresh: p took its bound in
+// round, and is due again boundRefresh rounds later unless the entry went
+// stale meanwhile (p released, or re-bounded under a newer entry).
+type dueEntry struct {
+	p     *pkg
+	round int
+}
+
+// runMem is what a run borrows from its index's memPool and hands back when
+// it ends: the expandable queue Q+, the recycled package shells and states
+// (every package left in Q+ joins them), the due queue, expand's per-round
+// scratch, the scratch state the general pad path folds into and the empty
+// state, which nothing writes.
+type runMem struct {
+	qPlus      []*pkg
+	freeStates []*feature.State
+	freePkgs   []*pkg
+	due        []dueEntry
+	newcomers  []*pkg
+	stScratch  []*feature.State
+	guScratch  []float64
+	scratch    *feature.State
+	emptyState *feature.State
+}
 
 // childPackage returns p ∪ {item} as a result package: its own sorted id
 // slice, aliasing nothing in p.
@@ -288,7 +323,6 @@ type run struct {
 	// Active list cursors: entry dim, position, boundary value, direction.
 	lists []listCursor
 
-	qPlus []*pkg
 	cands *candHeap
 
 	seen      *seenSet
@@ -298,14 +332,21 @@ type run struct {
 	maxQueue  int
 	round     int
 
-	// The membership bound: emptyState scores singletons,
+	// What an elided round reads instead of sweeping Q+ (elide): due
+	// (runMem) is the refresh schedule, ordered by round from dueHead on;
+	// etaUp is the largest bound among Q+'s live (not dead) packages and
+	// upHolder a package holding it.
+	dueHead  int
+	etaUp    float64
+	upHolder *pkg
+
+	// The membership bound: emptyState (runMem) scores singletons,
 	// initModes/initTaus/initFastPad freeze the pad descriptors at their
 	// initial values — every list's τ at its best — so headBound soundly
 	// bounds packages joined at any later point of the trace, not just
 	// extensions of the current boundary. heads, the space's skyline, is
 	// set only under the dominance filter's gate.
 	heads       *skyline.Set
-	emptyState  *feature.State
 	initModes   []uint8
 	initTaus    []float64
 	initFastPad bool
@@ -337,26 +378,22 @@ type run struct {
 	fastPad bool
 	// slack keeps expand's barren-package test conservative (newRun).
 	slack float64
+	// drainUnlisted is set when a profile dimension has weight ±0 and an
+	// active list's feature has nulls: only then can an item sit on no active
+	// list (non-null only where the weight is zero) yet outside
+	// Index.orphans, which exec must drain as well (unlisted).
+	drainUnlisted bool
 
-	// scratch is the state the general pad path mutates: PadUpper folds its
-	// imaginary items into a copy (upperExp) or a grown child (growBound).
-	scratch *feature.State
-
-	// Recycling pools scoped to this run: packages dropped from Q+ donate
-	// their aggregate states and id buffers to newly materialized children,
-	// and the per-expand newcomers slice is reused across calls. Pooling
-	// per TopK invocation (not globally) keeps states bound to one space
-	// and needs no synchronization.
-	freeStates []*feature.State
-	freePkgs   []*pkg
-	newcomers  []*pkg
-
-	// stScratch/guScratch back expand's batched grow-utility pre-pass: per
-	// round, the states of the queued packages no barren verdict rules out
-	// and their ScoreAfter utilities against the drawn item, computed in one
-	// transposed sweep; truncate then borrows guScratch for the queued bounds.
-	stScratch []*feature.State
-	guScratch []float64
+	// The memory the run borrows from its index (nil once handed back).
+	// Packages dropped from Q+ donate their aggregate states and id buffers
+	// to newly materialized children; scratch is the state the general pad
+	// path mutates (PadUpper folds its imaginary items into a copy, upperExp,
+	// or a grown child, growBound); stScratch/guScratch back expand's batched
+	// grow-utility pre-pass — per round, the states of the queued packages no
+	// verdict rules out and their ScoreAfter utilities against the drawn item,
+	// computed in one transposed sweep — and truncate borrows guScratch for
+	// the queued bounds.
+	*runMem
 }
 
 // newChild materializes p ∪ {item} with the given precomputed utility and
@@ -364,25 +401,32 @@ type run struct {
 // when available. The child state is grown through the score plan
 // (GrowFrom), which only maintains the dimensions the run ever reads.
 func (r *run) newChild(p *pkg, item int, util, bound float64) *pkg {
+	np := r.newPkg()
+	np.state.GrowFrom(p.state, r.scorePlan, int32(item))
+	np.ids = append(append(np.ids[:0], p.ids...), item)
+	np.util = util
+	np.bound = bound
+	r.schedule(np)
+	return np
+}
+
+// newPkg takes a recycled package shell and state when there are any. The
+// state's contents are the caller's to overwrite.
+func (r *run) newPkg() *pkg {
 	var np *pkg
 	if n := len(r.freePkgs); n > 0 {
 		np = r.freePkgs[n-1]
 		r.freePkgs = r.freePkgs[:n-1]
+		np.dead = false
 	} else {
 		np = &pkg{}
 	}
-	var st *feature.State
 	if n := len(r.freeStates); n > 0 {
-		st = r.freeStates[n-1]
+		np.state = r.freeStates[n-1]
 		r.freeStates = r.freeStates[:n-1]
 	} else {
-		st = feature.NewState(r.ix.space)
+		np.state = feature.NewState(r.ix.space)
 	}
-	st.GrowFrom(p.state, r.scorePlan, int32(item))
-	np.state = st
-	np.ids = append(append(np.ids[:0], p.ids...), item)
-	np.util = util
-	np.bound, np.boundRound = bound, r.round
 	return np
 }
 
@@ -392,6 +436,34 @@ func (r *run) release(p *pkg) {
 	r.freeStates = append(r.freeStates, p.state)
 	p.state = nil
 	r.freePkgs = append(r.freePkgs, p)
+}
+
+// schedule stamps p's bound as taken this round and queues its next refresh.
+// Rounds only grow, so appending keeps the due queue ordered by round.
+func (r *run) schedule(p *pkg) {
+	p.boundRound = r.round
+	r.due = append(r.due, dueEntry{p, r.round})
+}
+
+// borrowMem claims the index's recycled run memory, or allocates it.
+func (r *run) borrowMem() {
+	m, _ := r.ix.memPool.Get().(*runMem)
+	if m == nil {
+		m = &runMem{scratch: feature.NewState(r.ix.space), emptyState: feature.NewState(r.ix.space)}
+	}
+	m.due = m.due[:0]
+	r.runMem = m
+}
+
+// returnMem releases every package still queued and hands the run's memory
+// back to its index for the next search; the run must not touch it again.
+func (r *run) returnMem() {
+	for _, p := range r.qPlus {
+		r.release(p)
+	}
+	r.qPlus = r.qPlus[:0]
+	r.ix.memPool.Put(r.runMem)
+	r.runMem = nil
 }
 
 type listCursor struct {
@@ -451,7 +523,6 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		maxQueue: opts.MaxQueue,
 		pc:       pc,
 		floorL:   negInf,
-		scratch:  feature.NewState(ix.space),
 	}
 	if pc != nil {
 		r.floorL = pc.floorL
@@ -462,9 +533,14 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	}
 	// Build the active list cursors (Algorithm 2 line 2): one per entry
 	// with non-zero weight, traversed from the desirable end.
+	zeroWeight, nullable := false, false
 	for d := 0; d < ix.space.Dims(); d++ {
 		e := ix.space.Profile.Entry(d)
-		if u.W[d] == 0 || e.Agg == feature.AggNull {
+		if e.Agg == feature.AggNull {
+			continue
+		}
+		if u.W[d] == 0 {
+			zeroWeight = true
 			continue
 		}
 		lc := listCursor{dim: d, feat: e.Feature, col: ix.space.Col(e.Feature), desc: u.W[d] > 0, ids: ix.asc[d]}
@@ -480,6 +556,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	if len(r.lists) == 0 {
 		return r, false
 	}
+	r.borrowMem()
 	hasList := make([]bool, ix.space.Dims())
 	for li := range r.lists {
 		hasList[r.lists[li].dim] = true
@@ -498,6 +575,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		r.padTaus[li] = lc.tau
 		if ix.space.HasNull(lc.feat) {
 			r.padModes[li] = feature.PadTauOrSkip
+			nullable = true
 		} else {
 			r.padModes[li] = feature.PadTau
 		}
@@ -516,6 +594,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		}
 		r.slack += 0x1p-30 * math.Abs(ws) * a
 	}
+	r.drainUnlisted = zeroWeight && nullable
 	r.scorePlan = feature.NewScorePlan(ix.space, u)
 	r.padPlan = feature.NewPadPlan(ix.space, u, skipDims, listDims)
 	r.fastPad = r.padPlan.TauOnly()
@@ -533,7 +612,6 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	// is provably safe only for a utility monotone for the profile: a
 	// dominated item is then pointwise no better than its dominator on every
 	// weighted dimension.
-	r.emptyState = feature.NewState(ix.space)
 	r.initModes = slices.Clone(r.padModes)
 	r.initTaus = slices.Clone(r.padTaus)
 	r.initFastPad = r.fastPad
@@ -554,12 +632,16 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 //
 //  1. A non-head item under the dominance filter's monotone gate is not
 //     expanded at all. It still advanced τ (nextItem) and counts as accessed.
-//  2. Any other item, once the heap is full, makes its round barren: expand
-//     keeps its sweep of Q+ and skips the kernels, since its child-creation
-//     test (gu > ηlo || bound > ηlo) fails for every queued package.
+//  2. Any other item, once the heap is full, makes its round barren: its
+//     child-creation test (gu > ηlo || bound > ηlo) fails for every queued
+//     package, so the round is elided — it runs only the bound refreshes due
+//     in it (elide), not expand's sweep of Q+.
 //
 // On a round not barren as a whole, with the heap full and every pad descriptor
 // PadTau, expand takes the same verdict per queued package, from its own bound.
+//
+// The run's package memory comes from its index and goes back to it at the
+// end (borrowMem / returnMem), so the next search over the index recycles it.
 func (r *run) exec() Result {
 	ix := r.ix
 	opts := r.opts
@@ -575,9 +657,13 @@ func (r *run) exec() Result {
 	r.seen = seen
 	defer pool.Put(seen)
 
-	empty := &pkg{state: feature.NewState(ix.space), util: 0}
+	empty := r.newPkg()
+	empty.state.CopyFrom(r.emptyState)
+	empty.ids, empty.util = empty.ids[:0], 0
 	empty.bound = r.upperExp(empty.state)
+	r.schedule(empty)
 	r.qPlus = append(r.qPlus, empty)
+	r.etaUp, r.upHolder = empty.bound, empty
 
 	rr := 0
 	for {
@@ -625,7 +711,12 @@ func (r *run) exec() Result {
 		}
 		// Barren round (consequence 2): against ηlo alone, −∞ until the heap
 		// fills — until then every child is created, whatever floorL says.
-		etaLo, etaUp := r.expand(int(item), hb < r.cands.kthUtility())
+		var etaLo, etaUp float64
+		if hb < r.cands.kthUtility() {
+			etaLo, etaUp = r.elide(item)
+		} else {
+			etaLo, etaUp = r.expand(int(item))
+		}
 		if etaUp <= etaLo || len(r.qPlus) == 0 {
 			break
 		}
@@ -634,12 +725,18 @@ func (r *run) exec() Result {
 			break
 		}
 	}
-	// Drain orphans (items null on every active feature): they can only
-	// matter through size effects (avg denominators), so only in ExpandAll
-	// mode can they change results; access them for completeness — within
-	// the access budget, like any other draw.
+	// Drain the items on no active list — orphans, null on every profile
+	// feature, and under a zero weight the items non-null only on
+	// zero-weighted dimensions (drainUnlisted): they can only matter through
+	// size effects (avg denominators), so only in ExpandAll mode can they
+	// change results; access them for completeness — within the access
+	// budget, like any other draw.
 	if len(r.qPlus) > 0 {
-		for _, o := range r.ix.orphans {
+		drain := r.ix.orphans
+		if r.drainUnlisted {
+			drain = r.unlisted()
+		}
+		for _, o := range drain {
 			if r.seen.marks[o] == r.seen.stamp || r.closed(o) {
 				continue
 			}
@@ -649,13 +746,16 @@ func (r *run) exec() Result {
 			}
 			r.seen.marks[o] = r.seen.stamp
 			r.accessed++
-			etaLo, etaUp := r.expand(int(o), false)
+			etaLo, etaUp := r.expand(int(o))
 			if etaUp <= etaLo || len(r.qPlus) == 0 {
 				break
 			}
 		}
 	}
 
+	// Not deferred: a run a panic cut short may leave Q+ mid-sweep, with
+	// packages listed twice, and must not hand that to the next search.
+	r.returnMem()
 	return Result{
 		Packages:  r.cands.sorted(),
 		Accessed:  r.accessed,
@@ -685,6 +785,30 @@ func (r *run) headBound(id int32) float64 {
 // (never, on a run without one).
 func (r *run) closed(id int32) bool {
 	return r.mask != nil && !r.mask[r.pc.p.Assign[id]]
+}
+
+// unlisted returns, ascending, the index's items null on every active list's
+// feature: the orphans, and the items of the zero-weighted dimensions' lists
+// that no active list holds. Index.orphans is computed per profile, not per
+// utility, so only a drainUnlisted run needs this.
+func (r *run) unlisted() []int32 {
+	out := slices.Clone(r.ix.orphans)
+	for d, ids := range r.ix.asc {
+		if r.u.W[d] != 0 {
+			continue
+		}
+	items:
+		for _, id := range ids {
+			for li := range r.lists {
+				if !feature.IsNull(r.lists[li].col[id]) {
+					continue items
+				}
+			}
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // seek rests the cursor on the next entry the run may draw, passing over
@@ -726,18 +850,18 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 	return 0, false
 }
 
-// expand implements Algorithm 4 for the newly accessed item, returning the
-// updated (ηlo, ηup) thresholds. Every round sweeps Q+ — round count, lazy
-// bound refresh, bound drops, the re-check of every queued package — but
+// expand implements Algorithm 4 for the newly accessed item on a round that
+// is not barren (exec), returning the updated (ηlo, ηup) thresholds. It
+// sweeps Q+ — lazy bound refresh, bound drops, the re-check of every queued
+// package, and the release of the packages elided rounds found dead — but
 // only a package whose bound reaches `need` is scored against the item and
 // may create its child; queue, counters and thresholds come out as the full
-// round would leave them. A barren round (exec) sets need to +∞. Any other,
-// on two preconditions — a full heap, every pad descriptor PadTau
-// (r.fastPad) — to ηlo − slack + Δ(t), Δ(t) = Σ_sum w(τ−t)/scale +
-// Σ_avg w(τ−t)/(scale·φ) ≥ 0 being what the item falls short of τ by:
-// p ∪ {t} padded j times scores at least that much below p padded j+1
-// times, so max(gu, growBound(p, t)) ≤ p.bound − Δ(t), and below ηlo,
-// which only rises, no child is created (README, "Barren packages").
+// round would leave them. need is −∞ unless, on two preconditions — a full
+// heap, every pad descriptor PadTau (r.fastPad) — it is ηlo − slack + Δ(t),
+// Δ(t) = Σ_sum w(τ−t)/scale + Σ_avg w(τ−t)/(scale·φ) ≥ 0 being what the item
+// falls short of τ by: p ∪ {t} padded j times scores at least that much below
+// p padded j+1 times, so max(gu, growBound(p, t)) ≤ p.bound − Δ(t), and below
+// ηlo, which only rises, no child is created (README, "Barren packages").
 //
 // Two deliberate corrections to the paper's pseudo-code:
 //
@@ -753,14 +877,12 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 //     avg: marginals increase toward zero as the average converges to τ,
 //     so one pad can lose while two pads win when another dimension
 //     compensates.
-func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
+func (r *run) expand(item int) (etaLo, etaUp float64) {
 	phi := r.ix.space.MaxSize
 	etaUp = negInf
 	etaLo = r.cands.kthUtility()
 	need := negInf
-	if barren {
-		need = posInf
-	} else if r.fastPad && r.cands.full() {
+	if r.fastPad && r.cands.full() {
 		need = etaLo - r.slack
 		for li := range r.lists {
 			lc := &r.lists[li]
@@ -773,6 +895,9 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 	}
 
 	r.round++
+	// The sweep refreshes whatever falls due this round and reschedules it.
+	for r.popDue() != nil {
+	}
 	if n := len(r.qPlus); 2*n > cap(r.guScratch) {
 		// Scratch for the most a round can leave, twice Q+; grown by doubling.
 		c := max(4*n, 32)
@@ -786,11 +911,9 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 	// consumed below in the same decision order; a package the bound prune
 	// releases before the improvement test leaves its entry unused.
 	states := r.stScratch[:0]
-	if need < posInf {
-		for _, p := range r.qPlus {
-			if p.bound >= need {
-				states = append(states, p.state)
-			}
+	for _, p := range r.qPlus {
+		if !p.dead && p.bound >= need {
+			states = append(states, p.state)
 		}
 	}
 	gus := r.guScratch[:len(states)]
@@ -798,8 +921,13 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 
 	survivors := r.qPlus[:0]
 	newcomers := r.newcomers[:0]
-	gi := 0 // gathered packages so far: gus[gi-1] is p's entry, if it has one
+	var holder *pkg // of etaUp
+	gi := 0         // gathered packages so far: gus[gi-1] is p's entry, if it has one
 	for _, p := range r.qPlus {
+		if p.dead {
+			r.release(p)
+			continue
+		}
 		live := p.bound >= need // as gathered: before the refresh below
 		if live {
 			gi++
@@ -808,7 +936,7 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 		// upper bound, so pruning on it stays sound.
 		if r.round-p.boundRound >= boundRefresh {
 			p.bound = r.upperExp(p.state)
-			p.boundRound = r.round
+			r.schedule(p)
 		}
 		if p.bound <= etaLo || p.bound < r.floorL {
 			// Neither p's extensions nor their candidacies can beat the
@@ -842,10 +970,11 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 				// then gets a state of its own — while its extensions can
 				// still matter.
 				if r.keep(size, gu, bound, etaLo) {
+					np := r.newChild(p, item, gu, bound)
 					if bound > etaUp {
-						etaUp = bound
+						etaUp, holder = bound, np
 					}
-					newcomers = append(newcomers, r.newChild(p, item, gu, bound))
+					newcomers = append(newcomers, np)
 				}
 			}
 		}
@@ -853,7 +982,7 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 		// boundary bound.
 		if r.keep(p.state.Size, p.util, p.bound, etaLo) {
 			if p.bound > etaUp {
-				etaUp = p.bound
+				etaUp, holder = p.bound, p
 			}
 			survivors = append(survivors, p)
 		} else {
@@ -864,11 +993,88 @@ func (r *run) expand(item int, barren bool) (etaLo, etaUp float64) {
 		}
 	}
 	r.qPlus = append(survivors, newcomers...)
+	r.etaUp, r.upHolder = etaUp, holder
 
 	if r.maxQueue > 0 && len(r.qPlus) > r.maxQueue {
 		r.truncate()
+		r.rescanUp()
 	}
 	return etaLo, etaUp
+}
+
+// elide runs a barren round (exec): the drawn item creates no child, so
+// what the full round's sweep of Q+ would do reduces to its bound refreshes
+// and drops, and only the refreshes cannot wait. A barren round moves
+// neither ηlo nor the queue's order, and nothing but a refresh changes a
+// queued bound — which only falls, as τ does, while ηlo only rises — so the
+// packages the sweep would drop stay droppable: the next full round's sweep
+// drops a bound ≤ ηlo before it scores anything, and releases the packages
+// marked dead here. Lazy refresh is Algorithm 3's own deferral; this defers
+// the drops with it. Per round, then: the refreshes due now, in schedule
+// order, each against this round's τ exactly as the sweep would take it — a
+// package its refresh rules out (keep) is marked dead — and the largest live
+// bound, rescanned only when its holder was re-bounded. That bound reaching
+// no higher than ηlo means every package left would have been dropped: Q+
+// is emptied, as the sweep would have left it. Trace, counters, queue order
+// and every bound's bits are the full round's (TestBarrenVerdictSound).
+func (r *run) elide(item int32) (etaLo, etaUp float64) {
+	etaLo = r.cands.kthUtility()
+	if r.ix.barrenAudit != nil {
+		defer r.ix.barrenAudit(r, item, posInf)()
+	}
+	r.round++
+	rescan := false
+	for p := r.popDue(); p != nil; p = r.popDue() {
+		p.bound = r.upperExp(p.state)
+		if r.keep(p.state.Size, p.util, p.bound, etaLo) {
+			r.schedule(p)
+		} else {
+			p.boundRound, p.dead = r.round, true
+		}
+		rescan = rescan || p == r.upHolder
+	}
+	if rescan {
+		r.rescanUp()
+	}
+	if r.etaUp <= etaLo {
+		for _, p := range r.qPlus {
+			r.release(p)
+		}
+		r.qPlus = r.qPlus[:0]
+	}
+	return etaLo, r.etaUp
+}
+
+// popDue returns the next queued package whose refresh falls due this round,
+// nil when none is left; it passes over stale entries (package released, or
+// re-bounded since).
+func (r *run) popDue() *pkg {
+	for r.dueHead < len(r.due) {
+		e := r.due[r.dueHead]
+		if r.round-e.round < boundRefresh {
+			break
+		}
+		r.dueHead++
+		if e.p.state != nil && e.p.boundRound == e.round {
+			return e.p
+		}
+	}
+	// Keep the queue's storage proportional to what is pending.
+	if r.dueHead >= 64 && 2*r.dueHead >= len(r.due) {
+		r.due = r.due[:copy(r.due, r.due[r.dueHead:])]
+		r.dueHead = 0
+	}
+	return nil
+}
+
+// rescanUp recomputes etaUp and its holder over Q+'s live packages.
+func (r *run) rescanUp() {
+	r.etaUp, r.upHolder = negInf, nil
+	for _, p := range r.qPlus {
+		if !p.dead && p.bound > r.etaUp {
+			r.etaUp, r.upHolder = p.bound, p
+		}
+	}
 }
 
 // truncate enforces the Q+ cap, keeping the maxQueue packages with the
