@@ -38,7 +38,8 @@ bench-check:
 
 # fuzz-smoke: the four fuzz targets for 10 s each, then under the race
 # detector the stale-Put property, the sketch-refine suites (TestPartition*:
-# exactness, masked walk ≡ filtered index, the refine's allocation guard —
+# exactness of the beamed refine under a beam that never truncates, masked
+# walk ≡ filtered index, the gate table, the refine's allocation guard —
 # three times over, so a reintroduced random seed cannot hide behind a lucky
 # run), the beam's bit-identity pin (TestBeamTraceGolden), the audits of
 # the barren round and package verdicts (TestBarren*) and the recycling of

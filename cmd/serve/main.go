@@ -69,8 +69,6 @@ func main() {
 		mutable  = flag.Bool("mutable-catalog", false, "serve a live catalogue: enable POST/DELETE /catalog/items with epoch-swapped index rebuilds")
 		coalesce = flag.Duration("rebuild-coalesce", catalog.DefaultCoalesce, "how long the rebuilder waits for a mutation burst to settle before building the next epoch (negative: rebuild synchronously on every batch)")
 		deltaThr = flag.Int("delta-threshold", catalog.DefaultDeltaThreshold, "max distinct items changed since the current epoch for the next build to take the incremental delta path (negative disables delta builds)")
-		partK    = flag.Int("partition-clusters", 0, "sketch-refine cluster count for the live catalogue's partitioned search (0 = auto ~sqrt(n) once the catalogue is large enough; negative disables partitioning); requires -mutable-catalog")
-		partImb  = flag.Float64("partition-recluster-imbalance", catalog.DefaultReclusterImbalance, "partition imbalance threshold past which a delta build re-clusters from scratch (must be >= 1); requires -mutable-catalog")
 		pprof    = flag.String("pprof", "", "mount net/http/pprof on this separate listen address (e.g. localhost:6060); empty disables")
 		readTO   = flag.Duration("read-timeout", server.DefaultReadTimeout, "max duration for reading an entire request incl. body (negative disables)")
 		writeTO  = flag.Duration("write-timeout", server.DefaultWriteTimeout, "max duration for writing a response (negative disables)")
@@ -101,11 +99,6 @@ func main() {
 	if *items <= 0 && *kind != "nba" && *kind != "NBA" {
 		// The NBA synthesizer has a fixed cardinality and ignores -items.
 		log.Fatalf("-items must be positive for synthetic datasets, got %d", *items)
-	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validatePartitionFlags(*partImb, *mutable, set); err != nil {
-		log.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -148,13 +141,11 @@ func main() {
 	)
 	if *mutable {
 		cat, err = catalog.New(catalog.Config{
-			Profile:                     cfg.Profile,
-			MaxPackageSize:              *phi,
-			Items:                       data,
-			Coalesce:                    *coalesce,
-			DeltaThreshold:              *deltaThr,
-			PartitionClusters:           *partK,
-			PartitionReclusterImbalance: *partImb,
+			Profile:        cfg.Profile,
+			MaxPackageSize: *phi,
+			Items:          data,
+			Coalesce:       *coalesce,
+			DeltaThreshold: *deltaThr,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -253,24 +244,4 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done // ListenAndServe returned because Shutdown ran; wait out the flush
-}
-
-// validatePartitionFlags fails fast on nonsensical partition tuning, with
-// the same contract catalog.New enforces: any cluster count is meaningful
-// (0 auto, negative disables), but an imbalance threshold below 1 can
-// never be satisfied (the fullest cluster is never smaller than the
-// balanced size), so every delta build would re-cluster from scratch.
-// Both flags only reach the live catalogue's configuration: set (the
-// flags given on the command line) naming either without -mutable-catalog
-// is rejected rather than silently ignored.
-func validatePartitionFlags(imbalance float64, mutable bool, set map[string]bool) error {
-	if imbalance < 1 {
-		return fmt.Errorf("-partition-recluster-imbalance must be >= 1, got %g", imbalance)
-	}
-	for _, name := range []string{"partition-clusters", "partition-recluster-imbalance"} {
-		if set[name] && !mutable {
-			return fmt.Errorf("-%s requires -mutable-catalog: a static catalogue ignores it", name)
-		}
-	}
-	return nil
 }

@@ -54,12 +54,11 @@ const DefaultCoalesce = 20 * time.Millisecond
 // incrementally from it instead of from scratch.
 const DefaultDeltaThreshold = 256
 
-// DefaultReclusterImbalance is the partition imbalance threshold applied
-// when Config.PartitionReclusterImbalance is zero: incremental partition
-// maintenance keeps assigning new items to their nearest clusters until
-// the fullest cluster exceeds this multiple of the balanced size, at which
-// point the next delta build re-clusters from scratch.
-const DefaultReclusterImbalance = 4.0
+// reclusterImbalance is the partition imbalance threshold: incremental
+// partition maintenance keeps assigning new items to their nearest clusters
+// until the fullest cluster exceeds this multiple of the balanced size, at
+// which point the next delta build re-clusters from scratch.
+const reclusterImbalance = 4.0
 
 // Config configures a Catalog.
 type Config struct {
@@ -85,17 +84,6 @@ type Config struct {
 	// fallback. 0 selects DefaultDeltaThreshold; negative disables delta
 	// builds entirely.
 	DeltaThreshold int
-	// PartitionClusters fixes the sketch-refine cluster count for every
-	// epoch's search index: 0 lets the index choose (⌈√n⌉ once the
-	// catalogue reaches search.PartitionMinItems), negative disables
-	// partitioned search entirely.
-	PartitionClusters int
-	// PartitionReclusterImbalance is the partition.Imbalance threshold
-	// past which a delta build re-clusters from scratch instead of
-	// maintaining the parent partition incrementally. 0 selects
-	// DefaultReclusterImbalance; values below 1 are rejected (the fullest
-	// cluster is never below the balanced size).
-	PartitionReclusterImbalance float64
 }
 
 // Epoch is one immutable snapshot of the catalogue: everything a reader
@@ -204,11 +192,11 @@ type Stats struct {
 	SkylineRecomputes  int64 `json:"skyline_recomputes"`
 	// PartitionClusters and PartitionImbalance describe the current
 	// epoch's sketch-refine partition (zero until a monotone-utility
-	// search first materializes it — or partitioning is disabled).
+	// search first materializes it).
 	// PartitionIncremental counts delta builds that carried the partition
 	// forward incrementally; PartitionReclusters counts delta builds that
 	// re-clustered from scratch (incremental maintenance refused, or
-	// drift pushed the imbalance past the configured threshold).
+	// drift pushed the imbalance past reclusterImbalance).
 	PartitionClusters    int     `json:"partition_clusters"`
 	PartitionImbalance   float64 `json:"partition_imbalance,omitempty"`
 	PartitionIncremental int64   `json:"partition_incremental"`
@@ -238,9 +226,7 @@ type Catalog struct {
 	coalesce time.Duration
 	deltaMax int // delta-build eligibility bound; <= 0 disables
 
-	partClusters  int     // sketch-refine cluster count; see Config
-	partImbalance float64 // re-cluster threshold; see Config
-	partStats     *search.PartitionStats
+	partStats *search.PartitionStats
 
 	cur atomic.Pointer[Epoch]
 
@@ -296,23 +282,15 @@ func New(cfg Config) (*Catalog, error) {
 	if cfg.DeltaThreshold == 0 {
 		cfg.DeltaThreshold = DefaultDeltaThreshold
 	}
-	if cfg.PartitionReclusterImbalance == 0 {
-		cfg.PartitionReclusterImbalance = DefaultReclusterImbalance
-	}
-	if cfg.PartitionReclusterImbalance < 1 {
-		return nil, fmt.Errorf("catalog: PartitionReclusterImbalance must be >= 1, got %g", cfg.PartitionReclusterImbalance)
-	}
 	c := &Catalog{
-		profile:       cfg.Profile,
-		maxSize:       cfg.MaxPackageSize,
-		coalesce:      cfg.Coalesce,
-		deltaMax:      cfg.DeltaThreshold,
-		partClusters:  cfg.PartitionClusters,
-		partImbalance: cfg.PartitionReclusterImbalance,
-		partStats:     &search.PartitionStats{},
-		items:         make(map[int]feature.Item, len(cfg.Items)),
-		pending:       make(map[int]uint64),
-		closeCh:       make(chan struct{}),
+		profile:   cfg.Profile,
+		maxSize:   cfg.MaxPackageSize,
+		coalesce:  cfg.Coalesce,
+		deltaMax:  cfg.DeltaThreshold,
+		partStats: &search.PartitionStats{},
+		items:     make(map[int]feature.Item, len(cfg.Items)),
+		pending:   make(map[int]uint64),
+		closeCh:   make(chan struct{}),
 	}
 	c.caughtUp = sync.NewCond(&c.mu)
 	for i := range cfg.Items {
@@ -577,10 +555,10 @@ func (c *Catalog) rebuildLocked() {
 			// A change set that netted out hands back the parent's index,
 			// configured already and serving searches: do not write to it.
 			if ep.Index != parent.Index {
-				ep.Index.ConfigurePartition(c.partClusters, c.partStats)
+				ep.Index.ConfigurePartition(c.partStats)
 			}
 			skyInc, skyRec = maintainHeads(parent, ep, cs)
-			partInc, partRec = maintainPartition(parent, ep, cs, c.partClusters, c.partImbalance)
+			partInc, partRec = maintainPartition(parent, ep, cs)
 		} else {
 			// The delta path is never load-bearing for correctness: any
 			// failure falls back to the full rebuild. Re-snapshot (and
@@ -594,7 +572,7 @@ func (c *Catalog) rebuildLocked() {
 	}
 	if !delta {
 		if ep, err = buildEpoch(items, stable, c.profile, c.maxSize); err == nil {
-			ep.Index.ConfigurePartition(c.partClusters, c.partStats)
+			ep.Index.ConfigurePartition(c.partStats)
 		}
 		cs = &ChangeSet{Parent: parent.ID, Full: true}
 	}
@@ -833,9 +811,9 @@ func maintainHeads(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
 // assign new items to their nearest clusters and rescan only touched
 // cluster bounds. A re-cluster from scratch runs when incremental
 // maintenance refuses (no representative survived to anchor assignment)
-// or drift pushed the imbalance past maxImbalance. Returns which path
-// ran, for the Stats counters.
-func maintainPartition(parent, ep *Epoch, cs *ChangeSet, clusters int, maxImbalance float64) (inc, rec bool) {
+// or drift pushed the imbalance past reclusterImbalance; it builds the
+// ⌈√n⌉ default. Returns which path ran, for the Stats counters.
+func maintainPartition(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
 	if ep.Index == parent.Index {
 		return false, false // no-op change set: the partition is already shared
 	}
@@ -843,11 +821,11 @@ func maintainPartition(parent, ep *Epoch, cs *ChangeSet, clusters int, maxImbala
 	if pp == nil {
 		return false, false
 	}
-	if np, ok := pp.Apply(ep.Space, cs.Remap, cs.Dirty, cs.Fresh); ok && np.Imbalance() <= maxImbalance {
+	if np, ok := pp.Apply(ep.Space, cs.Remap, cs.Dirty, cs.Fresh); ok && np.Imbalance() <= reclusterImbalance {
 		ep.Index.SetPartition(np)
 		return true, false
 	}
-	np := partition.Build(ep.Space, clusters)
+	np := partition.Build(ep.Space, 0)
 	np.Gen = pp.Gen + 1
 	ep.Index.SetPartition(np)
 	return false, true
@@ -877,7 +855,7 @@ func (c *Catalog) build(id uint64) (*Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep.Index.ConfigurePartition(c.partClusters, c.partStats)
+	ep.Index.ConfigurePartition(c.partStats)
 	ep.ID = id
 	return ep, nil
 }

@@ -1,11 +1,12 @@
 package catalog
 
 import (
+	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"toppkg/internal/feature"
+	"toppkg/internal/partition"
 	"toppkg/internal/search"
 )
 
@@ -18,24 +19,26 @@ func partItems(n int, seed int64) []feature.Item {
 	return items
 }
 
-func TestNewRejectsBadPartitionImbalance(t *testing.T) {
-	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
-	if _, err := New(Config{Profile: p, MaxPackageSize: 2, Items: partItems(4, 1),
-		PartitionReclusterImbalance: 0.5}); err == nil {
-		t.Fatal("New accepted an unsatisfiable recluster threshold")
-	}
-}
+// wideBeam is a beam no search over these catalogues truncates: the search
+// partitions, yet it is exact.
+var wideBeam = search.Options{MaxQueue: 1 << 20, ExpandAll: true}
 
-// assertPartitionedExact runs the same uncapped search partitioned and
-// unpartitioned on the epoch and requires bit-identical results — the
-// invariant incremental maintenance must preserve across deltas.
+// assertPartitionedExact runs the same untruncated beam partitioned and
+// unpartitioned on the epoch and requires equal utilities rank by rank —
+// the invariant incremental maintenance must preserve across deltas.
 func assertPartitionedExact(t *testing.T, ep *Epoch, u *feature.Utility, k int) {
 	t.Helper()
-	part, err := ep.Index.TopK(u, search.Options{K: k, MaxQueue: -1, ExpandAll: true})
+	opts := wideBeam
+	opts.K = k
+	part, err := ep.Index.TopK(u, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ep.Index.TopK(u, search.Options{K: k, MaxQueue: -1, ExpandAll: true, DisablePartition: true})
+	if part.RefineClustersOpened == 0 {
+		t.Fatal("the search did not partition")
+	}
+	opts.DisablePartition = true
+	plain, err := ep.Index.TopK(u, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +46,7 @@ func assertPartitionedExact(t *testing.T, ep *Epoch, u *feature.Utility, k int) 
 		t.Fatalf("partitioned %d packages != plain %d", len(part.Packages), len(plain.Packages))
 	}
 	for i := range part.Packages {
-		if part.Packages[i].Utility != plain.Packages[i].Utility ||
-			!slices.Equal(part.Packages[i].Pkg.IDs, plain.Packages[i].Pkg.IDs) {
+		if math.Abs(part.Packages[i].Utility-plain.Packages[i].Utility) > 1e-9 {
 			t.Fatalf("rank %d: partitioned %v (%.9f) != plain %v (%.9f)",
 				i, part.Packages[i].Pkg.IDs, part.Packages[i].Utility,
 				plain.Packages[i].Pkg.IDs, plain.Packages[i].Utility)
@@ -52,15 +54,14 @@ func assertPartitionedExact(t *testing.T, ep *Epoch, u *feature.Utility, k int) 
 	}
 }
 
-// TestPartitionMaintainedAcrossDeltas mirrors the skyline test: once a
-// monotone search materializes the partition, delta batches carry it
-// forward incrementally (same Gen, new items assigned, exact search
-// results preserved), and the Stats counters /healthz surfaces record the
-// incremental/recluster split.
+// TestPartitionMaintainedAcrossDeltas mirrors the skyline test: once the
+// partition is materialized, delta batches carry it forward incrementally
+// (same Gen, new items assigned, exact search results preserved), and the
+// Stats counters /healthz surfaces record the incremental/recluster split.
 func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
 	c, err := New(Config{Profile: p, MaxPackageSize: 2, Items: partItems(16, 2),
-		Coalesce: -1, DeltaThreshold: 1 << 20, PartitionClusters: 3})
+		Coalesce: -1, DeltaThreshold: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +70,14 @@ func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep := c.Current()
-	if _, err := ep.Index.TopK(u, search.Options{K: 2, MaxQueue: -1, ExpandAll: true}); err != nil {
-		t.Fatal(err)
-	}
-	pp := ep.Index.PeekPartition()
-	if pp == nil {
-		t.Fatal("monotone search did not materialize the partition")
-	}
+	pp := c.Current().Index.EnsurePartition(3)
 
 	for i := 0; i < 3; i++ {
 		id := 100 + i
 		if err := c.Upsert([]feature.Item{{ID: id, Values: []float64{4.5, float64(i)}}}); err != nil {
 			t.Fatal(err)
 		}
-		ep = c.Current()
+		ep := c.Current()
 		np := ep.Index.PeekPartition()
 		if np == nil {
 			t.Fatalf("insert %d: partition not carried to the new epoch", id)
@@ -109,14 +103,15 @@ func TestPartitionMaintainedAcrossDeltas(t *testing.T) {
 	}
 }
 
-// TestPartitionReclusterOnImbalance: a threshold of 1 tolerates no drift,
-// so the first delta build re-clusters from scratch, bumping Gen and the
-// Stats recluster counter.
+// TestPartitionReclusterOnImbalance: re-pricing every representative in
+// one batch removes each one's old row, which leaves incremental
+// maintenance no anchor to assign the re-priced rows by, so the delta
+// build re-clusters from scratch — at the ⌈√n⌉ default — bumping Gen and
+// the Stats recluster counter.
 func TestPartitionReclusterOnImbalance(t *testing.T) {
 	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
 	c, err := New(Config{Profile: p, MaxPackageSize: 2, Items: partItems(16, 3),
-		Coalesce: -1, DeltaThreshold: 1 << 20, PartitionClusters: 3,
-		PartitionReclusterImbalance: 1})
+		Coalesce: -1, DeltaThreshold: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +121,21 @@ func TestPartitionReclusterOnImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := c.Current()
-	if _, err := ep.Index.TopK(u, search.Options{K: 2, MaxQueue: -1, ExpandAll: true}); err != nil {
-		t.Fatal(err)
+	pp := ep.Index.EnsurePartition(3)
+	var repriced []feature.Item
+	for i, rep := range pp.Reps {
+		repriced = append(repriced, feature.Item{ID: ep.StableID(int(rep)), Values: []float64{9, float64(i)}})
 	}
-	pp := ep.Index.PeekPartition()
-	if pp == nil {
-		t.Fatal("partition not materialized")
-	}
-	if err := c.Upsert([]feature.Item{{ID: 200, Values: []float64{9, 9}}}); err != nil {
+	if err := c.Upsert(repriced); err != nil {
 		t.Fatal(err)
 	}
 	ep = c.Current()
 	np := ep.Index.PeekPartition()
 	if np == nil {
 		t.Fatal("partition dropped instead of re-clustered")
+	}
+	if np.K != partition.DefaultClusters(len(ep.Items())) {
+		t.Fatalf("recluster built %d clusters, want the default %d", np.K, partition.DefaultClusters(len(ep.Items())))
 	}
 	if np.Gen != pp.Gen+1 {
 		t.Fatalf("recluster Gen = %d, want %d", np.Gen, pp.Gen+1)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 )
@@ -179,7 +178,7 @@ func (p *Profile) String() string {
 // item value.
 type Normalizer struct {
 	scales []float64
-	// Delta-maintenance state (see NewNormalizerFrom): per dimension, the
+	// Delta-maintenance state (see newNormalizerFrom): per dimension, the
 	// count of non-null values of the dimension's feature and the
 	// descending "top" values the scale derives from — up to maxSize
 	// values for sum dimensions, the single max otherwise; nil while the
@@ -191,16 +190,10 @@ type Normalizer struct {
 	maxSize int
 }
 
-// NewNormalizer computes the per-dimension scales for the given items,
-// profile and maximum package size.
-func NewNormalizer(items []Item, p *Profile, maxSize int) (*Normalizer, error) {
-	cols, _ := buildColumns(items, p.FeatureCount())
-	return newNormalizerCols(cols, items, p, maxSize)
-}
-
-// newNormalizerCols is NewNormalizer over prebuilt columns; items is kept
+// newNormalizer computes the per-dimension scales of the items' prebuilt
+// columns for the given profile and maximum package size; items is kept
 // only for error attribution.
-func newNormalizerCols(cols [][]float64, items []Item, p *Profile, maxSize int) (*Normalizer, error) {
+func newNormalizer(cols [][]float64, items []Item, p *Profile, maxSize int) (*Normalizer, error) {
 	if maxSize <= 0 {
 		return nil, fmt.Errorf("feature: maxSize must be positive, got %d", maxSize)
 	}
@@ -320,9 +313,9 @@ func dimTop(col []float64, items []Item, e Entry, maxSize int) (count int, top [
 func descFloat(a, b float64) int { return cmp.Compare(b, a) }
 
 // scaleFrom derives the normalization divisor from the maintained state,
-// reproducing NewNormalizer's coercions exactly: dimensions with no
+// reproducing newNormalizer's coercions exactly: dimensions with no
 // values, or whose best achievable aggregate is 0, scale by 1. Summing
-// the descending top values gives the same float result as NewNormalizer
+// the descending top values gives the same float result as newNormalizer
 // because it adds the same value sequence in the same order.
 func scaleFrom(agg Agg, count int, top []float64) float64 {
 	if count == 0 {
@@ -352,13 +345,13 @@ func scaleFrom(agg Agg, count int, top []float64) float64 {
 // dimensions, equal to the max otherwise (with a not-yet-full top set,
 // every value participates, so any removal rescans). Additions never force
 // a rescan: the top set absorbs them in O(maxSize). Scales are
-// bit-identical to NewNormalizer over items — untouched dimensions keep
+// bit-identical to newNormalizer over items — untouched dimensions keep
 // the parent's scale verbatim, incremental updates preserve the top value
 // sequence a fresh sort would produce, and rescanned dimensions re-run the
 // same computation.
 func newNormalizerFrom(parent *Normalizer, cols [][]float64, items []Item, p *Profile, maxSize int, removed, added [][]float64) (*Normalizer, error) {
 	if maxSize != parent.maxSize {
-		return nil, fmt.Errorf("feature: NewNormalizerFrom maxSize %d, parent has %d", maxSize, parent.maxSize)
+		return nil, fmt.Errorf("feature: newNormalizerFrom maxSize %d, parent has %d", maxSize, parent.maxSize)
 	}
 	n := newEmptyNormalizer(p, maxSize)
 	var remVals, addVals []float64 // per-dimension scratch
@@ -452,12 +445,11 @@ func (n *Normalizer) Apply(v []float64) []float64 {
 // is the context against which packages are evaluated.
 //
 // Value storage is struct-of-arrays: cols[f] is the contiguous column of
-// every item's value on raw feature f (Null entries verbatim), with a
-// per-feature null bitmap alongside. The scoring kernels, the sorted-list
-// index and the normalizer scans all iterate columns — one dense array per
-// feature instead of a pointer chase per item — which is what keeps them
-// cache-resident at million-item catalogues (and is the layout later SIMD
-// work wants). Items keeps the row view for identity (ID, Name) and for
+// every item's value on raw feature f (Null entries verbatim). The scoring
+// kernels, the sorted-list index and the normalizer scans all iterate
+// columns — one dense array per feature instead of a pointer chase per item
+// — which is what keeps them cache-resident at million-item catalogues (and
+// is the layout later SIMD work wants). Items keeps the row view for identity (ID, Name) and for
 // cold paths that consume whole rows (serialization, oracles, examples);
 // rows and columns hold bitwise-identical values.
 type Space struct {
@@ -468,15 +460,10 @@ type Space struct {
 	Norm    *Normalizer
 	// cols[f][i] is item i's value on feature f (Null where missing).
 	cols [][]float64
-	// nullBits[f] is the null bitmap of feature f: bit i set when item i
-	// is missing the feature. Word-packed for popcount-style scans.
-	nullBits [][]uint64
 	// hasNull[f] records whether any item lacks feature f; used by the
 	// upper-bound estimator to decide whether a "no contribution" pad is
-	// attainable. nullCount[f] is the count behind it, maintained so a
-	// derived space (NewSpaceFrom) can update the flags without rescanning.
-	hasNull   []bool
-	nullCount []int
+	// attainable.
+	hasNull []bool
 	// hash is the geometry fingerprint (see Hash).
 	hash uint64
 }
@@ -485,10 +472,6 @@ type Space struct {
 // Null entries hold the Null sentinel, so IsNull works directly on column
 // reads.
 func (s *Space) Col(f int) []float64 { return s.cols[f] }
-
-// NullBitmap returns feature f's null bitmap words (bit i = item i null;
-// do not mutate).
-func (s *Space) NullBitmap(f int) []uint64 { return s.nullBits[f] }
 
 // ColStats scans one column block — feature f restricted to the given
 // item ids — and returns the min/max over its non-null values plus the
@@ -516,31 +499,26 @@ func (s *Space) ColStats(f int, ids []int32) (min, max float64, nonNull int) {
 }
 
 // buildColumns transposes the row-major item values into per-feature
-// columns plus null bitmaps. One pass, O(n·featureCount).
-func buildColumns(items []Item, featureCount int) (cols [][]float64, nullBits [][]uint64) {
+// columns, noting which features have a null. One pass, O(n·featureCount).
+func buildColumns(items []Item, featureCount int) (cols [][]float64, hasNull []bool) {
 	n := len(items)
 	colData := make([]float64, n*featureCount)
 	cols = make([][]float64, featureCount)
 	for f := range cols {
 		cols[f] = colData[f*n : (f+1)*n : (f+1)*n]
 	}
-	words := (n + 63) / 64
-	bitData := make([]uint64, words*featureCount)
-	nullBits = make([][]uint64, featureCount)
-	for f := range nullBits {
-		nullBits[f] = bitData[f*words : (f+1)*words : (f+1)*words]
-	}
+	hasNull = make([]bool, featureCount)
 	for i := range items {
 		vals := items[i].Values
 		for f := 0; f < featureCount; f++ {
 			v := vals[f]
 			cols[f][i] = v
 			if IsNull(v) {
-				nullBits[f][i>>6] |= 1 << (uint(i) & 63)
+				hasNull[f] = true
 			}
 		}
 	}
-	return cols, nullBits
+	return cols, hasNull
 }
 
 // NewSpace validates the items against the profile and precomputes the
@@ -555,36 +533,18 @@ func NewSpace(items []Item, p *Profile, maxSize int) (*Space, error) {
 				items[i].ID, len(items[i].Values), p.FeatureCount())
 		}
 	}
-	cols, nullBits := buildColumns(items, p.FeatureCount())
-	norm, err := newNormalizerCols(cols, items, p, maxSize)
+	cols, hasNull := buildColumns(items, p.FeatureCount())
+	norm, err := newNormalizer(cols, items, p, maxSize)
 	if err != nil {
 		return nil, err
 	}
-	nullCount := make([]int, p.FeatureCount())
-	for f := range nullCount {
-		nullCount[f] = popcount(nullBits[f])
-	}
-	return newSpace(items, p, maxSize, norm, cols, nullBits, nullCount), nil
+	return newSpace(items, p, maxSize, norm, cols, hasNull), nil
 }
 
-// popcount sums the set bits of a bitmap.
-func popcount(words []uint64) int {
-	c := 0
-	for _, w := range words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// newSpace assembles a space from precomputed parts, deriving the
-// null-presence flags and geometry fingerprint.
-func newSpace(items []Item, p *Profile, maxSize int, norm *Normalizer, cols [][]float64, nullBits [][]uint64, nullCount []int) *Space {
-	hasNull := make([]bool, p.FeatureCount())
-	for f, c := range nullCount {
-		hasNull[f] = c > 0
-	}
-	sp := &Space{Items: items, Profile: p, MaxSize: maxSize, Norm: norm,
-		cols: cols, nullBits: nullBits, hasNull: hasNull, nullCount: nullCount}
+// newSpace assembles a space from precomputed parts, deriving the geometry
+// fingerprint.
+func newSpace(items []Item, p *Profile, maxSize int, norm *Normalizer, cols [][]float64, hasNull []bool) *Space {
+	sp := &Space{Items: items, Profile: p, MaxSize: maxSize, Norm: norm, cols: cols, hasNull: hasNull}
 	sp.hash = sp.fingerprint()
 	return sp
 }
@@ -595,11 +555,10 @@ func newSpace(items []Item, p *Profile, maxSize int, norm *Normalizer, cols [][]
 // changed item contributes one row to each). The result is bit-identical
 // to NewSpace(items, parent.Profile, parent.MaxSize) — per-dimension
 // normalizer scales are recomputed only where the delta touches the
-// values they derive from (NewNormalizerFrom), null-presence flags are
-// maintained from per-feature null counts, and the geometry fingerprint
-// is rehashed over the new items — but skips the parent-untouched
-// per-dimension sorts, so its cost scales with the delta plus one O(n)
-// pass, not O(n log n).
+// values they derive from (newNormalizerFrom), and the columns, null flags
+// and geometry fingerprint come from one pass over the new items — but
+// skips the parent-untouched per-dimension sorts, so its cost scales with
+// the delta plus that O(n) pass, not O(n log n).
 func NewSpaceFrom(parent *Space, items []Item, removed, added [][]float64) (*Space, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("feature: empty item set")
@@ -618,27 +577,12 @@ func NewSpaceFrom(parent *Space, items []Item, removed, added [][]float64) (*Spa
 			}
 		}
 	}
-	cols, nullBits := buildColumns(items, p.FeatureCount())
+	cols, hasNull := buildColumns(items, p.FeatureCount())
 	norm, err := newNormalizerFrom(parent.Norm, cols, items, p, parent.MaxSize, removed, added)
 	if err != nil {
 		return nil, err
 	}
-	nullCount := append([]int(nil), parent.nullCount...)
-	for _, row := range removed {
-		for f, v := range row {
-			if IsNull(v) {
-				nullCount[f]--
-			}
-		}
-	}
-	for _, row := range added {
-		for f, v := range row {
-			if IsNull(v) {
-				nullCount[f]++
-			}
-		}
-	}
-	return newSpace(items, p, parent.MaxSize, norm, cols, nullBits, nullCount), nil
+	return newSpace(items, p, parent.MaxSize, norm, cols, hasNull), nil
 }
 
 // fingerprint digests everything package-vector geometry depends on: the

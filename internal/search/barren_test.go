@@ -315,10 +315,8 @@ func TestBarrenVerdictSound(t *testing.T) {
 					for _, sketch := range []bool{false, true} {
 						ix := NewIndex(sp)
 						if sketch {
-							// Engages for the monotone, predicate-free rows:
-							// masked refine when beamed, exact refine uncapped
-							// under ExpandAll.
-							ix.ConfigurePartition(clusters, nil)
+							// Engages for the beamed monotone, predicate-free
+							// rows; uncapped runs search unpartitioned.
 							ix.EnsurePartition(clusters)
 						}
 						for _, mode := range modes {

@@ -59,7 +59,7 @@ func TestBeamTraceGolden(t *testing.T) {
 		}
 		ix := NewIndex(sp)
 		if row.clusters > 0 {
-			ix.ConfigurePartition(row.clusters, nil)
+			ix.EnsurePartition(row.clusters)
 		}
 		h := fnv.New64a()
 		var buf [8]byte

@@ -15,47 +15,56 @@ import (
 	"toppkg/internal/pkgspace"
 )
 
-// TestPartitionExact: on uncapped, unbudgeted runs the sketch-refine path
-// is bit-identical to the unpartitioned search — for every agg mix, weight
-// signs that make the utility monotone (where partitioning engages) and
-// ones that do not (where it must gate itself off), nulls, ties, and k up
-// to the catalogue size. The partition is forced on (explicit cluster
-// count) so small random spaces exercise the levers; dominance runs both
-// on and off, as do paper mode and ExpandAll (under which alone an uncapped
-// run engages: partitionFor).
+// wideBeam is a Q+ cap no trial of the small-space suites reaches: the run
+// is beamed, so it partitions, yet nothing truncates it.
+const wideBeam = 1 << 20
+
+// TestPartitionExact: under a beam that truncates on neither side, the
+// sketch-refine path returns the unpartitioned search's utilities, rank by
+// rank, and every one of them is the utility of the package it comes with —
+// for every agg mix, weight signs that make the utility monotone (where
+// partitioning engages) and ones that do not (where it must gate itself
+// off), nulls, ties, and k up to the catalogue size. The partition is
+// materialized (EnsurePartition) so small random spaces engage it;
+// dominance runs both on and off. Utilities, not ids: bound pruning is
+// strict, so which of several packages tying at the k-th a search keeps is
+// its own.
 //
 // The trials come from a fixed generator seed, so the suite catches the same
-// things on every run; the two seeds that made it fail one run in six while
-// it drew fresh ones are named cases.
+// things on every run; seeds that once failed it are named cases.
 func TestPartitionExact(t *testing.T) {
-	skipped := 0
+	closedSome := 0
 	f := func(seed int64) bool {
 		ix, u, k, ok := partitionExactCase(t, seed)
 		if !ok {
 			return false
 		}
-		for _, expandAll := range []bool{false, true} {
-			for _, disableDom := range []bool{false, true} {
-				opts := Options{K: k, MaxQueue: -1, ExpandAll: expandAll, DisableDominancePrune: disableDom}
-				part, err := ix.TopK(u, opts)
-				if err != nil {
-					t.Log(err)
-					return false
-				}
-				opts.DisablePartition = true
-				plain, err := ix.TopK(u, opts)
-				if err != nil {
-					t.Log(err)
-					return false
-				}
-				if plain.SketchSkipped != 0 || plain.RefineClustersOpened != 0 {
-					t.Log("disabled run reported partition work")
-					return false
-				}
-				if !assertSameResult(t, part, plain, "partition-exact") {
-					return false
-				}
-				skipped += part.SketchSkipped
+		for _, disableDom := range []bool{false, true} {
+			opts := Options{K: k, MaxQueue: wideBeam, ExpandAll: true, DisableDominancePrune: disableDom}
+			part, err := ix.TopK(u, opts)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			opts.DisablePartition = true
+			plain, err := ix.TopK(u, opts)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if part.Truncated || plain.Truncated {
+				t.Log("the wide beam truncated")
+				return false
+			}
+			if plain.SketchSkipped != 0 || plain.RefineClustersOpened != 0 {
+				t.Log("disabled run reported partition work")
+				return false
+			}
+			if !sameUtilities(t, part.Packages, plain.Packages, "partition-exact") || !scoresMatch(t, ix.Space(), u, part) {
+				return false
+			}
+			if part.SketchSkipped > 0 {
+				closedSome++
 			}
 		}
 		return true
@@ -63,10 +72,29 @@ func TestPartitionExact(t *testing.T) {
 	// A paper-mode run is incomplete: line 3 never creates the utility-0 ties
 	// the sketch over the representatives finds, so its own k-th ends below
 	// the sketch floor, which dropped packages the unpartitioned run returns
-	// while such runs still engaged.
+	// while uncapped paper-mode runs still partitioned. No uncapped run does
+	// now.
 	t.Run("paper-mode-kth-below-sketch-floor", func(t *testing.T) {
-		if !f(6804449326465067473) {
-			t.Error("seed 6804449326465067473 diverged")
+		const seed = 6804449326465067473
+		if !f(seed) {
+			t.Errorf("seed %d diverged", seed)
+		}
+		ix, u, k, ok := partitionExactCase(t, seed)
+		if !ok {
+			t.Fatal("no instance")
+		}
+		opts := Options{K: k, MaxQueue: -1}
+		part, err := ix.TopK(u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.DisablePartition = true
+		plain, err := ix.TopK(u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.RefineClustersOpened != 0 || !assertSameResult(t, part, plain, "paper-mode") {
+			t.Errorf("the uncapped paper-mode run partitioned: %+v, unpartitioned %+v", part, plain)
 		}
 	})
 	// A -0 weight on the only dimension where items 0–2 are non-null leaves
@@ -79,39 +107,85 @@ func TestPartitionExact(t *testing.T) {
 		if !f(seed) {
 			t.Errorf("seed %d diverged", seed)
 		}
-		ix, u, k, ok := partitionExactCase(t, seed)
-		if !ok {
-			t.Fatal("no instance")
-		}
-		res, err := ix.TopK(u, Options{K: k, MaxQueue: -1, ExpandAll: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Utilities, as checkAgainstBruteForce compares: bound pruning is
-		// strict, so which of several packages tying at the k-th is kept is
-		// the search's own.
-		want := pkgspace.BruteForceTopK(ix.Space(), u, k)
-		if len(res.Packages) != len(want) {
-			t.Fatalf("%d packages, brute force returns %d", len(res.Packages), len(want))
-		}
-		for i := range want {
-			if got := res.Packages[i]; math.Abs(got.Utility-want[i].Utility) > 1e-9 {
-				t.Errorf("rank %d: %s u=%v, brute force %s u=%v", i, got.Pkg, got.Utility, want[i].Pkg, want[i].Utility)
-			}
-		}
+		matchesBruteForce(t, seed, Options{MaxQueue: -1, ExpandAll: true})
 	})
-	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	// The only cluster's representative, item 0, is null on the only
+	// (weighted) feature, so the sketch index had no list to draw from and
+	// its degenerate path listed packages at a utility of 0 that no search
+	// scored: the floor L = 0 closed clusters, and {3} {4} {6} {7} reached
+	// the slate at 0 against true utilities of −0.29 / −0.53 / −0.16 / −0.21.
+	t.Run("all-null-sketch", func(t *testing.T) {
+		const seed = 5955754742858096595
+		if !f(seed) {
+			t.Errorf("seed %d diverged", seed)
+		}
+		matchesBruteForce(t, seed, Options{MaxQueue: wideBeam, ExpandAll: true})
+	})
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
-	if skipped == 0 {
-		t.Error("sketch skip never fired across all trials — the suite is not exercising it")
+	if closedSome == 0 {
+		t.Error("no refine closed a cluster across all trials — the suite is not exercising the sketch floor")
+	}
+	t.Logf("%d runs closed a cluster", closedSome)
+}
+
+// sameUtilities compares two result lists' utilities rank by rank, to
+// rounding: different traces may sum a package's values in different orders.
+func sameUtilities(t *testing.T, got, want []pkgspace.Scored, label string) bool {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Logf("%s: %d packages, want %d", label, len(got), len(want))
+		return false
+	}
+	for i := range want {
+		if math.Abs(got[i].Utility-want[i].Utility) > 1e-9 {
+			t.Logf("%s: rank %d: got %s u=%v, want %s u=%v", label, i, got[i].Pkg, got[i].Utility, want[i].Pkg, want[i].Utility)
+			return false
+		}
+	}
+	return true
+}
+
+// scoresMatch checks every returned utility against its package's items,
+// scored afresh.
+func scoresMatch(t *testing.T, sp *feature.Space, u *feature.Utility, res Result) bool {
+	t.Helper()
+	for i, s := range res.Packages {
+		st := feature.NewState(sp)
+		for _, id := range s.Pkg.IDs {
+			st.Add(sp.Items[id])
+		}
+		if got := u.ScoreState(st); math.Abs(got-s.Utility) > 1e-9 {
+			t.Logf("rank %d: %s returned at u=%v, scores %v", i, s.Pkg, s.Utility, got)
+			return false
+		}
+	}
+	return true
+}
+
+// matchesBruteForce runs seed's TestPartitionExact instance under opts and
+// compares it with pkgspace.BruteForceTopK, utilities rank by rank.
+func matchesBruteForce(t *testing.T, seed int64, opts Options) {
+	t.Helper()
+	ix, u, k, ok := partitionExactCase(t, seed)
+	if !ok {
+		t.Fatal("no instance")
+	}
+	opts.K = k
+	res, err := ix.TopK(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameUtilities(t, res.Packages, pkgspace.BruteForceTopK(ix.Space(), u, k), "brute-force") {
+		t.Errorf("seed %d: %+v differs from brute force", seed, opts)
 	}
 }
 
 // partitionExactCase draws one TestPartitionExact instance from seed: a small
 // random space under a random agg mix (nulls, ties, zero and wrong-sign
-// weights included), its utility, k, and an index with the partition forced
-// on.
+// weights included), its utility, k, and an index with the partition
+// materialized.
 func partitionExactCase(t *testing.T, seed int64) (ix *Index, u *feature.Utility, k int, ok bool) {
 	aggs := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggMin, feature.AggAvg, feature.AggNull}
 	rng := rand.New(rand.NewSource(seed))
@@ -164,12 +238,13 @@ func partitionExactCase(t *testing.T, seed int64) (ix *Index, u *feature.Utility
 	}
 	k = 1 + rng.Intn(n)
 	ix = NewIndex(sp)
-	ix.ConfigurePartition(1+rng.Intn(6), nil)
+	ix.EnsurePartition(1 + rng.Intn(6))
 	return ix, u, k, true
 }
 
-// TestPartitionMatchesBruteForce: the partitioned exact search matches the
-// brute-force oracle directly on monotone profiles.
+// TestPartitionMatchesBruteForce: the partitioned search under a beam that
+// never truncates matches the brute-force oracle directly on monotone
+// profiles.
 func TestPartitionMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -192,58 +267,80 @@ func TestPartitionMatchesBruteForce(t *testing.T) {
 		}
 		k := 1 + rng.Intn(4)
 		ix := NewIndex(sp)
-		ix.ConfigurePartition(1+rng.Intn(4), nil)
-		res, err := ix.TopK(u, Options{K: k, MaxQueue: -1, ExpandAll: true})
+		ix.EnsurePartition(1 + rng.Intn(4))
+		res, err := ix.TopK(u, Options{K: k, MaxQueue: wideBeam, ExpandAll: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := pkgspace.BruteForceTopK(sp, u, k)
-		if len(res.Packages) != len(want) {
-			t.Logf("len mismatch: got %d, want %d", len(res.Packages), len(want))
-			return false
-		}
-		for i := range want {
-			if math.Abs(res.Packages[i].Utility-want[i].Utility) > 1e-9 {
-				t.Logf("rank %d: got %s u=%.6f, want %s u=%.6f",
-					i, res.Packages[i].Pkg, res.Packages[i].Utility, want[i].Pkg, want[i].Utility)
-				return false
-			}
-		}
-		return true
+		return sameUtilities(t, res.Packages, pkgspace.BruteForceTopK(sp, u, k), "brute-force")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestPartitionGatesOffNonMonotone: a weighted avg dimension must keep
-// partitioning disengaged — and unmaterialized — even with an explicit
-// cluster count.
-func TestPartitionGatesOffNonMonotone(t *testing.T) {
+// TestPartitionGatesOff: over a materialized partition, every run the rule
+// excludes — a weighted avg (non-monotone), an uncapped unbudgeted run in
+// either mode, a predicate, DisablePartition — searches unpartitioned: no
+// partition counter moves and the slate is the unpartitioned search's. The
+// beamed monotone row is the control that does engage.
+func TestPartitionGatesOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	items := make([]feature.Item, 40)
 	for i := range items {
-		items[i] = feature.Item{ID: i, Values: []float64{rng.Float64(), rng.Float64()}}
+		items[i] = feature.Item{ID: i, Values: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
 	}
-	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum, feature.AggAvg), 3)
+	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum, feature.AggMax, feature.AggAvg), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stats PartitionStats
 	ix := NewIndex(sp)
-	ix.ConfigurePartition(4, nil)
-	u, err := feature.NewUtility(sp.Profile, []float64{1, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ix.TopK(u, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SketchSkipped != 0 || res.RefineClustersOpened != 0 {
-		t.Fatalf("partition engaged on a weighted-avg profile: %+v", res)
-	}
-	if ix.PeekPartition() != nil {
-		t.Fatal("partition materialized for a non-monotone run")
+	ix.ConfigurePartition(&stats)
+	ix.EnsurePartition(4)
+	mono, avg := []float64{1, 0.5, 0}, []float64{1, 0.5, 0.3}
+	pass := pkgspace.Predicate(func(*feature.Space, pkgspace.Package) bool { return true })
+	for _, row := range []struct {
+		name    string
+		w       []float64
+		opts    Options
+		engaged bool
+	}{
+		{"beamed", mono, Options{K: 5}, true},
+		{"weighted-avg", avg, Options{K: 5}, false},
+		{"uncapped-paper", mono, Options{K: 5, MaxQueue: -1}, false},
+		{"uncapped-expandall", mono, Options{K: 5, MaxQueue: -1, ExpandAll: true}, false},
+		{"candidate", mono, Options{K: 5, Candidate: pass}, false},
+		{"disabled", mono, Options{K: 5, DisablePartition: true}, false},
+	} {
+		u, err := feature.NewUtility(sp.Profile, row.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := stats.Searches.Load()
+		res, err := ix.TopK(u, row.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := stats.Searches.Load() - before
+		if row.engaged {
+			if moved != 1 || res.RefineClustersOpened == 0 {
+				t.Errorf("%s: did not partition (searches +%d, %+v)", row.name, moved, res)
+			}
+			continue
+		}
+		if moved != 0 || res.SketchSkipped != 0 || res.RefineClustersOpened != 0 {
+			t.Errorf("%s: partitioned (searches +%d, %+v)", row.name, moved, res)
+		}
+		opts := row.opts
+		opts.DisablePartition = true
+		plain, err := ix.TopK(u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !assertSameResult(t, res, plain, row.name) {
+			t.Errorf("%s: the slate differs from the unpartitioned search", row.name)
+		}
 	}
 }
 
@@ -704,7 +801,7 @@ func TestPartitionEmptyClusterNotOpened(t *testing.T) {
 	}
 	var stats PartitionStats
 	ix := NewIndex(child)
-	ix.ConfigurePartition(0, &stats)
+	ix.ConfigurePartition(&stats)
 	ix.SetPartition(p)
 	u, err := feature.NewUtility(prof, []float64{1, 0.5})
 	if err != nil {

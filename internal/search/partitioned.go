@@ -3,31 +3,29 @@
 // catalogue is clustered into ~√n value-space groups (internal/partition);
 // a search first sketches — runs the beamed kernel over the cluster
 // representatives only, yielding real packages whose k-th utility L is a
-// lower bound on the true k-th — and then refines:
+// lower bound on the true k-th — and then refines inside the clusters that
+// can matter: the ones the sketch candidates came from, plus the
+// best-bounded others while they reach L, up to an item budget of
+// 32·⌈√n⌉. The refine is the ordinary trace over the index's own sorted
+// lists with cursors that pass over every id whose cluster is closed — no
+// per-search copy of the lists, so its cost follows the clusters opened,
+// not n. Sketch candidates merge into the final top-k so refinement never
+// loses them. This is what makes anti-correlated catalogues — where the
+// skyline covers ~half the items and dominance pruning is inert —
+// sublinear in practice.
 //
-//   - Uncapped, unbudgeted ExpandAll runs (MaxQueue < 0, MaxAccessed == 0)
-//     replay the full trace but skip every item whose whole cluster bounds
-//     strictly below L, and drop queued packages bounding strictly below
-//     L. Every lever is strict-below-a-real-utility, so the result is
-//     bit-identical to the unpartitioned run (the property suite's
-//     invariant), mirroring the dominance filter's admission argument.
-//     An uncapped paper-mode run does not engage (partitionFor).
-//   - Beamed or budgeted runs (already approximate by contract) read only
-//     the clusters that can matter: the clusters contributing to sketch
-//     candidates, plus the best-bounded remaining clusters while they beat
-//     L, up to an item budget of 32·⌈√n⌉. The refine is the ordinary trace
-//     over the index's own sorted lists with cursors that pass over every
-//     id whose cluster is closed (refineBeamed) — no per-search copy of
-//     the lists, so its cost follows the clusters opened, not n. Sketch
-//     candidates merge into the final top-k so refinement never loses
-//     them. This is what makes anti-correlated catalogues — where the
-//     skyline covers ~half the items and dominance pruning is inert —
-//     sublinear in practice.
+// Only beamed or budgeted runs partition: they are approximate by
+// contract, and an uncapped, unbudgeted run — the exact oracle — always
+// searches the whole index. The refine is still exact whenever neither the
+// beam nor the item budget binds: a closed cluster then bounds strictly
+// below L, which is at most the true k-th, so no package touching it can
+// enter the results (TestPartitionExact).
 //
-// Partitioning auto-engages for monotone utilities without predicates,
-// once the catalogue reaches PartitionMinItems (or a partition was
-// injected/configured); every eligible search materializes it, so results
-// within one epoch are consistent for result caching.
+// Partitioning engages for monotone, weighted, predicate-free utilities,
+// once the catalogue reaches PartitionMinItems or a partition was
+// materialized (EnsurePartition) or injected (SetPartition); every eligible
+// search materializes it, so results within one epoch are consistent for
+// result caching.
 package search
 
 import (
@@ -42,8 +40,8 @@ import (
 )
 
 // PartitionMinItems is the catalogue size below which partitioning stays
-// off unless a cluster count was configured explicitly or a partition was
-// injected: below it the sketch-refine detour costs more than it saves.
+// off unless a partition was materialized (EnsurePartition) or injected:
+// below it the sketch-refine detour costs more than it saves.
 const PartitionMinItems = 4096
 
 // refineBudgetItems bounds how many items bound-admitted (non-candidate)
@@ -74,36 +72,19 @@ type partState struct {
 	sketch *Index
 }
 
-// partCtx threads partition-derived pruning into a run. floorL is the
-// sketch floor L. With p alone (the uncapped exact path) every drawn item
-// is tested against its cluster's bound: bounds caches the per-cluster
-// bounds (NaN = not yet computed), opened/skipped feed the result counters.
-// With mask as well (the beamed path) the clusters to read were chosen
-// before the first draw: cursors and the orphan drain pass over every id
-// whose cluster mask closes, and no draw is tested again.
+// partCtx threads the refine into a run: floorL is the sketch floor L, and
+// the clusters to read were chosen before the first draw — cursors and the
+// orphan drain pass over every id whose cluster mask closes.
 type partCtx struct {
-	p       *partition.Partition
-	floorL  float64
-	mask    []bool
-	bounds  []float64
-	opened  []bool
-	skipped int
+	p      *partition.Partition
+	floorL float64
+	mask   []bool
 }
 
-func (pc *partCtx) open(c int32) {
-	if pc.opened == nil {
-		pc.opened = make([]bool, pc.p.K)
-	}
-	pc.opened[c] = true
-}
-
-// ConfigurePartition sets the index's cluster count (0 = auto ⌈√n⌉ once
-// the space reaches PartitionMinItems, negative = disable partitioning)
-// and the shared stats sink. Not synchronized: call before the index
-// serves concurrent searches (the catalogue configures each epoch's index
-// at build time).
-func (ix *Index) ConfigurePartition(clusters int, stats *PartitionStats) {
-	ix.partClusters = clusters
+// ConfigurePartition sets the sink that aggregates the index's partition
+// counters. Not synchronized: call before the index serves concurrent
+// searches (the catalogue configures each epoch's index at build time).
+func (ix *Index) ConfigurePartition(stats *PartitionStats) {
 	ix.partStats = stats
 }
 
@@ -128,7 +109,8 @@ func (ix *Index) SetPartition(p *partition.Partition) {
 
 // EnsurePartition materializes the partition with the given cluster count
 // (<= 0 selects the ⌈√n⌉ default) and returns it; benchmarks use it to
-// keep the build outside timed sections. Returns nil for an empty space.
+// keep the build outside timed sections, tests to partition small spaces.
+// Returns nil for an empty space.
 func (ix *Index) EnsurePartition(clusters int) *partition.Partition {
 	if ps := ix.part.Load(); ps != nil {
 		return ps.p
@@ -152,100 +134,44 @@ func (ix *Index) install(p *partition.Partition) {
 }
 
 // partitionFor decides whether a run engages sketch-refine, materializing
-// the partition if the index is eligible. The gates mirror the dominance
-// filter's: monotone utility, no predicate closures — plus at least one
-// weighted dimension (the degenerate path enumerates the whole space) and
-// the size/configuration gate. An uncapped paper-mode run is incomplete: its
-// own k-th can end below the sketch floor L, so the floor's levers would
-// drop packages it returns, and without the floor the sketch buys nothing.
+// the partition if the index is eligible. A run partitions only when it is
+// beamed or budgeted, its utility is monotone (the gate the cluster bounds'
+// orientation needs, as the dominance filter's does), weighted (the
+// degenerate path enumerates the whole space) and predicate-free, and its
+// index holds PartitionMinItems items or a partition already.
 func (ix *Index) partitionFor(u *feature.Utility, opts Options) *partState {
-	if opts.DisablePartition || opts.Candidate != nil || opts.Expand != nil || ix.partClusters < 0 ||
-		(!opts.ExpandAll && opts.MaxQueue < 0 && opts.MaxAccessed <= 0) {
-		return nil
-	}
-	if !u.SetMonotone(ix.space.Profile) {
-		return nil
-	}
-	weighted := false
-	for _, w := range u.W {
-		if w != 0 {
-			weighted = true
-			break
-		}
-	}
-	if !weighted {
+	if opts.DisablePartition || opts.Candidate != nil || opts.Expand != nil ||
+		(opts.MaxQueue < 0 && opts.MaxAccessed <= 0) || !u.SetMonotone(ix.space.Profile) ||
+		!slices.ContainsFunc(u.W, func(w float64) bool { return w != 0 }) {
 		return nil
 	}
 	if ps := ix.part.Load(); ps != nil {
 		return ps
 	}
-	n := ix.space.N()
-	if n == 0 {
+	if ix.space.N() < PartitionMinItems {
 		return nil
 	}
-	k := ix.partClusters
-	if k == 0 {
-		if n < PartitionMinItems {
-			return nil
-		}
-		k = partition.DefaultClusters(n)
-	}
-	ix.partOnce.Do(func() { ix.install(partition.Build(ix.space, k)) })
+	ix.EnsurePartition(0)
 	return ix.part.Load()
 }
 
-// topKPartitioned runs the sketch phase and dispatches to the exact or
-// beamed refine.
+// topKPartitioned sketches over the representatives, then refines. When
+// every representative is null on every weighted feature the sketch has no
+// list to draw from — its degenerate path would list packages at a utility
+// of 0 no search scored — so the run searches unpartitioned instead.
 func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState) (Result, error) {
-	sketchOpts := Options{
-		K:         opts.K,
-		ExpandAll: opts.ExpandAll,
-		MaxQueue:  DefaultMaxQueue,
-		// The representative set is ~√n items; dominance adds nothing and
-		// partitioning must not recurse.
-		DisableDominancePrune: true,
-		DisablePartition:      true,
+	// The representative set is ~√n items: dominance adds nothing.
+	sketchOpts := Options{K: opts.K, ExpandAll: opts.ExpandAll, MaxQueue: DefaultMaxQueue, DisableDominancePrune: true}
+	sk, ok := ps.sketch.newRun(u, sketchOpts, nil)
+	if !ok {
+		return ix.topKRun(u, opts, nil)
 	}
-	skRes, err := ps.sketch.topKRun(u, sketchOpts, nil)
-	if err != nil {
-		return Result{}, err
-	}
+	skRes := sk.exec()
 	floorL := negInf
 	if len(skRes.Packages) >= opts.K {
 		floorL = skRes.Packages[opts.K-1].Utility
 	}
-	maxQ := opts.MaxQueue
-	if maxQ == 0 {
-		maxQ = DefaultMaxQueue
-	}
-	if maxQ < 0 && opts.MaxAccessed <= 0 {
-		return ix.refineExact(u, opts, ps.p, skRes, floorL)
-	}
 	return ix.refineBeamed(u, opts, ps.p, skRes, floorL)
-}
-
-// refineExact replays the full uncapped trace under the sketch floor.
-// Every lever (draw skip, queue drop) compares strictly below L, and L is
-// the utility of a real package, so L ≤ the final k-th utility: nothing
-// that could enter the results — or shift an equal-utility tie-break — is
-// ever skipped, and the outcome is bit-identical to the unpartitioned run
-// (ExpandAll only: see partitionFor).
-func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
-	pc := &partCtx{p: p, floorL: floorL}
-	res, err := ix.topKRun(u, opts, pc)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Accessed += skRes.Accessed
-	res.Created += skRes.Created
-	res.SketchSkipped = pc.skipped
-	for _, o := range pc.opened {
-		if o {
-			res.RefineClustersOpened++
-		}
-	}
-	ix.recordPartStats(res)
-	return res, nil
 }
 
 // refineBeamed walks the index's own sorted lists through a mask of the
@@ -259,14 +185,14 @@ func (ix *Index) refineExact(u *feature.Utility, opts Options, p *partition.Part
 // first open entry's value, not the list top; a cursor is exhausted when
 // its last open entry is drawn, not at the physical end (a list with no
 // open entry is absent); and the orphan drain passes through the mask too.
-// Beamed/budgeted runs are best-effort by contract, so the mask needs no
-// exactness argument — only determinism (bounds and cluster ids order it).
+// The mask is deterministic (bounds and cluster ids order it). Should no
+// open item sit on an active list, the refine falls back to the
+// unpartitioned search, as the sketch does.
 func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
 	// rb only bounds the clusters: its frozen τ vector holds the full
 	// lists' tops, which a bound over members of any cluster needs.
-	rb, ok := ix.newRun(u, opts, &partCtx{p: p, floorL: floorL})
+	rb, ok := ix.newRun(u, opts, nil)
 	if !ok {
-		// Weighted features all-null: no cursors anywhere, degenerate path.
 		return ix.topKRun(u, opts, nil)
 	}
 	open := make([]bool, p.K)
@@ -291,7 +217,7 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Par
 			// (nothing tightens its virtual member) yet holds nothing to
 			// read: never score, open or count it. Nor is a cluster bounding
 			// below L ever opened, so only the others are worth sorting.
-			if b := rb.clusterBound(int32(c)); b >= floorL {
+			if b := rb.clusterBound(p, int32(c)); b >= floorL {
 				scored = append(scored, clusterScore{int32(c), b})
 			}
 		}
@@ -316,12 +242,12 @@ func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Par
 		opened++
 	}
 
-	refRes, err := ix.topKRun(u, opts, &partCtx{p: p, floorL: floorL, mask: open})
-	if err != nil {
-		return Result{}, err
+	r, ok := ix.newRun(u, opts, &partCtx{p: p, floorL: floorL, mask: open})
+	if !ok {
+		return ix.topKRun(u, opts, nil)
 	}
-	merged := refRes
-	merged.Packages = mergeScored(refRes.Packages, skRes.Packages, opts.K)
+	merged := r.exec()
+	merged.Packages = mergeScored(merged.Packages, skRes.Packages, opts.K)
 	merged.Accessed += skRes.Accessed
 	merged.Created += skRes.Created
 	merged.Truncated = merged.Truncated || skRes.Truncated
@@ -356,10 +282,9 @@ func (ix *Index) subsetIndex(keep []bool) *Index {
 		src = ix.seenSrc
 	}
 	sub := &Index{
-		space:        ix.space,
-		asc:          make([][]int32, len(ix.asc)),
-		partClusters: -1,
-		seenSrc:      src,
+		space:   ix.space,
+		asc:     make([][]int32, len(ix.asc)),
+		seenSrc: src,
 	}
 	for d, ids := range ix.asc {
 		if ids == nil {
@@ -381,28 +306,11 @@ func (ix *Index) subsetIndex(keep []bool) *Index {
 	return sub
 }
 
-// clusterBound returns (computing and caching on first use) a sound upper
-// bound on the utility of every package containing any member of cluster c.
-func (r *run) clusterBound(c int32) float64 {
-	pc := r.pc
-	if pc.bounds == nil {
-		pc.bounds = make([]float64, pc.p.K)
-		for i := range pc.bounds {
-			pc.bounds[i] = math.NaN()
-		}
-	}
-	if b := pc.bounds[c]; !math.IsNaN(b) {
-		return b
-	}
-	b := r.computeClusterBound(c)
-	pc.bounds[c] = b
-	return b
-}
-
-// computeClusterBound is headBound lifted from an item to a cluster: a
+// clusterBound is headBound lifted from an item to cluster c of p: a
 // virtual best member is assembled from the cluster's per-dimension bounds
 // and bounded exactly like a singleton — max of its own score and its
-// upper-exp pad bound against the frozen initial τ vector.
+// upper-exp pad bound against the frozen initial τ vector — which bounds
+// the utility of every package containing any member of the cluster.
 //
 // Per weighted dimension the virtual member takes the oriented best raw
 // value (Maxs for sum/max with w > 0, Mins for min with w < 0 — the
@@ -413,8 +321,7 @@ func (r *run) clusterBound(c int32) float64 {
 // member skips the dimension instead — dominating both kinds of member on
 // both the singleton and the padded-extension side (pads fold the global
 // per-list best τ, which bounds any real co-member's value).
-func (r *run) computeClusterBound(c int32) float64 {
-	p := r.pc.p
+func (r *run) clusterBound(p *partition.Partition, c int32) float64 {
 	sp := r.ix.space
 	dims := sp.Dims()
 	if r.partContribs == nil {

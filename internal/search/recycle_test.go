@@ -34,7 +34,7 @@ func TestRecycledRunMemoryBitIdentical(t *testing.T) {
 		index := func() *Index {
 			ix := NewIndex(sp)
 			if shape.clusters > 0 {
-				ix.ConfigurePartition(shape.clusters, nil)
+				ix.EnsurePartition(shape.clusters)
 			}
 			return ix
 		}

@@ -68,14 +68,12 @@ type Options struct {
 	// (search.unpruned_topk_p50_us) and the pruned≡unpruned property suite.
 	DisableDominancePrune bool
 	// DisablePartition turns off sketch-refine partitioned search (see
-	// partitioned.go). Like the dominance filter it only engages for
-	// monotone utilities without predicates, and never for an uncapped
-	// paper-mode run (incomplete, so the sketch floor could drop what it
-	// returns); uncapped unbudgeted ExpandAll runs stay bit-identical with it
-	// on or off (the sketch floor only prunes work strictly below it), while
-	// beamed runs refine inside the sketch-selected clusters and may differ
-	// from an unpartitioned beam. Disabling exists for bench's unpruned probe
-	// and the partitioned≡unpartitioned suite.
+	// partitioned.go). It only engages on beamed or budgeted runs whose
+	// utility is monotone, weighted and predicate-free; an uncapped,
+	// unbudgeted run never partitions. A partitioned run refines inside the
+	// sketch-selected clusters and may differ from an unpartitioned beam.
+	// Disabling exists for bench's unpruned probe and the
+	// partitioned≡unpartitioned suites.
 	DisablePartition bool
 }
 
@@ -114,10 +112,8 @@ type Result struct {
 	// DomPruned counts drawn items the dominance filter skipped (zero when
 	// the filter never engaged).
 	DomPruned int
-	// SketchSkipped counts items the sketch bound excluded: draws skipped
-	// because their cluster cannot beat the sketch floor (uncapped runs),
-	// or items in clusters the refine left closed (beamed runs). Zero when
-	// partitioning never engaged.
+	// SketchSkipped counts the items in clusters the refine left closed
+	// (zero when partitioning never engaged).
 	SketchSkipped int
 	// RefineClustersOpened is the number of distinct clusters the refine
 	// phase read (zero when partitioning never engaged).
@@ -148,14 +144,12 @@ type Index struct {
 	// part caches the sketch-refine partition and its representative
 	// sub-index, materialized lazily on the first eligible search (every
 	// eligible search materializes, so results within one epoch are
-	// consistent) or injected by the catalogue (SetPartition). partClusters
-	// configures the cluster count (0 = auto ⌈√n⌉ above PartitionMinItems,
-	// <0 = partitioning disabled for this index); partStats, when set,
-	// aggregates per-search partition counters across runs.
-	part         atomic.Pointer[partState]
-	partOnce     sync.Once
-	partClusters int
-	partStats    *PartitionStats
+	// consistent), by EnsurePartition, or injected by the catalogue
+	// (SetPartition); partStats, when set, aggregates per-search partition
+	// counters across runs.
+	part      atomic.Pointer[partState]
+	partOnce  sync.Once
+	partStats *PartitionStats
 	// seenSrc, when non-nil, is the index whose seenPool this subset index
 	// (a partition's sketch index) borrows: it shares the full space's
 	// dense id range, so the sketch and refine phases of one search take
@@ -353,10 +347,9 @@ type run struct {
 	domPruned   int
 
 	// Sketch-refine context (nil for plain runs): pc carries the sketch
-	// floor L, the partition and, on beamed refines, the opened-cluster
-	// mask. floorL and mask cache pc's (-Inf and nil when absent) for the
-	// hot loops; partContribs is the virtual-item scratch clusterBound
-	// folds.
+	// floor L, the partition and the refine's opened-cluster mask. floorL
+	// and mask cache pc's (-Inf and nil when absent) for the hot loops;
+	// partContribs is the virtual-item scratch clusterBound folds.
 	pc           *partCtx
 	floorL       float64
 	mask         []bool
@@ -501,7 +494,7 @@ func (ix *Index) TopK(u *feature.Utility, opts Options) (Result, error) {
 }
 
 // topKRun executes one Top-k-Pkg trace, optionally under a partition
-// context (sketch floor + cluster-bound skips).
+// context (sketch floor + refine mask).
 func (ix *Index) topKRun(u *feature.Utility, opts Options, pc *partCtx) (Result, error) {
 	r, ok := ix.newRun(u, opts, pc)
 	if !ok {
@@ -677,26 +670,6 @@ func (r *run) exec() Result {
 		}
 		r.seen.marks[item] = r.seen.stamp
 		r.accessed++
-		// Sketch skip, on the uncapped exact path (a beamed refine's mask
-		// closed whole clusters before the first draw and tests no draw
-		// again): an item whose whole cluster bounds strictly below the
-		// sketch floor L can head or join no package that enters the
-		// results (L is the utility of real packages, so L ≤ the final
-		// k-th best; strict comparison keeps equal-utility tie-breaks
-		// unreachable). Mirrors the dominance skip below: τ advanced, the
-		// item counts as accessed.
-		if r.pc != nil && r.pc.p != nil && r.mask == nil {
-			c := r.pc.p.Assign[item]
-			if r.clusterBound(c) < r.floorL {
-				r.pc.skipped++
-				if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
-					r.truncated = true
-					break
-				}
-				continue
-			}
-			r.pc.open(c)
-		}
 		hb := r.headBound(item)
 		// Dominance skip (consequence 1). While the heap is not full ηlo is
 		// -Inf and nothing is skipped (unless a sketch floor is active, which

@@ -21,15 +21,15 @@ func partitionedServer(t *testing.T) (*catalog.Catalog, *httptest.Server) {
 	t.Helper()
 	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
 	cat, err := catalog.New(catalog.Config{
-		Profile:           p,
-		MaxPackageSize:    3,
-		Items:             dataset.UNI(40, 2, rand.New(rand.NewSource(77))),
-		Coalesce:          -1,
-		PartitionClusters: 3,
+		Profile:        p,
+		MaxPackageSize: 3,
+		Items:          dataset.UNI(40, 2, rand.New(rand.NewSource(77))),
+		Coalesce:       -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cat.Current().Index.EnsurePartition(3)
 	sh, err := core.NewLiveShared(core.Config{
 		K:           3,
 		RandomCount: 2,
@@ -61,15 +61,14 @@ type partitionStatsWire struct {
 
 func TestPartitionStatsSurface(t *testing.T) {
 	cat, ts := partitionedServer(t)
-	// Materialize and engage the partition the way a monotone-utility
-	// search would, then push one delta batch through so incremental
-	// maintenance has run.
+	// Engage the partition with a beamed monotone-utility search, then push
+	// one delta batch through so incremental maintenance has run.
 	ep := cat.Current()
 	u, err := feature.NewUtility(ep.Space.Profile, []float64{1, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ep.Index.TopK(u, search.Options{K: 3, MaxQueue: -1, ExpandAll: true}); err != nil {
+	if _, err := ep.Index.TopK(u, search.Options{K: 3, MaxQueue: 32, MaxAccessed: 100}); err != nil {
 		t.Fatal(err)
 	}
 	v := func(x float64) *float64 { return &x }
