@@ -9,8 +9,12 @@ GO ?= go
 test:
 	$(GO) build ./... && $(GO) test ./...
 
+# The second line runs the fan-out of per-sample searches both ways under
+# the race detector: at -cpu 1 every search runs on its caller, at 4
+# helpers take the idle cores and retire as other callers start.
 race:
 	$(GO) test -short -race ./...
+	$(GO) test -race -cpu 1,4 ./internal/ranking ./internal/core
 
 # lint always runs go vet; staticcheck and govulncheck run when installed
 # (CI installs both — see .github/workflows/ci.yml) and are skipped with a

@@ -337,7 +337,6 @@ func fig8Engine(b *testing.B, rng *rand.Rand, cacheSize int) *core.Engine {
 		RandomCount:     5,
 		SampleCount:     200,
 		Seed:            12,
-		Parallelism:     -1,
 		Search:          search.Options{MaxQueue: 64, MaxAccessed: 300},
 		SearchCacheSize: cacheSize,
 	})

@@ -64,7 +64,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		cache    = flag.Int("cache", ranking.DefaultCacheSize, "shared Top-k-Pkg result cache entries (negative disables)")
 		quantum  = flag.Float64("quantum", 0, "weight quantization step for dedup/caching (0 = exact, bit-identical slates)")
-		par      = flag.Int("parallelism", -1, "per-sample search workers per recommend (negative = GOMAXPROCS)")
 		evictW   = flag.Int("evict-workers", session.DefaultEvictWorkers, "background snapshot writers for eviction (negative = evict synchronously)")
 		mutable  = flag.Bool("mutable-catalog", false, "serve a live catalogue: enable POST/DELETE /catalog/items with epoch-swapped index rebuilds")
 		coalesce = flag.Duration("rebuild-coalesce", catalog.DefaultCoalesce, "how long the rebuilder waits for a mutation burst to settle before building the next epoch (negative: rebuild synchronously on every batch)")
@@ -130,7 +129,6 @@ func main() {
 		SampleCount:     *samples,
 		Psi:             *psi,
 		Seed:            *seed,
-		Parallelism:     *par,
 		Search:          search.Options{MaxQueue: 128, MaxAccessed: 500},
 		SearchCacheSize: cacheSize,
 		WeightQuantum:   *quantum,

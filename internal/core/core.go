@@ -72,9 +72,6 @@ type Config struct {
 	Psi float64
 	// Search tunes the per-sample Top-k-Pkg runs (K is set internally).
 	Search search.Options
-	// Parallelism is the worker count for per-sample searches during
-	// ranking (0/1 sequential, negative = GOMAXPROCS).
-	Parallelism int
 	// SearchCacheSize bounds the per-catalogue Top-k-Pkg result cache
 	// shared by every engine derived from one Shared (0 selects
 	// ranking.DefaultCacheSize; negative disables caching). Caching is
@@ -625,8 +622,9 @@ func (e *Engine) InvalidateSamples() { e.pool = nil }
 // semantics plus RandomCount random exploration packages. Per-sample
 // searches run through the batched pipeline — duplicate weight vectors are
 // searched once, vectors seen in an earlier round are served from the
-// shared result cache, and the remainder is sharded across
-// Config.Parallelism workers (see Stats' Rank* counters).
+// shared result cache, and the remainder runs on this goroutine plus
+// helpers on otherwise idle cores (see ranking.Rank and Stats' Rank*
+// counters).
 //
 // The catalogue epoch is resolved once at entry and pinned for the whole
 // call: ranking, cache keys, and the exploration tail all use the same
@@ -639,14 +637,13 @@ func (e *Engine) Recommend() (*Slate, error) {
 	ep := e.sh.epoch()
 	var m ranking.Metrics
 	ranked, err := ranking.Rank(ep.ix, e.pool.Samples, e.cfg.Semantics, ranking.Options{
-		K:           e.cfg.K,
-		Sigma:       e.cfg.K,
-		Parallelism: e.cfg.Parallelism,
-		Search:      e.cfg.Search,
-		Quantum:     e.cfg.WeightQuantum,
-		Cache:       e.sh.cache,
-		Epoch:       ep.id,
-		Metrics:     &m,
+		K:       e.cfg.K,
+		Sigma:   e.cfg.K,
+		Search:  e.cfg.Search,
+		Quantum: e.cfg.WeightQuantum,
+		Cache:   e.sh.cache,
+		Epoch:   ep.id,
+		Metrics: &m,
 	})
 	e.stats.RankSamples += m.Samples
 	e.stats.RankDistinct += m.Distinct

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"toppkg/internal/search"
 )
 
-func pipelineConfig(t *testing.T, sem ranking.Semantics, cacheSize, parallelism int, seed int64) Config {
+func pipelineConfig(t *testing.T, sem ranking.Semantics, cacheSize int, seed int64) Config {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	return Config{
@@ -24,7 +25,6 @@ func pipelineConfig(t *testing.T, sem ranking.Semantics, cacheSize, parallelism 
 		Semantics:       sem,
 		SampleCount:     30,
 		Seed:            seed,
-		Parallelism:     parallelism,
 		SearchCacheSize: cacheSize,
 		Search:          search.Options{MaxQueue: 32, MaxAccessed: 100},
 	}
@@ -46,27 +46,35 @@ func slateKey(s *Slate) string {
 	return out
 }
 
-// TestRecommendCachedMatchesUncached drives a cached+parallel engine and an
-// uncached sequential engine through identical elicitation rounds: every
-// slate must be bit-identical — the engine-level face of the ranking
-// oracle property (Quantum 0 keeps the pipeline exact).
+// recommendAt runs one Recommend at the given GOMAXPROCS: at 1 the
+// per-sample searches run one after another on the caller, above 1 helpers
+// may take the idle cores.
+func recommendAt(procs int, e *Engine) (*Slate, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return e.Recommend()
+}
+
+// TestRecommendCachedMatchesUncached drives a cached engine searching on 4
+// cores and an uncached engine searching on one through identical
+// elicitation rounds: every slate must be bit-identical — the engine-level
+// face of the ranking oracle property (Quantum 0 keeps the pipeline exact).
 func TestRecommendCachedMatchesUncached(t *testing.T) {
 	for _, sem := range []ranking.Semantics{ranking.EXP, ranking.TKP, ranking.MPO} {
 		for seed := int64(1); seed <= 6; seed++ {
-			plain, err := New(pipelineConfig(t, sem, -1, 0, seed))
+			plain, err := New(pipelineConfig(t, sem, -1, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := New(pipelineConfig(t, sem, 0, 3, seed))
+			cached, err := New(pipelineConfig(t, sem, 0, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for round := 0; round < 4; round++ {
-				ps, err := plain.Recommend()
+				ps, err := recommendAt(1, plain)
 				if err != nil {
 					t.Fatalf("%v seed %d round %d: plain: %v", sem, seed, round, err)
 				}
-				cs, err := cached.Recommend()
+				cs, err := recommendAt(4, cached)
 				if err != nil {
 					t.Fatalf("%v seed %d round %d: cached: %v", sem, seed, round, err)
 				}
@@ -103,7 +111,7 @@ func TestRecommendCachedMatchesUncached(t *testing.T) {
 // TestSharedCacheInvalidateKeepsServing: invalidation mid-flight only
 // costs re-searches, it never changes results.
 func TestSharedCacheInvalidateKeepsServing(t *testing.T) {
-	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 0, 9))
+	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +142,14 @@ func TestSharedCacheInvalidateKeepsServing(t *testing.T) {
 }
 
 // TestConcurrentRecommendSharedIndex runs many engines over one shared
-// index and result cache from parallel goroutines (run with -race), then
-// replays each session in isolation with caching disabled: concurrent
-// cross-session cache sharing must not change anyone's slates.
+// index and result cache from parallel goroutines (run with -race), so
+// their searches contend for cores: each caller's helpers retire as other
+// callers start searching. It then replays each session in isolation, on
+// one core with caching disabled: concurrent cross-session cache sharing
+// and the fan-out must not change anyone's slates.
 func TestConcurrentRecommendSharedIndex(t *testing.T) {
 	const sessions = 8
-	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 2, 1))
+	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +188,7 @@ func TestConcurrentRecommendSharedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Isolated replay: same seeds, no cache, sequential.
-	cfg := pipelineConfig(t, ranking.EXP, -1, 0, 1)
+	cfg := pipelineConfig(t, ranking.EXP, -1, 1)
 	for i := 0; i < sessions; i++ {
 		shp, err := NewShared(cfg)
 		if err != nil {
@@ -190,7 +200,7 @@ func TestConcurrentRecommendSharedIndex(t *testing.T) {
 		}
 		var slate *Slate
 		for round := 0; round < 3; round++ {
-			slate, err = eng.Recommend()
+			slate, err = recommendAt(1, eng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +221,7 @@ func TestConcurrentRecommendSharedIndex(t *testing.T) {
 // but not the index, so the shared cache keeps serving the surviving
 // vectors.
 func TestRestoredEngineReusesCache(t *testing.T) {
-	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 0, 4))
+	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

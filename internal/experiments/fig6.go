@@ -109,8 +109,7 @@ func fig6Point(p Params, kind string, nItems, features, samples, prefs int, incl
 
 		start = time.Now()
 		_, err = ranking.Rank(ix, res.Samples, ranking.EXP, ranking.Options{
-			K:           5,
-			Parallelism: -1,
+			K: 5,
 			// Bounded per-sample searches: see DESIGN.md on beam budgets.
 			Search: search.Options{MaxQueue: 32, MaxAccessed: 100},
 		})

@@ -60,7 +60,6 @@ func Fig8(p Params) ([]Table, error) {
 				SampleCount:    sampleCount,
 				Sampler:        core.SamplerMCMC,
 				Seed:           p.Seed + int64(u)*131 + int64(m),
-				Parallelism:    -1,
 				// Bounded per-sample searches keep a full session fast.
 				Search: search.Options{MaxQueue: 64, MaxAccessed: 300},
 			})

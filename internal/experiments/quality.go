@@ -54,7 +54,7 @@ func Quality(p Params) ([]Table, error) {
 	lists := map[string][]string{}
 	for name, pool := range pools {
 		for _, sem := range semantics {
-			ranked, err := ranking.Rank(ix, pool, sem, ranking.Options{K: 5, Parallelism: -1,
+			ranked, err := ranking.Rank(ix, pool, sem, ranking.Options{K: 5,
 				Search: search.Options{MaxQueue: 128, MaxAccessed: 500}})
 			if err != nil {
 				return nil, fmt.Errorf("quality rank %s/%v: %w", name, sem, err)

@@ -1,13 +1,14 @@
 // The batched per-sample execution pipeline behind Rank: sample weight
 // vectors are canonicalized (optionally quantized), deduplicated so each
 // distinct vector runs Top-k-Pkg once, probed against the result cache,
-// and only the surviving searches are sharded across a bounded worker
-// pool. Results fan back out to every duplicate, and aggregation runs in
-// sample order, so the final slate is deterministic regardless of
-// parallelism. The elicitation loop re-ranks the whole pool every round
-// even though feedback invalidates only a fraction of samples and many
-// survivors induce identical top-k lists; this pipeline makes both kinds
-// of redundancy free.
+// and only the surviving searches run — on the calling goroutine, plus
+// helpers on cores no other search holds (see runSearches). Results fan
+// back out to every duplicate, and aggregation runs in sample order, so the
+// final slate does not depend on which goroutine ran which search. The
+// elicitation loop re-ranks the whole pool every round even though
+// feedback invalidates only a fraction of samples and many survivors
+// induce identical top-k lists; this pipeline makes both kinds of
+// redundancy free.
 package ranking
 
 import (
@@ -143,7 +144,7 @@ func groupResults(ix *search.Index, profile *feature.Profile, samples []sampling
 	}
 	m.Searches = len(todo)
 
-	if err := runSearches(ix, profile, reps, todo, results, so, opts.Parallelism); err != nil {
+	if err := runSearches(ix, profile, reps, todo, results, so); err != nil {
 		return nil, err
 	}
 	if cache != nil {
@@ -160,56 +161,77 @@ func groupResults(ix *search.Index, profile *feature.Profile, samples []sampling
 	return out, nil
 }
 
+// searching counts, process-wide, the goroutines running per-sample
+// searches: every runSearches caller with searches left to claim, plus its
+// helpers. It is the fan-out's only view of load.
+var searching atomic.Int64
+
+// helperStarted, when a test sets it, is called on every helper start with
+// the count that helper's claim raised searching to.
+var helperStarted func(count int64)
+
 // runSearches executes Top-k-Pkg for the groups listed in todo, filling
-// results[g], sequentially or across a bounded worker pool. The searches
-// are independent; callers aggregate in sample order, so results stay
-// deterministic regardless of parallelism.
-func runSearches(ix *search.Index, profile *feature.Profile, reps [][]float64, todo []int, results []search.Result, so search.Options, parallelism int) error {
-	one := func(g int) error {
-		u, err := feature.NewUtility(profile, reps[g])
-		if err != nil {
-			return err
-		}
-		results[g], err = ix.TopK(u, so)
-		return err
-	}
-	workers := parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, g := range todo {
-			if err := one(g); err != nil {
-				return err
-			}
-		}
+// results[g]. The searches are independent. The caller always searches
+// inline, and helpers join it on idle cores only: a helper starts only
+// while searching is below GOMAXPROCS, claimed by compare-and-swap, so it
+// never takes a core another search holds. Before each search it claims, a
+// helper checks the count again and retires once it is above GOMAXPROCS,
+// i.e. once another request has started searching. At GOMAXPROCS 1 no
+// helper starts and todo runs in order on the caller. The first error stops
+// every worker from claiming another search. Callers aggregate in sample
+// order, so slates do not depend on which worker ran which search.
+func runSearches(ix *search.Index, profile *feature.Profile, reps [][]float64, todo []int, results []search.Result, so search.Options) error {
+	if len(todo) == 0 {
 		return nil
 	}
+	procs := int64(runtime.GOMAXPROCS(0))
 	var (
 		wg       sync.WaitGroup
-		next     int64 = -1
-		firstErr error
-		errOnce  sync.Once
+		next     atomic.Int64 // todo[next] is the next search to claim
+		failed   atomic.Bool
+		firstErr error // written once, by the worker that sets failed
 	)
-	for w := 0; w < workers; w++ {
+	work := func(helper bool) {
+		for !failed.Load() && !(helper && searching.Load() > procs) {
+			i := int(next.Add(1) - 1)
+			if i >= len(todo) {
+				return
+			}
+			g := todo[i]
+			u, err := feature.NewUtility(profile, reps[g])
+			if err == nil {
+				results[g], err = ix.TopK(u, so)
+			}
+			if err != nil {
+				if failed.CompareAndSwap(false, true) {
+					firstErr = err
+				}
+				return
+			}
+		}
+	}
+	searching.Add(1)
+	for helpers := 0; helpers < len(todo)-1; {
+		n := searching.Load()
+		if n >= procs {
+			break
+		}
+		if !searching.CompareAndSwap(n, n+1) {
+			continue
+		}
+		if helperStarted != nil {
+			helperStarted(n + 1)
+		}
+		helpers++
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(todo) {
-					return
-				}
-				if err := one(todo[i]); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-			}
+			defer searching.Add(-1)
+			work(true)
 		}()
 	}
+	work(false)
+	searching.Add(-1)
 	wg.Wait()
 	return firstErr
 }

@@ -78,10 +78,6 @@ type Options struct {
 	// the per-sample lists a package appears in, so a larger PerSampleK
 	// reduces its bias at extra search cost.
 	PerSampleK int
-	// Parallelism is the number of goroutines running per-sample searches
-	// (the searches are independent; aggregation stays deterministic).
-	// 0 or 1 runs sequentially; a negative value uses GOMAXPROCS.
-	Parallelism int
 	// Search configures the per-sample Top-k-Pkg runs; Search.K is set
 	// internally.
 	Search search.Options
@@ -109,9 +105,12 @@ type Options struct {
 // Rank computes the top-k packages under the given semantics from a pool of
 // weight-vector samples. Each sample contributes its importance weight.
 // Per-sample searches run through the batched pipeline (dedup → cache →
-// worker pool, see groupResults); aggregation runs in sample order, so the
-// result is deterministic regardless of Parallelism and identical to the
-// one-search-per-sample path whenever Quantum is 0.
+// search, see groupResults). The caller runs them itself, helped by
+// goroutines on cores no other search holds; helpers step back when another
+// caller starts searching, and at GOMAXPROCS 1 none start (see
+// runSearches). Aggregation runs in sample order, so the result is the same
+// at every GOMAXPROCS and identical to the one-search-per-sample path
+// whenever Quantum is 0.
 func Rank(ix *search.Index, samples []sampling.Sample, sem Semantics, opts Options) ([]Ranked, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("ranking: K must be positive, got %d", opts.K)

@@ -229,31 +229,3 @@ func TestSignatures(t *testing.T) {
 		t.Errorf("Signatures = %v", sigs)
 	}
 }
-
-// TestParallelDeterminism: any parallelism level must produce bit-identical
-// rankings (aggregation is in sample order).
-func TestParallelDeterminism(t *testing.T) {
-	ix := paperIndex(t)
-	samples := paperSamples()
-	for _, sem := range []Semantics{EXP, TKP, MPO} {
-		base, err := Rank(ix, samples, sem, Options{K: 2, Search: search.Options{ExpandAll: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 4, -1} {
-			got, err := Rank(ix, samples, sem, Options{K: 2, Parallelism: par,
-				Search: search.Options{ExpandAll: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if listOf(got) != listOf(base) {
-				t.Errorf("%v parallel=%d list %s != sequential %s", sem, par, listOf(got), listOf(base))
-			}
-			for i := range got {
-				if math.Abs(got[i].Score-base[i].Score) > 1e-12 {
-					t.Errorf("%v parallel=%d score[%d] differs", sem, par, i)
-				}
-			}
-		}
-	}
-}
