@@ -41,7 +41,10 @@ bench-check:
 	  bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 --quick || exit 1; done
 
 # fuzz-smoke: the four fuzz targets for 10 s each, then under the race
-# detector the stale-Put property, the sketch-refine suites (TestPartition*:
+# detector the stale-Put property, the catalogue's one-builder suites three
+# times over (TestClose*, TestFlush*, TestConcurrent* — including
+# synchronous mutators racing each other — and TestDeltaBuildsRaceReaders),
+# the sketch-refine suites (TestPartition*:
 # exactness of the beamed refine under a beam that never truncates, masked
 # walk ≡ filtered index, the gate table, the refine's allocation guard —
 # three times over, so a reintroduced random seed cannot hide behind a lucky
@@ -55,5 +58,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
+	$(GO) test -race -count=3 -run '^(TestClose|TestFlush|TestConcurrent|TestDeltaBuildsRaceReaders)' ./internal/catalog
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
 	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical)' -count=1 ./internal/search

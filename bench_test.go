@@ -442,7 +442,8 @@ func BenchmarkAblationCenterFinding(b *testing.B) {
 	}
 }
 
-// --- Ablation: sample maintenance vs the EM-refit baseline (§3.1). ---
+// --- Posterior update by sample maintenance (§3.1): one new constraint
+// replaces only the samples it rules out. ---
 
 func BenchmarkAblationPosteriorUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
@@ -465,14 +466,6 @@ func BenchmarkAblationPosteriorUpdate(b *testing.B) {
 			rng := rand.New(rand.NewSource(17))
 			b.StartTimer()
 			if _, _, err := pool.Apply(c, s, rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("em_refit", func(b *testing.B) {
-		xs := sampling.Weights(samples)
-		for i := 0; i < b.N; i++ {
-			if _, err := gaussmix.FitEM(xs, nil, 2, 10, rng); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,21 +6,26 @@
 // sessions are live.
 //
 // A Catalog owns the authoritative item set, keyed by a stable item ID,
-// and accepts Upsert/Delete batches. Each committed batch makes the
-// catalogue dirty; a background rebuilder coalesces rapid mutation bursts,
-// builds a fresh immutable Epoch — monotonic ID plus the feature.Space and
-// search.Index every reader needs — off-request, and atomically swaps it
-// in. Readers resolve the current epoch with one atomic load and then work
-// against immutable state, so a recommend in flight never observes a torn
-// index and never blocks on a rebuild; it simply runs to completion on the
-// epoch it started with.
+// and accepts Upsert/Delete batches. The authoritative set is the
+// installed epoch plus the changes committed since (pending); no other
+// copy of the items exists. Each committed batch wakes the catalogue's one
+// builder goroutine, which coalesces rapid mutation bursts, merges the
+// pending changes into the installed epoch's items, builds a fresh
+// immutable Epoch — monotonic ID plus the feature.Space and search.Index
+// every reader needs — off-request, atomically swaps it in and runs the
+// subscribers. Small change sets build incrementally from the parent epoch,
+// large ones from scratch; both start from the same merge. Readers resolve
+// the current epoch with one atomic load and then work against immutable
+// state, so a recommend in flight never observes a torn index and never
+// blocks on a rebuild; it simply runs to completion on the epoch it
+// started with.
 //
 // Dense vs stable IDs: the rest of the system addresses items positionally
 // (package item IDs index feature.Space.Items). Each epoch therefore
 // compacts the authoritative set into a dense slice ordered by stable ID
 // and records the mapping both ways. As long as no lower-numbered item is
 // deleted, an item keeps its dense ID across epochs; Epoch.DenseID and
-// Epoch.StableID translate when that does not hold.
+// IDMap.StableID translate when that does not hold.
 package catalog
 
 import (
@@ -31,7 +36,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +48,7 @@ import (
 
 // DefaultCoalesce is the rebuild coalescing window applied when
 // Config.Coalesce is zero: after the first mutation dirties the catalogue,
-// the rebuilder waits this long for the burst to finish before building,
+// the builder waits this long for the burst to finish before building,
 // so a stream of rapid batches costs one rebuild, not one per batch.
 const DefaultCoalesce = 20 * time.Millisecond
 
@@ -72,17 +76,17 @@ type Config struct {
 	// stable catalogue key; IDs must be non-negative and distinct.
 	Items []feature.Item
 	// Coalesce tunes the rebuild coalescing window: 0 selects
-	// DefaultCoalesce, a negative value disables the background rebuilder
-	// entirely — every mutation batch rebuilds and swaps synchronously
-	// before Upsert/Delete returns (deterministic; meant for tests and
-	// offline tools).
+	// DefaultCoalesce, a negative value makes the catalogue synchronous —
+	// the builder builds at once, and Upsert/Delete return only after an
+	// epoch covering their batch is swapped in and its subscribers have run
+	// (deterministic; meant for tests and offline tools).
 	Coalesce time.Duration
 	// DeltaThreshold bounds how many distinct stable IDs may have changed
 	// since the current epoch for the next build to take the incremental
-	// delta path (O(batch·log n), see buildEpochFrom); larger change sets
-	// take the full O(n log n) rebuild, which is also the always-correct
-	// fallback. 0 selects DefaultDeltaThreshold; negative disables delta
-	// builds entirely.
+	// delta path (O(batch·log n), see buildDelta); larger change sets take
+	// the full O(n log n) build of the same merged items, which is also the
+	// always-correct fallback. 0 selects DefaultDeltaThreshold; negative
+	// disables delta builds entirely.
 	DeltaThreshold int
 }
 
@@ -153,9 +157,6 @@ func (ep *Epoch) Items() []feature.Item { return ep.Space.Items }
 // IDs returns the epoch's stable↔dense translation.
 func (ep *Epoch) IDs() *IDMap { return ep.ids }
 
-// StableID returns the stable catalogue ID of dense item i.
-func (ep *Epoch) StableID(i int) int { return ep.ids.StableID(i) }
-
 // DenseID returns the dense index of the item with the given stable ID,
 // and whether it exists in this epoch.
 func (ep *Epoch) DenseID(stable int) (int, bool) { return ep.ids.DenseID(stable) }
@@ -171,7 +172,9 @@ type Stats struct {
 	Deletes int64 `json:"deletes"`
 	Batches int64 `json:"batches"`
 	// Rebuilds counts epoch builds (including the initial one); when
-	// smaller than Batches+1, coalescing folded bursts together.
+	// smaller than Batches+1, coalescing folded bursts together. A change
+	// set that nets out counts as a build of its kind but keeps the
+	// installed epoch.
 	Rebuilds int64 `json:"rebuilds"`
 	// DeltaBuilds counts epochs derived incrementally from their parent
 	// (O(batch·log n)); FullRebuilds counts from-scratch builds, including
@@ -180,7 +183,7 @@ type Stats struct {
 	// full rebuild (healthy operation keeps it at zero).
 	DeltaBuilds    int64 `json:"delta_builds"`
 	FullRebuilds   int64 `json:"full_rebuilds"`
-	DeltaFallbacks int64 `json:"delta_fallbacks,omitempty"`
+	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	// SkylineIncremental counts delta builds whose non-dominated head set
 	// (the search layer's dominance-pruning frontier) was maintained
 	// incrementally from the parent epoch's; SkylineRecomputes counts delta
@@ -198,7 +201,7 @@ type Stats struct {
 	// re-clustered from scratch (incremental maintenance refused, or
 	// drift pushed the imbalance past reclusterImbalance).
 	PartitionClusters    int     `json:"partition_clusters"`
-	PartitionImbalance   float64 `json:"partition_imbalance,omitempty"`
+	PartitionImbalance   float64 `json:"partition_imbalance"`
 	PartitionIncremental int64   `json:"partition_incremental"`
 	PartitionReclusters  int64   `json:"partition_reclusters"`
 	// PartitionSearches counts partition-engaged searches across all
@@ -212,7 +215,7 @@ type Stats struct {
 	// (should stay zero: batches are validated before commit); LastError
 	// is the most recent such failure, empty when healthy.
 	BuildErrors int64  `json:"build_errors"`
-	LastError   string `json:"last_error,omitempty"`
+	LastError   string `json:"last_error"`
 	// Pending reports whether committed mutations are not yet covered by
 	// the current epoch (a rebuild is queued or running).
 	Pending bool `json:"pending"`
@@ -230,23 +233,20 @@ type Catalog struct {
 
 	cur atomic.Pointer[Epoch]
 
-	mu       sync.Mutex // guards everything below; never held across a build
-	items    map[int]feature.Item
-	version  uint64 // bumped per committed batch
-	built    uint64 // version the current epoch covers
-	building bool   // a rebuild goroutine is scheduled or running
-	closed   bool   // Close ran: mutations are rejected, rebuilder quiesced
-	caughtUp *sync.Cond
-	closeCh  chan struct{} // closed by Close; wakes the rebuilder's sleep
+	mu sync.Mutex // guards everything below; never held across a build
+	// pending holds the latest change of every stable ID changed since the
+	// installed epoch; the installed epoch plus pending is the authoritative
+	// item set. An install prunes the changes its build covered, so later
+	// changes (and, after a failed build, the uncovered ones) stay.
+	pending  map[int]change
+	n        int           // authoritative item count
+	version  uint64        // bumped per committed batch
+	built    uint64        // version the installed epoch covers once its subscribers ran
+	building bool          // the builder goroutine is running
+	closed   bool          // Close ran: mutations are rejected
+	caughtUp *sync.Cond    // broadcast when built advances or the builder exits
+	closeCh  chan struct{} // closed by Close; wakes the builder's sleep
 	subs     []func(*Epoch, *ChangeSet)
-
-	// pending maps each stable ID changed since the installed epoch to the
-	// version of its latest change — the delta builder's work list. Entries
-	// at or below the installed epoch's version (curVersion) are pruned on
-	// every install, so the invariant pending = {IDs changed in
-	// (curVersion, version]} holds even across failed or discarded builds.
-	pending    map[int]uint64
-	curVersion uint64 // version the installed epoch covers
 
 	nextEpoch  uint64
 	upserts    int64
@@ -262,6 +262,15 @@ type Catalog struct {
 	partRec    int64
 	buildErrs  int64
 	lastErr    error
+}
+
+// change is one stable ID's pending change: the item as of its latest
+// committed batch, or a deletion (exists false). item.ID is the stable ID
+// either way.
+type change struct {
+	item    feature.Item
+	exists  bool
+	version uint64 // the batch that made the change
 }
 
 // New validates cfg, builds epoch 1 synchronously, and returns the
@@ -288,25 +297,32 @@ func New(cfg Config) (*Catalog, error) {
 		coalesce:  cfg.Coalesce,
 		deltaMax:  cfg.DeltaThreshold,
 		partStats: &search.PartitionStats{},
-		items:     make(map[int]feature.Item, len(cfg.Items)),
-		pending:   make(map[int]uint64),
+		pending:   make(map[int]change),
+		n:         len(cfg.Items),
 		closeCh:   make(chan struct{}),
 	}
 	c.caughtUp = sync.NewCond(&c.mu)
+	items := make([]feature.Item, len(cfg.Items))
 	for i := range cfg.Items {
-		it := cfg.Items[i]
-		if err := c.validateItem(it); err != nil {
+		if err := c.validateItem(cfg.Items[i]); err != nil {
 			return nil, err
 		}
-		if _, dup := c.items[it.ID]; dup {
-			return nil, fmt.Errorf("catalog: duplicate initial item ID %d", it.ID)
-		}
-		c.items[it.ID] = copyItem(it)
+		items[i] = copyItem(cfg.Items[i])
 	}
-	ep, err := c.build(1)
+	slices.SortFunc(items, func(a, b feature.Item) int { return cmp.Compare(a.ID, b.ID) })
+	stable := make([]int, len(items))
+	for i := range items {
+		if i > 0 && items[i].ID == stable[i-1] {
+			return nil, fmt.Errorf("catalog: duplicate initial item ID %d", items[i].ID)
+		}
+		stable[i] = items[i].ID
+		items[i].ID = i
+	}
+	ep, err := c.buildFull(items, newIDMap(stable))
 	if err != nil {
 		return nil, err
 	}
+	ep.ID = 1
 	c.nextEpoch = 1
 	c.rebuilds = 1
 	c.fulls = 1
@@ -343,16 +359,18 @@ type ChangeSet struct {
 	// batch (the new identity of every replaced item), ascending.
 	Fresh []int32
 	// Remap translates parent-dense ids to new-dense ids (-1 for items not
-	// carried over); nil when the assignment is unchanged. Order-preserving
-	// over carried items.
+	// carried over). Order-preserving over carried items.
 	Remap []int32
 }
 
 // Subscribe registers fn to run after every epoch swap, with the epoch
 // just installed and the change set relative to its parent. Derived state
 // keyed to the previous epoch (result caches) must be dropped on every
-// call. Callbacks run on the rebuilder goroutine (or the mutating
-// goroutine in synchronous mode) and must be safe for concurrent use with
+// call. Callbacks run on the builder goroutine before the batches the
+// epoch covers count as built, so Flush, ?wait=1 and synchronous mutations
+// return only after them. A callback must therefore not call Flush or
+// Close, nor mutate a synchronous catalogue: each would wait on the
+// goroutine running it. Callbacks must be safe for concurrent use with
 // readers; keep them short.
 func (c *Catalog) Subscribe(fn func(*Epoch, *ChangeSet)) {
 	c.mu.Lock()
@@ -378,13 +396,14 @@ func (c *Catalog) validateItem(it feature.Item) error {
 	return nil
 }
 
-// ErrClosed rejects mutations committed after Close: the rebuilder has
-// quiesced, so an accepted batch would never reach an epoch.
+// ErrClosed rejects mutations committed after Close: the builder has
+// exited, so an accepted batch would never reach an epoch.
 var ErrClosed = errors.New("catalog: closed")
 
 // Upsert inserts or replaces the given items as one atomic batch. The
 // whole batch is validated first; on error nothing is committed. Returns
-// once the batch is committed (and, in synchronous mode, swapped in).
+// once the batch is committed (and, in synchronous mode, swapped in with
+// its subscribers run).
 func (c *Catalog) Upsert(items []feature.Item) error {
 	if len(items) == 0 {
 		return fmt.Errorf("catalog: empty upsert batch")
@@ -399,13 +418,15 @@ func (c *Catalog) Upsert(items []feature.Item) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	changed := make([]int, len(items))
+	c.version++
 	for i := range items {
-		c.items[items[i].ID] = copyItem(items[i])
-		changed[i] = items[i].ID
+		if !c.hasLocked(items[i].ID) {
+			c.n++
+		}
+		c.pending[items[i].ID] = change{item: copyItem(items[i]), exists: true, version: c.version}
 	}
 	c.upserts += int64(len(items))
-	c.commitLocked(changed) // unlocks c.mu
+	c.commitLocked() // unlocks c.mu
 	return nil
 }
 
@@ -426,12 +447,12 @@ func (c *Catalog) Delete(ids []int) (removed int, err error) {
 	// catalogue through the guard) nor falsely trip the guard.
 	distinct := make(map[int]bool, len(ids))
 	for _, id := range ids {
-		if _, ok := c.items[id]; ok {
+		if c.hasLocked(id) {
 			distinct[id] = true
 		}
 	}
 	removed = len(distinct)
-	if removed == len(c.items) {
+	if removed == c.n {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("catalog: delete batch would empty the catalogue")
 	}
@@ -439,55 +460,61 @@ func (c *Catalog) Delete(ids []int) (removed int, err error) {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	changed := make([]int, 0, removed)
+	c.version++
 	for id := range distinct {
-		delete(c.items, id)
-		changed = append(changed, id)
+		c.pending[id] = change{item: feature.Item{ID: id}, version: c.version}
 	}
+	c.n -= removed
 	c.deletes += int64(removed)
-	c.commitLocked(changed) // unlocks c.mu
+	c.commitLocked() // unlocks c.mu
 	return removed, nil
 }
 
-// commitLocked records a committed batch — the stable IDs it changed join
-// the pending set the delta builder works from — and arranges the rebuild.
-// Called with c.mu held; always releases it.
-func (c *Catalog) commitLocked(changed []int) {
-	c.version++
+// hasLocked reports whether the authoritative set holds stable ID id: its
+// pending change if it has one, else the installed epoch. Requires c.mu.
+func (c *Catalog) hasLocked(id int) bool {
+	if ch, ok := c.pending[id]; ok {
+		return ch.exists
+	}
+	_, ok := c.cur.Load().ids.DenseID(id)
+	return ok
+}
+
+// commitLocked counts a committed batch (already in pending at c.version)
+// and wakes the builder; in synchronous mode it then waits until an epoch
+// covers the batch. Called with c.mu held; always releases it.
+func (c *Catalog) commitLocked() {
 	c.batches++
-	for _, id := range changed {
-		c.pending[id] = c.version
-	}
-	if c.coalesce < 0 {
-		// Synchronous mode: build before returning to the caller.
-		c.rebuildLocked() // unlocks c.mu
-		return
-	}
 	if !c.building {
 		c.building = true
-		go c.rebuildLoop()
+		go c.buildLoop()
+	}
+	if c.coalesce < 0 {
+		for v := c.version; c.built < v; {
+			c.caughtUp.Wait()
+		}
 	}
 	c.mu.Unlock()
 }
 
-// rebuildLoop is the background rebuilder: it coalesces the mutation burst
-// that woke it, builds off-request, swaps, and exits once the epoch covers
-// every committed batch. A later burst starts a fresh goroutine, so the
-// catalogue holds no long-lived goroutines while quiescent.
-func (c *Catalog) rebuildLoop() {
+// buildLoop is the catalogue's one builder goroutine. Each pass waits out
+// the coalescing window (none in synchronous mode; Close cuts it short) so
+// a burst of batches costs one build, then builds and installs an epoch
+// covering every batch committed so far. It exits once nothing is left to
+// build; the next commit starts it again, so a quiescent catalogue holds no
+// goroutine.
+func (c *Catalog) buildLoop() {
 	for {
-		// A closing catalogue interrupts the coalescing sleep: shutdown
-		// must not stall for a generous -rebuild-coalesce window.
-		select {
-		case <-time.After(c.coalesce):
-		case <-c.closeCh:
+		if c.coalesce > 0 {
+			select {
+			case <-time.After(c.coalesce):
+			case <-c.closeCh:
+			}
 		}
 		c.mu.Lock()
 		if c.built == c.version {
 			c.building = false
-			// Close waits for building to drop, not only for built to catch
-			// up, so it cannot return while this goroutine is still alive.
-			c.caughtUp.Broadcast()
+			c.caughtUp.Broadcast() // Close waits for the builder to exit
 			c.mu.Unlock()
 			return
 		}
@@ -495,25 +522,17 @@ func (c *Catalog) rebuildLoop() {
 	}
 }
 
-// Close quiesces the catalogue for process shutdown: it drives any
-// committed-but-unbuilt batches into a final epoch synchronously (so a
-// mutation already acknowledged with 202 is never lost un-built), waits
-// out the background rebuilder goroutine, and rejects all later
-// mutations with ErrClosed. Idempotent and safe to call concurrently;
-// readers may keep serving from the final epoch afterwards.
+// Close quiesces the catalogue for process shutdown: it rejects all later
+// mutations with ErrClosed, wakes the builder out of its coalescing sleep
+// and waits for it to build every committed batch (so a mutation already
+// acknowledged with 202 is never lost un-built) and exit. Idempotent and
+// safe to call concurrently; readers may keep serving from the final epoch
+// afterwards.
 func (c *Catalog) Close() {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
-		close(c.closeCh) // wakes the rebuilder out of its coalescing sleep
-	}
-	// Build leftover batches on this goroutine rather than waiting for the
-	// (possibly sleeping) rebuilder. rebuildLocked tolerates racing
-	// builders: whichever covers the target version first wins, the other
-	// build is discarded.
-	for c.built < c.version {
-		c.rebuildLocked() // unlocks c.mu
-		c.mu.Lock()
+		close(c.closeCh)
 	}
 	for c.building {
 		c.caughtUp.Wait()
@@ -521,59 +540,46 @@ func (c *Catalog) Close() {
 	c.mu.Unlock()
 }
 
-// rebuildLocked snapshots the item set (or, for delta-eligible change
-// sets, just the pending mutations), builds the next epoch outside the
-// lock, swaps it in, and notifies subscribers. Called with c.mu held;
-// returns with it released. Concurrent synchronous mutators may build in
-// parallel; epoch IDs are assigned at install time under the lock, and a
-// build whose target version another build has already covered is
-// discarded rather than swapped in out of order.
+// rebuildLocked merges the pending changes into the installed epoch's
+// items, builds the next epoch from the merge outside the lock (delta when
+// the change set is within the threshold, full otherwise or when the delta
+// build fails), installs it, runs the subscribers, and only then marks the
+// target version built. A change set that nets out keeps the installed
+// epoch. Called with c.mu held by the builder goroutine; returns with it
+// released.
 func (c *Catalog) rebuildLocked() {
 	target := c.version
 	parent := c.cur.Load()
-	var muts []deltaMut
-	if c.deltaMax > 0 && len(c.pending) > 0 && len(c.pending) <= c.deltaMax {
-		muts = c.deltaPlanLocked()
+	changes := make([]change, 0, len(c.pending))
+	for _, ch := range c.pending {
+		changes = append(changes, ch)
 	}
-	var items []feature.Item
-	var stable []int
-	if muts == nil {
-		items, stable = c.denseItemsLocked()
-	}
+	useDelta := c.deltaMax > 0 && len(changes) <= c.deltaMax
 	c.mu.Unlock()
 
+	slices.SortFunc(changes, func(a, b change) int { return cmp.Compare(a.item.ID, b.item.ID) })
+	m := mergeChanges(parent, changes)
 	var ep *Epoch
 	var cs *ChangeSet
 	var err error
-	delta := false
+	delta := m == nil && useDelta // a netted-out change set builds nothing
 	fellBack := false
 	skyInc, skyRec := false, false
 	partInc, partRec := false, false
-	if muts != nil {
-		if ep, cs, err = buildEpochFrom(parent, muts, c.maxSize); err == nil {
+	if m != nil && useDelta {
+		if ep, err = c.buildDelta(parent, m); err == nil {
 			delta = true
-			// A change set that netted out hands back the parent's index,
-			// configured already and serving searches: do not write to it.
-			if ep.Index != parent.Index {
-				ep.Index.ConfigurePartition(c.partStats)
-			}
+			cs = &ChangeSet{Parent: parent.ID, Dirty: m.dirty, Fresh: m.fresh, Remap: m.remap}
 			skyInc, skyRec = maintainHeads(parent, ep, cs)
 			partInc, partRec = maintainPartition(parent, ep, cs)
 		} else {
 			// The delta path is never load-bearing for correctness: any
-			// failure falls back to the full rebuild. Re-snapshot (and
-			// re-target) because mutations may have landed meanwhile.
+			// failure falls back to the full build of the same merge.
 			fellBack = true
-			c.mu.Lock()
-			target = c.version
-			items, stable = c.denseItemsLocked()
-			c.mu.Unlock()
 		}
 	}
-	if !delta {
-		if ep, err = buildEpoch(items, stable, c.profile, c.maxSize); err == nil {
-			ep.Index.ConfigurePartition(c.partStats)
-		}
+	if m != nil && !delta {
+		ep, err = c.buildFull(m.items, m.ids)
 		cs = &ChangeSet{Parent: parent.ID, Full: true}
 	}
 
@@ -599,185 +605,177 @@ func (c *Catalog) rebuildLocked() {
 	if partRec {
 		c.partRec++
 	}
-	installed := false
 	if err != nil {
 		// Unreachable with validated batches; keep serving the old epoch.
 		// built still advances below so Flush and ?wait=1 cannot hang on a
 		// batch that will never build — the failure is surfaced through
-		// Stats.BuildErrors/LastError instead of a wedged rebuild loop.
-		// pending is deliberately not pruned: the installed epoch still
-		// covers only curVersion, so those IDs remain the delta work list.
+		// Stats.BuildErrors/LastError instead of a wedged builder. pending
+		// is deliberately not pruned: the installed epoch still does not
+		// cover those changes.
 		c.buildErrs++
 		c.lastErr = err
-	} else if target > c.built {
-		if delta && ep.Space == parent.Space && c.cur.Load() == parent {
-			// The change set netted out to nothing versus the epoch that
-			// is still installed: keep it — and its ID — so epoch-keyed
-			// result caches and snapshot pools stay valid; only mark the
-			// target version covered. (If a racing synchronous build
-			// installed a different epoch since our snapshot, its content
-			// may not match our target version, so fall through and swap
-			// our shell in normally.)
-			c.curVersion = target
-			prunePending(c.pending, target)
-		} else {
+	} else {
+		prunePending(c.pending, target)
+		if ep != nil {
 			c.nextEpoch++
 			ep.ID = c.nextEpoch
 			c.cur.Store(ep)
-			c.curVersion = target
-			prunePending(c.pending, target)
-			installed = true
+			subs := slices.Clone(c.subs)
+			c.mu.Unlock()
+			for _, fn := range subs {
+				fn(ep, cs)
+			}
+			c.mu.Lock()
 		}
 	}
-	if target > c.built {
-		c.built = target
-	}
-	subs := append([]func(*Epoch, *ChangeSet){}, c.subs...)
-	if c.built == c.version {
-		c.caughtUp.Broadcast()
-	}
+	c.built = target
+	c.caughtUp.Broadcast()
 	c.mu.Unlock()
-	if installed {
-		for _, fn := range subs {
-			fn(ep, cs)
-		}
-	}
 }
 
-// prunePending drops pending entries covered by the newly installed
-// version; later changes stay on the delta work list.
-func prunePending(pending map[int]uint64, upTo uint64) {
-	for id, ver := range pending {
-		if ver <= upTo {
+// prunePending drops pending changes covered by the newly installed
+// version; later changes stay.
+func prunePending(pending map[int]change, upTo uint64) {
+	for id, ch := range pending {
+		if ch.version <= upTo {
 			delete(pending, id)
 		}
 	}
 }
 
-// deltaMut is one stable ID's pending change: the authoritative item as
-// of the snapshot (when it exists) or a deletion marker.
-type deltaMut struct {
-	stable int
-	item   feature.Item
-	exists bool
+// merged is the next epoch's item set — the parent's with the effective
+// changes applied — plus the translation an incremental build needs.
+type merged struct {
+	items []feature.Item // dense, ordered by stable ID; Item.ID is the dense index
+	ids   *IDMap
+	// remap translates parent-dense to new-dense ids (-1: not carried);
+	// dirty lists replaced or deleted parent-dense ids and fresh the
+	// new-dense ids of inserted or replaced items, both ascending.
+	remap, dirty, fresh []int32
+	// removedRows and addedRows are the value rows that left and entered
+	// the set, the normalizer delta feature.NewSpaceFrom consumes.
+	removedRows, addedRows [][]float64
 }
 
-// deltaPlanLocked snapshots the pending change set for a delta build,
-// sorted by stable ID. Requires c.mu. Item value slices are shared with
-// the authoritative map, which never mutates them in place.
-func (c *Catalog) deltaPlanLocked() []deltaMut {
-	muts := make([]deltaMut, 0, len(c.pending))
-	for id := range c.pending {
-		it, ok := c.items[id]
-		muts = append(muts, deltaMut{stable: id, item: it, exists: ok})
-	}
-	slices.SortFunc(muts, func(a, b deltaMut) int { return cmp.Compare(a.stable, b.stable) })
-	return muts
-}
-
-// buildEpochFrom derives the next epoch from its parent by applying the
-// pending change set instead of rebuilding from scratch: the feature
-// space reuses per-dimension normalizer state the batch does not touch
-// (feature.NewSpaceFrom) and the search index splices the batch into the
-// parent's sorted lists (search.NewIndexFrom), so the build costs
-// O(batch·log n) plus O(n) copying rather than O(n log n) sorting. The
-// result is bit-identical to buildEpoch over the same authoritative set —
-// the delta property and fuzz suites assert it.
-func buildEpochFrom(parent *Epoch, muts []deltaMut, maxSize int) (*Epoch, *ChangeSet, error) {
+// mergeChanges merges the parent epoch's stable-ordered items with the
+// pending changes (sorted by stable ID) in one O(n + changes) pass,
+// assigning new dense IDs. It returns nil when the changes net out to the
+// parent's item set: every change an upsert rewriting identical values and
+// name, or a deletion of an ID the parent lacks. A rename alone is a real
+// change, or served slates would keep resolving the stale name.
+func mergeChanges(parent *Epoch, changes []change) *merged {
 	pm := parent.ids
 	pItems := parent.Space.Items
-	// Filter no-ops: IDs whose pending churn nets out to the item the
-	// parent epoch already carries (absent before and after, or an upsert
-	// rewriting identical values and name — a rename alone must rebuild,
-	// or served slates would keep resolving the stale name).
-	eff := make([]deltaMut, 0, len(muts))
+	eff := make([]change, 0, len(changes))
 	adds, dels := 0, 0
 	sameIDs := true // every effective change replaces an existing item in place
-	for _, m := range muts {
-		pd, had := pm.DenseID(m.stable)
-		if !had && !m.exists {
+	for _, ch := range changes {
+		pd, had := pm.DenseID(ch.item.ID)
+		if !had && !ch.exists {
 			continue
 		}
-		if had && m.exists && pItems[pd].Name == m.item.Name && valuesEqual(pItems[pd].Values, m.item.Values) {
+		if had && ch.exists && pItems[pd].Name == ch.item.Name && valuesEqual(pItems[pd].Values, ch.item.Values) {
 			continue
 		}
-		eff = append(eff, m)
-		if m.exists {
+		eff = append(eff, ch)
+		if ch.exists {
 			adds++
 		}
 		if had {
 			dels++
 		}
-		if !had || !m.exists {
+		if !had || !ch.exists {
 			sameIDs = false
 		}
 	}
 	if len(eff) == 0 {
-		// The change set netted out to nothing: the parent's immutable
-		// state is exactly the next epoch's. The install path recognizes
-		// the shared Space pointer and keeps the parent epoch installed —
-		// no swap, no cache invalidation — while still marking the target
-		// version covered.
-		return &Epoch{Space: parent.Space, Index: parent.Index, ids: pm},
-			&ChangeSet{Parent: parent.ID}, nil
+		return nil
 	}
-	// Merge the parent's stable-ordered dense items with the mutation set,
-	// assigning new dense IDs and recording the translation the index
-	// splice needs: remap for carried items, added (plus its value rows and
-	// the removed ones) for everything else.
 	n := len(pItems) - dels + adds
-	items := make([]feature.Item, 0, n)
+	m := &merged{
+		items:       make([]feature.Item, 0, n),
+		remap:       make([]int32, len(pItems)),
+		dirty:       make([]int32, 0, dels),
+		fresh:       make([]int32, 0, adds),
+		removedRows: make([][]float64, 0, dels),
+		addedRows:   make([][]float64, 0, adds),
+	}
 	stable := make([]int, 0, n)
-	remap := make([]int32, len(pItems))
-	added := make([]int32, 0, adds)
-	removedRows := make([][]float64, 0, dels)
-	addedRows := make([][]float64, 0, adds)
 	place := func(it feature.Item, sid int) int32 {
-		nd := int32(len(items))
+		nd := int32(len(m.items))
 		it.ID = int(nd)
-		items = append(items, it)
+		m.items = append(m.items, it)
 		stable = append(stable, sid)
 		return nd
 	}
+	add := func(it feature.Item) {
+		m.fresh = append(m.fresh, place(it, it.ID))
+		m.addedRows = append(m.addedRows, it.Values)
+	}
 	oldStable := pm.stable
-	dirty := make([]int32, 0, dels)
 	i, j := 0, 0
 	for i < len(oldStable) || j < len(eff) {
 		switch {
-		case j >= len(eff) || (i < len(oldStable) && oldStable[i] < eff[j].stable):
-			remap[i] = place(pItems[i], oldStable[i]) // carried unchanged
+		case j >= len(eff) || (i < len(oldStable) && oldStable[i] < eff[j].item.ID):
+			m.remap[i] = place(pItems[i], oldStable[i]) // carried unchanged
 			i++
-		case i >= len(oldStable) || oldStable[i] > eff[j].stable:
-			// Brand-new stable ID (pure deletions of absent IDs were
-			// filtered above, so eff[j].exists holds here).
-			added = append(added, place(eff[j].item, eff[j].stable))
-			addedRows = append(addedRows, eff[j].item.Values)
+		case i >= len(oldStable) || oldStable[i] > eff[j].item.ID:
+			add(eff[j].item) // brand-new stable ID: absent deletions were filtered
 			j++
 		default: // same stable ID: replaced or deleted
-			remap[i] = -1
-			dirty = append(dirty, int32(i))
-			removedRows = append(removedRows, pItems[i].Values)
+			m.remap[i] = -1
+			m.dirty = append(m.dirty, int32(i))
+			m.removedRows = append(m.removedRows, pItems[i].Values)
 			if eff[j].exists {
-				added = append(added, place(eff[j].item, eff[j].stable))
-				addedRows = append(addedRows, eff[j].item.Values)
+				add(eff[j].item)
 			}
 			i++
 			j++
 		}
 	}
-	space, err := feature.NewSpaceFrom(parent.Space, items, removedRows, addedRows)
-	if err != nil {
-		return nil, nil, fmt.Errorf("catalog: delta-building epoch over %d items: %w", len(items), err)
-	}
-	ids := pm // a reprice-only batch leaves the stable→dense assignment intact
+	m.ids = pm // a reprice-only batch leaves the stable→dense assignment intact
 	if !sameIDs {
-		ids = &IDMap{stable: stable, dense: make(map[int]int, len(stable)), hash: IDMapHash(stable)}
-		for i, s := range stable {
-			ids.dense[s] = i
-		}
+		m.ids = newIDMap(stable)
 	}
-	cs := &ChangeSet{Parent: parent.ID, Dirty: dirty, Fresh: added, Remap: remap}
-	return &Epoch{Space: space, Index: search.NewIndexFrom(parent.Index, space, remap, added), ids: ids}, cs, nil
+	return m
+}
+
+// buildDelta derives the next epoch from its parent incrementally: the
+// feature space reuses per-dimension normalizer state the merge does not
+// touch (feature.NewSpaceFrom) and the search index splices the merge into
+// the parent's sorted lists (search.NewIndexFrom), so the build costs
+// O(batch·log n) plus O(n) copying rather than O(n log n) sorting. The
+// result is bit-identical to buildFull over the same merge — the delta
+// property and fuzz suites assert it.
+func (c *Catalog) buildDelta(parent *Epoch, m *merged) (*Epoch, error) {
+	space, err := feature.NewSpaceFrom(parent.Space, m.items, m.removedRows, m.addedRows)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: delta-building epoch over %d items: %w", len(m.items), err)
+	}
+	ix := search.NewIndexFrom(parent.Index, space, m.remap, m.fresh)
+	ix.ConfigurePartition(c.partStats)
+	return &Epoch{Space: space, Index: ix, ids: m.ids}, nil
+}
+
+// buildFull builds an epoch from scratch over a dense item slice ordered
+// by stable ID. The epoch ID is assigned by the caller at install time.
+func (c *Catalog) buildFull(items []feature.Item, ids *IDMap) (*Epoch, error) {
+	space, err := feature.NewSpace(items, c.profile, c.maxSize)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: building epoch over %d items: %w", len(items), err)
+	}
+	ix := search.NewIndex(space)
+	ix.ConfigurePartition(c.partStats)
+	return &Epoch{Space: space, Index: ix, ids: ids}, nil
+}
+
+// newIDMap indexes a stable-ID slice in dense order.
+func newIDMap(stable []int) *IDMap {
+	m := &IDMap{stable: stable, dense: make(map[int]int, len(stable)), hash: IDMapHash(stable)}
+	for i, s := range stable {
+		m.dense[s] = i
+	}
+	return m
 }
 
 // maintainHeads carries the parent epoch's non-dominated head set (the
@@ -789,9 +787,6 @@ func buildEpochFrom(parent *Epoch, muts []deltaMut, maxSize int) (*Epoch, *Chang
 // expose items it alone dominated) forces a from-scratch recompute.
 // Returns which path ran, for the Stats counters.
 func maintainHeads(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
-	if ep.Index == parent.Index {
-		return false, false // no-op change set: the set is already shared
-	}
 	ph := parent.Index.PeekHeads()
 	if ph == nil {
 		return false, false
@@ -814,9 +809,6 @@ func maintainHeads(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
 // or drift pushed the imbalance past reclusterImbalance; it builds the
 // ⌈√n⌉ default. Returns which path ran, for the Stats counters.
 func maintainPartition(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
-	if ep.Index == parent.Index {
-		return false, false // no-op change set: the partition is already shared
-	}
 	pp := parent.Index.PeekPartition()
 	if pp == nil {
 		return false, false
@@ -845,59 +837,12 @@ func valuesEqual(a, b []float64) bool {
 	return true
 }
 
-// build constructs an epoch from the current authoritative set (used for
-// the initial synchronous build).
-func (c *Catalog) build(id uint64) (*Epoch, error) {
-	c.mu.Lock()
-	items, stable := c.denseItemsLocked()
-	c.mu.Unlock()
-	ep, err := buildEpoch(items, stable, c.profile, c.maxSize)
-	if err != nil {
-		return nil, err
-	}
-	ep.Index.ConfigurePartition(c.partStats)
-	ep.ID = id
-	return ep, nil
-}
-
-// denseItemsLocked compacts the authoritative map into a dense slice
-// ordered by stable ID. Item.ID is rewritten to the dense index (the
-// positional convention the rest of the system relies on); stable[i] keeps
-// dense item i's catalogue key. Requires c.mu.
-func (c *Catalog) denseItemsLocked() (dense []feature.Item, stable []int) {
-	stable = make([]int, 0, len(c.items))
-	for id := range c.items {
-		stable = append(stable, id)
-	}
-	sort.Ints(stable)
-	dense = make([]feature.Item, len(stable))
-	for i, id := range stable {
-		it := c.items[id] // copy; Values are never mutated in place
-		it.ID = i
-		dense[i] = it
-	}
-	return dense, stable
-}
-
-// buildEpoch derives the immutable epoch state from a dense item slice.
-// The epoch ID is assigned by the caller at install time.
-func buildEpoch(items []feature.Item, stable []int, p *feature.Profile, maxSize int) (*Epoch, error) {
-	space, err := feature.NewSpace(items, p, maxSize)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: building epoch over %d items: %w", len(items), err)
-	}
-	ids := &IDMap{stable: stable, dense: make(map[int]int, len(stable)), hash: IDMapHash(stable)}
-	for i, s := range stable {
-		ids.dense[s] = i
-	}
-	return &Epoch{Space: space, Index: search.NewIndex(space), ids: ids}, nil
-}
-
-// Flush blocks until the current epoch covers every mutation batch
-// committed before the call.
+// Flush blocks until an epoch covers every mutation batch committed before
+// the call and the subscribers of its swap have run. Batches committed
+// after the call do not extend the wait.
 func (c *Catalog) Flush() {
 	c.mu.Lock()
-	for c.built < c.version {
+	for v := c.version; c.built < v; {
 		c.caughtUp.Wait()
 	}
 	c.mu.Unlock()
@@ -908,7 +853,7 @@ func (c *Catalog) Flush() {
 func (c *Catalog) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return c.n
 }
 
 // Stats returns a point-in-time copy of the counters.
@@ -917,40 +862,33 @@ func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Epoch:              ep.ID,
-		Items:              len(ep.Items()),
-		Upserts:            c.upserts,
-		Deletes:            c.deletes,
-		Batches:            c.batches,
-		Rebuilds:           c.rebuilds,
-		DeltaBuilds:        c.deltas,
-		FullRebuilds:       c.fulls,
-		DeltaFallbacks:     c.deltaFalls,
-		SkylineIncremental: c.skylineInc,
-		SkylineRecomputes:  c.skylineRec,
-		BuildErrors:        c.buildErrs,
-		Pending:            c.built < c.version,
+		Epoch:                ep.ID,
+		Items:                len(ep.Items()),
+		Upserts:              c.upserts,
+		Deletes:              c.deletes,
+		Batches:              c.batches,
+		Rebuilds:             c.rebuilds,
+		DeltaBuilds:          c.deltas,
+		FullRebuilds:         c.fulls,
+		DeltaFallbacks:       c.deltaFalls,
+		SkylineIncremental:   c.skylineInc,
+		SkylineRecomputes:    c.skylineRec,
+		PartitionIncremental: c.partInc,
+		PartitionReclusters:  c.partRec,
+		PartitionSearches:    c.partStats.Searches.Load(),
+		SketchSkipped:        c.partStats.SketchSkipped.Load(),
+		RefineClustersOpened: c.partStats.ClustersOpened.Load(),
+		BuildErrors:          c.buildErrs,
+		Pending:              c.built < c.version,
 	}
-	st.PartitionIncremental = c.partInc
-	st.PartitionReclusters = c.partRec
 	if p := ep.Index.PeekPartition(); p != nil {
 		st.PartitionClusters = p.K
 		st.PartitionImbalance = p.Imbalance()
 	}
-	st.PartitionSearches = c.partStats.Searches.Load()
-	st.SketchSkipped = c.partStats.SketchSkipped.Load()
-	st.RefineClustersOpened = c.partStats.ClustersOpened.Load()
 	if c.lastErr != nil {
 		st.LastError = c.lastErr.Error()
 	}
 	return st
-}
-
-// LastError returns the most recent build error (nil in healthy operation).
-func (c *Catalog) LastError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
 }
 
 func copyItem(it feature.Item) feature.Item {

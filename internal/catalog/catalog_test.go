@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,8 +50,8 @@ func TestNewBuildsEpochOne(t *testing.T) {
 		if ep.Items()[i].ID != i {
 			t.Fatalf("dense item %d has ID %d", i, ep.Items()[i].ID)
 		}
-		if ep.StableID(i) != i {
-			t.Fatalf("StableID(%d) = %d", i, ep.StableID(i))
+		if ep.IDs().StableID(i) != i {
+			t.Fatalf("StableID(%d) = %d", i, ep.IDs().StableID(i))
 		}
 	}
 	st := c.Stats()
@@ -123,7 +124,7 @@ func TestUpsertAndDeleteRemapDenseIDs(t *testing.T) {
 	if _, ok := ep.DenseID(1); ok {
 		t.Fatal("deleted stable ID still resolvable")
 	}
-	if d, ok := ep.DenseID(2); !ok || d != 1 || ep.StableID(1) != 2 {
+	if d, ok := ep.DenseID(2); !ok || d != 1 || ep.IDs().StableID(1) != 2 {
 		t.Fatalf("stable 2 should be dense 1, got %d,%t", d, ok)
 	}
 }
@@ -308,7 +309,7 @@ func TestConcurrentMutationsAndReaders(t *testing.T) {
 								errs <- fmt.Errorf("epoch %d: dense item %d has ID %d", ep.ID, i, items[i].ID)
 								return
 							}
-							if d, ok := ep.DenseID(ep.StableID(i)); !ok || d != i {
+							if d, ok := ep.DenseID(ep.IDs().StableID(i)); !ok || d != i {
 								errs <- fmt.Errorf("epoch %d: mapping broken at dense %d", ep.ID, i)
 								return
 							}
@@ -331,5 +332,156 @@ func TestConcurrentMutationsAndReaders(t *testing.T) {
 				t.Fatalf("flushed epoch has %d items, authoritative set %d", got, want)
 			}
 		})
+	}
+}
+
+// TestDeleteSeesPendingChanges: existence is decided against the installed
+// epoch plus the pending changes, before any build. With a 10 s coalescing
+// window nothing builds: an insert of 500 makes deleting all 40 originals
+// legal, after which deleting 500 would empty the catalogue.
+func TestDeleteSeesPendingChanges(t *testing.T) {
+	c := closeTestCatalog(t, 10*time.Second)
+	if err := c.Upsert([]feature.Item{{ID: 500, Name: "only", Values: []float64{0.3, 0.7}}}); err != nil {
+		t.Fatal(err)
+	}
+	originals := make([]int, 40)
+	for i := range originals {
+		originals[i] = i
+	}
+	if removed, err := c.Delete(originals); err != nil || removed != 40 {
+		t.Fatalf("deleting the originals beside a pending insert = %d, %v; want 40, nil", removed, err)
+	}
+	if _, err := c.Delete([]int{500}); err == nil {
+		t.Fatal("deleting the pending insert emptied the catalogue")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+	if c.Current().ID != 1 {
+		t.Fatal("test setup: a build ran inside the coalescing window")
+	}
+	c.Close()
+	ep := c.Current()
+	if len(ep.Items()) != 1 || ep.IDs().StableID(0) != 500 || ep.Items()[0].Name != "only" {
+		t.Fatalf("final epoch holds %d items (first stable %d), want only 500", len(ep.Items()), ep.IDs().StableID(0))
+	}
+}
+
+// TestConcurrentSyncMutatorsSeeTheirEpoch: in synchronous mode every
+// mutation returns with its batch in Current and with the subscriber of an
+// epoch covering it already run, however many mutators race (run with
+// -race).
+func TestConcurrentSyncMutatorsSeeTheirEpoch(t *testing.T) {
+	c := syncCatalog(t, 20)
+	var mu sync.Mutex
+	var seen []*Epoch
+	c.Subscribe(func(ep *Epoch, _ *ChangeSet) {
+		mu.Lock()
+		seen = append(seen, ep)
+		mu.Unlock()
+	})
+	holds := func(ep *Epoch, it feature.Item) bool {
+		d, ok := ep.DenseID(it.ID)
+		return ok && valuesEqual(ep.Items()[d].Values, it.Values)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				it := feature.Item{ID: 1000 + g, Values: []float64{float64(g), float64(i)}}
+				if err := c.Upsert([]feature.Item{it}); err != nil {
+					errs <- err
+					return
+				}
+				if !holds(c.Current(), it) {
+					errs <- fmt.Errorf("mutator %d step %d: batch not in Current after Upsert", g, i)
+					return
+				}
+				mu.Lock()
+				notified := slices.ContainsFunc(seen, func(ep *Epoch) bool { return holds(ep, it) })
+				mu.Unlock()
+				if !notified {
+					errs <- fmt.Errorf("mutator %d step %d: Upsert returned before the subscriber saw its epoch", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestNoOpOverThresholdKeepsEpoch: a change set larger than the delta
+// threshold that nets out to the installed items keeps the installed epoch
+// (no swap, no subscriber call), exactly like a small one.
+func TestNoOpOverThresholdKeepsEpoch(t *testing.T) {
+	items := testItems(6, 3)
+	c, err := New(Config{Profile: testProfile(), MaxPackageSize: 3, Items: items, Coalesce: -1, DeltaThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swaps atomic.Int64
+	c.Subscribe(func(*Epoch, *ChangeSet) { swaps.Add(1) })
+	ep1 := c.Current()
+	same := []feature.Item{copyItem(items[1]), copyItem(items[4])}
+	if err := c.Upsert(same); err != nil {
+		t.Fatal(err)
+	}
+	if ep := c.Current(); ep != ep1 || swaps.Load() != 0 {
+		t.Fatalf("netted-out batch over the threshold swapped: epoch %d -> %d, %d subscriber calls", ep1.ID, ep.ID, swaps.Load())
+	}
+	if st := c.Stats(); st.Pending {
+		t.Fatalf("netted-out batch left the catalogue pending: %+v", st)
+	}
+}
+
+// TestFlushNotStarvedByLaterBatches: Flush waits for the batches committed
+// before it, not for a stream of later ones. Full rebuilds of 20k items
+// outlast the 1 ms mutation cadence, so every build ends with newer batches
+// committed; a Flush that chased the latest version would never return.
+func TestFlushNotStarvedByLaterBatches(t *testing.T) {
+	c, err := New(Config{
+		Profile:        testProfile(),
+		MaxPackageSize: 3,
+		Items:          testItems(20000, 5),
+		Coalesce:       5 * time.Millisecond,
+		DeltaThreshold: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Upsert([]feature.Item{{ID: 30000, Values: []float64{0.5, 0.5}}}); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan struct{})
+	go func() {
+		c.Flush()
+		close(flushed)
+	}()
+	deadline := time.After(5 * time.Second)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; ; i++ {
+		select {
+		case <-flushed:
+			if _, ok := c.Current().DenseID(30000); !ok {
+				t.Fatal("Flush returned before its batch was built")
+			}
+			return
+		case <-deadline:
+			t.Fatalf("Flush still blocked after 5 s of later batches (%d committed)", i)
+		case <-tick.C:
+			if err := c.Upsert([]feature.Item{{ID: 40000 + i%100, Values: []float64{rng.Float64(), rng.Float64()}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

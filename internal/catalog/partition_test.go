@@ -124,7 +124,7 @@ func TestPartitionReclusterOnImbalance(t *testing.T) {
 	pp := ep.Index.EnsurePartition(3)
 	var repriced []feature.Item
 	for i, rep := range pp.Reps {
-		repriced = append(repriced, feature.Item{ID: ep.StableID(int(rep)), Values: []float64{9, float64(i)}})
+		repriced = append(repriced, feature.Item{ID: ep.IDs().StableID(int(rep)), Values: []float64{9, float64(i)}})
 	}
 	if err := c.Upsert(repriced); err != nil {
 		t.Fatal(err)

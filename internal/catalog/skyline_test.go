@@ -65,7 +65,7 @@ func TestSkylineMaintainedAcrossDeltas(t *testing.T) {
 	// set is still correct.
 	ep = c.Current()
 	head := int(ep.Index.PeekHeads().Members()[0])
-	if _, err := c.Delete([]int{ep.StableID(head)}); err != nil {
+	if _, err := c.Delete([]int{ep.IDs().StableID(head)}); err != nil {
 		t.Fatal(err)
 	}
 	ep = c.Current()

@@ -372,13 +372,9 @@ func (sh *Shared) Space() *feature.Space { return sh.epoch().space }
 // runs; immutable once published).
 func (sh *Shared) Index() *search.Index { return sh.epoch().ix }
 
-// Epoch reports the current catalogue epoch ID (always 0 for a static
-// Shared; live epochs start at 1).
-func (sh *Shared) Epoch() uint64 { return sh.epoch().id }
-
 // EpochInfo reports one coherent (epoch ID, item count) pair — resolved
-// from a single epoch, so a swap between two separate Epoch()/Space()
-// calls cannot pair an ID with another epoch's item count.
+// from a single epoch, so a swap between two separate reads cannot pair an
+// ID with another epoch's item count.
 func (sh *Shared) EpochInfo() (id uint64, items int) {
 	ep := sh.epoch()
 	return ep.id, len(ep.space.Items)
@@ -396,23 +392,9 @@ func (sh *Shared) EpochIdentity() (id uint64, items int, idmapHash, spaceHash ui
 	return ep.id, len(ep.space.Items), ep.idh, ep.space.Hash()
 }
 
-// Catalog exposes the live catalogue behind this Shared, nil when the
-// catalogue is static.
-func (sh *Shared) Catalog() *catalog.Catalog { return sh.cat }
-
 // SearchCache exposes the shared per-catalogue result cache (nil when the
 // config disabled caching). Safe for concurrent use; see ranking.Cache.
 func (sh *Shared) SearchCache() *ranking.Cache { return sh.cache }
-
-// InvalidateSearchCache drops every cached Top-k-Pkg result and advances
-// the cache epoch. Results depend only on the immutable index, so the only
-// reason to call this is replacing the catalogue behind a rebuilt Shared's
-// back — it exists as the safety valve for such surgery and for tests.
-func (sh *Shared) InvalidateSearchCache() {
-	if sh.cache != nil {
-		sh.cache.Invalidate()
-	}
-}
 
 // NewEngine derives an independent engine over the shared space and index:
 // its own random stream, preference graph, and sample pool. seed
@@ -454,13 +436,6 @@ func New(cfg Config) (*Engine, error) {
 // different epochs; a Slate's Space field pins the epoch a slate used.
 func (e *Engine) Space() *feature.Space { return e.sh.epoch().space }
 
-// Index exposes the current epoch's search index for direct Top-k-Pkg
-// runs.
-func (e *Engine) Index() *search.Index { return e.sh.epoch().ix }
-
-// Epoch reports the catalogue epoch the engine would serve from right now.
-func (e *Engine) Epoch() uint64 { return e.sh.epoch().id }
-
 // Stats returns the cumulative counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
@@ -472,17 +447,10 @@ func (e *Engine) Stats() Stats {
 // without recomputing the reduced constraint set (unlike Stats).
 func (e *Engine) FeedbackCount() int { return e.stats.Feedback }
 
-// RestoreDrops reports the cumulative restore-time loss counters (items
-// dropped from remapped preferences, preferences dropped entirely) without
-// recomputing the reduced constraint set (unlike Stats).
-func (e *Engine) RestoreDrops() (items, prefs int) {
-	return e.stats.RestoreDroppedItems, e.stats.RestoreDroppedPrefs
-}
-
 // LastRestoreDrops reports what the most recent Restore on this engine
-// dropped — zero if it never restored. Unlike RestoreDrops this is not
-// cumulative across the session's history, so operators reporting one
-// restore's loss read it directly.
+// dropped — zero if it never restored. Unlike Stats' RestoreDropped*
+// counters this is not cumulative across the session's history, so
+// operators reporting one restore's loss read it directly.
 func (e *Engine) LastRestoreDrops() (items, prefs int) {
 	return e.lastDropItems, e.lastDropPrefs
 }
@@ -613,10 +581,6 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 	}
 	return e.pool.Samples, nil
 }
-
-// InvalidateSamples discards the pool so the next Recommend redraws it from
-// scratch (mainly for experiments comparing maintenance to regeneration).
-func (e *Engine) InvalidateSamples() { e.pool = nil }
 
 // Recommend assembles a slate: the top-K packages under the configured
 // semantics plus RandomCount random exploration packages. Per-sample

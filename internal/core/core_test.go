@@ -273,25 +273,6 @@ func TestTopKForWeights(t *testing.T) {
 	}
 }
 
-func TestInvalidateSamples(t *testing.T) {
-	e, err := New(testConfig(t, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := e.Samples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.InvalidateSamples()
-	s2, err := e.Samples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &s1[0] == &s2[0] {
-		t.Error("samples not regenerated")
-	}
-}
-
 func TestPackageVectorValidation(t *testing.T) {
 	e, err := New(testConfig(t, 10))
 	if err != nil {
@@ -379,7 +360,7 @@ func TestSharedEngineEquivalentToNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if derived.Space() != sh.Space() || derived.Index() != sh.Index() {
+	if derived.Space() != sh.Space() || derived.sh.epoch().ix != sh.Index() {
 		t.Fatal("derived engine rebuilt the shared space/index")
 	}
 	a, b := slate(direct), slate(derived)

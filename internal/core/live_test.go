@@ -125,14 +125,14 @@ func TestLiveRecommendBitIdenticalAfterMutations(t *testing.T) {
 			ep := cat.Current()
 			i := rng.Intn(len(ep.Items()))
 			it := ep.Items()[i]
-			it.ID = ep.StableID(i)
+			it.ID = ep.IDs().StableID(i)
 			it.Values = []float64{rng.Float64(), rng.Float64()}
 			if err := cat.Upsert([]feature.Item{it}); err != nil {
 				t.Fatal(err)
 			}
 		default: // delete a random surviving item
 			ep := cat.Current()
-			if _, err := cat.Delete([]int{ep.StableID(rng.Intn(len(ep.Items())))}); err != nil {
+			if _, err := cat.Delete([]int{ep.IDs().StableID(rng.Intn(len(ep.Items())))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,7 +189,7 @@ func TestStaleCacheNotServedAfterReprice(t *testing.T) {
 	batch := make([]feature.Item, len(ep.Items()))
 	for i := range batch {
 		batch[i] = feature.Item{
-			ID:     ep.StableID(i),
+			ID:     ep.IDs().StableID(i),
 			Name:   ep.Items()[i].Name,
 			Values: []float64{rng.Float64(), rng.Float64()},
 		}
@@ -268,7 +268,7 @@ func TestClickResolvesAgainstSlateEpoch(t *testing.T) {
 	// Shrink the catalogue so the slate's highest dense IDs are out of
 	// range in the current epoch, and remap everything below them.
 	ep := cat.Current()
-	if _, err := cat.Delete([]int{ep.StableID(0), ep.StableID(1), ep.StableID(2)}); err != nil {
+	if _, err := cat.Delete([]int{ep.IDs().StableID(0), ep.IDs().StableID(1), ep.IDs().StableID(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.FeedbackSpace(); got != slate.Space {
@@ -419,12 +419,13 @@ func TestSnapshotChurnRestoreBitIdentical(t *testing.T) {
 	if err := restored.Restore(snap); err != nil {
 		t.Fatalf("restore across churn must not fail: %v", err)
 	}
-	items, prefs := restored.RestoreDrops()
+	st := restored.Stats()
+	items, prefs := st.RestoreDroppedItems, st.RestoreDroppedPrefs
 	// Stable 2 appears in three preferences (3 item drops); {2}≻{3,4} and
 	// {0,1}≻{2} lose a whole side each (2 preference drops); stable 0
 	// appears once more in {0,1}.
 	if items != 4 || prefs != 2 {
-		t.Fatalf("RestoreDrops = (%d items, %d prefs), want (4, 2)", items, prefs)
+		t.Fatalf("restore drops = (%d items, %d prefs), want (4, 2)", items, prefs)
 	}
 	got, err := restored.Recommend()
 	if err != nil {
@@ -634,7 +635,7 @@ func TestRefreshedFeedbackRedrawsPool(t *testing.T) {
 	// identity, and feedback touching package {0} (stable) refreshes it.
 	ep := cat.Current()
 	it := ep.Items()[0]
-	it.ID = ep.StableID(0)
+	it.ID = ep.IDs().StableID(0)
 	it.Values = []float64{0.99, 0.01}
 	if err := cat.Upsert([]feature.Item{it}); err != nil {
 		t.Fatal(err)
@@ -740,7 +741,7 @@ func TestCycleFeedbackAfterRefreshRedrawsPool(t *testing.T) {
 	}
 	ep := cat.Current()
 	it := ep.Items()[0]
-	it.ID = ep.StableID(0)
+	it.ID = ep.IDs().StableID(0)
 	it.Values = []float64{0.99, 0.01}
 	if err := cat.Upsert([]feature.Item{it}); err != nil {
 		t.Fatal(err)

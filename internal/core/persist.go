@@ -264,8 +264,8 @@ func (e *Engine) Restore(s *Snapshot) error {
 	return nil
 }
 
-// WriteSnapshot encodes a snapshot as JSON — the codec behind Save, usable
-// without an engine (e.g. a session store persisting evicted sessions).
+// WriteSnapshot encodes a snapshot as JSON (e.g. a session store persisting
+// evicted sessions).
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if s == nil {
 		return errors.New("core: nil snapshot")
@@ -273,7 +273,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	return json.NewEncoder(w).Encode(s)
 }
 
-// ReadSnapshot decodes a snapshot written by WriteSnapshot/Save. It checks
+// ReadSnapshot decodes a snapshot written by WriteSnapshot. It checks
 // the version and internal consistency, but not compatibility with any
 // particular item space — Restore does that.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
@@ -288,18 +288,4 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))
 	}
 	return &s, nil
-}
-
-// Save writes the engine's snapshot as JSON.
-func (e *Engine) Save(w io.Writer) error {
-	return WriteSnapshot(w, e.Snapshot())
-}
-
-// Load restores the engine from JSON written by Save.
-func (e *Engine) Load(r io.Reader) error {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return fmt.Errorf("core: decoding snapshot: %w", err)
-	}
-	return e.Restore(&s)
 }

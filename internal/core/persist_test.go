@@ -43,13 +43,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
+	if err := WriteSnapshot(&buf, e.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
 	// Fresh engine over the same catalogue: restore and compare behaviour.
 	e2 := persistEngine(t)
-	if err := e2.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := e2.Stats().Feedback, e.Stats().Feedback; got != want {
@@ -153,9 +157,10 @@ func TestRestoreV2DropsVanished(t *testing.T) {
 	if err := e.Restore(snap); err != nil {
 		t.Fatalf("v2 snapshot with vanished items rejected: %v", err)
 	}
-	items, prefs := e.RestoreDrops()
+	st := e.Stats()
+	items, prefs := st.RestoreDroppedItems, st.RestoreDroppedPrefs
 	if items != 4 || prefs != 2 {
-		t.Errorf("RestoreDrops = (%d, %d), want (4, 2)", items, prefs)
+		t.Errorf("restore drops = (%d, %d), want (4, 2)", items, prefs)
 	}
 	if got := e.Graph().Edges(); got != 2 {
 		t.Errorf("restored %d edges, want 2", got)
@@ -178,9 +183,10 @@ func TestRestoreV2DropsContradiction(t *testing.T) {
 	if err := e.Restore(snap); err != nil {
 		t.Fatalf("restore failed on a remapped contradiction: %v", err)
 	}
-	items, prefs := e.RestoreDrops()
+	st := e.Stats()
+	items, prefs := st.RestoreDroppedItems, st.RestoreDroppedPrefs
 	if items != 1 || prefs != 1 {
-		t.Errorf("RestoreDrops = (%d, %d), want (1, 1)", items, prefs)
+		t.Errorf("restore drops = (%d, %d), want (1, 1)", items, prefs)
 	}
 	if got := e.Graph().Edges(); got != 1 {
 		t.Errorf("restored %d edges, want 1", got)
@@ -188,8 +194,7 @@ func TestRestoreV2DropsContradiction(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	e := persistEngine(t)
-	if err := e.Load(strings.NewReader("not json")); err == nil {
+	if _, err := ReadSnapshot(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -325,9 +330,10 @@ func TestRestoreV2CountsMergedDuplicates(t *testing.T) {
 		if err := e.Restore(&Snapshot{Version: 2, Preferences: prefs}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		items, dropped := e.RestoreDrops()
+		st := e.Stats()
+		items, dropped := st.RestoreDroppedItems, st.RestoreDroppedPrefs
 		if items != 1 || dropped != 1 {
-			t.Errorf("%s: RestoreDrops = (%d, %d), want (1, 1): two preferences merged into one edge", name, items, dropped)
+			t.Errorf("%s: restore drops = (%d, %d), want (1, 1): two preferences merged into one edge", name, items, dropped)
 		}
 		if got := e.Graph().Edges(); got != 1 {
 			t.Errorf("%s: %d edges, want 1", name, got)

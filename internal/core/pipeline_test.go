@@ -123,7 +123,7 @@ func TestSharedCacheInvalidateKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.InvalidateSearchCache()
+	sh.SearchCache().Invalidate()
 	s2, err := eng.Recommend()
 	if err != nil {
 		t.Fatal(err)

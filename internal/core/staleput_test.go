@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,40 +40,66 @@ func cacheKeyPrefix(cacheEpoch, catEpoch uint64) string {
 
 type cacheKV struct {
 	key string
+	w   []float64
 	res search.Result
 }
 
-// cacheEntries snapshots the resident entries under the cache lock.
-func cacheEntries(c *ranking.Cache) []cacheKV {
+// poolVectors returns the sample weight vectors of engines derived from sh
+// with the given seeds. Without feedback an engine's pool is fixed by its
+// seed, so these are every vector such engines ever search and cache.
+func poolVectors(t *testing.T, sh *Shared, seeds ...int64) [][]float64 {
+	t.Helper()
+	var vecs [][]float64
+	for _, seed := range seeds {
+		eng, err := sh.NewEngine(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := eng.Samples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			vecs = append(vecs, ranking.Canonical(s.W, eng.cfg.WeightQuantum))
+		}
+	}
+	return vecs
+}
+
+// cacheEntries looks up, under the (cache epoch, catalogue epoch) key
+// prefix, the entries cached for the given weight vectors.
+func cacheEntries(t *testing.T, c *ranking.Cache, prefix string, vecs [][]float64) []cacheKV {
+	t.Helper()
+	optsKey, ok := liveSearchOpts().CacheKey()
+	if !ok {
+		t.Fatal("live search options are not cacheable")
+	}
 	var entries []cacheKV
-	c.Range(func(key string, res search.Result) bool {
-		entries = append(entries, cacheKV{key, res})
-		return true
-	})
+	seen := make(map[string]bool, len(vecs))
+	for _, w := range vecs {
+		key := prefix + optsKey + "|" + ranking.WeightKey(w)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if res, ok := c.Get(key); ok {
+			entries = append(entries, cacheKV{key, w, res})
+		}
+	}
 	return entries
 }
 
 // verifyReachable re-searches every cache entry reachable under epoch ep
-// (stale-keyed entries are unreachable by construction and skipped) and
-// fails the test unless the cached packages are bit-identical to the
-// fresh result. Returns the number of entries audited. Safe to run while
-// other goroutines mutate the cache: the entry snapshot is taken under
-// the cache lock and compared against the immutable ep.
-func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so search.Options) int {
+// for the engines' weight vectors (stale-keyed entries are unreachable by
+// construction and skipped) and fails the test unless the cached packages
+// are bit-identical to the fresh result. Returns the number of entries
+// audited. Safe to run while other goroutines mutate the cache: each entry
+// is read under the cache lock and compared against the immutable ep.
+func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so search.Options, vecs [][]float64) int {
 	t.Helper()
-	prefix := cacheKeyPrefix(c.Epoch(), ep.ID)
 	checked := 0
-	for _, e := range cacheEntries(c) {
-		if !strings.HasPrefix(e.key, prefix) {
-			continue // pre-Invalidate or keyed to another epoch: unreachable under ep
-		}
-		rest := e.key[16:]
-		wkey := rest[strings.Index(rest, "|")+1:]
-		w := make([]float64, len(wkey)/8)
-		for i := range w {
-			w[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(wkey[8*i : 8*i+8])))
-		}
-		u, err := feature.NewUtility(ep.Space.Profile, w)
+	for _, e := range cacheEntries(t, c, cacheKeyPrefix(c.Epoch(), ep.ID), vecs) {
+		u, err := feature.NewUtility(ep.Space.Profile, e.w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,13 +109,13 @@ func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so searc
 		}
 		if len(fresh.Packages) != len(e.res.Packages) {
 			t.Fatalf("epoch %d: cached entry w=%v has %d packages, fresh search %d",
-				ep.ID, w, len(e.res.Packages), len(fresh.Packages))
+				ep.ID, e.w, len(e.res.Packages), len(fresh.Packages))
 		}
 		for i := range fresh.Packages {
 			g, f := e.res.Packages[i], fresh.Packages[i]
 			if g.Pkg.Signature() != f.Pkg.Signature() || math.Float64bits(g.Utility) != math.Float64bits(f.Utility) {
 				t.Fatalf("epoch %d: cached entry w=%v diverges at package %d: cached %s/%v, fresh %s/%v",
-					ep.ID, w, i, g.Pkg.Signature(), g.Utility, f.Pkg.Signature(), f.Utility)
+					ep.ID, e.w, i, g.Pkg.Signature(), g.Utility, f.Pkg.Signature(), f.Utility)
 			}
 		}
 		checked++
@@ -116,16 +141,20 @@ func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 	so := liveSearchOpts()
 	rng := rand.New(rand.NewSource(91))
 
+	// Every vector the engines below search: the shared seed's (mustSlate)
+	// and the racers' seeds.
+	vecs := poolVectors(t, sh, 0, 1, 2, 3)
+
 	// What the shared-seed engine's searches pinned to epoch N Put.
 	mustSlate(t, sh)
 	epN := cat.Current()
-	pinned := cacheEntries(cache)
+	pinned := cacheEntries(t, cache, cacheKeyPrefix(cache.Epoch(), epN.ID), vecs)
 	if len(pinned) == 0 {
 		t.Fatal("warm-up Recommend cached nothing")
 	}
 	batch := make([]feature.Item, len(epN.Items())) // reprice all: every top-k changes
 	for i := range batch {
-		batch[i] = feature.Item{ID: epN.StableID(i), Values: []float64{rng.Float64(), rng.Float64()}}
+		batch[i] = feature.Item{ID: epN.IDs().StableID(i), Values: []float64{rng.Float64(), rng.Float64()}}
 	}
 	if err := cat.Upsert(batch); err != nil { // synchronous swap + Invalidate
 		t.Fatal(err)
@@ -185,12 +214,12 @@ func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		time.Sleep(2 * time.Millisecond) // let Recommends interleave between swaps
 		if i%8 == 7 {
-			audited += verifyReachable(t, cache, cat.Current(), so)
+			audited += verifyReachable(t, cache, cat.Current(), so, vecs)
 		}
 		ep := cat.Current()
 		j := rng.Intn(len(ep.Items()))
 		it := ep.Items()[j]
-		it.ID = ep.StableID(j)
+		it.ID = ep.IDs().StableID(j)
 		it.Values = []float64{rng.Float64(), rng.Float64()}
 		if err := cat.Upsert([]feature.Item{it}); err != nil { // synchronous swap + Invalidate
 			t.Fatal(err)
@@ -199,7 +228,7 @@ func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	mustSlate(t, sh) // resident entries on the final epoch beside the racers' late Puts
-	if audited += verifyReachable(t, cache, cat.Current(), so); audited == 0 {
+	if audited += verifyReachable(t, cache, cat.Current(), so, vecs); audited == 0 {
 		t.Fatalf("vacuous run: no entries audited, stats %+v", cache.Stats())
 	}
 }

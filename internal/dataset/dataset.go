@@ -102,14 +102,6 @@ func ANT(n, m int, rng *rand.Rand) []feature.Item {
 	return items
 }
 
-// NBAFeatureNames lists the 17 synthesized career-statistic features, in
-// column order.
-var NBAFeatureNames = [17]string{
-	"games", "minutes", "points", "rebounds", "assists", "steals", "blocks",
-	"fg_pct", "ft_pct", "three_pct", "turnovers", "fouls", "seasons",
-	"win_shares", "double_doubles", "all_star", "efficiency",
-}
-
 // NBAPlayers and NBAFeatures are the cardinality and width of the paper's
 // NBA dataset.
 const (
@@ -213,9 +205,6 @@ func Generate(kind string, n, m int, rng *rand.Rand) ([]feature.Item, error) {
 	}
 	return nil, fmt.Errorf("dataset: unknown kind %q", kind)
 }
-
-// Kinds lists the dataset names accepted by Generate, in the paper's order.
-func Kinds() []string { return []string{"uni", "pwr", "cor", "ant", "nba"} }
 
 func name(prefix string, i int) string { return fmt.Sprintf("%s%06d", prefix, i) }
 

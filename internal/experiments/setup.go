@@ -22,9 +22,6 @@ type Params struct {
 	Verbose bool
 }
 
-// DefaultParams returns the quick-run configuration.
-func DefaultParams() Params { return Params{Scale: 0.2, Seed: 1} }
-
 func (p Params) scaled(n int) int {
 	if p.Scale <= 0 {
 		p.Scale = 0.2

@@ -55,23 +55,6 @@ func (a Agg) String() string {
 	return fmt.Sprintf("agg(%d)", uint8(a))
 }
 
-// ParseAgg converts a name such as "sum" into an Agg value.
-func ParseAgg(s string) (Agg, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "null", "":
-		return AggNull, nil
-	case "min":
-		return AggMin, nil
-	case "max":
-		return AggMax, nil
-	case "sum":
-		return AggSum, nil
-	case "avg", "mean":
-		return AggAvg, nil
-	}
-	return AggNull, fmt.Errorf("feature: unknown aggregation %q", s)
-}
-
 // Item is a single recommendable entity: an identifier plus its raw feature
 // values. Values must be non-negative; use Null for missing values.
 type Item struct {
@@ -428,18 +411,6 @@ func newNormalizerFrom(parent *Normalizer, cols [][]float64, items []Item, p *Pr
 // Scale returns the normalization divisor for dimension d.
 func (n *Normalizer) Scale(d int) float64 { return n.scales[d] }
 
-// Dims returns the number of dimensions the normalizer covers.
-func (n *Normalizer) Dims() int { return len(n.scales) }
-
-// Apply divides raw aggregate vector v in place by the per-dimension scales
-// and returns it.
-func (n *Normalizer) Apply(v []float64) []float64 {
-	for i := range v {
-		v[i] /= n.scales[i]
-	}
-	return v
-}
-
 // Space bundles the immutable inputs of a recommendation problem: the item
 // set, the profile, the package size bound and the derived normalizer. It
 // is the context against which packages are evaluated.
@@ -793,15 +764,6 @@ func (st *State) Vector() []float64 {
 		v[d] = st.Aggregate(d) / st.space.Norm.Scale(d)
 	}
 	return v
-}
-
-// VectorInto writes the normalized aggregate vector into dst (which must
-// have length Dims) and returns it, avoiding an allocation.
-func (st *State) VectorInto(dst []float64) []float64 {
-	for d := range dst {
-		dst[d] = st.Aggregate(d) / st.space.Norm.Scale(d)
-	}
-	return dst
 }
 
 // Pad modes select which imaginary contributions PadUpper may choose for a
@@ -1378,12 +1340,4 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// ItemVector returns the normalized single-item aggregate vector for item
-// it, i.e. the vector of the package {it}.
-func (s *Space) ItemVector(it Item) []float64 {
-	st := NewState(s)
-	st.Add(it)
-	return st.Vector()
 }

@@ -39,27 +39,6 @@ func TestAggString(t *testing.T) {
 	}
 }
 
-func TestParseAgg(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Agg
-	}{
-		{"sum", AggSum}, {"SUM", AggSum}, {" avg ", AggAvg}, {"mean", AggAvg},
-		{"min", AggMin}, {"max", AggMax}, {"null", AggNull}, {"", AggNull},
-	} {
-		got, err := ParseAgg(tc.in)
-		if err != nil {
-			t.Fatalf("ParseAgg(%q): %v", tc.in, err)
-		}
-		if got != tc.want {
-			t.Errorf("ParseAgg(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	if _, err := ParseAgg("median"); err == nil {
-		t.Error("ParseAgg(median) succeeded, want error")
-	}
-}
-
 func TestNewProfileValidation(t *testing.T) {
 	if _, err := NewProfile(0, Entry{0, AggSum}); err == nil {
 		t.Error("zero featureCount accepted")
@@ -396,9 +375,11 @@ func TestDot(t *testing.T) {
 
 func TestItemVector(t *testing.T) {
 	sp := paperSpace(t)
-	v := sp.ItemVector(sp.Items[1]) // t2 = (0.4, 0.4) → (0.4, 1.0)
+	st := NewState(sp)
+	st.Add(sp.Items[1])
+	v := st.Vector() // the package {t2}: (0.4, 0.4) → (0.4, 1.0)
 	if math.Abs(v[0]-0.4) > 1e-12 || math.Abs(v[1]-1.0) > 1e-12 {
-		t.Errorf("ItemVector(t2) = %v, want (0.4, 1)", v)
+		t.Errorf("vector of {t2} = %v, want (0.4, 1)", v)
 	}
 }
 
@@ -445,19 +426,5 @@ func TestNormalizedVectorsInUnitBox(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestVectorInto(t *testing.T) {
-	sp := paperSpace(t)
-	st := NewState(sp)
-	st.Add(sp.Items[0])
-	buf := make([]float64, sp.Dims())
-	got := st.VectorInto(buf)
-	want := st.Vector()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("VectorInto[%d] = %g, want %g", i, got[i], want[i])
-		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package gaussmix implements diagonal-covariance Gaussian mixture models:
-// density evaluation, sampling, default priors, and EM refitting.
+// log-density evaluation, sampling and default priors.
 //
 // The paper models the uncertainty over the utility weight vector w as a
 // mixture of Gaussians (§2.1), which can approximate any density. The
-// posterior under preference feedback has no closed form; refitting the
-// mixture with EM after every feedback is the costly baseline the paper
-// rejects (§3.1) in favour of constrained sampling — EM lives here so the
-// benchmarks can quantify that choice.
+// posterior under preference feedback has no closed form; rather than
+// refit the mixture after every feedback (the costly EM baseline §3.1
+// rejects), the system keeps the prior fixed and samples it under the
+// elicited constraints.
 package gaussmix
 
 import (
@@ -124,11 +124,6 @@ func (m *Mixture) LogPDF(x []float64) float64 {
 	return maxLog + math.Log(s)
 }
 
-// PDF returns the density at x.
-func (m *Mixture) PDF(x []float64) float64 {
-	return math.Exp(m.LogPDF(x))
-}
-
 func logGauss(x, mean, std []float64) float64 {
 	l := 0.0
 	for j := range x {
@@ -178,123 +173,4 @@ func Gaussian(mean []float64, std float64) *Mixture {
 		panic(err) // unreachable for std > 0
 	}
 	return m
-}
-
-// FitEM refits a k-component mixture to weighted samples by
-// expectation-maximization. This is the posterior-refitting baseline the
-// paper deems too expensive (§3.1); it exists so benches can measure it.
-// xs[i] is a sample with non-negative weight ws[i] (pass nil for uniform).
-// iters is the number of EM iterations. The initial components are seeded
-// from evenly spaced samples.
-func FitEM(xs [][]float64, ws []float64, k, iters int, rng *rand.Rand) (*Mixture, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, fmt.Errorf("gaussmix: no samples to fit")
-	}
-	if k < 1 {
-		k = 1
-	}
-	d := len(xs[0])
-	if ws == nil {
-		ws = make([]float64, n)
-		for i := range ws {
-			ws[i] = 1
-		}
-	}
-	// Initialize means from spread-out samples, std from the global scale.
-	comps := make([]Component, k)
-	for c := 0; c < k; c++ {
-		idx := c * n / k
-		mean := append([]float64(nil), xs[idx]...)
-		std := make([]float64, d)
-		for j := range std {
-			std[j] = 0.5
-		}
-		comps[c] = Component{Weight: 1.0 / float64(k), Mean: mean, Std: std}
-	}
-	resp := make([][]float64, n)
-	for i := range resp {
-		resp[i] = make([]float64, k)
-	}
-	const minStd = 1e-3
-	for it := 0; it < iters; it++ {
-		// E step: responsibilities.
-		for i := 0; i < n; i++ {
-			maxLog := math.Inf(-1)
-			for c := 0; c < k; c++ {
-				l := math.Log(comps[c].Weight) + logGauss(xs[i], comps[c].Mean, comps[c].Std)
-				resp[i][c] = l
-				if l > maxLog {
-					maxLog = l
-				}
-			}
-			s := 0.0
-			for c := 0; c < k; c++ {
-				resp[i][c] = math.Exp(resp[i][c] - maxLog)
-				s += resp[i][c]
-			}
-			for c := 0; c < k; c++ {
-				resp[i][c] /= s
-			}
-		}
-		// M step: weighted means, stds, mixing weights.
-		for c := 0; c < k; c++ {
-			wTot := 0.0
-			mean := make([]float64, d)
-			for i := 0; i < n; i++ {
-				g := resp[i][c] * ws[i]
-				wTot += g
-				for j := 0; j < d; j++ {
-					mean[j] += g * xs[i][j]
-				}
-			}
-			if wTot <= 0 {
-				// Dead component: re-seed at a random sample.
-				copy(comps[c].Mean, xs[rng.Intn(n)])
-				comps[c].Weight = 1e-6
-				continue
-			}
-			for j := 0; j < d; j++ {
-				mean[j] /= wTot
-			}
-			std := make([]float64, d)
-			for i := 0; i < n; i++ {
-				g := resp[i][c] * ws[i]
-				for j := 0; j < d; j++ {
-					dx := xs[i][j] - mean[j]
-					std[j] += g * dx * dx
-				}
-			}
-			for j := 0; j < d; j++ {
-				std[j] = math.Sqrt(std[j] / wTot)
-				if std[j] < minStd {
-					std[j] = minStd
-				}
-			}
-			comps[c].Mean = mean
-			comps[c].Std = std
-			comps[c].Weight = wTot
-		}
-		// Normalize weights.
-		tot := 0.0
-		for c := 0; c < k; c++ {
-			tot += comps[c].Weight
-		}
-		for c := 0; c < k; c++ {
-			comps[c].Weight /= tot
-		}
-	}
-	return New(comps...)
-}
-
-// Mean returns the mixture mean Σ weight_c · mean_c.
-func (m *Mixture) Mean() []float64 {
-	out := make([]float64, m.dims)
-	for i := range m.Components {
-		c := &m.Components[i]
-		for j := range out {
-			out[j] += c.Weight * c.Mean[j]
-		}
-	}
-	return out
 }

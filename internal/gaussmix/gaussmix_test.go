@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// pdf is the density at x, exp of the log density the samplers use.
+func pdf(m *Mixture, x []float64) float64 { return math.Exp(m.LogPDF(x)) }
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(); err == nil {
 		t.Error("empty mixture accepted")
@@ -45,7 +48,7 @@ func TestPDFMatchesStandardNormal(t *testing.T) {
 		mean := make([]float64, d)
 		m := Gaussian(mean, 1)
 		want := math.Pow(2*math.Pi, -float64(d)/2)
-		if got := m.PDF(mean); math.Abs(got-want) > 1e-12 {
+		if got := pdf(m, mean); math.Abs(got-want) > 1e-12 {
 			t.Errorf("d=%d: PDF(0) = %g, want %g", d, got, want)
 		}
 	}
@@ -55,7 +58,7 @@ func TestPDFUnivariateValues(t *testing.T) {
 	m := Gaussian([]float64{2}, 3)
 	// N(2, 3^2) at x = 5: exp(-0.5) / (3*sqrt(2*pi)).
 	want := math.Exp(-0.5) / (3 * math.Sqrt(2*math.Pi))
-	if got := m.PDF([]float64{5}); math.Abs(got-want) > 1e-12 {
+	if got := pdf(m, []float64{5}); math.Abs(got-want) > 1e-12 {
 		t.Errorf("PDF(5) = %g, want %g", got, want)
 	}
 }
@@ -72,8 +75,8 @@ func TestMixturePDFIsConvexCombination(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.2, -0.4}
-	want := 0.3*a.PDF(x) + 0.7*b.PDF(x)
-	if got := m.PDF(x); math.Abs(got-want) > 1e-12 {
+	want := 0.3*pdf(a, x) + 0.7*pdf(b, x)
+	if got := pdf(m, x); math.Abs(got-want) > 1e-12 {
 		t.Errorf("mixture PDF = %g, want %g", got, want)
 	}
 }
@@ -152,56 +155,6 @@ func TestDefaultPrior(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	m, err := New(
-		Component{Weight: 0.5, Mean: []float64{0, 2}, Std: []float64{1, 1}},
-		Component{Weight: 0.5, Mean: []float64{4, 0}, Std: []float64{1, 1}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Mean()
-	if math.Abs(got[0]-2) > 1e-12 || math.Abs(got[1]-1) > 1e-12 {
-		t.Errorf("Mean = %v, want (2, 1)", got)
-	}
-}
-
-// TestFitEMRecoversTwoClusters: EM on well-separated clusters should place
-// component means near the cluster centers.
-func TestFitEMRecoversTwoClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var xs [][]float64
-	for i := 0; i < 400; i++ {
-		x := []float64{-2 + rng.NormFloat64()*0.2, -2 + rng.NormFloat64()*0.2}
-		xs = append(xs, x)
-	}
-	for i := 0; i < 400; i++ {
-		x := []float64{2 + rng.NormFloat64()*0.2, 2 + rng.NormFloat64()*0.2}
-		xs = append(xs, x)
-	}
-	m, err := FitEM(xs, nil, 2, 30, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One mean near (-2,-2), the other near (2,2), weights near 0.5.
-	c0, c1 := m.Components[0], m.Components[1]
-	if c0.Mean[0] > c1.Mean[0] {
-		c0, c1 = c1, c0
-	}
-	if math.Abs(c0.Mean[0]+2) > 0.2 || math.Abs(c1.Mean[0]-2) > 0.2 {
-		t.Errorf("EM means off: %v, %v", c0.Mean, c1.Mean)
-	}
-	if math.Abs(c0.Weight-0.5) > 0.1 {
-		t.Errorf("EM weight = %g, want ~0.5", c0.Weight)
-	}
-}
-
-func TestFitEMEmptyInput(t *testing.T) {
-	if _, err := FitEM(nil, nil, 2, 5, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 // Property: LogPDF is finite for bounded inputs and PDF is non-negative.
 func TestPDFProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -213,7 +166,7 @@ func TestPDFProperties(t *testing.T) {
 				x[i] = 0
 			}
 		}
-		p := m.PDF(x)
+		p := pdf(m, x)
 		return p >= 0 && !math.IsNaN(p) && !math.IsInf(m.LogPDF(x), 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {

@@ -50,26 +50,6 @@ func (p Package) Signature() string {
 	return b.String()
 }
 
-// Contains reports whether the package contains item id.
-func (p Package) Contains(id int) bool {
-	i := sort.SearchInts(p.IDs, id)
-	return i < len(p.IDs) && p.IDs[i] == id
-}
-
-// With returns a new package extended with item id.
-func (p Package) With(id int) Package {
-	ids := make([]int, 0, len(p.IDs)+1)
-	i := sort.SearchInts(p.IDs, id)
-	ids = append(ids, p.IDs[:i]...)
-	if i < len(p.IDs) && p.IDs[i] == id {
-		ids = append(ids, p.IDs[i:]...)
-		return Package{IDs: ids}
-	}
-	ids = append(ids, id)
-	ids = append(ids, p.IDs[i:]...)
-	return Package{IDs: ids}
-}
-
 // String renders the package as "{3, 17, 42}".
 func (p Package) String() string {
 	parts := make([]string, len(p.IDs))

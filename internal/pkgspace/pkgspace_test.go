@@ -34,23 +34,6 @@ func TestNewSortsAndDedups(t *testing.T) {
 	}
 }
 
-func TestContainsWith(t *testing.T) {
-	p := New(1, 3)
-	if !p.Contains(1) || !p.Contains(3) || p.Contains(2) {
-		t.Error("Contains wrong")
-	}
-	q := p.With(2)
-	if q.Signature() != "1|2|3" {
-		t.Errorf("With = %q", q.Signature())
-	}
-	if p.Signature() != "1|3" {
-		t.Error("With mutated receiver")
-	}
-	if r := p.With(3); r.Signature() != "1|3" {
-		t.Errorf("With existing member = %q", r.Signature())
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := New(2, 0).String(); got != "{0, 2}" {
 		t.Errorf("String = %q", got)

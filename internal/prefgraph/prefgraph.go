@@ -1,6 +1,7 @@
 // Package prefgraph maintains the set of pairwise package preferences
 // elicited from a user as a directed acyclic graph, detects cycles, and
-// eliminates redundant preferences via transitive reduction (paper §3.3,
+// omits redundant preferences from the constraint set via transitive
+// reduction (paper §3.3,
 // using the Aho–Garey–Ullman construction [2]). The reduced edge set is the
 // constraint set samplers check, so reduction directly cuts per-sample
 // validation cost ("pruning" in Figure 5).
@@ -14,9 +15,9 @@ import (
 )
 
 // ErrCycle is returned when a new preference would contradict recorded
-// preferences (a directed cycle). The paper resolves cycles by presenting
-// the packages on the cycle to the user and asking for the best, which
-// reverses one edge; callers can use CyclePath to obtain those packages.
+// preferences (a directed cycle). Nothing is recorded and the earlier
+// preferences stand: a click skips the contradicting pair, and explicit
+// feedback reports the contradiction to its caller.
 var ErrCycle = errors.New("prefgraph: preference would create a cycle")
 
 // Constraint is one pairwise preference translated into the half-space
@@ -55,7 +56,6 @@ type Graph struct {
 	nodes []node
 	index map[string]int // signature → node id
 	out   []map[int]bool // adjacency: out[u][v] == true iff edge u→v
-	in    []map[int]bool
 	edges int
 }
 
@@ -94,7 +94,6 @@ func (g *Graph) nodeID(epoch uint64, p pkgspace.Package, vec []float64) (id int,
 	id = len(g.nodes)
 	g.nodes = append(g.nodes, node{pkg: p, vec: append([]float64(nil), vec...), epoch: epoch})
 	g.out = append(g.out, make(map[int]bool))
-	g.in = append(g.in, make(map[int]bool))
 	g.index[sig] = id
 	return id, false
 }
@@ -133,7 +132,6 @@ func (g *Graph) AddPreferenceAt(epoch uint64, winner pkgspace.Package, winnerVec
 		return refreshed, fmt.Errorf("%w: %s ≻ %s contradicts recorded preferences", ErrCycle, winner, loser)
 	}
 	g.out[u][v] = true
-	g.in[v][u] = true
 	g.edges++
 	return refreshed, nil
 }
@@ -152,39 +150,6 @@ func (g *Graph) UniformEpoch() (epoch uint64, ok bool) {
 		}
 	}
 	return epoch, true
-}
-
-// Node reports the stored state of a package's node: a copy of its current
-// aggregate vector and the epoch that vector was computed under. ok is
-// false when the package was never recorded.
-func (g *Graph) Node(p pkgspace.Package) (vec []float64, epoch uint64, ok bool) {
-	id, found := g.index[p.Signature()]
-	if !found {
-		return nil, 0, false
-	}
-	n := g.nodes[id]
-	return append([]float64(nil), n.vec...), n.epoch, true
-}
-
-// AddClick records the feedback generated by a click: the chosen package is
-// preferred to every other shown package (paper §3.3: one click on a slate
-// of σ yields σ−1 pairwise preferences). Slate entries equal to the chosen
-// package are skipped. Preferences that would create a cycle are skipped
-// and reported in the returned count.
-func (g *Graph) AddClick(chosen pkgspace.Package, chosenVec []float64, shown []pkgspace.Package, shownVecs [][]float64) (added, cycles int) {
-	for i, p := range shown {
-		if p.Signature() == chosen.Signature() {
-			continue
-		}
-		err := g.AddPreference(chosen, chosenVec, p, shownVecs[i])
-		switch {
-		case err == nil:
-			added++
-		case errors.Is(err, ErrCycle):
-			cycles++
-		}
-	}
-	return added, cycles
 }
 
 // reachable reports whether dst is reachable from src, optionally ignoring
@@ -213,75 +178,6 @@ func (g *Graph) reachable(src, dst, banU, banV int) bool {
 		}
 	}
 	return false
-}
-
-// CyclePath returns the packages on the existing directed path from `from`
-// to `to`, in order, or nil if none exists. When AddPreference(w, l) fails
-// with ErrCycle, CyclePath(l, w) yields the packages the UI should present
-// to the user to break the cycle.
-func (g *Graph) CyclePath(from, to pkgspace.Package) []pkgspace.Package {
-	u, ok := g.index[from.Signature()]
-	if !ok {
-		return nil
-	}
-	v, ok := g.index[to.Signature()]
-	if !ok {
-		return nil
-	}
-	prev := make([]int, len(g.nodes))
-	for i := range prev {
-		prev[i] = -1
-	}
-	// BFS for a shortest path u→v.
-	queue := []int{u}
-	prev[u] = u
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == v {
-			break
-		}
-		for y := range g.out[x] {
-			if prev[y] == -1 {
-				prev[y] = x
-				queue = append(queue, y)
-			}
-		}
-	}
-	if prev[v] == -1 {
-		return nil
-	}
-	var rev []pkgspace.Package
-	for x := v; ; x = prev[x] {
-		rev = append(rev, g.nodes[x].pkg)
-		if x == u {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// RemovePreference deletes the edge winner→loser if present (used when the
-// user breaks a cycle by reversing a preference).
-func (g *Graph) RemovePreference(winner, loser pkgspace.Package) bool {
-	u, ok := g.index[winner.Signature()]
-	if !ok {
-		return false
-	}
-	v, ok := g.index[loser.Signature()]
-	if !ok {
-		return false
-	}
-	if !g.out[u][v] {
-		return false
-	}
-	delete(g.out[u], v)
-	delete(g.in[v], u)
-	g.edges--
-	return true
 }
 
 // Constraints materializes the current preference edges as half-space
@@ -321,29 +217,6 @@ func (g *Graph) redundant(u, v int) bool {
 	return g.reachable(u, v, u, v)
 }
 
-// Reduce permanently removes redundant edges from the graph and returns
-// the number removed. After reduction, Constraints(false) and
-// Constraints(true) coincide until new preferences arrive.
-func (g *Graph) Reduce() int {
-	removed := 0
-	for u := range g.out {
-		// Collect first: we mutate the adjacency map while iterating.
-		var targets []int
-		for v := range g.out[u] {
-			targets = append(targets, v)
-		}
-		for _, v := range targets {
-			if g.redundant(u, v) {
-				delete(g.out[u], v)
-				delete(g.in[v], u)
-				g.edges--
-				removed++
-			}
-		}
-	}
-	return removed
-}
-
 // Preferences enumerates every stored edge as (winner, loser) package
 // pairs, in deterministic node order — the portable form used by
 // persistence (vectors are recomputed from the item space on restore).
@@ -369,33 +242,4 @@ func sortInts(xs []int) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// TopologicalOrder returns the node packages in a topological order of the
-// preference DAG (winners before losers). It is primarily a testing and
-// display aid.
-func (g *Graph) TopologicalOrder() []pkgspace.Package {
-	indeg := make([]int, len(g.nodes))
-	for v := range g.in {
-		indeg[v] = len(g.in[v])
-	}
-	var queue []int
-	for v, d := range indeg {
-		if d == 0 {
-			queue = append(queue, v)
-		}
-	}
-	var order []pkgspace.Package
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, g.nodes[u].pkg)
-		for v := range g.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	return order
 }

@@ -11,6 +11,16 @@ import (
 
 func vec(xs ...float64) []float64 { return xs }
 
+// storedNode returns the stored vector and epoch of a recorded package.
+func storedNode(t *testing.T, g *Graph, p pkgspace.Package) ([]float64, uint64) {
+	t.Helper()
+	id, ok := g.index[p.Signature()]
+	if !ok {
+		t.Fatalf("package %s not recorded", p)
+	}
+	return g.nodes[id].vec, g.nodes[id].epoch
+}
+
 func TestAddPreferenceAndConstraint(t *testing.T) {
 	g := New()
 	a, b := pkgspace.New(0), pkgspace.New(1)
@@ -76,46 +86,6 @@ func TestCycleDetection(t *testing.T) {
 	if g.Edges() != 2 {
 		t.Errorf("cycle add mutated graph: edges = %d", g.Edges())
 	}
-	// The cycle path a ⇝ c is what the UI would present.
-	path := g.CyclePath(a, c)
-	if len(path) != 3 || !pkgspace.Equal(path[0], a) || !pkgspace.Equal(path[2], c) {
-		t.Errorf("CyclePath = %v", path)
-	}
-}
-
-func TestCyclePathMissing(t *testing.T) {
-	g := New()
-	a, b := pkgspace.New(0), pkgspace.New(1)
-	if g.CyclePath(a, b) != nil {
-		t.Error("path on empty graph")
-	}
-	if err := g.AddPreference(a, vec(1.0), b, vec(0.0)); err != nil {
-		t.Fatal(err)
-	}
-	if g.CyclePath(b, a) != nil {
-		t.Error("reverse path should not exist")
-	}
-}
-
-func TestRemovePreference(t *testing.T) {
-	g := New()
-	a, b := pkgspace.New(0), pkgspace.New(1)
-	if err := g.AddPreference(a, vec(1.0), b, vec(0.0)); err != nil {
-		t.Fatal(err)
-	}
-	if !g.RemovePreference(a, b) {
-		t.Error("remove failed")
-	}
-	if g.RemovePreference(a, b) {
-		t.Error("double remove succeeded")
-	}
-	if g.Edges() != 0 {
-		t.Errorf("Edges = %d, want 0", g.Edges())
-	}
-	// After removal the reverse direction is insertable (cycle resolution).
-	if err := g.AddPreference(b, vec(0.0), a, vec(1.0)); err != nil {
-		t.Errorf("reversed edge rejected: %v", err)
-	}
 }
 
 // TestTransitiveReduction: a ≻ b, b ≻ c, a ≻ c — the last is redundant.
@@ -144,17 +114,11 @@ func TestTransitiveReduction(t *testing.T) {
 	if g.Edges() != 3 {
 		t.Errorf("Constraints mutated graph: %d edges", g.Edges())
 	}
-	if removed := g.Reduce(); removed != 1 {
-		t.Errorf("Reduce removed %d, want 1", removed)
-	}
-	if g.Edges() != 2 {
-		t.Errorf("post-Reduce edges = %d, want 2", g.Edges())
-	}
 }
 
-// TestReductionPreservesReachability: the transitive closure must be
-// identical before and after reduction — the core §3.3 guarantee that
-// pruned constraints are implied.
+// TestReductionPreservesReachability: the reduced constraint set must have
+// the same transitive closure as the full one — the core §3.3 guarantee
+// that pruned constraints are implied.
 func TestReductionPreservesReachability(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -179,15 +143,14 @@ func TestReductionPreservesReachability(t *testing.T) {
 				}
 			}
 		}
-		// Closure before.
-		reach := func() [][]bool {
+		reach := func(reduced bool) [][]bool {
 			m := make([][]bool, n)
 			adj := make([][]bool, n)
 			for i := range m {
 				m[i] = make([]bool, n)
 				adj[i] = make([]bool, n)
 			}
-			for _, c := range g.Constraints(false) {
+			for _, c := range g.Constraints(reduced) {
 				adj[c.Winner.IDs[0]][c.Loser.IDs[0]] = true
 			}
 			for k := 0; k < n; k++ {
@@ -213,9 +176,8 @@ func TestReductionPreservesReachability(t *testing.T) {
 			}
 			return m
 		}
-		before := reach()
-		g.Reduce()
-		after := reach()
+		before := reach(false)
+		after := reach(true)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if before[i][j] != after[i][j] {
@@ -227,45 +189,6 @@ func TestReductionPreservesReachability(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddClick(t *testing.T) {
-	g := New()
-	chosen := pkgspace.New(0)
-	shown := []pkgspace.Package{pkgspace.New(0), pkgspace.New(1), pkgspace.New(2)}
-	vecs := [][]float64{vec(3.0), vec(2.0), vec(1.0)}
-	added, cycles := g.AddClick(chosen, vecs[0], shown, vecs)
-	if added != 2 || cycles != 0 {
-		t.Errorf("AddClick = (%d, %d), want (2, 0)", added, cycles)
-	}
-	// A click on 1 over {0} now contradicts 0 ≻ 1.
-	added, cycles = g.AddClick(shown[1], vecs[1], shown[:1], vecs[:1])
-	if added != 0 || cycles != 1 {
-		t.Errorf("contradicting AddClick = (%d, %d), want (0, 1)", added, cycles)
-	}
-}
-
-func TestTopologicalOrder(t *testing.T) {
-	g := New()
-	a, b, c := pkgspace.New(0), pkgspace.New(1), pkgspace.New(2)
-	va, vb, vc := vec(3.0), vec(2.0), vec(1.0)
-	if err := g.AddPreference(a, va, b, vb); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddPreference(b, vb, c, vc); err != nil {
-		t.Fatal(err)
-	}
-	order := g.TopologicalOrder()
-	if len(order) != 3 {
-		t.Fatalf("order len = %d", len(order))
-	}
-	pos := map[string]int{}
-	for i, p := range order {
-		pos[p.Signature()] = i
-	}
-	if pos["0"] > pos["1"] || pos["1"] > pos["2"] {
-		t.Errorf("not topological: %v", order)
 	}
 }
 
@@ -310,8 +233,8 @@ func TestEpochVectorRefresh(t *testing.T) {
 	if refreshed, err := g.AddPreferenceAt(1, a, []float64{1, 0}, b, []float64{0, 1}); err != nil || refreshed {
 		t.Fatalf("first feedback: refreshed=%v err=%v", refreshed, err)
 	}
-	if vec, epoch, ok := g.Node(a); !ok || epoch != 1 || vec[0] != 1 {
-		t.Fatalf("node a = (%v, %d, %v) after epoch-1 feedback", vec, epoch, ok)
+	if vec, epoch := storedNode(t, g, a); epoch != 1 || vec[0] != 1 {
+		t.Fatalf("node a = (%v, %d) after epoch-1 feedback", vec, epoch)
 	}
 
 	// Epoch 2 reprices a: feedback touching it refreshes the vector, and
@@ -319,7 +242,7 @@ func TestEpochVectorRefresh(t *testing.T) {
 	if refreshed, err := g.AddPreferenceAt(2, a, []float64{0.5, 0.25}, c, []float64{0, 0}); err != nil || !refreshed {
 		t.Fatalf("epoch-2 feedback on a known package: refreshed=%v err=%v, want a reported refresh", refreshed, err)
 	}
-	if vec, epoch, _ := g.Node(a); epoch != 2 || vec[0] != 0.5 || vec[1] != 0.25 {
+	if vec, epoch := storedNode(t, g, a); epoch != 2 || vec[0] != 0.5 || vec[1] != 0.25 {
 		t.Fatalf("node a = (%v, %d): epoch-2 feedback did not refresh the vector", vec, epoch)
 	}
 	cs := g.Constraints(false)
@@ -340,7 +263,7 @@ func TestEpochVectorRefresh(t *testing.T) {
 	if refreshed, err := g.AddPreferenceAt(1, a, []float64{9, 9}, b, []float64{0, 1}); err != nil || refreshed {
 		t.Fatalf("stale epoch-1 feedback: refreshed=%v err=%v, want no refresh", refreshed, err)
 	}
-	if vec, epoch, _ := g.Node(a); epoch != 2 || vec[0] != 0.5 {
+	if vec, epoch := storedNode(t, g, a); epoch != 2 || vec[0] != 0.5 {
 		t.Fatalf("node a = (%v, %d): stale epoch-1 feedback downgraded the vector", vec, epoch)
 	}
 
@@ -348,7 +271,7 @@ func TestEpochVectorRefresh(t *testing.T) {
 	if refreshed, err := g.AddPreferenceAt(2, a, []float64{7, 7}, c, []float64{0, 0}); err != nil || refreshed {
 		t.Fatalf("same-epoch duplicate: refreshed=%v err=%v, want no refresh", refreshed, err)
 	}
-	if vec, _, _ := g.Node(a); vec[0] != 0.5 {
+	if vec, _ := storedNode(t, g, a); vec[0] != 0.5 {
 		t.Fatalf("node a vector %v rewritten by same-epoch duplicate", vec)
 	}
 }

@@ -36,23 +36,6 @@ type Metrics struct {
 	Searches int
 }
 
-// DedupRatio is the fraction of samples whose search was shared with an
-// identical sample in the same call.
-func (m Metrics) DedupRatio() float64 {
-	if m.Samples == 0 {
-		return 0
-	}
-	return float64(m.Samples-m.Distinct) / float64(m.Samples)
-}
-
-// HitRate is the fraction of distinct vectors served from the cache.
-func (m Metrics) HitRate() float64 {
-	if m.Distinct == 0 {
-		return 0
-	}
-	return float64(m.CacheHits) / float64(m.Distinct)
-}
-
 // Canonical maps a weight vector to its canonical form: each coordinate
 // rounded to the nearest multiple of quantum. quantum <= 0 is the identity
 // (only bit-identical vectors collapse). The search runs on the canonical

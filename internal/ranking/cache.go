@@ -149,17 +149,3 @@ func (c *Cache) Stats() CacheStats {
 		InvalidationDrops: c.invalidationDrops,
 	}
 }
-
-// Range calls fn for every resident entry under the cache lock, stopping
-// early when fn returns false. For tests and diagnostics; fn must not call
-// back into the cache or mutate the results.
-func (c *Cache) Range(fn func(key string, res search.Result) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*cacheEntry)
-		if !fn(ent.key, ent.res) {
-			return
-		}
-	}
-}

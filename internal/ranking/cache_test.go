@@ -132,17 +132,3 @@ func TestCanonical(t *testing.T) {
 		t.Error("Canonical mutated its input")
 	}
 }
-
-func TestMetricsRatios(t *testing.T) {
-	m := Metrics{Samples: 10, Distinct: 4, CacheHits: 3}
-	if got := m.DedupRatio(); got != 0.6 {
-		t.Errorf("DedupRatio = %g", got)
-	}
-	if got := m.HitRate(); got != 0.75 {
-		t.Errorf("HitRate = %g", got)
-	}
-	var zero Metrics
-	if zero.DedupRatio() != 0 || zero.HitRate() != 0 {
-		t.Error("zero metrics must not divide by zero")
-	}
-}

@@ -364,14 +364,17 @@ func TestMutationWaitParamValidation(t *testing.T) {
 	}
 }
 
-// TestCatalogGetStableSchema: GET /catalog emits the same key set for
-// static and live catalogues, so clients never branch on `mutable` to
-// know which fields exist.
+// TestCatalogGetStableSchema: GET /catalog and /healthz's catalog object
+// emit the same key set for static and live catalogues, so clients never
+// branch on `mutable` to know which fields exist.
 func TestCatalogGetStableSchema(t *testing.T) {
-	keySet := func(ts *httptest.Server) map[string]bool {
+	keySet := func(ts *httptest.Server, path string) map[string]bool {
 		var got map[string]any
-		if resp := getJSON(t, ts.URL+"/catalog", &got); resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /catalog = %d", resp.StatusCode)
+		if resp := getJSON(t, ts.URL+path, &got); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		if path == "/healthz" {
+			got = got["catalog"].(map[string]any)
 		}
 		keys := make(map[string]bool, len(got))
 		for k := range got {
@@ -381,21 +384,27 @@ func TestCatalogGetStableSchema(t *testing.T) {
 	}
 	_, live := liveServer(t)
 	_, static := testServer(t)
-	liveKeys, staticKeys := keySet(live), keySet(static)
-	for k := range liveKeys {
-		if !staticKeys[k] {
-			t.Errorf("key %q present on live /catalog but missing on static", k)
+	for _, path := range []string{"/catalog", "/healthz"} {
+		liveKeys, staticKeys := keySet(live, path), keySet(static, path)
+		for k := range liveKeys {
+			if !staticKeys[k] {
+				t.Errorf("%s: key %q present on live but missing on static", path, k)
+			}
+		}
+		for k := range staticKeys {
+			if !liveKeys[k] {
+				t.Errorf("%s: key %q present on static but missing on live", path, k)
+			}
+		}
+		for _, k := range []string{"epoch", "items", "mutable", "upserts", "delta_builds", "delta_fallbacks",
+			"partition_imbalance", "last_error", "pending"} {
+			if !staticKeys[k] {
+				t.Errorf("%s: stable schema is missing key %q", path, k)
+			}
 		}
 	}
-	for k := range staticKeys {
-		if !liveKeys[k] {
-			t.Errorf("key %q present on static /catalog but missing on live", k)
-		}
-	}
-	for _, k := range []string{"epoch", "items", "mutable", "upserts", "delta_builds", "last_error", "pending"} {
-		if !staticKeys[k] {
-			t.Errorf("stable schema is missing key %q", k)
-		}
+	if keys := keySet(static, "/healthz"); !keys["idmap_hash"] || !keys["space_hash"] {
+		t.Error("/healthz catalog is missing the content fingerprints")
 	}
 }
 

@@ -369,43 +369,18 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	// The content fingerprints and the epoch and item count they describe
+	// come from one coherent read. Two backends with equal
+	// idmap_hash/space_hash serve identical catalogue content, even when
+	// their epoch counters differ (epochs are per-process and coalescing
+	// merges batches differently): the gateway's convergence check.
 	epoch, items, idmapHash, spaceHash := s.mgr.Shared().EpochIdentity()
-	cat := map[string]any{
-		"epoch":   epoch,
-		"items":   items,
-		"mutable": s.cat != nil,
-		// Content fingerprints for cross-shard convergence checks: two
-		// backends with equal idmap_hash/space_hash serve identical
-		// catalogue content, even when their epoch counters differ (epochs
-		// are per-process and coalescing merges batches differently).
-		"idmap_hash": fmt.Sprintf("%016x", idmapHash),
-		"space_hash": fmt.Sprintf("%016x", spaceHash),
+	cat := healthCatalog{
+		CatalogStatus: s.catalogStatus(),
+		IDMapHash:     fmt.Sprintf("%016x", idmapHash),
+		SpaceHash:     fmt.Sprintf("%016x", spaceHash),
 	}
-	if s.cat != nil {
-		// Rebuild health for a live catalogue: how epochs are being built
-		// (incremental delta vs full) and whether any fell back or failed.
-		st := s.cat.Stats()
-		cat["rebuilds"] = st.Rebuilds
-		cat["delta_builds"] = st.DeltaBuilds
-		cat["full_rebuilds"] = st.FullRebuilds
-		cat["delta_fallbacks"] = st.DeltaFallbacks
-		cat["build_errors"] = st.BuildErrors
-		cat["pending"] = st.Pending
-		// Skyline head-set maintenance across epoch swaps: incremental
-		// carries vs full recomputes (a recompute means a batch touched a
-		// current head — insert-only churn should never pay one).
-		cat["skyline_incremental"] = st.SkylineIncremental
-		cat["skyline_recomputes"] = st.SkylineRecomputes
-		// Sketch-refine partition maintenance and per-search refine
-		// behavior (see CatalogStatus for field semantics).
-		cat["partition_clusters"] = st.PartitionClusters
-		cat["partition_imbalance"] = st.PartitionImbalance
-		cat["partition_incremental"] = st.PartitionIncremental
-		cat["partition_reclusters"] = st.PartitionReclusters
-		cat["partition_searches"] = st.PartitionSearches
-		cat["sketch_skipped"] = st.SketchSkipped
-		cat["refine_clusters_opened"] = st.RefineClustersOpened
-	}
+	cat.Epoch, cat.Items = epoch, items
 	health := map[string]any{
 		"status":       "ok",
 		"catalog":      cat,
@@ -469,67 +444,35 @@ func (ij ItemJSON) item() feature.Item {
 // errStaticCatalog rejects mutations when no live catalogue is configured.
 var errStaticCatalog = errors.New("catalogue is static; restart with -mutable-catalog to enable item mutations")
 
-// CatalogStatus is the wire form of GET /catalog. One schema serves both
-// flavors: a static catalogue reports mutable=false with every counter at
-// its zero value, so clients never branch on which keys exist.
+// CatalogStatus is the wire form of GET /catalog: the catalogue's Stats
+// plus whether it is mutable. One schema serves both flavors: a static
+// catalogue reports mutable=false with every counter at its zero value, so
+// clients never branch on which keys exist.
 type CatalogStatus struct {
-	Epoch          uint64 `json:"epoch"`
-	Items          int    `json:"items"`
-	Mutable        bool   `json:"mutable"`
-	Upserts        int64  `json:"upserts"`
-	Deletes        int64  `json:"deletes"`
-	Batches        int64  `json:"batches"`
-	Rebuilds       int64  `json:"rebuilds"`
-	DeltaBuilds    int64  `json:"delta_builds"`
-	FullRebuilds   int64  `json:"full_rebuilds"`
-	DeltaFallbacks int64  `json:"delta_fallbacks"`
-	BuildErrors    int64  `json:"build_errors"`
-	LastError      string `json:"last_error"`
-	Pending        bool   `json:"pending"`
-	// Sketch-refine partition health: the current epoch's cluster count
-	// and imbalance (zero until a search materializes the partition), the
-	// incremental-vs-recluster maintenance split across delta builds, and
-	// the cumulative per-search counters (partition-engaged searches,
-	// items skipped by the sketch floor, clusters opened by refines).
-	PartitionClusters    int     `json:"partition_clusters"`
-	PartitionImbalance   float64 `json:"partition_imbalance,omitempty"`
-	PartitionIncremental int64   `json:"partition_incremental"`
-	PartitionReclusters  int64   `json:"partition_reclusters"`
-	PartitionSearches    int64   `json:"partition_searches"`
-	SketchSkipped        int64   `json:"sketch_skipped"`
-	RefineClustersOpened int64   `json:"refine_clusters_opened"`
+	catalog.Stats
+	Mutable bool `json:"mutable"`
+}
+
+// healthCatalog is /healthz's "catalog" object: the catalogue status plus
+// the content fingerprints of the epoch it reports.
+type healthCatalog struct {
+	CatalogStatus
+	IDMapHash string `json:"idmap_hash"`
+	SpaceHash string `json:"space_hash"`
+}
+
+// catalogStatus reads the catalogue's status: the live catalogue's Stats,
+// or the static catalogue's epoch and item count.
+func (s *Server) catalogStatus() CatalogStatus {
+	if s.cat == nil {
+		epoch, items := s.mgr.Shared().EpochInfo()
+		return CatalogStatus{Stats: catalog.Stats{Epoch: epoch, Items: items}}
+	}
+	return CatalogStatus{Stats: s.cat.Stats(), Mutable: true}
 }
 
 func (s *Server) handleCatalogGet(w http.ResponseWriter, r *http.Request) {
-	if s.cat == nil {
-		epoch, items := s.mgr.Shared().EpochInfo()
-		writeJSON(w, CatalogStatus{Epoch: epoch, Items: items})
-		return
-	}
-	st := s.cat.Stats()
-	writeJSON(w, CatalogStatus{
-		Epoch:          st.Epoch,
-		Items:          st.Items,
-		Mutable:        true,
-		Upserts:        st.Upserts,
-		Deletes:        st.Deletes,
-		Batches:        st.Batches,
-		Rebuilds:       st.Rebuilds,
-		DeltaBuilds:    st.DeltaBuilds,
-		FullRebuilds:   st.FullRebuilds,
-		DeltaFallbacks: st.DeltaFallbacks,
-		BuildErrors:    st.BuildErrors,
-		LastError:      st.LastError,
-		Pending:        st.Pending,
-
-		PartitionClusters:    st.PartitionClusters,
-		PartitionImbalance:   st.PartitionImbalance,
-		PartitionIncremental: st.PartitionIncremental,
-		PartitionReclusters:  st.PartitionReclusters,
-		PartitionSearches:    st.PartitionSearches,
-		SketchSkipped:        st.SketchSkipped,
-		RefineClustersOpened: st.RefineClustersOpened,
-	})
+	writeJSON(w, s.catalogStatus())
 }
 
 // parseWait interprets the ?wait query parameter: absent or empty means
@@ -549,8 +492,9 @@ func parseWait(r *http.Request) (bool, error) {
 }
 
 // finishMutation acknowledges a committed catalogue mutation. With wait
-// set it blocks until the swapped-in epoch covers the batch and answers
-// 200 OK — the operation is complete, not accepted-for-later; without it
+// set it blocks until a swapped-in epoch covers the batch and the swap's
+// subscribers (the result-cache invalidation) have run, and answers 200 OK
+// — the operation is complete, not accepted-for-later; without it
 // the batch is pending a background rebuild and the honest answer is
 // 202 Accepted.
 func (s *Server) finishMutation(w http.ResponseWriter, wait bool, extra map[string]any) {

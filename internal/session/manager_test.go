@@ -603,9 +603,8 @@ func TestEvictRestoreAcrossCatalogChurn(t *testing.T) {
 		if got := eng.Graph().Edges(); got != 1 {
 			t.Errorf("restored %d edges, want 1 ({3}≻{4,5} survives churn)", got)
 		}
-		items, prefs := eng.RestoreDrops()
-		if items != 2 || prefs != 1 {
-			t.Errorf("engine RestoreDrops = (%d, %d), want (2, 1)", items, prefs)
+		if st := eng.Stats(); st.RestoreDroppedItems != 2 || st.RestoreDroppedPrefs != 1 {
+			t.Errorf("engine restore drops = (%d, %d), want (2, 1)", st.RestoreDroppedItems, st.RestoreDroppedPrefs)
 		}
 		if _, err := eng.Recommend(); err != nil {
 			t.Errorf("restored session cannot recommend: %v", err)

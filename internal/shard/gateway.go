@@ -581,7 +581,9 @@ func (g *Gateway) deliver(s *shardState, entry *mutEntry) (int, string) {
 // ---------------------------------------------------------------------------
 // Health, convergence, and session listing
 
-// probe fetches one shard's /healthz and caches the parsed view.
+// probe fetches one shard's /healthz and caches the parsed view. A backend
+// reporting a shard ID other than the one it is registered under is
+// unhealthy.
 func (g *Gateway) probe(s *shardState) ShardHealth {
 	h := ShardHealth{URL: s.url}
 	resp, err := g.client.Get(s.url + "/healthz")
@@ -597,6 +599,11 @@ func (g *Gateway) probe(s *shardState) ShardHealth {
 			h.Error = fmt.Sprintf("healthz status %d", resp.StatusCode)
 		case err != nil:
 			h.Error = err.Error()
+		case bh.ShardID != "" && bh.ShardID != s.id:
+			// A backend started for another shard (or a swapped URL) must
+			// not serve this shard's sessions. A backend with no shard ID
+			// makes no claim and is trusted.
+			h.Error = fmt.Sprintf("backend reports shard_id %q but is registered as %q", bh.ShardID, s.id)
 		default:
 			h.Healthy = true
 			h.Epoch = bh.Catalog.Epoch

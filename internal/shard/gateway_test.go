@@ -504,3 +504,29 @@ func TestDrainEndpointRejectsWrongShard(t *testing.T) {
 		t.Fatalf("misaddressed drain = %d (%s), want 400", status, body)
 	}
 }
+
+// TestGatewayFlagsMisregisteredShard: a backend serving -shard-id s1 but
+// registered with the gateway as s0 is unhealthy, with an error naming both
+// IDs, and the gateway reports itself degraded.
+func TestGatewayFlagsMisregisteredShard(t *testing.T) {
+	bks := map[string]*backend{"s0": newBackend(t, "s1", nil, false)}
+	_, gts := newGateway(t, shard.Config{}, []string{"s0"}, bks)
+	status, body := httpDo(t, http.MethodGet, gts.URL+"/healthz", nil)
+	if status != http.StatusOK {
+		t.Fatalf("gateway healthz = %d (%s)", status, body)
+	}
+	var h struct {
+		Status string                       `json:"status"`
+		Shards map[string]shard.ShardHealth `json:"shards"`
+	}
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	sh := h.Shards["s0"]
+	if sh.Healthy || !strings.Contains(sh.Error, `"s1"`) || !strings.Contains(sh.Error, `"s0"`) {
+		t.Fatalf("misregistered shard view = %+v, want unhealthy naming s1 and s0", sh)
+	}
+	if h.Status != "degraded" {
+		t.Fatalf("gateway status = %q, want degraded", h.Status)
+	}
+}

@@ -141,24 +141,3 @@ func KendallTau(a, b []string) float64 {
 	}
 	return float64(conc-disc) / float64(conc+disc)
 }
-
-// ChiSquareWeights estimates the χ² divergence proxy between an
-// importance-weighted sample pool and the uniform-weight ideal:
-// Σ(q_i − q̄)² / q̄² / N. Zero when all weights are equal, growing as the
-// proposal diverges from the target (§3.2.1's quality notion, estimated
-// from samples rather than the intractable integral).
-func ChiSquareWeights(qs []float64) float64 {
-	if len(qs) == 0 {
-		return 0
-	}
-	mean := Mean(qs)
-	if mean == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, q := range qs {
-		d := q/mean - 1
-		s += d * d
-	}
-	return s / float64(len(qs))
-}

@@ -133,20 +133,3 @@ func TestKendallTauReversalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestChiSquareWeights(t *testing.T) {
-	if got := ChiSquareWeights([]float64{1, 1, 1}); got != 0 {
-		t.Errorf("uniform weights χ² = %g, want 0", got)
-	}
-	if got := ChiSquareWeights(nil); got != 0 {
-		t.Errorf("empty χ² = %g", got)
-	}
-	skewed := ChiSquareWeights([]float64{10, 0.1, 0.1})
-	if skewed <= 0 {
-		t.Errorf("skewed χ² = %g, want positive", skewed)
-	}
-	mild := ChiSquareWeights([]float64{1.1, 0.9, 1.0})
-	if mild >= skewed {
-		t.Errorf("mild %g ≥ skewed %g", mild, skewed)
-	}
-}
