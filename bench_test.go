@@ -5,7 +5,7 @@
 // They are the paper's figures, not the performance gate: serving
 // performance is measured by bench/ (BENCHMARK.json, bash bench/run.sh).
 //
-// Mapping (see DESIGN.md §3 and EXPERIMENTS.md):
+// Mapping (cmd/experiments prints the same figures as tables):
 //
 //	Figure 4 → BenchmarkFig4Samplers            (sampler draw cost, 2-D)
 //	Figure 5 → BenchmarkFig5ConstraintCheck     (full vs reduced constraints)

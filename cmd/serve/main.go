@@ -59,7 +59,7 @@ func main() {
 		capacity = flag.Int("capacity", session.DefaultCapacity, "resident sessions before LRU eviction")
 		storeSpc = flag.String("store", "", "where evicted sessions persist: dir:PATH or a bare PATH (a snapshot directory), mem: (this process only); empty drops evicted state. Shards behind one gateway must share a store for rebalancing")
 		shardID  = flag.String("shard-id", "", "this process's identity in a sharded deployment: reported in /healthz and required to match DrainRequest.Self on /admin/drain")
-		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes")
+		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes (≤ 0 selects the default)")
 		restore  = flag.String("restore", "", "path of a session snapshot to restore into the default session")
 		seed     = flag.Int64("seed", 1, "random seed")
 		cache    = flag.Int("cache", ranking.DefaultCacheSize, "shared Top-k-Pkg result cache entries (negative disables)")

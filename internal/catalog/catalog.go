@@ -13,11 +13,12 @@
 // pending changes into the installed epoch's items, builds a fresh
 // immutable Epoch — monotonic ID plus the feature.Space and search.Index
 // every reader needs — off-request, atomically swaps it in and runs the
-// subscribers. Small change sets build incrementally from the parent epoch,
-// large ones from scratch; both start from the same merge. Readers resolve
-// the current epoch with one atomic load and then work against immutable
-// state, so a recommend in flight never observes a torn index and never
-// blocks on a rebuild; it simply runs to completion on the epoch it
+// subscribers. Every build makes the feature space from the merged items;
+// a small change set splices the parent epoch's search index (and carries
+// its head set and partition), a large one sorts a fresh one. Readers
+// resolve the current epoch with one atomic load and then work against
+// immutable state, so a recommend in flight never observes a torn index and
+// never blocks on a rebuild; it simply runs to completion on the epoch it
 // started with.
 //
 // Dense vs stable IDs: the rest of the system addresses items positionally
@@ -54,8 +55,8 @@ const DefaultCoalesce = 20 * time.Millisecond
 
 // DefaultDeltaThreshold is the delta-build eligibility bound applied when
 // Config.DeltaThreshold is zero: batches touching at most this many
-// distinct stable IDs since the current epoch build the next epoch
-// incrementally from it instead of from scratch.
+// distinct stable IDs since the current epoch splice the next epoch's
+// search index from its instead of sorting a fresh one.
 const DefaultDeltaThreshold = 256
 
 // reclusterImbalance is the partition imbalance threshold: incremental
@@ -82,11 +83,10 @@ type Config struct {
 	// (deterministic; meant for tests and offline tools).
 	Coalesce time.Duration
 	// DeltaThreshold bounds how many distinct stable IDs may have changed
-	// since the current epoch for the next build to take the incremental
-	// delta path (O(batch·log n), see buildDelta); larger change sets take
-	// the full O(n log n) build of the same merged items, which is also the
-	// always-correct fallback. 0 selects DefaultDeltaThreshold; negative
-	// disables delta builds entirely.
+	// since the current epoch for the next build to splice the parent's
+	// search index (O(batch·log n) comparisons, see rebuildLocked); larger
+	// change sets sort a fresh index (O(n log n)). 0 selects
+	// DefaultDeltaThreshold; negative disables delta builds entirely.
 	DeltaThreshold int
 }
 
@@ -176,11 +176,13 @@ type Stats struct {
 	// set that nets out counts as a build of its kind but keeps the
 	// installed epoch.
 	Rebuilds int64 `json:"rebuilds"`
-	// DeltaBuilds counts epochs derived incrementally from their parent
+	// DeltaBuilds counts epochs whose index was spliced from their parent's
 	// (O(batch·log n)); FullRebuilds counts from-scratch builds, including
 	// the initial one (Rebuilds = DeltaBuilds + FullRebuilds).
-	// DeltaFallbacks counts delta attempts that errored and fell back to a
-	// full rebuild (healthy operation keeps it at zero).
+	// DeltaFallbacks is always zero: a delta build fails only where the full
+	// build would, so nothing falls back. The field remains only because
+	// bench/run.go still reads it; it goes when the benchmark drops that
+	// read.
 	DeltaBuilds    int64 `json:"delta_builds"`
 	FullRebuilds   int64 `json:"full_rebuilds"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
@@ -255,7 +257,6 @@ type Catalog struct {
 	rebuilds   int64
 	deltas     int64
 	fulls      int64
-	deltaFalls int64
 	skylineInc int64
 	skylineRec int64
 	partInc    int64
@@ -318,7 +319,7 @@ func New(cfg Config) (*Catalog, error) {
 		stable[i] = items[i].ID
 		items[i].ID = i
 	}
-	ep, err := c.buildFull(items, newIDMap(stable))
+	ep, err := c.buildEpoch(items, newIDMap(stable), search.NewIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +350,7 @@ func (c *Catalog) MaxPackageSize() int { return c.maxSize }
 type ChangeSet struct {
 	// Parent is the ID of the epoch the set is relative to.
 	Parent uint64
-	// Full marks a full (or fallen-back) rebuild: treat everything as
-	// changed.
+	// Full marks a full rebuild: treat everything as changed.
 	Full bool
 	// Dirty holds the parent-dense ids of items replaced or deleted by the
 	// batch, ascending.
@@ -541,12 +541,17 @@ func (c *Catalog) Close() {
 }
 
 // rebuildLocked merges the pending changes into the installed epoch's
-// items, builds the next epoch from the merge outside the lock (delta when
-// the change set is within the threshold, full otherwise or when the delta
-// build fails), installs it, runs the subscribers, and only then marks the
-// target version built. A change set that nets out keeps the installed
-// epoch. Called with c.mu held by the builder goroutine; returns with it
-// released.
+// items, builds the next epoch from the merge outside the lock, installs it,
+// runs the subscribers, and only then marks the target version built. A
+// change set within the delta threshold builds the epoch's index by
+// splicing the merge into the parent's sorted lists (search.NewIndexFrom)
+// and carries the parent's head set and partition forward; that costs
+// O(batch·log n) comparisons plus O(n) copying instead of O(n log n)
+// sorting, and is bit-identical to sorting afresh — the delta property and
+// fuzz suites assert it. Either way the feature space is built from the
+// merged items (feature.NewSpace), so a delta build fails only where a full
+// one would. A change set that nets out keeps the installed epoch. Called
+// with c.mu held by the builder goroutine; returns with it released.
 func (c *Catalog) rebuildLocked() {
 	target := c.version
 	parent := c.cur.Load()
@@ -562,36 +567,30 @@ func (c *Catalog) rebuildLocked() {
 	var ep *Epoch
 	var cs *ChangeSet
 	var err error
-	delta := m == nil && useDelta // a netted-out change set builds nothing
-	fellBack := false
 	skyInc, skyRec := false, false
 	partInc, partRec := false, false
-	if m != nil && useDelta {
-		if ep, err = c.buildDelta(parent, m); err == nil {
-			delta = true
+	switch {
+	case m == nil: // a netted-out change set builds nothing
+	case useDelta:
+		ep, err = c.buildEpoch(m.items, m.ids, func(sp *feature.Space) *search.Index {
+			return search.NewIndexFrom(parent.Index, sp, m.remap, m.fresh)
+		})
+		if err == nil {
 			cs = &ChangeSet{Parent: parent.ID, Dirty: m.dirty, Fresh: m.fresh, Remap: m.remap}
 			skyInc, skyRec = maintainHeads(parent, ep, cs)
 			partInc, partRec = maintainPartition(parent, ep, cs)
-		} else {
-			// The delta path is never load-bearing for correctness: any
-			// failure falls back to the full build of the same merge.
-			fellBack = true
 		}
-	}
-	if m != nil && !delta {
-		ep, err = c.buildFull(m.items, m.ids)
+	default:
+		ep, err = c.buildEpoch(m.items, m.ids, search.NewIndex)
 		cs = &ChangeSet{Parent: parent.ID, Full: true}
 	}
 
 	c.mu.Lock()
 	c.rebuilds++
-	if delta {
+	if useDelta {
 		c.deltas++
 	} else {
 		c.fulls++
-	}
-	if fellBack {
-		c.deltaFalls++
 	}
 	if skyInc {
 		c.skylineInc++
@@ -652,9 +651,6 @@ type merged struct {
 	// dirty lists replaced or deleted parent-dense ids and fresh the
 	// new-dense ids of inserted or replaced items, both ascending.
 	remap, dirty, fresh []int32
-	// removedRows and addedRows are the value rows that left and entered
-	// the set, the normalizer delta feature.NewSpaceFrom consumes.
-	removedRows, addedRows [][]float64
 }
 
 // mergeChanges merges the parent epoch's stable-ordered items with the
@@ -693,12 +689,10 @@ func mergeChanges(parent *Epoch, changes []change) *merged {
 	}
 	n := len(pItems) - dels + adds
 	m := &merged{
-		items:       make([]feature.Item, 0, n),
-		remap:       make([]int32, len(pItems)),
-		dirty:       make([]int32, 0, dels),
-		fresh:       make([]int32, 0, adds),
-		removedRows: make([][]float64, 0, dels),
-		addedRows:   make([][]float64, 0, adds),
+		items: make([]feature.Item, 0, n),
+		remap: make([]int32, len(pItems)),
+		dirty: make([]int32, 0, dels),
+		fresh: make([]int32, 0, adds),
 	}
 	stable := make([]int, 0, n)
 	place := func(it feature.Item, sid int) int32 {
@@ -708,10 +702,7 @@ func mergeChanges(parent *Epoch, changes []change) *merged {
 		stable = append(stable, sid)
 		return nd
 	}
-	add := func(it feature.Item) {
-		m.fresh = append(m.fresh, place(it, it.ID))
-		m.addedRows = append(m.addedRows, it.Values)
-	}
+	add := func(it feature.Item) { m.fresh = append(m.fresh, place(it, it.ID)) }
 	oldStable := pm.stable
 	i, j := 0, 0
 	for i < len(oldStable) || j < len(eff) {
@@ -725,7 +716,6 @@ func mergeChanges(parent *Epoch, changes []change) *merged {
 		default: // same stable ID: replaced or deleted
 			m.remap[i] = -1
 			m.dirty = append(m.dirty, int32(i))
-			m.removedRows = append(m.removedRows, pItems[i].Values)
 			if eff[j].exists {
 				add(eff[j].item)
 			}
@@ -740,31 +730,15 @@ func mergeChanges(parent *Epoch, changes []change) *merged {
 	return m
 }
 
-// buildDelta derives the next epoch from its parent incrementally: the
-// feature space reuses per-dimension normalizer state the merge does not
-// touch (feature.NewSpaceFrom) and the search index splices the merge into
-// the parent's sorted lists (search.NewIndexFrom), so the build costs
-// O(batch·log n) plus O(n) copying rather than O(n log n) sorting. The
-// result is bit-identical to buildFull over the same merge — the delta
-// property and fuzz suites assert it.
-func (c *Catalog) buildDelta(parent *Epoch, m *merged) (*Epoch, error) {
-	space, err := feature.NewSpaceFrom(parent.Space, m.items, m.removedRows, m.addedRows)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: delta-building epoch over %d items: %w", len(m.items), err)
-	}
-	ix := search.NewIndexFrom(parent.Index, space, m.remap, m.fresh)
-	ix.ConfigurePartition(c.partStats)
-	return &Epoch{Space: space, Index: ix, ids: m.ids}, nil
-}
-
-// buildFull builds an epoch from scratch over a dense item slice ordered
-// by stable ID. The epoch ID is assigned by the caller at install time.
-func (c *Catalog) buildFull(items []feature.Item, ids *IDMap) (*Epoch, error) {
+// buildEpoch builds an epoch over a dense item slice ordered by stable ID:
+// the feature space from the items, the search index by the given builder.
+// The epoch ID is assigned by the caller at install time.
+func (c *Catalog) buildEpoch(items []feature.Item, ids *IDMap, index func(*feature.Space) *search.Index) (*Epoch, error) {
 	space, err := feature.NewSpace(items, c.profile, c.maxSize)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: building epoch over %d items: %w", len(items), err)
 	}
-	ix := search.NewIndex(space)
+	ix := index(space)
 	ix.ConfigurePartition(c.partStats)
 	return &Epoch{Space: space, Index: ix, ids: ids}, nil
 }
@@ -870,7 +844,6 @@ func (c *Catalog) Stats() Stats {
 		Rebuilds:             c.rebuilds,
 		DeltaBuilds:          c.deltas,
 		FullRebuilds:         c.fulls,
-		DeltaFallbacks:       c.deltaFalls,
 		SkylineIncremental:   c.skylineInc,
 		SkylineRecomputes:    c.skylineRec,
 		PartitionIncremental: c.partInc,

@@ -58,7 +58,7 @@ func assertEpochMatches(t testing.TB, ep *Epoch, sp *feature.Space, ix *search.I
 		t.Fatalf("space hash: got %x, want %x", ep.Space.Hash(), sp.Hash())
 	}
 	for d := 0; d < sp.Dims(); d++ {
-		g, w := ep.Space.Norm.Scale(d), sp.Norm.Scale(d)
+		g, w := ep.Space.Scale(d), sp.Scale(d)
 		if math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("scale[%d]: got %v, want %v", d, g, w)
 		}

@@ -10,7 +10,7 @@
 // skill factor inducing the strong cross-feature correlations of real
 // career stats, power-law playing time, and nulls on the three-point
 // percentage of early-era players — so every experiment that consumed the
-// real file exercises identical code paths (see DESIGN.md, Substitutions).
+// real file exercises identical code paths.
 package dataset
 
 import (

@@ -110,7 +110,8 @@ func fig6Point(p Params, kind string, nItems, features, samples, prefs int, incl
 		start = time.Now()
 		_, err = ranking.Rank(ix, res.Samples, ranking.EXP, ranking.Options{
 			K: 5,
-			// Bounded per-sample searches: see DESIGN.md on beam budgets.
+			// Bounded per-sample searches: a beam and an access budget
+			// (search.Options.MaxQueue, MaxAccessed).
 			Search: search.Options{MaxQueue: 32, MaxAccessed: 100},
 		})
 		if err != nil {

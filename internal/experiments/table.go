@@ -3,8 +3,7 @@
 // pruning (Fig. 5), overall time performance (Fig. 6), sample quality
 // (§5.4), sample maintenance (Fig. 7), and elicitation effectiveness
 // (Fig. 8). Each experiment returns text tables that cmd/experiments
-// prints and EXPERIMENTS.md records; bench_test.go exercises the same
-// workloads under testing.B.
+// prints; bench_test.go exercises the same workloads under testing.B.
 //
 // Absolute times differ from the paper (different hardware and language —
 // the authors used Python); the reproduced quantity is the shape: which

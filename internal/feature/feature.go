@@ -9,7 +9,6 @@
 package feature
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -154,75 +153,36 @@ func (p *Profile) String() string {
 	return b.String()
 }
 
-// Normalizer scales raw aggregate values into [0,1] per dimension. The
-// scale for a dimension is the maximum aggregate value achievable by any
-// package of size at most maxSize (paper §2): for sum, the sum of the
-// maxSize largest values of the feature; for min, max and avg, the maximum
-// item value.
-type Normalizer struct {
-	scales []float64
-	// Delta-maintenance state (see newNormalizerFrom): per dimension, the
-	// count of non-null values of the dimension's feature and the
-	// descending "top" values the scale derives from — up to maxSize
-	// values for sum dimensions, the single max otherwise; nil while the
-	// dimension has no values or uses AggNull. Top slices may be shared
-	// between a parent normalizer and normalizers derived from it, so they
-	// are never mutated in place.
-	counts  []int
-	tops    [][]float64
-	maxSize int
-}
-
-// newNormalizer computes the per-dimension scales of the items' prebuilt
-// columns for the given profile and maximum package size; items is kept
-// only for error attribution.
-func newNormalizer(cols [][]float64, items []Item, p *Profile, maxSize int) (*Normalizer, error) {
-	if maxSize <= 0 {
-		return nil, fmt.Errorf("feature: maxSize must be positive, got %d", maxSize)
-	}
-	n := newEmptyNormalizer(p, maxSize)
+// normScales computes the per-dimension normalization divisors of the items'
+// prebuilt columns (see Space.Scale); items is kept only for error
+// attribution.
+func normScales(cols [][]float64, items []Item, p *Profile, maxSize int) ([]float64, error) {
+	scales := make([]float64, p.Dims())
 	for d, e := range p.entries {
+		scales[d] = 1 // AggNull, empty and all-zero dimensions scale by 1
 		if e.Agg == AggNull {
 			continue
 		}
-		count, top, err := dimTop(cols[e.Feature], items, e, maxSize)
+		s, err := dimBest(cols[e.Feature], items, e, maxSize)
 		if err != nil {
 			return nil, err
 		}
-		n.setDim(d, e.Agg, count, top)
+		if s != 0 {
+			scales[d] = s
+		}
 	}
-	return n, nil
+	return scales, nil
 }
 
-func newEmptyNormalizer(p *Profile, maxSize int) *Normalizer {
-	n := &Normalizer{
-		scales:  make([]float64, p.Dims()),
-		counts:  make([]int, p.Dims()),
-		tops:    make([][]float64, p.Dims()),
-		maxSize: maxSize,
-	}
-	for d := range n.scales {
-		n.scales[d] = 1 // AggNull and empty dimensions scale by 1
-	}
-	return n
-}
-
-// setDim installs one dimension's maintained state and derives its scale.
-func (n *Normalizer) setDim(d int, agg Agg, count int, top []float64) {
-	n.counts[d] = count
-	n.tops[d] = top
-	n.scales[d] = scaleFrom(agg, count, top)
-}
-
-// dimTop scans entry e's value column and returns the non-null value count
-// and the descending top values the dimension's scale derives from: the
-// maxSize largest for sum, the single max otherwise. Non-sum dimensions
-// take a single allocation-free max pass; sum dimensions select the top
-// maxSize through a bounded min-heap (O(n·log φ)) and sort only those —
-// the descending value sequence (and hence the scale bits) is identical to
-// a full descending sort, because the selected multiset and its sorted
-// order are unique. items is consulted only to attribute errors.
-func dimTop(col []float64, items []Item, e Entry, maxSize int) (count int, top []float64, err error) {
+// dimBest scans entry e's value column for the largest aggregate a package
+// of at most maxSize items reaches on it (0 when the column holds no
+// values): the maxSize largest values' sum for sum, the single max
+// otherwise. Non-sum dimensions take a single allocation-free max pass; sum
+// dimensions select the top maxSize through a bounded min-heap (O(n·log φ))
+// and add them in descending order — the order a full descending sort gives,
+// so the bits do not depend on how the values were selected. items is
+// consulted only to attribute errors.
+func dimBest(col []float64, items []Item, e Entry, maxSize int) (float64, error) {
 	if e.Agg != AggSum {
 		// min, max, avg: the best achievable is the single best item.
 		best := 0.0
@@ -231,17 +191,13 @@ func dimTop(col []float64, items []Item, e Entry, maxSize int) (count int, top [
 				continue
 			}
 			if v < 0 {
-				return 0, nil, fmt.Errorf("feature: item %d has negative value %g on feature %d", items[i].ID, v, e.Feature)
+				return 0, fmt.Errorf("feature: item %d has negative value %g on feature %d", items[i].ID, v, e.Feature)
 			}
-			count++
 			if v > best {
 				best = v
 			}
 		}
-		if count == 0 {
-			return 0, nil, nil
-		}
-		return count, []float64{best}, nil
+		return best, nil
 	}
 	// Sum: keep the maxSize largest values in a min-heap rooted at heap[0].
 	heap := make([]float64, 0, maxSize)
@@ -250,9 +206,8 @@ func dimTop(col []float64, items []Item, e Entry, maxSize int) (count int, top [
 			continue
 		}
 		if v < 0 {
-			return 0, nil, fmt.Errorf("feature: item %d has negative value %g on feature %d", items[i].ID, v, e.Feature)
+			return 0, fmt.Errorf("feature: item %d has negative value %g on feature %d", items[i].ID, v, e.Feature)
 		}
-		count++
 		if len(heap) < maxSize {
 			heap = append(heap, v)
 			for c := len(heap) - 1; c > 0; {
@@ -285,139 +240,21 @@ func dimTop(col []float64, items []Item, e Entry, maxSize int) (count int, top [
 			c = s
 		}
 	}
-	if count == 0 {
-		return 0, nil, nil
-	}
-	slices.SortFunc(heap, descFloat)
-	return count, heap, nil
-}
-
-// descFloat orders float64s descending (lists never contain nulls).
-func descFloat(a, b float64) int { return cmp.Compare(b, a) }
-
-// scaleFrom derives the normalization divisor from the maintained state,
-// reproducing newNormalizer's coercions exactly: dimensions with no
-// values, or whose best achievable aggregate is 0, scale by 1. Summing
-// the descending top values gives the same float result as newNormalizer
-// because it adds the same value sequence in the same order.
-func scaleFrom(agg Agg, count int, top []float64) float64 {
-	if count == 0 {
-		return 1
-	}
+	slices.Sort(heap)
 	s := 0.0
-	switch agg {
-	case AggSum:
-		for _, v := range top {
-			s += v
-		}
-	default:
-		s = top[0]
+	for i := len(heap) - 1; i >= 0; i-- {
+		s += heap[i]
 	}
-	if s == 0 {
-		return 1
-	}
-	return s
+	return s, nil
 }
-
-// newNormalizerFrom derives the normalizer for an item set obtained from
-// the parent's by removing and then adding raw value rows (a changed item
-// contributes one row to each). cols is the new set's prebuilt columnar
-// storage (rescans read it). A dimension's scale is recomputed from
-// scratch — a full rescan of the column — only when a removed value reaches
-// the state the scale derives from: ≥ the top-maxSize cutoff for sum
-// dimensions, equal to the max otherwise (with a not-yet-full top set,
-// every value participates, so any removal rescans). Additions never force
-// a rescan: the top set absorbs them in O(maxSize). Scales are
-// bit-identical to newNormalizer over items — untouched dimensions keep
-// the parent's scale verbatim, incremental updates preserve the top value
-// sequence a fresh sort would produce, and rescanned dimensions re-run the
-// same computation.
-func newNormalizerFrom(parent *Normalizer, cols [][]float64, items []Item, p *Profile, maxSize int, removed, added [][]float64) (*Normalizer, error) {
-	if maxSize != parent.maxSize {
-		return nil, fmt.Errorf("feature: newNormalizerFrom maxSize %d, parent has %d", maxSize, parent.maxSize)
-	}
-	n := newEmptyNormalizer(p, maxSize)
-	var remVals, addVals []float64 // per-dimension scratch
-	for d, e := range p.entries {
-		if e.Agg == AggNull {
-			continue
-		}
-		remVals, addVals = remVals[:0], addVals[:0]
-		for _, row := range removed {
-			if v := row[e.Feature]; !IsNull(v) {
-				remVals = append(remVals, v)
-			}
-		}
-		for _, row := range added {
-			v := row[e.Feature]
-			if IsNull(v) {
-				continue
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("feature: negative value %g on feature %d", v, e.Feature)
-			}
-			addVals = append(addVals, v)
-		}
-		count, top := parent.counts[d], parent.tops[d]
-		if len(remVals) == 0 && len(addVals) == 0 {
-			n.setDim(d, e.Agg, count, top) // untouched: share the parent's state
-			continue
-		}
-		// cutoff is the smallest value still contributing to the scale;
-		// -Inf when the top set is not full (then every value contributes).
-		cutoff := math.Inf(-1)
-		if e.Agg == AggSum {
-			if len(top) >= maxSize {
-				cutoff = top[len(top)-1]
-			}
-		} else if count > 0 {
-			cutoff = top[0]
-		}
-		dirty := false
-		for _, v := range remVals {
-			if v >= cutoff {
-				dirty = true
-				break
-			}
-			count--
-		}
-		if dirty {
-			count, top, _ = dimTop(cols[e.Feature], items, e, maxSize) // rows already validated
-		} else if len(addVals) > 0 {
-			top = slices.Clone(top)
-			for _, v := range addVals {
-				count++
-				if e.Agg == AggSum {
-					if len(top) >= maxSize && v <= top[len(top)-1] {
-						continue // below the cutoff: the top set is unchanged
-					}
-					i, _ := slices.BinarySearchFunc(top, v, descFloat)
-					top = slices.Insert(top, i, v)
-					if len(top) > maxSize {
-						top = top[:maxSize]
-					}
-				} else if len(top) == 0 {
-					top = []float64{v}
-				} else if v > top[0] {
-					top[0] = v // already cloned above
-				}
-			}
-		}
-		n.setDim(d, e.Agg, count, top)
-	}
-	return n, nil
-}
-
-// Scale returns the normalization divisor for dimension d.
-func (n *Normalizer) Scale(d int) float64 { return n.scales[d] }
 
 // Space bundles the immutable inputs of a recommendation problem: the item
-// set, the profile, the package size bound and the derived normalizer. It
+// set, the profile, the package size bound and the derived scales. It
 // is the context against which packages are evaluated.
 //
 // Value storage is struct-of-arrays: cols[f] is the contiguous column of
 // every item's value on raw feature f (Null entries verbatim). The scoring
-// kernels, the sorted-list index and the normalizer scans all iterate
+// kernels, the sorted-list index and the scale scans all iterate
 // columns — one dense array per feature instead of a pointer chase per item
 // — which is what keeps them cache-resident at million-item catalogues (and
 // is the layout later SIMD work wants). Items keeps the row view for identity (ID, Name) and for
@@ -428,7 +265,8 @@ type Space struct {
 	Profile *Profile
 	// MaxSize is φ, the system-defined maximum package size.
 	MaxSize int
-	Norm    *Normalizer
+	// scales[d] is dimension d's normalization divisor (see Scale).
+	scales []float64
 	// cols[f][i] is item i's value on feature f (Null where missing).
 	cols [][]float64
 	// hasNull[f] records whether any item lacks feature f; used by the
@@ -438,6 +276,14 @@ type Space struct {
 	// hash is the geometry fingerprint (see Hash).
 	hash uint64
 }
+
+// Scale returns the normalization divisor of dimension d, which scales its
+// raw aggregate into [0,1] (paper §2): the maximum aggregate any package of
+// at most MaxSize items reaches on it — for sum, the sum of the MaxSize
+// largest values of the feature; for min, max and avg, the maximum item
+// value. AggNull dimensions, dimensions without values and dimensions whose
+// best aggregate is 0 scale by 1.
+func (s *Space) Scale(d int) float64 { return s.scales[d] }
 
 // Col returns the contiguous value column of raw feature f (do not mutate).
 // Null entries hold the Null sentinel, so IsNull works directly on column
@@ -493,7 +339,8 @@ func buildColumns(items []Item, featureCount int) (cols [][]float64, hasNull []b
 }
 
 // NewSpace validates the items against the profile and precomputes the
-// columnar value storage, the normalizer and the null-presence flags.
+// columnar value storage, the normalization scales and the null-presence
+// flags.
 func NewSpace(items []Item, p *Profile, maxSize int) (*Space, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("feature: empty item set")
@@ -504,56 +351,17 @@ func NewSpace(items []Item, p *Profile, maxSize int) (*Space, error) {
 				items[i].ID, len(items[i].Values), p.FeatureCount())
 		}
 	}
+	if maxSize <= 0 {
+		return nil, fmt.Errorf("feature: maxSize must be positive, got %d", maxSize)
+	}
 	cols, hasNull := buildColumns(items, p.FeatureCount())
-	norm, err := newNormalizer(cols, items, p, maxSize)
+	scales, err := normScales(cols, items, p, maxSize)
 	if err != nil {
 		return nil, err
 	}
-	return newSpace(items, p, maxSize, norm, cols, hasNull), nil
-}
-
-// newSpace assembles a space from precomputed parts, deriving the geometry
-// fingerprint.
-func newSpace(items []Item, p *Profile, maxSize int, norm *Normalizer, cols [][]float64, hasNull []bool) *Space {
-	sp := &Space{Items: items, Profile: p, MaxSize: maxSize, Norm: norm, cols: cols, hasNull: hasNull}
+	sp := &Space{Items: items, Profile: p, MaxSize: maxSize, scales: scales, cols: cols, hasNull: hasNull}
 	sp.hash = sp.fingerprint()
-	return sp
-}
-
-// NewSpaceFrom derives the space for a new dense item slice from a parent
-// space whose item set differs by the given raw value rows: removed lists
-// the rows that left the parent's set, added the rows that entered (a
-// changed item contributes one row to each). The result is bit-identical
-// to NewSpace(items, parent.Profile, parent.MaxSize) — per-dimension
-// normalizer scales are recomputed only where the delta touches the
-// values they derive from (newNormalizerFrom), and the columns, null flags
-// and geometry fingerprint come from one pass over the new items — but
-// skips the parent-untouched per-dimension sorts, so its cost scales with
-// the delta plus that O(n) pass, not O(n log n).
-func NewSpaceFrom(parent *Space, items []Item, removed, added [][]float64) (*Space, error) {
-	if len(items) == 0 {
-		return nil, fmt.Errorf("feature: empty item set")
-	}
-	p := parent.Profile
-	for i := range items {
-		if len(items[i].Values) != p.FeatureCount() {
-			return nil, fmt.Errorf("feature: item %d has %d values, profile expects %d",
-				items[i].ID, len(items[i].Values), p.FeatureCount())
-		}
-	}
-	for _, rows := range [2][][]float64{removed, added} {
-		for _, row := range rows {
-			if len(row) != p.FeatureCount() {
-				return nil, fmt.Errorf("feature: delta row has %d values, profile expects %d", len(row), p.FeatureCount())
-			}
-		}
-	}
-	cols, hasNull := buildColumns(items, p.FeatureCount())
-	norm, err := newNormalizerFrom(parent.Norm, cols, items, p, parent.MaxSize, removed, added)
-	if err != nil {
-		return nil, err
-	}
-	return newSpace(items, p, parent.MaxSize, norm, cols, hasNull), nil
+	return sp, nil
 }
 
 // fingerprint digests everything package-vector geometry depends on: the
@@ -761,15 +569,16 @@ func (st *State) Aggregate(d int) float64 {
 func (st *State) Vector() []float64 {
 	v := make([]float64, st.space.Dims())
 	for d := range v {
-		v[d] = st.Aggregate(d) / st.space.Norm.Scale(d)
+		v[d] = st.Aggregate(d) / st.space.scales[d]
 	}
 	return v
 }
 
-// Pad modes select which imaginary contributions PadUpper may choose for a
-// dimension with an active sorted list: the list's boundary value τ, a null
-// contribution, or whichever of the two scores higher (attainable when the
-// feature has nulls in the dataset).
+// Pad modes select which imaginary contributions the pad kernel may choose
+// for a dimension with an active sorted list: the list's boundary value τ, a
+// null contribution, or whichever of the two scores higher (attainable when
+// the feature has nulls in the dataset). A nil mode slice means PadTau
+// throughout.
 const (
 	PadTau uint8 = iota
 	PadTauOrSkip
@@ -781,11 +590,10 @@ const (
 // column, flat agg offset and aggregation kind. Hoisting these out of the
 // per-round loops is what makes the kernels cheap — the hot path touches
 // one small struct per dimension and indexes one dense column instead of
-// chasing profile, normalizer, weight and per-item row slices.
+// chasing profile, scale, weight and per-item row slices.
 type kernelDim struct {
 	w, scale float64
 	col      []float64
-	feat     int32
 	b        int32
 	kind     Agg
 }
@@ -794,9 +602,8 @@ func makeKernelDim(s *Space, u *Utility, d int) kernelDim {
 	e := s.Profile.entries[d]
 	return kernelDim{
 		w:     u.W[d],
-		scale: s.Norm.scales[d],
+		scale: s.scales[d],
 		col:   s.cols[e.Feature],
-		feat:  int32(e.Feature),
 		b:     int32(aggStride * d),
 		kind:  e.Agg,
 	}
@@ -825,18 +632,17 @@ func NewScorePlan(s *Space, u *Utility) *ScorePlan {
 	return pl
 }
 
-// PadPlan caches the constants the pad kernels read: skips are the
+// PadPlan caches the constants the pad kernel reads: skips are the
 // non-zero-weight dimensions without an active sorted list, lists the
-// dimensions with one, both in ascending dimension order. The τ-only kernels
-// read weight, scale and aggregation kind — which is their per-dimension
-// class: constant (min/max), sum or avg — straight from the plan; nothing is
-// copied or classified per call.
+// dimensions with one, both in ascending dimension order. The kernel reads
+// weight, scale and aggregation kind — with a list's pad mode, its
+// per-dimension class — straight from the plan; nothing is copied per call.
 type PadPlan struct {
 	skips []kernelDim
 	lists []kernelDim
 }
 
-// NewPadPlan builds the PadUpper plan for utility u over space s from the
+// NewPadPlan builds the pad kernel's plan for utility u over space s from the
 // two dimension groups (each ascending).
 func NewPadPlan(s *Space, u *Utility, skipDims, listDims []int) *PadPlan {
 	pl := &PadPlan{}
@@ -1014,193 +820,76 @@ func ScoreAfterBatch(pl *ScorePlan, id int32, states []*State, out []float64) {
 	}
 }
 
-// PadUpper is the fused upper-exp padding loop (search Algorithm 3): it
-// repeatedly extends st with the per-dimension best imaginary contribution
-// until the size cap phi, returning the running maximum utility over pad
-// counts 1..phi−Size. It mutates the receiver (callers pass a scratch copy).
-//
-// modes and taus parallel pl.lists: each list dimension's pad mode and
-// current boundary value τ. Per round each dimension's contribution is
-// computed against the pre-round state (each fold touches only its own
-// dimension's slots, and the size divisor advances once per round), so the
-// result is bit-identical to the unfused choose-then-fold formulation; ties
-// between τ and a null contribution keep τ.
+// PadUpper is the upper-exp padding loop (search Algorithm 3): it extends st,
+// round by round up to the size cap phi, with the per-dimension best
+// imaginary contribution, and returns the running maximum utility over pad
+// counts 1..phi−Size (−∞ when st is already at the cap). modes and taus
+// parallel pl.lists: each list dimension's pad mode (nil: PadTau throughout)
+// and current boundary value τ. Ties between τ and a null contribution keep
+// τ. The receiver is not modified.
 func (st *State) PadUpper(pl *PadPlan, modes []uint8, taus []float64, phi int) float64 {
-	agg := st.agg
-	best := math.Inf(-1)
-	for st.Size < phi {
-		szp1 := float64(st.Size + 1)
-		util := 0.0
-		for i := range pl.skips {
-			kd := &pl.skips[i]
-			var a float64
-			if kd.kind != AggNull {
-				b := kd.b
-				if agg[b] != 0 {
-					switch kd.kind {
-					case AggMin:
-						a = agg[b+2]
-					case AggMax:
-						a = agg[b+3]
-					case AggSum:
-						a = agg[b+1]
-					case AggAvg:
-						a = agg[b+1] / szp1
-					}
-				}
-			}
-			util += kd.w * a / kd.scale
-		}
-		for i := range pl.lists {
-			kd := &pl.lists[i]
-			b := kd.b
-			mode := modes[i]
-			var bestVal, tau float64
-			foldTau := false
-			if mode != PadSkip {
-				tau = taus[i]
-				sum := agg[b+1] + tau
-				mn, mx := agg[b+2], agg[b+3]
-				if tau < mn {
-					mn = tau
-				}
-				if tau > mx {
-					mx = tau
-				}
-				var a float64
-				switch kd.kind {
-				case AggMin:
-					a = mn
-				case AggMax:
-					a = mx
-				case AggSum:
-					a = sum
-				case AggAvg:
-					a = sum / szp1
-				}
-				bestVal = kd.w * a / kd.scale
-				foldTau = true
-			}
-			if mode != PadTau {
-				var a float64
-				if agg[b] != 0 {
-					switch kd.kind {
-					case AggMin:
-						a = agg[b+2]
-					case AggMax:
-						a = agg[b+3]
-					case AggSum:
-						a = agg[b+1]
-					case AggAvg:
-						a = agg[b+1] / szp1
-					}
-				}
-				if v := kd.w * a / kd.scale; mode == PadSkip || v > bestVal {
-					bestVal = v
-					foldTau = false
-				}
-			}
-			util += bestVal
-			if foldTau {
-				agg[b]++
-				agg[b+1] += tau
-				if tau < agg[b+2] {
-					agg[b+2] = tau
-				}
-				if tau > agg[b+3] {
-					agg[b+3] = tau
-				}
-			}
-		}
-		st.Size++
-		if util > best {
-			best = util
-		}
-	}
-	return best
+	return st.pad(pl, -1, modes, taus, st.Size, phi)
 }
 
-// padFastDims caps the dimension count (skips plus lists) the τ-only kernels
-// can handle with their stack-resident scratch; see PadPlan.TauOnly.
-const padFastDims = 16
+// PadUpperAfter is PadUpper of the receiver grown by the item with dense id —
+// GrowFrom followed by PadUpper, bit for bit — without materializing the
+// grown state. The receiver is not modified.
+func (st *State) PadUpperAfter(pl *PadPlan, id int32, modes []uint8, taus []float64, phi int) float64 {
+	return st.pad(pl, id, modes, taus, st.Size+1, phi)
+}
 
-// TauOnly reports whether the plan fits the τ-only kernels (PadUpperTau,
-// PadUpperTauAfter). Callers must additionally hold every list dimension in
-// mode PadTau, and fall back to PadUpper otherwise.
-func (pl *PadPlan) TauOnly() bool { return len(pl.skips)+len(pl.lists) <= padFastDims }
-
-// PadUpperTau is PadUpper specialized to runs where every list dimension
-// still pads with its boundary value τ (mode PadTau throughout) — the common
-// case for null-free datasets with live cursors. τ is constant within a
-// call, so a dimension's min/max slots stop moving after the first fold and
-// its sum advances by exactly τ per round; padTau replays PadUpper's float
-// operation sequence on one stack-resident running value per dimension
-// instead of folding into the agg array, which lets callers skip the scratch
-// copy entirely. The receiver is not modified. Bit-identical to PadUpper with
-// all modes PadTau: per-round sums chain through the same additions, min/max
-// fold to the same constant, and the per-dimension w·a/scale terms accumulate
-// in the same order. pl.TauOnly() must hold.
+// PadUpperTau is PadUpper with every list dimension in mode PadTau.
 func (st *State) PadUpperTau(pl *PadPlan, taus []float64, phi int) float64 {
-	return st.padTau(pl, -1, taus, st.Size, phi)
+	return st.pad(pl, -1, nil, taus, st.Size, phi)
 }
 
-// PadUpperTauAfter returns the upper-exp bound of the receiver grown by the
-// item with dense id — GrowFrom followed by PadUpperTau, bit for bit — without
-// materializing the grown state: the item's column values fold into the
-// per-dimension running values as they are seeded, and the pad rounds start
-// one size up. The receiver is not modified. pl.TauOnly() must hold.
-func (st *State) PadUpperTauAfter(pl *PadPlan, id int32, taus []float64, phi int) float64 {
-	return st.padTau(pl, id, taus, st.Size+1, phi)
-}
+// padStackDims is how many dimensions (skips plus lists) pad keeps its
+// running values for on the stack; wider plans take them from the heap.
+const padStackDims = 16
 
-// padTau is the body of the τ-only kernels: pad the receiver — grown by item
-// id first when id ≥ 0 — from package size `size` up to phi. One running
-// value per dimension (skips first, then lists) is seeded from the summary
-// slot the dimension's aggregation reads, with the item's column value
-// folded in: for min/max and empty dimensions the round-invariant
-// contribution w·a/scale itself, for sum/avg the sum the rounds advance
-// (lists, by τ) or only re-divide (avg skips). A null item value, like no
-// item at all, is a NaN that no min/max comparison admits.
-func (st *State) padTau(pl *PadPlan, id int32, taus []float64, size, phi int) float64 {
+// pad is the one pad loop: pad the receiver — grown by item id first when
+// id ≥ 0 — from package size `size` up to phi. It is bit-identical to the
+// unfused loop that, per round, picks each list's contribution against the
+// pre-round state, folds the imaginary item into the agg slots and scores
+// skips then lists in ascending order; but it folds nothing. A dimension's
+// term depends only on its own slots and the size divisor, and τ is constant
+// within a call, so each dimension carries one running value, seeded from
+// the slot its aggregation reads with the item's column value folded in (a
+// null item value, like no item at all, is a NaN no min/max comparison
+// admits):
+//
+//   - Skips, and lists in mode PadSkip, never fold: their term is invariant
+//     (the running value) except for avg, whose sum is re-divided per round.
+//   - A min/max list's term is invariant too. Under PadTau it is the slot
+//     folded with τ once — folding the same τ again moves nothing. Under
+//     PadTauOrSkip the first round picks τ or skip, ties to τ, and every
+//     later round picks the same term: after a τ fold both candidates read
+//     the folded slot, and after a skip nothing changed.
+//   - A sum/avg list carries its sum: PadTau adds τ every round, the same
+//     additions the folds chain; PadTauOrSkip scores both candidates every
+//     round and adds τ unless the unfolded term is strictly larger. An empty
+//     dimension's sum slot is +0, so the unfolded term needs no emptiness
+//     test.
+//
+// Lists are seeded as PadTau (every mode carries a sum/avg list's sum), and
+// with modes given, seedModes re-seeds the min/max lists in other modes and
+// padRound takes each round's lists.
+func (st *State) pad(pl *PadPlan, id int32, modes []uint8, taus []float64, size, phi int) float64 {
 	agg := st.agg
 	null := math.NaN()
-	var run [padFastDims]float64
+	var buf [padStackDims]float64
+	run := buf[:]
+	if n := len(pl.skips) + len(pl.lists); n > len(buf) {
+		run = make([]float64, n)
+	}
 	ns := len(pl.skips)
 	for i := range pl.skips {
 		kd := &pl.skips[i]
-		b := kd.b
-		v, count := null, agg[b]
+		v := null
 		if id >= 0 {
 			v = kd.col[id]
 		}
-		if !IsNull(v) {
-			count++
-		}
-		var a float64 // the aggregate — for avg the sum, whose divisor moves
-		if count != 0 {
-			switch kd.kind {
-			case AggMin:
-				a = agg[b+2]
-				if v < a {
-					a = v
-				}
-			case AggMax:
-				a = agg[b+3]
-				if v > a {
-					a = v
-				}
-			case AggSum, AggAvg:
-				a = agg[b+1]
-				if !IsNull(v) {
-					a += v
-				}
-			}
-		}
-		if kd.kind == AggAvg {
-			run[i] = a // +0 while the dimension is empty, like PadUpper's a
-		} else {
-			run[i] = kd.w * a / kd.scale
-		}
+		run[i] = kd.skipSeed(agg, v)
 	}
 	lists := pl.lists
 	for i := range lists {
@@ -1239,6 +928,9 @@ func (st *State) padTau(pl *PadPlan, id int32, taus []float64, size, phi int) fl
 			run[ns+i] = kd.w * 0 / kd.scale
 		}
 	}
+	if modes != nil {
+		pl.seedModes(agg, id, modes, run[ns:])
+	}
 	best := math.Inf(-1)
 	for sz := size; sz < phi; sz++ {
 		szp1 := float64(sz + 1)
@@ -1252,20 +944,24 @@ func (st *State) padTau(pl *PadPlan, id int32, taus []float64, size, phi int) fl
 				util += run[i]
 			}
 		}
-		for i := range lists {
-			kd := &lists[i]
-			switch kd.kind {
-			case AggSum:
-				s := run[ns+i] + taus[i]
-				run[ns+i] = s
-				util += kd.w * s / kd.scale
-			case AggAvg:
-				s := run[ns+i] + taus[i]
-				run[ns+i] = s
-				a := s / szp1
-				util += kd.w * a / kd.scale
-			default:
-				util += run[ns+i]
+		if modes != nil {
+			util = pl.padRound(modes, taus, run[ns:], szp1, util)
+		} else {
+			for i := range lists {
+				kd := &lists[i]
+				switch kd.kind {
+				case AggSum:
+					s := run[ns+i] + taus[i]
+					run[ns+i] = s
+					util += kd.w * s / kd.scale
+				case AggAvg:
+					s := run[ns+i] + taus[i]
+					run[ns+i] = s
+					a := s / szp1
+					util += kd.w * a / kd.scale
+				default:
+					util += run[ns+i]
+				}
 			}
 		}
 		if util > best {
@@ -1273,6 +969,88 @@ func (st *State) padTau(pl *PadPlan, id int32, taus []float64, size, phi int) fl
 		}
 	}
 	return best
+}
+
+// skipSeed is pad's running value for a dimension that does not fold: the
+// term w·a/scale of its slots with the item value v folded in (NaN: none),
+// or for avg the sum a, whose divisor moves. An empty dimension's a is +0.
+func (kd *kernelDim) skipSeed(agg []float64, v float64) float64 {
+	b := kd.b
+	count := agg[b]
+	if !IsNull(v) {
+		count++
+	}
+	var a float64
+	if count != 0 {
+		switch kd.kind {
+		case AggMin:
+			a = agg[b+2]
+			if v < a {
+				a = v
+			}
+		case AggMax:
+			a = agg[b+3]
+			if v > a {
+				a = v
+			}
+		case AggSum, AggAvg:
+			a = agg[b+1]
+			if !IsNull(v) {
+				a += v
+			}
+		}
+	}
+	if kd.kind == AggAvg {
+		return a
+	}
+	return kd.w * a / kd.scale
+}
+
+// seedModes re-seeds the min/max lists pad seeded as PadTau whose mode is
+// PadSkip (the skip term) or PadTauOrSkip (the better term, ties to τ).
+func (pl *PadPlan) seedModes(agg []float64, id int32, modes []uint8, run []float64) {
+	for i := range pl.lists {
+		kd := &pl.lists[i]
+		if modes[i] == PadTau || kd.kind == AggSum || kd.kind == AggAvg {
+			continue
+		}
+		v := math.NaN()
+		if id >= 0 {
+			v = kd.col[id]
+		}
+		if skip := kd.skipSeed(agg, v); modes[i] == PadSkip || skip > run[i] {
+			run[i] = skip
+		}
+	}
+}
+
+// padRound adds one pad round's list terms to util, advancing the sums in
+// run (parallel to pl.lists) by each list's mode, and returns util.
+func (pl *PadPlan) padRound(modes []uint8, taus, run []float64, szp1, util float64) float64 {
+	for i := range pl.lists {
+		kd := &pl.lists[i]
+		if kd.kind != AggSum && kd.kind != AggAvg {
+			util += run[i]
+			continue
+		}
+		s := run[i]
+		skip, fold := s, s+taus[i]
+		if kd.kind == AggAvg {
+			skip, fold = s/szp1, fold/szp1
+		}
+		t := kd.w * fold / kd.scale
+		if modes[i] != PadTau {
+			// PadSkip never folds; PadTauOrSkip folds unless skipping
+			// scores strictly higher.
+			if k := kd.w * skip / kd.scale; modes[i] == PadSkip || k > t {
+				util += k
+				continue
+			}
+		}
+		run[i] = s + taus[i]
+		util += t
+	}
+	return util
 }
 
 // Utility is the linear utility function U(p) = w·p⃗ over normalized
@@ -1302,7 +1080,7 @@ func (u *Utility) ScoreState(st *State) float64 {
 		if w == 0 {
 			continue
 		}
-		s += w * st.Aggregate(d) / st.space.Norm.Scale(d)
+		s += w * st.Aggregate(d) / st.space.scales[d]
 	}
 	return s
 }

@@ -69,10 +69,10 @@ func TestProfileString(t *testing.T) {
 // maximum sum on f1 is 0.6+0.4 = 1 and the maximum avg on f2 is 0.4.
 func TestNormalizerPaperExample(t *testing.T) {
 	sp := paperSpace(t)
-	if got := sp.Norm.Scale(0); got != 1.0 {
+	if got := sp.Scale(0); got != 1.0 {
 		t.Errorf("sum scale = %g, want 1.0", got)
 	}
-	if got := sp.Norm.Scale(1); got != 0.4 {
+	if got := sp.Scale(1); got != 0.4 {
 		t.Errorf("avg scale = %g, want 0.4", got)
 	}
 }
@@ -362,7 +362,7 @@ func TestNormalizerZeroScaleGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSpace: %v", err)
 	}
-	if got := sp.Norm.Scale(0); got != 1 {
+	if got := sp.Scale(0); got != 1 {
 		t.Errorf("all-zero feature scale = %g, want fallback 1", got)
 	}
 }

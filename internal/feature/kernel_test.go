@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -18,9 +19,11 @@ type kernelCase struct {
 	skipDims, listDims []int
 	parents            []*State // parents[s] has size s, s = 0 … φ−1
 	id                 int32
-	modes              []uint8 // random, parallel to listDims
-	allTau             []uint8 // PadTau throughout
-	taus               []float64
+	// modes holds the pad descriptors every pad kernel row runs under, each
+	// parallel to listDims: random per list, and each mode throughout (nil
+	// stands for PadTau throughout, as the kernel reads it).
+	modes map[string][]uint8
+	taus  []float64
 }
 
 // kernelValue draws from a palette that forces ties, exact zeros of both
@@ -48,6 +51,9 @@ func newKernelCase(rng *rand.Rand) *kernelCase {
 	aggs := []Agg{AggNull, AggMin, AggMax, AggSum, AggAvg}
 	m := 1 + rng.Intn(5)
 	dims := 1 + rng.Intn(5)
+	if rng.Intn(8) == 0 {
+		dims = 17 + rng.Intn(8) // past the kernel's stack scratch
+	}
 	entries := make([]Entry, dims)
 	for d := range entries {
 		entries[d] = Entry{Feature: rng.Intn(m), Agg: aggs[rng.Intn(len(aggs))]}
@@ -69,7 +75,7 @@ func newKernelCase(rng *rand.Rand) *kernelCase {
 	if err != nil {
 		panic(err)
 	}
-	c := &kernelCase{sp: sp, id: int32(rng.Intn(len(items)))}
+	c := &kernelCase{sp: sp, id: int32(rng.Intn(len(items))), modes: map[string][]uint8{"tau": nil}}
 	w := make([]float64, dims)
 	for d := range w {
 		if rng.Intn(5) != 0 {
@@ -94,8 +100,9 @@ func newKernelCase(rng *rand.Rand) *kernelCase {
 	c.score = NewScorePlan(sp, c.u)
 	c.pad = NewPadPlan(sp, c.u, c.skipDims, c.listDims)
 	for range c.listDims {
-		c.modes = append(c.modes, uint8(rng.Intn(3)))
-		c.allTau = append(c.allTau, PadTau)
+		c.modes["random"] = append(c.modes["random"], uint8(rng.Intn(3)))
+		c.modes["either"] = append(c.modes["either"], PadTauOrSkip)
+		c.modes["skip"] = append(c.modes["skip"], PadSkip)
 		c.taus = append(c.taus, kernelValue(rng, false))
 	}
 	st := NewState(sp)
@@ -119,7 +126,7 @@ func (c *kernelCase) grown(parent *State) *State {
 // the result dimension by dimension in the kernels' skips-then-lists order.
 func (c *kernelCase) padReference(st *State, modes []uint8) float64 {
 	st = st.Clone()
-	term := func(d int, a float64) float64 { return c.u.W[d] * a / c.sp.Norm.Scale(d) }
+	term := func(d int, a float64) float64 { return c.u.W[d] * a / c.sp.Scale(d) }
 	best := math.Inf(-1)
 	for st.Size < c.sp.MaxSize {
 		contribs := make([]Contrib, c.sp.Dims())
@@ -128,7 +135,11 @@ func (c *kernelCase) padReference(st *State, modes []uint8) float64 {
 		}
 		for i, d := range c.listDims {
 			tau, skip := Contrib{Value: c.taus[i]}, Contrib{Skip: true}
-			switch modes[i] {
+			mode := PadTau
+			if modes != nil {
+				mode = modes[i]
+			}
+			switch mode {
 			case PadTau:
 				contribs[d] = tau
 			case PadTauOrSkip:
@@ -152,19 +163,18 @@ func (c *kernelCase) padReference(st *State, modes []uint8) float64 {
 	return best
 }
 
-// TestKernelsMatchUnfusedReference holds every fused search kernel to
-// bitwise equality with the plain State operations it replaces, over random
-// spaces: every aggregation including null, several entries on one feature,
-// nullable features on list and skip dimensions, zero and negative weights,
-// ties and ±0 values, φ = 1 … 5 and parents of every size below φ. The
-// whole-search oracles only see the kernels through the decisions they
-// drive; this is where a wrong bit shows up as a wrong bit.
-func TestKernelsMatchUnfusedReference(t *testing.T) {
-	kernels := []struct {
-		name string
-		// eval returns the kernel's and the reference's result for one parent.
-		eval func(c *kernelCase, parent *State) (got, want float64)
-	}{
+// kernelRow is one fused kernel of the reference suite, evaluated on one
+// parent state of a case: the kernel's result and the reference's.
+type kernelRow struct {
+	name string
+	eval func(c *kernelCase, parent *State) (got, want float64)
+}
+
+// kernelRows lists every fused search kernel with the plain State
+// operations it replaces; the pad kernels run under each of the case's pad
+// descriptors.
+func kernelRows() []kernelRow {
+	rows := []kernelRow{
 		{"ScoreAfter", func(c *kernelCase, p *State) (float64, float64) {
 			return p.ScoreAfter(c.score, c.id), c.u.ScoreState(c.grown(p))
 		}},
@@ -192,38 +202,76 @@ func TestKernelsMatchUnfusedReference(t *testing.T) {
 			}
 			return 0, 0
 		}},
-		{"PadUpper", func(c *kernelCase, p *State) (float64, float64) {
-			return p.Clone().PadUpper(c.pad, c.modes, c.taus, c.sp.MaxSize), c.padReference(p, c.modes)
-		}},
 		{"PadUpperTau", func(c *kernelCase, p *State) (float64, float64) {
-			return p.PadUpperTau(c.pad, c.taus, c.sp.MaxSize),
-				p.Clone().PadUpper(c.pad, c.allTau, c.taus, c.sp.MaxSize)
-		}},
-		{"PadUpperTauAfter", func(c *kernelCase, p *State) (float64, float64) {
-			g := NewState(c.sp)
-			g.GrowFrom(p, c.score, c.id)
-			return p.PadUpperTauAfter(c.pad, c.id, c.taus, c.sp.MaxSize),
-				g.PadUpperTau(c.pad, c.taus, c.sp.MaxSize)
+			return p.PadUpperTau(c.pad, c.taus, c.sp.MaxSize), c.padReference(p, nil)
 		}},
 	}
-	rng := rand.New(rand.NewSource(18))
-	for trial := 0; trial < 4000; trial++ {
-		c := newKernelCase(rng)
-		for _, p := range c.parents {
-			before := p.Clone()
-			for _, k := range kernels {
-				got, want := k.eval(c, p)
-				if !sameBits(got, want) {
-					t.Fatalf("trial %d: %s on a size-%d parent, φ=%d, profile %s, w=%v, skips %v, lists %v: got %v (%#x), reference %v (%#x)",
-						trial, k.name, p.Size, c.sp.MaxSize, c.sp.Profile, c.u.W, c.skipDims, c.listDims,
-						got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-			}
-			if p.Size != before.Size || !slices.EqualFunc(p.agg, before.agg, sameBits) {
-				t.Fatalf("trial %d: a kernel modified its size-%d parent", trial, p.Size)
+	for _, mode := range []string{"random", "tau", "either", "skip"} {
+		rows = append(rows,
+			kernelRow{"PadUpper/" + mode, func(c *kernelCase, p *State) (float64, float64) {
+				return p.PadUpper(c.pad, c.modes[mode], c.taus, c.sp.MaxSize), c.padReference(p, c.modes[mode])
+			}},
+			kernelRow{"PadUpperAfter/" + mode, func(c *kernelCase, p *State) (float64, float64) {
+				return p.PadUpperAfter(c.pad, c.id, c.modes[mode], c.taus, c.sp.MaxSize), c.padReference(c.grown(p), c.modes[mode])
+			}})
+	}
+	return rows
+}
+
+// checkKernelCase holds every kernel row to bitwise equality with its
+// reference on every parent of c, and fails if a kernel modified a parent.
+func checkKernelCase(t *testing.T, c *kernelCase, rows []kernelRow, label string) {
+	t.Helper()
+	for _, p := range c.parents {
+		before := p.Clone()
+		for _, k := range rows {
+			got, want := k.eval(c, p)
+			if !sameBits(got, want) {
+				t.Fatalf("%s: %s on a size-%d parent, φ=%d, profile %s, w=%v, skips %v, lists %v, modes %v: got %v (%#x), reference %v (%#x)",
+					label, k.name, p.Size, c.sp.MaxSize, c.sp.Profile, c.u.W, c.skipDims, c.listDims, c.modes["random"],
+					got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
+		if p.Size != before.Size || !slices.EqualFunc(p.agg, before.agg, sameBits) {
+			t.Fatalf("%s: a kernel modified its size-%d parent", label, p.Size)
+		}
 	}
+}
+
+// TestKernelsMatchUnfusedReference holds every fused search kernel to
+// bitwise equality with the plain State operations it replaces, over random
+// spaces: every aggregation including null, several entries on one feature,
+// nullable features on list and skip dimensions, zero and negative weights,
+// ties and ±0 values, φ = 1 … 5, parents of every size below φ, every pad
+// mode, and profiles wider than the pad kernel's stack scratch. The
+// whole-search oracles only see the kernels through the decisions they
+// drive; this is where a wrong bit shows up as a wrong bit.
+func TestKernelsMatchUnfusedReference(t *testing.T) {
+	rows := kernelRows()
+	rng := rand.New(rand.NewSource(18))
+	wide := 0
+	for trial := 0; trial < 4000; trial++ {
+		c := newKernelCase(rng)
+		if len(c.skipDims)+len(c.listDims) > padStackDims {
+			wide++
+		}
+		checkKernelCase(t, c, rows, fmt.Sprintf("trial %d", trial))
+	}
+	if wide == 0 {
+		t.Error("no trial padded more dimensions than the stack scratch holds")
+	}
+}
+
+// FuzzPadKernel runs the reference suite's kernel table on the case a seed
+// draws.
+func FuzzPadKernel(f *testing.F) {
+	for _, seed := range []int64{0, 18, 30} {
+		f.Add(seed)
+	}
+	rows := kernelRows()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkKernelCase(t, newKernelCase(rand.New(rand.NewSource(seed))), rows, fmt.Sprintf("seed %d", seed))
+	})
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -86,7 +86,7 @@ func coord(sp *feature.Space, ax axisInfo, id int32) float64 {
 	if feature.IsNull(v) {
 		return 0
 	}
-	scale := sp.Norm.Scale(ax.dim)
+	scale := sp.Scale(ax.dim)
 	if ax.smaller {
 		return -v / scale
 	}

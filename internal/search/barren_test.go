@@ -64,16 +64,16 @@ func (s *barrenShare) count(r *run, need float64, each func(p *pkg, ruledOut boo
 }
 
 // barrenShapeAllocs bounds what one search on the serve_static shape may
-// allocate (TestBarrenShareServeShape): 77 measured plus one. A run's package
+// allocate (TestBarrenShareServeShape): 75 measured plus one. A run's package
 // shells, states, due queue and scratch come from the index's pool (runMem);
 // most of what is left are the candidates' own id slices and the run's
 // cursors and kernel plans.
-const barrenShapeAllocs = 78
+const barrenShapeAllocs = 76
 
 // largeUniShapeAllocs bounds the same on TestBarrenPackageShare's large_uni
-// shape (uniform 20k, monotone profile, partition on): 205 measured plus one,
+// shape (uniform 20k, monotone profile, partition on): 197 measured plus one,
 // over the sketch, the cluster bounding and the refine.
-const largeUniShapeAllocs = 206
+const largeUniShapeAllocs = 198
 
 // The suite's two profiles: the serving workloads' mixed one (avg and min make
 // it non-monotone under any weights) and the monotone one of large_*.
@@ -130,7 +130,7 @@ func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
 		// What the full round would score: its child must be impossible.
 		gu, bound := p.state.ScoreAfter(r.scorePlan, item), negInf
 		if p.state.Size+1 < phi {
-			bound = r.growBound(p.state, item, r.fastPad, r.padModes, r.padTaus)
+			bound = r.growBound(p.state, item, r.padModes, r.padTaus)
 		}
 		if gu > etaLo || bound > etaLo {
 			a.t.Errorf("%s: round %d: package %v would create its child with item %d under a barren verdict: gu %v, bound %v, ηlo %v",
@@ -198,7 +198,7 @@ func (a *barrenAuditor) auditPackages(r *run, item int32, need float64) {
 	delta, mag, slack := 0.0, 0.0, 0.0 // Δ(t), Σ|w|·A/|scale| and 2⁻³⁰ of it, sums × φ
 	for li := range r.lists {
 		lc := &r.lists[li]
-		w, scale := r.u.W[lc.dim], sp.Norm.Scale(lc.dim)
+		w, scale := r.u.W[lc.dim], sp.Scale(lc.dim)
 		short := w * (lc.tau - lc.col[item])
 		if !(short >= 0) {
 			a.t.Errorf("%s: drawn item %d beats τ on dimension %d: w·(τ−t) = %v", a.label, item, lc.dim, short)
@@ -225,7 +225,7 @@ func (a *barrenAuditor) auditPackages(r *run, item int32, need float64) {
 	a.share.count(r, need, func(p *pkg, ruledOut bool) {
 		gu, bound := p.state.ScoreAfter(r.scorePlan, item), negInf
 		if p.state.Size+1 < sp.MaxSize {
-			bound = r.growBound(p.state, item, r.fastPad, r.padModes, r.padTaus)
+			bound = r.growBound(p.state, item, r.padModes, r.padTaus)
 		}
 		if ruledOut && (gu > etaLo || bound > etaLo) {
 			a.t.Errorf("%s: round %d: ruled-out package %v (bound %v < need %v) would create its child with item %d: gu %v, bound %v, ηlo %v",

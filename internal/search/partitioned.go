@@ -351,16 +351,8 @@ func (r *run) clusterBound(p *partition.Partition, c int32) float64 {
 	st.CopyFrom(r.emptyState)
 	st.AddContrib(contribs)
 	b := r.u.ScoreState(st)
-	if sp.MaxSize > 1 {
-		var ext float64
-		if r.initFastPad {
-			ext = st.PadUpperTau(r.padPlan, r.initTaus, sp.MaxSize)
-		} else {
-			ext = st.PadUpper(r.padPlan, r.initModes, r.initTaus, sp.MaxSize) // scored above: pad in place
-		}
-		if ext > b {
-			b = ext
-		}
+	if ext := st.PadUpper(r.padPlan, r.initModes, r.initTaus, sp.MaxSize); ext > b {
+		b = ext
 	}
 	return b
 }

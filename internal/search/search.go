@@ -284,8 +284,8 @@ type dueEntry struct {
 // runMem is what a run borrows from its index's memPool and hands back when
 // it ends: the expandable queue Q+, the recycled package shells and states
 // (every package left in Q+ joins them), the due queue, expand's per-round
-// scratch, the scratch state the general pad path folds into and the empty
-// state, which nothing writes.
+// scratch, the scratch state clusterBound assembles its virtual member in and
+// the empty state, which nothing writes.
 type runMem struct {
 	qPlus      []*pkg
 	freeStates []*feature.State
@@ -335,16 +335,15 @@ type run struct {
 	upHolder *pkg
 
 	// The membership bound: emptyState (runMem) scores singletons,
-	// initModes/initTaus/initFastPad freeze the pad descriptors at their
-	// initial values — every list's τ at its best — so headBound soundly
-	// bounds packages joined at any later point of the trace, not just
-	// extensions of the current boundary. heads, the space's skyline, is
-	// set only under the dominance filter's gate.
-	heads       *skyline.Set
-	initModes   []uint8
-	initTaus    []float64
-	initFastPad bool
-	domPruned   int
+	// initModes/initTaus freeze the pad descriptors at their initial values —
+	// every list's τ at its best — so headBound soundly bounds packages joined
+	// at any later point of the trace, not just extensions of the current
+	// boundary. heads, the space's skyline, is set only under the dominance
+	// filter's gate.
+	heads     *skyline.Set
+	initModes []uint8
+	initTaus  []float64
+	domPruned int
 
 	// Sketch-refine context (nil for plain runs): pc carries the sketch
 	// floor L, the partition and the refine's opened-cluster mask. floorL
@@ -356,7 +355,7 @@ type run struct {
 	partContribs []feature.Contrib
 
 	// Fused-kernel plans (per-dimension constants hoisted out of the hot
-	// loops): scorePlan drives ScoreAfter, padPlan drives PadUpper.
+	// loops): scorePlan drives ScoreAfter, padPlan the pad kernel.
 	// padModes/padTaus mirror r.lists in order (ascending dimension),
 	// updated as each cursor's τ advances.
 	scorePlan *feature.ScorePlan
@@ -364,10 +363,10 @@ type run struct {
 	padModes  []uint8
 	padTaus   []float64
 
-	// fastPad is true while every pad mode is PadTau (no nullable features,
-	// no exhausted cursors) and the plan fits the τ-only kernels, which bound
-	// a package — or a package plus one item — straight from its state, with
-	// no scratch copy. Cleared the moment any cursor exhausts.
+	// fastPad is true while every pad mode is PadTau (no nullable list
+	// feature, no exhausted cursor): the precondition of expand's package
+	// verdict. padModes stays nil — the kernel's PadTau throughout — until
+	// it is cleared.
 	fastPad bool
 	// slack keeps expand's barren-package test conservative (newRun).
 	slack float64
@@ -379,9 +378,7 @@ type run struct {
 
 	// The memory the run borrows from its index (nil once handed back).
 	// Packages dropped from Q+ donate their aggregate states and id buffers
-	// to newly materialized children; scratch is the state the general pad
-	// path mutates (PadUpper folds its imaginary items into a copy, upperExp,
-	// or a grown child, growBound); stScratch/guScratch back expand's batched
+	// to newly materialized children; stScratch/guScratch back expand's batched
 	// grow-utility pre-pass — per round, the states of the queued packages no
 	// verdict rules out and their ScoreAfter utilities against the drawn item,
 	// computed in one transposed sweep — and truncate borrows guScratch for
@@ -516,6 +513,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		maxQueue: opts.MaxQueue,
 		pc:       pc,
 		floorL:   negInf,
+		fastPad:  true,
 	}
 	if pc != nil {
 		r.floorL = pc.floorL
@@ -560,24 +558,22 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 			skipDims = append(skipDims, d)
 		}
 	}
-	r.padModes = make([]uint8, len(r.lists))
 	r.padTaus = make([]float64, len(r.lists))
 	for li := range r.lists {
 		lc := &r.lists[li]
 		listDims = append(listDims, lc.dim)
 		r.padTaus[li] = lc.tau
 		if ix.space.HasNull(lc.feat) {
-			r.padModes[li] = feature.PadTauOrSkip
+			r.setPadMode(li, feature.PadTauOrSkip)
 			nullable = true
-		} else {
-			r.padModes[li] = feature.PadTau
 		}
 		// expand's barren-package constants. Its test compares four kernel
-		// values, each a sum of D ≤ 16 terms |w·a/scale| ≤ M_d = |w|·A_d/scale
-		// (× φ for sum; A_d the list's largest |value|) that φ adds, a multiply,
-		// two divides and D adds round by ≤ (φ+D+3)·2⁻⁵³·ΣM_d in all: under
-		// 2⁻⁴⁷·ΣM_d at φ = 3, D = 5 — 10⁵ times below the slack, 2⁻³⁰·ΣM_d.
-		ws := u.W[lc.dim] / ix.space.Norm.Scale(lc.dim)
+		// values, each a sum of D terms |w·a/scale| ≤ M_d = |w|·A_d/scale (× φ
+		// for sum; A_d the list's largest |value|) that φ adds, a multiply, two
+		// divides and D adds round by ≤ (φ+D+3)·2⁻⁵³·ΣM_d in all: under
+		// 2⁻⁴⁷·ΣM_d at φ = 3, D = 5 — 10⁵ times below the slack, 2⁻³⁰·ΣM_d —
+		// and below it whenever φ + D + 3 < 2²³.
+		ws := u.W[lc.dim] / ix.space.Scale(lc.dim)
 		a := max(math.Abs(lc.col[lc.ids[0]]), math.Abs(lc.col[lc.ids[len(lc.ids)-1]]))
 		switch phi := float64(ix.space.MaxSize); ix.space.Profile.Entry(lc.dim).Agg {
 		case feature.AggSum:
@@ -590,12 +586,6 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	r.drainUnlisted = zeroWeight && nullable
 	r.scorePlan = feature.NewScorePlan(ix.space, u)
 	r.padPlan = feature.NewPadPlan(ix.space, u, skipDims, listDims)
-	r.fastPad = r.padPlan.TauOnly()
-	for _, m := range r.padModes {
-		if m != feature.PadTau {
-			r.fastPad = false
-		}
-	}
 
 	// Freeze the pad descriptors now — every τ at its list's best value — so
 	// headBound bounds membership in any package of the trace (exec), and a
@@ -607,7 +597,6 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	// weighted dimension.
 	r.initModes = slices.Clone(r.padModes)
 	r.initTaus = slices.Clone(r.padTaus)
-	r.initFastPad = r.fastPad
 	if !opts.DisableDominancePrune && u.SetMonotone(ix.space.Profile) {
 		r.heads = ix.Heads()
 	}
@@ -746,10 +735,8 @@ func (r *run) exec() Result {
 // values exceed the current boundary but never the lists' tops.
 func (r *run) headBound(id int32) float64 {
 	b := r.emptyState.ScoreAfter(r.scorePlan, id)
-	if r.ix.space.MaxSize > 1 {
-		if ext := r.growBound(r.emptyState, id, r.initFastPad, r.initModes, r.initTaus); ext > b {
-			b = ext
-		}
+	if ext := r.growBound(r.emptyState, id, r.initModes, r.initTaus); ext > b {
+		b = ext
 	}
 	return b
 }
@@ -815,12 +802,21 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 		r.padTaus[li] = lc.tau
 		if !r.seek(lc) {
 			lc.done = true
-			r.padModes[li] = feature.PadSkip
-			r.fastPad = false
+			r.setPadMode(li, feature.PadSkip)
 		}
 		return id, true
 	}
 	return 0, false
+}
+
+// setPadMode sets list li's pad mode, materializing padModes — nil while
+// every list pads with τ — and clearing fastPad.
+func (r *run) setPadMode(li int, mode uint8) {
+	if r.padModes == nil {
+		r.padModes = make([]uint8, len(r.lists)) // PadTau is the zero mode
+	}
+	r.padModes[li] = mode
+	r.fastPad = false
 }
 
 // expand implements Algorithm 4 for the newly accessed item on a round that
@@ -930,7 +926,7 @@ func (r *run) expand(item int) (etaLo, etaUp float64) {
 			// queued: it can only be a candidate, offered from p's ids.
 			size, bound := p.state.Size+1, negInf
 			if size < phi {
-				bound = r.growBound(p.state, int32(item), r.fastPad, r.padModes, r.padTaus)
+				bound = r.growBound(p.state, int32(item), r.padModes, r.padTaus)
 			}
 			// Create the child only if it can matter — as a candidate (gu
 			// above the bar) or as an ancestor of one (bound above the bar).
@@ -1206,37 +1202,17 @@ func (r *run) offer(p *pkg, item int, util float64) {
 // the average converges to τ — so the greedy stop can underestimate. The
 // running maximum costs the same O(φ·d) and is always an upper bound.)
 // Returns -Inf when the package is already at the size cap. The padding
-// loop itself is the fused feature.PadUpper kernel, driven by the pad
+// loop is the pad kernel (feature.State.PadUpper), driven by the pad
 // descriptors nextItem keeps in sync with the cursors.
 func (r *run) upperExp(st *feature.State) float64 {
-	phi := r.ix.space.MaxSize
-	if st.Size >= phi {
-		return negInf
-	}
-	if r.fastPad {
-		// All-PadTau runs take the non-mutating kernel: no scratch copy,
-		// no agg folds, bit-identical result.
-		return st.PadUpperTau(r.padPlan, r.padTaus, phi)
-	}
-	s := r.scratch
-	s.CopyFrom(st)
-	return s.PadUpper(r.padPlan, r.padModes, r.padTaus, phi)
+	return st.PadUpper(r.padPlan, r.padModes, r.padTaus, r.ix.space.MaxSize)
 }
 
-// growBound is upperExp of st ∪ {item}, for a grown package still below the
-// size cap, against the given pad descriptors (the run's current ones, or
-// headBound's frozen initial ones). All-PadTau descriptors take the fused
-// kernel, which reads st and the item's column values and materializes
-// nothing; nullable or exhausted lists take the one general path — grow into
-// scratch, pad it in place.
-func (r *run) growBound(st *feature.State, item int32, fast bool, modes []uint8, taus []float64) float64 {
-	phi := r.ix.space.MaxSize
-	if fast {
-		return st.PadUpperTauAfter(r.padPlan, item, taus, phi)
-	}
-	s := r.scratch
-	s.GrowFrom(st, r.scorePlan, item)
-	return s.PadUpper(r.padPlan, modes, taus, phi)
+// growBound is upperExp of st ∪ {item}, against the given pad descriptors
+// (the run's current ones, or headBound's frozen initial ones): the pad
+// kernel reads st and the item's column values and materializes nothing.
+func (r *run) growBound(st *feature.State, item int32, modes []uint8, taus []float64) float64 {
+	return st.PadUpperAfter(r.padPlan, item, modes, taus, r.ix.space.MaxSize)
 }
 
 // degenerate handles the all-zero-weight utility: every package scores 0,

@@ -68,7 +68,8 @@ import (
 	"toppkg/internal/shard"
 )
 
-// DefaultMaxBodyBytes caps request bodies when Options.MaxBodyBytes is 0.
+// DefaultMaxBodyBytes caps request bodies when Options.MaxBodyBytes is not
+// positive.
 const DefaultMaxBodyBytes = 1 << 20
 
 // DefaultSessionID serves legacy header-less requests on the un-prefixed
@@ -88,7 +89,7 @@ const minSnapshotBodyBytes = 16 << 20
 
 // Options tunes the HTTP layer.
 type Options struct {
-	// MaxBodyBytes bounds click/feedback request bodies (default
+	// MaxBodyBytes bounds click/feedback request bodies (≤ 0 selects
 	// DefaultMaxBodyBytes); snapshot restores get SnapshotBodyFactor times
 	// as much. Oversized payloads get 413.
 	MaxBodyBytes int64
@@ -116,7 +117,7 @@ type Server struct {
 
 // New builds a server over a session manager.
 func New(mgr *session.Manager, opts Options) *Server {
-	if opts.MaxBodyBytes == 0 {
+	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	s := &Server{mgr: mgr, cat: opts.Catalog, mux: http.NewServeMux(), maxBody: opts.MaxBodyBytes, shardID: opts.ShardID, metrics: newMetrics()}

@@ -134,29 +134,38 @@ func TestLegacyPathsUseHeaderSession(t *testing.T) {
 	}
 }
 
+// TestClickFlow clicks under the default body cap, and under a negative
+// MaxBodyBytes, which must select the default too rather than a zero cap.
 func TestClickFlow(t *testing.T) {
-	_, ts := testServer(t)
-	var slate SlateJSON
-	getJSON(t, ts.URL+"/sessions/alice/recommend", &slate)
+	for _, tc := range []struct {
+		name    string
+		maxBody int64
+	}{{"default", 0}, {"negative_max_body", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := testServerWith(t, 64, session.NewMemStore(), Options{MaxBodyBytes: tc.maxBody})
+			var slate SlateJSON
+			getJSON(t, ts.URL+"/sessions/alice/recommend", &slate)
 
-	shown := make([][]int, 0, len(slate.Recommended)+len(slate.Random))
-	for _, p := range slate.Recommended {
-		shown = append(shown, p.Items)
-	}
-	for _, p := range slate.Random {
-		shown = append(shown, p.Items)
-	}
-	var st core.Stats
-	resp := postJSON(t, ts.URL+"/sessions/alice/click", ClickRequest{Chosen: shown[1], Shown: shown}, &st)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("click status %d", resp.StatusCode)
-	}
-	if st.Feedback == 0 {
-		t.Error("click produced no feedback")
-	}
-	resp = getJSON(t, ts.URL+"/sessions/alice/recommend", &slate)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-click recommend status %d", resp.StatusCode)
+			shown := make([][]int, 0, len(slate.Recommended)+len(slate.Random))
+			for _, p := range slate.Recommended {
+				shown = append(shown, p.Items)
+			}
+			for _, p := range slate.Random {
+				shown = append(shown, p.Items)
+			}
+			var st core.Stats
+			resp := postJSON(t, ts.URL+"/sessions/alice/click", ClickRequest{Chosen: shown[1], Shown: shown}, &st)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("click status %d", resp.StatusCode)
+			}
+			if st.Feedback == 0 {
+				t.Error("click produced no feedback")
+			}
+			resp = getJSON(t, ts.URL+"/sessions/alice/recommend", &slate)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("post-click recommend status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 
