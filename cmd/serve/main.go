@@ -57,8 +57,7 @@ func main() {
 		sem      = flag.String("semantics", "exp", "ranking semantics: exp, tkp, mpo")
 		psi      = flag.Float64("psi", 1, "feedback-noise tolerance (§7): a weight sample violating x preferences survives w.p. (1-psi)^x; 1 = hard constraints")
 		capacity = flag.Int("capacity", session.DefaultCapacity, "resident sessions before LRU eviction")
-		storeSpc = flag.String("store", "", "where evicted sessions persist: dir:PATH or a bare PATH (a snapshot directory), mem: (this process only); empty drops evicted state. Shards behind one gateway must share a store for rebalancing")
-		shardID  = flag.String("shard-id", "", "this process's identity in a sharded deployment: reported in /healthz and required to match DrainRequest.Self on /admin/drain")
+		storeSpc = flag.String("store", "", "where evicted sessions persist: dir:PATH or a bare PATH (a snapshot directory), mem: (this process only); empty drops evicted state")
 		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes (≤ 0 selects the default)")
 		restore  = flag.String("restore", "", "path of a session snapshot to restore into the default session")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -159,9 +158,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *shardID != "" && !session.ValidID(*shardID) {
-		log.Fatalf("-shard-id %q is not a valid identifier", *shardID)
-	}
 	mgr, err := session.NewManager(session.Config{Shared: shared, Capacity: *capacity, Store: store, EvictWorkers: *evictW})
 	if err != nil {
 		log.Fatal(err)
@@ -217,7 +213,7 @@ func main() {
 	}
 	fmt.Printf("serving %s (%d items, %d features, %s) on %s, capacity %d sessions\n",
 		*kind, len(data), *features, mode, *addr, *capacity)
-	srv := server.NewHTTPServer(*addr, server.New(mgr, server.Options{MaxBodyBytes: *maxBody, Catalog: cat, ShardID: *shardID}), timeouts)
+	srv := server.NewHTTPServer(*addr, server.New(mgr, server.Options{MaxBodyBytes: *maxBody, Catalog: cat}), timeouts)
 	// Graceful shutdown: drain HTTP, quiesce the catalogue (every batch
 	// acknowledged with 202/200 reaches a built epoch and the rebuilder
 	// goroutine exits), then flush resident sessions to the snapshot store,

@@ -1,26 +1,18 @@
 // Command shardgw fronts N serve backends as one logical recommender.
 // Session traffic is consistent-hash routed by session ID to its owner
-// shard; catalogue mutations are sequenced into a replicated log and
-// fanned out to every shard in order, so all shards converge on the same
-// catalogue content (verify via idmap_hash in each shard's /healthz, or
-// the gateway's own GET /catalog convergence report).
+// shard. Every backend serves the same static catalogue (start each with
+// the same -dataset, -items, -features and -seed), and membership is
+// fixed at start. The gateway answers every /catalog route with 501.
 //
-// Usage (backends first, each with its shard identity and a shared
-// session store so rebalancing can move sessions between them):
+// Usage:
 //
-//	serve -addr :7101 -shard-id s0 -store dir:/var/lib/toppkg/sessions -mutable-catalog &
-//	serve -addr :7102 -shard-id s1 -store dir:/var/lib/toppkg/sessions -mutable-catalog &
+//	serve -addr :7101 -dataset uni -items 2000 -seed 1 &
+//	serve -addr :7102 -dataset uni -items 2000 -seed 1 &
 //	shardgw -addr :8080 -backend s0=http://127.0.0.1:7101 -backend s1=http://127.0.0.1:7102
 //
 //	curl localhost:8080/sessions/alice/recommend   # routed to alice's shard
-//	curl localhost:8080/catalog                    # cross-shard convergence report
-//	curl localhost:8080/healthz                    # ring + per-shard health
-//
-// Membership changes at runtime (drains moved sessions through the
-// shared store before the ring swaps):
-//
-//	curl -X POST localhost:8080/gateway/shards -d '{"id":"s2","url":"http://127.0.0.1:7103"}'
-//	curl -X DELETE localhost:8080/gateway/shards/s2
+//	curl localhost:8080/sessions                   # resident sessions, all shards
+//	curl localhost:8080/healthz                    # ring + per-shard liveness
 package main
 
 import (
@@ -64,11 +56,9 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		vnodes   = flag.Int("vnodes", shard.DefaultVNodes, "virtual nodes per shard on the hash ring")
-		retries  = flag.Int("retries", shard.DefaultRetries, "proxy retry attempts on connection failure")
+		retries  = flag.Int("retries", shard.DefaultRetries, "proxy retry attempts on dial failure")
 		backoff  = flag.Duration("retry-backoff", shard.DefaultRetryBackoff, "first proxy retry delay (doubles per attempt)")
 		probeIvl = flag.Duration("probe-interval", shard.DefaultProbeInterval, "background shard health probe interval")
-		applyTO  = flag.Duration("apply-timeout", shard.DefaultApplyTimeout, "bound on ?wait=1 mutations and new-shard log catch-up")
-		drainTO  = flag.Duration("drain-timeout", shard.DefaultDrainTimeout, "bound on in-flight draining during shard removal")
 		maxBody  = flag.Int64("max-body", shard.DefaultMaxBodyBytes, "proxied request body size limit in bytes")
 		clientTO = flag.Duration("backend-timeout", 10*time.Second, "per-request timeout towards backends")
 		readTO   = flag.Duration("read-timeout", server.DefaultReadTimeout, "max duration for reading an entire request incl. body (negative disables)")
@@ -76,7 +66,7 @@ func main() {
 		idleTO   = flag.Duration("idle-timeout", server.DefaultIdleTimeout, "how long a keep-alive connection may sit idle (negative disables)")
 		headerTO = flag.Duration("read-header-timeout", server.DefaultReadHeaderTimeout, "max duration for reading request headers (negative disables)")
 	)
-	flag.Var(&backends, "backend", "backend shard as id=url (repeat per shard); id must match the backend's -shard-id")
+	flag.Var(&backends, "backend", "backend shard as id=url (repeat per shard)")
 	flag.Parse()
 
 	if len(backends) == 0 {
@@ -87,8 +77,6 @@ func main() {
 		Retries:       *retries,
 		RetryBackoff:  *backoff,
 		ProbeInterval: *probeIvl,
-		ApplyTimeout:  *applyTO,
-		DrainTimeout:  *drainTO,
 		MaxBodyBytes:  *maxBody,
 		Client:        &http.Client{Timeout: *clientTO},
 	}, backends)
@@ -113,7 +101,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx) // drain client connections first
-		gw.Close()            // then stop appliers and the prober
+		gw.Close()            // then stop the prober
 	}()
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)

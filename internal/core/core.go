@@ -380,18 +380,6 @@ func (sh *Shared) EpochInfo() (id uint64, items int) {
 	return ep.id, len(ep.space.Items)
 }
 
-// EpochIdentity reports the current epoch's content fingerprints in one
-// coherent read: the epoch ID, item count, the stable→dense assignment
-// hash (catalog.IDMapHash over the epoch's ID map), and the feature-space
-// geometry hash. Two processes reporting equal idmap/space hashes serve
-// recommendations over identical catalogue content whatever their
-// per-process epoch counters say — the cross-shard convergence check in
-// the sharded serving tier compares exactly these.
-func (sh *Shared) EpochIdentity() (id uint64, items int, idmapHash, spaceHash uint64) {
-	ep := sh.epoch()
-	return ep.id, len(ep.space.Items), ep.idh, ep.space.Hash()
-}
-
 // SearchCache exposes the shared per-catalogue result cache (nil when the
 // config disabled caching). Safe for concurrent use; see ranking.Cache.
 func (sh *Shared) SearchCache() *ranking.Cache { return sh.cache }

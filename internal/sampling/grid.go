@@ -126,11 +126,8 @@ func quadtreeCenter(d int, cs []prefgraph.Constraint, res int) ([]float64, error
 			}
 		}
 		if len(still) == 0 || level == depth {
-			if len(still) > 0 {
-				// Undecided leaf: counts as a surviving cell, like the flat
-				// grid's overlap cells.
-				_ = still
-			}
+			// A box every constraint accepts, or an undecided leaf: it
+			// counts as surviving, like the flat grid's overlap cells.
 			// Weight by the number of unit cells this box represents so the
 			// result matches the flat grid's cell-average semantics.
 			cells := 1.0

@@ -254,7 +254,10 @@ type MCMC struct {
 	// Thin keeps one sample every Thin accepted steps to reduce
 	// autocorrelation (the paper's step length δ; default 5).
 	Thin int
-	// BurnIn discards this many initial steps (default 100).
+	// BurnIn discards this many initial steps (0 = none, which is what
+	// serving runs). A start found by rejection from the prior is already
+	// an exact draw from the target, so it needs no burn-in. A start that
+	// came from repairToValid is not, and is not burned in either.
 	BurnIn int
 	// InitAttempts bounds the rejection draws used to find the first valid
 	// state (default 200000).
@@ -273,10 +276,6 @@ func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
 	thin := m.Thin
 	if thin <= 0 {
 		thin = 5
-	}
-	burn := m.BurnIn
-	if burn < 0 {
-		burn = 100
 	}
 	initA := m.InitAttempts
 	if initA <= 0 {
@@ -347,7 +346,7 @@ func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
 		// On rejection we keep a copy of cur as the next chain state
 		// (standard MH; paper §3.2.2).
 		steps++
-		if steps > burn && steps%thin == 0 {
+		if steps > m.BurnIn && steps%thin == 0 {
 			res.Samples = append(res.Samples, Sample{W: append([]float64(nil), cur...), Q: 1})
 		}
 	}

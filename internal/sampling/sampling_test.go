@@ -325,6 +325,29 @@ func TestRejectionPreservesRelativeDensity(t *testing.T) {
 	}
 }
 
+// TestMCMCBurnInShiftsPool fixes BurnIn's meaning: the chain is the same
+// walk whatever BurnIn says, and BurnIn only drops its first steps. With
+// Thin 5, burning in 10 steps drops exactly the first two kept samples,
+// and the zero value drops none.
+func TestMCMCBurnInShiftsPool(t *testing.T) {
+	v := NewValidator(2, []prefgraph.Constraint{constraint(1, -0.5)})
+	draw := func(burnIn, n int) []Sample {
+		ms := &MCMC{Prior: prior(2), V: v, Thin: 5, BurnIn: burnIn}
+		res, err := ms.Sample(rand.New(rand.NewSource(12)), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Samples
+	}
+	plain, burned := draw(0, 42), draw(10, 40)
+	for i, s := range burned {
+		want := plain[i+2].W
+		if s.W[0] != want[0] || s.W[1] != want[1] {
+			t.Fatalf("BurnIn 10 sample %d = %v, want BurnIn 0 sample %d = %v", i, s.W, i+2, want)
+		}
+	}
+}
+
 // TestMCMCStationaryBias: the MH chain restricted to the valid halfspace
 // should concentrate samples near the mode like the truncated prior does.
 func TestMCMCStationaryBias(t *testing.T) {

@@ -37,9 +37,6 @@
 //	GET    /catalog                  → {"epoch", "items", ...} catalogue stats
 //	POST   /catalog/items            ← {"items": [{"id", "name", "values"}]} upsert batch
 //	DELETE /catalog/items/{id}       → removes the item with that stable ID
-//	POST   /admin/drain              ← shard.DrainRequest; flushes sessions this
-//	                                   shard no longer owns to the session store
-//	                                   (gateway rebalancing) → {"flushed": n}
 //
 // Mutations are acknowledged with 202 Accepted: the batch is committed and
 // a fresh epoch is built and swapped in by the background rebuilder.
@@ -65,7 +62,6 @@ import (
 	"toppkg/internal/pkgspace"
 	"toppkg/internal/prefgraph"
 	"toppkg/internal/session"
-	"toppkg/internal/shard"
 )
 
 // DefaultMaxBodyBytes caps request bodies when Options.MaxBodyBytes is not
@@ -97,12 +93,6 @@ type Options struct {
 	// the catalogue is static: GET /catalog still reports the (frozen)
 	// epoch, but item mutations return 409.
 	Catalog *catalog.Catalog
-	// ShardID names this process in a sharded deployment. It is reported
-	// in /healthz (so a gateway can verify it is talking to the backend it
-	// thinks it is) and checked against DrainRequest.Self on /admin/drain —
-	// a drain delivered to the wrong shard would flush sessions that did
-	// not move. Empty means unsharded: drains are accepted for any Self.
-	ShardID string
 }
 
 // Server routes HTTP requests onto a session manager.
@@ -111,7 +101,6 @@ type Server struct {
 	cat     *catalog.Catalog // nil = static catalogue
 	mux     *http.ServeMux
 	maxBody int64
-	shardID string
 	metrics *Metrics
 }
 
@@ -120,7 +109,7 @@ func New(mgr *session.Manager, opts Options) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	s := &Server{mgr: mgr, cat: opts.Catalog, mux: http.NewServeMux(), maxBody: opts.MaxBodyBytes, shardID: opts.ShardID, metrics: newMetrics()}
+	s := &Server{mgr: mgr, cat: opts.Catalog, mux: http.NewServeMux(), maxBody: opts.MaxBodyBytes, metrics: newMetrics()}
 	reg := func(pattern, route string, h http.HandlerFunc) {
 		s.mux.HandleFunc(pattern, s.metrics.instrument(route, h))
 	}
@@ -130,7 +119,6 @@ func New(mgr *session.Manager, opts Options) *Server {
 	reg("GET /catalog", "catalog.get", s.handleCatalogGet)
 	reg("POST /catalog/items", "catalog.upsert", s.handleCatalogUpsert)
 	reg("DELETE /catalog/items/{id}", "catalog.delete", s.handleCatalogDelete)
-	reg("POST "+shard.DrainPath, "admin.drain", s.handleDrain)
 	// Each session-scoped route is registered twice: under /sessions/{id}
 	// and at the legacy root path (session from X-Session-ID header). Both
 	// registrations share one metrics recorder — they are the same logical
@@ -370,50 +358,16 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// The content fingerprints and the epoch and item count they describe
-	// come from one coherent read. Two backends with equal
-	// idmap_hash/space_hash serve identical catalogue content, even when
-	// their epoch counters differ (epochs are per-process and coalescing
-	// merges batches differently): the gateway's convergence check.
-	epoch, items, idmapHash, spaceHash := s.mgr.Shared().EpochIdentity()
-	cat := healthCatalog{
-		CatalogStatus: s.catalogStatus(),
-		IDMapHash:     fmt.Sprintf("%016x", idmapHash),
-		SpaceHash:     fmt.Sprintf("%016x", spaceHash),
-	}
-	cat.Epoch, cat.Items = epoch, items
-	health := map[string]any{
+	writeJSON(w, map[string]any{
 		"status":       "ok",
-		"catalog":      cat,
-		"sessions":     s.mgr.Stats(), // includes evict_queue depth
+		"catalog":      s.catalogStatus(), // the same object GET /catalog returns
+		"sessions":     s.mgr.Stats(),     // includes evict_queue depth
 		"search_cache": s.mgr.SearchCacheStats(),
 		// Per-route request counts, status classes, and latency quantiles.
 		// The in-flight /healthz request itself is not yet counted: its
 		// recorder runs after the handler returns.
 		"http": s.MetricsSnapshot(),
-	}
-	if s.shardID != "" {
-		health["shard_id"] = s.shardID
-	}
-	writeJSON(w, health)
-}
-
-// handleDrain flushes every resident session this shard no longer owns
-// under the ring membership in the request — the backend half of a
-// gateway rebalance. The flush is synchronous: a 200 means every moved
-// session's snapshot is durably in the store, so the gateway may swap the
-// ring the moment all drains answer.
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var req shard.DrainRequest
-	if err := decodeBody(w, r, &req, s.maxBody); err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	if s.shardID != "" && req.Self != s.shardID {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("drain addressed to shard %q but this is %q", req.Self, s.shardID))
-		return
-	}
-	writeJSON(w, shard.DrainResponse{Flushed: s.mgr.FlushMatching(req.Predicate())})
+	})
 }
 
 // ItemJSON is the wire form of one catalogue item in the admin API. ID is
@@ -452,14 +406,6 @@ var errStaticCatalog = errors.New("catalogue is static; restart with -mutable-ca
 type CatalogStatus struct {
 	catalog.Stats
 	Mutable bool `json:"mutable"`
-}
-
-// healthCatalog is /healthz's "catalog" object: the catalogue status plus
-// the content fingerprints of the epoch it reports.
-type healthCatalog struct {
-	CatalogStatus
-	IDMapHash string `json:"idmap_hash"`
-	SpaceHash string `json:"space_hash"`
 }
 
 // catalogStatus reads the catalogue's status: the live catalogue's Stats,

@@ -9,7 +9,7 @@ import (
 	"toppkg/internal/core"
 )
 
-// TestFlushMatching checks the migration primitive's contract: only
+// TestFlushMatching checks FlushMatching's contract: only
 // matching sessions are evicted, their state lands in the store before
 // the call returns, and a later Do restores it.
 func TestFlushMatching(t *testing.T) {
@@ -29,8 +29,7 @@ func TestFlushMatching(t *testing.T) {
 	if got := m.Len(); got != 2 {
 		t.Fatalf("%d sessions resident after flush, want 2", got)
 	}
-	// Flushed state must be durable the moment FlushMatching returns —
-	// the gateway swaps the ring on that promise.
+	// Flushed state is in the store the moment FlushMatching returns.
 	for _, id := range []string{"u0", "u2"} {
 		if _, err := store.Load(id); err != nil {
 			t.Fatalf("no snapshot for flushed session %s: %v", id, err)
@@ -56,7 +55,7 @@ func TestFlushMatching(t *testing.T) {
 		t.Errorf("flush cycle lost state: %+v", st)
 	}
 
-	// Flushing everything (the leaving-shard predicate) empties the table;
+	// Flushing everything empties the table;
 	// re-flushing is a no-op, not a double count.
 	if n := m.FlushMatching(func(string) bool { return true }); n != 4 {
 		t.Fatalf("flush-all evicted %d, want 4", n)
@@ -67,11 +66,10 @@ func TestFlushMatching(t *testing.T) {
 }
 
 // TestFlushMatchingRaceConcurrentRestores hammers FlushMatching against
-// concurrent Do traffic on the same IDs — the exact shape of a rebalance
-// under load, where a drained session's next request restores it while
-// the drain is still sweeping. The invariant: whatever interleaving
-// happens, no session's learned feedback is ever lost and no save or
-// restore fails. Run under -race this also proves the locking protocol.
+// concurrent Do traffic on the same IDs: a flushed session's next request
+// restores it while the flush is still sweeping. The invariant: whatever
+// interleaving happens, no session's learned feedback is ever lost and no
+// save or restore fails. Run under -race this also proves the locking protocol.
 func TestFlushMatchingRaceConcurrentRestores(t *testing.T) {
 	store := NewMemStore()
 	m := testManager(t, 64, store)

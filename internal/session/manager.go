@@ -488,21 +488,14 @@ func (m *Manager) Shutdown() {
 	m.Flush()
 }
 
-// FlushMatching snapshots-and-evicts every resident session whose ID
-// satisfies pred, returning how many sessions it evicted. It is the
-// migration primitive behind shard rebalancing: a drain request turns a
-// ring membership into a predicate ("IDs I no longer own") and the
-// flushed snapshots are restored by the new owner on each session's next
-// request.
-//
-// Evictions run synchronously on the caller so that when FlushMatching
-// returns, every matching session's state is durably in the store — a
-// rebalance must not swap the ring while snapshots are still in flight.
-// Each eviction holds the session's own mutex, so in-flight operations on
-// a matching session finish first and their state reaches the snapshot;
-// sessions restored concurrently (racing a drain) are safe — the evict
-// either catches them (and they restore again on next use) or sees them
-// gone-flagged and does nothing.
+// FlushMatching synchronously evicts every resident session whose ID
+// satisfies pred, snapshotting each to the store, and returns how many it
+// evicted. When it returns, every matching session's state is in the
+// store. Each eviction holds the session's own mutex, so an in-flight
+// operation on a matching session finishes first and its state reaches
+// the snapshot. A session restored concurrently is either caught (and
+// restores again on next use) or already flagged gone, and then the evict
+// does nothing.
 func (m *Manager) FlushMatching(pred func(id string) bool) int {
 	m.mu.Lock()
 	var victims []*session

@@ -34,10 +34,8 @@ type Store interface {
 	Delete(id string) (removed bool, err error)
 }
 
-// OpenStore resolves a store spec — cmd/serve's -store; shards behind one
-// gateway point theirs at the same location, so the old owner's Save is the
-// new owner's Load. "" returns (nil, nil): no persistence, matching a nil
-// Config.Store. "dir:PATH" and a bare PATH (any other prefix included) open
+// OpenStore resolves a store spec (cmd/serve's -store). "" returns
+// (nil, nil): no persistence, matching a nil Config.Store. "dir:PATH" and a bare PATH (any other prefix included) open
 // a DirStore; "mem:" opens a process-local MemStore.
 func OpenStore(spec string) (Store, error) {
 	if spec == "" {

@@ -1,16 +1,12 @@
-// Package shard partitions the serving tier horizontally. A consistent-
-// hash ring assigns every session ID to one backend serve process; a
-// Gateway proxies session traffic to the owner shard, replicates
-// catalogue mutations to every shard through a sequenced log with
-// at-least-once redelivery, and rebalances by riding the snapshot
-// machinery — sessions whose owner changes are flushed to the shared
-// session store on the old shard and restored on the new one, so learned
-// preference state survives migration (the save→churn→restore property
-// suite is the correctness anchor).
+// Package shard spreads sessions over a fixed set of serve processes. A
+// consistent-hash ring assigns every session ID to one backend, and a
+// Gateway proxies session traffic to that owner shard. Every backend
+// serves the same static catalogue, and membership is fixed when the
+// gateway starts.
 //
-// The ring is the one piece both sides must agree on: the gateway routes
-// with it and backends evaluate drain predicates with it (DrainRequest),
-// so it is fully deterministic — no per-process seeding — and pure.
+// The ring is deterministic — no per-process seeding — and pure, so a
+// restarted gateway routes every session to the shard that already holds
+// it.
 package shard
 
 import (
@@ -19,17 +15,15 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per shard when a Config or
-// DrainRequest leaves it zero. More vnodes smooth the load split (the
+// DefaultVNodes is the virtual-node count per shard when a Config leaves
+// it zero. More vnodes smooth the load split (the
 // deviation of a shard's share shrinks roughly with 1/sqrt(vnodes·shards))
 // at the cost of a larger sorted point set; 128 keeps a 100k-session
 // population within a few percent of even across small clusters.
 const DefaultVNodes = 128
 
 // Ring is an immutable consistent-hash ring over a shard membership.
-// Every method is safe for concurrent use; membership changes build a new
-// Ring rather than mutating one in place, so a routing decision mid-swap
-// sees one coherent membership or the other, never a torn one.
+// Every method is safe for concurrent use.
 type Ring struct {
 	vnodes int
 	shards []string // sorted, deduplicated
@@ -106,8 +100,7 @@ func (r *Ring) Len() int { return len(r.shards) }
 // then a murmur-style avalanche finalizer. Raw FNV keeps structured keys
 // (sequential session IDs, "shard#vnode" labels) clustered in the low
 // bits; the finalizer spreads them over the full 64-bit circle, which the
-// uniform-distribution test depends on. Deterministic across processes —
-// gateway and backends must agree.
+// uniform-distribution test depends on. Deterministic across processes.
 func hash64(s string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)

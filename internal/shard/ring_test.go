@@ -14,8 +14,8 @@ func shardNames(n int) []string {
 	return out
 }
 
-// sessionIDs returns the session population bench/ and the shard smoke
-// drive ("s%06d") — deliberately structured keys, the worst case for a
+// sessionIDs returns a session population of the shape bench/ drives
+// ("s%06d") — deliberately structured keys, the worst case for a
 // weak hash.
 func sessionIDs(n int) []string {
 	out := make([]string, n)
@@ -26,11 +26,11 @@ func sessionIDs(n int) []string {
 }
 
 func TestRingDeterministicAcrossInstances(t *testing.T) {
-	// The gateway and every backend build their own Ring from the same
-	// membership; routing only works if they all agree. maphash-style
-	// per-process seeding would pass a single-instance test and break the
-	// deployment, so agreement is asserted across independent instances
-	// (construction order shuffled).
+	// A restarted gateway builds a new Ring from the same membership and
+	// must route every session to the shard that already holds it.
+	// maphash-style per-process seeding would pass a single-instance test
+	// and break that, so agreement is asserted across independent
+	// instances (construction order shuffled).
 	a := NewRing(64, []string{"s0", "s1", "s2"})
 	b := NewRing(64, []string{"s2", "s0", "s1"})
 	for _, id := range sessionIDs(1000) {
@@ -157,46 +157,6 @@ func TestRingMinimalMovement(t *testing.T) {
 		if f := float64(moved); f > 1.35*ideal || f < 0.5*ideal {
 			t.Errorf("%d→%d shards: %d of %d keys moved, want ≈%.0f (1/%d)",
 				before, before+1, moved, n, ideal, before+1)
-		}
-	}
-}
-
-func TestDrainRequestPredicate(t *testing.T) {
-	members := []string{"s0", "s1", "s2"}
-	ring := NewRing(DefaultVNodes, members)
-	pred := DrainRequest{Self: "s1", VNodes: DefaultVNodes, Shards: members}.Predicate()
-	kept, flushed := 0, 0
-	for _, id := range sessionIDs(10000) {
-		owns := ring.Owner(id) == "s1"
-		if pred(id) != !owns {
-			t.Fatalf("predicate disagrees with ring ownership for %q (owner %q)", id, ring.Owner(id))
-		}
-		if owns {
-			kept++
-		} else {
-			flushed++
-		}
-	}
-	if kept == 0 || flushed == 0 {
-		t.Fatalf("degenerate split kept=%d flushed=%d", kept, flushed)
-	}
-
-	// A membership without Self means the shard is leaving: flush all.
-	leaving := DrainRequest{Self: "s1", Shards: []string{"s0", "s2"}}.Predicate()
-	empty := DrainRequest{Self: "s1"}.Predicate()
-	for _, id := range []string{"a", "b", "s000001"} {
-		if !leaving(id) || !empty(id) {
-			t.Fatalf("leaving-shard predicate kept %q", id)
-		}
-	}
-
-	// A vnode-count mismatch is the classic silent-wrong-drain bug; the
-	// predicate must honor the request's count, not assume the default.
-	p64 := DrainRequest{Self: "s0", VNodes: 64, Shards: members}.Predicate()
-	r64 := NewRing(64, members)
-	for _, id := range sessionIDs(2000) {
-		if p64(id) != (r64.Owner(id) != "s0") {
-			t.Fatalf("predicate ignored VNodes for %q", id)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 // Package topk implements threshold-algorithm (TA) style query processing
 // over an in-memory pool of vectors [13]. Given a query vector q, it
-// supports retrieving the vectors whose dot product with q exceeds zero
-// (the primitive behind sample maintenance, paper §3.4) and classic top-k
-// retrieval by score, both with early termination based on the boundary
-// (threshold) value of sorted access lists.
+// retrieves the vectors whose dot product with q exceeds zero (the
+// primitive behind sample maintenance, paper §3.4), with early termination
+// based on the boundary (threshold) value of sorted access lists.
 package topk
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -18,7 +16,6 @@ import (
 type Pool struct {
 	vecs [][]float64
 	asc  [][]int32 // asc[d] lists vector indices in ascending order of coordinate d
-	dims int
 }
 
 // NewPool builds the sorted projections for the given vectors. The slice is
@@ -28,9 +25,8 @@ func NewPool(vecs [][]float64) *Pool {
 	if len(vecs) == 0 {
 		return p
 	}
-	p.dims = len(vecs[0])
-	p.asc = make([][]int32, p.dims)
-	for d := 0; d < p.dims; d++ {
+	p.asc = make([][]int32, len(vecs[0]))
+	for d := range p.asc {
 		idx := make([]int32, len(vecs))
 		for i := range idx {
 			idx[i] = int32(i)
@@ -45,16 +41,6 @@ func NewPool(vecs [][]float64) *Pool {
 
 // Len returns the number of vectors in the pool.
 func (p *Pool) Len() int { return len(p.vecs) }
-
-// Dims returns the dimensionality of the pooled vectors.
-func (p *Pool) Dims() int { return p.dims }
-
-// Vec returns the i-th vector (not a copy).
-func (p *Pool) Vec(i int) []float64 { return p.vecs[i] }
-
-// Asc returns the vector indices sorted ascending by coordinate d (not a
-// copy). Iterate it backwards for descending order.
-func (p *Pool) Asc(d int) []int32 { return p.asc[d] }
 
 // Dot returns vecs[i] · q.
 func (p *Pool) Dot(i int, q []float64) float64 {
@@ -211,85 +197,6 @@ func (p *Pool) AboveZero(q []float64) (result []int, accesses int) {
 		if s.Threshold() <= 0 {
 			break
 		}
-	}
-	return result, s.Accesses()
-}
-
-// scoredHeap is a min-heap of (index, score) used for top-k retention.
-type scoredHeap struct {
-	idx   []int
-	score []float64
-}
-
-func (h *scoredHeap) Len() int { return len(h.idx) }
-func (h *scoredHeap) Less(i, j int) bool {
-	if h.score[i] != h.score[j] {
-		return h.score[i] < h.score[j]
-	}
-	return h.idx[i] > h.idx[j] // ties: keep the smaller index (evict larger first)
-}
-func (h *scoredHeap) Swap(i, j int) {
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-	h.score[i], h.score[j] = h.score[j], h.score[i]
-}
-func (h *scoredHeap) Push(x any) {
-	p := x.([2]float64)
-	h.idx = append(h.idx, int(p[0]))
-	h.score = append(h.score, p[1])
-}
-func (h *scoredHeap) Pop() any {
-	n := len(h.idx) - 1
-	v := [2]float64{float64(h.idx[n]), h.score[n]}
-	h.idx = h.idx[:n]
-	h.score = h.score[:n]
-	return v
-}
-
-// TopK returns the indices of the k highest-scoring vectors under q
-// (descending score, ties by ascending index) and the number of sorted
-// accesses performed. TA terminates once the k-th best score reaches the
-// threshold.
-func (p *Pool) TopK(q []float64, k int) (result []int, accesses int) {
-	if k <= 0 || p.Len() == 0 {
-		return nil, 0
-	}
-	if k > p.Len() {
-		k = p.Len()
-	}
-	s := NewScanner(p, q)
-	if s == nil {
-		// Zero query: scores all zero; return the first k indices.
-		for i := 0; i < k; i++ {
-			result = append(result, i)
-		}
-		return result, 0
-	}
-	seen := make([]bool, p.Len())
-	h := &scoredHeap{}
-	for {
-		i, ok := s.Next()
-		if !ok {
-			break
-		}
-		if !seen[i] {
-			seen[i] = true
-			sc := p.Dot(i, q)
-			if h.Len() < k {
-				heap.Push(h, [2]float64{float64(i), sc})
-			} else if sc > h.score[0] || (sc == h.score[0] && i < h.idx[0]) {
-				h.idx[0], h.score[0] = i, sc
-				heap.Fix(h, 0)
-			}
-		}
-		if h.Len() == k && s.Threshold() <= h.score[0] {
-			break
-		}
-	}
-	// Drain the heap into descending order.
-	result = make([]int, h.Len())
-	for i := h.Len() - 1; i >= 0; i-- {
-		v := heap.Pop(h).([2]float64)
-		result[i] = int(v[0])
 	}
 	return result, s.Accesses()
 }

@@ -36,15 +36,11 @@ func bruteAboveZero(vecs [][]float64, q []float64) []int {
 func TestPoolBasics(t *testing.T) {
 	vecs := [][]float64{{1, 2}, {3, 0}, {-1, 5}}
 	p := NewPool(vecs)
-	if p.Len() != 3 || p.Dims() != 2 {
-		t.Fatalf("pool shape %d×%d", p.Len(), p.Dims())
+	if p.Len() != 3 {
+		t.Fatalf("pool Len = %d, want 3", p.Len())
 	}
 	if got := p.Dot(1, []float64{2, 1}); got != 6 {
 		t.Errorf("Dot = %g, want 6", got)
-	}
-	asc0 := p.Asc(0)
-	if vecs[asc0[0]][0] > vecs[asc0[1]][0] || vecs[asc0[1]][0] > vecs[asc0[2]][0] {
-		t.Errorf("Asc(0) not ascending: %v", asc0)
 	}
 }
 
@@ -52,9 +48,6 @@ func TestEmptyPool(t *testing.T) {
 	p := NewPool(nil)
 	if r, _ := p.AboveZero([]float64{1}); r != nil {
 		t.Error("AboveZero on empty pool returned results")
-	}
-	if r, _ := p.TopK([]float64{1}, 3); r != nil {
-		t.Error("TopK on empty pool returned results")
 	}
 }
 
@@ -194,66 +187,6 @@ func TestAboveZeroEarlyTermination(t *testing.T) {
 	}
 }
 
-func TestTopKMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		d := 1 + rng.Intn(4)
-		vecs := randVecs(rng, n, d)
-		q := make([]float64, d)
-		for j := range q {
-			q[j] = rng.Float64()*2 - 1
-		}
-		k := 1 + rng.Intn(n)
-		p := NewPool(vecs)
-		got, _ := p.TopK(q, k)
-		if len(got) != min(k, n) {
-			return false
-		}
-		// Compare score multisets (ties make index comparison fragile).
-		scores := make([]float64, n)
-		for i := range vecs {
-			scores[i] = p.Dot(i, q)
-		}
-		sorted := append([]float64(nil), scores...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-		for i, idx := range got {
-			if scores[idx] != sorted[i] {
-				return false
-			}
-		}
-		// Result must be in descending score order.
-		for i := 1; i < len(got); i++ {
-			if scores[got[i]] > scores[got[i-1]]+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTopKZeroQuery(t *testing.T) {
-	p := NewPool([][]float64{{1}, {2}, {3}})
-	got, _ := p.TopK([]float64{0}, 2)
-	if len(got) != 2 {
-		t.Fatalf("zero-query TopK len = %d", len(got))
-	}
-}
-
-func TestTopKKLargerThanPool(t *testing.T) {
-	p := NewPool([][]float64{{1}, {2}})
-	got, _ := p.TopK([]float64{1}, 10)
-	if len(got) != 2 {
-		t.Fatalf("len = %d, want 2", len(got))
-	}
-	if got[0] != 1 || got[1] != 0 {
-		t.Errorf("order = %v, want [1 0]", got)
-	}
-}
-
 func TestCurrentUnreadCoversUnseen(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vecs := randVecs(rng, 30, 2)
@@ -283,11 +216,4 @@ func TestCurrentUnreadCoversUnseen(t *testing.T) {
 	if got := s.CurrentRemaining(); got != len(unread) {
 		t.Errorf("CurrentRemaining = %d, want %d", got, len(unread))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
