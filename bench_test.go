@@ -420,28 +420,6 @@ func BenchmarkAblationExpandAll(b *testing.B) {
 	}
 }
 
-// --- Ablation: flat grid vs quadtree center for importance sampling. ---
-
-func BenchmarkAblationCenterFinding(b *testing.B) {
-	sp := benchSpace(b, "uni", 2000, 4, 3)
-	cs := benchConstraints(b, sp, 50, 13)
-	v := sampling.NewValidator(4, cs)
-	prior := gaussmix.DefaultPrior(4, 1, rand.New(rand.NewSource(14)))
-	for _, tc := range []struct {
-		name     string
-		quadtree bool
-	}{{"grid", false}, {"quadtree", true}} {
-		is := &sampling.Importance{Prior: prior, V: v, UseQuadtree: tc.quadtree, GridRes: 8}
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := is.Center(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Posterior update by sample maintenance (§3.1): one new constraint
 // replaces only the samples it rules out. ---
 
@@ -470,36 +448,4 @@ func BenchmarkAblationPosteriorUpdate(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Ablation: MCMC thinning (sample correlation vs cost). ---
-
-func BenchmarkAblationMCMCThin(b *testing.B) {
-	sp := benchSpace(b, "uni", 1000, 3, 3)
-	cs := benchConstraints(b, sp, 10, 18)
-	v := sampling.NewValidator(3, cs)
-	prior := gaussmix.DefaultPrior(3, 1, rand.New(rand.NewSource(19)))
-	for _, thin := range []int{1, 5, 20} {
-		ms := &sampling.MCMC{Prior: prior, V: v, Thin: thin}
-		b.Run(name2("thin", thin), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(20))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ms.Sample(rng, 200); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func name2(prefix string, v int) string {
-	switch v {
-	case 1:
-		return prefix + "_1"
-	case 5:
-		return prefix + "_5"
-	default:
-		return prefix + "_20"
-	}
 }

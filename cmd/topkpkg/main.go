@@ -6,7 +6,7 @@
 // Usage:
 //
 //	topkpkg -dataset nba -features 6 -k 5 -semantics exp -rounds 8
-//	topkpkg -dataset uni -items 5000 -sampler mcmc -seed 3 -v
+//	topkpkg -dataset uni -items 5000 -seed 3 -v
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 		randomN  = flag.Int("random", 5, "random exploration packages per slate")
 		samples  = flag.Int("samples", 500, "weight-vector samples")
 		sem      = flag.String("semantics", "exp", "ranking semantics: exp, tkp, mpo")
-		samplerF = flag.String("sampler", "mcmc", "sampler: rejection, importance, mcmc")
 		rounds   = flag.Int("rounds", 8, "elicitation rounds")
 		seed     = flag.Int64("seed", 1, "random seed")
 		noise    = flag.Float64("noise", 0, "probability the simulated user clicks randomly")
@@ -44,14 +43,17 @@ func main() {
 	flag.Parse()
 
 	if err := run(*kind, *items, *features, *phi, *k, *randomN, *samples,
-		*sem, *samplerF, *rounds, *seed, *noise, *verbose); err != nil {
+		*sem, *rounds, *seed, *noise, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "topkpkg:", err)
 		os.Exit(1)
 	}
 }
 
 func run(kind string, items, features, phi, k, randomN, samples int,
-	sem, samplerF string, rounds int, seed int64, noise float64, verbose bool) error {
+	sem string, rounds int, seed int64, noise float64, verbose bool) error {
+	if !(noise >= 0 && noise <= 1) {
+		return fmt.Errorf("-noise %v is outside [0, 1]", noise)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	data, err := dataset.Generate(kind, items, features, rng)
 	if err != nil {
@@ -69,7 +71,6 @@ func run(kind string, items, features, phi, k, randomN, samples int,
 		K:              k,
 		RandomCount:    randomN,
 		Semantics:      semantics,
-		Sampler:        core.SamplerKind(samplerF),
 		SampleCount:    samples,
 		Seed:           seed,
 		Search:         search.Options{MaxQueue: 64, MaxAccessed: 300},
@@ -80,8 +81,8 @@ func run(kind string, items, features, phi, k, randomN, samples int,
 	user := simulate.NewRandomUser(profile, rng)
 	user.NoiseEps = noise
 
-	fmt.Printf("dataset=%s items=%d features=%d φ=%d k=%d semantics=%s sampler=%s\n",
-		kind, len(data), features, phi, k, semantics, samplerF)
+	fmt.Printf("dataset=%s items=%d features=%d φ=%d k=%d semantics=%s\n",
+		kind, len(data), features, phi, k, semantics)
 	fmt.Printf("hidden user weights: %s\n\n", fmtVec(user.U.W))
 
 	prevKey := ""

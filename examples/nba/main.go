@@ -1,8 +1,6 @@
 // NBA builds "dream-team" packages of players from the synthesized NBA
 // career-statistics dataset (the paper's real-data evaluation set) and
-// contrasts the three ranking semantics on the same uncertain utility. It
-// also shows the skyline baseline's problem: the Pareto set over even a
-// tiny player subset is too big to browse.
+// contrasts the three ranking semantics on the same uncertain utility.
 package main
 
 import (
@@ -18,7 +16,6 @@ import (
 	"toppkg/internal/ranking"
 	"toppkg/internal/sampling"
 	"toppkg/internal/search"
-	"toppkg/internal/skyline"
 )
 
 const seed = 21
@@ -68,31 +65,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// The skyline baseline on a 16-player subset with genuinely conflicting
-	// objectives — maximize total points, minimize total turnovers (they
-	// correlate through playing volume, so every scorer is a trade-off):
-	// even this tiny instance yields a Pareto set nobody would browse.
-	full := dataset.NBA(rand.New(rand.NewSource(seed)))
-	sub := make([]feature.Item, 16)
-	for i := range sub {
-		p := full[i*13]
-		sub[i] = feature.Item{ID: i, Name: p.Name,
-			Values: []float64{p.Values[2], p.Values[10]}} // points, turnovers
-	}
-	skyProfile := feature.SimpleProfile(feature.AggSum, feature.AggSum)
-	subSp, err := feature.NewSpace(sub, skyProfile, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sky, err := skyline.Packages(subSp,
-		[]skyline.Direction{skyline.Larger, skyline.Smaller}, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	total := pkgspace.Count(16, 3)
-	fmt.Printf("skyline baseline (points vs turnovers): %d Pareto-optimal teams out of %d (16 players, φ=3)\n",
-		len(sky), total)
 }
 
 func addPref(g *prefgraph.Graph, sp *feature.Space, winner, loser pkgspace.Package) {

@@ -28,23 +28,13 @@ import (
 	"toppkg/internal/ranking"
 	"toppkg/internal/sampling"
 	"toppkg/internal/search"
-	"toppkg/internal/topk"
 )
 
-// SamplerKind selects the constrained sampling strategy (§3).
-type SamplerKind string
-
-// Sampling strategies.
-const (
-	SamplerRejection  SamplerKind = "rejection"
-	SamplerImportance SamplerKind = "importance"
-	SamplerMCMC       SamplerKind = "mcmc"
-)
-
-// Config configures an Engine. Zero values select the paper's defaults; the
-// rest of the paper's choices are fixed: TKP's σ = K, transitive reduction
-// of the preference graph (§3.3), the hybrid maintenance checker at
-// γ = 0.025 (§3.4) and the samplers' own tuning defaults.
+// Config configures an Engine. Zero values select the paper's defaults, and
+// New rejects negative sizes and a Psi outside [0, 1]. The rest of the
+// paper's choices are fixed: the §3.2.2 Metropolis sampler at its fixed
+// tuning, TKP's σ = K, transitive reduction of the preference graph (§3.3)
+// and the hybrid maintenance checker at γ = 0.025 (§3.4).
 type Config struct {
 	// Items is the item set T (required).
 	Items []feature.Item
@@ -59,8 +49,6 @@ type Config struct {
 	RandomCount int
 	// Semantics is the ranking semantics (default EXP).
 	Semantics ranking.Semantics
-	// Sampler selects the sampling strategy (default mcmc).
-	Sampler SamplerKind
 	// SampleCount is the size of the weight-vector sample pool
 	// (default 1000).
 	SampleCount int
@@ -274,6 +262,13 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.Profile == nil {
 		return cfg, fmt.Errorf("core: Config.Profile is required")
 	}
+	if cfg.MaxPackageSize < 0 || cfg.K < 0 || cfg.RandomCount < 0 || cfg.SampleCount < 0 {
+		return cfg, fmt.Errorf("core: negative size in Config (MaxPackageSize %d, K %d, RandomCount %d, SampleCount %d)",
+			cfg.MaxPackageSize, cfg.K, cfg.RandomCount, cfg.SampleCount)
+	}
+	if !(cfg.Psi >= 0 && cfg.Psi <= 1) {
+		return cfg, fmt.Errorf("core: Config.Psi %v is outside [0, 1]", cfg.Psi)
+	}
 	if cfg.MaxPackageSize == 0 {
 		cfg.MaxPackageSize = 5
 	}
@@ -282,9 +277,6 @@ func normalizeConfig(cfg Config) (Config, error) {
 	}
 	if cfg.RandomCount == 0 {
 		cfg.RandomCount = cfg.K
-	}
-	if cfg.Sampler == "" {
-		cfg.Sampler = SamplerMCMC
 	}
 	if cfg.SampleCount == 0 {
 		cfg.SampleCount = 1000
@@ -486,26 +478,12 @@ func (e *Engine) constraints() []prefgraph.Constraint {
 	return e.graph.Constraints(true)
 }
 
-// Sampler builds the configured sampling strategy over the current
-// feedback constraints.
-func (e *Engine) Sampler() (sampling.Sampler, error) {
+// sampler is the §3.2.2 Metropolis walk over the current feedback
+// constraints.
+func (e *Engine) sampler() *sampling.MCMC {
 	v := sampling.NewValidator(e.cfg.Profile.Dims(), e.constraints())
 	v.Psi = e.cfg.Psi
-	switch e.cfg.Sampler {
-	case SamplerRejection:
-		return &sampling.Rejection{Prior: e.cfg.Prior, V: v}, nil
-	case SamplerImportance:
-		return &sampling.Importance{Prior: e.cfg.Prior, V: v}, nil
-	case SamplerMCMC:
-		return &sampling.MCMC{Prior: e.cfg.Prior, V: v}, nil
-	}
-	return nil, fmt.Errorf("core: unknown sampler %q", e.cfg.Sampler)
-}
-
-// newChecker is the paper's maintenance strategy: the hybrid TA checker at
-// its default γ (§3.4).
-func (e *Engine) newChecker(p *topk.Pool) maintain.Checker {
-	return &maintain.Hybrid{P: p}
+	return &sampling.MCMC{Prior: e.cfg.Prior, V: v}
 }
 
 // ensureSamples draws the initial pool if none exists yet.
@@ -513,11 +491,7 @@ func (e *Engine) ensureSamples() error {
 	if e.pool != nil {
 		return nil
 	}
-	s, err := e.Sampler()
-	if err != nil {
-		return err
-	}
-	res, err := s.Sample(e.rng, e.cfg.SampleCount)
+	res, err := e.sampler().Sample(e.rng, e.cfg.SampleCount)
 	e.stats.SampleAttempts += res.Attempts
 	if err != nil {
 		if !errors.Is(err, sampling.ErrTooManyRejections) {
@@ -534,7 +508,6 @@ func (e *Engine) ensureSamples() error {
 		res.Samples = e.fillFromPrior(res.Samples)
 	}
 	e.pool = maintain.NewPool(res.Samples)
-	e.pool.NewChecker = e.newChecker
 	return nil
 }
 
@@ -716,11 +689,7 @@ func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 		diff[i] = wv[i] - lv[i]
 	}
 	c := prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff}
-	s, err := e.Sampler()
-	if err != nil {
-		return err
-	}
-	replaced, work, err := e.pool.Apply(c, s, e.rng)
+	replaced, work, err := e.pool.Apply(c, e.sampler(), e.rng)
 	e.stats.MaintenanceWork += work
 	e.stats.SamplesReplaced += replaced
 	if err != nil {

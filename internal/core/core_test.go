@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -33,9 +34,6 @@ func TestNewDefaults(t *testing.T) {
 	if e.cfg.K != 3 || e.cfg.RandomCount != 3 {
 		t.Errorf("defaults: K=%d RandomCount=%d", e.cfg.K, e.cfg.RandomCount)
 	}
-	if e.cfg.Sampler != SamplerMCMC {
-		t.Errorf("defaults: sampler=%s", e.cfg.Sampler)
-	}
 	if e.cfg.Psi != 1 {
 		t.Errorf("default Psi = %g", e.cfg.Psi)
 	}
@@ -49,6 +47,45 @@ func TestNewValidation(t *testing.T) {
 	cfg.Items = nil
 	if _, err := New(cfg); err == nil {
 		t.Error("missing items accepted")
+	}
+}
+
+// TestNewRejectsOutOfRange: negative sizes and a Psi outside [0, 1] fail at
+// New and NewShared, before any Recommend could use them; 0 still selects
+// the default.
+func TestNewRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"SampleCount", func(c *Config) { c.SampleCount = -1 }},
+		{"K", func(c *Config) { c.K = -1 }},
+		{"RandomCount", func(c *Config) { c.RandomCount = -3 }},
+		{"MaxPackageSize", func(c *Config) { c.MaxPackageSize = -2 }},
+		{"PsiAbove", func(c *Config) { c.Psi = 2 }},
+		{"PsiBelow", func(c *Config) { c.Psi = -0.5 }},
+		{"PsiNaN", func(c *Config) { c.Psi = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, 20)
+			cfg.SampleCount = 20
+			tc.set(&cfg)
+			if _, err := NewShared(cfg); err == nil {
+				t.Error("NewShared accepted the config")
+			}
+			e, err := New(cfg)
+			if err == nil {
+				_, err = e.Recommend()
+				t.Fatalf("New accepted the config; first Recommend: %v", err)
+			}
+		})
+	}
+	for _, psi := range []float64{0, 0.5, 1} {
+		cfg := testConfig(t, 20)
+		cfg.Psi = psi
+		if _, err := New(cfg); err != nil {
+			t.Errorf("Psi %v rejected: %v", psi, err)
+		}
 	}
 }
 
@@ -164,29 +201,6 @@ func TestCycleHandledGracefully(t *testing.T) {
 	}
 	if e.Stats().CyclesSkipped != 1 {
 		t.Errorf("CyclesSkipped = %d, want 1", e.Stats().CyclesSkipped)
-	}
-}
-
-func TestSamplersSelectable(t *testing.T) {
-	for _, kind := range []SamplerKind{SamplerRejection, SamplerImportance, SamplerMCMC} {
-		cfg := testConfig(t, 30)
-		cfg.Sampler = kind
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Samples(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-	}
-	cfg := testConfig(t, 30)
-	cfg.Sampler = "bogus"
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Samples(); err == nil {
-		t.Error("bogus sampler accepted")
 	}
 }
 

@@ -260,7 +260,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 		}
 	}
 	e.pool = maintain.NewPool(samples)
-	e.pool.NewChecker = e.newChecker
 	return nil
 }
 

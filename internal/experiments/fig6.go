@@ -87,9 +87,9 @@ func fig6Point(p Params, kind string, nItems, features, samples, prefs int, incl
 	// combinations; exhausting one yields an honest "timeout" row, the
 	// analogue of the paper's chart-capped rejection bars.
 	var samplers []sampling.Sampler
-	samplers = append(samplers, &sampling.Rejection{Prior: prior, V: v, MaxAttemptsPerSample: 200000})
+	samplers = append(samplers, &sampling.Rejection{Prior: prior, V: v})
 	if includeIS {
-		samplers = append(samplers, &sampling.Importance{Prior: prior, V: v, MaxAttemptsPerSample: 200000})
+		samplers = append(samplers, &sampling.Importance{Prior: prior, V: v})
 	}
 	samplers = append(samplers, &sampling.MCMC{Prior: prior, V: v, InitAttempts: 1000000})
 

@@ -58,7 +58,6 @@ func Fig8(p Params) ([]Table, error) {
 				K:              5,
 				RandomCount:    5,
 				SampleCount:    sampleCount,
-				Sampler:        core.SamplerMCMC,
 				Seed:           p.Seed + int64(u)*131 + int64(m),
 				// Bounded per-sample searches keep a full session fast.
 				Search: search.Options{MaxQueue: 64, MaxAccessed: 300},

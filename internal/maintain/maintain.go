@@ -133,16 +133,13 @@ func (h *Hybrid) Violators(q []float64) ([]int, int) {
 }
 
 // Pool owns a sample set and keeps it consistent with incoming feedback:
-// violators found by the configured checker are replaced by fresh samples
-// from the (already feedback-aware) sampler, per §3.4 — the retained
-// samples still follow the prior restricted to the valid region, so only
+// violators found by the hybrid checker are replaced by fresh samples from
+// the (already feedback-aware) sampler, per §3.4 — the retained samples
+// still follow the prior restricted to the valid region, so only
 // replacements must be drawn.
 type Pool struct {
 	Samples []sampling.Sample
 	index   *topk.Pool
-	// NewChecker builds the violator-finding strategy over an index; by
-	// default the hybrid checker.
-	NewChecker func(*topk.Pool) Checker
 }
 
 // NewPool wraps an initial sample set.
@@ -165,8 +162,7 @@ func (p *Pool) Invalidate() { p.index = nil }
 // Apply finds the samples violating constraint c, replaces them with fresh
 // draws from s, and returns the number replaced and the checker work.
 func (p *Pool) Apply(c prefgraph.Constraint, s sampling.Sampler, rng *rand.Rand) (replaced, work int, err error) {
-	checker := p.checker()
-	viol, work := checker.Violators(Query(c))
+	viol, work := (&Hybrid{P: p.Index()}).Violators(Query(c))
 	if len(viol) == 0 {
 		return 0, work, nil
 	}
@@ -179,12 +175,4 @@ func (p *Pool) Apply(c prefgraph.Constraint, s sampling.Sampler, rng *rand.Rand)
 	}
 	p.Invalidate()
 	return len(viol), work, nil
-}
-
-func (p *Pool) checker() Checker {
-	idx := p.Index()
-	if p.NewChecker != nil {
-		return p.NewChecker(idx)
-	}
-	return &Hybrid{P: idx}
 }

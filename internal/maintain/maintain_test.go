@@ -175,6 +175,8 @@ func TestPoolApplyReplacesViolators(t *testing.T) {
 	}
 }
 
+// TestPoolApplyKeepsValidSamples: Apply replaces exactly the naive scan's
+// violator set and leaves every valid sample untouched.
 func TestPoolApplyKeepsValidSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	samples := randomSamples(rng, 200, 2)
@@ -187,10 +189,23 @@ func TestPoolApplyKeepsValidSamples(t *testing.T) {
 		}
 	}
 	p := NewPool(samples)
+	naive, _ := (&Naive{P: p.Index()}).Violators(Query(c))
+	if len(naive)+len(validBefore) != len(samples) {
+		t.Fatalf("naive found %d violators, %d of %d samples are valid", len(naive), len(validBefore), len(samples))
+	}
 	prior := gaussmix.DefaultPrior(2, 1, rng)
 	v := sampling.NewValidator(2, []prefgraph.Constraint{c})
-	if _, _, err := p.Apply(c, &sampling.Rejection{Prior: prior, V: v}, rng); err != nil {
+	replaced, _, err := p.Apply(c, &sampling.Rejection{Prior: prior, V: v}, rng)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if replaced != len(naive) {
+		t.Errorf("Apply replaced %d samples, naive finds %d violators", replaced, len(naive))
+	}
+	for _, i := range naive {
+		if c.Violates(p.Samples[i].W) {
+			t.Errorf("violator %d was not replaced", i)
+		}
 	}
 	for i, w := range validBefore {
 		for j := range w {
@@ -211,24 +226,5 @@ func TestPoolIndexInvalidation(t *testing.T) {
 	p.Invalidate()
 	if p.Index() == idx1 {
 		t.Error("index not rebuilt after Invalidate")
-	}
-}
-
-func TestPoolCustomChecker(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := NewPool(randomSamples(rng, 100, 2))
-	used := false
-	p.NewChecker = func(ix *topk.Pool) Checker {
-		used = true
-		return &Naive{P: ix}
-	}
-	c := constraint(1, 1)
-	prior := gaussmix.DefaultPrior(2, 1, rng)
-	v := sampling.NewValidator(2, []prefgraph.Constraint{c})
-	if _, _, err := p.Apply(c, &sampling.Rejection{Prior: prior, V: v}, rng); err != nil {
-		t.Fatal(err)
-	}
-	if !used {
-		t.Error("custom checker not used")
 	}
 }

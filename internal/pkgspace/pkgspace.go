@@ -130,8 +130,7 @@ func All(preds ...Predicate) Predicate {
 
 // Enumerate calls fn for every non-empty package of size at most
 // s.MaxSize, in lexicographic ID order. It is exponential in the item count
-// and exists as the ground-truth oracle for tests and the naive baseline;
-// Count reports the space size without materializing it.
+// and exists as the ground-truth oracle for tests and the naive baseline.
 func Enumerate(s *feature.Space, fn func(Package)) {
 	n := len(s.Items)
 	ids := make([]int, 0, s.MaxSize)
@@ -147,25 +146,6 @@ func Enumerate(s *feature.Space, fn func(Package)) {
 		}
 	}
 	rec(0)
-}
-
-// Count returns the number of non-empty packages of size ≤ maxSize over n
-// items: Σ_{s=1..maxSize} C(n, s). It saturates at MaxInt64 via big-free
-// overflow checks.
-func Count(n, maxSize int) uint64 {
-	var total uint64
-	c := uint64(1) // C(n, 0)
-	for s := 1; s <= maxSize && s <= n; s++ {
-		// C(n,s) = C(n,s-1) * (n-s+1) / s — exact because the running
-		// product of consecutive binomials stays integral.
-		c = c * uint64(n-s+1) / uint64(s)
-		prev := total
-		total += c
-		if total < prev {
-			return ^uint64(0)
-		}
-	}
-	return total
 }
 
 // Scored pairs a package with its utility under a fixed weight vector.

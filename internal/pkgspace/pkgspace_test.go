@@ -72,46 +72,6 @@ func TestEnumerateRespectsMaxSize(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	for _, tc := range []struct {
-		n, maxSize int
-		want       uint64
-	}{
-		{3, 3, 7},
-		{3, 2, 6},
-		{5, 1, 5},
-		{10, 2, 55},
-		{4, 4, 15},
-		{0, 3, 0},
-	} {
-		if got := Count(tc.n, tc.maxSize); got != tc.want {
-			t.Errorf("Count(%d,%d) = %d, want %d", tc.n, tc.maxSize, got, tc.want)
-		}
-	}
-}
-
-func TestCountMatchesEnumerate(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		maxSize := 1 + r.Intn(4)
-		items := make([]feature.Item, n)
-		for i := range items {
-			items[i] = feature.Item{ID: i, Values: []float64{r.Float64()}}
-		}
-		sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum), maxSize)
-		if err != nil {
-			return false
-		}
-		c := 0
-		Enumerate(sp, func(Package) { c++ })
-		return uint64(c) == Count(n, maxSize)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestVectorPaperP4(t *testing.T) {
 	sp := space(t, 2)
 	v := Vector(sp, New(0, 1)) // p4 = {t1,t2}: sum=1.0/1.0, avg=0.3/0.4

@@ -2,9 +2,11 @@
 // (§3): drawing weight vectors from the Gaussian-mixture prior restricted to
 // the convex region consistent with all elicited preferences. Three
 // strategies are provided — rejection sampling (§3.1), importance sampling
-// with a grid-approximated polytope center (§3.2.1), and Metropolis–Hastings
-// MCMC (§3.2.2) — plus the effective-number-of-samples diagnostic and the
-// noisy-feedback model of §7.
+// with a polytope center approximated on the flat grid of Figure 3b
+// (§3.2.1), and Metropolis–Hastings MCMC (§3.2.2), which serving uses — plus
+// the effective-number-of-samples diagnostic and the noisy-feedback model of
+// §7. Each strategy runs at one fixed tuning (the constants below); only
+// MCMC's initial-state budget is settable.
 package sampling
 
 import (
@@ -47,6 +49,29 @@ type Sampler interface {
 	// given rng's state.
 	Sample(rng *rand.Rand, n int) (Result, error)
 }
+
+// The samplers' fixed tuning.
+const (
+	// maxAttemptsPerSample bounds the raw draws per accepted sample of the
+	// rejection and importance samplers.
+	maxAttemptsPerSample = 200000
+	// gridRes is the importance grid's cell count per dimension; the grid
+	// has gridRes^d cells.
+	gridRes = 4
+	// maxGridDims guards the exponential grid: center-finding refuses
+	// d > maxGridDims (§5.3).
+	maxGridDims = 6
+	// proposalStd is the isotropic std of the importance proposal.
+	proposalStd = 0.35
+	// mcmcStep is the maximum step length of the MCMC random walk.
+	mcmcStep = 0.25
+	// mcmcThin keeps one MCMC state every mcmcThin steps to reduce
+	// autocorrelation (the paper's step length δ). There is no burn-in: a
+	// start found by rejection from the prior is already an exact draw from
+	// the target, and a start that came from repairToValid is not burned in
+	// either.
+	mcmcThin = 5
+)
 
 // ErrTooManyRejections is returned when a sampler's attempt budget is
 // exhausted before n valid samples were found (the valid region has
@@ -125,9 +150,6 @@ func (v *Validator) Valid(w []float64, rng *rand.Rand) bool {
 type Rejection struct {
 	Prior *gaussmix.Mixture
 	V     *Validator
-	// MaxAttemptsPerSample bounds raw draws per accepted sample
-	// (default 200000).
-	MaxAttemptsPerSample int
 }
 
 // Name implements Sampler.
@@ -135,11 +157,7 @@ func (r *Rejection) Name() string { return "rejection" }
 
 // Sample implements Sampler.
 func (r *Rejection) Sample(rng *rand.Rand, n int) (Result, error) {
-	maxA := r.MaxAttemptsPerSample
-	if maxA <= 0 {
-		maxA = 200000
-	}
-	budget := maxA * n
+	budget := maxAttemptsPerSample * n
 	res := Result{Samples: make([]Sample, 0, n)}
 	w := make([]float64, r.Prior.Dims())
 	for len(res.Samples) < n {
@@ -164,20 +182,6 @@ func (r *Rejection) Sample(rng *rand.Rand, n int) (Result, error) {
 type Importance struct {
 	Prior *gaussmix.Mixture
 	V     *Validator
-	// GridRes is the number of cells per dimension (default 4). The grid
-	// has GridRes^d cells; construction refuses d > MaxGridDims because
-	// center-finding is exponential in d (§5.3).
-	GridRes int
-	// UseQuadtree selects the hierarchical cell subdivision (paper §3.2.1
-	// suggests organizing cells in a quad-tree [12]) instead of the flat
-	// grid; it prunes fully-invalid subtrees early.
-	UseQuadtree bool
-	// ProposalStd is the isotropic std of the proposal (default 0.35).
-	ProposalStd float64
-	// MaxGridDims guards the exponential grid (default 6).
-	MaxGridDims int
-	// MaxAttemptsPerSample bounds proposal draws per accepted sample.
-	MaxAttemptsPerSample int
 }
 
 // Name implements Sampler.
@@ -188,43 +192,23 @@ func (s *Importance) Name() string { return "importance" }
 // this reason).
 var ErrDimsTooHigh = errors.New("sampling: importance sampling grid is intractable at this dimensionality")
 
-// Center computes the approximate center of the valid region. It is
-// exported for tests and diagnostics.
-func (s *Importance) Center() ([]float64, error) {
+// center computes the approximate center of the valid region.
+func (s *Importance) center() ([]float64, error) {
 	d := s.Prior.Dims()
-	maxD := s.MaxGridDims
-	if maxD <= 0 {
-		maxD = 6
+	if d > maxGridDims {
+		return nil, fmt.Errorf("%w: %d dims > limit %d", ErrDimsTooHigh, d, maxGridDims)
 	}
-	if d > maxD {
-		return nil, fmt.Errorf("%w: %d dims > limit %d", ErrDimsTooHigh, d, maxD)
-	}
-	res := s.GridRes
-	if res <= 0 {
-		res = 4
-	}
-	if s.UseQuadtree {
-		return quadtreeCenter(d, s.V.Constraints, res)
-	}
-	return gridCenter(d, s.V.Constraints, res)
+	return gridCenter(d, s.V.Constraints)
 }
 
 // Sample implements Sampler.
 func (s *Importance) Sample(rng *rand.Rand, n int) (Result, error) {
-	center, err := s.Center()
+	center, err := s.center()
 	if err != nil {
 		return Result{}, err
 	}
-	std := s.ProposalStd
-	if std <= 0 {
-		std = 0.35
-	}
-	proposal := gaussmix.Gaussian(center, std)
-	maxA := s.MaxAttemptsPerSample
-	if maxA <= 0 {
-		maxA = 200000
-	}
-	budget := maxA * n
+	proposal := gaussmix.Gaussian(center, proposalStd)
+	budget := maxAttemptsPerSample * n
 	res := Result{Samples: make([]Sample, 0, n)}
 	w := make([]float64, s.Prior.Dims())
 	for len(res.Samples) < n {
@@ -249,16 +233,6 @@ func (s *Importance) Sample(rng *rand.Rand, n int) (Result, error) {
 type MCMC struct {
 	Prior *gaussmix.Mixture
 	V     *Validator
-	// LMax is the maximum step length of the random walk (default 0.25).
-	LMax float64
-	// Thin keeps one sample every Thin accepted steps to reduce
-	// autocorrelation (the paper's step length δ; default 5).
-	Thin int
-	// BurnIn discards this many initial steps (0 = none, which is what
-	// serving runs). A start found by rejection from the prior is already
-	// an exact draw from the target, so it needs no burn-in. A start that
-	// came from repairToValid is not, and is not burned in either.
-	BurnIn int
 	// InitAttempts bounds the rejection draws used to find the first valid
 	// state (default 200000).
 	InitAttempts int
@@ -269,14 +243,6 @@ func (m *MCMC) Name() string { return "mcmc" }
 
 // Sample implements Sampler.
 func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
-	lmax := m.LMax
-	if lmax <= 0 {
-		lmax = 0.25
-	}
-	thin := m.Thin
-	if thin <= 0 {
-		thin = 5
-	}
 	initA := m.InitAttempts
 	if initA <= 0 {
 		initA = 200000
@@ -329,9 +295,9 @@ func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
 	prop := make([]float64, d)
 	steps := 0
 	for len(res.Samples) < n {
-		// Propose uniformly within the L2 ball of radius lmax around cur
-		// (symmetric, so the Hastings correction cancels, Eq. 7).
-		uniformBall(rng, prop, lmax)
+		// Propose uniformly within the L2 ball of radius mcmcStep around
+		// cur (symmetric, so the Hastings correction cancels, Eq. 7).
+		uniformBall(rng, prop, mcmcStep)
 		for j := range prop {
 			prop[j] += cur[j]
 		}
@@ -346,7 +312,7 @@ func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
 		// On rejection we keep a copy of cur as the next chain state
 		// (standard MH; paper §3.2.2).
 		steps++
-		if steps > m.BurnIn && steps%thin == 0 {
+		if steps%mcmcThin == 0 {
 			res.Samples = append(res.Samples, Sample{W: append([]float64(nil), cur...), Q: 1})
 		}
 	}

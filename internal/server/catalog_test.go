@@ -298,10 +298,10 @@ func TestHealthzReportsRestoreDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Capacity 1 with synchronous eviction: the second session's miss
-	// deterministically snapshots the first.
+	// Capacity 1: the second session's miss evicts the first, and a Flush
+	// after it puts the first session's snapshot in the store.
 	mgr, err := session.NewManager(session.Config{
-		Shared: sh, Capacity: 1, Store: session.NewMemStore(), EvictWorkers: -1,
+		Shared: sh, Capacity: 1, Store: session.NewMemStore(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +317,7 @@ func TestHealthzReportsRestoreDrops(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/sessions/bob/stats", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("evicting request = %d", resp.StatusCode)
 	}
+	mgr.Flush()
 	if resp := doDelete(t, ts.URL+"/catalog/items/1?wait=1"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("admin delete ?wait=1 = %d, want 200", resp.StatusCode)
 	}

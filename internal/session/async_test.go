@@ -48,42 +48,47 @@ func (g *gateStore) waitSaveStart(t *testing.T, want string) {
 }
 
 // TestMissNotBlockedBySnapshotWrite is the async-eviction acceptance test:
-// with a store whose writes hang, a brand-new session's first request must
-// complete while the victim's snapshot write is still in flight. The old
-// synchronous evict ran the save on the new session's miss path, so this
-// bounds exactly the latency the ROADMAP item called out.
+// with a store whose writes hang and both writers held, a brand-new
+// session's first request must complete while the victims' snapshot writes
+// are still in flight: its own victim waits in the queue. A synchronous
+// evict would run the save on the new session's miss path.
 func TestMissNotBlockedBySnapshotWrite(t *testing.T) {
 	store := newGateStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store, EvictWorkers: 1})
+	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedbackN(t, m, "alice", 1) // learned state, so eviction will Save
-	feedbackN(t, m, "bob", 1)   // misses: unlinks alice to the background writer
+	feedbackN(t, m, "bob", 1)   // misses: unlinks alice to a background writer
 	store.waitSaveStart(t, "alice")
+	feedbackN(t, m, "carol", 1) // bob goes to the other writer
+	store.waitSaveStart(t, "bob")
 
-	// Alice's save is now blocked in the store. A new session's first
-	// request must not queue behind it.
+	// Both writers are now blocked in the store. A new session's first
+	// request must not queue behind them.
 	done := make(chan error, 1)
 	go func() {
-		done <- m.Do("carol", func(*core.Engine) error { return nil })
+		done <- m.Do("dave", func(*core.Engine) error { return nil })
 	}()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("carol's first request: %v", err)
+			t.Fatalf("dave's first request: %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("new session's first request blocked behind another session's snapshot write")
 	}
-	if st := m.Stats(); st.EvictQueue == 0 {
-		t.Errorf("EvictQueue = 0 while a save is in flight: %+v", st)
+	if st := m.Stats(); st.EvictQueue != 3 || st.EvictSyncFallbacks != 0 {
+		t.Errorf("EvictQueue = %d, EvictSyncFallbacks = %d; want 3 queued or in flight and none synchronous",
+			st.EvictQueue, st.EvictSyncFallbacks)
 	}
 
 	close(store.release)
 	m.Shutdown()
-	if _, err := store.Load("alice"); err != nil {
-		t.Errorf("alice's snapshot lost: %v", err)
+	for _, id := range []string{"alice", "bob", "carol"} {
+		if _, err := store.Load(id); err != nil {
+			t.Errorf("%s's snapshot lost: %v", id, err)
+		}
 	}
 	m.Close()
 }
@@ -94,7 +99,7 @@ func TestMissNotBlockedBySnapshotWrite(t *testing.T) {
 // manager guarantees.
 func TestRestoreWhileSnapshotInFlight(t *testing.T) {
 	store := newGateStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store, EvictWorkers: 1})
+	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestRestoreWhileSnapshotInFlight(t *testing.T) {
 // while background snapshot writes are still in flight.
 func TestShutdownWaitsForQueuedEvictions(t *testing.T) {
 	store := newGateStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store, EvictWorkers: 1})
+	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +185,7 @@ func TestShutdownWaitsForQueuedEvictions(t *testing.T) {
 // beats the writer to the session lock or not.
 func TestDeleteWhileEvictQueued(t *testing.T) {
 	store := newGateStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store, EvictWorkers: 1})
+	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,22 +232,6 @@ func TestCloseFallsBackToSyncEviction(t *testing.T) {
 	}
 }
 
-// TestSyncEvictWorkersDisabled: EvictWorkers < 0 restores the fully
-// synchronous pre-async behavior.
-func TestSyncEvictWorkersDisabled(t *testing.T) {
-	store := NewMemStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store, EvictWorkers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedbackN(t, m, "alice", 1)
-	feedbackN(t, m, "bob", 1)
-	if store.Len() != 1 { // no Flush needed: eviction ran inline
-		t.Fatalf("store holds %d snapshots", store.Len())
-	}
-	m.Close() // no-op without a writer
-}
-
 // TestAsyncEvictionChurn interleaves Do, Delete, Flush, and eviction
 // pressure from many goroutines over few IDs with a tiny capacity; run
 // with -race. The point is the interleavings — evict/restore/delete in
@@ -251,7 +240,7 @@ func TestSyncEvictWorkersDisabled(t *testing.T) {
 // deletes).
 func TestAsyncEvictionChurn(t *testing.T) {
 	store := NewMemStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 2, Store: store, EvictWorkers: 2})
+	m, err := NewManager(Config{Shared: testShared(t), Capacity: 2, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +300,7 @@ func TestAsyncEvictionChurn(t *testing.T) {
 // from scratch.
 func TestDeleteRacesInFlightEviction(t *testing.T) {
 	store := newGateStore()
-	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store, EvictWorkers: 1})
+	m, err := NewManager(Config{Shared: testShared(t), Capacity: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

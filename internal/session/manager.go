@@ -14,15 +14,15 @@
 // makes evict-save and miss-restore of the same ID strictly ordered.
 //
 // Eviction is asynchronous: the miss that pushes a victim over capacity
-// only unlinks it from the LRU and hands it to a background writer, so a
-// new session's first request is never blocked behind an unrelated
-// session's snapshot write. The ordering guarantee above is untouched —
-// the victim keeps its table entry and its own mutex until the writer has
-// saved it, so a concurrent request for the victim's ID either resumes the
-// still-resident session (and its later snapshot includes that work) or
-// queues behind the in-flight save and restores the fresh snapshot. When
-// the writer's queue is full the evicting request falls back to saving
-// synchronously (backpressure), so residency stays bounded.
+// only unlinks it from the LRU and hands it to one of two background
+// writers, so a new session's first request is never blocked behind an
+// unrelated session's snapshot write. The ordering guarantee above is
+// untouched — the victim keeps its table entry and its own mutex until a
+// writer has saved it, so a concurrent request for the victim's ID either
+// resumes the still-resident session (and its later snapshot includes that
+// work) or queues behind the in-flight save and restores the fresh
+// snapshot. When the writers' queue is full the evicting request falls
+// back to saving synchronously (backpressure), so residency stays bounded.
 package session
 
 import (
@@ -40,9 +40,9 @@ import (
 // DefaultCapacity bounds resident sessions when Config.Capacity is zero.
 const DefaultCapacity = 1024
 
-// DefaultEvictWorkers is the background snapshot-writer count when
-// Config.EvictWorkers is zero.
-const DefaultEvictWorkers = 2
+// evictWorkers is the number of background goroutines writing eviction
+// snapshots.
+const evictWorkers = 2
 
 // Config configures a Manager.
 type Config struct {
@@ -54,11 +54,6 @@ type Config struct {
 	// Store persists evicted sessions and revives them on their next
 	// request. Nil means evicted sessions lose their learned state.
 	Store Store
-	// EvictWorkers is the number of background goroutines writing eviction
-	// snapshots (default DefaultEvictWorkers). Negative disables the
-	// background writer: evictions run synchronously on the requesting
-	// goroutine, the pre-async behavior.
-	EvictWorkers int
 }
 
 // Stats are the manager's cumulative counters, all monotone except Live.
@@ -92,11 +87,11 @@ type Stats struct {
 	RestoreDroppedItems int64 `json:"restore_dropped_items"`
 	RestoreDroppedPrefs int64 `json:"restore_dropped_prefs"`
 	// EvictQueue is the number of evictions currently queued on or being
-	// written by the background writer (not monotone).
+	// written by the background writers (not monotone).
 	EvictQueue int `json:"evict_queue"`
 	// EvictSyncFallbacks counts evictions that ran synchronously on the
-	// requesting goroutine because the writer's queue was full (or the
-	// writer is disabled/closed).
+	// requesting goroutine because the writers' queue was full or the
+	// manager was closed.
 	EvictSyncFallbacks int64 `json:"evict_sync_fallbacks"`
 }
 
@@ -140,25 +135,20 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("session: capacity %d < 1", cfg.Capacity)
 	}
-	if cfg.EvictWorkers == 0 {
-		cfg.EvictWorkers = DefaultEvictWorkers
-	}
 	m := &Manager{
 		shared:   cfg.Shared,
 		capacity: cfg.Capacity,
 		store:    cfg.Store,
 		table:    make(map[string]*session),
 		lru:      list.New(),
-	}
-	m.evictDone = sync.NewCond(&m.mu)
-	if cfg.EvictWorkers > 0 {
 		// The queue bound matches capacity: under a miss storm faster than
 		// the writers, excess victims fall back to synchronous eviction
 		// rather than growing residency without bound.
-		m.evictq = make(chan *session, cfg.Capacity)
-		for i := 0; i < cfg.EvictWorkers; i++ {
-			go m.evictWorker()
-		}
+		evictq: make(chan *session, cfg.Capacity),
+	}
+	m.evictDone = sync.NewCond(&m.mu)
+	for i := 0; i < evictWorkers; i++ {
+		go m.evictWorker()
 	}
 	return m, nil
 }
@@ -255,15 +245,15 @@ func (m *Manager) unlinkVictimsLocked() []*session {
 	return victims
 }
 
-// enqueueEvicts hands victims to the background writer so the evicting
+// enqueueEvicts hands victims to the background writers so the evicting
 // request is not blocked behind another session's snapshot write. When the
-// writer is disabled, closed, or its queue is full, the eviction runs
+// manager is closed or the writers' queue is full, the eviction runs
 // synchronously on the caller (backpressure): slower for this one request,
 // but residency stays bounded.
 func (m *Manager) enqueueEvicts(victims []*session) {
 	for _, v := range victims {
 		m.mu.Lock()
-		if m.evictq == nil || m.closed {
+		if m.closed {
 			m.syncFalls++
 			m.mu.Unlock()
 			m.evict(v)
@@ -294,7 +284,7 @@ func (m *Manager) evictWorker() {
 	}
 }
 
-// Flush blocks until every eviction handed to the background writer has
+// Flush blocks until every eviction handed to the background writers has
 // finished saving. It does not fence evictions triggered concurrently with
 // the call; callers wanting a complete flush stop traffic first.
 func (m *Manager) Flush() {
@@ -305,11 +295,11 @@ func (m *Manager) Flush() {
 	m.mu.Unlock()
 }
 
-// Close drains the background writer and stops its goroutines. The manager
+// Close drains the background writers and stops their goroutines. The manager
 // remains usable afterwards, evicting synchronously. Safe to call twice.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if m.closed || m.evictq == nil {
+	if m.closed {
 		m.mu.Unlock()
 		return
 	}
@@ -473,7 +463,7 @@ func (m *Manager) List() []Info {
 // Shutdown evicts every resident session, flushing learned state to the
 // store — the graceful-shutdown path, so state does not only survive via
 // LRU pressure. It also waits out any snapshot writes still in flight on
-// the background writer. The manager remains usable (and empty)
+// the background writers. The manager remains usable (and empty)
 // afterwards.
 func (m *Manager) Shutdown() {
 	m.mu.Lock()

@@ -572,7 +572,7 @@ func TestEvictRestoreAcrossCatalogChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(Config{Shared: sh, Capacity: 1, Store: NewMemStore(), EvictWorkers: -1})
+	m, err := NewManager(Config{Shared: sh, Capacity: 1, Store: NewMemStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,10 +588,11 @@ func TestEvictRestoreAcrossCatalogChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// bob's miss evicts alice synchronously; her snapshot hits the store.
+	// bob's miss evicts alice; once flushed, her snapshot is in the store.
 	if err := m.Do("bob", func(*core.Engine) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	// The catalogue loses item 2 — a whole side of alice's first
 	// preference — and item 0, shifting every surviving dense ID.
 	if _, err := cat.Delete([]int{0, 2}); err != nil {

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -140,7 +141,8 @@ func FuzzSkylineDelta(f *testing.F) {
 }
 
 // TestSetHeadsMatchesItems cross-checks the columnar Heads computation
-// against the row-based Items skyline under the canonical directions.
+// against a brute-force pairwise-dominance skyline of the items under the
+// canonical directions, nulls included (a null is the worst value).
 func TestSetHeadsMatchesItems(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -162,14 +164,55 @@ func TestSetHeadsMatchesItems(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set := Heads(sp)
-		wantItems := Items(sp, ProfileDirs(p))
-		want := make([]int32, len(wantItems))
-		for i, it := range wantItems {
-			want[i] = int32(it.ID)
-		}
-		if !slices.Equal(set.Members(), want) {
-			t.Fatalf("Heads %v != Items skyline %v", set.Members(), want)
+		if got, want := Heads(sp).Members(), bruteHeads(items, ProfileDirs(p)); !slices.Equal(got, want) {
+			t.Fatalf("Heads %v != brute-force skyline %v", got, want)
 		}
 	}
+}
+
+// bruteHeads returns, in ascending order, the items no other item
+// dominates: at least as good on every directed dimension and strictly
+// better on one. Rows are oriented so larger is better, with nulls worst.
+func bruteHeads(items []feature.Item, dirs []Direction) []int32 {
+	rows := make([][]float64, len(items))
+	for i, it := range items {
+		for d, dir := range dirs {
+			v := it.Values[d]
+			switch {
+			case dir == Ignore:
+				continue
+			case feature.IsNull(v) && dir == Larger:
+				v = 0
+			case feature.IsNull(v):
+				v = math.Inf(-1)
+			case dir == Smaller:
+				v = -v
+			}
+			rows[i] = append(rows[i], v)
+		}
+	}
+	dominates := func(a, b []float64) bool {
+		strict := false
+		for d := range a {
+			if a[d] < b[d] {
+				return false
+			}
+			strict = strict || a[d] > b[d]
+		}
+		return strict
+	}
+	var heads []int32
+	for i := range rows {
+		dominated := false
+		for j := range rows {
+			if dominates(rows[j], rows[i]) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			heads = append(heads, int32(i))
+		}
+	}
+	return heads
 }

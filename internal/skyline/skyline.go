@@ -1,19 +1,15 @@
-// Package skyline implements the skyline (Pareto-optimal set) operator over
-// items and packages. It is the baseline approach to package
-// recommendation the paper argues against (§1, [20, 29]): return every
-// package not dominated on all features. The experiments use it to
-// reproduce the motivating observation that skyline package sets are far
-// too large to present to a user.
+// Package skyline computes a space's head set: the items no other item
+// dominates on every dimension a monotone utility reads (the skyline, or
+// Pareto-optimal set, under the profile's canonical directions). The
+// search layer uses it as a frontier filter for dominance pruning, and the
+// catalogue maintains it across delta epoch builds.
 package skyline
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"sort"
 
 	"toppkg/internal/feature"
-	"toppkg/internal/pkgspace"
 )
 
 // Direction states whether larger (+1) or smaller (-1) values are preferred
@@ -27,137 +23,10 @@ const (
 	Smaller Direction = -1
 )
 
-// Dominates reports whether vector a dominates vector b under the given
-// per-dimension directions: a is at least as good everywhere and strictly
-// better somewhere.
-func Dominates(a, b []float64, dirs []Direction) bool {
-	strict := false
-	for i, d := range dirs {
-		switch d {
-		case Larger:
-			if a[i] < b[i] {
-				return false
-			}
-			if a[i] > b[i] {
-				strict = true
-			}
-		case Smaller:
-			if a[i] > b[i] {
-				return false
-			}
-			if a[i] < b[i] {
-				strict = true
-			}
-		}
-	}
-	return strict
-}
-
-// sfsKey is the monotone presort key of the sort-first skyline algorithm:
-// the sum of oriented dimension values, so that if a dominates b then
-// key(a) ≥ key(b). Nulls (NaN) contribute the worst oriented value.
-func sfsKey(v []float64, dirs []Direction) float64 {
-	k := 0.0
-	for i, d := range dirs {
-		x := v[i]
-		switch d {
-		case Larger:
-			if !math.IsNaN(x) {
-				k += x
-			}
-		case Smaller:
-			if math.IsNaN(x) {
-				k -= nullWorst
-			} else {
-				k -= x
-			}
-		}
-	}
-	return k
-}
-
-// Vectors computes the skyline of a set of vectors, returning the indices
-// of the skyline members in ascending order. It runs the window scan in
-// sort-first order (descending dominance-monotone key), so most dominated
-// vectors die on their first window comparison and the window stays close
-// to the final skyline — O(n log n + n·s·d) in practice instead of the
-// O(n²·d) of plain block-nested-loops. The window pass still performs the
-// full dominance bookkeeping (floating-point key ties can reorder
-// incomparable vectors), so the result never depends on the presort.
-func Vectors(vecs [][]float64, dirs []Direction) []int {
-	n := len(vecs)
-	if n == 0 {
-		return nil
-	}
-	keys := make([]float64, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-		keys[i] = sfsKey(vecs[i], dirs)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if keys[ia] != keys[ib] {
-			return keys[ia] > keys[ib]
-		}
-		return ia < ib
-	})
-	var window []int
-	for _, i := range order {
-		v := vecs[i]
-		dominated := false
-		for _, j := range window {
-			if Dominates(vecs[j], v, dirs) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		out := window[:0]
-		for _, j := range window {
-			if !Dominates(v, vecs[j], dirs) {
-				out = append(out, j)
-			}
-		}
-		window = append(out, i)
-	}
-	sort.Ints(window)
-	return window
-}
-
 // nullWorst is the finite stand-in for "worst possible value" when a null
 // must be ordered on a Smaller dimension (raw values are non-negative and
 // far below it in every dataset the system handles).
 const nullWorst = 1e18
-
-// Items returns the skyline items of a space under the given directions on
-// the raw item features (nulls treated as worst).
-func Items(sp *feature.Space, dirs []Direction) []feature.Item {
-	vecs := make([][]float64, len(sp.Items))
-	for i := range sp.Items {
-		v := make([]float64, len(sp.Items[i].Values))
-		copy(v, sp.Items[i].Values)
-		for j := range v {
-			if feature.IsNull(v[j]) {
-				switch dirs[j] {
-				case Larger:
-					v[j] = 0
-				case Smaller:
-					v[j] = nullWorst
-				}
-			}
-		}
-		vecs[i] = v
-	}
-	idx := Vectors(vecs, dirs)
-	out := make([]feature.Item, len(idx))
-	for i, j := range idx {
-		out[i] = sp.Items[j]
-	}
-	return out
-}
 
 // ProfileDirs returns the canonical per-dimension preference directions a
 // monotone utility over the profile implies: Larger for sum and max
@@ -397,32 +266,4 @@ func (s *Set) Apply(child *feature.Space, remap []int32, dirty, added []int32) (
 		rows = append(orows, v...)
 	}
 	return newSet(s.axes, members, child.N()), true
-}
-
-// Packages enumerates every package of the space (size ≤ MaxSize) and
-// returns the skyline over normalized aggregate vectors. Exponential — it
-// exists to demonstrate, on small spaces, the paper's point that skyline
-// package sets are huge. maxEnumerate caps the enumeration (0 = no cap);
-// exceeding it returns an error.
-func Packages(sp *feature.Space, dirs []Direction, maxEnumerate int) ([]pkgspace.Package, error) {
-	if len(dirs) != sp.Dims() {
-		return nil, fmt.Errorf("skyline: %d directions for %d dims", len(dirs), sp.Dims())
-	}
-	if maxEnumerate > 0 {
-		if c := pkgspace.Count(sp.N(), sp.MaxSize); c > uint64(maxEnumerate) {
-			return nil, fmt.Errorf("skyline: package space has %d members, cap is %d", c, maxEnumerate)
-		}
-	}
-	var pkgs []pkgspace.Package
-	var vecs [][]float64
-	pkgspace.Enumerate(sp, func(p pkgspace.Package) {
-		pkgs = append(pkgs, p)
-		vecs = append(vecs, pkgspace.Vector(sp, p))
-	})
-	idx := Vectors(vecs, dirs)
-	out := make([]pkgspace.Package, len(idx))
-	for i, j := range idx {
-		out[i] = pkgs[j]
-	}
-	return out, nil
 }

@@ -1,121 +1,24 @@
 package skyline
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
-	"toppkg/internal/dataset"
 	"toppkg/internal/feature"
-	"toppkg/internal/pkgspace"
 )
 
 func TestDominates(t *testing.T) {
-	dirs := []Direction{Larger, Smaller}
 	// a better on both.
-	if !Dominates([]float64{0.9, 0.1}, []float64{0.5, 0.5}, dirs) {
+	if !domOriented([]float64{0.9, -0.1}, []float64{0.5, -0.5}) {
 		t.Error("clear domination missed")
 	}
 	// Equal: no strict improvement.
-	if Dominates([]float64{0.5, 0.5}, []float64{0.5, 0.5}, dirs) {
-		t.Error("equal vectors dominate")
+	if domOriented([]float64{0.5, -0.5}, []float64{0.5, -0.5}) {
+		t.Error("equal rows dominate")
 	}
 	// Trade-off: incomparable.
-	if Dominates([]float64{0.9, 0.9}, []float64{0.5, 0.5}, dirs) {
-		t.Error("worse on the Smaller dim still dominated")
-	}
-	// Ignored dimension.
-	if !Dominates([]float64{0.9, 9}, []float64{0.5, 1}, []Direction{Larger, Ignore}) {
-		t.Error("Ignore dimension not ignored")
-	}
-}
-
-func TestVectorsSimple(t *testing.T) {
-	vecs := [][]float64{
-		{0.9, 0.9}, // skyline
-		{0.5, 0.5}, // dominated by 0
-		{1.0, 0.1}, // skyline (best dim 0)
-		{0.1, 1.0}, // skyline (best dim 1)
-	}
-	dirs := []Direction{Larger, Larger}
-	got := Vectors(vecs, dirs)
-	want := map[int]bool{0: true, 2: true, 3: true}
-	if len(got) != 3 {
-		t.Fatalf("skyline size = %d, want 3: %v", len(got), got)
-	}
-	for _, i := range got {
-		if !want[i] {
-			t.Errorf("unexpected skyline member %d", i)
-		}
-	}
-}
-
-// TestVectorsAgainstBruteForce: a point is in the skyline iff no other
-// point dominates it.
-func TestVectorsAgainstBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(60)
-		d := 1 + rng.Intn(4)
-		vecs := make([][]float64, n)
-		for i := range vecs {
-			v := make([]float64, d)
-			for j := range v {
-				v[j] = float64(rng.Intn(5)) / 4 // ties likely
-			}
-			vecs[i] = v
-		}
-		dirs := make([]Direction, d)
-		for j := range dirs {
-			if rng.Float64() < 0.5 {
-				dirs[j] = Larger
-			} else {
-				dirs[j] = Smaller
-			}
-		}
-		got := Vectors(vecs, dirs)
-		inGot := make(map[int]bool, len(got))
-		for _, i := range got {
-			inGot[i] = true
-		}
-		for i := range vecs {
-			dominated := false
-			for j := range vecs {
-				if i != j && Dominates(vecs[j], vecs[i], dirs) {
-					dominated = true
-					break
-				}
-			}
-			// Among ties (duplicate points), the window keeps the first.
-			if dominated && inGot[i] {
-				return false
-			}
-			if !dominated && !inGot[i] {
-				// i may be a duplicate of a kept point: acceptable only if
-				// an identical point is in the skyline.
-				dup := false
-				for _, k := range got {
-					same := true
-					for j := range vecs[i] {
-						if vecs[k][j] != vecs[i][j] {
-							same = false
-							break
-						}
-					}
-					if same {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+	if domOriented([]float64{0.9, -0.9}, []float64{0.5, -0.5}) {
+		t.Error("worse on the second axis still dominated")
 	}
 }
 
@@ -129,86 +32,8 @@ func TestItemsWithNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Items(sp, []Direction{Larger, Larger})
 	// Item 2 dominates both others (null treated as worst).
-	if len(got) != 1 || got[0].ID != 2 {
-		t.Errorf("skyline = %v, want just item 2", got)
-	}
-}
-
-// TestPackagesSkylineIsLarge reproduces the paper's motivating claim (§1):
-// even for a modest item set, the number of skyline packages is far too
-// large to present to a user. Skyline size grows with dimensionality, so a
-// 4-dimensional profile over independent features is used.
-func TestPackagesSkylineIsLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	items := dataset.UNI(16, 4, rng)
-	sp, err := feature.NewSpace(items, feature.SimpleProfile(
-		feature.AggSum, feature.AggSum, feature.AggAvg, feature.AggMax), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sky, err := Packages(sp, []Direction{Smaller, Larger, Larger, Larger}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sky) < 30 {
-		t.Errorf("skyline has only %d packages; expected dozens (paper's motivation)", len(sky))
-	}
-	t.Logf("skyline packages: %d of %d", len(sky), pkgspace.Count(sp.N(), sp.MaxSize))
-}
-
-func TestPackagesEnumerationCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	items := dataset.UNI(100, 2, rng)
-	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum, feature.AggSum), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Packages(sp, []Direction{Larger, Larger}, 1000); err == nil {
-		t.Error("cap not enforced")
-	}
-}
-
-func TestPackagesDirsValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	items := dataset.UNI(5, 2, rng)
-	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum, feature.AggSum), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Packages(sp, []Direction{Larger}, 0); err == nil {
-		t.Error("dims mismatch accepted")
-	}
-}
-
-// TestSkylineContainsUtilityOptimum: for any linear utility with signs
-// matching the directions, the utility-optimal package is on the skyline —
-// the classical relationship between top-k and skyline queries.
-func TestSkylineContainsUtilityOptimum(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	items := dataset.UNI(10, 2, rng)
-	sp, err := feature.NewSpace(items, feature.SimpleProfile(feature.AggSum, feature.AggAvg), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sky, err := Packages(sp, []Direction{Larger, Larger}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skySet := map[string]bool{}
-	for _, p := range sky {
-		skySet[p.Signature()] = true
-	}
-	for trial := 0; trial < 20; trial++ {
-		w := []float64{rng.Float64() + 0.01, rng.Float64() + 0.01}
-		u, err := feature.NewUtility(sp.Profile, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		top := pkgspace.BruteForceTopK(sp, u, 1)
-		if !skySet[top[0].Pkg.Signature()] {
-			t.Fatalf("utility optimum %s (w=%v) not on skyline", top[0].Pkg, w)
-		}
+	if got := Heads(sp).Members(); !slices.Equal(got, []int32{2}) {
+		t.Errorf("heads = %v, want just item 2", got)
 	}
 }
