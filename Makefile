@@ -45,7 +45,10 @@ bench-check:
 # the race detector the stale-Put property, the catalogue's one-builder suites three
 # times over (TestClose*, TestFlush*, TestConcurrent* — including
 # synchronous mutators racing each other — and TestDeltaBuildsRaceReaders),
-# the sketch-refine suites (TestPartition*:
+# the session manager's eviction-ordering suites three times over (eviction
+# churn with deletes, a restore or a delete racing an in-flight evict-save,
+# and TestEviction* — the save runs on the displacing request), the
+# sketch-refine suites (TestPartition*:
 # exactness of the beamed refine under a beam that never truncates, masked
 # walk ≡ filtered index, the gate table, the refine's allocation guard —
 # three times over, so a reintroduced random seed cannot hide behind a lucky
@@ -61,5 +64,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPadKernel$$' -fuzztime 10s ./internal/feature
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
 	$(GO) test -race -count=3 -run '^(TestClose|TestFlush|TestConcurrent|TestDeltaBuildsRaceReaders)' ./internal/catalog
+	$(GO) test -race -count=3 -run '^(TestConcurrentEvictionChurn|TestRestoreWhileSnapshotInFlight|TestDeleteRacesInFlightEviction|TestEviction)' ./internal/session
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
 	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical)' -count=1 ./internal/search

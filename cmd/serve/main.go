@@ -59,7 +59,7 @@ func main() {
 		capacity = flag.Int("capacity", session.DefaultCapacity, "resident sessions before LRU eviction")
 		storeSpc = flag.String("store", "", "where evicted sessions persist: dir:PATH or a bare PATH (a snapshot directory), mem: (this process only); empty drops evicted state")
 		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes (≤ 0 selects the default)")
-		restore  = flag.String("restore", "", "path of a session snapshot to restore into the default session")
+		restore  = flag.String("restore", "", "path of a session snapshot to restore into the session named \"default\" (served at /sessions/default/...)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		cache    = flag.Int("cache", ranking.DefaultCacheSize, "shared Top-k-Pkg result cache entries (negative disables)")
 		quantum  = flag.Float64("quantum", 0, "weight quantization step for dedup/caching (0 = exact, bit-identical slates)")
@@ -231,7 +231,6 @@ func main() {
 			cat.Close()
 		}
 		mgr.Shutdown()
-		mgr.Close()
 	}()
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)

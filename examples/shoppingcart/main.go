@@ -96,9 +96,9 @@ func main() {
 // price ≤ budget — the hard-constraint optimization.
 func bestUnderBudget(sp *feature.Space, budget float64) pkgspace.Scored {
 	var best pkgspace.Scored
-	pkgspace.Enumerate(sp, func(p pkgspace.Package) {
+	pkgspace.Enumerate(sp, func(p pkgspace.Package) bool {
 		if price(sp, p) > budget {
-			return
+			return true
 		}
 		var sum float64
 		for _, id := range p.IDs {
@@ -108,6 +108,7 @@ func bestUnderBudget(sp *feature.Space, budget float64) pkgspace.Scored {
 		if best.Pkg.IDs == nil || avg > best.Utility {
 			best = pkgspace.Scored{Pkg: p, Utility: avg}
 		}
+		return true
 	})
 	return best
 }

@@ -110,10 +110,9 @@ type Epoch struct {
 // the epoch's search index, so an idle session does not pin a dead index
 // in memory.
 type IDMap struct {
-	// stable[i] is the stable catalogue ID of dense item i.
+	// stable[i] is the stable catalogue ID of dense item i, ascending: a
+	// dense index is a rank in stable-ID order.
 	stable []int
-	// dense maps stable ID → dense index.
-	dense map[int]int
 	// hash fingerprints the assignment (see Hash).
 	hash uint64
 }
@@ -147,8 +146,7 @@ func (m *IDMap) StableID(i int) int { return m.stable[i] }
 // DenseID returns the dense index of the item with the given stable ID,
 // and whether it exists in this mapping.
 func (m *IDMap) DenseID(stable int) (int, bool) {
-	i, ok := m.dense[stable]
-	return i, ok
+	return slices.BinarySearch(m.stable, stable)
 }
 
 // Items returns the epoch's dense item slice (do not mutate).
@@ -743,13 +741,9 @@ func (c *Catalog) buildEpoch(items []feature.Item, ids *IDMap, index func(*featu
 	return &Epoch{Space: space, Index: ix, ids: ids}, nil
 }
 
-// newIDMap indexes a stable-ID slice in dense order.
+// newIDMap wraps an ascending stable-ID slice in dense order.
 func newIDMap(stable []int) *IDMap {
-	m := &IDMap{stable: stable, dense: make(map[int]int, len(stable)), hash: IDMapHash(stable)}
-	for i, s := range stable {
-		m.dense[s] = i
-	}
-	return m
+	return &IDMap{stable: stable, hash: IDMapHash(stable)}
 }
 
 // maintainHeads carries the parent epoch's non-dominated head set (the

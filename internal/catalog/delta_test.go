@@ -69,9 +69,9 @@ func assertEpochMatches(t testing.TB, ep *Epoch, sp *feature.Space, ix *search.I
 	if ep.ids.Hash() != IDMapHash(stable) {
 		t.Fatalf("IDMap hash mismatch")
 	}
-	for _, id := range stable {
-		if _, ok := ep.DenseID(id); !ok {
-			t.Fatalf("stable ID %d missing from epoch map", id)
+	for i := range stable {
+		if d, ok := ep.DenseID(ep.IDs().StableID(i)); !ok || d != i {
+			t.Fatalf("DenseID(StableID(%d)) = %d, %v", i, d, ok)
 		}
 	}
 	for trial := 0; trial < 3; trial++ {
@@ -425,6 +425,9 @@ func FuzzDeltaEpoch(f *testing.F) {
 						t.Fatal(err)
 					}
 					delete(shadow, id)
+					if d, ok := c.Current().DenseID(id); ok {
+						t.Fatalf("deleted stable ID %d still maps to dense %d", id, d)
+					}
 				}
 			case 3:
 				if vals, ok := shadow[id]; ok {

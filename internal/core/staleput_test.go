@@ -19,7 +19,7 @@ import (
 // a fresh Top-k-Pkg search on that epoch would produce — bit-identical
 // packages and utility bits. Every swap drops the cache, so the only way to
 // break it is a Put from a search still pinned to a superseded epoch; the
-// (cache epoch, catalogue epoch) key prefix is what keeps such a Put dead.
+// catalogue-epoch key prefix is what keeps such a Put dead.
 
 // liveSearchOpts is the per-sample search configuration liveConfig's
 // engines key cache entries under (K=2, Sigma=2 ⇒ per-sample K=2).
@@ -30,11 +30,10 @@ func liveSearchOpts() search.Options {
 }
 
 // cacheKeyPrefix is the batched pipeline's key prefix (see
-// ranking.groupResults): cache invalidation epoch + catalogue epoch.
-func cacheKeyPrefix(cacheEpoch, catEpoch uint64) string {
-	var ep [16]byte
-	binary.LittleEndian.PutUint64(ep[:8], cacheEpoch)
-	binary.LittleEndian.PutUint64(ep[8:], catEpoch)
+// ranking.groupResults): the catalogue epoch.
+func cacheKeyPrefix(catEpoch uint64) string {
+	var ep [8]byte
+	binary.LittleEndian.PutUint64(ep[:], catEpoch)
 	return string(ep[:])
 }
 
@@ -66,8 +65,7 @@ func poolVectors(t *testing.T, sh *Shared, seeds ...int64) [][]float64 {
 	return vecs
 }
 
-// cacheEntries looks up, under the (cache epoch, catalogue epoch) key
-// prefix, the entries cached for the given weight vectors.
+// cacheEntries looks up, under the catalogue-epoch key prefix, the entries cached for the given weight vectors.
 func cacheEntries(t *testing.T, c *ranking.Cache, prefix string, vecs [][]float64) []cacheKV {
 	t.Helper()
 	optsKey, ok := liveSearchOpts().CacheKey()
@@ -98,7 +96,7 @@ func cacheEntries(t *testing.T, c *ranking.Cache, prefix string, vecs [][]float6
 func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so search.Options, vecs [][]float64) int {
 	t.Helper()
 	checked := 0
-	for _, e := range cacheEntries(t, c, cacheKeyPrefix(c.Epoch(), ep.ID), vecs) {
+	for _, e := range cacheEntries(t, c, cacheKeyPrefix(ep.ID), vecs) {
 		u, err := feature.NewUtility(ep.Space.Profile, e.w)
 		if err != nil {
 			t.Fatal(err)
@@ -124,9 +122,9 @@ func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so searc
 }
 
 // TestStalePutNeverServedAcrossSwaps: a Put from a search pinned to a
-// superseded epoch is never served. First the interleaving the two-epoch
-// key exists for, replayed deterministically — searches pin epoch N, the
-// swap to N+1 (and its Invalidate) lands, the pinned searches then Put —
+// superseded epoch is never served. First the interleaving the epoch key
+// exists for, replayed deterministically — searches pin epoch N, the swap
+// to N+1 (and its Invalidate) lands, the pinned searches then Put —
 // then the same under real concurrency: the mutating goroutine swaps while
 // engines, some mid-Recommend on the epoch they resolved at entry, Get and
 // Put continuously. Run under -race this exercises the locking; the sweeps
@@ -145,27 +143,32 @@ func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 	// and the racers' seeds.
 	vecs := poolVectors(t, sh, 0, 1, 2, 3)
 
-	// What the shared-seed engine's searches pinned to epoch N Put.
-	mustSlate(t, sh)
-	epN := cat.Current()
-	pinned := cacheEntries(t, cache, cacheKeyPrefix(cache.Epoch(), epN.ID), vecs)
-	if len(pinned) == 0 {
-		t.Fatal("warm-up Recommend cached nothing")
+	// The shared-seed engine (mustSlate's) pins epoch N; its ranking runs,
+	// with Recommend's options, only after the swap to N+1 and its
+	// Invalidate, so every Put it makes comes from a superseded epoch.
+	eng, err := sh.NewEngine(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch := make([]feature.Item, len(epN.Items())) // reprice all: every top-k changes
+	if err := eng.ensureSamples(); err != nil {
+		t.Fatal(err)
+	}
+	epN := sh.epoch()
+	batch := make([]feature.Item, len(cat.Current().Items())) // reprice all: every top-k changes
 	for i := range batch {
-		batch[i] = feature.Item{ID: epN.IDs().StableID(i), Values: []float64{rng.Float64(), rng.Float64()}}
+		batch[i] = feature.Item{ID: epN.ids.StableID(i), Values: []float64{rng.Float64(), rng.Float64()}}
 	}
 	if err := cat.Upsert(batch); err != nil { // synchronous swap + Invalidate
 		t.Fatal(err)
 	}
-	// The pinned searches finish now. Each read the cache epoch either
-	// before the Invalidate (its key is dead twice over) or after it, where
-	// only the catalogue-epoch half of the key tells its result from N+1's.
-	afterInvalidate := cacheKeyPrefix(cache.Epoch(), epN.ID)
-	for _, e := range pinned {
-		cache.Put(e.key, e.res)
-		cache.Put(afterInvalidate+e.key[16:], e.res)
+	if _, err := ranking.Rank(epN.ix, eng.pool.Samples, eng.cfg.Semantics, ranking.Options{
+		K: eng.cfg.K, Sigma: eng.cfg.K, Search: eng.cfg.Search, Quantum: eng.cfg.WeightQuantum,
+		Cache: cache, Epoch: epN.id,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() == 0 {
+		t.Fatal("vacuous: the pinned search cached nothing")
 	}
 	cfg := liveConfig()
 	cfg.Items = cat.Current().Items()
@@ -179,9 +182,13 @@ func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSlate(t, "after stale Puts", mustSlate(t, sh), want) // same seed: probes the pinned weight vectors
-	live := cacheKeyPrefix(cache.Epoch(), cat.Current().ID)
+	pinned := cacheEntries(t, cache, cacheKeyPrefix(epN.id), vecs)
+	if len(pinned) == 0 {
+		t.Fatal("vacuous: the pinned search's entries are not keyed by its epoch")
+	}
+	live := cacheKeyPrefix(cat.Current().ID)
 	for _, e := range pinned {
-		if _, ok := cache.Get(live + e.key[16:]); !ok {
+		if _, ok := cache.Get(live + e.key[len(live):]); !ok {
 			t.Fatal("vacuous: the post-swap Recommend did not probe the pinned weight vectors")
 		}
 	}

@@ -129,21 +129,25 @@ func All(preds ...Predicate) Predicate {
 }
 
 // Enumerate calls fn for every non-empty package of size at most
-// s.MaxSize, in lexicographic ID order. It is exponential in the item count
-// and exists as the ground-truth oracle for tests and the naive baseline.
-func Enumerate(s *feature.Space, fn func(Package)) {
+// s.MaxSize, in lexicographic ID order, until fn returns false. It is
+// exponential in the item count and exists as the ground-truth oracle for
+// tests, the naive baseline, and the search's all-zero-weight answer.
+func Enumerate(s *feature.Space, fn func(Package) bool) {
 	n := len(s.Items)
 	ids := make([]int, 0, s.MaxSize)
-	var rec func(start int)
-	rec = func(start int) {
+	var rec func(start int) bool
+	rec = func(start int) bool {
 		for i := start; i < n; i++ {
 			ids = append(ids, i)
-			fn(Package{IDs: append([]int(nil), ids...)})
-			if len(ids) < s.MaxSize {
-				rec(i + 1)
+			if !fn(Package{IDs: append([]int(nil), ids...)}) {
+				return false
+			}
+			if len(ids) < s.MaxSize && !rec(i+1) {
+				return false
 			}
 			ids = ids[:len(ids)-1]
 		}
+		return true
 	}
 	rec(0)
 }
@@ -164,11 +168,11 @@ func BruteForceTopK(s *feature.Space, u *feature.Utility, k int, preds ...Predic
 	}
 	var all []Scored
 	pred := All(preds...)
-	Enumerate(s, func(p Package) {
-		if len(preds) > 0 && !pred(s, p) {
-			return
+	Enumerate(s, func(p Package) bool {
+		if len(preds) == 0 || pred(s, p) {
+			all = append(all, Scored{Pkg: p, Utility: u.Score(Vector(s, p))})
 		}
-		all = append(all, Scored{Pkg: p, Utility: u.Score(Vector(s, p))})
+		return true
 	})
 	SortScored(all)
 	if len(all) > k {

@@ -45,7 +45,10 @@ func TestString(t *testing.T) {
 func TestEnumerateCountsPaperExample(t *testing.T) {
 	sp := space(t, 3)
 	var got []string
-	Enumerate(sp, func(p Package) { got = append(got, p.Signature()) })
+	Enumerate(sp, func(p Package) bool {
+		got = append(got, p.Signature())
+		return true
+	})
 	if len(got) != 7 {
 		t.Fatalf("enumerated %d packages, want 7: %v", len(got), got)
 	}
@@ -61,14 +64,35 @@ func TestEnumerateCountsPaperExample(t *testing.T) {
 func TestEnumerateRespectsMaxSize(t *testing.T) {
 	sp := space(t, 2)
 	count := 0
-	Enumerate(sp, func(p Package) {
+	Enumerate(sp, func(p Package) bool {
 		count++
 		if p.Size() > 2 {
 			t.Errorf("package %s exceeds max size", p)
 		}
+		return true
 	})
 	if count != 6 {
 		t.Errorf("enumerated %d, want 6 (pairs + singletons)", count)
+	}
+}
+
+// TestEnumerateStopsOnFalse: a callback answering false ends the walk at
+// once, after the lexicographically first packages.
+func TestEnumerateStopsOnFalse(t *testing.T) {
+	sp := space(t, 3)
+	var got []string
+	Enumerate(sp, func(p Package) bool {
+		got = append(got, p.Signature())
+		return len(got) < 4
+	})
+	want := []Package{New(0), New(0, 1), New(0, 1, 2), New(0, 2)}
+	if len(got) != len(want) {
+		t.Fatalf("enumerated %v, want %d packages", got, len(want))
+	}
+	for i, p := range want {
+		if got[i] != p.Signature() {
+			t.Errorf("package %d = %s, want %s", i, got[i], p.Signature())
+		}
 	}
 }
 

@@ -20,6 +20,10 @@ import (
 // feedback reports the contradiction to its caller.
 var ErrCycle = errors.New("prefgraph: preference would create a cycle")
 
+// ErrSelfPreference is returned when a preference names the same package
+// as winner and loser.
+var ErrSelfPreference = errors.New("prefgraph: preference between identical packages")
+
 // Constraint is one pairwise preference translated into the half-space
 // constraint on weight vectors: a vector w is consistent with the
 // preference iff w · Diff ≥ 0, where Diff = winner vector − loser vector
@@ -120,7 +124,7 @@ func (g *Graph) AddPreference(winner pkgspace.Package, winnerVec []float64, lose
 // vector update has already happened by then.
 func (g *Graph) AddPreferenceAt(epoch uint64, winner pkgspace.Package, winnerVec []float64, loser pkgspace.Package, loserVec []float64) (refreshed bool, err error) {
 	if winner.Signature() == loser.Signature() {
-		return false, fmt.Errorf("prefgraph: preference between identical packages %s", winner)
+		return false, fmt.Errorf("%w %s", ErrSelfPreference, winner)
 	}
 	u, ru := g.nodeID(epoch, winner, winnerVec)
 	v, rv := g.nodeID(epoch, loser, loserVec)

@@ -105,13 +105,11 @@ func groupResults(ix *search.Index, profile *feature.Profile, samples []sampling
 		if !keyable {
 			cache = nil // predicate options: results must not be reused
 		} else {
-			// Two epochs guard every key: the cache's own invalidation
-			// counter and the catalogue epoch the index was built from, so
-			// neither an Invalidate race nor an index swap race can serve a
-			// result across the boundary.
-			var ep [16]byte
-			binary.LittleEndian.PutUint64(ep[:8], cache.Epoch())
-			binary.LittleEndian.PutUint64(ep[8:], opts.Epoch)
+			// The catalogue epoch the index was built from guards every
+			// key: a search pinned to a superseded epoch Puts under keys
+			// no later Get asks for (see Cache).
+			var ep [8]byte
+			binary.LittleEndian.PutUint64(ep[:], opts.Epoch)
 			keyPrefix = string(ep[:]) + optsKey + "|"
 		}
 	}

@@ -19,16 +19,19 @@ const DefaultCacheSize = 4096
 
 // Cache is a thread-safe LRU over per-weight-vector search results, shared
 // by every engine serving one catalogue (results depend only on the shared
-// immutable index). Entries never outlive the index they were computed on:
-// the owner of a live catalogue calls Invalidate on every epoch swap, and
-// callers key by catalogue epoch as well (see groupResults). Cached results
-// are handed out by reference and must be treated as immutable by callers.
+// immutable index). Callers key every entry by the catalogue epoch its
+// index was built from (see groupResults), and that key alone keeps a
+// result from being served for another epoch: a cache serves one
+// catalogue, whose epoch IDs never repeat, so a Put from a search pinned
+// to a superseded epoch lands under keys no later Get asks for. The owner
+// of a live catalogue calls Invalidate on every swap only to free the dead
+// entries. Cached results are handed out by reference and must be treated
+// as immutable by callers.
 type Cache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // of *cacheEntry; front = most recently used
-	m     map[string]*list.Element
-	epoch uint64
+	mu  sync.Mutex
+	cap int
+	ll  *list.List // of *cacheEntry; front = most recently used
+	m   map[string]*list.Element
 
 	hits, misses, evictions, invalidationDrops uint64
 }
@@ -43,9 +46,6 @@ type CacheStats struct {
 	// Size is the resident entry count; Capacity the LRU bound.
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
-	// Epoch counts Invalidate calls; it is folded into every key so a
-	// result computed before an invalidation can never be served after it.
-	Epoch uint64 `json:"epoch"`
 	// Hits/Misses count Get outcomes; Evictions counts LRU drops.
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -71,22 +71,10 @@ func NewCache(capacity int) *Cache {
 	return &Cache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-// Epoch returns the current invalidation epoch. Callers fold it into the
-// keys they Get/Put, so entries keyed under an older epoch become
-// unreachable the moment Invalidate runs — even a Put racing with the
-// invalidation lands on a dead key instead of resurrecting a stale result.
-func (c *Cache) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// Invalidate advances the epoch and drops every entry. Use it when
-// something outside the keys that results depend on changes — e.g. the
-// catalogue swaps in a new epoch's index.
+// Invalidate drops every entry, counting them in InvalidationDrops — e.g.
+// when the catalogue swaps in a new epoch, whose keys no entry matches.
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
-	c.epoch++
 	c.invalidationDrops += uint64(c.ll.Len())
 	c.ll.Init()
 	c.m = make(map[string]*list.Element)
@@ -142,7 +130,6 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Size:              c.ll.Len(),
 		Capacity:          c.cap,
-		Epoch:             c.epoch,
 		Hits:              c.hits,
 		Misses:            c.misses,
 		Evictions:         c.evictions,

@@ -55,16 +55,17 @@ func TestCachePutReplaces(t *testing.T) {
 
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(4)
-	if c.Epoch() != 0 {
-		t.Fatalf("fresh epoch = %d", c.Epoch())
-	}
 	c.Put("a", res(1))
+	c.Put("b", res(2))
 	c.Invalidate()
-	if _, ok := c.Get("a"); ok {
-		t.Error("entry survived Invalidate")
+	for _, k := range []string{"a", "b"} {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("entry %q survived Invalidate", k)
+		}
 	}
-	if c.Epoch() != 1 || c.Len() != 0 {
-		t.Errorf("epoch %d len %d after Invalidate", c.Epoch(), c.Len())
+	c.Invalidate() // an empty cache drops nothing more
+	if st := c.Stats(); st.Size != 0 || st.InvalidationDrops != 2 || st.Evictions != 0 {
+		t.Errorf("after Invalidate: %+v, want size 0 and 2 invalidation drops", st)
 	}
 }
 

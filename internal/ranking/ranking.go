@@ -95,7 +95,7 @@ type Options struct {
 	// Epoch identifies the catalogue epoch the index was built from; it is
 	// folded into every cache key, so results computed against one epoch
 	// can never be served for another even when a swap races this call.
-	// Static catalogues pass 0.
+	// Static catalogues pass 0. A Cache must serve one catalogue only.
 	Epoch uint64
 	// Metrics, when non-nil, is overwritten with the pipeline counters of
 	// this call.

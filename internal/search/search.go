@@ -1220,7 +1220,7 @@ func (r *run) growBound(st *feature.State, item int32, modes []uint8, taus []flo
 func (r *run) degenerate() Result {
 	res := Result{}
 	count := 0
-	pkgspaceEnumerate(r.ix.space, func(p pkgspace.Package) bool {
+	pkgspace.Enumerate(r.ix.space, func(p pkgspace.Package) bool {
 		if r.opts.Candidate != nil && !r.opts.Candidate(r.ix.space, p) {
 			return count < r.opts.K
 		}
@@ -1230,30 +1230,6 @@ func (r *run) degenerate() Result {
 	})
 	res.Created = count
 	return res
-}
-
-// pkgspaceEnumerate enumerates packages in the deterministic order,
-// stopping when fn returns false.
-func pkgspaceEnumerate(s *feature.Space, fn func(pkgspace.Package) bool) {
-	n := len(s.Items)
-	ids := make([]int, 0, s.MaxSize)
-	var rec func(start int) bool
-	rec = func(start int) bool {
-		for i := start; i < n; i++ {
-			ids = append(ids, i)
-			if !fn(pkgspace.Package{IDs: append([]int(nil), ids...)}) {
-				return false
-			}
-			if len(ids) < s.MaxSize {
-				if !rec(i + 1) {
-					return false
-				}
-			}
-			ids = ids[:len(ids)-1]
-		}
-		return true
-	}
-	rec(0)
 }
 
 var negInf, posInf = math.Inf(-1), math.Inf(1)

@@ -1,7 +1,7 @@
 // Tests for the per-route HTTP metrics: counts and status classes must
-// account for every request, the legacy and prefixed spellings of a
-// session route must share one recorder, and /healthz must surface the
-// same numbers a MetricsSnapshot reports.
+// account for every request, a session route answers only under
+// /sessions/{id}/, and /healthz must surface the same numbers a
+// MetricsSnapshot reports.
 package server
 
 import (
@@ -13,13 +13,16 @@ import (
 func TestMetricsCountsAndStatusClasses(t *testing.T) {
 	_, ts := testServer(t)
 
-	// 2 OK recommends (one via each route spelling), one 400 click, one
-	// 404 (unknown path: not a registered route, must not be counted).
-	if resp := getJSON(t, ts.URL+"/sessions/alice/recommend", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("recommend = %d", resp.StatusCode)
+	// 2 OK recommends, one 400 click, two 404s (unknown path, and a
+	// session route that names no session: neither is a registered route,
+	// so neither may be counted).
+	for _, id := range []string{"alice", "bob"} {
+		if resp := getJSON(t, ts.URL+"/sessions/"+id+"/recommend", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("recommend %s = %d", id, resp.StatusCode)
+		}
 	}
-	if resp := getJSON(t, ts.URL+"/recommend", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy recommend = %d", resp.StatusCode)
+	if resp := getJSON(t, ts.URL+"/recommend", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("session-less recommend = %d, want 404", resp.StatusCode)
 	}
 	if resp := postJSON(t, ts.URL+"/sessions/alice/click", ClickRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty click = %d, want 400", resp.StatusCode)

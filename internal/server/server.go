@@ -6,9 +6,8 @@
 // different sessions proceed in parallel while one session's requests are
 // serialized.
 //
-// Session-scoped endpoints (the session ID comes from the path, or from
-// the X-Session-ID header on the legacy un-prefixed paths, defaulting to
-// "default"):
+// Session-scoped endpoints (the session ID is the path's {id}; a request
+// that names no session answers 404):
 //
 //	GET    /sessions/{id}/recommend  → {"recommended": [...], "random": [...]}
 //	POST   /sessions/{id}/click      ← {"chosen": [ids], "shown": [[ids], ...]}
@@ -68,8 +67,8 @@ import (
 // positive.
 const DefaultMaxBodyBytes = 1 << 20
 
-// DefaultSessionID serves legacy header-less requests on the un-prefixed
-// paths, preserving the original single-session curl workflow.
+// DefaultSessionID names the session `serve -restore` fills, served at
+// /sessions/default/….
 const DefaultSessionID = "default"
 
 // SnapshotBodyFactor multiplies MaxBodyBytes for POST snapshot requests:
@@ -119,42 +118,18 @@ func New(mgr *session.Manager, opts Options) *Server {
 	reg("GET /catalog", "catalog.get", s.handleCatalogGet)
 	reg("POST /catalog/items", "catalog.upsert", s.handleCatalogUpsert)
 	reg("DELETE /catalog/items/{id}", "catalog.delete", s.handleCatalogDelete)
-	// Each session-scoped route is registered twice: under /sessions/{id}
-	// and at the legacy root path (session from X-Session-ID header). Both
-	// registrations share one metrics recorder — they are the same logical
-	// route.
-	for _, ep := range []struct {
-		method, path, route string
-		h                   http.HandlerFunc
-	}{
-		{"GET", "recommend", "recommend", s.handleRecommend},
-		{"POST", "click", "click", s.handleClick},
-		{"POST", "feedback", "feedback", s.handleFeedback},
-		{"GET", "stats", "stats", s.handleStats},
-		{"GET", "snapshot", "snapshot.get", s.handleSnapshotGet},
-		{"POST", "snapshot", "snapshot.post", s.handleSnapshotPost},
-	} {
-		reg(ep.method+" /sessions/{id}/"+ep.path, ep.route, ep.h)
-		reg(ep.method+" /"+ep.path, ep.route, ep.h)
-	}
+	reg("GET /sessions/{id}/recommend", "recommend", s.handleRecommend)
+	reg("POST /sessions/{id}/click", "click", s.handleClick)
+	reg("POST /sessions/{id}/feedback", "feedback", s.handleFeedback)
+	reg("GET /sessions/{id}/stats", "stats", s.handleStats)
+	reg("GET /sessions/{id}/snapshot", "snapshot.get", s.handleSnapshotGet)
+	reg("POST /sessions/{id}/snapshot", "snapshot.post", s.handleSnapshotPost)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// sessionID resolves the session a request addresses: path first, then
-// header, then the default session.
-func sessionID(r *http.Request) string {
-	if id := r.PathValue("id"); id != "" {
-		return id
-	}
-	if id := r.Header.Get("X-Session-ID"); id != "" {
-		return id
-	}
-	return DefaultSessionID
 }
 
 // PackageJSON is the wire form of one package. Score is always present:
@@ -190,7 +165,7 @@ func pkgJSON(sp *feature.Space, p pkgspace.Package, score float64) PackageJSON {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var out SlateJSON
-	err := s.mgr.Do(sessionID(r), func(eng *core.Engine) error {
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
 		slate, err := eng.Recommend()
 		if err != nil {
 			return err
@@ -233,7 +208,7 @@ func (s *Server) handleClick(w http.ResponseWriter, r *http.Request) {
 		shown[i] = pkgspace.New(ids...)
 	}
 	var st core.Stats
-	err := s.mgr.Do(sessionID(r), func(eng *core.Engine) error {
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
 		if err := validatePackages(eng, append(shown, chosen)); err != nil {
 			return err
 		}
@@ -262,7 +237,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	winner, loser := pkgspace.New(req.Winner...), pkgspace.New(req.Loser...)
 	var st core.Stats
-	err := s.mgr.Do(sessionID(r), func(eng *core.Engine) error {
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
 		if err := validatePackages(eng, []pkgspace.Package{winner, loser}); err != nil {
 			return err
 		}
@@ -279,7 +254,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var st core.Stats
-	err := s.mgr.Do(sessionID(r), func(eng *core.Engine) error {
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
 		st = eng.Stats()
 		return nil
 	})
@@ -292,7 +267,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	var snap *core.Snapshot
-	err := s.mgr.Do(sessionID(r), func(eng *core.Engine) error {
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
 		snap = eng.Snapshot()
 		return nil
 	})
@@ -325,7 +300,7 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var report RestoreReport
-	err := s.mgr.Do(sessionID(r), func(eng *core.Engine) error {
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
 		if err := eng.Restore(&snap); err != nil {
 			return badRequest{err}
 		}
@@ -361,7 +336,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"status":       "ok",
 		"catalog":      s.catalogStatus(), // the same object GET /catalog returns
-		"sessions":     s.mgr.Stats(),     // includes evict_queue depth
+		"sessions":     s.mgr.Stats(),
 		"search_cache": s.mgr.SearchCacheStats(),
 		// Per-route request counts, status classes, and latency quantiles.
 		// The in-flight /healthz request itself is not yet counted: its
@@ -558,8 +533,8 @@ func validatePackages(eng *core.Engine, pkgs []pkgspace.Package) error {
 	return nil
 }
 
-// statusFor maps errors to HTTP statuses: invalid input is 400, unknown
-// sessions 404, contradictory feedback is the client's inconsistency
+// statusFor maps errors to HTTP statuses: invalid input (a self-preference
+// included) is 400, unknown sessions 404, contradictory feedback is the client's inconsistency
 // (409), oversized bodies 413, everything else internal.
 func statusFor(err error) int {
 	var br badRequest
@@ -567,7 +542,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.As(err, &br):
 		return http.StatusBadRequest
-	case errors.Is(err, session.ErrBadID):
+	case errors.Is(err, session.ErrBadID), errors.Is(err, prefgraph.ErrSelfPreference):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrNotFound):
 		return http.StatusNotFound

@@ -104,36 +104,6 @@ func TestRecommendEndpoint(t *testing.T) {
 	}
 }
 
-func TestLegacyPathsUseHeaderSession(t *testing.T) {
-	_, ts := testServer(t)
-	req, _ := http.NewRequest("POST", ts.URL+"/feedback",
-		strings.NewReader(`{"winner":[0],"loser":[1]}`))
-	req.Header.Set("X-Session-ID", "headed")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("header feedback status %d", resp.StatusCode)
-	}
-	// The feedback landed in "headed", not in "default".
-	var st core.Stats
-	getJSON(t, ts.URL+"/sessions/headed/stats", &st)
-	if st.Feedback != 1 {
-		t.Errorf("headed Feedback = %d, want 1", st.Feedback)
-	}
-	getJSON(t, ts.URL+"/sessions/default/stats", &st)
-	if st.Feedback != 0 {
-		t.Errorf("default Feedback = %d, want 0", st.Feedback)
-	}
-	// No header falls back to the default session.
-	resp = getJSON(t, ts.URL+"/stats", &st)
-	if resp.StatusCode != http.StatusOK || st.Feedback != 0 {
-		t.Errorf("legacy /stats: status %d, Feedback %d", resp.StatusCode, st.Feedback)
-	}
-}
-
 // TestClickFlow clicks under the default body cap, and under a negative
 // MaxBodyBytes, which must select the default too rather than a zero cap.
 func TestClickFlow(t *testing.T) {
@@ -226,6 +196,8 @@ func TestErrorPaths(t *testing.T) {
 		{"click out-of-range item", "POST", "/sessions/a/click", `{"chosen":[999],"shown":[[1]]}`, http.StatusBadRequest, true},
 		{"click empty package", "POST", "/sessions/a/click", `{"chosen":[1],"shown":[[]]}`, http.StatusBadRequest, true},
 		{"feedback out-of-range item", "POST", "/sessions/a/feedback", `{"winner":[999],"loser":[1]}`, http.StatusBadRequest, true},
+		{"feedback self-preference", "POST", "/sessions/a/feedback", `{"winner":[1],"loser":[1]}`, http.StatusBadRequest, true},
+		{"feedback self-preference after dedup", "POST", "/sessions/a/feedback", `{"winner":[1,1],"loser":[1]}`, http.StatusBadRequest, true},
 		{"malformed snapshot", "POST", "/sessions/a/snapshot", "not json", http.StatusBadRequest, true},
 		{"snapshot wrong version", "POST", "/sessions/a/snapshot", `{"version":99}`, http.StatusBadRequest, true},
 		{"oversized click payload", "POST", "/sessions/a/click", string(oversized), http.StatusRequestEntityTooLarge, true},

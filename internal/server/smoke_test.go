@@ -159,7 +159,6 @@ func TestServeSmokeChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(mgr.Close)
 	ts := httptest.NewServer(New(mgr, Options{Catalog: cat}))
 	t.Cleanup(ts.Close)
 

@@ -13,22 +13,22 @@
 // session stays in the table until its snapshot is durably saved, which
 // makes evict-save and miss-restore of the same ID strictly ordered.
 //
-// Eviction is asynchronous: the miss that pushes a victim over capacity
-// only unlinks it from the LRU and hands it to one of two background
-// writers, so a new session's first request is never blocked behind an
-// unrelated session's snapshot write. The ordering guarantee above is
-// untouched — the victim keeps its table entry and its own mutex until a
-// writer has saved it, so a concurrent request for the victim's ID either
-// resumes the still-resident session (and its later snapshot includes that
-// work) or queues behind the in-flight save and restores the fresh
-// snapshot. When the writers' queue is full the evicting request falls
-// back to saving synchronously (backpressure), so residency stays bounded.
+// Eviction runs on the request that displaces the victim: the miss that
+// pushes the LRU over capacity unlinks the victims and saves each one
+// before it restores or creates its own session, so a slow Store delays
+// that request by the victims' snapshot writes. The victim keeps its table
+// entry and its own mutex until the save is done, so a concurrent request
+// for the victim's ID either resumes the still-resident session (and the
+// snapshot includes that work) or queues behind the save and restores the
+// fresh snapshot. A request waits only on victims pushed before its own
+// placeholder, so these waits cannot form a cycle.
 package session
 
 import (
 	"container/list"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -39,10 +39,6 @@ import (
 
 // DefaultCapacity bounds resident sessions when Config.Capacity is zero.
 const DefaultCapacity = 1024
-
-// evictWorkers is the number of background goroutines writing eviction
-// snapshots.
-const evictWorkers = 2
 
 // Config configures a Manager.
 type Config struct {
@@ -86,13 +82,6 @@ type Stats struct {
 	// /healthz) rather than only inside individual sessions.
 	RestoreDroppedItems int64 `json:"restore_dropped_items"`
 	RestoreDroppedPrefs int64 `json:"restore_dropped_prefs"`
-	// EvictQueue is the number of evictions currently queued on or being
-	// written by the background writers (not monotone).
-	EvictQueue int `json:"evict_queue"`
-	// EvictSyncFallbacks counts evictions that ran synchronously on the
-	// requesting goroutine because the writers' queue was full or the
-	// manager was closed.
-	EvictSyncFallbacks int64 `json:"evict_sync_fallbacks"`
 }
 
 // Manager serves many independent sessions over one shared catalogue.
@@ -113,15 +102,6 @@ type Manager struct {
 	restoreFails int64
 	restoreDropI int64
 	restoreDropP int64
-
-	// Background eviction: victims queue on evictq; pending counts queued
-	// plus in-flight saves; evictDone signals pending reaching zero.
-	// closed stops new enqueues once the queue is closed.
-	evictq    chan *session
-	pending   int
-	evictDone *sync.Cond
-	closed    bool
-	syncFalls int64
 }
 
 // NewManager validates cfg and returns an empty manager.
@@ -135,22 +115,13 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("session: capacity %d < 1", cfg.Capacity)
 	}
-	m := &Manager{
+	return &Manager{
 		shared:   cfg.Shared,
 		capacity: cfg.Capacity,
 		store:    cfg.Store,
 		table:    make(map[string]*session),
 		lru:      list.New(),
-		// The queue bound matches capacity: under a miss storm faster than
-		// the writers, excess victims fall back to synchronous eviction
-		// rather than growing residency without bound.
-		evictq: make(chan *session, cfg.Capacity),
-	}
-	m.evictDone = sync.NewCond(&m.mu)
-	for i := 0; i < evictWorkers; i++ {
-		go m.evictWorker()
-	}
-	return m, nil
+	}, nil
 }
 
 // Do runs fn with exclusive access to the session's engine, creating or
@@ -204,7 +175,9 @@ func (m *Manager) acquire(id string) (*session, error) {
 	m.misses++
 	victims := m.unlinkVictimsLocked()
 	m.mu.Unlock()
-	m.enqueueEvicts(victims)
+	for _, v := range victims {
+		m.evict(v)
+	}
 	eng, restored, err := m.newEngine(id)
 	if err != nil {
 		s.gone = true
@@ -245,69 +218,14 @@ func (m *Manager) unlinkVictimsLocked() []*session {
 	return victims
 }
 
-// enqueueEvicts hands victims to the background writers so the evicting
-// request is not blocked behind another session's snapshot write. When the
-// manager is closed or the writers' queue is full, the eviction runs
-// synchronously on the caller (backpressure): slower for this one request,
-// but residency stays bounded.
-func (m *Manager) enqueueEvicts(victims []*session) {
-	for _, v := range victims {
-		m.mu.Lock()
-		if m.closed {
-			m.syncFalls++
-			m.mu.Unlock()
-			m.evict(v)
-			continue
-		}
-		select {
-		case m.evictq <- v: // non-blocking; safe under m.mu
-			m.pending++
-			m.mu.Unlock()
-		default:
-			m.syncFalls++
-			m.mu.Unlock()
-			m.evict(v)
-		}
-	}
-}
+// Flush returns at once: every eviction saves on the request that
+// displaced the victim, so none is ever pending.
+func (m *Manager) Flush() {}
 
-// evictWorker drains the eviction queue until Close.
-func (m *Manager) evictWorker() {
-	for v := range m.evictq {
-		m.evict(v)
-		m.mu.Lock()
-		m.pending--
-		if m.pending == 0 {
-			m.evictDone.Broadcast()
-		}
-		m.mu.Unlock()
-	}
-}
-
-// Flush blocks until every eviction handed to the background writers has
-// finished saving. It does not fence evictions triggered concurrently with
-// the call; callers wanting a complete flush stop traffic first.
-func (m *Manager) Flush() {
-	m.mu.Lock()
-	for m.pending > 0 {
-		m.evictDone.Wait()
-	}
-	m.mu.Unlock()
-}
-
-// Close drains the background writers and stops their goroutines. The manager
-// remains usable afterwards, evicting synchronously. Safe to call twice.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	close(m.evictq) // senders hold m.mu and check closed first
-	m.mu.Unlock()
-	m.Flush()
-}
+// Close returns at once: the manager starts no goroutines. It keeps m
+// reachable up to the call, so a caller that measures the heap of a
+// manager before closing it still counts the resident sessions.
+func (m *Manager) Close() { runtime.KeepAlive(m) }
 
 // evict snapshots v (if a store is configured) and removes it from the
 // table, reporting whether this call was the one that evicted it (false
@@ -462,21 +380,8 @@ func (m *Manager) List() []Info {
 
 // Shutdown evicts every resident session, flushing learned state to the
 // store — the graceful-shutdown path, so state does not only survive via
-// LRU pressure. It also waits out any snapshot writes still in flight on
-// the background writers. The manager remains usable (and empty)
-// afterwards.
-func (m *Manager) Shutdown() {
-	m.mu.Lock()
-	var victims []*session
-	for m.lru.Len() > 0 {
-		victims = append(victims, m.lru.Remove(m.lru.Back()).(*session))
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
-		m.evict(v)
-	}
-	m.Flush()
-}
+// LRU pressure. The manager remains usable (and empty) afterwards.
+func (m *Manager) Shutdown() { m.FlushMatching(func(string) bool { return true }) }
 
 // FlushMatching synchronously evicts every resident session whose ID
 // satisfies pred, snapshotting each to the store, and returns how many it
@@ -544,7 +449,5 @@ func (m *Manager) Stats() Stats {
 		RestoreFailures:     m.restoreFails,
 		RestoreDroppedItems: m.restoreDropI,
 		RestoreDroppedPrefs: m.restoreDropP,
-		EvictQueue:          m.pending,
-		EvictSyncFallbacks:  m.syncFalls,
 	}
 }

@@ -44,7 +44,6 @@ func testManager(t *testing.T, capacity int, store Store) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	return m
 }
 
@@ -139,7 +138,6 @@ func TestLRUEvictionWithoutStoreDropsState(t *testing.T) {
 	feedbackN(t, m, "alice", 2)
 	feedbackN(t, m, "bob", 1)
 	feedbackN(t, m, "carol", 1) // evicts alice (LRU back)
-	m.Flush()                   // wait out the background eviction
 	if n := m.Len(); n != 2 {
 		t.Fatalf("Len after eviction = %d, want 2", n)
 	}
@@ -153,7 +151,6 @@ func TestLRUEvictionWithoutStoreDropsState(t *testing.T) {
 	if got != 0 {
 		t.Errorf("re-created alice Feedback = %d, want 0 (no store)", got)
 	}
-	m.Flush()                            // re-creating alice evicted another session in the background
 	if st := m.Stats(); st.Evicted < 2 { // alice once, then bob or carol
 		t.Errorf("Evicted = %d, want ≥ 2", st.Evicted)
 	}
@@ -186,7 +183,6 @@ func TestEvictRestoreRoundTrip(t *testing.T) {
 	}
 
 	feedbackN(t, m, "bob", 1) // capacity 1: evicts alice through the store
-	m.Flush()
 	if store.Len() == 0 {
 		t.Fatal("eviction did not snapshot alice")
 	}
@@ -239,7 +235,6 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 	m := testManager(t, 1, store)
 	feedbackN(t, m, "alice", 2)
 	feedbackN(t, m, "bob", 1) // evicts alice into the store
-	m.Flush()
 	if store.Len() == 0 {
 		t.Fatal("no snapshot saved")
 	}
@@ -333,7 +328,10 @@ func TestConcurrentSessions(t *testing.T) {
 // TestConcurrentEvictionChurn drives far more sessions than capacity from
 // many goroutines with a store attached, so creates, hits, evictions, and
 // restores interleave aggressively. Run with -race. Every session's
-// explicit feedback must survive the churn intact.
+// explicit feedback must survive the churn intact. A second storm over few
+// IDs at capacity 2 adds deletes, so evict, restore and delete race in
+// every order; each operation succeeds or reports ErrNotFound, and the
+// manager ends consistent and serving.
 func TestConcurrentEvictionChurn(t *testing.T) {
 	const (
 		workers = 16
@@ -363,7 +361,6 @@ func TestConcurrentEvictionChurn(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	m.Flush()
 	if st := m.Stats(); st.Evicted == 0 {
 		t.Fatalf("churn produced no evictions: %+v", st)
 	}
@@ -388,6 +385,47 @@ func TestConcurrentEvictionChurn(t *testing.T) {
 	}
 	if st.SaveErrors != 0 {
 		t.Errorf("SaveErrors = %d", st.SaveErrors)
+	}
+
+	m = testManager(t, 2, NewMemStore())
+	errs = make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 30; i++ {
+				id := fmt.Sprintf("churn-%d", rng.Intn(6))
+				if rng.Intn(10) == 0 {
+					if err := m.Delete(id); err != nil && !errors.Is(err, ErrNotFound) {
+						errs <- fmt.Errorf("delete %s: %w", id, err)
+						return
+					}
+					continue
+				}
+				if err := m.Do(id, func(eng *core.Engine) error {
+					return eng.Feedback(pack(i%10), pack(20+i%10))
+				}); err != nil {
+					errs <- fmt.Errorf("do %s: %w", id, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	m.Shutdown()
+	if st := m.Stats(); st.SaveErrors != 0 || st.Live != 0 {
+		t.Errorf("after delete churn: %+v", st)
+	}
+	if err := m.Do("fresh", func(eng *core.Engine) error {
+		_, err := eng.Recommend()
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -442,7 +480,6 @@ func TestEvictionSkipsEmptySessions(t *testing.T) {
 	touch("idle-1")
 	touch("idle-2") // evicts idle-1, which holds no preferences and no pool
 	touch("idle-3") // evicts idle-2
-	m.Flush()
 	if n := store.Len(); n != 0 {
 		t.Errorf("empty sessions left %d snapshots", n)
 	}
@@ -491,7 +528,6 @@ func TestEvictionClearsStaleSnapshotOnReset(t *testing.T) {
 	m := testManager(t, 1, store)
 	feedbackN(t, m, "alice", 2)
 	feedbackN(t, m, "bob", 1) // evicts alice with 2 prefs
-	m.Flush()
 	if store.Len() != 1 {
 		t.Fatal("no snapshot saved")
 	}
@@ -502,7 +538,6 @@ func TestEvictionClearsStaleSnapshotOnReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedbackN(t, m, "bob", 1) // evicts the now-empty alice
-	m.Flush()
 	var got int
 	if err := m.Do("alice", func(eng *core.Engine) error {
 		got = eng.Stats().Feedback
@@ -576,7 +611,6 @@ func TestEvictRestoreAcrossCatalogChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 
 	// alice learns two preferences under epoch 1 (UNI stable == dense).
 	err = m.Do("alice", func(eng *core.Engine) error {
@@ -588,11 +622,10 @@ func TestEvictRestoreAcrossCatalogChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// bob's miss evicts alice; once flushed, her snapshot is in the store.
+	// bob's miss evicts alice; once it returns, her snapshot is in the store.
 	if err := m.Do("bob", func(*core.Engine) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	m.Flush()
 	// The catalogue loses item 2 — a whole side of alice's first
 	// preference — and item 0, shifting every surviving dense ID.
 	if _, err := cat.Delete([]int{0, 2}); err != nil {

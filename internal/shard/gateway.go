@@ -25,11 +25,6 @@ const (
 	DefaultMaxBodyBytes  = 32 << 20
 )
 
-// defaultSessionID mirrors the backend's default when neither path nor
-// X-Session-ID names a session (server.DefaultSessionID; the gateway does
-// not import the backend's package for one constant).
-const defaultSessionID = "default"
-
 // Backend names one serve process the gateway can route to.
 type Backend struct {
 	ID  string // ring identity
@@ -156,7 +151,10 @@ func New(cfg Config, backends []Backend) (*Gateway, error) {
 	g.mux.HandleFunc("GET /sessions", g.handleSessionList)
 	g.mux.HandleFunc("/catalog", g.handleCatalog)
 	g.mux.HandleFunc("/catalog/", g.handleCatalog)
-	g.mux.HandleFunc("/", g.handleProxy)
+	// A session is named only by its path; a request that names none
+	// matches no route and answers 404.
+	g.mux.HandleFunc("/sessions/{id}", g.handleProxy)
+	g.mux.HandleFunc("/sessions/{id}/", g.handleProxy)
 	// One synchronous probe so /healthz is meaningful immediately.
 	g.probeAll()
 	go g.prober()
@@ -179,24 +177,6 @@ func (g *Gateway) Close() {
 // ---------------------------------------------------------------------------
 // Session proxying
 
-// proxySessionID resolves which session a request concerns, mirroring the
-// backend's resolution order: /sessions/{id}/... path, then X-Session-ID,
-// then the default session.
-func proxySessionID(r *http.Request) string {
-	if rest, ok := strings.CutPrefix(r.URL.Path, "/sessions/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			rest = rest[:i]
-		}
-		if rest != "" {
-			return rest
-		}
-	}
-	if id := r.Header.Get("X-Session-ID"); id != "" {
-		return id
-	}
-	return defaultSessionID
-}
-
 // retryable reports whether a failed proxy attempt may be re-sent, for
 // every method alike: only a dial error proves the request never reached
 // the shard. After any other transport error the shard may already have
@@ -211,7 +191,7 @@ func retryable(err error) bool {
 
 // handleProxy forwards a session-scoped request to its owner shard.
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
-	id := proxySessionID(r)
+	id := r.PathValue("id")
 	if !session.ValidID(id) {
 		g.error(w, http.StatusBadRequest, fmt.Errorf("invalid session ID %q", id))
 		return
@@ -277,8 +257,8 @@ func copyProxyHeaders(dst, src http.Header) {
 }
 
 // handleCatalog answers every /catalog route with 501. The backends serve
-// one static catalogue each; proxying a mutation would route it as the
-// default session and change one backend only.
+// one static catalogue each; a mutation names no session, so it has no
+// owner shard, and proxying it to one would change one backend only.
 func (g *Gateway) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	g.error(w, http.StatusNotImplemented, errors.New("the shard gateway fronts static catalogues only: /catalog is not served here"))
 }

@@ -82,7 +82,6 @@ func newBackend(t *testing.T, mutable bool) *backend {
 		if cat != nil {
 			cat.Close()
 		}
-		mgr.Close()
 	})
 	return &backend{ts: ts, mgr: mgr}
 }
@@ -190,26 +189,16 @@ func TestGatewayRoutesToOwnerShard(t *testing.T) {
 		t.Errorf("%d sessions resident across shards, want 20", total)
 	}
 
-	// The default session (no path ID, no header) routes consistently too.
-	status, _ := httpDo(t, http.MethodGet, gts.URL+"/recommend", nil)
-	if status != http.StatusOK {
-		t.Fatalf("legacy /recommend via gateway = %d", status)
+	// A request that names no session has no owner shard.
+	if status, _ := httpDo(t, http.MethodGet, gts.URL+"/recommend", nil); status != http.StatusNotFound {
+		t.Fatalf("session-less /recommend via gateway = %d, want 404", status)
 	}
-
 	// An invalid session ID is rejected at the gateway, before proxying.
-	req, err := http.NewRequest(http.MethodGet, gts.URL+"/recommend", nil)
-	if err != nil {
-		t.Fatal(err)
+	if status, _ := httpDo(t, http.MethodGet, gts.URL+"/sessions/no%20spaces!/recommend", nil); status != http.StatusBadRequest {
+		t.Fatalf("invalid session ID = %d, want 400", status)
 	}
-	req.Header.Set("X-Session-ID", "no spaces!")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid session ID = %d, want 400", resp.StatusCode)
+	if proxied := bks["sa"].mgr.Len() + bks["sb"].mgr.Len(); proxied != 20 {
+		t.Fatalf("%d sessions resident after the rejected requests, want 20", proxied)
 	}
 }
 
@@ -264,7 +253,7 @@ func TestGatewayNeverReplaysAcceptedRequest(t *testing.T) {
 
 // TestGatewayCatalogAnswers501: the gateway fronts static catalogues only.
 // Every /catalog route answers 501 and reaches no backend — proxied, a
-// mutation would route as the default session and change one backend.
+// mutation would change one backend only.
 func TestGatewayCatalogAnswers501(t *testing.T) {
 	bks := []*backend{newBackend(t, true), newBackend(t, true)}
 	gts := newGateway(t, shard.Config{},
