@@ -328,10 +328,7 @@ func TestConcurrentSessions(t *testing.T) {
 // TestConcurrentEvictionChurn drives far more sessions than capacity from
 // many goroutines with a store attached, so creates, hits, evictions, and
 // restores interleave aggressively. Run with -race. Every session's
-// explicit feedback must survive the churn intact. A second storm over few
-// IDs at capacity 2 adds deletes, so evict, restore and delete race in
-// every order; each operation succeeds or reports ErrNotFound, and the
-// manager ends consistent and serving.
+// explicit feedback must survive the churn intact.
 func TestConcurrentEvictionChurn(t *testing.T) {
 	const (
 		workers = 16
@@ -386,9 +383,18 @@ func TestConcurrentEvictionChurn(t *testing.T) {
 	if st.SaveErrors != 0 {
 		t.Errorf("SaveErrors = %d", st.SaveErrors)
 	}
+}
 
-	m = testManager(t, 2, NewMemStore())
-	errs = make(chan error, workers)
+// TestAsyncEvictionChurn interleaves Do, Delete and eviction pressure from
+// many goroutines over few IDs at capacity 2; run with -race. Evict,
+// restore and delete race in every order: each operation succeeds or
+// reports ErrNotFound (from racing deletes), and the manager ends
+// consistent and serving.
+func TestAsyncEvictionChurn(t *testing.T) {
+	m := testManager(t, 2, NewMemStore())
+	const workers = 12
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -419,7 +425,7 @@ func TestConcurrentEvictionChurn(t *testing.T) {
 	}
 	m.Shutdown()
 	if st := m.Stats(); st.SaveErrors != 0 || st.Live != 0 {
-		t.Errorf("after delete churn: %+v", st)
+		t.Errorf("after churn: %+v", st)
 	}
 	if err := m.Do("fresh", func(eng *core.Engine) error {
 		_, err := eng.Recommend()
