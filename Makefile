@@ -48,6 +48,8 @@ bench-check:
 # the session manager's eviction-ordering suites three times over (eviction
 # churn with deletes, a restore or a delete racing an in-flight evict-save,
 # and TestEviction* — the save runs on the displacing request), the
+# snapshot/restore pool rule three times over (core's TestSnapshot* and
+# TestRestore*, the session manager's TestEvictRestore*), the
 # sketch-refine suites (TestPartition*:
 # exactness of the beamed refine under a beam that never truncates, masked
 # walk ≡ filtered index, the gate table, the refine's allocation guard —
@@ -65,5 +67,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
 	$(GO) test -race -count=3 -run '^(TestClose|TestFlush|TestConcurrent|TestDeltaBuildsRaceReaders)' ./internal/catalog
 	$(GO) test -race -count=3 -run '^(TestConcurrentEvictionChurn|TestRestoreWhileSnapshotInFlight|TestDeleteRacesInFlightEviction|TestEviction)' ./internal/session
+	$(GO) test -race -count=3 -run '^(TestSnapshot|TestRestore)' ./internal/core
+	$(GO) test -race -count=3 -run '^TestEvictRestore' ./internal/session
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
 	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical)' -count=1 ./internal/search

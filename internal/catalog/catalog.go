@@ -31,10 +31,8 @@ package catalog
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -113,32 +111,10 @@ type IDMap struct {
 	// stable[i] is the stable catalogue ID of dense item i, ascending: a
 	// dense index is a rank in stable-ID order.
 	stable []int
-	// hash fingerprints the assignment (see Hash).
-	hash uint64
 }
 
 // Len returns the number of items the mapping covers.
 func (m *IDMap) Len() int { return len(m.stable) }
-
-// Hash fingerprints the stable→dense assignment: IDMapHash over the
-// stable IDs in dense order. Two epochs with equal hashes give every
-// dense position the same stable identity, so learned state keyed by
-// stable IDs refers to the same dense items under both.
-func (m *IDMap) Hash() uint64 { return m.hash }
-
-// IDMapHash digests a stable-ID slice in dense order — the shared
-// fingerprint function, exported so a static deployment (whose stable
-// identity is the dense positions themselves) hashes identically to a
-// live epoch that assigns stable ID i to dense item i.
-func IDMapHash(stable []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, s := range stable {
-		binary.LittleEndian.PutUint64(buf[:], uint64(s))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
 
 // StableID returns the stable catalogue ID of dense item i.
 func (m *IDMap) StableID(i int) int { return m.stable[i] }
@@ -317,7 +293,7 @@ func New(cfg Config) (*Catalog, error) {
 		stable[i] = items[i].ID
 		items[i].ID = i
 	}
-	ep, err := c.buildEpoch(items, newIDMap(stable), search.NewIndex)
+	ep, err := c.buildEpoch(items, &IDMap{stable: stable}, search.NewIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -723,7 +699,7 @@ func mergeChanges(parent *Epoch, changes []change) *merged {
 	}
 	m.ids = pm // a reprice-only batch leaves the stable→dense assignment intact
 	if !sameIDs {
-		m.ids = newIDMap(stable)
+		m.ids = &IDMap{stable: stable}
 	}
 	return m
 }
@@ -739,11 +715,6 @@ func (c *Catalog) buildEpoch(items []feature.Item, ids *IDMap, index func(*featu
 	ix := index(space)
 	ix.ConfigurePartition(c.partStats)
 	return &Epoch{Space: space, Index: ix, ids: ids}, nil
-}
-
-// newIDMap wraps an ascending stable-ID slice in dense order.
-func newIDMap(stable []int) *IDMap {
-	return &IDMap{stable: stable, hash: IDMapHash(stable)}
 }
 
 // maintainHeads carries the parent epoch's non-dominated head set (the

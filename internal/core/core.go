@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"toppkg/internal/catalog"
 	"toppkg/internal/feature"
@@ -165,46 +166,12 @@ type Engine struct {
 	// so their item IDs are dense positions in — and their preference
 	// vectors must be computed from, and their stable node identity
 	// resolved through — that slate's epoch, not whatever the catalogue
-	// has swapped to since. Only the space and ID map are retained (not
-	// the whole epoch) so an idle session does not pin a retired epoch's
-	// search index in memory. Nil until the first Recommend (feedback then
+	// has swapped to since. Its search index is left nil (see
+	// epochView.feedback) so an idle session does not pin a retired
+	// epoch's index in memory. Nil until the first Recommend (feedback then
 	// resolves the current epoch, the pre-live behavior); not persisted —
-	// Restore re-pins the restore-time epoch (see Snapshot).
-	fb *fbView
-}
-
-// fbView is the lightweight slice of an epoch that feedback resolution
-// needs: dense item IDs are interpreted in space, and translated to stable
-// catalogue identity through ids (nil for a static catalogue, where dense
-// positions are the stable keys).
-type fbView struct {
-	id    uint64
-	space *feature.Space
-	ids   *catalog.IDMap
-	// idh fingerprints the stable→dense assignment (identity for a
-	// static catalogue): combined with space.Hash it identifies both the
-	// vector geometry and the identity labeling of learned state.
-	idh uint64
-}
-
-// stableIDs translates a package's dense member IDs into stable catalogue
-// IDs. With a nil map (static catalogue) dense positions are the stable
-// identity.
-func (v fbView) stableIDs(p pkgspace.Package) []int {
-	if v.ids == nil {
-		return append([]int(nil), p.IDs...)
-	}
-	out := make([]int, len(p.IDs))
-	for i, d := range p.IDs {
-		out[i] = v.ids.StableID(d)
-	}
-	return out
-}
-
-// stablePkg is the package's stable-ID identity — the key learned state is
-// stored under, immune to dense-ID remaps across epochs.
-func (v fbView) stablePkg(p pkgspace.Package) pkgspace.Package {
-	return pkgspace.New(v.stableIDs(p)...)
+	// Restore re-pins the restore-time epoch.
+	fb *epochView
 }
 
 // Shared is the catalogue-wide half of an engine: the normalized
@@ -226,9 +193,6 @@ type Shared struct {
 	ix    *search.Index
 	cat   *catalog.Catalog // live catalogue (nil for static)
 	cache *ranking.Cache
-	// idh is the static epoch's identity stable→dense hash (stable ID i
-	// IS dense position i); unused when cat != nil.
-	idh uint64
 }
 
 // epochView is one resolved, coherent catalogue epoch: everything a single
@@ -239,21 +203,42 @@ type epochView struct {
 	space *feature.Space
 	ix    *search.Index
 	ids   *catalog.IDMap
-	idh   uint64
 }
 
 // epoch resolves the current epoch: wait-free, never blocks on a rebuild.
 func (sh *Shared) epoch() epochView {
 	if sh.cat != nil {
 		ep := sh.cat.Current()
-		return epochView{id: ep.ID, space: ep.Space, ix: ep.Index, ids: ep.IDs(), idh: ep.IDs().Hash()}
+		return epochView{id: ep.ID, space: ep.Space, ix: ep.Index, ids: ep.IDs()}
 	}
-	return epochView{id: 0, space: sh.space, ix: sh.ix, idh: sh.idh}
+	return epochView{id: 0, space: sh.space, ix: sh.ix}
 }
 
-// view is the feedback-identity slice of the epoch.
-func (ep epochView) view() fbView {
-	return fbView{id: ep.id, space: ep.space, ids: ep.ids, idh: ep.idh}
+// feedback is the epoch as feedback resolution pins it: identity and
+// space only, without the search index.
+func (ep epochView) feedback() *epochView {
+	ep.ix = nil
+	return &ep
+}
+
+// stableIDs translates a package's dense member IDs into stable catalogue
+// IDs. With a nil map (static catalogue) dense positions are the stable
+// identity.
+func (v epochView) stableIDs(p pkgspace.Package) []int {
+	if v.ids == nil {
+		return append([]int(nil), p.IDs...)
+	}
+	out := make([]int, len(p.IDs))
+	for i, d := range p.IDs {
+		out[i] = v.ids.StableID(d)
+	}
+	return out
+}
+
+// stablePkg is the package's stable-ID identity — the key learned state is
+// stored under, immune to dense-ID remaps across epochs.
+func (v epochView) stablePkg(p pkgspace.Package) pkgspace.Package {
+	return pkgspace.New(v.stableIDs(p)...)
 }
 
 // normalizeConfig applies the paper's defaults and validates everything
@@ -313,19 +298,11 @@ func NewShared(cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// A static catalogue's stable identity is its dense positions; hashing
-	// the identity assignment here lets static and live deployments with
-	// the same effective mapping agree on snapshot identity hashes.
-	identity := make([]int, len(space.Items))
-	for i := range identity {
-		identity[i] = i
-	}
 	return &Shared{
 		cfg:   cfg,
 		space: space,
 		ix:    search.NewIndex(space),
 		cache: newCache(cfg),
-		idh:   catalog.IDMapHash(identity),
 	}, nil
 }
 
@@ -452,14 +429,13 @@ func (e *Engine) FeedbackSpace() *feature.Space {
 func (e *Engine) FeedbackEpoch() uint64 { return e.feedbackView().id }
 
 // feedbackView resolves the identity view feedback is interpreted in.
-func (e *Engine) feedbackView() fbView {
+func (e *Engine) feedbackView() epochView {
 	if e.fb == nil {
 		// Memoize the fallback: a click arriving before this incarnation's
 		// first Recommend (e.g. right after an eviction restore) must
 		// validate and vectorize winner and loser against ONE epoch, not
 		// re-resolve per call with a swap possibly landing in between.
-		v := e.sh.epoch().view()
-		e.fb = &v
+		e.fb = e.sh.epoch().feedback()
 	}
 	return *e.fb
 }
@@ -577,8 +553,7 @@ func (e *Engine) Recommend() (*Slate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ranking: %w", err)
 	}
-	fv := ep.view()
-	e.fb = &fv // feedback on this slate resolves against its epoch
+	e.fb = ep.feedback() // feedback on this slate resolves against its epoch
 	slate := &Slate{Recommended: ranked, Epoch: ep.id, Space: ep.space}
 	seen := make(map[string]bool, len(ranked)+e.cfg.RandomCount)
 	for _, r := range ranked {
@@ -622,11 +597,20 @@ func (e *Engine) randomPackage(sp *feature.Space) pkgspace.Package {
 	return pkgspace.New(ids...)
 }
 
+// ErrChosenNotShown rejects a click on a package that is not among the
+// packages shown with it.
+var ErrChosenNotShown = errors.New("core: chosen package was not shown")
+
 // Click records implicit feedback: the user clicked chosen out of shown,
 // yielding a pairwise preference over every other shown package (§3.3).
-// Preferences contradicting earlier feedback are skipped and counted in
-// Stats.CyclesSkipped, mirroring the paper's cycle resolution.
+// A chosen package missing from shown records nothing and returns
+// ErrChosenNotShown. Preferences contradicting earlier feedback are
+// skipped and counted in Stats.CyclesSkipped, mirroring the paper's cycle
+// resolution.
 func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error {
+	if !slices.ContainsFunc(shown, func(p pkgspace.Package) bool { return pkgspace.Equal(p, chosen) }) {
+		return ErrChosenNotShown
+	}
 	for _, p := range shown {
 		if p.Signature() == chosen.Signature() {
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -182,6 +183,28 @@ func TestClickGeneratesPairwisePreferences(t *testing.T) {
 	want := len(slate.All) - 1 - st.CyclesSkipped
 	if st.Feedback != want {
 		t.Errorf("Feedback = %d, want %d (σ−1 minus cycles)", st.Feedback, want)
+	}
+}
+
+// TestClickRejectsChosenNotShown: a click names one of the packages it
+// was shown; one that names another package records nothing.
+func TestClickRejectsChosenNotShown(t *testing.T) {
+	e, err := New(testConfig(t, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shown := []pkgspace.Package{pkgspace.New(1), pkgspace.New(2)}
+	if err := e.Click(pkgspace.New(5), shown); !errors.Is(err, ErrChosenNotShown) {
+		t.Fatalf("Click(unshown) = %v, want ErrChosenNotShown", err)
+	}
+	if st := e.Stats(); st.Feedback != 0 || e.Graph().Edges() != 0 {
+		t.Fatalf("unshown click recorded %d feedback, %d edges", st.Feedback, e.Graph().Edges())
+	}
+	if err := e.Click(pkgspace.New(2, 2), shown); err != nil {
+		t.Fatalf("Click(shown) = %v", err)
+	}
+	if got := e.Graph().Edges(); got != 1 {
+		t.Fatalf("shown click recorded %d edges, want 1", got)
 	}
 }
 

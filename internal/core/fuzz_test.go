@@ -35,6 +35,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":2,"epoch":9,"preferences":[{"winner":[0],"loser":[1]}]}`))
 	f.Add([]byte(`{"version":2,"preferences":[{"winner":[3],"loser":[1]}],"stats":{"RestoreDroppedItems":5}}`))
 	f.Add([]byte(`{"version":2,"epoch":4,"space_hash":1234567890123456789,"preferences":[{"winner":[0],"loser":[1]}],"samples":[[0.1,0.2]],"weights":[1]}`))
+	// Current files carry the pool's constraints hash; a hash beside an
+	// empty pool or without any preferences must round-trip too.
+	f.Add([]byte(`{"version":2,"constraints_hash":9876543210123456789,"preferences":[{"winner":[0],"loser":[1]}],"samples":[[0.1,0.2]],"weights":[1]}`))
+	f.Add([]byte(`{"version":2,"constraints_hash":18446744073709551615,"preferences":[]}`))
+	f.Add([]byte(`{"version":2,"constraints_hash":1,"samples":[[0.5,0.5]],"weights":[0.5]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {

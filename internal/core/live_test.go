@@ -397,9 +397,10 @@ func TestSnapshotChurnRestoreBitIdentical(t *testing.T) {
 		}
 	}
 	snap := eng.Snapshot()
-	if snap.Version != 2 || snap.Epoch != 1 {
-		t.Fatalf("snapshot version %d epoch %d, want v2 under epoch 1", snap.Version, snap.Epoch)
+	if snap.Version != 2 {
+		t.Fatalf("snapshot version %d, want 2", snap.Version)
 	}
+	savedEpoch := cat.Current().ID
 
 	if _, err := cat.Delete([]int{0, 2}); err != nil {
 		t.Fatal(err)
@@ -408,7 +409,7 @@ func TestSnapshotChurnRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	epM := cat.Current()
-	if epM.ID == snap.Epoch {
+	if epM.ID == savedEpoch {
 		t.Fatal("churn did not advance the epoch")
 	}
 
@@ -501,6 +502,66 @@ func TestSnapshotSameEpochKeepsPool(t *testing.T) {
 		for j := range s1[i].W {
 			if s1[i].W[j] != s2[i].W[j] {
 				t.Fatalf("same-epoch restore perturbed pool sample %d dim %d", i, j)
+			}
+		}
+	}
+}
+
+// TestRestoreKeepsPoolWhenConstraintsUnchanged: a swap that moves no
+// preference vector (an insert below every scale) reproduces the
+// constraint set the pool satisfies, so a restore under the new epoch
+// keeps the pool bit-identically.
+func TestRestoreKeepsPoolWhenConstraintsUnchanged(t *testing.T) {
+	cat := liveCatalog(t, -1, 25)
+	sh, err := NewLiveShared(liveConfig(), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sh.NewEngine(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Feedback(pkgspace.New(0), pkgspace.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	before := cat.Current()
+	if err := cat.Upsert([]feature.Item{{ID: 900, Values: []float64{0.001, 0.001}}}); err != nil {
+		t.Fatal(err)
+	}
+	after := cat.Current()
+	if after.ID == before.ID {
+		t.Fatal("upsert did not advance the epoch")
+	}
+	for d := 0; d < after.Space.Dims(); d++ {
+		if math.Float64bits(after.Space.Scale(d)) != math.Float64bits(before.Space.Scale(d)) {
+			t.Fatalf("precondition: scale[%d] moved from %v to %v", d, before.Space.Scale(d), after.Space.Scale(d))
+		}
+	}
+	snap := eng.Snapshot()
+	restored, err := sh.NewEngine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if restored.pool == nil {
+		t.Fatal("constraint-neutral swap redrew the pool")
+	}
+	want, got := eng.pool.Samples, restored.pool.Samples
+	if len(got) != len(want) {
+		t.Fatalf("restored pool size %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Q) != math.Float64bits(want[i].Q) {
+			t.Fatalf("sample %d weight %v, want %v", i, got[i].Q, want[i].Q)
+		}
+		for j := range want[i].W {
+			if math.Float64bits(got[i].W[j]) != math.Float64bits(want[i].W[j]) {
+				t.Fatalf("sample %d dim %d = %v, want %v", i, j, got[i].W[j], want[i].W[j])
 			}
 		}
 	}
@@ -665,11 +726,10 @@ func TestRefreshedFeedbackRedrawsPool(t *testing.T) {
 }
 
 // TestSnapshotOmitsCrossEpochPool: a pool drawn and maintained under one
-// epoch cannot be reproduced from a later epoch's geometry (renormalized
-// vectors change the constraint set), so a snapshot taken after the
-// feedback view moved on ships preferences only and the restored engine
-// redraws — keeping the pool would install samples that violate the
-// rebuilt constraints.
+// epoch's geometry satisfies that epoch's constraint set. The snapshot
+// ships it with that set's hash, and a restore under a rescaled epoch
+// (renormalized vectors change every constraint) redraws it — keeping the
+// pool would install samples checked against other constraints.
 func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	cat := liveCatalog(t, -1, 25)
 	sh, err := NewLiveShared(liveConfig(), cat)
@@ -696,17 +756,24 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	if snap.Epoch != cat.Current().ID {
-		t.Fatalf("snapshot epoch %d, want %d", snap.Epoch, cat.Current().ID)
-	}
 	if len(snap.Preferences) != 1 {
 		t.Fatalf("snapshot has %d preferences, want 1", len(snap.Preferences))
 	}
-	if len(snap.Samples) != 0 {
-		t.Fatalf("snapshot ships %d samples whose geometry (epoch 1) lags its epoch (%d)",
-			len(snap.Samples), snap.Epoch)
+	if len(snap.Samples) == 0 {
+		t.Fatal("snapshot omitted the drawn pool")
 	}
-	// A pool without preferences is epoch-free and still serialized.
+	restored, err := sh.NewEngine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if restored.pool != nil {
+		t.Fatal("pool maintained against epoch-1 constraints kept under the rescaled epoch")
+	}
+	// A pool without preferences satisfies the empty constraint set under
+	// any epoch and is kept.
 	virgin, err := sh.NewEngine(2)
 	if err != nil {
 		t.Fatal(err)
@@ -714,8 +781,15 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	if _, err := virgin.Recommend(); err != nil {
 		t.Fatal(err)
 	}
-	if vs := virgin.Snapshot(); len(vs.Samples) == 0 {
-		t.Fatal("preference-free pool omitted from snapshot")
+	vs := virgin.Snapshot()
+	if len(vs.Samples) == 0 || vs.ConstraintsHash != 0 {
+		t.Fatalf("preference-free snapshot: %d samples, constraints hash %x", len(vs.Samples), vs.ConstraintsHash)
+	}
+	if err := restored.Restore(vs); err != nil {
+		t.Fatal(err)
+	}
+	if restored.pool == nil {
+		t.Fatal("preference-free pool redrawn")
 	}
 }
 

@@ -4,20 +4,26 @@
 // Snapshot/Restore provide that durability without persisting the
 // (caller-owned) item catalogue itself.
 //
-// Wire format v2 keys preferences by *stable* catalogue IDs and records
-// the epoch the snapshot was captured under, so learned state survives
-// live-catalogue churn between save and restore: Restore remaps every
-// preference through the restore-time epoch, silently dropping items that
-// vanished from the catalogue (counted in Stats.RestoreDroppedItems /
-// RestoreDroppedPrefs, not an error) and recomputing preference vectors
-// against the restore-time space. v2 is the only version read.
+// Wire format v2 keys preferences by *stable* catalogue IDs, so learned
+// state survives live-catalogue churn between save and restore: Restore
+// remaps every preference through the restore-time epoch, silently
+// dropping items that vanished from the catalogue (counted in
+// Stats.RestoreDroppedItems / RestoreDroppedPrefs, not an error) and
+// recomputing preference vectors against the restore-time space. The
+// sample pool travels with a hash of the constraint set it satisfies and
+// is kept iff the rebuilt graph reproduces that set (§3.4: the valid
+// region is the intersection of the constraint halfspaces). v2 is the
+// only version read.
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 
 	"toppkg/internal/catalog"
 	"toppkg/internal/maintain"
@@ -28,26 +34,13 @@ import (
 
 // Snapshot is the serializable learned state of an engine session.
 type Snapshot struct {
-	// Version guards the wire format: 2 = stable catalogue IDs + capture
-	// epoch.
+	// Version guards the wire format: 2 = stable catalogue IDs.
 	Version int `json:"version"`
-	// Epoch is the catalogue epoch the learned state last referenced when
-	// the snapshot was taken (0 for static catalogues). Restore keeps the
-	// sample pool verbatim only when restoring under this same epoch;
-	// otherwise the pool is discarded and redrawn under the remapped
-	// constraint set, since its samples were maintained against another
-	// epoch's geometry.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// SpaceHash fingerprints the vector geometry of the space the state
-	// was captured against (see feature.Space.Hash), and IDHash the
-	// stable→dense identity assignment (catalog.IDMapHash). Epoch
-	// counters are per-process, so the pool fast path additionally
-	// requires both to match at restore — a snapshot moved to another
-	// deployment whose catalogue merely shares the epoch number (or even
-	// the item values, with stable IDs permuted) must not install a pool
-	// maintained against different constraints.
-	SpaceHash uint64 `json:"space_hash,omitempty"`
-	IDHash    uint64 `json:"id_hash,omitempty"`
+	// ConstraintsHash is constraintsHash of the reduced constraint set the
+	// sample pool was maintained against. Restore keeps the pool iff the
+	// rebuilt preference graph hashes the same; on any mismatch the pool
+	// is redrawn under the rebuilt constraints.
+	ConstraintsHash uint64 `json:"constraints_hash,omitempty"`
 	// Preferences lists the recorded pairwise preferences as stable
 	// catalogue item-ID sets (winner, loser). Vectors are recomputed from
 	// the restore-time item space, so snapshots survive re-normalization
@@ -73,21 +66,12 @@ type PreferencePair struct {
 const snapshotVersion = 2
 
 // Snapshot captures the engine's learned state in wire format v2:
-// preferences under their stable catalogue identity plus the epoch the
-// state last referenced. It does not force sampling: an engine that never
-// sampled yields a snapshot with an empty pool.
-//
-// A v2 snapshot carrying both preferences and samples promises the
-// samples were maintained against exactly Epoch's geometry (Restore's
-// pool fast path relies on it). When the graph's vectors span epochs, or
-// lag behind the feedback epoch, no single epoch can reproduce the
-// constraint set the pool satisfied, so the pool is omitted and the
-// restored engine redraws it — preferences, not samples, are the learned
-// state worth carrying across epochs. A pool without any preferences is
-// epoch-free (drawn from the prior alone) and always serialized.
+// preferences under their stable catalogue identity, plus any drawn pool
+// with the hash of the constraint set it satisfies. It does not force
+// sampling: an engine that never sampled yields a snapshot with an empty
+// pool.
 func (e *Engine) Snapshot() *Snapshot {
-	fv := e.feedbackView()
-	s := &Snapshot{Version: snapshotVersion, Epoch: fv.id, SpaceHash: fv.space.Hash(), IDHash: fv.idh, Stats: e.stats}
+	s := &Snapshot{Version: snapshotVersion, Stats: e.stats}
 	for _, pr := range e.graph.Preferences() {
 		// Graph nodes are keyed by stable identity, so the pairs are
 		// already in stable IDs (identical to dense for a static space).
@@ -96,15 +80,34 @@ func (e *Engine) Snapshot() *Snapshot {
 			Loser:  append([]int(nil), pr[1].IDs...),
 		})
 	}
-	uniform, uok := e.graph.UniformEpoch()
-	poolCoherent := e.graph.Len() == 0 || (uok && uniform == fv.id)
-	if e.pool != nil && poolCoherent {
+	if e.pool != nil {
+		s.ConstraintsHash = constraintsHash(e.constraints())
 		for _, smp := range e.pool.Samples {
 			s.Samples = append(s.Samples, append([]float64(nil), smp.W...))
 			s.Weights = append(s.Weights, smp.Q)
 		}
 	}
 	return s
+}
+
+// constraintsHash digests a constraint set independently of its order:
+// the sum of one FNV-64a per constraint over its Diff bits. The pool's
+// valid region is the intersection of the halfspaces w·Diff ≥ 0, so equal
+// hashes mean (with overwhelming probability) the same region. The empty
+// set hashes to 0.
+func constraintsHash(cs []prefgraph.Constraint) uint64 {
+	var sum uint64
+	var buf [8]byte
+	h := fnv.New64a()
+	for _, c := range cs {
+		h.Reset()
+		for _, v := range c.Diff {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		sum += h.Sum64()
+	}
+	return sum
 }
 
 // remapStable translates one side of a preference from stable catalogue
@@ -142,10 +145,10 @@ func remapStable(ids *catalog.IDMap, n int, stable []int) (dense, kept []int, dr
 // preferences that empty out, collapse to identical packages, or
 // contradict a surviving preference are dropped and counted in
 // Stats.RestoreDroppedPrefs), and their vectors recomputed from the
-// restore-time space. The sample pool is installed verbatim only when the
-// snapshot was captured under the restore-time epoch and nothing was
-// dropped; otherwise it is discarded and lazily redrawn under the rebuilt
-// constraint set.
+// restore-time space. The sample pool is installed verbatim iff the
+// rebuilt reduced constraint set hashes to the snapshot's
+// ConstraintsHash; otherwise it is discarded and lazily redrawn under the
+// rebuilt constraint set.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s == nil {
 		return errors.New("core: nil snapshot")
@@ -163,7 +166,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 		}
 	}
 	ep := e.sh.epoch()
-	fv := ep.view()
 	g := prefgraph.New()
 	droppedItems, droppedPrefs := 0, 0
 	for i, pr := range s.Preferences {
@@ -230,25 +232,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	// Pin feedback identity to the restore-time epoch: a click arriving
 	// before the next Recommend must resolve against the same space the
 	// preference vectors were just rebuilt from.
-	e.fb = &fv
-	// The pool fast path: install the snapshot's samples verbatim only
-	// when the rebuilt constraints are provably the geometry the pool was
-	// maintained against — the snapshot-side coherence promise (see
-	// Snapshot) plus a restore under the same epoch of the same space
-	// with the same stable-ID assignment (epoch counters are per-process;
-	// the two hashes catch a snapshot moved to a deployment that merely
-	// shares the number, or the values with identities permuted) with
-	// nothing dropped. A pool with no preferences has no constraints and
-	// is space-free.
-	sameSpace := s.Epoch == ep.id && s.SpaceHash == ep.space.Hash() && s.IDHash == ep.idh
-	keepPool := len(s.Samples) > 0 &&
-		droppedItems == 0 && droppedPrefs == 0 &&
-		(len(s.Preferences) == 0 || sameSpace)
-	if !keepPool {
-		// The pool was maintained against another epoch's geometry (or
-		// against constraints that no longer all survive); a stale pool
-		// would bias every recommendation until the next feedback, so it
-		// is redrawn lazily under the rebuilt constraint set instead.
+	e.fb = ep.feedback()
+	if len(s.Samples) == 0 || s.ConstraintsHash != constraintsHash(e.constraints()) {
+		// The pool satisfied another constraint set; a stale pool would
+		// bias every recommendation until the next feedback, so it is
+		// redrawn lazily under the rebuilt set instead.
 		e.pool = nil
 		return nil
 	}

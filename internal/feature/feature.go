@@ -9,9 +9,7 @@
 package feature
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"strings"
@@ -131,13 +129,6 @@ func (p *Profile) FeatureCount() int { return p.featureCount }
 
 // Entry returns the i-th profile entry.
 func (p *Profile) Entry(i int) Entry { return p.entries[i] }
-
-// Entries returns a copy of the profile's entries.
-func (p *Profile) Entries() []Entry {
-	cp := make([]Entry, len(p.entries))
-	copy(cp, p.entries)
-	return cp
-}
 
 // String renders the profile as e.g. "(sum0, avg1)".
 func (p *Profile) String() string {
@@ -273,8 +264,6 @@ type Space struct {
 	// upper-bound estimator to decide whether a "no contribution" pad is
 	// attainable.
 	hasNull []bool
-	// hash is the geometry fingerprint (see Hash).
-	hash uint64
 }
 
 // Scale returns the normalization divisor of dimension d, which scales its
@@ -359,42 +348,8 @@ func NewSpace(items []Item, p *Profile, maxSize int) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := &Space{Items: items, Profile: p, MaxSize: maxSize, scales: scales, cols: cols, hasNull: hasNull}
-	sp.hash = sp.fingerprint()
-	return sp, nil
+	return &Space{Items: items, Profile: p, MaxSize: maxSize, scales: scales, cols: cols, hasNull: hasNull}, nil
 }
-
-// fingerprint digests everything package-vector geometry depends on: the
-// profile's dimensions, φ, and every item value in dense order. Names and
-// stable IDs are excluded — they do not enter any vector.
-func (s *Space) fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	word(uint64(s.MaxSize))
-	word(uint64(s.Profile.Dims()))
-	for _, e := range s.Profile.Entries() {
-		word(uint64(e.Feature)<<8 | uint64(e.Agg))
-	}
-	word(uint64(len(s.Items)))
-	for i := range s.Items {
-		for _, v := range s.Items[i].Values {
-			word(math.Float64bits(v))
-		}
-	}
-	return h.Sum64()
-}
-
-// Hash is a fingerprint of the space's vector geometry: two spaces with
-// equal hashes compute (with overwhelming probability) bitwise-identical
-// package vectors for the same dense IDs. Persistence uses it to decide
-// whether state maintained against one space is valid under another —
-// epoch counters are per-process, so an epoch ID alone cannot identify
-// geometry across deployments.
-func (s *Space) Hash() uint64 { return s.hash }
 
 // HasNull reports whether any item is missing feature f.
 func (s *Space) HasNull(f int) bool { return s.hasNull[f] }

@@ -62,7 +62,8 @@ func assertScalesMatchSort(t *testing.T, p *Profile, maxSize int, rows [][]float
 	if err != nil {
 		t.Fatal(err)
 	}
-	for d, e := range p.Entries() {
+	for d := 0; d < p.Dims(); d++ {
+		e := p.Entry(d)
 		var vals []float64
 		for _, r := range rows {
 			if !IsNull(r[e.Feature]) {

@@ -140,22 +140,6 @@ func (g *Graph) AddPreferenceAt(epoch uint64, winner pkgspace.Package, winnerVec
 	return refreshed, nil
 }
 
-// UniformEpoch reports the single catalogue epoch every stored node vector
-// was computed under, ok=false when nodes span epochs. An empty graph is
-// vacuously uniform at epoch 0. Persistence uses this to decide whether a
-// sample pool maintained against the stored vectors can be reproduced from
-// one epoch's geometry alone.
-func (g *Graph) UniformEpoch() (epoch uint64, ok bool) {
-	for i := range g.nodes {
-		if i == 0 {
-			epoch = g.nodes[i].epoch
-		} else if g.nodes[i].epoch != epoch {
-			return 0, false
-		}
-	}
-	return epoch, true
-}
-
 // reachable reports whether dst is reachable from src, optionally ignoring
 // the single edge banU→banV (pass -1,-1 for none).
 func (g *Graph) reachable(src, dst, banU, banV int) bool {

@@ -14,7 +14,7 @@
 //	POST   /sessions/{id}/feedback   ← {"winner": [ids], "loser": [ids]}
 //	GET    /sessions/{id}/stats      → engine counters
 //	GET    /sessions/{id}/snapshot   → persisted session state (JSON, wire v2:
-//	                                   stable item IDs + capture epoch)
+//	                                   stable item IDs + constraints hash)
 //	POST   /sessions/{id}/snapshot   ← restores a previously saved session
 //	                                   (wire v2); responds with a restore
 //	                                   report {"epoch", "preferences",
@@ -534,15 +534,17 @@ func validatePackages(eng *core.Engine, pkgs []pkgspace.Package) error {
 }
 
 // statusFor maps errors to HTTP statuses: invalid input (a self-preference
-// included) is 400, unknown sessions 404, contradictory feedback is the client's inconsistency
-// (409), oversized bodies 413, everything else internal.
+// or a click on a package not shown included) is 400, unknown sessions 404,
+// contradictory feedback is the client's inconsistency (409), oversized
+// bodies 413, everything else internal.
 func statusFor(err error) int {
 	var br badRequest
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &br):
 		return http.StatusBadRequest
-	case errors.Is(err, session.ErrBadID), errors.Is(err, prefgraph.ErrSelfPreference):
+	case errors.Is(err, session.ErrBadID), errors.Is(err, prefgraph.ErrSelfPreference),
+		errors.Is(err, core.ErrChosenNotShown):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrNotFound):
 		return http.StatusNotFound

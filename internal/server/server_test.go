@@ -195,6 +195,7 @@ func TestErrorPaths(t *testing.T) {
 		{"empty click", "POST", "/sessions/a/click", "{}", http.StatusBadRequest, true},
 		{"click out-of-range item", "POST", "/sessions/a/click", `{"chosen":[999],"shown":[[1]]}`, http.StatusBadRequest, true},
 		{"click empty package", "POST", "/sessions/a/click", `{"chosen":[1],"shown":[[]]}`, http.StatusBadRequest, true},
+		{"click chosen not shown", "POST", "/sessions/z/click", `{"chosen":[5],"shown":[[1],[2]]}`, http.StatusBadRequest, true},
 		{"feedback out-of-range item", "POST", "/sessions/a/feedback", `{"winner":[999],"loser":[1]}`, http.StatusBadRequest, true},
 		{"feedback self-preference", "POST", "/sessions/a/feedback", `{"winner":[1],"loser":[1]}`, http.StatusBadRequest, true},
 		{"feedback self-preference after dedup", "POST", "/sessions/a/feedback", `{"winner":[1,1],"loser":[1]}`, http.StatusBadRequest, true},
@@ -229,6 +230,14 @@ func TestErrorPaths(t *testing.T) {
 				errorShape(t, resp)
 			}
 		})
+	}
+	// The rejected click on session z recorded nothing.
+	var st core.Stats
+	if resp := getJSON(t, ts.URL+"/sessions/z/stats", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("session z stats status %d", resp.StatusCode)
+	}
+	if st.Feedback != 0 {
+		t.Errorf("session z Feedback = %d after a rejected click, want 0", st.Feedback)
 	}
 }
 
