@@ -52,8 +52,10 @@ bench-check:
 # TestRestore*, the session manager's TestEvictRestore*), the
 # sketch-refine suites (TestPartition*:
 # exactness of the beamed refine under a beam that never truncates, masked
-# walk ≡ filtered index, the gate table, the refine's allocation guard —
-# three times over, so a reintroduced random seed cannot hide behind a lucky
+# walk ≡ filtered index, the gate table, the refine's allocation guard, and
+# the cluster bound tree's TestPartitionTreeBoundSound (a node bounds at
+# least every non-empty cluster below it) and TestPartitionTreeMask (the
+# pruned walk opens a flat scan's mask) — three times over, so a reintroduced random seed cannot hide behind a lucky
 # run), the beam's bit-identity pin (TestBeamTraceGolden), the audits of
 # the barren round and package verdicts (TestBarren*) and the recycling of
 # run memory across searches and goroutines

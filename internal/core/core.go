@@ -601,15 +601,33 @@ func (e *Engine) randomPackage(sp *feature.Space) pkgspace.Package {
 // packages shown with it.
 var ErrChosenNotShown = errors.New("core: chosen package was not shown")
 
+// ErrPackageTooLarge rejects feedback naming a package of more than φ
+// items: it lies outside the package space P_φ the preferences range over.
+var ErrPackageTooLarge = errors.New("core: package exceeds the maximum package size")
+
+// checkSizes returns ErrPackageTooLarge if a package holds more than φ items.
+func (e *Engine) checkSizes(pkgs ...pkgspace.Package) error {
+	for _, p := range pkgs {
+		if phi := e.FeedbackSpace().MaxSize; len(p.IDs) > phi {
+			return fmt.Errorf("%w: %d items, φ = %d", ErrPackageTooLarge, len(p.IDs), phi)
+		}
+	}
+	return nil
+}
+
 // Click records implicit feedback: the user clicked chosen out of shown,
 // yielding a pairwise preference over every other shown package (§3.3).
 // A chosen package missing from shown records nothing and returns
-// ErrChosenNotShown. Preferences contradicting earlier feedback are
-// skipped and counted in Stats.CyclesSkipped, mirroring the paper's cycle
-// resolution.
+// ErrChosenNotShown; one of more than φ items among them records nothing
+// and returns ErrPackageTooLarge. Preferences contradicting earlier feedback
+// are skipped and counted in Stats.CyclesSkipped, mirroring the paper's
+// cycle resolution.
 func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error {
 	if !slices.ContainsFunc(shown, func(p pkgspace.Package) bool { return pkgspace.Equal(p, chosen) }) {
 		return ErrChosenNotShown
+	}
+	if err := e.checkSizes(shown...); err != nil { // chosen is among them
+		return err
 	}
 	for _, p := range shown {
 		if p.Signature() == chosen.Signature() {
@@ -636,8 +654,12 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 // is stored in the graph under the packages' stable catalogue identity: a
 // package re-encountered after a dense-ID remap is the same node, and one
 // first seen under an older epoch has its vector refreshed from the
-// feedback view's space rather than reusing the stale geometry.
+// feedback view's space rather than reusing the stale geometry. A package of
+// more than φ items records nothing and returns ErrPackageTooLarge.
 func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
+	if err := e.checkSizes(winner, loser); err != nil {
+		return err
+	}
 	fv := e.feedbackView()
 	wv, err := e.PackageVector(winner)
 	if err != nil {

@@ -208,6 +208,35 @@ func TestClickRejectsChosenNotShown(t *testing.T) {
 	}
 }
 
+// TestFeedbackRejectsPackageTooLarge: preferences range over P_φ, so
+// feedback or a click naming a package of more than φ items — chosen or
+// merely shown — records nothing.
+func TestFeedbackRejectsPackageTooLarge(t *testing.T) {
+	e, err := New(testConfig(t, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, small := pkgspace.New(1, 2, 3, 4, 5, 6, 7), pkgspace.New(8)
+	if err := e.Feedback(big, small); !errors.Is(err, ErrPackageTooLarge) {
+		t.Fatalf("Feedback(oversized winner) = %v, want ErrPackageTooLarge", err)
+	}
+	if err := e.Feedback(small, big); !errors.Is(err, ErrPackageTooLarge) {
+		t.Fatalf("Feedback(oversized loser) = %v, want ErrPackageTooLarge", err)
+	}
+	if err := e.Click(big, []pkgspace.Package{small, big}); !errors.Is(err, ErrPackageTooLarge) {
+		t.Fatalf("Click(oversized chosen) = %v, want ErrPackageTooLarge", err)
+	}
+	if err := e.Click(small, []pkgspace.Package{small, pkgspace.New(9), big}); !errors.Is(err, ErrPackageTooLarge) {
+		t.Fatalf("Click(oversized shown) = %v, want ErrPackageTooLarge", err)
+	}
+	if st := e.Stats(); st.Feedback != 0 || e.Graph().Edges() != 0 {
+		t.Fatalf("oversized packages recorded %d feedback, %d edges", st.Feedback, e.Graph().Edges())
+	}
+	if err := e.Feedback(pkgspace.New(1, 2, 3), small); err != nil {
+		t.Fatalf("Feedback(φ-item winner) = %v", err)
+	}
+}
+
 func TestCycleHandledGracefully(t *testing.T) {
 	e, err := New(testConfig(t, 40))
 	if err != nil {

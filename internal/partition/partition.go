@@ -10,9 +10,12 @@
 // same preference directions the skyline layer canonicalizes, so "larger
 // coordinate" always means "more desirable") using recursive widest-axis
 // median splits — O(n log k), deterministic, and balanced by construction.
-// Everything derived (members, bounds, representatives) is a pure function
-// of the assignment and the space, which is the invariant the delta fuzz
-// suite holds incremental maintenance to.
+// Cluster ids are the split recursion's leaves in depth-first order, so each
+// split's side is a contiguous id range; the search layer bounds clusters
+// down that tree and relies on the alignment for pruning, not for
+// correctness. Everything derived (members, bounds, representatives) is a
+// pure function of the assignment and the space, which is the invariant the
+// delta fuzz suite holds incremental maintenance to.
 package partition
 
 import (

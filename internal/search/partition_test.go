@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -827,5 +828,303 @@ func TestPartitionEmptyClusterNotOpened(t *testing.T) {
 	}
 	if !assertSameResult(t, res, plain, "empty-cluster") {
 		t.Error("slate differs from the unpartitioned search")
+	}
+}
+
+// treeCase draws one bound-tree instance from rng: a random space of n
+// items under a monotone utility — zero and −0 weights included, avg and
+// null dimensions at weight ±0 — with nullable features, and a partition
+// installed on its index. In some instances the partition is derived by
+// Partition.Apply from a parent whose deleted clusters it keeps empty; in
+// others bounds are pushed below zero, which no space admits as values but
+// which the virtual member's losing-side rule must still handle. ok is
+// false when the utility leaves the run no list.
+func treeCase(t *testing.T, rng *rand.Rand, n int) (ix *Index, ps *partState, rb *run, ok bool) {
+	t.Helper()
+	aggs := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggMin, feature.AggAvg, feature.AggNull}
+	m := 1 + rng.Intn(4)
+	dims := make([]feature.Agg, m)
+	for d := range dims {
+		dims[d] = aggs[rng.Intn(len(aggs))]
+	}
+	nulls := rng.Intn(3) // 0 none, 1 light, 2 heavy
+	items := make([]feature.Item, n)
+	for i := range items {
+		vals := make([]float64, m)
+		for j := range vals {
+			vals[j] = pruneValue(rng, nulls > 0)
+			if nulls == 2 && rng.Intn(3) == 0 {
+				vals[j] = feature.Null
+			}
+		}
+		items[i] = feature.Item{ID: i, Values: vals}
+	}
+	prof := feature.SimpleProfile(dims...)
+	maxSize := 1 + rng.Intn(3)
+	sp, err := feature.NewSpace(items, prof, maxSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := partition.Build(sp, 1+rng.Intn(min(n, 24)))
+	if p.K > 1 && rng.Intn(3) == 0 { // delete whole clusters, keeping one
+		var gone []int32
+		for c := 0; c < p.K-1; c++ {
+			if rng.Intn(3) == 0 {
+				gone = append(gone, p.Members[c]...)
+			}
+		}
+		slices.Sort(gone)
+		remap := make([]int32, n)
+		var left []feature.Item
+		for i := range items {
+			if _, del := slices.BinarySearch(gone, int32(i)); del {
+				remap[i] = -1
+				continue
+			}
+			remap[i] = int32(len(left))
+			left = append(left, feature.Item{ID: len(left), Values: items[i].Values})
+		}
+		if sp, err = feature.NewSpace(left, prof, maxSize); err != nil {
+			t.Fatal(err)
+		}
+		if p, ok = p.Apply(sp, remap, gone, nil); !ok {
+			t.Fatal("Apply refused a pure deletion")
+		}
+	}
+	if rng.Intn(3) == 0 {
+		for c := range p.Mins {
+			for d := range p.Mins[c] {
+				if shift := 2 * rng.Float64(); rng.Intn(2) == 0 && !math.IsInf(p.Maxs[c][d], 0) {
+					p.Mins[c][d] -= shift
+					p.Maxs[c][d] -= shift
+				}
+			}
+		}
+	}
+	w := make([]float64, m)
+	for d := range w {
+		switch {
+		case dims[d] == feature.AggAvg || dims[d] == feature.AggNull || rng.Intn(4) == 0:
+			if rng.Intn(2) == 0 {
+				w[d] = math.Copysign(0, -1)
+			}
+		case dims[d] == feature.AggMin:
+			w[d] = -rng.Float64()
+		default:
+			w[d] = rng.Float64()
+		}
+	}
+	u, err := feature.NewUtility(prof, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !u.SetMonotone(prof) {
+		t.Fatalf("weights %v are not monotone for %v", w, dims)
+	}
+	ix = NewIndex(sp)
+	ix.SetPartition(p)
+	ps = ix.part.Load()
+	rb, ok = ix.newRun(u, Options{K: 1, MaxQueue: wideBeam}, nil)
+	return ix, ps, rb, ok
+}
+
+// TestPartitionTreeBoundSound: the one argument the refine's pruned walk
+// rests on — every node of the bound tree bounds at least as high as every
+// non-empty cluster below it, so a subtree whose root bounds below L holds
+// no cluster that reaches L. A node is memberless exactly when every
+// cluster below it is empty, and the leaves are the cluster ids in order.
+func TestPartitionTreeBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var hit struct{ trials, emptied, negative, strict int }
+	for trial := 0; hit.trials < 500; trial++ {
+		_, ps, rb, ok := treeCase(t, rng, 4+rng.Intn(200))
+		if !ok {
+			continue
+		}
+		hit.trials++
+		p, tree := ps.p, ps.tree
+		var leaves []int32
+		for i, nd := range tree {
+			if nd.hi-nd.lo == 1 {
+				leaves = append(leaves, nd.lo)
+				if len(p.Members[nd.lo]) == 0 {
+					hit.emptied++
+				}
+				for d := range p.Maxs[nd.lo] {
+					if p.Maxs[nd.lo][d] < 0 {
+						hit.negative++
+					}
+				}
+				continue
+			}
+			nb := negInf
+			if nd.member != nil {
+				nb = rb.memberBound(nd.member)
+			}
+			for _, leaf := range tree[i+1 : nd.end] {
+				if leaf.hi-leaf.lo != 1 || leaf.member == nil {
+					continue
+				}
+				lb := rb.memberBound(leaf.member)
+				if !(nb >= lb) {
+					t.Fatalf("trial %d: node [%d,%d) bounds %v below its cluster %d's %v (w %v)",
+						trial, nd.lo, nd.hi, nb, leaf.lo, lb, rb.u.W)
+				}
+				if nb > lb {
+					hit.strict++
+				}
+			}
+			empty := !slices.ContainsFunc(p.Members[nd.lo:nd.hi], func(ms []int32) bool { return len(ms) > 0 })
+			if (nd.member == nil) != empty {
+				t.Fatalf("trial %d: node [%d,%d) memberless %t, every cluster below empty %t", trial, nd.lo, nd.hi, nd.member == nil, empty)
+			}
+		}
+		for i, c := range leaves {
+			if len(leaves) != p.K || c != int32(i) {
+				t.Fatalf("trial %d: leaves %v are not the cluster ids 0..%d", trial, leaves, p.K-1)
+			}
+		}
+		rb.returnMem()
+	}
+	t.Logf("%+v", hit)
+	if hit.emptied == 0 || hit.negative == 0 || hit.strict == 0 {
+		t.Errorf("coverage too thin: %+v", hit)
+	}
+}
+
+// clusterBound is the flat reference the bound tree replaces: cluster c's
+// virtual member assembled per search from the weights — skipping a
+// dimension of weight ±0, an all-null one, and one where a member is null
+// and the best value scores negatively (w·v < 0) — and bounded like
+// memberBound.
+func clusterBound(r *run, p *partition.Partition, c int32) float64 {
+	sp := r.ix.space
+	contribs := make([]feature.Contrib, sp.Dims())
+	for d := range contribs {
+		e := sp.Profile.Entry(d)
+		w := r.u.W[d]
+		if w == 0 || e.Agg == feature.AggNull {
+			contribs[d] = feature.Contrib{Skip: true}
+			continue
+		}
+		v := p.Maxs[c][d]
+		if e.Agg == feature.AggMin {
+			v = p.Mins[c][d]
+		}
+		contribs[d] = feature.Contrib{Skip: math.IsInf(v, 0) || (p.AnyNull[c][d] && w*v < 0), Value: v}
+	}
+	st := feature.NewState(sp)
+	st.AddContrib(contribs)
+	return r.memberBound(st)
+}
+
+// TestPartitionTreeMask: the refine's tree walk scores exactly the clusters
+// a flat scan of every cluster with the per-search reference bound keeps —
+// same ids, same bound bits, ascending — so the sorted list, the budget
+// loop and the open mask are the flat scan's by construction. Trials cover
+// emptied clusters, bounds below zero, floors set exactly at some cluster's
+// bound (the ≥ edge), a −∞ floor (the sketch returned fewer than K
+// packages) and, on 2 000-item spaces, an item budget that binds.
+func TestPartitionTreeMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(3636))
+	var hit struct{ trials, pruned, negInf, atFloor, budget, emptied int }
+	for trial := 0; hit.trials < 2000; trial++ {
+		n := 4 + rng.Intn(200)
+		if trial%16 == 0 {
+			n = 2000
+		}
+		ix, ps, rb, ok := treeCase(t, rng, n)
+		if !ok {
+			continue
+		}
+		hit.trials++
+		p := ps.p
+		// Sketch packages: up to three of up to φ random items.
+		var sketch []pkgspace.Scored
+		for s := rng.Intn(4); s > 0; s-- {
+			ids := make([]int, 1+rng.Intn(ix.space.MaxSize))
+			for i := range ids {
+				ids[i] = rng.Intn(ix.space.N())
+			}
+			sketch = append(sketch, pkgspace.Scored{Pkg: pkgspace.New(ids...)})
+		}
+		open := make([]bool, p.K)
+		used, opened := 0, 0
+		for _, s := range sketch {
+			for _, id := range s.Pkg.IDs {
+				if c := p.Assign[id]; !open[c] {
+					open[c] = true
+					used += len(p.Members[c])
+					opened++
+				}
+			}
+		}
+		var flat []clusterScore // every non-empty cluster, by id
+		for c := int32(0); c < int32(p.K); c++ {
+			if len(p.Members[c]) > 0 {
+				flat = append(flat, clusterScore{c, clusterBound(rb, p, c)})
+			} else {
+				hit.emptied++
+			}
+		}
+		floorL := negInf
+		switch rng.Intn(4) {
+		case 0:
+			hit.negInf++
+		case 1:
+			floorL = flat[rng.Intn(len(flat))].bound
+			hit.atFloor++
+		default:
+			floorL = flat[rng.Intn(len(flat))].bound + 0.2*rng.NormFloat64()
+		}
+
+		var want []clusterScore
+		for _, cs := range flat {
+			if !open[cs.c] && cs.bound >= floorL {
+				want = append(want, cs)
+			}
+		}
+		got := ps.scoreClusters(rb, slices.Clone(open), floorL)
+		if !slices.EqualFunc(got, want, func(a, b clusterScore) bool {
+			return a.c == b.c && math.Float64bits(a.bound) == math.Float64bits(b.bound)
+		}) {
+			t.Fatalf("trial %d (floor %v, w %v): tree scored %v, flat scan %v", trial, floorL, rb.u.W, got, want)
+		}
+		for _, nd := range ps.tree {
+			if nd.hi-nd.lo > 1 && nd.member != nil && rb.memberBound(nd.member) < floorL {
+				hit.pruned++
+				break
+			}
+		}
+
+		slices.SortFunc(want, func(a, b clusterScore) int {
+			if a.bound != b.bound {
+				if a.bound > b.bound {
+					return -1
+				}
+				return 1
+			}
+			return cmp.Compare(a.c, b.c)
+		})
+		limit := used + refineBudgetItems(ix.space.N())
+		for _, cs := range want {
+			if used >= limit {
+				hit.budget++
+				break
+			}
+			open[cs.c] = true
+			used += len(p.Members[cs.c])
+			opened++
+		}
+		gotOpen, gotUsed, gotOpened := ix.openClusters(rb, ps, sketch, floorL)
+		if !slices.Equal(gotOpen, open) || gotUsed != used || gotOpened != opened {
+			t.Fatalf("trial %d: mask %v (%d items, %d clusters), flat scan %v (%d, %d)",
+				trial, gotOpen, gotUsed, gotOpened, open, used, opened)
+		}
+		rb.returnMem()
+	}
+	t.Logf("%+v", hit)
+	if hit.pruned == 0 || hit.negInf == 0 || hit.atFloor == 0 || hit.budget == 0 || hit.emptied == 0 {
+		t.Errorf("coverage too thin: %+v", hit)
 	}
 }

@@ -6,7 +6,9 @@
 // lower bound on the true k-th — and then refines inside the clusters that
 // can matter: the ones the sketch candidates came from, plus the
 // best-bounded others while they reach L, up to an item budget of
-// 32·⌈√n⌉. The refine is the ordinary trace over the index's own sorted
+// 32·⌈√n⌉; clusters are bounded down the partition's split tree, and a
+// subtree whose virtual best member bounds below L is skipped whole. The
+// refine is the ordinary trace over the index's own sorted
 // lists with cursors that pass over every id whose cluster is closed — no
 // per-search copy of the lists, so its cost follows the clusters opened,
 // not n. Sketch candidates merge into the final top-k so refinement never
@@ -64,12 +66,82 @@ type PartitionStats struct {
 	ClustersOpened atomic.Int64
 }
 
-// partState is the materialized partition of one index: the clustering
-// plus a persistent subset index over the cluster representatives the
-// sketch phase searches.
+// partState is the materialized partition of one index: the clustering,
+// a persistent subset index over the cluster representatives the sketch
+// phase searches, and the bound tree the refine walks to pick clusters.
 type partState struct {
 	p      *partition.Partition
 	sketch *Index
+	tree   []boundNode
+}
+
+// boundNode covers the clusters [lo, hi). The tree mirrors partition.Build's
+// split recursion — node (lo, k) has children (lo, k/2) and (lo+k/2, k−k/2)
+// — in pre-order: a first child is the next node, and end indexes past the
+// subtree. member is nil when every cluster below is empty.
+type boundNode struct {
+	lo, hi, end int32
+	member      *feature.State
+}
+
+// boundTree builds p's bound tree over sp, once per partition (install).
+func boundTree(sp *feature.Space, p *partition.Partition) []boundNode {
+	tree := make([]boundNode, 0, 2*p.K-1)
+	var build func(lo, k int32)
+	build = func(lo, k int32) {
+		i := len(tree)
+		tree = append(tree, boundNode{lo: lo, hi: lo + k, member: virtualMember(sp, p, lo, lo+k)})
+		if k > 1 {
+			build(lo, k/2)
+			build(lo+k/2, k-k/2)
+		}
+		tree[i].end = int32(len(tree))
+	}
+	build(0, int32(p.K))
+	return tree
+}
+
+// virtualMember is one imaginary item at least as good as every item of the
+// non-empty clusters [lo, hi) under any weights the monotone gate admits (nil
+// if all are empty). Per dimension it takes the oriented best raw value —
+// largest Maxs for sum/max, smallest Mins for min — unless every item is null
+// there (±Inf), or one is and the value lies on the losing side of zero
+// (exactly w·v < 0 under the gate), where a null's zero contribution is
+// better and the member skips. Zero-weight dimensions are read by neither
+// ScoreState nor a pad plan, so it need not depend on w.
+func virtualMember(sp *feature.Space, p *partition.Partition, lo, hi int32) *feature.State {
+	contribs := make([]feature.Contrib, sp.Dims())
+	empty := true
+	for d := range contribs {
+		isMin := sp.Profile.Entry(d).Agg == feature.AggMin
+		v, null := math.Inf(-1), false
+		if isMin {
+			v = math.Inf(1)
+		}
+		for c := lo; c < hi; c++ {
+			if len(p.Members[c]) == 0 {
+				continue
+			}
+			empty = false
+			null = null || p.AnyNull[c][d]
+			if isMin {
+				v = min(v, p.Mins[c][d])
+			} else {
+				v = max(v, p.Maxs[c][d])
+			}
+		}
+		losing := v < 0
+		if isMin {
+			losing = v > 0
+		}
+		contribs[d] = feature.Contrib{Skip: math.IsInf(v, 0) || (null && losing), Value: v}
+	}
+	if empty {
+		return nil
+	}
+	st := feature.NewState(sp)
+	st.AddContrib(contribs)
+	return st
 }
 
 // partCtx threads the refine into a run: floorL is the sketch floor L, and
@@ -130,7 +202,7 @@ func (ix *Index) install(p *partition.Partition) {
 			keep[rep] = true
 		}
 	}
-	ix.part.CompareAndSwap(nil, &partState{p: p, sketch: ix.subsetIndex(keep)})
+	ix.part.CompareAndSwap(nil, &partState{p: p, sketch: ix.subsetIndex(keep), tree: boundTree(ix.space, p)})
 }
 
 // partitionFor decides whether a run engages sketch-refine, materializing
@@ -171,78 +243,32 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 	if len(skRes.Packages) >= opts.K {
 		floorL = skRes.Packages[opts.K-1].Utility
 	}
-	return ix.refineBeamed(u, opts, ps.p, skRes, floorL)
+	return ix.refineBeamed(u, opts, ps, skRes, floorL)
 }
 
 // refineBeamed walks the index's own sorted lists through a mask of the
-// clusters that can matter — the ones the sketch candidates came from, then
-// the best-bounded others while they reach L, up to the item budget — and
-// merges the sketch candidates into the final top-k. Nothing is copied or
-// filtered per search: the cost follows the clusters opened, not n. The
-// masked walk is the trace a fresh index over the open clusters' items
-// would run, bit for bit, on three invariants (run.seek, exec): a list's
-// initial τ — and with it the frozen τ vector headBound pads with — is its
-// first open entry's value, not the list top; a cursor is exhausted when
-// its last open entry is drawn, not at the physical end (a list with no
-// open entry is absent); and the orphan drain passes through the mask too.
-// The mask is deterministic (bounds and cluster ids order it). Should no
-// open item sit on an active list, the refine falls back to the
-// unpartitioned search, as the sketch does.
-func (ix *Index) refineBeamed(u *feature.Utility, opts Options, p *partition.Partition, skRes Result, floorL float64) (Result, error) {
+// clusters that can matter (openClusters) and merges the sketch candidates
+// into the final top-k. Nothing is copied or filtered per search: the cost
+// follows the clusters opened, not n. The masked walk is the trace a fresh
+// index over the open clusters' items would run, bit for bit, on three
+// invariants (run.seek, exec): a list's initial τ — and with it the frozen
+// τ vector headBound pads with — is its first open entry's value, not the
+// list top; a cursor is exhausted when its last open entry is drawn, not at
+// the physical end (a list with no open entry is absent); and the orphan
+// drain passes through the mask too. Should no open item sit on an active
+// list, the refine falls back to the unpartitioned search, as the sketch
+// does.
+func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, skRes Result, floorL float64) (Result, error) {
 	// rb only bounds the clusters: its frozen τ vector holds the full
 	// lists' tops, which a bound over members of any cluster needs.
 	rb, ok := ix.newRun(u, opts, nil)
 	if !ok {
 		return ix.topKRun(u, opts, nil)
 	}
-	open := make([]bool, p.K)
-	for _, s := range skRes.Packages {
-		for _, id := range s.Pkg.IDs {
-			open[p.Assign[id]] = true
-		}
-	}
-	type clusterScore struct {
-		c     int32
-		bound float64
-	}
-	used, opened := 0, 0 // items and clusters under the mask
-	scored := make([]clusterScore, 0, p.K)
-	for c := 0; c < p.K; c++ {
-		switch {
-		case open[c]:
-			used += len(p.Members[c])
-			opened++
-		case len(p.Members[c]) > 0:
-			// A cluster emptied by deletions bounds at the global ceiling
-			// (nothing tightens its virtual member) yet holds nothing to
-			// read: never score, open or count it. Nor is a cluster bounding
-			// below L ever opened, so only the others are worth sorting.
-			if b := rb.clusterBound(p, int32(c)); b >= floorL {
-				scored = append(scored, clusterScore{int32(c), b})
-			}
-		}
-	}
+	open, used, opened := ix.openClusters(rb, ps, skRes.Packages, floorL)
 	rb.returnMem()
-	slices.SortFunc(scored, func(a, b clusterScore) int {
-		if a.bound != b.bound {
-			if a.bound > b.bound {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.c, b.c)
-	})
-	limit := used + refineBudgetItems(ix.space.N())
-	for _, cs := range scored {
-		if used >= limit {
-			break
-		}
-		open[cs.c] = true
-		used += len(p.Members[cs.c])
-		opened++
-	}
 
-	r, ok := ix.newRun(u, opts, &partCtx{p: p, floorL: floorL, mask: open})
+	r, ok := ix.newRun(u, opts, &partCtx{p: ps.p, floorL: floorL, mask: open})
 	if !ok {
 		return ix.topKRun(u, opts, nil)
 	}
@@ -266,6 +292,87 @@ func (ix *Index) recordPartStats(res Result) {
 	st.Searches.Add(1)
 	st.SketchSkipped.Add(int64(res.SketchSkipped))
 	st.ClustersOpened.Add(int64(res.RefineClustersOpened))
+}
+
+// clusterScore is a cluster the sketch did not open whose bound reaches L.
+type clusterScore struct {
+	c     int32
+	bound float64
+}
+
+// openClusters returns the refine's cluster mask and the items and clusters
+// under it: the sketch candidates' clusters, then the others whose bound
+// reaches L, best first (ties to the smaller id), while the budget lasts.
+func (ix *Index) openClusters(rb *run, ps *partState, sketch []pkgspace.Scored, floorL float64) (open []bool, used, opened int) {
+	p := ps.p
+	open = make([]bool, p.K)
+	for _, s := range sketch {
+		for _, id := range s.Pkg.IDs {
+			if c := p.Assign[id]; !open[c] {
+				open[c] = true
+				used += len(p.Members[c])
+				opened++
+			}
+		}
+	}
+	scored := ps.scoreClusters(rb, open, floorL)
+	slices.SortFunc(scored, func(a, b clusterScore) int {
+		if a.bound != b.bound {
+			if a.bound > b.bound {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.c, b.c)
+	})
+	limit := used + refineBudgetItems(ix.space.N())
+	for _, cs := range scored {
+		if used >= limit {
+			break
+		}
+		open[cs.c] = true
+		used += len(p.Members[cs.c])
+		opened++
+	}
+	return open, used, opened
+}
+
+// scoreClusters returns, by ascending id, every non-empty cluster not yet
+// open whose bound reaches floorL. It walks the bound tree and skips a
+// subtree whose node bounds below floorL or has no non-empty cluster (an
+// emptied one holds nothing to read). That is exact: a node's member
+// dominates, dimension by dimension, that of every non-empty cluster below
+// it, so by kernel monotonicity it bounds at least as high, and the result
+// is a flat scan's for any tree of contiguous id ranges.
+func (ps *partState) scoreClusters(rb *run, open []bool, floorL float64) []clusterScore {
+	scored := make([]clusterScore, 0, ps.p.K)
+	for i := 0; i < len(ps.tree); {
+		nd := &ps.tree[i]
+		leaf := nd.hi-nd.lo == 1
+		if nd.member == nil || (!leaf && floorL > negInf && rb.memberBound(nd.member) < floorL) {
+			i = int(nd.end)
+			continue
+		}
+		if leaf && !open[nd.lo] {
+			if b := rb.memberBound(nd.member); b >= floorL {
+				scored = append(scored, clusterScore{nd.lo, b})
+			}
+		}
+		i++
+	}
+	return scored
+}
+
+// memberBound is headBound lifted to a virtual member: its own score or its
+// pad bound against the frozen initial τ vector (the lists' tops, which
+// bound any co-member), bounding every package holding an item st
+// dominates.
+func (r *run) memberBound(st *feature.State) float64 {
+	b := r.u.ScoreState(st)
+	if ext := st.PadUpper(r.padPlan, r.initModes, r.initTaus, r.ix.space.MaxSize); ext > b {
+		b = ext
+	}
+	return b
 }
 
 // subsetIndex filters the index's sorted lists and orphans through a dense
@@ -304,57 +411,6 @@ func (ix *Index) subsetIndex(keep []bool) *Index {
 		}
 	}
 	return sub
-}
-
-// clusterBound is headBound lifted from an item to cluster c of p: a
-// virtual best member is assembled from the cluster's per-dimension bounds
-// and bounded exactly like a singleton — max of its own score and its
-// upper-exp pad bound against the frozen initial τ vector — which bounds
-// the utility of every package containing any member of the cluster.
-//
-// Per weighted dimension the virtual member takes the oriented best raw
-// value (Maxs for sum/max with w > 0, Mins for min with w < 0 — the
-// monotone gate fixes these orientations), which by kernel monotonicity
-// dominates every member's contribution on that dimension. When the
-// cluster has a null there and the best value still scores negatively, a
-// null member's zero contribution is the better case, so the virtual
-// member skips the dimension instead — dominating both kinds of member on
-// both the singleton and the padded-extension side (pads fold the global
-// per-list best τ, which bounds any real co-member's value).
-func (r *run) clusterBound(p *partition.Partition, c int32) float64 {
-	sp := r.ix.space
-	dims := sp.Dims()
-	if r.partContribs == nil {
-		r.partContribs = make([]feature.Contrib, dims)
-	}
-	contribs := r.partContribs
-	for d := 0; d < dims; d++ {
-		e := sp.Profile.Entry(d)
-		w := r.u.W[d]
-		if w == 0 || e.Agg == feature.AggNull {
-			contribs[d] = feature.Contrib{Skip: true}
-			continue
-		}
-		var v float64
-		if e.Agg == feature.AggMin {
-			v = p.Mins[c][d]
-		} else {
-			v = p.Maxs[c][d]
-		}
-		if math.IsInf(v, 0) || (p.AnyNull[c][d] && w*v < 0) {
-			contribs[d] = feature.Contrib{Skip: true}
-			continue
-		}
-		contribs[d] = feature.Contrib{Value: v}
-	}
-	st := r.scratch
-	st.CopyFrom(r.emptyState)
-	st.AddContrib(contribs)
-	b := r.u.ScoreState(st)
-	if ext := st.PadUpper(r.padPlan, r.initModes, r.initTaus, sp.MaxSize); ext > b {
-		b = ext
-	}
-	return b
 }
 
 // mergeScored combines the refine and sketch result lists, dropping

@@ -1,0 +1,57 @@
+package search
+
+import (
+	"math/rand"
+	"testing"
+
+	"toppkg/internal/dataset"
+	"toppkg/internal/feature"
+	"toppkg/internal/gaussmix"
+)
+
+// BenchmarkPartitionedTopK times one serving search over a 100k-item
+// monotone catalogue (sum/max over five features, φ 3) with sketch-refine
+// on: the serving beam (MaxQueue 128, MaxAccessed 500), K 3, and a fixed
+// set of weight vectors drawn from the monotone prior N(0.5, 0.15) the
+// large workloads use. clusters/op is the refine's RefineClustersOpened.
+// The skyline and the partition are built before the timer starts.
+//
+//	go test -run '^$' -bench '^BenchmarkPartitionedTopK$' ./internal/search
+func BenchmarkPartitionedTopK(b *testing.B) {
+	mono := feature.SimpleProfile(feature.AggSum, feature.AggMax, feature.AggSum, feature.AggMax, feature.AggSum)
+	for _, kind := range []string{"cor", "uni"} {
+		b.Run(kind, func(b *testing.B) {
+			items, err := dataset.Generate(kind, 100000, 5, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp, err := feature.NewSpace(items, mono, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix := NewIndex(sp)
+			ix.Heads()
+			ix.EnsurePartition(0)
+			prior := gaussmix.Gaussian([]float64{0.5, 0.5, 0.5, 0.5, 0.5}, 0.15)
+			rng := rand.New(rand.NewSource(2))
+			us := make([]*feature.Utility, 64)
+			for i := range us {
+				if us[i], err = feature.NewUtility(mono, prior.Sample(rng)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
+			opened := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := ix.TopK(us[i%len(us)], opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opened += res.RefineClustersOpened
+			}
+			b.ReportMetric(float64(opened)/float64(b.N), "clusters/op")
+		})
+	}
+}

@@ -284,8 +284,7 @@ type dueEntry struct {
 // runMem is what a run borrows from its index's memPool and hands back when
 // it ends: the expandable queue Q+, the recycled package shells and states
 // (every package left in Q+ joins them), the due queue, expand's per-round
-// scratch, the scratch state clusterBound assembles its virtual member in and
-// the empty state, which nothing writes.
+// scratch and the empty state, which nothing writes.
 type runMem struct {
 	qPlus      []*pkg
 	freeStates []*feature.State
@@ -294,7 +293,6 @@ type runMem struct {
 	newcomers  []*pkg
 	stScratch  []*feature.State
 	guScratch  []float64
-	scratch    *feature.State
 	emptyState *feature.State
 }
 
@@ -347,12 +345,10 @@ type run struct {
 
 	// Sketch-refine context (nil for plain runs): pc carries the sketch
 	// floor L, the partition and the refine's opened-cluster mask. floorL
-	// and mask cache pc's (-Inf and nil when absent) for the hot loops;
-	// partContribs is the virtual-item scratch clusterBound folds.
-	pc           *partCtx
-	floorL       float64
-	mask         []bool
-	partContribs []feature.Contrib
+	// and mask cache pc's (-Inf and nil when absent) for the hot loops.
+	pc     *partCtx
+	floorL float64
+	mask   []bool
 
 	// Fused-kernel plans (per-dimension constants hoisted out of the hot
 	// loops): scorePlan drives ScoreAfter, padPlan the pad kernel.
@@ -439,7 +435,7 @@ func (r *run) schedule(p *pkg) {
 func (r *run) borrowMem() {
 	m, _ := r.ix.memPool.Get().(*runMem)
 	if m == nil {
-		m = &runMem{scratch: feature.NewState(r.ix.space), emptyState: feature.NewState(r.ix.space)}
+		m = &runMem{emptyState: feature.NewState(r.ix.space)}
 	}
 	m.due = m.due[:0]
 	r.runMem = m

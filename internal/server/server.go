@@ -533,8 +533,8 @@ func validatePackages(eng *core.Engine, pkgs []pkgspace.Package) error {
 	return nil
 }
 
-// statusFor maps errors to HTTP statuses: invalid input (a self-preference
-// or a click on a package not shown included) is 400, unknown sessions 404,
+// statusFor maps errors to HTTP statuses: invalid input (a self-preference,
+// a click on a package not shown and a package over φ included) is 400, unknown sessions 404,
 // contradictory feedback is the client's inconsistency (409), oversized
 // bodies 413, everything else internal.
 func statusFor(err error) int {
@@ -544,7 +544,7 @@ func statusFor(err error) int {
 	case errors.As(err, &br):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrBadID), errors.Is(err, prefgraph.ErrSelfPreference),
-		errors.Is(err, core.ErrChosenNotShown):
+		errors.Is(err, core.ErrChosenNotShown), errors.Is(err, core.ErrPackageTooLarge):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrNotFound):
 		return http.StatusNotFound

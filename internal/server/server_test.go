@@ -199,6 +199,7 @@ func TestErrorPaths(t *testing.T) {
 		{"feedback out-of-range item", "POST", "/sessions/a/feedback", `{"winner":[999],"loser":[1]}`, http.StatusBadRequest, true},
 		{"feedback self-preference", "POST", "/sessions/a/feedback", `{"winner":[1],"loser":[1]}`, http.StatusBadRequest, true},
 		{"feedback self-preference after dedup", "POST", "/sessions/a/feedback", `{"winner":[1,1],"loser":[1]}`, http.StatusBadRequest, true},
+		{"feedback package over φ", "POST", "/sessions/y/feedback", `{"winner":[1,2,3,4,5,6,7],"loser":[8]}`, http.StatusBadRequest, true},
 		{"malformed snapshot", "POST", "/sessions/a/snapshot", "not json", http.StatusBadRequest, true},
 		{"snapshot wrong version", "POST", "/sessions/a/snapshot", `{"version":99}`, http.StatusBadRequest, true},
 		{"oversized click payload", "POST", "/sessions/a/click", string(oversized), http.StatusRequestEntityTooLarge, true},
@@ -231,13 +232,16 @@ func TestErrorPaths(t *testing.T) {
 			}
 		})
 	}
-	// The rejected click on session z recorded nothing.
-	var st core.Stats
-	if resp := getJSON(t, ts.URL+"/sessions/z/stats", &st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("session z stats status %d", resp.StatusCode)
-	}
-	if st.Feedback != 0 {
-		t.Errorf("session z Feedback = %d after a rejected click, want 0", st.Feedback)
+	// The rejected click on session z and feedback on session y recorded
+	// nothing.
+	for _, id := range []string{"z", "y"} {
+		var st core.Stats
+		if resp := getJSON(t, ts.URL+"/sessions/"+id+"/stats", &st); resp.StatusCode != http.StatusOK {
+			t.Fatalf("session %s stats status %d", id, resp.StatusCode)
+		}
+		if st.Feedback != 0 {
+			t.Errorf("session %s Feedback = %d after a rejected request, want 0", id, st.Feedback)
+		}
 	}
 }
 
