@@ -49,7 +49,10 @@ bench-check:
 # churn with deletes, a restore or a delete racing an in-flight evict-save,
 # and TestEviction* — the save runs on the displacing request), the
 # snapshot/restore pool rule three times over (core's TestSnapshot* and
-# TestRestore*, the session manager's TestEvictRestore*), the
+# TestRestore* — TestRestoreMatchesResidentUnderChurn among them: a
+# resident session and its restored twin derive the same constraints
+# under random catalogue churn — the session manager's
+# TestEvictRestore*), the
 # sketch-refine suites (TestPartition*:
 # exactness of the beamed refine under a beam that never truncates, masked
 # walk ≡ filtered index, the gate table, the refine's allocation guard, and

@@ -81,11 +81,11 @@ func benchConstraints(b *testing.B, sp *feature.Space, prefs int, seed int64) []
 		if u1 < u2 {
 			p1, p2, v1, v2 = p2, p1, v2, v1
 		}
-		if err := g.AddPreference(p1, v1, p2, v2); err == nil {
+		if err := g.AddPreference(p1, p2); err == nil {
 			added++
 		}
 	}
-	return g.Constraints(true)
+	return g.Constraints(true, func(p pkgspace.Package) []float64 { return pkgspace.Vector(sp, p) })
 }
 
 func randomPkg(sp *feature.Space, rng *rand.Rand) pkgspace.Package {
@@ -145,7 +145,7 @@ func BenchmarkFig5ConstraintCheck(b *testing.B) {
 		if feature.Dot(w, v1) < feature.Dot(w, v2) {
 			p1, p2, v1, v2 = p2, p1, v2, v1
 		}
-		if err := g.AddPreference(p1, v1, p2, v2); err == nil {
+		if err := g.AddPreference(p1, p2); err == nil {
 			added++
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkFig5ConstraintCheck(b *testing.B) {
 		name    string
 		reduced bool
 	}{{"full", false}, {"reduced", true}} {
-		cs := g.Constraints(tc.reduced)
+		cs := g.Constraints(tc.reduced, func(p pkgspace.Package) []float64 { return pkgspace.Vector(sp, p) })
 		v := sampling.NewValidator(5, cs)
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportMetric(float64(len(cs)), "constraints")

@@ -42,9 +42,9 @@ func main() {
 	// preferences (from earlier sessions) restricting the weight space.
 	prior := gaussmix.DefaultPrior(4, 1, rng)
 	graph := prefgraph.New()
-	addPref(graph, sp, pkgspace.New(0, 1), pkgspace.New(2))
-	addPref(graph, sp, pkgspace.New(3, 4, 5), pkgspace.New(6, 7))
-	v := sampling.NewValidator(4, graph.Constraints(true))
+	addPref(graph, pkgspace.New(0, 1), pkgspace.New(2))
+	addPref(graph, pkgspace.New(3, 4, 5), pkgspace.New(6, 7))
+	v := sampling.NewValidator(4, graph.Constraints(true, func(p pkgspace.Package) []float64 { return pkgspace.Vector(sp, p) }))
 	ms := &sampling.MCMC{Prior: prior, V: v}
 	res, err := ms.Sample(rng, 800)
 	if err != nil {
@@ -67,8 +67,8 @@ func main() {
 	}
 }
 
-func addPref(g *prefgraph.Graph, sp *feature.Space, winner, loser pkgspace.Package) {
-	if err := g.AddPreference(winner, pkgspace.Vector(sp, winner), loser, pkgspace.Vector(sp, loser)); err != nil {
+func addPref(g *prefgraph.Graph, winner, loser pkgspace.Package) {
+	if err := g.AddPreference(winner, loser); err != nil {
 		log.Fatal(err)
 	}
 }

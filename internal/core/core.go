@@ -14,6 +14,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -98,8 +99,8 @@ type Stats struct {
 	ReplacementFailures int
 	// InitialSampleFallbacks counts pool draws that exhausted the sampler's
 	// attempt budget — the accumulated feedback admits (almost) no valid
-	// weight vector, e.g. after catalogue churn re-vectorized old
-	// preferences into contradiction — and were completed with
+	// weight vector, e.g. after catalogue churn moved the package vectors
+	// of old preferences into contradiction — and were completed with
 	// constraint-free prior draws instead of failing the recommend.
 	InitialSampleFallbacks int
 	// MaintenanceWork accumulates the checker's sample examinations.
@@ -109,10 +110,11 @@ type Stats struct {
 	// RestoreDroppedItems counts item occurrences silently removed from
 	// restored preferences because the item had vanished from the catalogue
 	// between snapshot and restore; RestoreDroppedPrefs counts preferences
-	// dropped entirely (a side emptied out, both sides collapsed to the
-	// same package, or the remapped preference contradicted a surviving
-	// one). Both accumulate across a session's restores — nonzero values
-	// are silent preference loss an operator should be able to see.
+	// dropped entirely (a side emptied out or holds more than φ items, both
+	// sides collapsed to the same package, or the remapped preference
+	// merged with or contradicted a surviving one). Both accumulate across
+	// a session's restores — nonzero values are silent preference loss an
+	// operator should be able to see.
 	RestoreDroppedItems int
 	RestoreDroppedPrefs int
 	// RankSamples, RankDistinct, RankCacheHits, and RankSearches
@@ -148,9 +150,11 @@ type Slate struct {
 
 // Engine is the package recommender. It is not safe for concurrent use.
 type Engine struct {
-	cfg   Config
-	sh    *Shared // catalogue-wide state: epochs + shared result cache
-	rng   *rand.Rand
+	cfg Config
+	sh  *Shared // catalogue-wide state: epochs + shared result cache
+	rng *rand.Rand
+	// graph holds the preferences under stable IDs; pool satisfies the
+	// constraint set fb's epoch derives from it (see constraintsAt).
 	graph *prefgraph.Graph
 	pool  *maintain.Pool
 	stats Stats
@@ -163,10 +167,10 @@ type Engine struct {
 	// fb is the identity view of the most recent slate this engine served:
 	// that slate's epoch ID, feature space, and stable↔dense ID mapping.
 	// Clicks and pairwise feedback refer to packages the user was shown,
-	// so their item IDs are dense positions in — and their preference
-	// vectors must be computed from, and their stable node identity
-	// resolved through — that slate's epoch, not whatever the catalogue
-	// has swapped to since. Its search index is left nil (see
+	// so their item IDs are dense positions in — and their stable node
+	// identity is resolved through — that slate's epoch, not whatever the
+	// catalogue has swapped to since; the pool is maintained under its
+	// derived constraint set. Its search index is left nil (see
 	// epochView.feedback) so an idle session does not pin a retired
 	// epoch's index in memory. Nil until the first Recommend (feedback then
 	// resolves the current epoch, the pre-live behavior); not persisted —
@@ -221,24 +225,105 @@ func (ep epochView) feedback() *epochView {
 	return &ep
 }
 
-// stableIDs translates a package's dense member IDs into stable catalogue
-// IDs. With a nil map (static catalogue) dense positions are the stable
-// identity.
-func (v epochView) stableIDs(p pkgspace.Package) []int {
+// stablePkg is the package's stable-ID identity — the key learned state is
+// stored under, immune to dense-ID remaps across epochs. With a nil map
+// (static catalogue) dense positions are the stable identity.
+func (v epochView) stablePkg(p pkgspace.Package) pkgspace.Package {
 	if v.ids == nil {
-		return append([]int(nil), p.IDs...)
+		return pkgspace.New(p.IDs...)
 	}
-	out := make([]int, len(p.IDs))
+	ids := make([]int, len(p.IDs))
 	for i, d := range p.IDs {
-		out[i] = v.ids.StableID(d)
+		ids[i] = v.ids.StableID(d)
 	}
-	return out
+	return pkgspace.New(ids...)
 }
 
-// stablePkg is the package's stable-ID identity — the key learned state is
-// stored under, immune to dense-ID remaps across epochs.
-func (v epochView) stablePkg(p pkgspace.Package) pkgspace.Package {
-	return pkgspace.New(v.stableIDs(p)...)
+// denseID resolves a stable catalogue ID in this epoch; on a static
+// catalogue an ID outside the item range is absent.
+func (v epochView) denseID(stable int) (int, bool) {
+	if v.ids == nil {
+		return stable, stable >= 0 && stable < len(v.space.Items)
+	}
+	return v.ids.DenseID(stable)
+}
+
+// surviving returns the members of stable package p that exist in this
+// epoch, and how many vanished.
+func (v epochView) surviving(p pkgspace.Package) (kept pkgspace.Package, vanished int) {
+	for _, s := range p.IDs {
+		if _, ok := v.denseID(s); ok {
+			kept.IDs = append(kept.IDs, s)
+		} else {
+			vanished++
+		}
+	}
+	return kept, vanished
+}
+
+// vector is the normalized aggregate vector, in this epoch's space, of a
+// stable package whose members all exist here. Dense IDs rank stable
+// ones, so the members stay in ascending order.
+func (v epochView) vector(p pkgspace.Package) []float64 {
+	dense := make([]int, len(p.IDs))
+	for i, s := range p.IDs {
+		dense[i], _ = v.denseID(s)
+	}
+	return pkgspace.Vector(v.space, pkgspace.Package{IDs: dense})
+}
+
+// constraintSet is the engine's stored preferences as one epoch reads
+// them: graph is the engine's own when the epoch reads every preference
+// whole; the drop counts say what the derivation lost otherwise.
+type constraintSet struct {
+	ep                         epochView
+	graph                      *prefgraph.Graph
+	droppedItems, droppedPrefs int
+}
+
+// constraintsAt derives the constraint set of the stored preferences under
+// epoch ep, the one rule resident and restored sessions share. Vanished
+// members are dropped, and so is a preference whose side empties or holds
+// more than φ items (φ is a deployment setting: an import from a larger-φ
+// deployment is churn, not corruption), collapses onto the other side,
+// merges into a derived edge, or closes a cycle after the shrinkage.
+// Preferences are taken in stable-ID order, so the result depends on the
+// edges alone. When nothing is dropped the stored graph is the derived
+// graph, constraint order included.
+func (e *Engine) constraintsAt(ep epochView) constraintSet {
+	absent := func(s int) bool { _, ok := ep.denseID(s); return !ok }
+	if !slices.ContainsFunc(e.graph.Packages(), func(p pkgspace.Package) bool {
+		return p.Size() > ep.space.MaxSize || slices.ContainsFunc(p.IDs, absent)
+	}) {
+		return constraintSet{ep: ep, graph: e.graph}
+	}
+	prefs := e.graph.Preferences()
+	slices.SortFunc(prefs, func(a, b [2]pkgspace.Package) int {
+		return cmp.Or(slices.Compare(a[0].IDs, b[0].IDs), slices.Compare(a[1].IDs, b[1].IDs))
+	})
+	cs := constraintSet{ep: ep, graph: prefgraph.New()}
+	for _, pr := range prefs {
+		w, wDrop := ep.surviving(pr[0])
+		l, lDrop := ep.surviving(pr[1])
+		cs.droppedItems += wDrop + lDrop
+		if w.Size() == 0 || l.Size() == 0 || w.Size() > ep.space.MaxSize || l.Size() > ep.space.MaxSize {
+			cs.droppedPrefs++
+			continue
+		}
+		// The stored graph is acyclic and has no duplicate edges, so a
+		// self-preference, a cycle or a merge here is the shrinkage's.
+		edges := cs.graph.Edges()
+		if err := cs.graph.AddPreference(w, l); err != nil || cs.graph.Edges() == edges {
+			cs.droppedPrefs++
+		}
+	}
+	return cs
+}
+
+// reduced is the transitively reduced constraint set (§3.3), each
+// half-space taken from the epoch's package vectors.
+func (cs constraintSet) reduced() []prefgraph.Constraint {
+	return cs.graph.Constraints(true, cs.ep.vector)
 }
 
 // normalizeConfig applies the paper's defaults and validates everything
@@ -393,10 +478,11 @@ func New(cfg Config) (*Engine, error) {
 // different epochs; a Slate's Space field pins the epoch a slate used.
 func (e *Engine) Space() *feature.Space { return e.sh.epoch().space }
 
-// Stats returns the cumulative counters.
+// Stats returns the cumulative counters; ConstraintsActive is read in the
+// feedback epoch.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.ConstraintsActive = len(e.constraints())
+	s.ConstraintsActive = len(e.constraintsAt(e.feedbackView()).reduced())
 	return s
 }
 
@@ -412,8 +498,9 @@ func (e *Engine) LastRestoreDrops() (items, prefs int) {
 	return e.lastDropItems, e.lastDropPrefs
 }
 
-// Graph exposes the preference DAG (read-mostly; use Feedback to mutate).
-func (e *Engine) Graph() *prefgraph.Graph { return e.graph }
+// Graph exposes the preference DAG the feedback epoch derives (see
+// constraintsAt). Read-only; use Feedback to record preferences.
+func (e *Engine) Graph() *prefgraph.Graph { return e.constraintsAt(e.feedbackView()).graph }
 
 // FeedbackSpace is the space feedback package IDs are interpreted in: the
 // epoch of the engine's most recent slate, falling back to the current
@@ -450,31 +537,38 @@ func (e *Engine) PackageVector(p pkgspace.Package) ([]float64, error) {
 	return pkgspace.Vector(sp, p), nil
 }
 
-func (e *Engine) constraints() []prefgraph.Constraint {
-	return e.graph.Constraints(true)
-}
-
-// sampler is the §3.2.2 Metropolis walk over the current feedback
-// constraints.
-func (e *Engine) sampler() *sampling.MCMC {
-	v := sampling.NewValidator(e.cfg.Profile.Dims(), e.constraints())
+// sampler is the §3.2.2 Metropolis walk over the constraint set cs.
+func (e *Engine) sampler(cs []prefgraph.Constraint) *sampling.MCMC {
+	v := sampling.NewValidator(e.cfg.Profile.Dims(), cs)
 	v.Psi = e.cfg.Psi
 	return &sampling.MCMC{Prior: e.cfg.Prior, V: v}
 }
 
-// ensureSamples draws the initial pool if none exists yet.
+// lazySampler builds its sampler on the first draw: maintenance draws only
+// to replace violators, so feedback the whole pool satisfies derives no
+// constraint set.
+type lazySampler func() *sampling.MCMC
+
+func (f lazySampler) Name() string { return "mcmc" }
+
+func (f lazySampler) Sample(rng *rand.Rand, n int) (sampling.Result, error) {
+	return f().Sample(rng, n)
+}
+
+// ensureSamples draws the initial pool, if none exists yet, under the
+// constraint set derived in the feedback epoch.
 func (e *Engine) ensureSamples() error {
 	if e.pool != nil {
 		return nil
 	}
-	res, err := e.sampler().Sample(e.rng, e.cfg.SampleCount)
+	res, err := e.sampler(e.constraintsAt(e.feedbackView()).reduced()).Sample(e.rng, e.cfg.SampleCount)
 	e.stats.SampleAttempts += res.Attempts
 	if err != nil {
 		if !errors.Is(err, sampling.ErrTooManyRejections) {
 			return fmt.Errorf("core: initial sampling: %w", err)
 		}
 		// The feedback set leaves (almost) no valid weight vectors — e.g.
-		// preferences re-vectorized across catalogue epochs now contradict
+		// preferences read under a later catalogue epoch now contradict
 		// each other, or a noisy user answered inconsistently. Mirror the
 		// maintenance path in applyConstraint: degrade rather than fail
 		// the interaction. Keep whatever the sampler did accept and top
@@ -528,14 +622,21 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 // counters).
 //
 // The catalogue epoch is resolved once at entry and pinned for the whole
-// call: ranking, cache keys, and the exploration tail all use the same
-// coherent snapshot even if the live catalogue swaps mid-request. The
-// slate records the epoch (and its space) it was computed against.
+// call: sampling, ranking, cache keys, and the exploration tail all use
+// the same coherent snapshot even if the live catalogue swaps
+// mid-request. The slate records the epoch (and its space) it was
+// computed against. As in Restore, a pool drawn for another epoch is kept
+// iff this epoch derives a constraint set with the same hash.
 func (e *Engine) Recommend() (*Slate, error) {
+	ep := e.sh.epoch()
+	if e.pool != nil && e.fb.id != ep.id &&
+		constraintsHash(e.constraintsAt(*e.fb).reduced()) != constraintsHash(e.constraintsAt(ep).reduced()) {
+		e.pool = nil
+	}
+	e.fb = ep.feedback() // the pool now answers to ep, and so does feedback on this slate
 	if err := e.ensureSamples(); err != nil {
 		return nil, err
 	}
-	ep := e.sh.epoch()
 	var m ranking.Metrics
 	ranked, err := ranking.Rank(ep.ix, e.pool.Samples, e.cfg.Semantics, ranking.Options{
 		K:       e.cfg.K,
@@ -553,7 +654,6 @@ func (e *Engine) Recommend() (*Slate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ranking: %w", err)
 	}
-	e.fb = ep.feedback() // feedback on this slate resolves against its epoch
 	slate := &Slate{Recommended: ranked, Epoch: ep.id, Space: ep.space}
 	seen := make(map[string]bool, len(ranked)+e.cfg.RandomCount)
 	for _, r := range ranked {
@@ -649,13 +749,13 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 // constraint are replaced by fresh draws from the feedback-aware sampler
 // (§3.4).
 //
-// Dense item IDs are interpreted in — and preference vectors computed from
-// — the feedback view (the most recent slate's epoch), but the preference
-// is stored in the graph under the packages' stable catalogue identity: a
-// package re-encountered after a dense-ID remap is the same node, and one
-// first seen under an older epoch has its vector refreshed from the
-// feedback view's space rather than reusing the stale geometry. A package of
-// more than φ items records nothing and returns ErrPackageTooLarge.
+// Dense item IDs are interpreted in the feedback view (the most recent
+// slate's epoch, whose derived constraint set the pool satisfies), and the
+// preference is stored under the packages' stable catalogue identity. When
+// that epoch drops some stored preference (see constraintsAt), the new one
+// must fit the derived graph too, so it joins the derived set as exactly
+// one edge. A package of more than φ items records nothing and returns
+// ErrPackageTooLarge.
 func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 	if err := e.checkSizes(winner, loser); err != nil {
 		return err
@@ -670,32 +770,25 @@ func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 		return err
 	}
 	sw, sl := fv.stablePkg(winner), fv.stablePkg(loser)
-	refreshed, err := e.graph.AddPreferenceAt(fv.id, sw, wv, sl, lv)
-	if refreshed {
-		// A known package resurfaced under a newer epoch and its vector
-		// was refreshed, which rewrote the constraint of every edge
-		// touching it — not just the edge added here. Incremental
-		// maintenance against the one new constraint would leave samples
-		// violating the rewritten ones, so the pool is redrawn under the
-		// full rebuilt constraint set instead (mirroring Restore's
-		// cross-epoch rule). This holds even when the edge itself is
-		// rejected as a cycle or duplicate: the vector update has already
-		// happened by then.
-		e.pool = nil
+	cs := e.constraintsAt(fv)
+	if cs.graph != e.graph {
+		if err := cs.graph.AddPreference(sw, sl); err != nil {
+			return err
+		}
 	}
-	if err != nil {
+	if err := e.graph.AddPreference(sw, sl); err != nil {
 		return err
 	}
 	e.stats.Feedback++
 	if e.pool == nil {
-		return nil // pool will be (re)drawn under the full constraint set
+		return nil // pool will be drawn under the derived constraint set
 	}
 	diff := make([]float64, len(wv))
 	for i := range diff {
 		diff[i] = wv[i] - lv[i]
 	}
 	c := prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff}
-	replaced, work, err := e.pool.Apply(c, e.sampler(), e.rng)
+	replaced, work, err := e.pool.Apply(c, lazySampler(func() *sampling.MCMC { return e.sampler(cs.reduced()) }), e.rng)
 	e.stats.MaintenanceWork += work
 	e.stats.SamplesReplaced += replaced
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,18 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 		"v2 count mismatch": {Version: 2, Samples: [][]float64{{1, 2}}, Weights: nil},
 		"v2 empty package":  {Version: 2, Preferences: []PreferencePair{{Winner: nil, Loser: []int{0}}}},
 		"v2 self loop":      {Version: 2, Preferences: []PreferencePair{{Winner: []int{0}, Loser: []int{0}}}},
+		// Pools the sampler can never produce: a vector outside the weight
+		// box ranks with non-finite scores, and importance weights must be
+		// finite, positive and sum finitely.
+		"v2 sample outside box":      {Version: 2, Samples: [][]float64{{1e308, 1e308}}, Weights: []float64{1}},
+		"v2 sample just outside box": {Version: 2, Samples: [][]float64{{0.5, -1.0000001}}, Weights: []float64{1}},
+		"v2 NaN sample":              {Version: 2, Samples: [][]float64{{math.NaN(), 0}}, Weights: []float64{1}},
+		"v2 zero weight":             {Version: 2, Samples: [][]float64{{0.1, 0.2}}, Weights: []float64{0}},
+		"v2 negative weight":         {Version: 2, Samples: [][]float64{{0.1, 0.2}}, Weights: []float64{-3}},
+		"v2 infinite weight":         {Version: 2, Samples: [][]float64{{0.1, 0.2}}, Weights: []float64{math.Inf(1)}},
+		"v2 NaN weight":              {Version: 2, Samples: [][]float64{{0.1, 0.2}}, Weights: []float64{math.NaN()}},
+		"v2 weights overflow": {Version: 2, Samples: [][]float64{{0.1, 0.2}, {0.3, 0.4}},
+			Weights: []float64{math.MaxFloat64, math.MaxFloat64}},
 		"v2 contradiction, no churn": {Version: 2, Preferences: []PreferencePair{
 			// A direct cycle with every item present cannot be blamed on
 			// remap shrinkage — it was written contradictory.

@@ -667,69 +667,12 @@ func TestConcurrentRecommendAcrossSwaps(t *testing.T) {
 	}
 }
 
-// TestRefreshedFeedbackRedrawsPool: feedback that refreshes a known node's
-// vector under a newer epoch rewrites the constraints of every edge
-// touching that node, so the sample pool — maintained incrementally
-// against the old geometry — must be discarded and redrawn rather than
-// patched with just the new constraint.
-func TestRefreshedFeedbackRedrawsPool(t *testing.T) {
-	cat := liveCatalog(t, -1, 25)
-	sh, err := NewLiveShared(liveConfig(), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := sh.NewEngine(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Recommend(); err != nil { // epoch 1 slate; pool drawn
-		t.Fatal(err)
-	}
-	if err := eng.Feedback(pkgspace.New(0), pkgspace.New(1)); err != nil {
-		t.Fatal(err)
-	}
-	if eng.pool == nil {
-		t.Fatal("pool vanished after ordinary feedback")
-	}
-
-	// Reprice item 0: epoch swaps, the next slate re-pins feedback
-	// identity, and feedback touching package {0} (stable) refreshes it.
-	ep := cat.Current()
-	it := ep.Items()[0]
-	it.ID = ep.IDs().StableID(0)
-	it.Values = []float64{0.99, 0.01}
-	if err := cat.Upsert([]feature.Item{it}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Recommend(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.pool == nil {
-		t.Fatal("pool not drawn by recommend")
-	}
-	if err := eng.Feedback(pkgspace.New(0), pkgspace.New(2)); err != nil {
-		t.Fatal(err)
-	}
-	if eng.pool != nil {
-		t.Fatal("cross-epoch refresh left the incrementally maintained pool in place")
-	}
-	if _, err := eng.Recommend(); err != nil { // redraws under the full set
-		t.Fatal(err)
-	}
-	// Same-epoch follow-up feedback maintains incrementally again.
-	if err := eng.Feedback(pkgspace.New(3), pkgspace.New(4)); err != nil {
-		t.Fatal(err)
-	}
-	if eng.pool == nil {
-		t.Fatal("same-epoch feedback discarded the pool")
-	}
-}
-
 // TestSnapshotOmitsCrossEpochPool: a pool drawn and maintained under one
 // epoch's geometry satisfies that epoch's constraint set. The snapshot
 // ships it with that set's hash, and a restore under a rescaled epoch
 // (renormalized vectors change every constraint) redraws it — keeping the
-// pool would install samples checked against other constraints.
+// pool would install samples checked against other constraints. The
+// resident session applies the same rule at its next Recommend.
 func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	cat := liveCatalog(t, -1, 25)
 	sh, err := NewLiveShared(liveConfig(), cat)
@@ -752,10 +695,7 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	if err := cat.Upsert([]feature.Item{{ID: 700, Values: []float64{5, 5}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Recommend(); err != nil { // fb view moves to epoch 2; pool survives in-session
-		t.Fatal(err)
-	}
-	snap := eng.Snapshot()
+	snap := eng.Snapshot() // the epoch-1 pool, before any epoch-2 slate
 	if len(snap.Preferences) != 1 {
 		t.Fatalf("snapshot has %d preferences, want 1", len(snap.Preferences))
 	}
@@ -771,6 +711,22 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	}
 	if restored.pool != nil {
 		t.Fatal("pool maintained against epoch-1 constraints kept under the rescaled epoch")
+	}
+	// The resident's next slate is ranked in epoch 2, whose derived set
+	// hashes differently: its pool is redrawn, not carried across.
+	epoch1Pool := eng.pool
+	if _, err := eng.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.pool == epoch1Pool {
+		t.Fatal("resident kept its epoch-1 pool for an epoch-2 slate")
+	}
+	// That redrawn pool answers to epoch 2, so it restores there intact.
+	if err := restored.Restore(eng.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if restored.pool == nil {
+		t.Fatal("pool drawn under the restore-time epoch was redrawn")
 	}
 	// A pool without preferences satisfies the empty constraint set under
 	// any epoch and is kept.
@@ -793,12 +749,14 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	}
 }
 
-// TestCycleFeedbackAfterRefreshRedrawsPool: a contradictory click on a
-// repriced package refreshes node vectors BEFORE the cycle is detected, so
-// even the rejected feedback must invalidate the incrementally maintained
-// pool.
-func TestCycleFeedbackAfterRefreshRedrawsPool(t *testing.T) {
-	cat := liveCatalog(t, -1, 25)
+// TestFeedbackFitsDerivedGraph: feedback is judged against the constraint
+// set its slate's epoch derives. With a member of an earlier preference
+// deleted, the shrunken preference stands, and feedback reversing it is a
+// contradiction (nothing recorded) even though no stable-ID cycle forms.
+// Once the member is back, the stored preference reads whole again and
+// the same feedback is consistent.
+func TestFeedbackFitsDerivedGraph(t *testing.T) {
+	cat := liveCatalog(t, -1, 25) // UNI stable IDs 0..24, dense == stable at epoch 1
 	sh, err := NewLiveShared(liveConfig(), cat)
 	if err != nil {
 		t.Fatal(err)
@@ -810,27 +768,29 @@ func TestCycleFeedbackAfterRefreshRedrawsPool(t *testing.T) {
 	if _, err := eng.Recommend(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Feedback(pkgspace.New(2), pkgspace.New(0)); err != nil {
+	if err := eng.Feedback(pkgspace.New(0, 5), pkgspace.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	ep := cat.Current()
-	it := ep.Items()[0]
-	it.ID = ep.IDs().StableID(0)
-	it.Values = []float64{0.99, 0.01}
-	if err := cat.Upsert([]feature.Item{it}); err != nil {
+	item5 := cat.Current().Items()[5]
+	if _, err := cat.Delete([]int{5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Recommend(); err != nil { // fb view → epoch 2
+	if _, err := eng.Recommend(); err != nil { // dense 0 and 1 are still stable 0 and 1
 		t.Fatal(err)
 	}
-	if eng.pool == nil {
-		t.Fatal("pool missing before the contradictory feedback")
+	if err := eng.Feedback(pkgspace.New(1), pkgspace.New(0)); !errors.Is(err, prefgraph.ErrCycle) {
+		t.Fatalf("feedback reversing the shrunken {0}≻{1}: err = %v, want ErrCycle", err)
 	}
-	err = eng.Feedback(pkgspace.New(0), pkgspace.New(2)) // contradicts {2}≻{0}
-	if !errors.Is(err, prefgraph.ErrCycle) {
-		t.Fatalf("contradictory feedback error = %v, want ErrCycle", err)
+	if st := eng.Stats(); st.Feedback != 1 || eng.graph.Edges() != 1 {
+		t.Fatalf("contradiction recorded: Feedback = %d, stored edges = %d", st.Feedback, eng.graph.Edges())
 	}
-	if eng.pool != nil {
-		t.Fatal("cycle-rejected feedback refreshed node vectors but left the pool in place")
+	if err := cat.Upsert([]feature.Item{item5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Feedback(pkgspace.New(1), pkgspace.New(0)); err != nil {
+		t.Fatalf("feedback consistent with {0,5}≻{1} rejected: %v", err)
 	}
 }

@@ -5,15 +5,15 @@
 // (caller-owned) item catalogue itself.
 //
 // Wire format v2 keys preferences by *stable* catalogue IDs, so learned
-// state survives live-catalogue churn between save and restore: Restore
-// remaps every preference through the restore-time epoch, silently
-// dropping items that vanished from the catalogue (counted in
-// Stats.RestoreDroppedItems / RestoreDroppedPrefs, not an error) and
-// recomputing preference vectors against the restore-time space. The
-// sample pool travels with a hash of the constraint set it satisfies and
-// is kept iff the rebuilt graph reproduces that set (§3.4: the valid
-// region is the intersection of the constraint halfspaces). v2 is the
-// only version read.
+// state survives live-catalogue churn between save and restore. Restore
+// stores them verbatim; like a resident session, the restored one derives
+// its constraint set from them under each epoch it samples in, dropping
+// items that vanished from the catalogue (counted in
+// Stats.RestoreDroppedItems / RestoreDroppedPrefs at restore time, not an
+// error). The sample pool travels with a hash of the constraint set it
+// satisfies and is kept iff the restore-time epoch derives that set
+// (§3.4: the valid region is the intersection of the constraint
+// halfspaces). v2 is the only version read.
 package core
 
 import (
@@ -25,7 +25,6 @@ import (
 	"io"
 	"math"
 
-	"toppkg/internal/catalog"
 	"toppkg/internal/maintain"
 	"toppkg/internal/pkgspace"
 	"toppkg/internal/prefgraph"
@@ -37,14 +36,15 @@ type Snapshot struct {
 	// Version guards the wire format: 2 = stable catalogue IDs.
 	Version int `json:"version"`
 	// ConstraintsHash is constraintsHash of the reduced constraint set the
-	// sample pool was maintained against. Restore keeps the pool iff the
-	// rebuilt preference graph hashes the same; on any mismatch the pool
-	// is redrawn under the rebuilt constraints.
+	// sample pool was maintained against (derived in the epoch of the
+	// session's last slate). Restore keeps the pool iff the restore-time
+	// epoch derives a set that hashes the same; on any mismatch the pool
+	// is redrawn under the derived constraints.
 	ConstraintsHash uint64 `json:"constraints_hash,omitempty"`
 	// Preferences lists the recorded pairwise preferences as stable
-	// catalogue item-ID sets (winner, loser). Vectors are recomputed from
-	// the restore-time item space, so snapshots survive re-normalization
-	// and catalogue churn.
+	// catalogue item-ID sets (winner, loser). Constraints are derived
+	// from them in the restore-time item space, so snapshots survive
+	// re-normalization and catalogue churn.
 	Preferences []PreferencePair `json:"preferences"`
 	// Samples is the weight-vector pool; Weights are the importance
 	// weights (same length).
@@ -81,7 +81,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		})
 	}
 	if e.pool != nil {
-		s.ConstraintsHash = constraintsHash(e.constraints())
+		s.ConstraintsHash = constraintsHash(e.constraintsAt(*e.fb).reduced())
 		for _, smp := range e.pool.Samples {
 			s.Samples = append(s.Samples, append([]float64(nil), smp.W...))
 			s.Weights = append(s.Weights, smp.Q)
@@ -110,45 +110,19 @@ func constraintsHash(cs []prefgraph.Constraint) uint64 {
 	return sum
 }
 
-// remapStable translates one side of a preference from stable catalogue
-// IDs into the restore-time epoch: dense holds the surviving members'
-// dense positions, kept their stable IDs, dropped how many members
-// vanished from the catalogue. A nil IDMap is the static identity mapping
-// over n items (out-of-range stable IDs count as vanished, not as errors —
-// a snapshot moved across deployments shrinks gracefully).
-func remapStable(ids *catalog.IDMap, n int, stable []int) (dense, kept []int, dropped int) {
-	for _, s := range stable {
-		if ids == nil {
-			if s < 0 || s >= n {
-				dropped++
-				continue
-			}
-			dense = append(dense, s)
-			kept = append(kept, s)
-			continue
-		}
-		d, ok := ids.DenseID(s)
-		if !ok {
-			dropped++
-			continue
-		}
-		dense = append(dense, d)
-		kept = append(kept, s)
-	}
-	return dense, kept, dropped
-}
-
 // Restore replaces the engine's learned state with the snapshot's. The
-// preference DAG is rebuilt against the restore-time epoch: preferences
-// are remapped from stable catalogue IDs (members that vanished from the
-// catalogue are dropped and counted in Stats.RestoreDroppedItems;
-// preferences that empty out, collapse to identical packages, or
-// contradict a surviving preference are dropped and counted in
-// Stats.RestoreDroppedPrefs), and their vectors recomputed from the
-// restore-time space. The sample pool is installed verbatim iff the
-// rebuilt reduced constraint set hashes to the snapshot's
-// ConstraintsHash; otherwise it is discarded and lazily redrawn under the
-// rebuilt constraint set.
+// preferences are stored verbatim under their stable catalogue IDs; an
+// empty package, a self-preference or a stable-ID cycle is corruption and
+// fails the restore, as does a pool sample outside the weight box
+// [-1, 1]^d or an importance weight that is not finite and positive.
+// What churn costs is read off the constraint set the restore-time epoch
+// derives (see constraintsAt): vanished members are counted in
+// Stats.RestoreDroppedItems, and preferences the derivation drops in
+// Stats.RestoreDroppedPrefs. A stable ID deleted and later re-inserted
+// therefore reads the same to a restored session as to a resident one.
+// The sample pool is installed verbatim iff the derived reduced
+// constraint set hashes to the snapshot's ConstraintsHash; otherwise it is
+// discarded and lazily redrawn under the derived set.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s == nil {
 		return errors.New("core: nil snapshot")
@@ -159,15 +133,25 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if len(s.Samples) != len(s.Weights) {
 		return fmt.Errorf("core: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))
 	}
-	dims := e.cfg.Profile.Dims()
+	// Only pools the sampler could have produced are installed: a vector
+	// outside the weight box would rank with non-finite scores.
+	box, sum := sampling.NewValidator(e.cfg.Profile.Dims(), nil), 0.0
 	for i, w := range s.Samples {
-		if len(w) != dims {
-			return fmt.Errorf("core: snapshot sample %d has %d dims, space has %d", i, len(w), dims)
+		if len(w) != box.Dims {
+			return fmt.Errorf("core: snapshot sample %d has %d dims, space has %d", i, len(w), box.Dims)
 		}
+		if !box.InBox(w) {
+			return fmt.Errorf("core: snapshot sample %d lies outside the weight box [-1, 1]", i)
+		}
+		if q := s.Weights[i]; !(q > 0) || math.IsInf(q, 1) {
+			return fmt.Errorf("core: snapshot weight %d is %v, want finite and positive", i, q)
+		}
+		sum += s.Weights[i]
 	}
-	ep := e.sh.epoch()
+	if math.IsInf(sum, 1) {
+		return errors.New("core: snapshot weights sum to infinity")
+	}
 	g := prefgraph.New()
-	droppedItems, droppedPrefs := 0, 0
 	for i, pr := range s.Preferences {
 		if len(pr.Winner) == 0 || len(pr.Loser) == 0 {
 			// No interaction can produce a preference over the empty
@@ -175,68 +159,25 @@ func (e *Engine) Restore(s *Snapshot) error {
 			// corrupt or hand-crafted.
 			return fmt.Errorf("core: snapshot preference %d: empty package", i)
 		}
-		if pkgspace.Equal(pkgspace.New(pr.Winner...), pkgspace.New(pr.Loser...)) {
-			// A self-preference in the file itself (as opposed to one
-			// produced by remap shrinkage below) is corruption.
-			return fmt.Errorf("core: snapshot preference %d: identical packages", i)
-		}
-		wd, wk, wDrop := remapStable(ep.ids, len(ep.space.Items), pr.Winner)
-		ld, lk, lDrop := remapStable(ep.ids, len(ep.space.Items), pr.Loser)
-		droppedItems += wDrop + lDrop
-		if len(wd) == 0 || len(ld) == 0 {
-			droppedPrefs++
-			continue
-		}
-		winner, loser := pkgspace.New(wd...), pkgspace.New(ld...)
-		sw, sl := pkgspace.New(wk...), pkgspace.New(lk...)
-		if sw.Signature() == sl.Signature() {
-			// Both sides shrank to the same surviving package; a
-			// preference over itself is meaningless, not corrupt.
-			droppedPrefs++
-			continue
-		}
-		wv := pkgspace.Vector(ep.space, winner)
-		lv := pkgspace.Vector(ep.space, loser)
-		edgesBefore := g.Edges()
-		// The graph is rebuilt wholesale under one epoch, so no node can
-		// be refreshed here — the flag is meaningful only for live
-		// feedback (see Engine.Feedback).
-		if _, err := g.AddPreferenceAt(ep.id, sw, wv, sl, lv); err != nil {
-			if errors.Is(err, prefgraph.ErrCycle) && droppedItems > 0 {
-				// Dropping members can make two once-distinct preferences
-				// contradictory; keep the earlier one, count the loss.
-				// Without any observed shrinkage, though, a contradiction
-				// was in the file itself — corruption, like a self-loop —
-				// and must not be masked as churn.
-				droppedPrefs++
-				continue
-			}
+		if err := g.AddPreference(pkgspace.New(pr.Winner...), pkgspace.New(pr.Loser...)); err != nil {
 			return fmt.Errorf("core: snapshot preference %d: %w", i, err)
 		}
-		if g.Edges() == edgesBefore && droppedItems > 0 {
-			// Shrinkage merged two once-distinct preferences into one
-			// edge (AddPreferenceAt treats the second as a duplicate
-			// no-op). One recorded preference was lost to the remap, so
-			// the operator-facing counter must say so. Self-written
-			// snapshots never contain literal duplicates (Preferences()
-			// enumerates edges), so with no shrinkage anywhere the silent
-			// legacy merge only applies to hand-crafted files.
-			droppedPrefs++
-		}
 	}
+	ep := e.sh.epoch()
 	e.graph = g
 	e.stats = s.Stats
-	e.stats.RestoreDroppedItems += droppedItems
-	e.stats.RestoreDroppedPrefs += droppedPrefs
-	e.lastDropItems, e.lastDropPrefs = droppedItems, droppedPrefs
-	// Pin feedback identity to the restore-time epoch: a click arriving
-	// before the next Recommend must resolve against the same space the
-	// preference vectors were just rebuilt from.
+	// Pin feedback identity to the restore-time epoch: the pool below
+	// answers to its derived constraint set, and a click arriving before
+	// the next Recommend resolves against the same space.
 	e.fb = ep.feedback()
-	if len(s.Samples) == 0 || s.ConstraintsHash != constraintsHash(e.constraints()) {
+	cs := e.constraintsAt(ep)
+	e.stats.RestoreDroppedItems += cs.droppedItems
+	e.stats.RestoreDroppedPrefs += cs.droppedPrefs
+	e.lastDropItems, e.lastDropPrefs = cs.droppedItems, cs.droppedPrefs
+	if len(s.Samples) == 0 || s.ConstraintsHash != constraintsHash(cs.reduced()) {
 		// The pool satisfied another constraint set; a stale pool would
 		// bias every recommendation until the next feedback, so it is
-		// redrawn lazily under the rebuilt set instead.
+		// redrawn lazily under the derived set instead.
 		e.pool = nil
 		return nil
 	}

@@ -146,25 +146,29 @@ func TestRestoreValidation(t *testing.T) {
 // TestRestoreV2DropsVanished: v2 restore treats unknown stable IDs as
 // churn, not corruption — members are dropped and counted, a side that
 // empties out (or both sides collapsing to the same package) drops the
-// preference, and the surviving state restores cleanly.
+// preference, and the surviving state restores cleanly. So does a side of
+// more than φ surviving items: φ is a deployment setting, and no feedback
+// in this deployment can produce such a constraint.
 func TestRestoreV2DropsVanished(t *testing.T) {
-	e := persistEngine(t) // 30 items: stable IDs 0..29
+	e := persistEngine(t) // 30 items: stable IDs 0..29, φ = 2
 	snap := &Snapshot{Version: 2, Preferences: []PreferencePair{
-		{Winner: []int{0, 1}, Loser: []int{2}},            // intact
-		{Winner: []int{3, 10000}, Loser: []int{4}},        // winner loses one member
-		{Winner: []int{10001}, Loser: []int{5}},           // winner empties: pref dropped
-		{Winner: []int{6, 10002}, Loser: []int{10003, 6}}, // collapse to {6}≻{6}: dropped
+		{Winner: []int{0, 1}, Loser: []int{2}},                // intact
+		{Winner: []int{3, 10000}, Loser: []int{4}},            // winner loses one member
+		{Winner: []int{10001}, Loser: []int{5}},               // winner empties: pref dropped
+		{Winner: []int{6, 10002}, Loser: []int{10003, 6}},     // collapse to {6}≻{6}: dropped
+		{Winner: []int{0, 1, 2, 3, 4, 5, 6}, Loser: []int{7}}, // 7 items > φ: dropped
+		{Winner: []int{8, 9, 10004}, Loser: []int{10}},        // shrinks to φ: kept
 	}}
 	if err := e.Restore(snap); err != nil {
 		t.Fatalf("v2 snapshot with vanished items rejected: %v", err)
 	}
 	st := e.Stats()
 	items, prefs := st.RestoreDroppedItems, st.RestoreDroppedPrefs
-	if items != 4 || prefs != 2 {
-		t.Errorf("restore drops = (%d, %d), want (4, 2)", items, prefs)
+	if items != 5 || prefs != 3 {
+		t.Errorf("restore drops = (%d, %d), want (5, 3)", items, prefs)
 	}
-	if got := e.Graph().Edges(); got != 2 {
-		t.Errorf("restored %d edges, want 2", got)
+	if got := e.Graph().Edges(); got != 3 {
+		t.Errorf("restored %d edges, want 3", got)
 	}
 	// The engine is fully usable afterwards.
 	if _, err := e.Recommend(); err != nil {

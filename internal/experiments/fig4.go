@@ -22,8 +22,7 @@ func Fig4(p Params) ([]Table, error) {
 		return nil, err
 	}
 	w := hiddenW(2, rng)
-	graph, _, _ := preferenceWorkload(sp, 5000, 2, w, rng)
-	cs := graph.Constraints(true)
+	cs := preferenceWorkload(sp, 5000, 2, w, rng)
 	v := sampling.NewValidator(2, cs)
 	prior := gaussmix.DefaultPrior(2, 1, rng)
 

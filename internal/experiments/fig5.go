@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"toppkg/internal/gaussmix"
+	"toppkg/internal/pkgspace"
 	"toppkg/internal/prefgraph"
 	"toppkg/internal/sampling"
 )
@@ -102,8 +103,9 @@ func fig5Point(p Params, features, samples, gaussians, prefs, packages int) (fig
 	w := hiddenW(features, rng)
 	graph := clickWorkload(sp, packages, prefs, w, rng)
 
-	full := graph.Constraints(false)
-	reduced := graph.Constraints(true)
+	vec := func(p pkgspace.Package) []float64 { return pkgspace.Vector(sp, p) }
+	full := graph.Constraints(false, vec)
+	reduced := graph.Constraints(true, vec)
 
 	// Check fully valid samples (what MCMC chain states and retained pool
 	// members are): they scan the entire constraint list, so the measured

@@ -77,8 +77,7 @@ func fig6Point(p Params, kind string, nItems, features, samples, prefs int, incl
 		return nil, err
 	}
 	w := hiddenW(features, rng)
-	graph, _, _ := preferenceWorkload(sp, p.scaled(5000), prefs, w, rng)
-	cs := graph.Constraints(true)
+	cs := preferenceWorkload(sp, p.scaled(5000), prefs, w, rng)
 	v := sampling.NewValidator(features, cs)
 	prior := gaussmix.DefaultPrior(features, 1, rng)
 	ix := search.NewIndex(sp)

@@ -31,8 +31,7 @@ func Quality(p Params) ([]Table, error) {
 		return nil, err
 	}
 	w := hiddenW(features, rng)
-	graph, _, _ := preferenceWorkload(sp, p.scaled(5000), nPrefs, w, rng)
-	cs := graph.Constraints(true)
+	cs := preferenceWorkload(sp, p.scaled(5000), nPrefs, w, rng)
 	v := sampling.NewValidator(features, cs)
 	prior := gaussmix.DefaultPrior(features, 2, rng)
 	ix := search.NewIndex(sp)

@@ -128,7 +128,7 @@ func clickWorkload(sp *feature.Space, packages, prefs int, w []float64, rng *ran
 			if i == best || utils[i] == utils[best] {
 				continue
 			}
-			if err := g.AddPreference(pkgs[best], vecs[best], pkgs[i], vecs[i]); err == nil {
+			if err := g.AddPreference(pkgs[best], pkgs[i]); err == nil {
 				added++
 				if added >= prefs {
 					break
@@ -158,11 +158,11 @@ func updateChampions(ch []int, cand int, utils []float64) []int {
 	return ch
 }
 
-// preferenceWorkload builds a preference graph of `prefs` pairwise
-// preferences over random packages, each oriented consistently with the
-// hidden weight vector w (as real user clicks would be, §5.2's "randomly
-// generated preferences"), and returns the graph plus the package vectors.
-func preferenceWorkload(sp *feature.Space, packages, prefs int, w []float64, rng *rand.Rand) (*prefgraph.Graph, []pkgspace.Package, [][]float64) {
+// preferenceWorkload returns the reduced constraint set of `prefs`
+// pairwise preferences over random packages, each oriented consistently
+// with the hidden weight vector w (as real user clicks would be, §5.2's
+// "randomly generated preferences").
+func preferenceWorkload(sp *feature.Space, packages, prefs int, w []float64, rng *rand.Rand) []prefgraph.Constraint {
 	pkgs := randomPackages(sp, packages, rng)
 	vecs := make([][]float64, len(pkgs))
 	for i, p := range pkgs {
@@ -185,9 +185,9 @@ func preferenceWorkload(sp *feature.Space, packages, prefs int, w []float64, rng
 		}
 		// Consistent orientation never cycles; duplicate-signature pairs
 		// are rejected by the graph and simply retried.
-		if err := g.AddPreference(pkgs[i], vecs[i], pkgs[j], vecs[j]); err == nil {
+		if err := g.AddPreference(pkgs[i], pkgs[j]); err == nil {
 			added++
 		}
 	}
-	return g, pkgs, vecs
+	return g.Constraints(true, func(p pkgspace.Package) []float64 { return pkgspace.Vector(sp, p) })
 }

@@ -4,12 +4,15 @@
 // reduction (paper §3.3,
 // using the Aho–Garey–Ullman construction [2]). The reduced edge set is the
 // constraint set samplers check, so reduction directly cuts per-sample
-// validation cost ("pruning" in Figure 5).
+// validation cost ("pruning" in Figure 5). The graph stores packages and
+// edges only; the half-space of each edge is derived on demand from the
+// package vectors of whichever feature space the caller samples in.
 package prefgraph
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"toppkg/internal/pkgspace"
 )
@@ -48,25 +51,16 @@ func (c Constraint) Violates(w []float64) bool {
 // Graph stores preferences over packages. Nodes are packages (keyed by
 // signature); an edge u→v records u ≻ v. The graph is kept acyclic.
 //
-// Under a live catalogue the engine keys nodes by *stable* catalogue IDs,
-// so the same inventory seen under two epochs is one node even when its
-// dense positions moved. Each node carries the catalogue epoch its vector
-// was last computed under: when feedback arrives for an already-known
-// package under a newer epoch, AddPreferenceAt refreshes the stored vector
-// from the new space instead of reusing the stale one, so the constraints
-// the samplers check always reflect the most recent geometry a package was
-// observed in.
+// The graph holds no geometry: a node is its package and nothing else, and
+// Constraints derives each edge's half-space from whatever vector function
+// the caller supplies. Under a live catalogue the engine keys nodes by
+// *stable* catalogue IDs and passes the vectors of the epoch it samples
+// in, so one stored graph reads consistently under any epoch.
 type Graph struct {
-	nodes []node
+	nodes []pkgspace.Package
 	index map[string]int // signature → node id
 	out   []map[int]bool // adjacency: out[u][v] == true iff edge u→v
 	edges int
-}
-
-type node struct {
-	pkg   pkgspace.Package
-	vec   []float64
-	epoch uint64 // catalogue epoch vec was computed under
 }
 
 // New returns an empty preference graph.
@@ -74,70 +68,41 @@ func New() *Graph {
 	return &Graph{index: make(map[string]int)}
 }
 
-// Len returns the number of distinct packages recorded.
-func (g *Graph) Len() int { return len(g.nodes) }
-
 // Edges returns the number of preference edges currently stored.
 func (g *Graph) Edges() int { return g.edges }
 
-func (g *Graph) nodeID(epoch uint64, p pkgspace.Package, vec []float64) (id int, refreshed bool) {
+// Packages returns the recorded packages in node order (do not mutate).
+func (g *Graph) Packages() []pkgspace.Package { return g.nodes }
+
+func (g *Graph) nodeID(p pkgspace.Package) int {
 	sig := p.Signature()
 	if id, ok := g.index[sig]; ok {
-		if n := &g.nodes[id]; epoch > n.epoch {
-			// The package resurfaced under a newer epoch: its aggregate
-			// vector was recomputed against that epoch's space, so the
-			// stale one goes. (The package itself cannot differ — equal
-			// signatures mean equal stable member IDs.) Every edge touching
-			// this node now derives its constraint from the new geometry.
-			n.vec = append([]float64(nil), vec...)
-			n.epoch = epoch
-			refreshed = true
-		}
-		return id, refreshed
+		return id
 	}
-	id = len(g.nodes)
-	g.nodes = append(g.nodes, node{pkg: p, vec: append([]float64(nil), vec...), epoch: epoch})
+	id := len(g.nodes)
+	g.nodes = append(g.nodes, p)
 	g.out = append(g.out, make(map[int]bool))
 	g.index[sig] = id
-	return id, false
+	return id
 }
 
-// AddPreference records winner ≻ loser, given the packages' normalized
-// aggregate vectors. It returns ErrCycle (and records nothing) if the
-// preference contradicts the transitive closure of existing preferences.
-// Duplicate preferences are no-ops. Equivalent to AddPreferenceAt under
-// epoch 0 — the static-catalogue case, where refreshes cannot happen.
-func (g *Graph) AddPreference(winner pkgspace.Package, winnerVec []float64, loser pkgspace.Package, loserVec []float64) error {
-	_, err := g.AddPreferenceAt(0, winner, winnerVec, loser, loserVec)
-	return err
-}
-
-// AddPreferenceAt records winner ≻ loser observed under the given
-// catalogue epoch. Nodes already known from an older epoch have their
-// stored vector refreshed to the newer observation (a vector from a newer
-// epoch is never downgraded by late-arriving old feedback); refreshed
-// reports whether that happened, because a refresh rewrites the
-// constraints of EVERY edge touching the node — callers maintaining
-// derived state (like a sample pool checked against the constraint set)
-// must rebuild it rather than apply just the new edge. A refresh is
-// reported even when the edge itself is a duplicate or a cycle: the
-// vector update has already happened by then.
-func (g *Graph) AddPreferenceAt(epoch uint64, winner pkgspace.Package, winnerVec []float64, loser pkgspace.Package, loserVec []float64) (refreshed bool, err error) {
+// AddPreference records winner ≻ loser. It returns ErrCycle (and records
+// nothing) if the preference contradicts the transitive closure of
+// existing preferences. Duplicate preferences are no-ops.
+func (g *Graph) AddPreference(winner, loser pkgspace.Package) error {
 	if winner.Signature() == loser.Signature() {
-		return false, fmt.Errorf("%w %s", ErrSelfPreference, winner)
+		return fmt.Errorf("%w %s", ErrSelfPreference, winner)
 	}
-	u, ru := g.nodeID(epoch, winner, winnerVec)
-	v, rv := g.nodeID(epoch, loser, loserVec)
-	refreshed = ru || rv
+	u, v := g.nodeID(winner), g.nodeID(loser)
 	if g.out[u][v] {
-		return refreshed, nil
+		return nil
 	}
 	if g.reachable(v, u, -1, -1) {
-		return refreshed, fmt.Errorf("%w: %s ≻ %s contradicts recorded preferences", ErrCycle, winner, loser)
+		return fmt.Errorf("%w: %s ≻ %s contradicts recorded preferences", ErrCycle, winner, loser)
 	}
 	g.out[u][v] = true
 	g.edges++
-	return refreshed, nil
+	return nil
 }
 
 // reachable reports whether dst is reachable from src, optionally ignoring
@@ -169,35 +134,44 @@ func (g *Graph) reachable(src, dst, banU, banV int) bool {
 }
 
 // Constraints materializes the current preference edges as half-space
-// constraints, in deterministic (node-id) order. With reduced=true,
-// redundant edges (implied by transitivity, paper §3.3) are omitted via
-// transitive reduction; the full set is returned otherwise. The graph
-// itself is not modified.
-func (g *Graph) Constraints(reduced bool) []Constraint {
+// constraints, in deterministic (node-id) order, taking each package's
+// normalized aggregate vector from vec (called at most once per node).
+// With reduced=true, redundant edges (implied by transitivity, paper §3.3)
+// are omitted via transitive reduction; the full set is returned
+// otherwise. The graph itself is not modified.
+func (g *Graph) Constraints(reduced bool, vec func(pkgspace.Package) []float64) []Constraint {
+	vecs := make([][]float64, len(g.nodes))
+	vecOf := func(u int) []float64 {
+		if vecs[u] == nil {
+			vecs[u] = vec(g.nodes[u])
+		}
+		return vecs[u]
+	}
 	var out []Constraint
 	for u := range g.out {
-		targets := make([]int, 0, len(g.out[u]))
-		for v := range g.out[u] {
-			targets = append(targets, v)
-		}
-		sortInts(targets)
-		for _, v := range targets {
+		for _, v := range g.targets(u) {
 			if reduced && g.redundant(u, v) {
 				continue
 			}
-			out = append(out, g.constraint(u, v))
+			vu, vv := vecOf(u), vecOf(v)
+			diff := make([]float64, len(vu))
+			for i := range diff {
+				diff[i] = vu[i] - vv[i]
+			}
+			out = append(out, Constraint{Winner: g.nodes[u], Loser: g.nodes[v], Diff: diff})
 		}
 	}
 	return out
 }
 
-func (g *Graph) constraint(u, v int) Constraint {
-	nu, nv := g.nodes[u], g.nodes[v]
-	diff := make([]float64, len(nu.vec))
-	for i := range diff {
-		diff[i] = nu.vec[i] - nv.vec[i]
+// targets lists u's successors in ascending node order.
+func (g *Graph) targets(u int) []int {
+	ts := make([]int, 0, len(g.out[u]))
+	for v := range g.out[u] {
+		ts = append(ts, v)
 	}
-	return Constraint{Winner: nu.pkg, Loser: nv.pkg, Diff: diff}
+	slices.Sort(ts)
+	return ts
 }
 
 // redundant reports whether edge u→v is implied by a longer path u⇝v.
@@ -206,28 +180,14 @@ func (g *Graph) redundant(u, v int) bool {
 }
 
 // Preferences enumerates every stored edge as (winner, loser) package
-// pairs, in deterministic node order — the portable form used by
-// persistence (vectors are recomputed from the item space on restore).
+// pairs, in the same deterministic node order as Constraints — the
+// portable form used by persistence.
 func (g *Graph) Preferences() [][2]pkgspace.Package {
 	out := make([][2]pkgspace.Package, 0, g.edges)
 	for u := range g.out {
-		// Deterministic order over map targets.
-		targets := make([]int, 0, len(g.out[u]))
-		for v := range g.out[u] {
-			targets = append(targets, v)
-		}
-		sortInts(targets)
-		for _, v := range targets {
-			out = append(out, [2]pkgspace.Package{g.nodes[u].pkg, g.nodes[v].pkg})
+		for _, v := range g.targets(u) {
+			out = append(out, [2]pkgspace.Package{g.nodes[u], g.nodes[v]})
 		}
 	}
 	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -11,23 +11,18 @@ import (
 
 func vec(xs ...float64) []float64 { return xs }
 
-// storedNode returns the stored vector and epoch of a recorded package.
-func storedNode(t *testing.T, g *Graph, p pkgspace.Package) ([]float64, uint64) {
-	t.Helper()
-	id, ok := g.index[p.Signature()]
-	if !ok {
-		t.Fatalf("package %s not recorded", p)
-	}
-	return g.nodes[id].vec, g.nodes[id].epoch
-}
+// vectors is a package→vector table usable as Constraints' vec function.
+type vectors map[string][]float64
+
+func (m vectors) of(p pkgspace.Package) []float64 { return m[p.Signature()] }
 
 func TestAddPreferenceAndConstraint(t *testing.T) {
 	g := New()
 	a, b := pkgspace.New(0), pkgspace.New(1)
-	if err := g.AddPreference(a, vec(0.8, 0.2), b, vec(0.3, 0.5)); err != nil {
+	if err := g.AddPreference(a, b); err != nil {
 		t.Fatalf("AddPreference: %v", err)
 	}
-	cs := g.Constraints(false)
+	cs := g.Constraints(false, vectors{a.Signature(): vec(0.8, 0.2), b.Signature(): vec(0.3, 0.5)}.of)
 	if len(cs) != 1 {
 		t.Fatalf("constraints = %d, want 1", len(cs))
 	}
@@ -48,11 +43,10 @@ func TestAddPreferenceAndConstraint(t *testing.T) {
 func TestDuplicateEdgeNoOp(t *testing.T) {
 	g := New()
 	a, b := pkgspace.New(0), pkgspace.New(1)
-	va, vb := vec(1.0), vec(0.0)
-	if err := g.AddPreference(a, va, b, vb); err != nil {
+	if err := g.AddPreference(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddPreference(a, va, b, vb); err != nil {
+	if err := g.AddPreference(a, b); err != nil {
 		t.Fatalf("duplicate add errored: %v", err)
 	}
 	if g.Edges() != 1 {
@@ -63,7 +57,7 @@ func TestDuplicateEdgeNoOp(t *testing.T) {
 func TestSelfPreferenceRejected(t *testing.T) {
 	g := New()
 	a := pkgspace.New(0)
-	if err := g.AddPreference(a, vec(1.0), a, vec(1.0)); err == nil {
+	if err := g.AddPreference(a, a); err == nil {
 		t.Error("self preference accepted")
 	}
 }
@@ -71,15 +65,14 @@ func TestSelfPreferenceRejected(t *testing.T) {
 func TestCycleDetection(t *testing.T) {
 	g := New()
 	a, b, c := pkgspace.New(0), pkgspace.New(1), pkgspace.New(2)
-	va, vb, vc := vec(3.0), vec(2.0), vec(1.0)
-	if err := g.AddPreference(a, va, b, vb); err != nil {
+	if err := g.AddPreference(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddPreference(b, vb, c, vc); err != nil {
+	if err := g.AddPreference(b, c); err != nil {
 		t.Fatal(err)
 	}
 	// c ≻ a closes a cycle a→b→c→a.
-	err := g.AddPreference(c, vc, a, va)
+	err := g.AddPreference(c, a)
 	if !errors.Is(err, ErrCycle) {
 		t.Fatalf("cycle not detected: %v", err)
 	}
@@ -92,21 +85,14 @@ func TestCycleDetection(t *testing.T) {
 func TestTransitiveReduction(t *testing.T) {
 	g := New()
 	a, b, c := pkgspace.New(0), pkgspace.New(1), pkgspace.New(2)
-	va, vb, vc := vec(3.0), vec(2.0), vec(1.0)
-	for _, e := range [][2]struct {
-		p pkgspace.Package
-		v []float64
-	}{
-		{{a, va}, {b, vb}},
-		{{b, vb}, {c, vc}},
-		{{a, va}, {c, vc}},
-	} {
-		if err := g.AddPreference(e[0].p, e[0].v, e[1].p, e[1].v); err != nil {
+	vs := vectors{a.Signature(): vec(3.0), b.Signature(): vec(2.0), c.Signature(): vec(1.0)}
+	for _, e := range [][2]pkgspace.Package{{a, b}, {b, c}, {a, c}} {
+		if err := g.AddPreference(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	full := g.Constraints(false)
-	reduced := g.Constraints(true)
+	full := g.Constraints(false, vs.of)
+	reduced := g.Constraints(true, vs.of)
 	if len(full) != 3 || len(reduced) != 2 {
 		t.Fatalf("full=%d reduced=%d, want 3 and 2", len(full), len(reduced))
 	}
@@ -126,17 +112,17 @@ func TestReductionPreservesReachability(t *testing.T) {
 		// Random DAG over a fixed topological order 0..n-1.
 		g := New()
 		pkgs := make([]pkgspace.Package, n)
-		vecs := make([][]float64, n)
+		vs := vectors{}
 		for i := range pkgs {
 			pkgs[i] = pkgspace.New(i)
-			vecs[i] = vec(float64(n-i), r.Float64())
+			vs[pkgs[i].Signature()] = vec(float64(n-i), r.Float64())
 		}
 		type edge struct{ u, v int }
 		var edges []edge
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if r.Float64() < 0.4 {
-					if err := g.AddPreference(pkgs[u], vecs[u], pkgs[v], vecs[v]); err != nil {
+					if err := g.AddPreference(pkgs[u], pkgs[v]); err != nil {
 						return false
 					}
 					edges = append(edges, edge{u, v})
@@ -150,7 +136,7 @@ func TestReductionPreservesReachability(t *testing.T) {
 				m[i] = make([]bool, n)
 				adj[i] = make([]bool, n)
 			}
-			for _, c := range g.Constraints(reduced) {
+			for _, c := range g.Constraints(reduced, vs.of) {
 				adj[c.Winner.IDs[0]][c.Loser.IDs[0]] = true
 			}
 			for k := 0; k < n; k++ {
@@ -207,10 +193,10 @@ func TestConstraintConsistency(t *testing.T) {
 			w[i] = r.Float64()*2 - 1
 		}
 		g := New()
-		if err := g.AddPreference(pkgspace.New(0), wv, pkgspace.New(1), lv); err != nil {
+		if err := g.AddPreference(pkgspace.New(0), pkgspace.New(1)); err != nil {
 			return false
 		}
-		c := g.Constraints(false)[0]
+		c := g.Constraints(false, vectors{"0": wv, "1": lv}.of)[0]
 		dotW, dotL := 0.0, 0.0
 		for i := 0; i < d; i++ {
 			dotW += w[i] * wv[i]
@@ -223,55 +209,39 @@ func TestConstraintConsistency(t *testing.T) {
 	}
 }
 
-// TestEpochVectorRefresh: a package re-encountered under a newer catalogue
-// epoch refreshes its stored vector (and the constraints derived from
-// every edge touching it), while stale feedback from an older epoch never
-// downgrades a newer vector.
-func TestEpochVectorRefresh(t *testing.T) {
+// TestConstraintsReadCallerVectors: the graph stores no geometry, so one
+// graph read under two vector functions (two catalogue epochs) yields the
+// same edges with each function's half-spaces, and vec runs once per node.
+func TestConstraintsReadCallerVectors(t *testing.T) {
 	g := New()
 	a, b, c := pkgspace.New(10), pkgspace.New(20), pkgspace.New(30)
-	if refreshed, err := g.AddPreferenceAt(1, a, []float64{1, 0}, b, []float64{0, 1}); err != nil || refreshed {
-		t.Fatalf("first feedback: refreshed=%v err=%v", refreshed, err)
-	}
-	if vec, epoch := storedNode(t, g, a); epoch != 1 || vec[0] != 1 {
-		t.Fatalf("node a = (%v, %d) after epoch-1 feedback", vec, epoch)
-	}
-
-	// Epoch 2 reprices a: feedback touching it refreshes the vector, and
-	// the OLD edge a≻b now derives its constraint from the new geometry.
-	if refreshed, err := g.AddPreferenceAt(2, a, []float64{0.5, 0.25}, c, []float64{0, 0}); err != nil || !refreshed {
-		t.Fatalf("epoch-2 feedback on a known package: refreshed=%v err=%v, want a reported refresh", refreshed, err)
-	}
-	if vec, epoch := storedNode(t, g, a); epoch != 2 || vec[0] != 0.5 || vec[1] != 0.25 {
-		t.Fatalf("node a = (%v, %d): epoch-2 feedback did not refresh the vector", vec, epoch)
-	}
-	cs := g.Constraints(false)
-	found := false
-	for _, con := range cs {
-		if con.Winner.Signature() == a.Signature() && con.Loser.Signature() == b.Signature() {
-			found = true
-			if con.Diff[0] != 0.5 || con.Diff[1] != 0.25-1 {
-				t.Fatalf("edge a≻b constraint %v still uses the epoch-1 vector", con.Diff)
-			}
+	for _, e := range [][2]pkgspace.Package{{a, b}, {a, c}, {c, b}} {
+		if err := g.AddPreference(e[0], e[1]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Fatal("edge a≻b missing")
-	}
-
-	// Late-arriving epoch-1 feedback must not roll the vector back.
-	if refreshed, err := g.AddPreferenceAt(1, a, []float64{9, 9}, b, []float64{0, 1}); err != nil || refreshed {
-		t.Fatalf("stale epoch-1 feedback: refreshed=%v err=%v, want no refresh", refreshed, err)
-	}
-	if vec, epoch := storedNode(t, g, a); epoch != 2 || vec[0] != 0.5 {
-		t.Fatalf("node a = (%v, %d): stale epoch-1 feedback downgraded the vector", vec, epoch)
-	}
-
-	// Same-epoch duplicates keep the first observation (no spurious churn).
-	if refreshed, err := g.AddPreferenceAt(2, a, []float64{7, 7}, c, []float64{0, 0}); err != nil || refreshed {
-		t.Fatalf("same-epoch duplicate: refreshed=%v err=%v, want no refresh", refreshed, err)
-	}
-	if vec, _ := storedNode(t, g, a); vec[0] != 0.5 {
-		t.Fatalf("node a vector %v rewritten by same-epoch duplicate", vec)
+	for _, vs := range []vectors{
+		{a.Signature(): vec(1, 0), b.Signature(): vec(0, 1), c.Signature(): vec(0.5, 0.5)},
+		{a.Signature(): vec(0.5, 0.25), b.Signature(): vec(0, 0), c.Signature(): vec(0.25, 0)},
+	} {
+		calls := 0
+		cs := g.Constraints(false, func(p pkgspace.Package) []float64 {
+			calls++
+			return vs.of(p)
+		})
+		if calls != len(g.Packages()) {
+			t.Errorf("vec called %d times for %d nodes", calls, len(g.Packages()))
+		}
+		if len(cs) != 3 {
+			t.Fatalf("%d constraints, want 3", len(cs))
+		}
+		for _, con := range cs {
+			w, l := vs.of(con.Winner), vs.of(con.Loser)
+			for i := range con.Diff {
+				if con.Diff[i] != w[i]-l[i] {
+					t.Fatalf("%s ≻ %s: Diff = %v, want the supplied vectors' difference", con.Winner, con.Loser, con.Diff)
+				}
+			}
+		}
 	}
 }

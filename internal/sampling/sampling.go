@@ -99,10 +99,10 @@ func NewValidator(dims int, cs []prefgraph.Constraint) *Validator {
 	return &Validator{Constraints: cs, Dims: dims, Psi: 1}
 }
 
-// InBox reports whether w lies in the weight box [-1,1]^d.
+// InBox reports whether w lies in the weight box [-1,1]^d (NaN does not).
 func (v *Validator) InBox(w []float64) bool {
 	for _, x := range w {
-		if x < -1 || x > 1 {
+		if !(x >= -1 && x <= 1) {
 			return false
 		}
 	}

@@ -556,12 +556,16 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// writeJSON encodes v before writing anything, so a value JSON cannot
+// encode (a non-finite score, say) answers 500 rather than an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing more to do.
-		_ = err
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

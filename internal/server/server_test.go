@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -168,6 +169,25 @@ func errorShape(t *testing.T, resp *http.Response) string {
 	return body["error"]
 }
 
+// TestWriteJSONEncodeError: a value JSON cannot encode answers 500 with
+// the error shape, never an empty 200.
+func TestWriteJSONEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"score": math.Inf(1)})
+	resp := rec.Result()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	errorShape(t, resp)
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"score": 1.5})
+	if rec.Code != http.StatusOK || rec.Body.String() != "{\"score\":1.5}\n" {
+		t.Fatalf("encodable value: status %d, body %q", rec.Code, rec.Body.String())
+	}
+}
+
 // TestErrorPaths table-drives the HTTP error surface: unknown sessions,
 // malformed bodies, invalid IDs, wrong methods, oversized payloads. Every
 // JSON-producing error must carry the {"error": ...} shape.
@@ -202,6 +222,7 @@ func TestErrorPaths(t *testing.T) {
 		{"feedback package over φ", "POST", "/sessions/y/feedback", `{"winner":[1,2,3,4,5,6,7],"loser":[8]}`, http.StatusBadRequest, true},
 		{"malformed snapshot", "POST", "/sessions/a/snapshot", "not json", http.StatusBadRequest, true},
 		{"snapshot wrong version", "POST", "/sessions/a/snapshot", `{"version":99}`, http.StatusBadRequest, true},
+		{"snapshot sample outside the weight box", "POST", "/sessions/u2/snapshot", `{"version":2,"samples":[[1e308,1e308]],"weights":[1]}`, http.StatusBadRequest, true},
 		{"oversized click payload", "POST", "/sessions/a/click", string(oversized), http.StatusRequestEntityTooLarge, true},
 		{"wrong method recommend", "POST", "/sessions/a/recommend", "{}", http.StatusMethodNotAllowed, false},
 		{"wrong method click", "GET", "/sessions/a/click", "", http.StatusMethodNotAllowed, false},
