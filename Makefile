@@ -16,10 +16,14 @@ race:
 	$(GO) test -short -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/ranking ./internal/core
 
-# lint always runs go vet; staticcheck and govulncheck run when installed
-# (CI installs both — see .github/workflows/ci.yml) and are skipped with a
-# note otherwise, so the target works in hermetic environments.
+# lint always runs the gofmt check (fails listing any tracked .go file
+# gofmt would rewrite) and go vet; staticcheck and govulncheck run when
+# installed (CI installs both — see .github/workflows/ci.yml) and are
+# skipped with a note otherwise, so the target works in hermetic
+# environments.
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi

@@ -89,17 +89,7 @@ func benchConstraints(b *testing.B, sp *feature.Space, prefs int, seed int64) []
 }
 
 func randomPkg(sp *feature.Space, rng *rand.Rand) pkgspace.Package {
-	size := 1 + rng.Intn(sp.MaxSize)
-	ids := make([]int, 0, size)
-	seen := map[int]bool{}
-	for len(ids) < size {
-		id := rng.Intn(len(sp.Items))
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	return pkgspace.New(ids...)
+	return pkgspace.Random(rng, len(sp.Items), sp.MaxSize)
 }
 
 // --- Figure 4: sampler cost to produce 100 valid 2-D samples. ---

@@ -661,7 +661,7 @@ func (e *Engine) Recommend() (*Slate, error) {
 		seen[r.Pkg.Signature()] = true
 	}
 	for tries := 0; len(slate.Random) < e.cfg.RandomCount && tries < 50*e.cfg.RandomCount; tries++ {
-		p := e.randomPackage(ep.space)
+		p := pkgspace.Random(e.rng, len(ep.space.Items), e.cfg.MaxPackageSize)
 		if sig := p.Signature(); !seen[sig] {
 			seen[sig] = true
 			slate.Random = append(slate.Random, p)
@@ -675,26 +675,7 @@ func (e *Engine) Recommend() (*Slate, error) {
 // distinct random items from the current epoch — the exploration packages
 // of §2.2.
 func (e *Engine) RandomPackage() pkgspace.Package {
-	return e.randomPackage(e.sh.epoch().space)
-}
-
-// randomPackage draws the exploration package against a pinned epoch
-// space, so one Recommend never mixes item universes.
-func (e *Engine) randomPackage(sp *feature.Space) pkgspace.Package {
-	size := 1 + e.rng.Intn(e.cfg.MaxPackageSize)
-	if size > len(sp.Items) {
-		size = len(sp.Items)
-	}
-	picked := make(map[int]bool, size)
-	ids := make([]int, 0, size)
-	for len(ids) < size {
-		id := e.rng.Intn(len(sp.Items))
-		if !picked[id] {
-			picked[id] = true
-			ids = append(ids, id)
-		}
-	}
-	return pkgspace.New(ids...)
+	return pkgspace.Random(e.rng, len(e.Space().Items), e.cfg.MaxPackageSize)
 }
 
 // ErrChosenNotShown rejects a click on a package that is not among the
@@ -705,11 +686,25 @@ var ErrChosenNotShown = errors.New("core: chosen package was not shown")
 // items: it lies outside the package space P_φ the preferences range over.
 var ErrPackageTooLarge = errors.New("core: package exceeds the maximum package size")
 
-// checkSizes returns ErrPackageTooLarge if a package holds more than φ items.
-func (e *Engine) checkSizes(pkgs ...pkgspace.Package) error {
+// ErrInvalidPackage rejects feedback naming an empty package or an item
+// outside the feedback epoch (see FeedbackSpace); the wrapped error says
+// which.
+var ErrInvalidPackage = errors.New("core: invalid package")
+
+// checkPackages returns ErrInvalidPackage or ErrPackageTooLarge for the
+// first package that is empty, names an item outside the feedback epoch or
+// holds more than φ items.
+func (e *Engine) checkPackages(pkgs ...pkgspace.Package) error {
+	sp := e.FeedbackSpace()
 	for _, p := range pkgs {
-		if phi := e.FeedbackSpace().MaxSize; len(p.IDs) > phi {
-			return fmt.Errorf("%w: %d items, φ = %d", ErrPackageTooLarge, len(p.IDs), phi)
+		if len(p.IDs) == 0 {
+			return fmt.Errorf("%w: empty package", ErrInvalidPackage)
+		}
+		if err := pkgspace.ValidateIDs(sp, p); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidPackage, err)
+		}
+		if len(p.IDs) > sp.MaxSize {
+			return fmt.Errorf("%w: %d items, φ = %d", ErrPackageTooLarge, len(p.IDs), sp.MaxSize)
 		}
 	}
 	return nil
@@ -717,16 +712,17 @@ func (e *Engine) checkSizes(pkgs ...pkgspace.Package) error {
 
 // Click records implicit feedback: the user clicked chosen out of shown,
 // yielding a pairwise preference over every other shown package (§3.3).
-// A chosen package missing from shown records nothing and returns
-// ErrChosenNotShown; one of more than φ items among them records nothing
-// and returns ErrPackageTooLarge. Preferences contradicting earlier feedback
-// are skipped and counted in Stats.CyclesSkipped, mirroring the paper's
-// cycle resolution.
+// It records nothing unless every package passes: a chosen package missing
+// from shown returns ErrChosenNotShown, and a shown package that is empty,
+// names an item outside the feedback epoch or holds more than φ items
+// returns ErrInvalidPackage or ErrPackageTooLarge. Preferences
+// contradicting earlier feedback are skipped and counted in
+// Stats.CyclesSkipped, mirroring the paper's cycle resolution.
 func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error {
 	if !slices.ContainsFunc(shown, func(p pkgspace.Package) bool { return pkgspace.Equal(p, chosen) }) {
 		return ErrChosenNotShown
 	}
-	if err := e.checkSizes(shown...); err != nil { // chosen is among them
+	if err := e.checkPackages(shown...); err != nil { // chosen is among them
 		return err
 	}
 	for _, p := range shown {
@@ -754,21 +750,16 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 // preference is stored under the packages' stable catalogue identity. When
 // that epoch drops some stored preference (see constraintsAt), the new one
 // must fit the derived graph too, so it joins the derived set as exactly
-// one edge. A package of more than φ items records nothing and returns
-// ErrPackageTooLarge.
+// one edge. A package that is empty, names an item outside the feedback
+// epoch or holds more than φ items records nothing and returns
+// ErrInvalidPackage or ErrPackageTooLarge. Stats.Feedback counts a
+// preference once; a repeat still runs the maintenance pass.
 func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
-	if err := e.checkSizes(winner, loser); err != nil {
+	if err := e.checkPackages(winner, loser); err != nil {
 		return err
 	}
 	fv := e.feedbackView()
-	wv, err := e.PackageVector(winner)
-	if err != nil {
-		return err
-	}
-	lv, err := e.PackageVector(loser)
-	if err != nil {
-		return err
-	}
+	wv, lv := pkgspace.Vector(fv.space, winner), pkgspace.Vector(fv.space, loser)
 	sw, sl := fv.stablePkg(winner), fv.stablePkg(loser)
 	cs := e.constraintsAt(fv)
 	if cs.graph != e.graph {
@@ -776,10 +767,13 @@ func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 			return err
 		}
 	}
+	edges := e.graph.Edges()
 	if err := e.graph.AddPreference(sw, sl); err != nil {
 		return err
 	}
-	e.stats.Feedback++
+	if e.graph.Edges() > edges {
+		e.stats.Feedback++
+	}
 	if e.pool == nil {
 		return nil // pool will be drawn under the derived constraint set
 	}

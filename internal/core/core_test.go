@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"toppkg/internal/dataset"
@@ -234,6 +235,116 @@ func TestFeedbackRejectsPackageTooLarge(t *testing.T) {
 	}
 	if err := e.Feedback(pkgspace.New(1, 2, 3), small); err != nil {
 		t.Fatalf("Feedback(φ-item winner) = %v", err)
+	}
+}
+
+// TestClickIsAtomic: a click records nothing unless every shown package
+// passes — an out-of-range item or an empty package last in shown rejects
+// the click before any of its preferences is recorded.
+func TestClickIsAtomic(t *testing.T) {
+	e, err := New(testConfig(t, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Feedback(pkgspace.New(0), pkgspace.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	edges, st := e.Graph().Edges(), e.Stats()
+	for _, last := range []pkgspace.Package{pkgspace.New(2, 999), {}} {
+		shown := []pkgspace.Package{pkgspace.New(3), pkgspace.New(4), pkgspace.New(5), last}
+		if err := e.Click(shown[0], shown); !errors.Is(err, ErrInvalidPackage) {
+			t.Fatalf("Click(last shown %v) = %v, want ErrInvalidPackage", last, err)
+		}
+		if got := e.Graph().Edges(); got != edges {
+			t.Fatalf("rejected click left %d edges, want %d", got, edges)
+		}
+		if got := e.Stats(); got != st {
+			t.Fatalf("rejected click moved the stats:\n got %+v\nwant %+v", got, st)
+		}
+	}
+}
+
+// TestRepeatedFeedbackCountedOnce: Stats.Feedback counts preferences, so a
+// repeat of a recorded one adds nothing to the count, the graph or the
+// snapshot.
+func TestRepeatedFeedbackCountedOnce(t *testing.T) {
+	e, err := New(testConfig(t, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := e.Feedback(pkgspace.New(0, 1), pkgspace.New(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Click(pkgspace.New(0, 1), []pkgspace.Package{pkgspace.New(2), pkgspace.New(0, 1), pkgspace.New(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Feedback != 1 || e.FeedbackCount() != 1 {
+		t.Errorf("Stats.Feedback %d, FeedbackCount %d after one preference repeated, want 1", st.Feedback, e.FeedbackCount())
+	}
+	if got := e.Graph().Edges(); got != 1 {
+		t.Errorf("%d edges, want 1", got)
+	}
+	if got := len(e.Snapshot().Preferences); got != 1 {
+		t.Errorf("snapshot holds %d preferences, want 1", got)
+	}
+}
+
+// TestAcceptedFeedbackRoundTrips: whatever mix of feedback and clicks an
+// engine accepts — packages empty, out of range, over φ or repeated among
+// the attempts — its snapshot restores, with the same preferences.
+func TestAcceptedFeedbackRoundTrips(t *testing.T) {
+	cfg := testConfig(t, 40)
+	rng := rand.New(rand.NewSource(5))
+	randPkg := func() pkgspace.Package {
+		ids := make([]int, rng.Intn(cfg.MaxPackageSize+2))
+		for i := range ids {
+			ids[i] = rng.Intn(len(cfg.Items) + 2)
+		}
+		return pkgspace.New(ids...)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for step := 0; step < 120; step++ {
+		if rng.Intn(4) == 0 {
+			shown := []pkgspace.Package{randPkg(), randPkg(), randPkg()}
+			err = e.Click(shown[rng.Intn(len(shown))], shown)
+		} else {
+			err = e.Feedback(randPkg(), randPkg())
+		}
+		if err != nil {
+			continue
+		}
+		accepted++
+		snap := e.Snapshot()
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Restore(snap); err != nil {
+			t.Fatalf("step %d: accepted feedback does not restore: %v", step, err)
+		}
+		if !slices.EqualFunc(r.Snapshot().Preferences, snap.Preferences, func(a, b PreferencePair) bool {
+			return slices.Equal(a.Winner, b.Winner) && slices.Equal(a.Loser, b.Loser)
+		}) {
+			t.Fatalf("step %d: restored preferences differ", step)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no feedback accepted")
 	}
 }
 

@@ -75,22 +75,8 @@ func hiddenW(d int, rng *rand.Rand) []float64 {
 // random items) from the space.
 func randomPackages(sp *feature.Space, count int, rng *rand.Rand) []pkgspace.Package {
 	out := make([]pkgspace.Package, count)
-	n := len(sp.Items)
 	for i := range out {
-		size := 1 + rng.Intn(sp.MaxSize)
-		if size > n {
-			size = n
-		}
-		picked := make(map[int]bool, size)
-		ids := make([]int, 0, size)
-		for len(ids) < size {
-			id := rng.Intn(n)
-			if !picked[id] {
-				picked[id] = true
-				ids = append(ids, id)
-			}
-		}
-		out[i] = pkgspace.New(ids...)
+		out[i] = pkgspace.Random(rng, len(sp.Items), sp.MaxSize)
 	}
 	return out
 }

@@ -2,13 +2,15 @@
 // feedback arrives, previously generated weight-vector samples that satisfy
 // it are kept and only the violators are replaced, avoiding regeneration
 // from scratch. Three violator-finding strategies are provided — the naive
-// scan, the threshold-algorithm (TA) search over per-dimension sorted
-// sample lists, and the hybrid of Algorithm 1 which starts as TA and falls
-// back to scanning once its projected cost exceeds (1+γ)·|S|.
+// scan, the hybrid of Algorithm 1, which runs the threshold algorithm (TA)
+// over per-dimension sorted sample lists and falls back to scanning once
+// its projected cost exceeds (1+γ)·|S|, and pure TA, which is the hybrid
+// at γ = +∞ (§5.5).
 package maintain
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"toppkg/internal/prefgraph"
@@ -59,7 +61,8 @@ func (n *Naive) Violators(q []float64) ([]int, int) {
 // TA finds violators with the threshold algorithm over sorted sample lists
 // [13]: samples are drawn in descending possible score until the boundary
 // value shows no unseen sample can score above zero. Very efficient when
-// few samples violate; can cost more than a scan when many do.
+// few samples violate; can cost more than a scan when many do. It is the
+// hybrid that never falls back (γ = +∞).
 type TA struct{ P *topk.Pool }
 
 // Name implements Checker.
@@ -67,7 +70,7 @@ func (t *TA) Name() string { return "ta" }
 
 // Violators implements Checker.
 func (t *TA) Violators(q []float64) ([]int, int) {
-	return t.P.AboveZero(q)
+	return (&Hybrid{P: t.P, Gamma: math.Inf(1)}).Violators(q)
 }
 
 // Hybrid is Algorithm 1: run TA, but once the accesses performed plus the

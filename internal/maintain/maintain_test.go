@@ -70,6 +70,72 @@ func TestCheckersAgree(t *testing.T) {
 	}
 }
 
+func bruteViolators(vecs [][]float64, q []float64) []int {
+	var out []int
+	for i, v := range vecs {
+		s := 0.0
+		for j := range v {
+			s += v[j] * q[j]
+		}
+		if s > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func TestTAMatchesBruteForce(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		d := 1 + rng.Intn(5)
+		vecs := sampling.Weights(randomSamples(rng, n, d))
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = rng.Float64()*2 - 1
+			if rng.Float64() < 0.2 {
+				q[j] = 0
+			}
+		}
+		got, _ := (&TA{P: topk.NewPool(vecs)}).Violators(q)
+		sort.Ints(got)
+		want := bruteViolators(vecs, q)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTAEarlyTermination: when no vector scores above zero and the query
+// points away from the data, TA should touch far fewer entries than a full
+// scan of all lists.
+func TestTAEarlyTermination(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	n := 5000
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		// All coordinates positive.
+		vecs[i] = []float64{rng.Float64() + 0.01, rng.Float64() + 0.01}
+	}
+	// q all-negative: every score < 0; first accesses already prove it.
+	res, accesses := (&TA{P: topk.NewPool(vecs)}).Violators([]float64{-1, -1})
+	if len(res) != 0 {
+		t.Fatalf("got %d violators, want 0", len(res))
+	}
+	if accesses > n/10 {
+		t.Errorf("TA did %d accesses on a hopeless query (n=%d); early termination broken", accesses, n)
+	}
+}
+
 // TestTAWinsWhenFewViolators reproduces Figure 7's left end: when almost no
 // samples violate the feedback, TA does far less work than the naive scan.
 func TestTAWinsWhenFewViolators(t *testing.T) {

@@ -6,6 +6,7 @@ package pkgspace
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,6 +32,22 @@ func New(ids ...int) Package {
 		}
 	}
 	return Package{IDs: out}
+}
+
+// Random draws a uniformly random size in [1, maxSize], clamped to n, and
+// that many distinct items of [0, n) — the random exploration packages of
+// §2.2.
+func Random(rng *rand.Rand, n, maxSize int) Package {
+	size := min(1+rng.Intn(maxSize), n)
+	picked := make(map[int]bool, size)
+	ids := make([]int, 0, size)
+	for len(ids) < size {
+		if id := rng.Intn(n); !picked[id] {
+			picked[id] = true
+			ids = append(ids, id)
+		}
+	}
+	return New(ids...)
 }
 
 // Size returns the number of items in the package.

@@ -289,7 +289,6 @@ func TestBarrenVerdictSound(t *testing.T) {
 		{"paper", func(*Options) {}},
 		{"expandall", func(o *Options) { o.ExpandAll = true }},
 		{"predicates", func(o *Options) {
-			o.Expand = pkgspace.MaxCount(2, oddOnes) // anti-monotone
 			o.Candidate = pkgspace.MinCount(1, oddOnes)
 		}},
 	}

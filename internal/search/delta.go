@@ -1,14 +1,15 @@
 package search
 
 import (
+	"cmp"
 	"slices"
 
 	"toppkg/internal/feature"
 )
 
-// NewIndexFrom derives the index over sp from a parent epoch's index in
-// O(batch·log n) comparisons plus O(n) copying for the dimensions the
-// batch touches, instead of NewIndex's O(n log n) sort per dimension.
+// NewIndexFrom derives the index over sp from a parent epoch's index with
+// one O(n) merge per dimension the batch touches, instead of NewIndex's
+// O(n log n) sort per dimension.
 //
 // remap maps parent dense IDs to sp dense IDs: remap[i] < 0 means parent
 // item i is not carried over (deleted, or re-entering with new values via
@@ -17,21 +18,21 @@ import (
 // guarantees two invariants the catalogue's stable-ID dense ordering
 // provides: remap is order-preserving over carried items (i < j with both
 // carried implies remap[i] < remap[j]), and carried items have identical
-// values in both spaces. Under them, remapping a parent dimension list
-// preserves its (value, dense ID) order, so the new list is a splice, not
-// a sort.
+// values in both spaces. Under them, renumbering a parent dimension list
+// through remap preserves its (value, dense ID) order, so the new list is
+// that renumbered list merged with the sorted batch (mergeList), not a
+// sort.
 //
-// Dimensions the batch does not touch share the parent's arrays
-// copy-on-write when the remap is the identity (no carried item shifted);
-// when dense IDs shift, every list is rewritten in one renumbering pass —
-// O(n) copying, still no sorting.
+// When the remap is the identity (no carried item shifted), dimensions the
+// batch does not touch share the parent's arrays copy-on-write, and so
+// does the orphan list when the batch leaves it alone.
 func NewIndexFrom(parent *Index, sp *feature.Space, remap []int32, added []int32) *Index {
 	dims := sp.Dims()
 	ix := &Index{space: sp, asc: make([][]int32, dims)}
 	psp := parent.space
 
 	// identity: every carried parent item keeps its dense ID, so untouched
-	// dimension arrays remain valid as-is and can be shared.
+	// arrays remain valid as-is and can be shared.
 	identity := true
 	for i, v := range remap {
 		if v >= 0 && v != int32(i) {
@@ -79,143 +80,53 @@ func NewIndexFrom(parent *Index, sp *feature.Space, remap []int32, added []int32
 				batch = append(batch, id)
 			}
 		}
-		slices.SortFunc(batch, cmpByValue(col))
-		if identity {
-			ix.asc[d] = spliceList(parent.asc[d], sp, psp, f, remap, batch)
-		} else {
-			ix.asc[d] = renumberList(parent.asc[d], sp, psp, f, remap, batch)
-		}
+		ix.asc[d] = mergeList(parent.asc[d], remap, batch, cmpByValue(col))
 	}
 
 	ix.orphans = deriveOrphans(parent, sp, remap, added, identity)
 	return ix
 }
 
-// spliceList derives a dimension list under an identity remap: removed
-// entries and batch insertion points are located by binary search on the
-// (value, dense ID) order, then the output is assembled from segment
-// copies of the parent list — O((removals+batch)·log n) comparisons plus
-// one O(n) copy.
-func spliceList(old []int32, sp, psp *feature.Space, f int, remap, batch []int32) []int32 {
-	// Splice ops in list order: drop old[pos] (removals) or insert id
-	// before old[pos] (batch). Values of removed entries resolve against
-	// the parent space (they may no longer exist in sp); carried entries
-	// have identical values in both, so the two orders agree.
-	type splice struct {
-		pos    int
-		id     int32
-		insert bool
-	}
-	oldCmp := cmpByValue(psp.Col(f))
-	var ops []splice
-	removals := 0
-	for pi, v := range remap {
-		if v >= 0 || feature.IsNull(psp.Col(f)[pi]) {
-			continue
-		}
-		pos, ok := slices.BinarySearchFunc(old, int32(pi), oldCmp)
-		if !ok { // unreachable: every non-null parent item is listed
-			return renumberList(old, sp, psp, f, remap, batch)
-		}
-		ops = append(ops, splice{pos: pos, id: int32(pi)})
-		removals++
-	}
-	for _, id := range batch {
-		// Insertion point in the parent list: first entry ≥ (value, id).
-		// Carried entries compare identically under both spaces, and a
-		// removed entry landing at the same point sorts consistently
-		// either way, so comparing new values against parent entries via
-		// the parent ordering is sound.
-		pos, _ := slices.BinarySearchFunc(old, id, func(entry, target int32) int {
-			ve, vt := psp.Col(f)[entry], sp.Col(f)[target]
-			if ve != vt {
-				if ve < vt {
-					return -1
-				}
-				return 1
-			}
-			if ve == vt && entry != target {
-				if entry < target {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-		ops = append(ops, splice{pos: pos, id: id, insert: true})
-	}
-	slices.SortStableFunc(ops, func(a, b splice) int {
-		if a.pos != b.pos {
-			return a.pos - b.pos
-		}
-		// At the same position an insertion's key is ≤ the removed
-		// entry's, so insertions apply first; batch order is preserved by
-		// stability.
-		switch {
-		case a.insert == b.insert:
-			return 0
-		case a.insert:
-			return -1
-		default:
-			return 1
-		}
-	})
-	out := make([]int32, 0, len(old)-removals+len(batch))
-	oi := 0
-	for _, op := range ops {
-		out = append(out, old[oi:op.pos]...)
-		oi = op.pos
-		if op.insert {
-			out = append(out, op.id)
-		} else {
-			oi++ // skip the removed entry
-		}
-	}
-	out = append(out, old[oi:]...)
-	return out
-}
-
-// renumberList rewrites a dimension list under a non-identity remap in one
-// pass: removed entries are dropped, carried ones renumbered (order is
-// preserved — the remap is monotone over carried items), and the sorted
-// batch merged in by (value, dense ID).
-func renumberList(old []int32, sp, psp *feature.Space, f int, remap, batch []int32) []int32 {
-	out := make([]int32, 0, len(old)+len(batch))
-	col := sp.Col(f)
-	j := 0
+// mergeList derives a list from its parent's: the parent entries
+// renumbered through remap (removed ones dropped; the order holds, since
+// the remap is monotone over carried items) merged with batch, which it
+// sorts by order first. order compares sp dense IDs: (value, dense ID) for
+// a dimension list, dense ID for the orphan list. The renumbered entries
+// are written behind room for the batch, and each batch entry's place is
+// found by binary search, so the merge moves runs with copy and makes
+// O(batch·log n) comparisons instead of one per entry.
+func mergeList(old, remap, batch []int32, order func(a, b int32) int) []int32 {
+	slices.SortFunc(batch, order)
+	out := make([]int32, len(batch), len(old)+len(batch))
 	for _, pid := range old {
-		nid := remap[pid]
-		if nid < 0 {
-			continue
+		if nid := remap[pid]; nid >= 0 {
+			out = append(out, nid)
 		}
-		v := col[nid]
-		for j < len(batch) {
-			bv := col[batch[j]]
-			if bv < v || (bv == v && batch[j] < nid) {
-				out = append(out, batch[j])
-				j++
-				continue
-			}
-			break
-		}
-		out = append(out, nid)
 	}
-	out = append(out, batch[j:]...)
+	// Every write lands before the first unread carried entry: w counts
+	// the carried entries moved plus fewer than len(batch) batch entries.
+	carried, w := out[len(batch):], 0
+	for _, id := range batch {
+		k, _ := slices.BinarySearchFunc(carried, id, order)
+		w += copy(out[w:], carried[:k])
+		out[w] = id
+		w++
+		carried = carried[k:]
+	}
 	return out
 }
 
-// deriveOrphans maintains the list of items null on every profile feature:
-// removed parent orphans are dropped, carried ones renumbered, and added
-// orphans merged in dense-ID order. Shares the parent's slice when the
-// delta leaves it untouched under an identity remap.
+// deriveOrphans maintains the list of items null on every profile feature.
+// Shares the parent's slice when the delta leaves it untouched under an
+// identity remap.
 func deriveOrphans(parent *Index, sp *feature.Space, remap, added []int32, identity bool) []int32 {
-	isOrphan := func(space *feature.Space, id int32) bool {
-		for d := 0; d < space.Dims(); d++ {
-			e := space.Profile.Entry(d)
+	isOrphan := func(id int32) bool {
+		for d := 0; d < sp.Dims(); d++ {
+			e := sp.Profile.Entry(d)
 			if e.Agg == feature.AggNull {
 				continue
 			}
-			if !feature.IsNull(space.Col(e.Feature)[id]) {
+			if !feature.IsNull(sp.Col(e.Feature)[id]) {
 				return false
 			}
 		}
@@ -223,11 +134,10 @@ func deriveOrphans(parent *Index, sp *feature.Space, remap, added []int32, ident
 	}
 	var addedOrphans []int32
 	for _, id := range added {
-		if isOrphan(sp, id) {
+		if isOrphan(id) {
 			addedOrphans = append(addedOrphans, id)
 		}
 	}
-	slices.Sort(addedOrphans)
 	removedOrphan := false
 	for _, pid := range parent.orphans {
 		if remap[pid] < 0 {
@@ -238,19 +148,5 @@ func deriveOrphans(parent *Index, sp *feature.Space, remap, added []int32, ident
 	if identity && !removedOrphan && len(addedOrphans) == 0 {
 		return parent.orphans
 	}
-	out := make([]int32, 0, len(parent.orphans)+len(addedOrphans))
-	j := 0
-	for _, pid := range parent.orphans {
-		nid := remap[pid]
-		if nid < 0 {
-			continue
-		}
-		for j < len(addedOrphans) && addedOrphans[j] < nid {
-			out = append(out, addedOrphans[j])
-			j++
-		}
-		out = append(out, nid)
-	}
-	out = append(out, addedOrphans[j:]...)
-	return out
+	return mergeList(parent.orphans, remap, addedOrphans, cmp.Compare[int32])
 }

@@ -117,6 +117,9 @@ func assertIndexEqual(t *testing.T, got, want *Index) {
 // TestNewIndexFromEquivalence checks randomized chained deltas — appends,
 // mid-inserts, deletions (which renumber every dense ID after them) and
 // replacements — against a from-scratch NewIndex over the same items.
+// Every mixed step is followed by a reprice-only step (values of existing
+// items change, nothing enters or leaves: an identity remap over nullable
+// rows), the shape a serving catalogue's reprice batches take.
 func TestNewIndexFromEquivalence(t *testing.T) {
 	p := deltaTestProfile(t)
 	for trial := 0; trial < 150; trial++ {
@@ -128,28 +131,44 @@ func TestNewIndexFromEquivalence(t *testing.T) {
 			cur.rows = append(cur.rows, deltaTestRow(rng))
 		}
 		ix := NewIndex(cur.space(t, p))
-		for step := 0; step < 4; step++ {
+		for step := 0; step < 8; step++ {
 			deleted := map[int]bool{}
 			upserts := map[int][]float64{}
-			for _, s := range cur.stable {
-				switch rng.Intn(8) {
-				case 0:
-					if len(cur.stable)-len(deleted) > 1 {
-						deleted[s] = true
+			if step%2 == 1 { // reprice only
+				for _, s := range cur.stable {
+					if rng.Intn(3) == 0 {
+						upserts[s] = deltaTestRow(rng)
 					}
-				case 1:
-					upserts[s] = deltaTestRow(rng) // replacement
 				}
-			}
-			for a := rng.Intn(3); a > 0; a-- {
-				upserts[rng.Intn(3*n+6)] = deltaTestRow(rng) // insert (mid or append)
-			}
-			for s := range upserts {
-				delete(deleted, s)
+				upserts[cur.stable[rng.Intn(len(cur.stable))]] = deltaTestRow(rng)
+			} else {
+				for _, s := range cur.stable {
+					switch rng.Intn(8) {
+					case 0:
+						if len(cur.stable)-len(deleted) > 1 {
+							deleted[s] = true
+						}
+					case 1:
+						upserts[s] = deltaTestRow(rng) // replacement
+					}
+				}
+				for a := rng.Intn(3); a > 0; a-- {
+					upserts[rng.Intn(3*n+6)] = deltaTestRow(rng) // insert (mid or append)
+				}
+				for s := range upserts {
+					delete(deleted, s)
+				}
 			}
 			next, remap, added := cur.mutate(deleted, upserts)
 			if len(next.rows) == 0 {
 				continue
+			}
+			if step%2 == 1 {
+				for i, v := range remap {
+					if v >= 0 && v != int32(i) {
+						t.Fatalf("trial %d step %d: reprice remap is not the identity: %v", trial, step, remap)
+					}
+				}
 			}
 			nsp := next.space(t, p)
 			got := NewIndexFrom(ix, nsp, remap, added)
@@ -187,7 +206,7 @@ func TestNewIndexFromSharesUntouchedLists(t *testing.T) {
 		t.Fatal("untouched avg list was reallocated instead of shared")
 	}
 	if len(got.asc[1]) != 4 || &got.asc[1][0] == &ix.asc[1][0] {
-		t.Fatal("touched max list should be a fresh spliced array")
+		t.Fatal("touched max list should be a fresh merged array")
 	}
 
 	// A deletion renumbers dense IDs: nothing may be shared, and results

@@ -212,7 +212,7 @@ func (ix *Index) install(p *partition.Partition) {
 // degenerate path enumerates the whole space) and predicate-free, and its
 // index holds PartitionMinItems items or a partition already.
 func (ix *Index) partitionFor(u *feature.Utility, opts Options) *partState {
-	if opts.DisablePartition || opts.Candidate != nil || opts.Expand != nil ||
+	if opts.DisablePartition || opts.Candidate != nil ||
 		(opts.MaxQueue < 0 && opts.MaxAccessed <= 0) || !u.SetMonotone(ix.space.Profile) ||
 		!slices.ContainsFunc(u.W, func(w float64) bool { return w != 0 }) {
 		return nil

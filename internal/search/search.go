@@ -53,10 +53,6 @@ type Options struct {
 	// (the schema predicates of §7). Packages failing it are still expanded,
 	// since predicates such as "at least two novels" are not anti-monotone.
 	Candidate pkgspace.Predicate
-	// Expand, when non-nil, prunes package growth: a package failing it is
-	// neither kept nor grown. Use only for anti-monotone predicates (e.g.
-	// MaxCount), otherwise results may be incomplete.
-	Expand pkgspace.Predicate
 	// DisableDominancePrune turns off the skyline head filter. The filter
 	// only engages when the utility is monotone for the profile (positive
 	// weights on sum/max, negative on min, no weighted avg), and skips a
@@ -88,7 +84,7 @@ const DefaultMaxQueue = 512
 // functions — closures cannot be identified across calls, so their results
 // must never be reused from a cache.
 func (o Options) CacheKey() (key string, ok bool) {
-	if o.Candidate != nil || o.Expand != nil {
+	if o.Candidate != nil {
 		return "", false
 	}
 	return fmt.Sprintf("k%d;ea%t;mq%d;ma%d;dp%t;pt%t",
@@ -926,8 +922,7 @@ func (r *run) expand(item int) (etaLo, etaUp float64) {
 			}
 			// Create the child only if it can matter — as a candidate (gu
 			// above the bar) or as an ancestor of one (bound above the bar).
-			if (gu > etaLo || bound > etaLo) &&
-				(r.opts.Expand == nil || r.opts.Expand(r.ix.space, childPackage(p, item))) {
+			if gu > etaLo || bound > etaLo {
 				r.created++
 				r.offer(p, item, gu)
 				etaLo = r.cands.kthUtility()

@@ -349,22 +349,6 @@ func TestCandidatePredicate(t *testing.T) {
 	}
 }
 
-func TestExpandPredicateAntiMonotone(t *testing.T) {
-	sp := paperSpace(t, 3)
-	ix := NewIndex(sp)
-	// Forbid item 0 entirely via an anti-monotone predicate.
-	noZero := func(_ *feature.Space, p pkgspace.Package) bool { return !slices.Contains(p.IDs, 0) }
-	res, err := ix.TopK(mustUtility(t, sp, 0.5, 0.5), Options{K: 3, Expand: noZero})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range res.Packages {
-		if slices.Contains(sc.Pkg.IDs, 0) {
-			t.Errorf("package %s contains forbidden item", sc.Pkg)
-		}
-	}
-}
-
 func TestMaxQueueTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 40

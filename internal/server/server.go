@@ -209,9 +209,6 @@ func (s *Server) handleClick(w http.ResponseWriter, r *http.Request) {
 	}
 	var st core.Stats
 	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		if err := validatePackages(eng, append(shown, chosen)); err != nil {
-			return err
-		}
 		err := eng.Click(chosen, shown)
 		st = eng.Stats()
 		return err
@@ -238,9 +235,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	winner, loser := pkgspace.New(req.Winner...), pkgspace.New(req.Loser...)
 	var st core.Stats
 	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		if err := validatePackages(eng, []pkgspace.Package{winner, loser}); err != nil {
-			return err
-		}
 		err := eng.Feedback(winner, loser)
 		st = eng.Stats()
 		return err
@@ -516,25 +510,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 	return nil
 }
 
-// validatePackages rejects out-of-range item IDs before they reach the
-// engine, so malformed payloads are the client's error, not a 500. IDs are
-// validated against the engine's feedback space — the epoch of the slate
-// the client is reacting to — not the catalogue's current epoch.
-func validatePackages(eng *core.Engine, pkgs []pkgspace.Package) error {
-	sp := eng.FeedbackSpace()
-	for _, p := range pkgs {
-		if len(p.IDs) == 0 {
-			return badRequest{errors.New("empty package")}
-		}
-		if err := pkgspace.ValidateIDs(sp, p); err != nil {
-			return badRequest{err}
-		}
-	}
-	return nil
-}
-
-// statusFor maps errors to HTTP statuses: invalid input (a self-preference,
-// a click on a package not shown and a package over φ included) is 400, unknown sessions 404,
+// statusFor maps errors to HTTP statuses: invalid input is 400 — among it
+// the engine's feedback rejections (a self-preference, a click on a
+// package not shown, and a package that is empty, names an item outside
+// the slate's epoch or holds more than φ items) — unknown sessions 404,
 // contradictory feedback is the client's inconsistency (409), oversized
 // bodies 413, everything else internal.
 func statusFor(err error) int {
@@ -544,7 +523,8 @@ func statusFor(err error) int {
 	case errors.As(err, &br):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrBadID), errors.Is(err, prefgraph.ErrSelfPreference),
-		errors.Is(err, core.ErrChosenNotShown), errors.Is(err, core.ErrPackageTooLarge):
+		errors.Is(err, core.ErrChosenNotShown), errors.Is(err, core.ErrInvalidPackage),
+		errors.Is(err, core.ErrPackageTooLarge):
 		return http.StatusBadRequest
 	case errors.Is(err, session.ErrNotFound):
 		return http.StatusNotFound

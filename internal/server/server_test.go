@@ -216,6 +216,9 @@ func TestErrorPaths(t *testing.T) {
 		{"click out-of-range item", "POST", "/sessions/a/click", `{"chosen":[999],"shown":[[1]]}`, http.StatusBadRequest, true},
 		{"click empty package", "POST", "/sessions/a/click", `{"chosen":[1],"shown":[[]]}`, http.StatusBadRequest, true},
 		{"click chosen not shown", "POST", "/sessions/z/click", `{"chosen":[5],"shown":[[1],[2]]}`, http.StatusBadRequest, true},
+		{"click empty shown package", "POST", "/sessions/z/click", `{"chosen":[1],"shown":[[1],[2],[]]}`, http.StatusBadRequest, true},
+		{"click out-of-range shown item", "POST", "/sessions/z/click", `{"chosen":[1],"shown":[[1],[2],[3,999]]}`, http.StatusBadRequest, true},
+		{"feedback empty package", "POST", "/sessions/y/feedback", `{"winner":[1],"loser":[]}`, http.StatusBadRequest, true},
 		{"feedback out-of-range item", "POST", "/sessions/a/feedback", `{"winner":[999],"loser":[1]}`, http.StatusBadRequest, true},
 		{"feedback self-preference", "POST", "/sessions/a/feedback", `{"winner":[1],"loser":[1]}`, http.StatusBadRequest, true},
 		{"feedback self-preference after dedup", "POST", "/sessions/a/feedback", `{"winner":[1,1],"loser":[1]}`, http.StatusBadRequest, true},

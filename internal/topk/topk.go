@@ -1,8 +1,8 @@
-// Package topk implements threshold-algorithm (TA) style query processing
-// over an in-memory pool of vectors [13]. Given a query vector q, it
-// retrieves the vectors whose dot product with q exceeds zero (the
-// primitive behind sample maintenance, paper §3.4), with early termination
-// based on the boundary (threshold) value of sorted access lists.
+// Package topk implements threshold-algorithm (TA) style sorted access
+// over an in-memory pool of vectors [13]: per-dimension sorted lists, a
+// round-robin Scanner for a query vector q, and the boundary (threshold)
+// value τ·q that bounds every unseen vector's score. Sample maintenance
+// (package maintain, paper §3.4) runs its violator search, w·q > 0, on it.
 package topk
 
 import (
@@ -172,31 +172,4 @@ func (s *Scanner) CurrentUnread() []int32 {
 		return out
 	}
 	return nil
-}
-
-// AboveZero returns the indices of all vectors v with v·q > 0, using TA
-// with early termination once the threshold drops to ≤ 0, along with the
-// number of sorted accesses performed. Results are in no particular order.
-func (p *Pool) AboveZero(q []float64) (result []int, accesses int) {
-	s := NewScanner(p, q)
-	if s == nil {
-		return nil, 0
-	}
-	seen := make([]bool, p.Len())
-	for {
-		i, ok := s.Next()
-		if !ok {
-			break
-		}
-		if !seen[i] {
-			seen[i] = true
-			if p.Dot(i, q) > 0 {
-				result = append(result, i)
-			}
-		}
-		if s.Threshold() <= 0 {
-			break
-		}
-	}
-	return result, s.Accesses()
 }

@@ -2,7 +2,6 @@ package topk
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -19,20 +18,6 @@ func randVecs(rng *rand.Rand, n, d int) [][]float64 {
 	return vecs
 }
 
-func bruteAboveZero(vecs [][]float64, q []float64) []int {
-	var out []int
-	for i, v := range vecs {
-		s := 0.0
-		for j := range v {
-			s += v[j] * q[j]
-		}
-		if s > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func TestPoolBasics(t *testing.T) {
 	vecs := [][]float64{{1, 2}, {3, 0}, {-1, 5}}
 	p := NewPool(vecs)
@@ -46,8 +31,8 @@ func TestPoolBasics(t *testing.T) {
 
 func TestEmptyPool(t *testing.T) {
 	p := NewPool(nil)
-	if r, _ := p.AboveZero([]float64{1}); r != nil {
-		t.Error("AboveZero on empty pool returned results")
+	if s := NewScanner(p, []float64{1}); s != nil {
+		t.Error("scanner over an empty pool should be nil")
 	}
 }
 
@@ -130,60 +115,6 @@ func TestThresholdBoundsUnseen(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAboveZeroMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(60)
-		d := 1 + rng.Intn(5)
-		vecs := randVecs(rng, n, d)
-		q := make([]float64, d)
-		for j := range q {
-			q[j] = rng.Float64()*2 - 1
-			if rng.Float64() < 0.2 {
-				q[j] = 0
-			}
-		}
-		p := NewPool(vecs)
-		got, _ := p.AboveZero(q)
-		sort.Ints(got)
-		want := bruteAboveZero(vecs, q)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestAboveZeroEarlyTermination: when no vector scores above zero and the
-// query points away from the data, TA should touch far fewer entries than
-// a full scan of all lists.
-func TestAboveZeroEarlyTermination(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 5000
-	vecs := make([][]float64, n)
-	for i := range vecs {
-		// All coordinates positive.
-		vecs[i] = []float64{rng.Float64() + 0.01, rng.Float64() + 0.01}
-	}
-	p := NewPool(vecs)
-	// q all-negative: every score < 0; first accesses already prove it.
-	res, accesses := p.AboveZero([]float64{-1, -1})
-	if len(res) != 0 {
-		t.Fatalf("got %d violators, want 0", len(res))
-	}
-	if accesses > n/10 {
-		t.Errorf("TA did %d accesses on a hopeless query (n=%d); early termination broken", accesses, n)
 	}
 }
 
