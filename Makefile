@@ -65,8 +65,9 @@ bench-check:
 # pruned walk opens a flat scan's mask) — three times over, so a reintroduced random seed cannot hide behind a lucky
 # run), the beam's bit-identity pin (TestBeamTraceGolden), the audits of
 # the barren round and package verdicts (TestBarren*) and the recycling of
-# run memory across searches and goroutines
-# (TestRecycledRunMemoryBitIdentical).
+# run memory across searches and goroutines (TestRecycledRunMemoryBitIdentical,
+# early exits interleaved, and TestResultsOutliveRecycledMemory: a result
+# aliases nothing the pool hands to the next search).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
@@ -79,4 +80,4 @@ fuzz-smoke:
 	$(GO) test -race -count=3 -run '^(TestSnapshot|TestRestore)' ./internal/core
 	$(GO) test -race -count=3 -run '^TestEvictRestore' ./internal/session
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
-	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical)' -count=1 ./internal/search
+	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical|TestResultsOutliveRecycledMemory)' -count=1 ./internal/search

@@ -522,9 +522,11 @@ func (c *Catalog) Close() {
 // and carries the parent's head set and partition forward; that costs
 // O(batch·log n) comparisons plus O(n) copying instead of O(n log n)
 // sorting, and is bit-identical to sorting afresh — the delta property and
-// fuzz suites assert it. Either way the feature space is built from the
-// merged items (feature.NewSpace), so a delta build fails only where a full
-// one would. A change set that nets out keeps the installed epoch. Called
+// fuzz suites assert it. A larger change set sorts afresh and, when the
+// parent had them, builds the head set and partition afresh before install
+// (rebuildDerived). Either way the feature space is built from the merged
+// items (feature.NewSpace), so a delta build fails only where a full one
+// would. A change set that nets out keeps the installed epoch. Called
 // with c.mu held by the builder goroutine; returns with it released.
 func (c *Catalog) rebuildLocked() {
 	target := c.version
@@ -556,6 +558,9 @@ func (c *Catalog) rebuildLocked() {
 		}
 	default:
 		ep, err = c.buildEpoch(m.items, m.ids, search.NewIndex)
+		if err == nil {
+			rebuildDerived(parent, ep)
+		}
 		cs = &ChangeSet{Parent: parent.ID, Full: true}
 	}
 
@@ -756,10 +761,31 @@ func maintainPartition(parent, ep *Epoch, cs *ChangeSet) (inc, rec bool) {
 		ep.Index.SetPartition(np)
 		return true, false
 	}
+	recluster(pp, ep)
+	return false, true
+}
+
+// recluster gives ep a ⌈√n⌉ partition built from scratch, one generation
+// past the parent's pp.
+func recluster(pp *partition.Partition, ep *Epoch) {
 	np := partition.Build(ep.Space, 0)
 	np.Gen = pp.Gen + 1
 	ep.Index.SetPartition(np)
-	return false, true
+}
+
+// rebuildDerived gives a fully rebuilt epoch what its parent had
+// materialized — the head set, the partition (recluster) — computed afresh
+// on the builder goroutine, as a delta build's recompute branch does.
+// Without it the new epoch's first search would build them, and every
+// search racing it would wait on that. Stats count neither: the skyline and
+// partition counters are the delta builds'.
+func rebuildDerived(parent, ep *Epoch) {
+	if parent.Index.PeekHeads() != nil {
+		ep.Index.SetHeads(skyline.Heads(ep.Space))
+	}
+	if pp := parent.Index.PeekPartition(); pp != nil && ep.Space.N() > 0 {
+		recluster(pp, ep)
+	}
 }
 
 // valuesEqual compares raw value rows bitwise, so nulls (NaN) compare

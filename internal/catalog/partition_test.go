@@ -3,11 +3,13 @@ package catalog
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"toppkg/internal/feature"
 	"toppkg/internal/partition"
 	"toppkg/internal/search"
+	"toppkg/internal/skyline"
 )
 
 func partItems(n int, seed int64) []feature.Item {
@@ -142,6 +144,73 @@ func TestPartitionReclusterOnImbalance(t *testing.T) {
 	}
 	if st := c.Stats(); st.PartitionReclusters != 1 || st.PartitionIncremental != 0 {
 		t.Fatalf("reclusters=%d incremental=%d, want 1/0", st.PartitionReclusters, st.PartitionIncremental)
+	}
+	assertPartitionedExact(t, ep, u, 3)
+}
+
+// TestFullRebuildCarriesHeadsAndPartition: a change set past the delta
+// threshold rebuilds the index from scratch, and the new epoch must still
+// carry what the parent had materialized — the head set and the partition
+// (re-clustered at the ⌈√n⌉ default, one generation on) — built before
+// install, so its first search does not build them while every search
+// racing it waits. The skyline and partition counters stay the delta
+// builds'; the searches match a fresh index's, which builds both lazily.
+func TestFullRebuildCarriesHeadsAndPartition(t *testing.T) {
+	p := feature.SimpleProfile(feature.AggSum, feature.AggMax)
+	c, err := New(Config{Profile: p, MaxPackageSize: 2, Items: partItems(600, 4), Coalesce: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	u, err := feature.NewUtility(p, []float64{1, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := c.Current()
+	parent.Index.Heads()
+	pp := parent.Index.EnsurePartition(0)
+
+	batch := partItems(DefaultDeltaThreshold+44, 5)
+	for i := range batch {
+		batch[i].ID += 1000
+	}
+	if err := c.Upsert(batch); err != nil {
+		t.Fatal(err)
+	}
+	ep := c.Current()
+	if st := c.Stats(); st.FullRebuilds != 2 || st.DeltaBuilds != 0 {
+		t.Fatalf("full=%d delta=%d, want a full rebuild past the threshold", st.FullRebuilds, st.DeltaBuilds)
+	}
+	heads := ep.Index.PeekHeads()
+	if heads == nil {
+		t.Fatal("the full rebuild dropped the head set")
+	}
+	if want := skyline.Heads(ep.Space); !reflect.DeepEqual(heads, want) {
+		t.Fatal("the carried head set is not the new space's skyline")
+	}
+	np := ep.Index.PeekPartition()
+	if np == nil {
+		t.Fatal("the full rebuild dropped the partition")
+	}
+	if np.K != partition.DefaultClusters(len(ep.Items())) || np.Gen != pp.Gen+1 {
+		t.Fatalf("partition K=%d Gen=%d, want K=%d Gen=%d", np.K, np.Gen, partition.DefaultClusters(len(ep.Items())), pp.Gen+1)
+	}
+	if st := c.Stats(); st.SkylineRecomputes != 0 || st.PartitionReclusters != 0 {
+		t.Fatalf("skyline recomputes=%d partition reclusters=%d, want 0/0: they count delta builds", st.SkylineRecomputes, st.PartitionReclusters)
+	}
+	opts := search.Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
+	got, err := ep.Index.TopK(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := search.NewIndex(ep.Space)
+	fresh.EnsurePartition(0)
+	want, err := fresh.TopK(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RefineClustersOpened == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("search on the rebuilt epoch %+v, on a fresh index %+v", got, want)
 	}
 	assertPartitionedExact(t, ep, u, 3)
 }

@@ -576,6 +576,14 @@ type ScorePlan struct {
 // NewScorePlan builds the ScoreAfter plan for utility u over space s.
 func NewScorePlan(s *Space, u *Utility) *ScorePlan {
 	pl := &ScorePlan{}
+	pl.Reset(s, u)
+	return pl
+}
+
+// Reset rebuilds pl in place as NewScorePlan(s, u) would build it, reusing
+// its storage.
+func (pl *ScorePlan) Reset(s *Space, u *Utility) {
+	pl.dims, pl.uncov = pl.dims[:0], pl.uncov[:0]
 	for d := 0; d < s.Dims(); d++ {
 		if u.W[d] != 0 {
 			pl.dims = append(pl.dims, makeKernelDim(s, u, d))
@@ -584,7 +592,6 @@ func NewScorePlan(s *Space, u *Utility) *ScorePlan {
 			pl.uncov = append(pl.uncov, int32(aggStride*d))
 		}
 	}
-	return pl
 }
 
 // PadPlan caches the constants the pad kernel reads: skips are the
@@ -601,13 +608,20 @@ type PadPlan struct {
 // two dimension groups (each ascending).
 func NewPadPlan(s *Space, u *Utility, skipDims, listDims []int) *PadPlan {
 	pl := &PadPlan{}
+	pl.Reset(s, u, skipDims, listDims)
+	return pl
+}
+
+// Reset rebuilds pl in place as NewPadPlan(s, u, skipDims, listDims) would
+// build it, reusing its storage.
+func (pl *PadPlan) Reset(s *Space, u *Utility, skipDims, listDims []int) {
+	pl.skips, pl.lists = pl.skips[:0], pl.lists[:0]
 	for _, d := range skipDims {
 		pl.skips = append(pl.skips, makeKernelDim(s, u, d))
 	}
 	for _, d := range listDims {
 		pl.lists = append(pl.lists, makeKernelDim(s, u, d))
 	}
-	return pl
 }
 
 // GrowFrom overwrites st with src grown by the item with dense id, folding

@@ -7,7 +7,7 @@ package pkgspace
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,7 +24,7 @@ type Package struct {
 // New builds a package from item IDs, sorting and de-duplicating them.
 func New(ids ...int) Package {
 	cp := append([]int(nil), ids...)
-	sort.Ints(cp)
+	slices.Sort(cp)
 	out := cp[:0]
 	for i, v := range cp {
 		if i == 0 || v != cp[i-1] {
@@ -200,11 +200,19 @@ func BruteForceTopK(s *feature.Space, u *feature.Utility, k int, preds ...Predic
 
 // SortScored orders by descending utility, ties by ascending signature.
 func SortScored(xs []Scored) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Utility != xs[j].Utility {
-			return xs[i].Utility > xs[j].Utility
+	slices.SortFunc(xs, func(a, b Scored) int {
+		switch {
+		case a.Utility != b.Utility:
+			if a.Utility > b.Utility {
+				return -1
+			}
+			return 1
+		case Less(a.Pkg, b.Pkg):
+			return -1
+		case Less(b.Pkg, a.Pkg):
+			return 1
 		}
-		return Less(xs[i].Pkg, xs[j].Pkg)
+		return 0
 	})
 }
 

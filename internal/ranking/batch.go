@@ -115,7 +115,8 @@ func groupResults(ix *search.Index, profile *feature.Profile, samples []sampling
 	}
 	for g := range reps {
 		if cache != nil {
-			if res, ok := cache.Get(keyPrefix + keys[g]); ok {
+			keys[g] = keyPrefix + keys[g] // the full key, for Get and Put alike
+			if res, ok := cache.Get(keys[g]); ok {
 				results[g] = res
 				m.CacheHits++
 				continue
@@ -130,7 +131,7 @@ func groupResults(ix *search.Index, profile *feature.Profile, samples []sampling
 	}
 	if cache != nil {
 		for _, g := range todo {
-			cache.Put(keyPrefix+keys[g], results[g])
+			cache.Put(keys[g], results[g])
 		}
 	}
 

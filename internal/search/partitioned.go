@@ -238,12 +238,13 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 	if !ok {
 		return ix.topKRun(u, opts, nil)
 	}
-	skRes := sk.exec()
-	floorL := negInf
-	if len(skRes.Packages) >= opts.K {
-		floorL = skRes.Packages[opts.K-1].Utility
+	sk.exec()
+	res, refined := ix.refineBeamed(u, opts, ps, sk)
+	sk.returnMem()
+	if !refined {
+		return ix.topKRun(u, opts, nil)
 	}
-	return ix.refineBeamed(u, opts, ps, skRes, floorL)
+	return res, nil
 }
 
 // refineBeamed walks the index's own sorted lists through a mask of the
@@ -257,31 +258,34 @@ func (ix *Index) topKPartitioned(u *feature.Utility, opts Options, ps *partState
 // the physical end (a list with no open entry is absent); and the orphan
 // drain passes through the mask too. Should no open item sit on an active
 // list, the refine falls back to the unpartitioned search, as the sketch
-// does.
-func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, skRes Result, floorL float64) (Result, error) {
+// does: ok is false, and the caller searches once it has handed sk back.
+func (ix *Index) refineBeamed(u *feature.Utility, opts Options, ps *partState, sk *run) (res Result, ok bool) {
+	sketch := sk.cands.rank()
+	floorL := negInf
+	if len(sketch) >= opts.K {
+		floorL = sketch[opts.K-1].Utility
+	}
 	// rb only bounds the clusters: its frozen τ vector holds the full
-	// lists' tops, which a bound over members of any cluster needs.
+	// lists' tops, which a bound over members of any cluster needs. Its
+	// memory holds the mask and the context the refine reads it through,
+	// so it goes back after the refine's.
 	rb, ok := ix.newRun(u, opts, nil)
 	if !ok {
-		return ix.topKRun(u, opts, nil)
+		return Result{}, false
 	}
-	open, used, opened := ix.openClusters(rb, ps, skRes.Packages, floorL)
+	open, used, opened := ix.openClusters(rb, ps, sketch, floorL)
+	rb.part = partCtx{p: ps.p, floorL: floorL, mask: open}
+	r, ok := ix.newRun(u, opts, &rb.part)
+	if ok {
+		r.exec()
+		res = r.result(sk)
+		r.returnMem()
+		res.SketchSkipped = ix.space.N() - used
+		res.RefineClustersOpened = opened
+		ix.recordPartStats(res)
+	}
 	rb.returnMem()
-
-	r, ok := ix.newRun(u, opts, &partCtx{p: ps.p, floorL: floorL, mask: open})
-	if !ok {
-		return ix.topKRun(u, opts, nil)
-	}
-	merged := r.exec()
-	merged.Packages = mergeScored(merged.Packages, skRes.Packages, opts.K)
-	merged.Accessed += skRes.Accessed
-	merged.Created += skRes.Created
-	merged.Truncated = merged.Truncated || skRes.Truncated
-	merged.DomPruned += skRes.DomPruned
-	merged.SketchSkipped = ix.space.N() - used
-	merged.RefineClustersOpened = opened
-	ix.recordPartStats(merged)
-	return merged, nil
+	return res, ok
 }
 
 func (ix *Index) recordPartStats(res Result) {
@@ -303,9 +307,12 @@ type clusterScore struct {
 // openClusters returns the refine's cluster mask and the items and clusters
 // under it: the sketch candidates' clusters, then the others whose bound
 // reaches L, best first (ties to the smaller id), while the budget lasts.
+// The mask is rb's memory.
 func (ix *Index) openClusters(rb *run, ps *partState, sketch []pkgspace.Scored, floorL float64) (open []bool, used, opened int) {
 	p := ps.p
-	open = make([]bool, p.K)
+	rb.open = resize(rb.open, p.K)
+	open = rb.open
+	clear(open)
 	for _, s := range sketch {
 		for _, id := range s.Pkg.IDs {
 			if c := p.Assign[id]; !open[c] {
@@ -343,9 +350,10 @@ func (ix *Index) openClusters(rb *run, ps *partState, sketch []pkgspace.Scored, 
 // emptied one holds nothing to read). That is exact: a node's member
 // dominates, dimension by dimension, that of every non-empty cluster below
 // it, so by kernel monotonicity it bounds at least as high, and the result
-// is a flat scan's for any tree of contiguous id ranges.
+// is a flat scan's for any tree of contiguous id ranges. The list is rb's
+// memory.
 func (ps *partState) scoreClusters(rb *run, open []bool, floorL float64) []clusterScore {
-	scored := make([]clusterScore, 0, ps.p.K)
+	scored := rb.scored[:0]
 	for i := 0; i < len(ps.tree); {
 		nd := &ps.tree[i]
 		leaf := nd.hi-nd.lo == 1
@@ -360,6 +368,7 @@ func (ps *partState) scoreClusters(rb *run, open []bool, floorL float64) []clust
 		}
 		i++
 	}
+	rb.scored = scored
 	return scored
 }
 
@@ -414,9 +423,9 @@ func (ix *Index) subsetIndex(keep []bool) *Index {
 }
 
 // mergeScored combines the refine and sketch result lists, dropping
-// duplicate packages, into the final descending top-k.
-func mergeScored(a, b []pkgspace.Scored, k int) []pkgspace.Scored {
-	out := append([]pkgspace.Scored(nil), a...)
+// duplicate packages, into the final descending top-k, appended to dst.
+func mergeScored(dst, a, b []pkgspace.Scored, k int) []pkgspace.Scored {
+	out := append(dst, a...)
 	for _, s := range b {
 		dup := false
 		for _, t := range a {

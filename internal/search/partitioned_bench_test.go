@@ -9,6 +9,43 @@ import (
 	"toppkg/internal/gaussmix"
 )
 
+// BenchmarkTopK times one plain beam search on the serve_static shape: a
+// uniform 1k-item catalogue under the mixed profile (sum/avg/max/min/sum
+// over five features, φ 3 — avg and min keep it non-monotone, so neither
+// dominance pruning nor the partition engages), K 3, the serving beam
+// (MaxQueue 128, MaxAccessed 500) and a fixed set of weight vectors drawn
+// from the origin-centred prior N(0, 0.5) the engine starts from.
+//
+//	go test -run '^$' -bench '^BenchmarkTopK$' ./internal/search
+func BenchmarkTopK(b *testing.B) {
+	mixed := feature.SimpleProfile(feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin, feature.AggSum)
+	items, err := dataset.Generate("uni", 1000, 5, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := feature.NewSpace(items, mixed, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := NewIndex(sp)
+	prior := gaussmix.Gaussian([]float64{0, 0, 0, 0, 0}, 0.5)
+	rng := rand.New(rand.NewSource(2))
+	us := make([]*feature.Utility, 64)
+	for i := range us {
+		if us[i], err = feature.NewUtility(mixed, prior.Sample(rng)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.TopK(us[i%len(us)], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPartitionedTopK times one serving search over a 100k-item
 // monotone catalogue (sum/max over five features, φ 3) with sketch-refine
 // on: the serving beam (MaxQueue 128, MaxAccessed 500), K 3, and a fixed

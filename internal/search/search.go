@@ -52,6 +52,8 @@ type Options struct {
 	// Candidate, when non-nil, filters which packages may enter the result
 	// (the schema predicates of §7). Packages failing it are still expanded,
 	// since predicates such as "at least two novels" are not anti-monotone.
+	// The package it is handed is the run's scratch: valid for the call
+	// only, so a predicate must not keep it.
 	Candidate pkgspace.Predicate
 	// DisableDominancePrune turns off the skyline head filter. The filter
 	// only engages when the utility is monotone for the profile (positive
@@ -151,10 +153,10 @@ type Index struct {
 	// dense id range, so the sketch and refine phases of one search take
 	// turns on one stamp array instead of keeping an O(n) array each.
 	seenSrc *Index
-	// memPool recycles a run's package shells, states, due queue and scratch
-	// (runMem) across searches. Every index keeps its own — a sketch index
-	// does not borrow seenSrc's — so a pool only ever serves runs over the
-	// index whose space its states were made for.
+	// memPool recycles a run and everything it uses but its result (runMem)
+	// across searches. Every index keeps its own — a sketch index does not
+	// borrow seenSrc's — so a pool only ever serves runs over the index whose
+	// space its states and plans were made for.
 	memPool sync.Pool
 	// barrenAudit is set only by tests (barren_test.go): called with the item
 	// and need on every round a verdict is taken in, and the returned func
@@ -278,10 +280,25 @@ type dueEntry struct {
 }
 
 // runMem is what a run borrows from its index's memPool and hands back when
-// it ends: the expandable queue Q+, the recycled package shells and states
-// (every package left in Q+ joins them), the due queue, expand's per-round
-// scratch and the empty state, which nothing writes.
+// it ends — everything a search uses but the result it returns: the run
+// itself, its cursors, pad descriptors and kernel plans (rebuilt in place
+// per search), the candidate heap with its packages' ids, the expandable
+// queue Q+, the recycled package shells and states (every package left in
+// Q+ joins them), the due queue, expand's per-round scratch, the empty state,
+// which nothing writes, and a sketch-refine search's cluster scratch.
 type runMem struct {
+	r          run
+	lists      []listCursor
+	padTaus    []float64
+	initTaus   []float64
+	modeBuf    []uint8 // backs padModes once materialized
+	initBuf    []uint8 // backs initModes
+	skipDims   []int
+	listDims   []int
+	scorePlan  *feature.ScorePlan
+	padPlan    *feature.PadPlan
+	cands      candHeap
+	ranked     []pkgspace.Scored // result's merge scratch
 	qPlus      []*pkg
 	freeStates []*feature.State
 	freePkgs   []*pkg
@@ -289,17 +306,22 @@ type runMem struct {
 	newcomers  []*pkg
 	stScratch  []*feature.State
 	guScratch  []float64
+	drain      []int32
 	emptyState *feature.State
+	// The refine's: the bounding run's cluster mask and scored clusters, and
+	// the context the refine run reads them through.
+	open   []bool
+	scored []clusterScore
+	part   partCtx
 }
 
-// childPackage returns p ∪ {item} as a result package: its own sorted id
-// slice, aliasing nothing in p.
-func childPackage(p *pkg, item int) pkgspace.Package {
-	ids := make([]int, len(p.ids)+1)
-	copy(ids, p.ids)
-	ids[len(p.ids)] = item
-	slices.Sort(ids)
-	return pkgspace.Package{IDs: ids}
+// resize returns buf at length n, reusing its storage when it holds n; the
+// contents are the caller's to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // run carries the mutable state of one Top-k-Pkg execution.
@@ -307,11 +329,6 @@ type run struct {
 	ix   *Index
 	u    *feature.Utility
 	opts Options
-
-	// Active list cursors: entry dim, position, boundary value, direction.
-	lists []listCursor
-
-	cands *candHeap
 
 	seen      *seenSet
 	accessed  int
@@ -329,14 +346,13 @@ type run struct {
 	upHolder *pkg
 
 	// The membership bound: emptyState (runMem) scores singletons,
-	// initModes/initTaus freeze the pad descriptors at their initial values —
+	// initModes/initTaus (runMem) freeze the pad descriptors at their initial values —
 	// every list's τ at its best — so headBound soundly bounds packages joined
 	// at any later point of the trace, not just extensions of the current
 	// boundary. heads, the space's skyline, is set only under the dominance
 	// filter's gate.
 	heads     *skyline.Set
 	initModes []uint8
-	initTaus  []float64
 	domPruned int
 
 	// Sketch-refine context (nil for plain runs): pc carries the sketch
@@ -346,14 +362,11 @@ type run struct {
 	floorL float64
 	mask   []bool
 
-	// Fused-kernel plans (per-dimension constants hoisted out of the hot
-	// loops): scorePlan drives ScoreAfter, padPlan the pad kernel.
-	// padModes/padTaus mirror r.lists in order (ascending dimension),
-	// updated as each cursor's τ advances.
-	scorePlan *feature.ScorePlan
-	padPlan   *feature.PadPlan
-	padModes  []uint8
-	padTaus   []float64
+	// padModes/padTaus (runMem) mirror r.lists in order (ascending
+	// dimension), updated as each cursor's τ advances; the fused-kernel plans
+	// (runMem) hoist the per-dimension constants out of the hot loops:
+	// scorePlan drives ScoreAfter, padPlan the pad kernel.
+	padModes []uint8
 
 	// fastPad is true while every pad mode is PadTau (no nullable list
 	// feature, no exhausted cursor): the precondition of expand's package
@@ -368,9 +381,11 @@ type run struct {
 	// Index.orphans, which exec must drain as well (unlisted).
 	drainUnlisted bool
 
-	// The memory the run borrows from its index (nil once handed back).
-	// Packages dropped from Q+ donate their aggregate states and id buffers
-	// to newly materialized children; stScratch/guScratch back expand's batched
+	// The memory the run borrows from its index, the run included (nil once
+	// handed back). Active list cursors (lists) hold entry dim, position,
+	// boundary value and direction; cands is the result heap. Packages
+	// dropped from Q+ donate their aggregate states and id buffers to newly
+	// materialized children; stScratch/guScratch back expand's batched
 	// grow-utility pre-pass — per round, the states of the queued packages no
 	// verdict rules out and their ScoreAfter utilities against the drawn item,
 	// computed in one transposed sweep — and truncate borrows guScratch for
@@ -413,7 +428,7 @@ func (r *run) newPkg() *pkg {
 }
 
 // release recycles a package leaving Q+. Candidates keep their own sorted
-// id copies (childPackage), so nothing aliases the recycled buffers.
+// id copies (candHeap), so nothing aliases the recycled buffers.
 func (r *run) release(p *pkg) {
 	r.freeStates = append(r.freeStates, p.state)
 	p.state = nil
@@ -427,25 +442,33 @@ func (r *run) schedule(p *pkg) {
 	r.due = append(r.due, dueEntry{p, r.round})
 }
 
-// borrowMem claims the index's recycled run memory, or allocates it.
-func (r *run) borrowMem() {
-	m, _ := r.ix.memPool.Get().(*runMem)
+// borrowMem claims the index's recycled run memory, or allocates it. Its
+// run is the caller's to set; its buffers are emptied.
+func (ix *Index) borrowMem() *runMem {
+	m, _ := ix.memPool.Get().(*runMem)
 	if m == nil {
-		m = &runMem{emptyState: feature.NewState(r.ix.space)}
+		m = &runMem{
+			emptyState: feature.NewState(ix.space),
+			scorePlan:  &feature.ScorePlan{},
+			padPlan:    &feature.PadPlan{},
+		}
 	}
-	m.due = m.due[:0]
-	r.runMem = m
+	m.lists, m.due = m.lists[:0], m.due[:0]
+	return m
 }
 
 // returnMem releases every package still queued and hands the run's memory
-// back to its index for the next search; the run must not touch it again.
+// — the run with it — back to its index for the next search. Neither the
+// run nor anything read from its memory may be touched afterwards: the
+// next search over the index may be writing it.
 func (r *run) returnMem() {
-	for _, p := range r.qPlus {
+	m := r.runMem
+	for _, p := range m.qPlus {
 		r.release(p)
 	}
-	r.qPlus = r.qPlus[:0]
-	r.ix.memPool.Put(r.runMem)
+	m.qPlus = m.qPlus[:0]
 	r.runMem = nil
+	r.ix.memPool.Put(m)
 }
 
 type listCursor struct {
@@ -487,25 +510,33 @@ func (ix *Index) TopK(u *feature.Utility, opts Options) (Result, error) {
 func (ix *Index) topKRun(u *feature.Utility, opts Options, pc *partCtx) (Result, error) {
 	r, ok := ix.newRun(u, opts, pc)
 	if !ok {
-		return r.degenerate(), nil
+		return ix.degenerate(opts), nil
 	}
-	return r.exec(), nil
+	r.exec()
+	res := r.result(nil)
+	r.returnMem()
+	return res, nil
 }
 
 // newRun builds the cursors, kernel plans and pruning state of one run
 // without executing it (the beamed sketch-refine path needs the plans to
-// bound clusters before deciding what to search). ok is false for the
-// degenerate no-active-list case.
+// bound clusters before deciding what to search). The run and all it uses
+// come from the index's recycled memory, which the caller hands back
+// (returnMem) once it has taken the run's result. ok is false for the
+// degenerate no-active-list case, whose memory is handed back already:
+// r is then nil.
 func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, ok bool) {
-	r = &run{
+	m := ix.borrowMem()
+	r = &m.r
+	*r = run{
 		ix:       ix,
 		u:        u,
 		opts:     opts,
-		cands:    &candHeap{k: opts.K},
 		maxQueue: opts.MaxQueue,
 		pc:       pc,
 		floorL:   negInf,
 		fastPad:  true,
+		runMem:   m,
 	}
 	if pc != nil {
 		r.floorL = pc.floorL
@@ -537,23 +568,23 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		r.lists = append(r.lists, lc)
 	}
 	if len(r.lists) == 0 {
-		return r, false
+		r.returnMem()
+		return nil, false
 	}
-	r.borrowMem()
-	hasList := make([]bool, ix.space.Dims())
-	for li := range r.lists {
-		hasList[r.lists[li].dim] = true
-	}
-	var skipDims, listDims []int
-	for d := 0; d < ix.space.Dims(); d++ {
-		if u.W[d] != 0 && !hasList[d] {
-			skipDims = append(skipDims, d)
+	// The weighted dimensions without a list pad by skipping; the lists are
+	// ascending by dimension, like the walk.
+	r.skipDims, r.listDims = r.skipDims[:0], r.listDims[:0]
+	for d, li := 0, 0; d < ix.space.Dims(); d++ {
+		if li < len(r.lists) && r.lists[li].dim == d {
+			r.listDims = append(r.listDims, d)
+			li++
+		} else if u.W[d] != 0 {
+			r.skipDims = append(r.skipDims, d)
 		}
 	}
-	r.padTaus = make([]float64, len(r.lists))
+	r.padTaus = resize(r.padTaus, len(r.lists))
 	for li := range r.lists {
 		lc := &r.lists[li]
-		listDims = append(listDims, lc.dim)
 		r.padTaus[li] = lc.tau
 		if ix.space.HasNull(lc.feat) {
 			r.setPadMode(li, feature.PadTauOrSkip)
@@ -576,8 +607,9 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		r.slack += 0x1p-30 * math.Abs(ws) * a
 	}
 	r.drainUnlisted = zeroWeight && nullable
-	r.scorePlan = feature.NewScorePlan(ix.space, u)
-	r.padPlan = feature.NewPadPlan(ix.space, u, skipDims, listDims)
+	r.scorePlan.Reset(ix.space, u)
+	r.padPlan.Reset(ix.space, u, r.skipDims, r.listDims)
+	r.cands.reset(opts.K, ix.space.MaxSize)
 
 	// Freeze the pad descriptors now — every τ at its list's best value — so
 	// headBound bounds membership in any package of the trace (exec), and a
@@ -587,8 +619,11 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 	// is provably safe only for a utility monotone for the profile: a
 	// dominated item is then pointwise no better than its dominator on every
 	// weighted dimension.
-	r.initModes = slices.Clone(r.padModes)
-	r.initTaus = slices.Clone(r.padTaus)
+	if r.padModes != nil {
+		r.initBuf = append(r.initBuf[:0], r.padModes...)
+		r.initModes = r.initBuf
+	}
+	r.initTaus = append(r.initTaus[:0], r.padTaus...)
 	if !opts.DisableDominancePrune && u.SetMonotone(ix.space.Profile) {
 		r.heads = ix.Heads()
 	}
@@ -614,9 +649,10 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 // On a round not barren as a whole, with the heap full and every pad descriptor
 // PadTau, expand takes the same verdict per queued package, from its own bound.
 //
-// The run's package memory comes from its index and goes back to it at the
-// end (borrowMem / returnMem), so the next search over the index recycles it.
-func (r *run) exec() Result {
+// The candidates stay in the run's heap, which result copies out; the run's
+// memory goes back to its index only after that (returnMem), so the next
+// search over the index recycles it.
+func (r *run) exec() {
 	ix := r.ix
 	opts := r.opts
 	pool := &ix.seenPool
@@ -706,17 +742,33 @@ func (r *run) exec() Result {
 			}
 		}
 	}
+}
 
-	// Not deferred: a run a panic cut short may leave Q+ mid-sweep, with
-	// packages listed twice, and must not hand that to the next search.
-	r.returnMem()
-	return Result{
-		Packages:  r.cands.sorted(),
+// result ranks the run's candidates — merged with a finished sketch run's
+// when sk is non-nil, duplicates keeping the run's — and returns the k best
+// with the work counters of both. It is the one allocation of a search: the
+// packages are copied out of the runs' memory, so the caller hands that
+// back afterwards (returnMem; not deferred — a run a panic cut short may
+// leave Q+ mid-sweep, with packages listed twice, and must not hand that to
+// the next search) and nothing of the result aliases it.
+func (r *run) result(sk *run) Result {
+	res := Result{
 		Accessed:  r.accessed,
 		Created:   r.created,
 		Truncated: r.truncated,
 		DomPruned: r.domPruned,
 	}
+	best := r.cands.rank()
+	if sk != nil {
+		res.Accessed += sk.accessed
+		res.Created += sk.created
+		res.Truncated = res.Truncated || sk.truncated
+		res.DomPruned += sk.domPruned
+		r.ranked = mergeScored(r.ranked[:0], best, sk.cands.rank(), r.opts.K)
+		best = r.ranked
+	}
+	res.Packages = copyScored(best)
+	return res
 }
 
 // headBound returns a sound upper bound on the utility of every package
@@ -744,7 +796,7 @@ func (r *run) closed(id int32) bool {
 // that no active list holds. Index.orphans is computed per profile, not per
 // utility, so only a drainUnlisted run needs this.
 func (r *run) unlisted() []int32 {
-	out := slices.Clone(r.ix.orphans)
+	out := append(r.drain[:0], r.ix.orphans...)
 	for d, ids := range r.ix.asc {
 		if r.u.W[d] != 0 {
 			continue
@@ -759,6 +811,7 @@ func (r *run) unlisted() []int32 {
 			out = append(out, id)
 		}
 	}
+	r.drain = out
 	slices.Sort(out)
 	return slices.Compact(out)
 }
@@ -805,7 +858,9 @@ func (r *run) nextItem(rr *int) (int32, bool) {
 // every list pads with τ — and clearing fastPad.
 func (r *run) setPadMode(li int, mode uint8) {
 	if r.padModes == nil {
-		r.padModes = make([]uint8, len(r.lists)) // PadTau is the zero mode
+		r.modeBuf = resize(r.modeBuf, len(r.lists))
+		clear(r.modeBuf) // PadTau is the zero mode
+		r.padModes = r.modeBuf
 	}
 	r.padModes[li] = mode
 	r.fastPad = false
@@ -1169,13 +1224,13 @@ func (r *run) keep(size int, util, bound, etaLo float64) bool {
 }
 
 // offer proposes p ∪ {item}, of the given utility, as a result candidate.
-// The utility pre-check avoids materializing the sorted id slice for the
-// (common) packages that cannot enter the heap.
+// The utility pre-check avoids sorting the ids for the (common) packages
+// that cannot enter the heap.
 func (r *run) offer(p *pkg, item int, util float64) {
 	if r.cands.full() && util < r.cands.kthUtility() {
 		return
 	}
-	cand := childPackage(p, item)
+	cand := r.cands.child(p.ids, item)
 	if r.opts.Candidate != nil && !r.opts.Candidate(r.ix.space, cand) {
 		return
 	}
@@ -1208,16 +1263,16 @@ func (r *run) growBound(st *feature.State, item int32, modes []uint8, taus []flo
 
 // degenerate handles the all-zero-weight utility: every package scores 0,
 // so return the K first packages in the deterministic tie-break order.
-func (r *run) degenerate() Result {
+func (ix *Index) degenerate(opts Options) Result {
 	res := Result{}
 	count := 0
-	pkgspace.Enumerate(r.ix.space, func(p pkgspace.Package) bool {
-		if r.opts.Candidate != nil && !r.opts.Candidate(r.ix.space, p) {
-			return count < r.opts.K
+	pkgspace.Enumerate(ix.space, func(p pkgspace.Package) bool {
+		if opts.Candidate != nil && !opts.Candidate(ix.space, p) {
+			return count < opts.K
 		}
 		res.Packages = append(res.Packages, pkgspace.Scored{Pkg: p, Utility: 0})
 		count++
-		return count < r.opts.K
+		return count < opts.K
 	})
 	res.Created = count
 	return res
@@ -1226,10 +1281,23 @@ func (r *run) degenerate() Result {
 var negInf, posInf = math.Inf(-1), math.Inf(1)
 
 // candHeap keeps the best k scored packages: a min-heap ordered by utility
-// ascending, ties keeping the smaller package (evicting the larger).
+// ascending, ties keeping the smaller package (evicting the larger). Its
+// packages' ids live in ids, one block of φ per heap slot, and a candidate
+// is assembled in scratch; a candidate taking a slot copies itself into the
+// block of the package it evicts, or into the next free one. Pushes fill
+// the blocks in order and a root replacement keeps the root's, so the
+// entries own blocks 0..len(xs)−1 between them.
 type candHeap struct {
-	k  int
-	xs []pkgspace.Scored
+	k, phi  int
+	xs      []pkgspace.Scored
+	ids     []int
+	scratch []int
+}
+
+// reset empties the heap for a run keeping the best k packages of at most
+// phi items.
+func (h *candHeap) reset(k, phi int) {
+	h.k, h.phi, h.xs = k, phi, h.xs[:0]
 }
 
 func (h *candHeap) Len() int { return len(h.xs) }
@@ -1259,21 +1327,57 @@ func (h *candHeap) kthUtility() float64 {
 	return h.xs[0].Utility
 }
 
+// child assembles ids ∪ {item}, sorted, in the heap's scratch: valid until
+// the next call.
+func (h *candHeap) child(ids []int, item int) pkgspace.Package {
+	h.scratch = append(append(h.scratch[:0], ids...), item)
+	slices.Sort(h.scratch)
+	return pkgspace.Package{IDs: h.scratch}
+}
+
+// offer admits s, a candidate assembled by child, if it beats the k-th best.
 func (h *candHeap) offer(s pkgspace.Scored) {
 	if len(h.xs) < h.k {
-		heap.Push(h, s)
+		b := len(h.xs) * h.phi
+		if len(h.ids) < b+h.phi {
+			// The slots so far keep their blocks in the old array.
+			h.ids = make([]int, max(2*len(h.ids), b+h.phi))
+		}
+		s.Pkg.IDs = append(h.ids[b:b:b+h.phi], s.Pkg.IDs...)
+		h.xs = append(h.xs, s)
+		heap.Fix(h, len(h.xs)-1) // heap.Push's sift, without boxing s
 		return
 	}
 	root := &h.xs[0]
 	if s.Utility > root.Utility || (s.Utility == root.Utility && pkgspace.Less(s.Pkg, root.Pkg)) {
-		h.xs[0] = s
+		root.Pkg.IDs = append(root.Pkg.IDs[:0], s.Pkg.IDs...)
+		root.Utility = s.Utility
 		heap.Fix(h, 0)
 	}
 }
 
-// sorted drains the heap into descending-utility order.
-func (h *candHeap) sorted() []pkgspace.Scored {
-	out := append([]pkgspace.Scored(nil), h.xs...)
-	pkgspace.SortScored(out)
+// rank sorts the heap's packages into descending-utility order in place and
+// returns them; the heap is spent.
+func (h *candHeap) rank() []pkgspace.Scored {
+	pkgspace.SortScored(h.xs)
+	return h.xs
+}
+
+// copyScored returns xs with every package's ids copied out, all into one
+// allocation besides the list's own (nil for no packages).
+func copyScored(xs []pkgspace.Scored) []pkgspace.Scored {
+	if len(xs) == 0 {
+		return nil
+	}
+	n := 0
+	for _, s := range xs {
+		n += len(s.Pkg.IDs)
+	}
+	out, ids := make([]pkgspace.Scored, len(xs)), make([]int, n)
+	for i, s := range xs {
+		m := copy(ids, s.Pkg.IDs)
+		out[i] = pkgspace.Scored{Pkg: pkgspace.Package{IDs: ids[:m:m]}, Utility: s.Utility}
+		ids = ids[m:]
+	}
 	return out
 }
