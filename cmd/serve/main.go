@@ -171,20 +171,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var droppedItems, droppedPrefs int
-		err = mgr.Do(server.DefaultSessionID, func(eng *core.Engine) error {
-			if err := eng.Restore(snap); err != nil {
-				return err
-			}
-			droppedItems, droppedPrefs = eng.LastRestoreDrops()
-			return nil
+		var report core.RestoreReport
+		err = mgr.Do(server.DefaultSessionID, func(eng *core.Engine) (err error) {
+			report, err = eng.Restore(snap)
+			return err
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if droppedItems > 0 || droppedPrefs > 0 {
+		if report.DroppedItems > 0 || report.DroppedPrefs > 0 {
 			log.Printf("restored default session from %s (snapshot v%d predates the current catalogue: dropped %d vanished items, %d preferences)",
-				*restore, snap.Version, droppedItems, droppedPrefs)
+				*restore, snap.Version, report.DroppedItems, report.DroppedPrefs)
 		} else {
 			log.Printf("restored default session from %s", *restore)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"toppkg/internal/feature"
@@ -14,11 +15,108 @@ import (
 )
 
 // nextKeepsPool is the pool rule Recommend applies under epoch ep: a pool
-// drawn under the last slate's epoch is kept iff ep derives a constraint
-// set with the same hash.
+// drawn under the pinned epoch is kept iff ep derives a constraint set
+// with the same hash.
 func nextKeepsPool(e *Engine, ep epochView) bool {
-	return e.pool != nil && (e.fb.id == ep.id ||
-		constraintsHash(e.constraintsAt(*e.fb).reduced()) == constraintsHash(e.constraintsAt(ep).reduced()))
+	return e.pool != nil && (e.cs.ep.id == ep.id ||
+		constraintsHash(e.constraintsAt(e.cs.ep).reduced()) == constraintsHash(e.constraintsAt(ep).reduced()))
+}
+
+// checkPinned fails unless e's pinned constraint set, as its readers see
+// it, is a fresh derivation under the pinned epoch: the same edges in the
+// same node order, the same reduced constraints in the same order and the
+// same drop counts.
+func checkPinned(t *testing.T, e *Engine) {
+	t.Helper()
+	if e.cs == nil {
+		return
+	}
+	got, want := e.pinned(), e.constraintsAt(e.cs.ep)
+	if got.droppedItems != want.droppedItems || got.droppedPrefs != want.droppedPrefs {
+		t.Fatalf("epoch %d: pinned set drops (%d, %d), a fresh derivation (%d, %d)",
+			got.ep.id, got.droppedItems, got.droppedPrefs, want.droppedItems, want.droppedPrefs)
+	}
+	samePair := func(a, b [2]pkgspace.Package) bool { return pkgspace.Equal(a[0], b[0]) && pkgspace.Equal(a[1], b[1]) }
+	if !slices.EqualFunc(got.graph.Preferences(), want.graph.Preferences(), samePair) {
+		t.Fatalf("epoch %d: pinned edges %v, a fresh derivation's %v", got.ep.id, got.graph.Preferences(), want.graph.Preferences())
+	}
+	sameConstraint := func(a, b prefgraph.Constraint) bool {
+		return pkgspace.Equal(a.Winner, b.Winner) && pkgspace.Equal(a.Loser, b.Loser) && slices.Equal(a.Diff, b.Diff)
+	}
+	if !slices.EqualFunc(got.reduced(), want.reduced(), sameConstraint) {
+		t.Fatalf("epoch %d: pinned reduced set of %d constraints differs from a fresh derivation's %d",
+			got.ep.id, len(got.reduced()), len(want.reduced()))
+	}
+}
+
+// TestPinnedSetMatchesFreshDerivation: on a static catalogue every
+// preference is read whole, so a feedback keeps the pinned set and clears
+// only its reduced constraints. A fixed-seed stream of clicks (mostly on
+// the hidden utility's best package, sometimes at random), explicit
+// preferences, repeats and reversals of recorded preferences checks the
+// pinned set against a fresh derivation, and Stats against it, after
+// every op.
+func TestPinnedSetMatchesFreshDerivation(t *testing.T) {
+	cfg := testConfig(t, 30)
+	cfg.SampleCount, cfg.Psi = 40, 0.9
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := rand.New(rand.NewSource(11))
+	hidden := []float64{0.6, -0.2, 0.4}
+	utility := func(p pkgspace.Package) float64 { return feature.Dot(hidden, pkgspace.Vector(e.FeedbackSpace(), p)) }
+	slate, err := e.Recommend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 100; step++ {
+		switch op := ops.Intn(10); {
+		case op < 2:
+			if slate, err = e.Recommend(); err != nil {
+				t.Fatal(err)
+			}
+		case op < 7: // click the hidden utility's best package, or one at random
+			chosen := slate.All[ops.Intn(len(slate.All))]
+			if op < 6 {
+				for _, p := range slate.All {
+					if utility(p) > utility(chosen) {
+						chosen = p
+					}
+				}
+			}
+			if err := e.Click(chosen, slate.All); err != nil {
+				t.Fatal(err)
+			}
+		case op < 9: // a recorded preference again, or reversed (a cycle)
+			prefs := e.graph.Preferences()
+			if len(prefs) == 0 {
+				break
+			}
+			pr := prefs[ops.Intn(len(prefs))]
+			if op == 8 {
+				pr[0], pr[1] = pr[1], pr[0]
+			}
+			if err := e.Feedback(pr[0], pr[1]); err != nil && !errors.Is(err, prefgraph.ErrCycle) {
+				t.Fatal(err)
+			}
+		default: // an explicit preference between two shown packages
+			a, b := slate.All[ops.Intn(len(slate.All))], slate.All[ops.Intn(len(slate.All))]
+			if utility(a) < utility(b) {
+				a, b = b, a
+			}
+			if err := e.Feedback(a, b); err != nil && !errors.Is(err, prefgraph.ErrCycle) && !errors.Is(err, prefgraph.ErrSelfPreference) {
+				t.Fatal(err)
+			}
+		}
+		checkPinned(t, e)
+		if got, want := e.Stats().ConstraintsActive, len(e.constraintsAt(e.cs.ep).reduced()); got != want {
+			t.Fatalf("step %d: Stats.ConstraintsActive %d, a fresh derivation has %d", step, got, want)
+		}
+	}
+	if e.stats.Feedback < 20 || e.stats.CyclesSkipped == 0 {
+		t.Fatalf("stream too tame: %d preferences, %d cycles skipped", e.stats.Feedback, e.stats.CyclesSkipped)
+	}
 }
 
 // TestRestoreMatchesResidentUnderChurn: a session's constraint set is a
@@ -32,7 +130,8 @@ func nextKeepsPool(e *Engine, ep epochView) bool {
 // next Recommend keeps the pool or redraws it; the twin's Recommend (every
 // op) and the session's (on its recommend ops) must act as predicted. At
 // ψ = 1 every pool sample satisfies every constraint the slate's epoch
-// derives.
+// derives. After every op both engines' pinned sets equal a fresh
+// derivation (checkPinned).
 func TestRestoreMatchesResidentUnderChurn(t *testing.T) {
 	checked := 0
 	for _, psi := range []float64{1, 0.9} {
@@ -87,7 +186,7 @@ func residentRestoredChurn(t *testing.T, psi float64, seed int64) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := twin.Restore(snap); err != nil {
+		if _, err := twin.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
 		if twin.pool != nil {
@@ -111,7 +210,7 @@ func residentRestoredChurn(t *testing.T, psi float64, seed int64) int {
 			dirty[e.pool] = failures(e) != failed
 		}
 		if psi == 1 && !dirty[e.pool] {
-			cs := e.constraintsAt(*e.fb).reduced()
+			cs := e.constraintsAt(e.cs.ep).reduced()
 			for i, s := range e.pool.Samples {
 				for _, c := range cs {
 					if c.Violates(s.W) {
@@ -136,7 +235,7 @@ func residentRestoredChurn(t *testing.T, psi float64, seed int64) int {
 		switch op := ops.Intn(20); {
 		case op < 5:
 			slate = recommend(eng)
-		case op < 11 && slate.Epoch != eng.FeedbackEpoch():
+		case op < 11 && slate.Epoch != eng.cs.ep.id:
 			// A restore re-pinned feedback to a later epoch than the slate's;
 			// the client must fetch a new slate before answering it.
 		case op < 9: // click the slate's best package by the hidden utility
@@ -228,6 +327,8 @@ func residentRestoredChurn(t *testing.T, psi float64, seed int64) int {
 			t.Fatalf("step %d, epoch %d: resident keeps its pool = %v, restored = %v", step, ep.id, keep, tkeep)
 		}
 		recommend(twin)
+		checkPinned(t, eng)
+		checkPinned(t, twin)
 	}
 	return checked
 }

@@ -154,28 +154,18 @@ type Engine struct {
 	sh  *Shared // catalogue-wide state: epochs + shared result cache
 	rng *rand.Rand
 	// graph holds the preferences under stable IDs; pool satisfies the
-	// constraint set fb's epoch derives from it (see constraintsAt).
+	// constraint set cs's epoch derives from it (see constraintsAt).
 	graph *prefgraph.Graph
 	pool  *maintain.Pool
 	stats Stats
-	// lastDropItems/lastDropPrefs are the drop counts of the most recent
-	// Restore on this engine (not cumulative — see Stats for that), so
-	// callers reporting a single restore's loss need no arithmetic against
-	// the snapshot's own counters.
-	lastDropItems int
-	lastDropPrefs int
-	// fb is the identity view of the most recent slate this engine served:
-	// that slate's epoch ID, feature space, and stable↔dense ID mapping.
-	// Clicks and pairwise feedback refer to packages the user was shown,
-	// so their item IDs are dense positions in — and their stable node
-	// identity is resolved through — that slate's epoch, not whatever the
-	// catalogue has swapped to since; the pool is maintained under its
-	// derived constraint set. Its search index is left nil (see
-	// epochView.feedback) so an idle session does not pin a retired
-	// epoch's index in memory. Nil until the first Recommend (feedback then
-	// resolves the current epoch, the pre-live behavior); not persisted —
-	// Restore re-pins the restore-time epoch.
-	fb *epochView
+	// cs is the stored preferences as the pinned epoch derives them: the
+	// epoch of the most recent slate (or restore), else the one current at
+	// first use. Clicks and pairwise feedback refer to packages the user
+	// was shown, so their dense item IDs resolve in that epoch, not in
+	// whatever the catalogue has swapped to since, and the pool satisfies
+	// its derived constraint set. Nil until first use; adopt is the only
+	// way an epoch gets pinned.
+	cs *constraintSet
 }
 
 // Shared is the catalogue-wide half of an engine: the normalized
@@ -216,13 +206,6 @@ func (sh *Shared) epoch() epochView {
 		return epochView{id: ep.ID, space: ep.Space, ix: ep.Index, ids: ep.IDs()}
 	}
 	return epochView{id: 0, space: sh.space, ix: sh.ix}
-}
-
-// feedback is the epoch as feedback resolution pins it: identity and
-// space only, without the search index.
-func (ep epochView) feedback() *epochView {
-	ep.ix = nil
-	return &ep
 }
 
 // stablePkg is the package's stable-ID identity — the key learned state is
@@ -274,11 +257,14 @@ func (v epochView) vector(p pkgspace.Package) []float64 {
 
 // constraintSet is the engine's stored preferences as one epoch reads
 // them: graph is the engine's own when the epoch reads every preference
-// whole; the drop counts say what the derivation lost otherwise.
+// whole; the drop counts say what the derivation lost otherwise. The epoch
+// is held without its search index, so an idle session does not keep a
+// retired epoch's index in memory. A nil graph marks a set to derive again.
 type constraintSet struct {
 	ep                         epochView
 	graph                      *prefgraph.Graph
 	droppedItems, droppedPrefs int
+	red                        []prefgraph.Constraint // reduced(), once read
 }
 
 // constraintsAt derives the constraint set of the stored preferences under
@@ -290,18 +276,18 @@ type constraintSet struct {
 // Preferences are taken in stable-ID order, so the result depends on the
 // edges alone. When nothing is dropped the stored graph is the derived
 // graph, constraint order included.
-func (e *Engine) constraintsAt(ep epochView) constraintSet {
+func (e *Engine) constraintsAt(ep epochView) *constraintSet {
 	absent := func(s int) bool { _, ok := ep.denseID(s); return !ok }
 	if !slices.ContainsFunc(e.graph.Packages(), func(p pkgspace.Package) bool {
 		return p.Size() > ep.space.MaxSize || slices.ContainsFunc(p.IDs, absent)
 	}) {
-		return constraintSet{ep: ep, graph: e.graph}
+		return &constraintSet{ep: ep, graph: e.graph}
 	}
 	prefs := e.graph.Preferences()
 	slices.SortFunc(prefs, func(a, b [2]pkgspace.Package) int {
 		return cmp.Or(slices.Compare(a[0].IDs, b[0].IDs), slices.Compare(a[1].IDs, b[1].IDs))
 	})
-	cs := constraintSet{ep: ep, graph: prefgraph.New()}
+	cs := &constraintSet{ep: ep, graph: prefgraph.New()}
 	for _, pr := range prefs {
 		w, wDrop := ep.surviving(pr[0])
 		l, lDrop := ep.surviving(pr[1])
@@ -321,9 +307,40 @@ func (e *Engine) constraintsAt(ep epochView) constraintSet {
 }
 
 // reduced is the transitively reduced constraint set (§3.3), each
-// half-space taken from the epoch's package vectors.
-func (cs constraintSet) reduced() []prefgraph.Constraint {
-	return cs.graph.Constraints(true, cs.ep.vector)
+// half-space taken from the epoch's package vectors. It is memoised; a
+// caller changing graph clears red.
+func (cs *constraintSet) reduced() []prefgraph.Constraint {
+	if cs.red == nil {
+		cs.red = cs.graph.Constraints(true, cs.ep.vector)
+	}
+	return cs.red
+}
+
+// adopt pins epoch ep: the stored preferences are derived under it, and a
+// drawn pool is kept iff poolHash, the hash of the constraint set the pool
+// satisfies, equals the derived set's. A pool drawn for another set would
+// bias every recommendation until the next feedback, so it is dropped and
+// redrawn lazily under the derived set.
+func (e *Engine) adopt(ep epochView, poolHash uint64) {
+	ep.ix = nil
+	e.cs = e.constraintsAt(ep)
+	if e.pool != nil && poolHash != constraintsHash(e.cs.reduced()) {
+		e.pool = nil
+	}
+}
+
+// pinned returns the stored preferences as the pinned epoch derives them.
+// First use pins the current epoch, so a click arriving before any
+// Recommend validates and vectorizes all its packages in one epoch; a set
+// that a feedback marked stale is derived again here.
+func (e *Engine) pinned() *constraintSet {
+	switch {
+	case e.cs == nil:
+		e.adopt(e.sh.epoch(), 0)
+	case e.cs.graph == nil:
+		e.cs = e.constraintsAt(e.cs.ep)
+	}
+	return e.cs
 }
 
 // normalizeConfig applies the paper's defaults and validates everything
@@ -479,63 +496,21 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Space() *feature.Space { return e.sh.epoch().space }
 
 // Stats returns the cumulative counters; ConstraintsActive is read in the
-// feedback epoch.
+// pinned epoch (0 before any epoch is pinned: nothing is stored then).
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.ConstraintsActive = len(e.constraintsAt(e.feedbackView()).reduced())
+	if e.cs != nil {
+		s.ConstraintsActive = len(e.pinned().reduced())
+	}
 	return s
 }
-
-// FeedbackCount returns the number of recorded pairwise preferences
-// without recomputing the reduced constraint set (unlike Stats).
-func (e *Engine) FeedbackCount() int { return e.stats.Feedback }
-
-// LastRestoreDrops reports what the most recent Restore on this engine
-// dropped — zero if it never restored. Unlike Stats' RestoreDropped*
-// counters this is not cumulative across the session's history, so
-// operators reporting one restore's loss read it directly.
-func (e *Engine) LastRestoreDrops() (items, prefs int) {
-	return e.lastDropItems, e.lastDropPrefs
-}
-
-// Graph exposes the preference DAG the feedback epoch derives (see
-// constraintsAt). Read-only; use Feedback to record preferences.
-func (e *Engine) Graph() *prefgraph.Graph { return e.constraintsAt(e.feedbackView()).graph }
 
 // FeedbackSpace is the space feedback package IDs are interpreted in: the
 // epoch of the engine's most recent slate, falling back to the current
 // epoch before any Recommend. Callers validating click/feedback payloads
 // must use it rather than Space(), or a catalogue swap between a slate and
 // its click would misread (or reject) the slate's item IDs.
-func (e *Engine) FeedbackSpace() *feature.Space {
-	return e.feedbackView().space
-}
-
-// FeedbackEpoch is the catalogue epoch feedback identity currently
-// resolves against: the most recent slate's (or restore's) epoch.
-func (e *Engine) FeedbackEpoch() uint64 { return e.feedbackView().id }
-
-// feedbackView resolves the identity view feedback is interpreted in.
-func (e *Engine) feedbackView() epochView {
-	if e.fb == nil {
-		// Memoize the fallback: a click arriving before this incarnation's
-		// first Recommend (e.g. right after an eviction restore) must
-		// validate and vectorize winner and loser against ONE epoch, not
-		// re-resolve per call with a swap possibly landing in between.
-		e.fb = e.sh.epoch().feedback()
-	}
-	return *e.fb
-}
-
-// PackageVector computes the normalized aggregate vector of a package
-// against the feedback space (see FeedbackSpace).
-func (e *Engine) PackageVector(p pkgspace.Package) ([]float64, error) {
-	sp := e.FeedbackSpace()
-	if err := pkgspace.ValidateIDs(sp, p); err != nil {
-		return nil, err
-	}
-	return pkgspace.Vector(sp, p), nil
-}
+func (e *Engine) FeedbackSpace() *feature.Space { return e.pinned().ep.space }
 
 // sampler is the §3.2.2 Metropolis walk over the constraint set cs.
 func (e *Engine) sampler(cs []prefgraph.Constraint) *sampling.MCMC {
@@ -556,12 +531,12 @@ func (f lazySampler) Sample(rng *rand.Rand, n int) (sampling.Result, error) {
 }
 
 // ensureSamples draws the initial pool, if none exists yet, under the
-// constraint set derived in the feedback epoch.
+// constraint set derived in the pinned epoch.
 func (e *Engine) ensureSamples() error {
 	if e.pool != nil {
 		return nil
 	}
-	res, err := e.sampler(e.constraintsAt(e.feedbackView()).reduced()).Sample(e.rng, e.cfg.SampleCount)
+	res, err := e.sampler(e.pinned().reduced()).Sample(e.rng, e.cfg.SampleCount)
 	e.stats.SampleAttempts += res.Attempts
 	if err != nil {
 		if !errors.Is(err, sampling.ErrTooManyRejections) {
@@ -625,15 +600,13 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 // call: sampling, ranking, cache keys, and the exploration tail all use
 // the same coherent snapshot even if the live catalogue swaps
 // mid-request. The slate records the epoch (and its space) it was
-// computed against. As in Restore, a pool drawn for another epoch is kept
-// iff this epoch derives a constraint set with the same hash.
+// computed against, and feedback on the slate is read in it: the engine
+// adopts a new epoch, keeping the pool as Restore does.
 func (e *Engine) Recommend() (*Slate, error) {
 	ep := e.sh.epoch()
-	if e.pool != nil && e.fb.id != ep.id &&
-		constraintsHash(e.constraintsAt(*e.fb).reduced()) != constraintsHash(e.constraintsAt(ep).reduced()) {
-		e.pool = nil
+	if cs := e.pinned(); cs.ep.id != ep.id {
+		e.adopt(ep, constraintsHash(cs.reduced()))
 	}
-	e.fb = ep.feedback() // the pool now answers to ep, and so does feedback on this slate
 	if err := e.ensureSamples(); err != nil {
 		return nil, err
 	}
@@ -729,7 +702,7 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 		if p.Signature() == chosen.Signature() {
 			continue
 		}
-		if err := e.Feedback(chosen, p); err != nil {
+		if err := e.record(chosen, p); err != nil {
 			if errors.Is(err, prefgraph.ErrCycle) {
 				e.stats.CyclesSkipped++
 				continue
@@ -745,12 +718,12 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 // constraint are replaced by fresh draws from the feedback-aware sampler
 // (§3.4).
 //
-// Dense item IDs are interpreted in the feedback view (the most recent
-// slate's epoch, whose derived constraint set the pool satisfies), and the
+// Dense item IDs are interpreted in the pinned epoch (the most recent
+// slate's, whose derived constraint set the pool satisfies), and the
 // preference is stored under the packages' stable catalogue identity. When
 // that epoch drops some stored preference (see constraintsAt), the new one
 // must fit the derived graph too, so it joins the derived set as exactly
-// one edge. A package that is empty, names an item outside the feedback
+// one edge. A package that is empty, names an item outside the pinned
 // epoch or holds more than φ items records nothing and returns
 // ErrInvalidPackage or ErrPackageTooLarge. Stats.Feedback counts a
 // preference once; a repeat still runs the maintenance pass.
@@ -758,14 +731,24 @@ func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 	if err := e.checkPackages(winner, loser); err != nil {
 		return err
 	}
-	fv := e.feedbackView()
-	wv, lv := pkgspace.Vector(fv.space, winner), pkgspace.Vector(fv.space, loser)
-	sw, sl := fv.stablePkg(winner), fv.stablePkg(loser)
-	cs := e.constraintsAt(fv)
+	return e.record(winner, loser)
+}
+
+// record is Feedback after its package check.
+func (e *Engine) record(winner, loser pkgspace.Package) error {
+	cs := e.pinned()
+	wv, lv := pkgspace.Vector(cs.ep.space, winner), pkgspace.Vector(cs.ep.space, loser)
+	sw, sl := cs.ep.stablePkg(winner), cs.ep.stablePkg(loser)
 	if cs.graph != e.graph {
+		// Maintenance runs on the derived set plus the new edge. A
+		// derivation takes preferences in stable-ID order, so deriving the
+		// stored edges with the new one may differ from that: the pinned
+		// set is derived afresh on its next read.
+		e.cs = &constraintSet{ep: cs.ep}
 		if err := cs.graph.AddPreference(sw, sl); err != nil {
 			return err
 		}
+		cs.red = nil
 	}
 	edges := e.graph.Edges()
 	if err := e.graph.AddPreference(sw, sl); err != nil {
@@ -773,6 +756,7 @@ func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 	}
 	if e.graph.Edges() > edges {
 		e.stats.Feedback++
+		cs.red = nil // a pinned set reading every preference whole stays whole
 	}
 	if e.pool == nil {
 		return nil // pool will be drawn under the derived constraint set

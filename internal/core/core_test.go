@@ -147,14 +147,7 @@ func TestFeedbackNarrowsSamples(t *testing.T) {
 		t.Errorf("ConstraintsActive = %d", st.ConstraintsActive)
 	}
 	// Every sample satisfies the constraint after maintenance.
-	wv, err := e.PackageVector(winner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := e.PackageVector(loser)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wv, lv := pkgspace.Vector(e.FeedbackSpace(), winner), pkgspace.Vector(e.FeedbackSpace(), loser)
 	samples, err := e.Samples()
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +191,13 @@ func TestClickRejectsChosenNotShown(t *testing.T) {
 	if err := e.Click(pkgspace.New(5), shown); !errors.Is(err, ErrChosenNotShown) {
 		t.Fatalf("Click(unshown) = %v, want ErrChosenNotShown", err)
 	}
-	if st := e.Stats(); st.Feedback != 0 || e.Graph().Edges() != 0 {
-		t.Fatalf("unshown click recorded %d feedback, %d edges", st.Feedback, e.Graph().Edges())
+	if st := e.Stats(); st.Feedback != 0 || e.pinned().graph.Edges() != 0 {
+		t.Fatalf("unshown click recorded %d feedback, %d edges", st.Feedback, e.pinned().graph.Edges())
 	}
 	if err := e.Click(pkgspace.New(2, 2), shown); err != nil {
 		t.Fatalf("Click(shown) = %v", err)
 	}
-	if got := e.Graph().Edges(); got != 1 {
+	if got := e.pinned().graph.Edges(); got != 1 {
 		t.Fatalf("shown click recorded %d edges, want 1", got)
 	}
 }
@@ -230,8 +223,8 @@ func TestFeedbackRejectsPackageTooLarge(t *testing.T) {
 	if err := e.Click(small, []pkgspace.Package{small, pkgspace.New(9), big}); !errors.Is(err, ErrPackageTooLarge) {
 		t.Fatalf("Click(oversized shown) = %v, want ErrPackageTooLarge", err)
 	}
-	if st := e.Stats(); st.Feedback != 0 || e.Graph().Edges() != 0 {
-		t.Fatalf("oversized packages recorded %d feedback, %d edges", st.Feedback, e.Graph().Edges())
+	if st := e.Stats(); st.Feedback != 0 || e.pinned().graph.Edges() != 0 {
+		t.Fatalf("oversized packages recorded %d feedback, %d edges", st.Feedback, e.pinned().graph.Edges())
 	}
 	if err := e.Feedback(pkgspace.New(1, 2, 3), small); err != nil {
 		t.Fatalf("Feedback(φ-item winner) = %v", err)
@@ -252,13 +245,13 @@ func TestClickIsAtomic(t *testing.T) {
 	if err := e.Feedback(pkgspace.New(0), pkgspace.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	edges, st := e.Graph().Edges(), e.Stats()
+	edges, st := e.pinned().graph.Edges(), e.Stats()
 	for _, last := range []pkgspace.Package{pkgspace.New(2, 999), {}} {
 		shown := []pkgspace.Package{pkgspace.New(3), pkgspace.New(4), pkgspace.New(5), last}
 		if err := e.Click(shown[0], shown); !errors.Is(err, ErrInvalidPackage) {
 			t.Fatalf("Click(last shown %v) = %v, want ErrInvalidPackage", last, err)
 		}
-		if got := e.Graph().Edges(); got != edges {
+		if got := e.pinned().graph.Edges(); got != edges {
 			t.Fatalf("rejected click left %d edges, want %d", got, edges)
 		}
 		if got := e.Stats(); got != st {
@@ -286,10 +279,10 @@ func TestRepeatedFeedbackCountedOnce(t *testing.T) {
 	if err := e.Click(pkgspace.New(0, 1), []pkgspace.Package{pkgspace.New(2), pkgspace.New(0, 1), pkgspace.New(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Feedback != 1 || e.FeedbackCount() != 1 {
-		t.Errorf("Stats.Feedback %d, FeedbackCount %d after one preference repeated, want 1", st.Feedback, e.FeedbackCount())
+	if st := e.Stats(); st.Feedback != 1 {
+		t.Errorf("Stats.Feedback %d after one preference repeated, want 1", st.Feedback)
 	}
-	if got := e.Graph().Edges(); got != 1 {
+	if got := e.pinned().graph.Edges(); got != 1 {
 		t.Errorf("%d edges, want 1", got)
 	}
 	if got := len(e.Snapshot().Preferences); got != 1 {
@@ -334,7 +327,7 @@ func TestAcceptedFeedbackRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Restore(snap); err != nil {
+		if _, err := r.Restore(snap); err != nil {
 			t.Fatalf("step %d: accepted feedback does not restore: %v", step, err)
 		}
 		if !slices.EqualFunc(r.Snapshot().Preferences, snap.Preferences, func(a, b PreferencePair) bool {
@@ -450,13 +443,18 @@ func TestTopKForWeights(t *testing.T) {
 	}
 }
 
+// TestPackageVectorValidation: a package is vectorized only after its IDs
+// are checked against the feedback space.
 func TestPackageVectorValidation(t *testing.T) {
 	e, err := New(testConfig(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PackageVector(pkgspace.New(99)); err == nil {
-		t.Error("invalid id accepted")
+	if err := e.Feedback(pkgspace.New(99), pkgspace.New(0)); !errors.Is(err, ErrInvalidPackage) {
+		t.Errorf("Feedback over item 99 of 10 = %v, want ErrInvalidPackage", err)
+	}
+	if st := e.Stats(); st.Feedback != 0 {
+		t.Errorf("invalid package recorded %d feedback", st.Feedback)
 	}
 }
 
@@ -503,8 +501,7 @@ func TestFeedbackBeforeSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wv, _ := e.PackageVector(winner)
-	lv, _ := e.PackageVector(loser)
+	wv, lv := pkgspace.Vector(e.FeedbackSpace(), winner), pkgspace.Vector(e.FeedbackSpace(), loser)
 	for i, s := range samples {
 		if feature.Dot(s.W, wv) < feature.Dot(s.W, lv)-1e-9 {
 			t.Fatalf("initial sample %d ignores pre-sampling feedback", i)

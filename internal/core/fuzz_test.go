@@ -107,7 +107,7 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 			{Winner: []int{1}, Loser: []int{0}},
 		}},
 	} {
-		if err := eng.Restore(snap); err == nil {
+		if _, err := eng.Restore(snap); err == nil {
 			t.Errorf("%s: hostile snapshot accepted", name)
 		}
 	}

@@ -417,7 +417,7 @@ func TestSnapshotChurnRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(snap); err != nil {
+	if _, err := restored.Restore(snap); err != nil {
 		t.Fatalf("restore across churn must not fail: %v", err)
 	}
 	st := restored.Stats()
@@ -446,7 +446,7 @@ func TestSnapshotChurnRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	replaySurviving(t, fresh, snap.Preferences, epM)
-	if rc, fc := restored.Graph().Edges(), fresh.Graph().Edges(); rc != fc {
+	if rc, fc := restored.pinned().graph.Edges(), fresh.pinned().graph.Edges(); rc != fc {
 		t.Fatalf("restored graph has %d edges, fresh replay %d", rc, fc)
 	}
 	want, err := fresh.Recommend()
@@ -484,7 +484,7 @@ func TestSnapshotSameEpochKeepsPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(snap); err != nil {
+	if _, err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	s1, err := eng.Samples()
@@ -545,7 +545,7 @@ func TestRestoreKeepsPoolWhenConstraintsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(snap); err != nil {
+	if _, err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if restored.pool == nil {
@@ -706,7 +706,7 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(snap); err != nil {
+	if _, err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if restored.pool != nil {
@@ -722,7 +722,7 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 		t.Fatal("resident kept its epoch-1 pool for an epoch-2 slate")
 	}
 	// That redrawn pool answers to epoch 2, so it restores there intact.
-	if err := restored.Restore(eng.Snapshot()); err != nil {
+	if _, err := restored.Restore(eng.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if restored.pool == nil {
@@ -741,7 +741,7 @@ func TestSnapshotOmitsCrossEpochPool(t *testing.T) {
 	if len(vs.Samples) == 0 || vs.ConstraintsHash != 0 {
 		t.Fatalf("preference-free snapshot: %d samples, constraints hash %x", len(vs.Samples), vs.ConstraintsHash)
 	}
-	if err := restored.Restore(vs); err != nil {
+	if _, err := restored.Restore(vs); err != nil {
 		t.Fatal(err)
 	}
 	if restored.pool == nil {

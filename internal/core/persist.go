@@ -11,9 +11,9 @@
 // items that vanished from the catalogue (counted in
 // Stats.RestoreDroppedItems / RestoreDroppedPrefs at restore time, not an
 // error). The sample pool travels with a hash of the constraint set it
-// satisfies and is kept iff the restore-time epoch derives that set
-// (§3.4: the valid region is the intersection of the constraint
-// halfspaces). v2 is the only version read.
+// satisfies and is kept iff it has the engine's SampleCount and the
+// restore-time epoch derives that set (§3.4: the valid region is the
+// intersection of the constraint halfspaces). v2 is the only version read.
 package core
 
 import (
@@ -37,9 +37,9 @@ type Snapshot struct {
 	Version int `json:"version"`
 	// ConstraintsHash is constraintsHash of the reduced constraint set the
 	// sample pool was maintained against (derived in the epoch of the
-	// session's last slate). Restore keeps the pool iff the restore-time
-	// epoch derives a set that hashes the same; on any mismatch the pool
-	// is redrawn under the derived constraints.
+	// session's last slate). Restore keeps a pool of SampleCount samples
+	// iff the restore-time epoch derives a set that hashes the same;
+	// otherwise the pool is redrawn under the derived constraints.
 	ConstraintsHash uint64 `json:"constraints_hash,omitempty"`
 	// Preferences lists the recorded pairwise preferences as stable
 	// catalogue item-ID sets (winner, loser). Constraints are derived
@@ -81,7 +81,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		})
 	}
 	if e.pool != nil {
-		s.ConstraintsHash = constraintsHash(e.constraintsAt(*e.fb).reduced())
+		s.ConstraintsHash = constraintsHash(e.pinned().reduced())
 		for _, smp := range e.pool.Samples {
 			s.Samples = append(s.Samples, append([]float64(nil), smp.W...))
 			s.Weights = append(s.Weights, smp.Q)
@@ -110,46 +110,56 @@ func constraintsHash(cs []prefgraph.Constraint) uint64 {
 	return sum
 }
 
-// Restore replaces the engine's learned state with the snapshot's. The
-// preferences are stored verbatim under their stable catalogue IDs; an
-// empty package, a self-preference or a stable-ID cycle is corruption and
-// fails the restore, as does a pool sample outside the weight box
-// [-1, 1]^d or an importance weight that is not finite and positive.
-// What churn costs is read off the constraint set the restore-time epoch
-// derives (see constraintsAt): vanished members are counted in
-// Stats.RestoreDroppedItems, and preferences the derivation drops in
-// Stats.RestoreDroppedPrefs. A stable ID deleted and later re-inserted
-// therefore reads the same to a restored session as to a resident one.
-// The sample pool is installed verbatim iff the derived reduced
-// constraint set hashes to the snapshot's ConstraintsHash; otherwise it is
-// discarded and lazily redrawn under the derived set.
-func (e *Engine) Restore(s *Snapshot) error {
+// RestoreReport says what a Restore kept and dropped: the epoch it pinned,
+// the preferences that epoch derives, and the item occurrences and
+// preferences the derivation dropped (churn between export and import).
+type RestoreReport struct {
+	Epoch        uint64 `json:"epoch"`
+	Preferences  int    `json:"preferences"`
+	DroppedItems int    `json:"dropped_items"`
+	DroppedPrefs int    `json:"dropped_preferences"`
+}
+
+// Restore replaces the engine's learned state with the snapshot's and
+// pins the restore-time epoch. The preferences are stored verbatim under
+// their stable catalogue IDs; an empty package, a self-preference or a
+// stable-ID cycle is corruption and fails the restore, as does a pool
+// sample outside the weight box [-1, 1]^d or an importance weight that is
+// not finite and positive. What churn costs is read off the constraint
+// set the restore-time epoch derives (see constraintsAt): vanished members
+// are counted in Stats.RestoreDroppedItems, and preferences the derivation
+// drops in Stats.RestoreDroppedPrefs. A stable ID deleted and later
+// re-inserted therefore reads the same to a restored session as to a
+// resident one. The sample pool is installed verbatim iff it holds
+// SampleCount samples, the only size the sampler draws (a larger pool
+// would multiply every later recommend's searches), and adopt keeps it.
+func (e *Engine) Restore(s *Snapshot) (RestoreReport, error) {
 	if s == nil {
-		return errors.New("core: nil snapshot")
+		return RestoreReport{}, errors.New("core: nil snapshot")
 	}
 	if s.Version != snapshotVersion {
-		return fmt.Errorf("core: snapshot version %d, want %d", s.Version, snapshotVersion)
+		return RestoreReport{}, fmt.Errorf("core: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
 	if len(s.Samples) != len(s.Weights) {
-		return fmt.Errorf("core: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))
+		return RestoreReport{}, fmt.Errorf("core: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))
 	}
 	// Only pools the sampler could have produced are installed: a vector
 	// outside the weight box would rank with non-finite scores.
 	box, sum := sampling.NewValidator(e.cfg.Profile.Dims(), nil), 0.0
 	for i, w := range s.Samples {
 		if len(w) != box.Dims {
-			return fmt.Errorf("core: snapshot sample %d has %d dims, space has %d", i, len(w), box.Dims)
+			return RestoreReport{}, fmt.Errorf("core: snapshot sample %d has %d dims, space has %d", i, len(w), box.Dims)
 		}
 		if !box.InBox(w) {
-			return fmt.Errorf("core: snapshot sample %d lies outside the weight box [-1, 1]", i)
+			return RestoreReport{}, fmt.Errorf("core: snapshot sample %d lies outside the weight box [-1, 1]", i)
 		}
 		if q := s.Weights[i]; !(q > 0) || math.IsInf(q, 1) {
-			return fmt.Errorf("core: snapshot weight %d is %v, want finite and positive", i, q)
+			return RestoreReport{}, fmt.Errorf("core: snapshot weight %d is %v, want finite and positive", i, q)
 		}
 		sum += s.Weights[i]
 	}
 	if math.IsInf(sum, 1) {
-		return errors.New("core: snapshot weights sum to infinity")
+		return RestoreReport{}, errors.New("core: snapshot weights sum to infinity")
 	}
 	g := prefgraph.New()
 	for i, pr := range s.Preferences {
@@ -157,39 +167,27 @@ func (e *Engine) Restore(s *Snapshot) error {
 			// No interaction can produce a preference over the empty
 			// package (Top-k-Pkg never returns ∅), so such a snapshot is
 			// corrupt or hand-crafted.
-			return fmt.Errorf("core: snapshot preference %d: empty package", i)
+			return RestoreReport{}, fmt.Errorf("core: snapshot preference %d: empty package", i)
 		}
 		if err := g.AddPreference(pkgspace.New(pr.Winner...), pkgspace.New(pr.Loser...)); err != nil {
-			return fmt.Errorf("core: snapshot preference %d: %w", i, err)
+			return RestoreReport{}, fmt.Errorf("core: snapshot preference %d: %w", i, err)
 		}
 	}
-	ep := e.sh.epoch()
 	e.graph = g
 	e.stats = s.Stats
-	// Pin feedback identity to the restore-time epoch: the pool below
-	// answers to its derived constraint set, and a click arriving before
-	// the next Recommend resolves against the same space.
-	e.fb = ep.feedback()
-	cs := e.constraintsAt(ep)
+	e.pool = nil
+	if len(s.Samples) == e.cfg.SampleCount {
+		samples := make([]sampling.Sample, len(s.Samples))
+		for i := range s.Samples {
+			samples[i] = sampling.Sample{W: append([]float64(nil), s.Samples[i]...), Q: s.Weights[i]}
+		}
+		e.pool = maintain.NewPool(samples)
+	}
+	e.adopt(e.sh.epoch(), s.ConstraintsHash)
+	cs := e.cs
 	e.stats.RestoreDroppedItems += cs.droppedItems
 	e.stats.RestoreDroppedPrefs += cs.droppedPrefs
-	e.lastDropItems, e.lastDropPrefs = cs.droppedItems, cs.droppedPrefs
-	if len(s.Samples) == 0 || s.ConstraintsHash != constraintsHash(cs.reduced()) {
-		// The pool satisfied another constraint set; a stale pool would
-		// bias every recommendation until the next feedback, so it is
-		// redrawn lazily under the derived set instead.
-		e.pool = nil
-		return nil
-	}
-	samples := make([]sampling.Sample, len(s.Samples))
-	for i := range s.Samples {
-		samples[i] = sampling.Sample{
-			W: append([]float64(nil), s.Samples[i]...),
-			Q: s.Weights[i],
-		}
-	}
-	e.pool = maintain.NewPool(samples)
-	return nil
+	return RestoreReport{Epoch: cs.ep.id, Preferences: cs.graph.Edges(), DroppedItems: cs.droppedItems, DroppedPrefs: cs.droppedPrefs}, nil
 }
 
 // WriteSnapshot encodes a snapshot as JSON (e.g. a session store persisting

@@ -54,13 +54,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Restore(snap); err != nil {
+	if _, err := e2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := e2.Stats().Feedback, e.Stats().Feedback; got != want {
 		t.Errorf("restored Feedback = %d, want %d", got, want)
 	}
-	if got, want := e2.Graph().Edges(), e.Graph().Edges(); got != want {
+	if got, want := e2.pinned().graph.Edges(), e.pinned().graph.Edges(); got != want {
 		t.Errorf("restored edges = %d, want %d", got, want)
 	}
 	s1, err := e.Samples()
@@ -108,7 +108,7 @@ func TestSnapshotWithoutSampling(t *testing.T) {
 		t.Errorf("snapshot has %d preferences, want 1", len(s.Preferences))
 	}
 	e2 := persistEngine(t)
-	if err := e2.Restore(s); err != nil {
+	if _, err := e2.Restore(s); err != nil {
 		t.Fatal(err)
 	}
 	// The restored engine draws a fresh pool under the restored constraints.
@@ -123,22 +123,22 @@ func TestSnapshotWithoutSampling(t *testing.T) {
 
 func TestRestoreValidation(t *testing.T) {
 	e := persistEngine(t)
-	if err := e.Restore(nil); err == nil {
+	if _, err := e.Restore(nil); err == nil {
 		t.Error("nil snapshot accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 99}); err == nil {
+	if _, err := e.Restore(&Snapshot{Version: 99}); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 3}); err == nil {
+	if _, err := e.Restore(&Snapshot{Version: 3}); err == nil {
 		t.Error("future version accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 1}); err == nil {
+	if _, err := e.Restore(&Snapshot{Version: 1}); err == nil {
 		t.Error("v1 accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 2, Samples: [][]float64{{1}}, Weights: nil}); err == nil {
+	if _, err := e.Restore(&Snapshot{Version: 2, Samples: [][]float64{{1}}, Weights: nil}); err == nil {
 		t.Error("sample/weight length mismatch accepted")
 	}
-	if err := e.Restore(&Snapshot{Version: 2, Samples: [][]float64{{1, 2, 3}}, Weights: []float64{1}}); err == nil {
+	if _, err := e.Restore(&Snapshot{Version: 2, Samples: [][]float64{{1, 2, 3}}, Weights: []float64{1}}); err == nil {
 		t.Error("dims mismatch accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestRestoreV2DropsVanished(t *testing.T) {
 		{Winner: []int{0, 1, 2, 3, 4, 5, 6}, Loser: []int{7}}, // 7 items > φ: dropped
 		{Winner: []int{8, 9, 10004}, Loser: []int{10}},        // shrinks to φ: kept
 	}}
-	if err := e.Restore(snap); err != nil {
+	if _, err := e.Restore(snap); err != nil {
 		t.Fatalf("v2 snapshot with vanished items rejected: %v", err)
 	}
 	st := e.Stats()
@@ -167,7 +167,7 @@ func TestRestoreV2DropsVanished(t *testing.T) {
 	if items != 5 || prefs != 3 {
 		t.Errorf("restore drops = (%d, %d), want (5, 3)", items, prefs)
 	}
-	if got := e.Graph().Edges(); got != 3 {
+	if got := e.pinned().graph.Edges(); got != 3 {
 		t.Errorf("restored %d edges, want 3", got)
 	}
 	// The engine is fully usable afterwards.
@@ -185,7 +185,7 @@ func TestRestoreV2DropsContradiction(t *testing.T) {
 		{Winner: []int{0}, Loser: []int{1}},
 		{Winner: []int{1}, Loser: []int{0, 10000}}, // remaps to {1}≻{0}: cycle
 	}}
-	if err := e.Restore(snap); err != nil {
+	if _, err := e.Restore(snap); err != nil {
 		t.Fatalf("restore failed on a remapped contradiction: %v", err)
 	}
 	st := e.Stats()
@@ -193,7 +193,7 @@ func TestRestoreV2DropsContradiction(t *testing.T) {
 	if items != 1 || prefs != 1 {
 		t.Errorf("restore drops = (%d, %d), want (1, 1)", items, prefs)
 	}
-	if got := e.Graph().Edges(); got != 1 {
+	if got := e.pinned().graph.Edges(); got != 1 {
 		t.Errorf("restored %d edges, want 1", got)
 	}
 }
@@ -224,7 +224,7 @@ func TestRestorePoolRequiresSameGeometry(t *testing.T) {
 
 	// Same catalogue → pool installed verbatim.
 	same := persistEngine(t)
-	if err := same.Restore(snap); err != nil {
+	if _, err := same.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if same.pool == nil {
@@ -244,11 +244,11 @@ func TestRestorePoolRequiresSameGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Restore(snap); err != nil {
+	if _, err := other.Restore(snap); err != nil {
 		t.Fatalf("cross-deployment restore failed: %v", err)
 	}
-	if other.Graph().Edges() != 1 {
-		t.Fatalf("preferences lost: %d edges", other.Graph().Edges())
+	if other.pinned().graph.Edges() != 1 {
+		t.Fatalf("preferences lost: %d edges", other.pinned().graph.Edges())
 	}
 	if other.pool != nil {
 		t.Fatal("pool maintained against different geometry was installed verbatim")
@@ -305,11 +305,12 @@ func TestRestorePoolRequiresSameIdentity(t *testing.T) {
 	if len(snap.Samples) == 0 {
 		t.Fatal("precondition: snapshot must carry the pool")
 	}
-	if err := b.Restore(snap); err != nil {
+	report, err := b.Restore(snap)
+	if err != nil {
 		t.Fatalf("restore into shifted catalogue failed: %v", err)
 	}
-	if items, prefs := b.LastRestoreDrops(); items != 0 || prefs != 0 {
-		t.Fatalf("unexpected drops (%d, %d): stable 3,4 exist in both catalogues", items, prefs)
+	if report.DroppedItems != 0 || report.DroppedPrefs != 0 {
+		t.Fatalf("unexpected drops (%d, %d): stable 3,4 exist in both catalogues", report.DroppedItems, report.DroppedPrefs)
 	}
 	if b.pool != nil {
 		t.Fatal("pool installed across a permuted stable-ID assignment")
@@ -319,30 +320,33 @@ func TestRestorePoolRequiresSameIdentity(t *testing.T) {
 // TestRestoreLegacyPoolFields: a v2 file written before snapshots
 // carried constraints_hash still decodes. Its pool is kept only when it
 // has no preferences (the empty constraint set hashes to 0); otherwise it
-// is redrawn under the rebuilt constraints.
+// is redrawn under the rebuilt constraints. The pool has the engine's
+// SampleCount (80), as every pool the sampler draws does.
 func TestRestoreLegacyPoolFields(t *testing.T) {
+	pool := `"samples":[` + strings.TrimSuffix(strings.Repeat(`[0.1,0.2],`, 80), ",") +
+		`],"weights":[` + strings.TrimSuffix(strings.Repeat(`1,`, 80), ",") + `]}`
 	for _, tc := range []struct {
 		name     string
 		json     string
 		keepPool bool
 	}{
 		{"preferences and samples", `{"version":2,"epoch":3,"space_hash":1234567890123456789,"id_hash":42,` +
-			`"preferences":[{"winner":[0],"loser":[1]}],"samples":[[0.1,0.2]],"weights":[1]}`, false},
+			`"preferences":[{"winner":[0],"loser":[1]}],` + pool, false},
 		{"samples only", `{"version":2,"epoch":3,"space_hash":1234567890123456789,"id_hash":42,` +
-			`"preferences":null,"samples":[[0.1,0.2]],"weights":[1]}`, true},
+			`"preferences":null,` + pool, true},
 	} {
 		snap, err := ReadSnapshot(strings.NewReader(tc.json))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		e := persistEngine(t)
-		if err := e.Restore(snap); err != nil {
+		if _, err := e.Restore(snap); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := e.pool != nil; got != tc.keepPool {
 			t.Errorf("%s: pool kept = %v, want %v", tc.name, got, tc.keepPool)
 		}
-		if got := e.Graph().Edges(); got != len(snap.Preferences) {
+		if got := e.pinned().graph.Edges(); got != len(snap.Preferences) {
 			t.Errorf("%s: restored %d edges, want %d", tc.name, got, len(snap.Preferences))
 		}
 	}
@@ -363,7 +367,7 @@ func TestRestoreV2CountsMergedDuplicates(t *testing.T) {
 		},
 	} {
 		e := persistEngine(t)
-		if err := e.Restore(&Snapshot{Version: 2, Preferences: prefs}); err != nil {
+		if _, err := e.Restore(&Snapshot{Version: 2, Preferences: prefs}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := e.Stats()
@@ -371,8 +375,58 @@ func TestRestoreV2CountsMergedDuplicates(t *testing.T) {
 		if items != 1 || dropped != 1 {
 			t.Errorf("%s: restore drops = (%d, %d), want (1, 1): two preferences merged into one edge", name, items, dropped)
 		}
-		if got := e.Graph().Edges(); got != 1 {
+		if got := e.pinned().graph.Edges(); got != 1 {
 			t.Errorf("%s: %d edges, want 1", name, got)
 		}
+	}
+}
+
+// TestRestoreRedrawsPoolOfAnotherSize: the sampler draws SampleCount
+// samples and no other number, so a snapshot pool of another size is not
+// installed even when its constraints hash matches. Every later recommend
+// ranks as many vectors as the pool holds, so a larger pool would
+// multiply the session's searches. The first Recommend after the restore
+// redraws SampleCount samples and ranks exactly those.
+func TestRestoreRedrawsPoolOfAnotherSize(t *testing.T) {
+	e := persistEngine(t)
+	if err := e.Feedback(pkgspace.New(0, 1), pkgspace.New(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	n := len(snap.Samples)
+	if n != e.cfg.SampleCount {
+		t.Fatalf("precondition: snapshot pool has %d samples, want %d", n, e.cfg.SampleCount)
+	}
+	for _, size := range []int{15 * n, n + 1, n - 1} {
+		s := *snap
+		s.Samples, s.Weights = nil, nil
+		for i := 0; i < size; i++ {
+			s.Samples = append(s.Samples, snap.Samples[i%n])
+			s.Weights = append(s.Weights, snap.Weights[i%n])
+		}
+		r := persistEngine(t)
+		if _, err := r.Restore(&s); err != nil {
+			t.Fatal(err)
+		}
+		if r.pool != nil {
+			t.Fatalf("%d-sample pool installed into a %d-sample engine", size, n)
+		}
+		before := r.Stats().RankSamples
+		if _, err := r.Recommend(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Stats().RankSamples - before; got != n {
+			t.Fatalf("after restoring a %d-sample pool, Recommend ranked %d vectors, want %d", size, got, n)
+		}
+	}
+	kept := persistEngine(t)
+	if _, err := kept.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if kept.pool == nil || len(kept.pool.Samples) != n {
+		t.Fatal("a pool of the engine's own size and constraints was not kept")
 	}
 }

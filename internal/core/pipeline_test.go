@@ -237,7 +237,7 @@ func TestRestoredEngineReusesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Restore(snap); err != nil {
+	if _, err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fresh.Recommend(); err != nil {

@@ -266,7 +266,7 @@ func TestSnapshotImportAcrossChurn(t *testing.T) {
 		t.Fatalf("admin delete ?wait=1 = %d, want 200", resp.StatusCode)
 	}
 
-	var report RestoreReport
+	var report core.RestoreReport
 	r2 := postJSON(t, ts.URL+"/sessions/bob/snapshot", snap, &report)
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("import across churn = %d, want 200", r2.StatusCode)

@@ -272,17 +272,6 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, snap)
 }
 
-// RestoreReport is the response to a snapshot import: how much of the
-// snapshot's learned state survived the remap onto the current catalogue
-// epoch. Nonzero drop counts mean the catalogue lost items between export
-// and import — the preferences over them are gone, by design, not error.
-type RestoreReport struct {
-	Epoch        uint64 `json:"epoch"`
-	Preferences  int    `json:"preferences"`
-	DroppedItems int    `json:"dropped_items"`
-	DroppedPrefs int    `json:"dropped_preferences"`
-}
-
 func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 	snapLimit := s.maxBody * SnapshotBodyFactor
 	if snapLimit < minSnapshotBodyBytes {
@@ -293,17 +282,10 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	var report RestoreReport
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		if err := eng.Restore(&snap); err != nil {
+	var report core.RestoreReport
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) (err error) {
+		if report, err = eng.Restore(&snap); err != nil {
 			return badRequest{err}
-		}
-		items, prefs := eng.LastRestoreDrops()
-		report = RestoreReport{
-			Epoch:        eng.FeedbackEpoch(),
-			Preferences:  eng.Graph().Edges(),
-			DroppedItems: items,
-			DroppedPrefs: prefs,
 		}
 		return nil
 	})

@@ -352,7 +352,7 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	// Restore into a different session of a fresh server. Same catalogue,
 	// so the restore report must show zero dropped state.
 	_, ts2 := testServer(t)
-	var report RestoreReport
+	var report core.RestoreReport
 	r2 := postJSON(t, ts2.URL+"/sessions/imported/snapshot", snap, &report)
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("restore status %d", r2.StatusCode)
@@ -364,6 +364,39 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	getJSON(t, ts2.URL+"/sessions/imported/stats", &st)
 	if st.Feedback != 1 {
 		t.Errorf("restored Feedback = %d", st.Feedback)
+	}
+}
+
+// TestSnapshotOversizedPoolRedrawn: a posted pool larger than the
+// engine's SampleCount is not installed, so a client cannot multiply the
+// searches of every later recommend of its session by posting one. The
+// next recommend ranks a freshly drawn pool of SampleCount vectors.
+func TestSnapshotOversizedPoolRedrawn(t *testing.T) {
+	_, ts := testServer(t)
+	getJSON(t, ts.URL+"/sessions/alice/recommend", nil) // draw the 80-sample pool
+	var snap core.Snapshot
+	getJSON(t, ts.URL+"/sessions/alice/snapshot", &snap)
+	n := len(snap.Samples)
+	if n == 0 {
+		t.Fatal("precondition: snapshot carries no pool")
+	}
+	for i := 0; i < 14*n; i++ {
+		snap.Samples = append(snap.Samples, snap.Samples[i%n])
+		snap.Weights = append(snap.Weights, snap.Weights[i%n])
+	}
+	if r := postJSON(t, ts.URL+"/sessions/bob/snapshot", snap, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("restore status %d", r.StatusCode)
+	}
+	getJSON(t, ts.URL+"/sessions/bob/recommend", nil)
+	var st core.Stats
+	getJSON(t, ts.URL+"/sessions/bob/stats", &st)
+	if got := st.RankSamples - snap.Stats.RankSamples; got != n {
+		t.Fatalf("recommend after a %d-sample restore ranked %d vectors, want %d", len(snap.Samples), got, n)
+	}
+	var again core.Snapshot
+	getJSON(t, ts.URL+"/sessions/bob/snapshot", &again)
+	if len(again.Samples) != n {
+		t.Fatalf("session pool has %d samples, want %d", len(again.Samples), n)
 	}
 }
 

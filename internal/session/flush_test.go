@@ -38,7 +38,7 @@ func TestFlushMatching(t *testing.T) {
 	for i, id := range ids {
 		want := i + 1
 		err := m.Do(id, func(eng *core.Engine) error {
-			if got := eng.FeedbackCount(); got != want {
+			if got := eng.Stats().Feedback; got != want {
 				t.Errorf("session %s has %d feedback after flush cycle, want %d", id, got, want)
 			}
 			return nil
@@ -92,7 +92,7 @@ func TestFlushMatchingRaceConcurrentRestores(t *testing.T) {
 				default:
 				}
 				err := m.Do(id, func(eng *core.Engine) error {
-					if got := eng.FeedbackCount(); got != 1 {
+					if got := eng.Stats().Feedback; got != 1 {
 						t.Errorf("session %s observed %d feedback mid-churn, want 1", id, got)
 					}
 					return nil
@@ -120,7 +120,7 @@ func TestFlushMatchingRaceConcurrentRestores(t *testing.T) {
 	wg.Wait()
 	for _, id := range ids {
 		err := m.Do(id, func(eng *core.Engine) error {
-			if got := eng.FeedbackCount(); got != 1 {
+			if got := eng.Stats().Feedback; got != 1 {
 				t.Errorf("session %s ended with %d feedback, want 1", id, got)
 			}
 			return nil

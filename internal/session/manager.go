@@ -142,7 +142,7 @@ func (m *Manager) Do(id string, fn func(*core.Engine) error) error {
 			continue
 		}
 		err = fn(s.eng)
-		s.feedback.Store(int64(s.eng.FeedbackCount()))
+		s.feedback.Store(int64(s.eng.Stats().Feedback))
 		s.mu.Unlock()
 		return err
 	}
@@ -191,7 +191,7 @@ func (m *Manager) acquire(id string) (*session, error) {
 		return nil, err
 	}
 	s.eng = eng
-	s.feedback.Store(int64(eng.FeedbackCount()))
+	s.feedback.Store(int64(eng.Stats().Feedback))
 	m.mu.Lock()
 	if restored {
 		m.restored++
@@ -288,7 +288,8 @@ func (m *Manager) newEngine(id string) (eng *core.Engine, restored bool, err err
 	if err != nil {
 		return nil, false, err
 	}
-	if err := eng.Restore(snap); err != nil {
+	report, err := eng.Restore(snap)
+	if err != nil {
 		// An unrestorable snapshot (a corrupt file; vanished items are
 		// churn, not errors) must not brick the session: every request
 		// would re-attempt the same restore and 500 forever. Drop the
@@ -305,10 +306,10 @@ func (m *Manager) newEngine(id string) (eng *core.Engine, restored bool, err err
 	}
 	// Fold what churn cost this remap into the process-wide counters
 	// operators watch.
-	if di, dp := eng.LastRestoreDrops(); di > 0 || dp > 0 {
+	if report.DroppedItems > 0 || report.DroppedPrefs > 0 {
 		m.mu.Lock()
-		m.restoreDropI += int64(di)
-		m.restoreDropP += int64(dp)
+		m.restoreDropI += int64(report.DroppedItems)
+		m.restoreDropP += int64(report.DroppedPrefs)
 		m.mu.Unlock()
 	}
 	return eng, true, nil
