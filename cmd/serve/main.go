@@ -62,7 +62,7 @@ func main() {
 		restore  = flag.String("restore", "", "path of a session snapshot to restore into the session named \"default\" (served at /sessions/default/...)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		cache    = flag.Int("cache", ranking.DefaultCacheSize, "shared Top-k-Pkg result cache entries (negative disables)")
-		quantum  = flag.Float64("quantum", 0, "weight quantization step for dedup/caching (0 = exact, bit-identical slates)")
+		quantum  = flag.Float64("quantum", 0, "weight quantization step for TKP/MPO per-sample dedup/caching (0 = exact, bit-identical slates; EXP searches its mean vector exactly)")
 		mutable  = flag.Bool("mutable-catalog", false, "serve a live catalogue: enable POST/DELETE /catalog/items with epoch-swapped index rebuilds")
 		coalesce = flag.Duration("rebuild-coalesce", catalog.DefaultCoalesce, "how long the rebuilder waits for a mutation burst to settle before building the next epoch (negative: rebuild synchronously on every batch)")
 		deltaThr = flag.Int("delta-threshold", catalog.DefaultDeltaThreshold, "max distinct items changed since the current epoch for the next build to take the incremental delta path (negative disables delta builds)")

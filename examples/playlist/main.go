@@ -47,7 +47,7 @@ func main() {
 		Semantics:      ranking.EXP,
 		SampleCount:    200,
 		Seed:           seed,
-		// Beam-bounded per-sample searches keep each round interactive.
+		// Beam-bounded searches keep each round interactive.
 		Search: search.Options{MaxQueue: 64, MaxAccessed: 200},
 	})
 	if err != nil {

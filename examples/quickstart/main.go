@@ -57,9 +57,8 @@ func main() {
 	}
 	for _, sem := range []ranking.Semantics{ranking.EXP, ranking.TKP, ranking.MPO} {
 		ranked, err := ranking.Rank(ix, samples, sem, ranking.Options{
-			K:          2,
-			PerSampleK: 6, // evaluate all six packages per sample
-			Search:     search.Options{ExpandAll: true},
+			K:      2,
+			Search: search.Options{ExpandAll: true},
 		})
 		if err != nil {
 			log.Fatal(err)

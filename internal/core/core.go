@@ -60,20 +60,19 @@ type Config struct {
 	// Psi is the feedback noise model of §7: the probability any single
 	// feedback is correct. Default 1 (noise-free).
 	Psi float64
-	// Search tunes the per-sample Top-k-Pkg runs (K is set internally).
+	// Search tunes Recommend's Top-k-Pkg runs (K is set internally).
 	Search search.Options
 	// SearchCacheSize bounds the per-catalogue Top-k-Pkg result cache
 	// shared by every engine derived from one Shared (0 selects
 	// ranking.DefaultCacheSize; negative disables caching). Caching is
-	// sound because a per-sample result depends only on the immutable
-	// index, the weight vector, and the search options — feedback changes
-	// which samples are in the pool, not what any vector's top-k is — so
-	// samples surviving a feedback round reuse last round's packages.
+	// sound because a result depends only on the immutable index, the
+	// weight vector, and the search options: an EXP refresh of an unchanged
+	// pool, or a TKP/MPO sample surviving feedback, reuses its packages.
 	SearchCacheSize int
-	// WeightQuantum quantizes sample weight vectors before the per-sample
-	// search (see ranking.Options.Quantum). 0 keeps slates bit-identical
-	// to the unbatched path; > 0 trades exactness for more dedup/cache
-	// hits.
+	// WeightQuantum quantizes TKP's and MPO's sample weight vectors before
+	// the per-sample search (see ranking.Options.Quantum); EXP's mean
+	// vector is searched exactly. 0 keeps slates bit-identical to the
+	// unbatched path; > 0 trades exactness for more dedup/cache hits.
 	WeightQuantum float64
 	// Seed seeds the engine's random stream (default 1).
 	Seed int64
@@ -121,8 +120,9 @@ type Stats struct {
 	// accumulate the Recommend pipeline's batching counters across rounds:
 	// weight vectors ranked, distinct vectors left after
 	// canonicalization/dedup, distinct vectors served from the shared
-	// result cache, and Top-k-Pkg runs actually executed. The dedup ratio
-	// is (RankSamples−RankDistinct)/RankSamples; the cache hit rate is
+	// result cache, and Top-k-Pkg runs actually executed (EXP: the pool,
+	// and its mean as the one distinct vector). The dedup ratio is
+	// (RankSamples−RankDistinct)/RankSamples; the cache hit rate is
 	// RankCacheHits/RankDistinct.
 	RankSamples   int
 	RankDistinct  int
@@ -589,7 +589,8 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 }
 
 // Recommend assembles a slate: the top-K packages under the configured
-// semantics plus RandomCount random exploration packages. Per-sample
+// semantics plus RandomCount random exploration packages. EXP runs one
+// search under the pool's mean weight vector. TKP's and MPO's per-sample
 // searches run through the batched pipeline — duplicate weight vectors are
 // searched once, vectors seen in an earlier round are served from the
 // shared result cache, and the remainder runs on this goroutine plus

@@ -9,6 +9,7 @@ import (
 
 	"toppkg/internal/dataset"
 	"toppkg/internal/feature"
+	"toppkg/internal/pkgspace"
 	"toppkg/internal/ranking"
 	"toppkg/internal/search"
 )
@@ -246,5 +247,91 @@ func TestRestoredEngineReusesCache(t *testing.T) {
 	st := fresh.Stats()
 	if st.RankCacheHits == 0 {
 		t.Errorf("restored engine re-searched everything: %+v", st)
+	}
+}
+
+// TestEXPRecommendIsMeanTopK: an EXP slate is Definition 2 over the
+// engine's pool. Through elicitation rounds under ψ 1 and ψ 0.9, with
+// exact search options and a weight quantum (which EXP must not apply),
+// every recommended list is the full enumeration's top-K under the pool's
+// mean vector w̄ = Σ q·w / Σ q (two packages may trade places only on a
+// floating-point tie), and each score is w̄ · v(p) to within 1e-12.
+func TestEXPRecommendIsMeanTopK(t *testing.T) {
+	const tol = 1e-12
+	for _, psi := range []float64{1, 0.9} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := pipelineConfig(t, ranking.EXP, 0, seed)
+			cfg.Psi = psi
+			cfg.WeightQuantum = 0.05
+			cfg.Search = search.Options{ExpandAll: true, MaxQueue: -1}
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 4; round++ {
+				slate, err := eng.Recommend()
+				if err != nil {
+					t.Fatal(err)
+				}
+				samples, err := eng.Samples()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mean := make([]float64, len(samples[0].W))
+				var total float64
+				for _, s := range samples {
+					for j, w := range s.W {
+						mean[j] += s.Q * w
+					}
+					total += s.Q
+				}
+				for j := range mean {
+					mean[j] /= total
+				}
+				u, err := feature.NewUtility(slate.Space.Profile, mean)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := pkgspace.BruteForceTopK(slate.Space, u, cfg.K)
+				if len(slate.Recommended) != len(want) {
+					t.Fatalf("ψ %v seed %d round %d: %d recommended, enumeration %d", psi, seed, round, len(slate.Recommended), len(want))
+				}
+				for r, got := range slate.Recommended {
+					score := u.Score(pkgspace.Vector(slate.Space, got.Pkg))
+					if d := got.Score - score; d > tol || d < -tol {
+						t.Fatalf("ψ %v seed %d round %d rank %d: %s scored %.17g, w̄ · v = %.17g", psi, seed, round, r, got.Pkg, got.Score, score)
+					}
+					if d := score - want[r].Utility; got.Pkg.Signature() != want[r].Pkg.Signature() && (d > tol || d < -tol) {
+						t.Fatalf("ψ %v seed %d round %d rank %d: EXP %s=%.17g, enumeration %s=%.17g",
+							psi, seed, round, r, got.Pkg, score, want[r].Pkg, want[r].Utility)
+					}
+				}
+				if err := eng.Click(slate.All[(round*7)%len(slate.All)], slate.All); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestEXPRecommendSearchesOnce: a fresh EXP recommend runs one search,
+// ranking the whole pool as one distinct vector, and a refresh of the
+// unchanged pool is a cache hit that searches nothing.
+func TestEXPRecommendSearchesOnce(t *testing.T) {
+	cfg := pipelineConfig(t, ranking.EXP, 0, 5)
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Samples, distinct, cache hits and searches, summed over the recommends.
+	want := [][4]int{{cfg.SampleCount, 1, 0, 1}, {2 * cfg.SampleCount, 2, 1, 1}}
+	for i, w := range want {
+		if _, err := eng.Recommend(); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		if got := [4]int{st.RankSamples, st.RankDistinct, st.RankCacheHits, st.RankSearches}; got != w {
+			t.Errorf("after recommend %d: rank counters %v, want %v", i+1, got, w)
+		}
 	}
 }

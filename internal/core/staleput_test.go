@@ -21,10 +21,18 @@ import (
 // break it is a Put from a search still pinned to a superseded epoch; the
 // catalogue-epoch key prefix is what keeps such a Put dead.
 
-// liveSearchOpts is the per-sample search configuration liveConfig's
+// stalePutConfig is liveConfig under TKP: the property is the per-sample
+// pipeline's, whose searches key cache entries by the pool's own vectors.
+func stalePutConfig() Config {
+	cfg := liveConfig()
+	cfg.Semantics = ranking.TKP
+	return cfg
+}
+
+// liveSearchOpts is the per-sample search configuration stalePutConfig's
 // engines key cache entries under (K=2, Sigma=2 ⇒ per-sample K=2).
 func liveSearchOpts() search.Options {
-	so := liveConfig().Search
+	so := stalePutConfig().Search
 	so.K = 2
 	return so
 }
@@ -131,7 +139,7 @@ func verifyReachable(t *testing.T, c *ranking.Cache, ep *catalog.Epoch, so searc
 // assert no reachable entry ever differs from a fresh search on its epoch.
 func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 	cat := liveCatalog(t, -1, 200)
-	sh, err := NewLiveShared(liveConfig(), cat)
+	sh, err := NewLiveShared(stalePutConfig(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +178,7 @@ func TestStalePutNeverServedAcrossSwaps(t *testing.T) {
 	if cache.Len() == 0 {
 		t.Fatal("vacuous: the pinned search cached nothing")
 	}
-	cfg := liveConfig()
+	cfg := stalePutConfig()
 	cfg.Items = cat.Current().Items()
 	cfg.SearchCacheSize = -1
 	fresh, err := New(cfg)

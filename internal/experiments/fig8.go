@@ -59,7 +59,7 @@ func Fig8(p Params) ([]Table, error) {
 				RandomCount:    5,
 				SampleCount:    sampleCount,
 				Seed:           p.Seed + int64(u)*131 + int64(m),
-				// Bounded per-sample searches keep a full session fast.
+				// Bounded searches keep a full session fast.
 				Search: search.Options{MaxQueue: 64, MaxAccessed: 300},
 			})
 			if err != nil {

@@ -1,14 +1,14 @@
-// The batched per-sample execution pipeline behind Rank: sample weight
-// vectors are canonicalized (optionally quantized), deduplicated so each
-// distinct vector runs Top-k-Pkg once, probed against the result cache,
-// and only the surviving searches run — on the calling goroutine, plus
-// helpers on cores no other search holds (see runSearches). Results fan
-// back out to every duplicate, and aggregation runs in sample order, so the
-// final slate does not depend on which goroutine ran which search. The
-// elicitation loop re-ranks the whole pool every round even though
-// feedback invalidates only a fraction of samples and many survivors
-// induce identical top-k lists; this pipeline makes both kinds of
-// redundancy free.
+// The batched per-sample execution pipeline behind Rank's TKP and MPO:
+// sample weight vectors are canonicalized (optionally quantized),
+// deduplicated so each distinct vector runs Top-k-Pkg once, probed against
+// the result cache, and only the surviving searches run — on the calling
+// goroutine, plus helpers on cores no other search holds (see
+// runSearches). Results fan back out to every duplicate, and aggregation
+// runs in sample order, so the final slate does not depend on which
+// goroutine ran which search. The elicitation loop re-ranks the whole pool
+// every round even though feedback invalidates only a fraction of samples
+// and many survivors induce identical top-k lists; this pipeline makes
+// both kinds of redundancy free. EXP's one mean vector takes it too.
 package ranking
 
 import (

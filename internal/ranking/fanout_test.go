@@ -96,7 +96,7 @@ func TestParallelDeterminism(t *testing.T) {
 func TestFanOutBudget(t *testing.T) {
 	const procs, callers = 4, 8
 	ix, samples, opts := servePool(t)
-	want, err := rankAt(1, ix, samples, EXP, opts)
+	want, err := rankAt(1, ix, samples, TKP, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFanOutBudget(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := Rank(ix, samples, EXP, opts)
+			got, err := Rank(ix, samples, TKP, opts)
 			if err != nil {
 				t.Error(err)
 			} else if !sameRanked(got, want) {
@@ -130,13 +130,13 @@ func TestFanOutBudget(t *testing.T) {
 func TestFanOutInlineOnly(t *testing.T) {
 	ix, samples, opts := servePool(t)
 	starts, highest := countHelpers(t)
-	if _, err := rankAt(1, ix, samples, EXP, opts); err != nil {
+	if _, err := rankAt(1, ix, samples, TKP, opts); err != nil {
 		t.Fatal(err)
 	}
 	if n := starts.Load(); n != 0 {
 		t.Errorf("%d helpers started at GOMAXPROCS 1, want 0", n)
 	}
-	if _, err := rankAt(4, ix, samples, EXP, opts); err != nil {
+	if _, err := rankAt(4, ix, samples, TKP, opts); err != nil {
 		t.Fatal(err)
 	}
 	if n, h := starts.Load(), highest.Load(); n != 3 || h != 4 {
@@ -210,7 +210,7 @@ func TestFanOutHelperRetires(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := Rank(ix, samples, EXP, optsA); err != nil {
+		if _, err := Rank(ix, samples, TKP, optsA); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -219,7 +219,7 @@ func TestFanOutHelperRetires(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := Rank(ix, samples[:1], EXP, optsB); err != nil {
+		if _, err := Rank(ix, samples[:1], TKP, optsB); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -250,7 +250,7 @@ func TestFanOutStopsAtFirstError(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		return true
 	}
-	if _, err := rankAt(procs, ix, samples[1:], EXP, opts); err != nil {
+	if _, err := rankAt(procs, ix, samples[1:], TKP, opts); err != nil {
 		t.Fatal(err)
 	}
 	if n := searched.Load(); n != 29 {
@@ -259,7 +259,7 @@ func TestFanOutStopsAtFirstError(t *testing.T) {
 
 	_, wantErr := feature.NewUtility(ix.Space().Profile, samples[0].W)
 	searched.Store(0)
-	_, err := rankAt(procs, ix, samples, EXP, opts)
+	_, err := rankAt(procs, ix, samples, TKP, opts)
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("Rank error = %v, want %v", err, wantErr)
 	}

@@ -135,8 +135,9 @@ func sameRanked(a, b []Ranked) bool {
 	return true
 }
 
-// TestPipelineMatchesOracle is the batching PR's correctness contract: for
-// ≥200 seeded trials across all three semantics, the batched pipeline
+// TestPipelineMatchesOracle is the batching pipeline's correctness
+// contract: for ≥200 seeded trials under the per-sample semantics (TKP and
+// MPO), the batched pipeline
 // (dedup → cache → searches fanned out at GOMAXPROCS 3, then 1) returns
 // slates bit-identical to the unbatched sequential path AND to the
 // brute-force enumeration oracle (MaxQueue: -1, the exhaustive queue), cold
@@ -147,7 +148,7 @@ func TestPipelineMatchesOracle(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		tr := newOracleTrial(t, int64(1000+trial))
 		cache := NewCache(256)
-		for _, sem := range []Semantics{EXP, TKP, MPO} {
+		for _, sem := range []Semantics{TKP, MPO} {
 			opts := Options{K: tr.k, Search: exactOptions}
 			so := searchOptions(sem, opts)
 
@@ -157,7 +158,7 @@ func TestPipelineMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: reference: %v", trial, sem, err)
 			}
-			if sem == EXP { // per-sample lists are semantics-independent
+			if sem == TKP { // per-sample lists are semantics-independent
 				checkPerSampleAgainstEnumeration(t, tr, refResults, so.K, trial)
 			}
 
@@ -210,7 +211,7 @@ func TestPipelineMatchesOracle(t *testing.T) {
 }
 
 // TestPipelineQuantumMergesNearDuplicates: a positive quantum collapses
-// near-identical vectors into one canonical search. (Slates may then
+// near-identical per-sample vectors into one canonical search. (Slates may then
 // legitimately differ from the exact path, so only the batching behavior
 // is asserted here; exactness under Quantum 0 is the oracle test above.)
 func TestPipelineQuantumMergesNearDuplicates(t *testing.T) {
@@ -221,18 +222,77 @@ func TestPipelineQuantumMergesNearDuplicates(t *testing.T) {
 	}
 	samples[1].W[0] += 1e-7 // inside a 1e-3 quantum bucket
 	var m Metrics
-	if _, err := Rank(tr.ix, samples, EXP, Options{K: 1, Search: exactOptions, Quantum: 1e-3, Metrics: &m}); err != nil {
+	if _, err := Rank(tr.ix, samples, TKP, Options{K: 1, Search: exactOptions, Quantum: 1e-3, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Distinct != 1 || m.Searches != 1 {
 		t.Errorf("quantum 1e-3 did not merge near-duplicates: %+v", m)
 	}
 	m = Metrics{}
-	if _, err := Rank(tr.ix, samples, EXP, Options{K: 1, Search: exactOptions, Metrics: &m}); err != nil {
+	if _, err := Rank(tr.ix, samples, TKP, Options{K: 1, Search: exactOptions, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Distinct != 2 {
 		t.Errorf("quantum 0 merged non-identical vectors: %+v", m)
+	}
+}
+
+// meanVector is the pool's mean weight vector Σ q·w / Σ q.
+func meanVector(samples []sampling.Sample) []float64 {
+	mean := make([]float64, len(samples[0].W))
+	var total float64
+	for _, s := range samples {
+		for j, w := range s.W {
+			mean[j] += s.Q * w
+		}
+		total += s.Q
+	}
+	for j := range mean {
+		mean[j] /= total
+	}
+	return mean
+}
+
+// TestEXPMatchesBruteForceMean: Definition 2 over a weighted pool is one
+// search under the mean vector w̄ = Σ q·w / Σ q, because U(p, w) = w · v(p)
+// is linear in w. On every oracle trial, cold and then from the cache, the
+// EXP slate is the full enumeration's top-k under w̄ (two packages may
+// trade places only on a floating-point tie), each score is w̄ · v(p) to
+// within 1e-12, the quantum leaves w̄ alone, and the call probes one vector.
+func TestEXPMatchesBruteForceMean(t *testing.T) {
+	const trials, tol = 210, 1e-12
+	for trial := 0; trial < trials; trial++ {
+		tr := newOracleTrial(t, int64(1000+trial))
+		u, err := feature.NewUtility(tr.sp.Profile, meanVector(tr.samples))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pkgspace.BruteForceTopK(tr.sp, u, tr.k)
+		cache := NewCache(16)
+		for pass := 0; pass < 2; pass++ {
+			var m Metrics
+			got, err := Rank(tr.ix, tr.samples, EXP, Options{K: tr.k, Search: exactOptions, Quantum: 0.25, Cache: cache, Metrics: &m})
+			if err != nil {
+				t.Fatalf("trial %d pass %d: %v", trial, pass, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d pass %d: EXP slate has %d packages, enumeration %d", trial, pass, len(got), len(want))
+			}
+			for r := range got {
+				score := u.Score(pkgspace.Vector(tr.sp, got[r].Pkg))
+				if d := got[r].Score - score; d > tol || d < -tol {
+					t.Fatalf("trial %d pass %d rank %d: %s scored %.17g, w̄ · v = %.17g", trial, pass, r, got[r].Pkg, got[r].Score, score)
+				}
+				if d := score - want[r].Utility; got[r].Pkg.Signature() != want[r].Pkg.Signature() && (d > tol || d < -tol) {
+					t.Fatalf("trial %d pass %d rank %d: EXP %s=%.17g, enumeration %s=%.17g",
+						trial, pass, r, got[r].Pkg, score, want[r].Pkg, want[r].Utility)
+				}
+			}
+			if m.Samples != len(tr.samples) || m.Distinct != 1 || m.CacheHits != pass || m.Searches != 1-pass {
+				t.Fatalf("trial %d pass %d: metrics %+v, want %d samples, 1 distinct, %d hits, %d searches",
+					trial, pass, m, len(tr.samples), pass, 1-pass)
+			}
+		}
 	}
 }
 

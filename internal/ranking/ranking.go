@@ -1,11 +1,11 @@
-// Package ranking aggregates per-sample top-k package results into a final
-// recommendation list under the three ranking semantics of the paper:
-// expected utility (EXP, Definition 2), probability of being a top-σ
-// package (TKP, Definition 3), and most probable ordering (MPO,
-// Definition 4). Per §4: for each sampled weight vector w, Top-k-Pkg
-// produces the best packages under w; the semantics differ only in how
-// those per-sample results are combined, with importance weights q(w)
-// replacing unit counts for weighted samples (§3.2.1).
+// Package ranking ranks packages over a pool of weight-vector samples
+// under the three ranking semantics of the paper: expected utility (EXP,
+// Definition 2), probability of being a top-σ package (TKP, Definition 3),
+// and most probable ordering (MPO, Definition 4), with importance weights
+// q(w) replacing unit counts for weighted samples (§3.2.1). U(p, w) =
+// w · v(p) is linear in w, so EXP's expected utility is U(p, w̄) under the
+// pool's mean vector w̄ = Σ q·w / Σ q: one Top-k-Pkg search. TKP and MPO
+// combine per-sample Top-k-Pkg results (§4).
 package ranking
 
 import (
@@ -18,12 +18,13 @@ import (
 	"toppkg/internal/search"
 )
 
-// Semantics selects how per-sample winners are aggregated.
+// Semantics selects how the sample pool ranks packages.
 type Semantics uint8
 
 // The three ranking semantics of §2.2.
 const (
-	// EXP ranks packages by (sample-estimated) expected utility.
+	// EXP ranks packages by their expected utility over the pool: the
+	// utility under the pool's mean weight vector.
 	EXP Semantics = iota
 	// TKP ranks packages by the probability of appearing among the top-σ
 	// packages.
@@ -60,8 +61,9 @@ func ParseSemantics(s string) (Semantics, error) {
 }
 
 // Ranked is one recommended package with its semantics-dependent score:
-// estimated expected utility (EXP), estimated top-σ probability (TKP), or
-// the probability of the whole returned list (MPO, equal for all entries).
+// the pool's exact expected utility (EXP), estimated top-σ probability
+// (TKP), or the probability of the whole returned list (MPO, equal for all
+// entries).
 type Ranked struct {
 	Pkg   pkgspace.Package
 	Score float64
@@ -73,18 +75,13 @@ type Options struct {
 	K int
 	// Sigma is TKP's σ (top-σ membership threshold); defaults to K.
 	Sigma int
-	// PerSampleK is how many packages Top-k-Pkg retrieves per sample
-	// (default max(K, Sigma)). EXP's estimator (§4) averages utilities over
-	// the per-sample lists a package appears in, so a larger PerSampleK
-	// reduces its bias at extra search cost.
-	PerSampleK int
-	// Search configures the per-sample Top-k-Pkg runs; Search.K is set
-	// internally.
+	// Search configures the Top-k-Pkg runs; Search.K is set internally.
 	Search search.Options
-	// Quantum rounds each weight coordinate to its nearest multiple before
-	// the search (see Canonical), so near-identical samples collapse into
-	// one Top-k-Pkg run. 0 disables rounding: only bit-identical samples
-	// merge, keeping slates exactly equal to the unbatched path.
+	// Quantum rounds each coordinate of a TKP or MPO sample to its nearest
+	// multiple before the search (see Canonical), so near-identical samples
+	// collapse into one Top-k-Pkg run. 0 disables rounding: only
+	// bit-identical samples merge, keeping slates exactly equal to the
+	// unbatched path. EXP's mean vector is searched exactly.
 	Quantum float64
 	// Cache reuses per-vector search results across Rank calls — e.g.
 	// samples that survived a feedback round reuse last round's packages.
@@ -104,19 +101,22 @@ type Options struct {
 
 // Rank computes the top-k packages under the given semantics from a pool of
 // weight-vector samples. Each sample contributes its importance weight.
-// Per-sample searches run through the batched pipeline (dedup → cache →
-// search, see groupResults). The caller runs them itself, helped by
-// goroutines on cores no other search holds; helpers step back when another
-// caller starts searching, and at GOMAXPROCS 1 none start (see
-// runSearches). Aggregation runs in sample order, so the result is the same
-// at every GOMAXPROCS and identical to the one-search-per-sample path
-// whenever Quantum is 0.
+// EXP runs one search (see expected); TKP and MPO search per sample through
+// the batched pipeline (dedup → cache → search, see groupResults). The
+// caller runs those searches itself, helped by goroutines on cores no other
+// search holds; helpers step back when another caller starts searching, and
+// at GOMAXPROCS 1 none start (see runSearches). Aggregation runs in sample
+// order, so the result is the same at every GOMAXPROCS and identical to the
+// one-search-per-sample path whenever Quantum is 0.
 func Rank(ix *search.Index, samples []sampling.Sample, sem Semantics, opts Options) ([]Ranked, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("ranking: K must be positive, got %d", opts.K)
 	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("ranking: no samples")
+	}
+	if sem == EXP {
+		return expected(ix, samples, opts)
 	}
 	results, err := groupResults(ix, ix.Space().Profile, samples, searchOptions(sem, opts), opts)
 	if err != nil {
@@ -125,27 +125,54 @@ func Rank(ix *search.Index, samples []sampling.Sample, sem Semantics, opts Optio
 	return aggregate(samples, results, sem, opts)
 }
 
-// searchOptions derives the concrete per-sample search options: PerSampleK
-// widens the per-sample lists beyond K when the semantics need it.
+// expected ranks under EXP: the top-K of one search under w̄, each score the
+// pool's exact expected utility U(p, w̄). w̄ is summed in sample order, so a
+// refresh of an unchanged pool probes the cache with the same bits, and it
+// is searched unquantized. The metrics count the pool's samples as ranked
+// and w̄ as the one distinct vector.
+func expected(ix *search.Index, samples []sampling.Sample, opts Options) ([]Ranked, error) {
+	mean := make([]float64, ix.Space().Profile.Dims())
+	var totalQ float64
+	for i, s := range samples {
+		if len(s.W) != len(mean) {
+			return nil, fmt.Errorf("ranking: sample %d has %d dims, profile has %d", i, len(s.W), len(mean))
+		}
+		for j, w := range s.W {
+			mean[j] += s.Q * w
+		}
+		totalQ += s.Q
+	}
+	for j := range mean {
+		mean[j] /= totalQ
+	}
+	opts.Quantum = 0
+	results, err := groupResults(ix, ix.Space().Profile, []sampling.Sample{{W: mean}}, searchOptions(EXP, opts), opts)
+	if opts.Metrics != nil {
+		opts.Metrics.Samples = len(samples)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Ranked, len(results[0].Packages))
+	for i, sc := range results[0].Packages {
+		out[i] = Ranked{Pkg: sc.Pkg, Score: sc.Utility}
+	}
+	return out, nil
+}
+
+// searchOptions derives the concrete search options: TKP widens each
+// per-sample list to σ when σ exceeds K.
 func searchOptions(sem Semantics, opts Options) search.Options {
-	sigma := opts.Sigma
-	if sigma <= 0 {
-		sigma = opts.K
-	}
-	perSample := opts.K
-	if sem == TKP && sigma > perSample {
-		perSample = sigma
-	}
-	if opts.PerSampleK > perSample {
-		perSample = opts.PerSampleK
-	}
 	so := opts.Search
-	so.K = perSample
+	so.K = opts.K
+	if sem == TKP && opts.Sigma > so.K {
+		so.K = opts.Sigma
+	}
 	return so
 }
 
 // aggregate combines per-sample top-k results (indexed like samples) into
-// the final recommendation list under the given semantics.
+// the final TKP or MPO recommendation list.
 func aggregate(samples []sampling.Sample, results []search.Result, sem Semantics, opts Options) ([]Ranked, error) {
 	sigma := opts.Sigma
 	if sigma <= 0 {
@@ -153,10 +180,9 @@ func aggregate(samples []sampling.Sample, results []search.Result, sem Semantics
 	}
 	type acc struct {
 		pkg    pkgspace.Package
-		sumQU  float64 // Σ q·U over samples where the package appears (EXP)
-		weight float64 // Σ q over samples where the package appears
+		weight float64 // Σ q over samples whose top-σ holds the package
 	}
-	accs := make(map[string]*acc)
+	accs := make(map[string]*acc)      // TKP
 	lists := make(map[string]*listAcc) // MPO
 	var totalQ float64
 
@@ -165,9 +191,9 @@ func aggregate(samples []sampling.Sample, results []search.Result, sem Semantics
 		q := samples[i].Q
 		totalQ += q
 		switch sem {
-		case EXP, TKP:
+		case TKP:
 			pkgs := res.Packages
-			if sem == TKP && len(pkgs) > sigma {
+			if len(pkgs) > sigma {
 				// TKP counts membership in the per-sample top-σ only.
 				pkgs = pkgs[:sigma]
 			}
@@ -178,7 +204,6 @@ func aggregate(samples []sampling.Sample, results []search.Result, sem Semantics
 					a = &acc{pkg: sc.Pkg}
 					accs[sig] = a
 				}
-				a.sumQU += q * sc.Utility
 				a.weight += q
 			}
 		case MPO:
@@ -198,27 +223,21 @@ func aggregate(samples []sampling.Sample, results []search.Result, sem Semantics
 	}
 
 	switch sem {
-	case EXP:
-		out := make([]Ranked, 0, len(accs))
-		for _, a := range accs {
-			if a.weight == 0 {
-				continue
-			}
-			out = append(out, Ranked{Pkg: a.pkg, Score: a.sumQU / a.weight})
-		}
-		sortRanked(out)
-		return head(out, opts.K), nil
 	case TKP:
 		out := make([]Ranked, 0, len(accs))
 		for _, a := range accs {
-			score := a.weight
-			if totalQ > 0 {
-				score /= totalQ
-			}
-			out = append(out, Ranked{Pkg: a.pkg, Score: score})
+			out = append(out, Ranked{Pkg: a.pkg, Score: a.weight / totalQ})
 		}
-		sortRanked(out)
-		return head(out, opts.K), nil
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Score != out[j].Score {
+				return out[i].Score > out[j].Score
+			}
+			return pkgspace.Less(out[i].Pkg, out[j].Pkg)
+		})
+		if len(out) > opts.K {
+			out = out[:opts.K]
+		}
+		return out, nil
 	default: // MPO
 		var best *listAcc
 		var bestKey string
@@ -231,16 +250,9 @@ func aggregate(samples []sampling.Sample, results []search.Result, sem Semantics
 		if best == nil {
 			return nil, fmt.Errorf("ranking: MPO found no candidate list")
 		}
-		prob := best.weight
-		if totalQ > 0 {
-			prob /= totalQ
-		}
-		out := make([]Ranked, 0, opts.K)
+		out := make([]Ranked, len(best.pkgs))
 		for i, sc := range best.pkgs {
-			if i >= opts.K {
-				break
-			}
-			out = append(out, Ranked{Pkg: sc.Pkg, Score: prob})
+			out[i] = Ranked{Pkg: sc.Pkg, Score: best.weight / totalQ}
 		}
 		return out, nil
 	}
@@ -257,22 +269,6 @@ func listKey(pkgs []pkgspace.Scored) string {
 		parts[i] = sc.Pkg.Signature()
 	}
 	return strings.Join(parts, ";")
-}
-
-func sortRanked(xs []Ranked) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Score != xs[j].Score {
-			return xs[i].Score > xs[j].Score
-		}
-		return pkgspace.Less(xs[i].Pkg, xs[j].Pkg)
-	})
-}
-
-func head(xs []Ranked, k int) []Ranked {
-	if len(xs) > k {
-		xs = xs[:k]
-	}
-	return xs
 }
 
 // Signatures extracts the package signatures of a ranked list, a

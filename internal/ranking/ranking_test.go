@@ -36,10 +36,11 @@ func paperSamples() []sampling.Sample {
 
 // TestEXPPaperExample: Example 1 computes expected utilities over all six
 // packages; the top-2 under EXP are p4 = {t1,t2} (0.415) and p5 = {t2,t3}
-// (0.392). PerSampleK=6 makes the estimator exact here.
+// (0.392): the utilities of the one search under the mean vector
+// 0.3·w1 + 0.4·w2 + 0.3·w3.
 func TestEXPPaperExample(t *testing.T) {
 	ix := paperIndex(t)
-	got, err := Rank(ix, paperSamples(), EXP, Options{K: 2, PerSampleK: 6,
+	got, err := Rank(ix, paperSamples(), EXP, Options{K: 2,
 		Search: search.Options{ExpandAll: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestMPOPaperExample(t *testing.T) {
 // produce three different top-2 lists on the same distribution.
 func TestSemanticsDiffer(t *testing.T) {
 	ix := paperIndex(t)
-	exp, err := Rank(ix, paperSamples(), EXP, Options{K: 2, PerSampleK: 6,
+	exp, err := Rank(ix, paperSamples(), EXP, Options{K: 2,
 		Search: search.Options{ExpandAll: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +195,12 @@ func TestRankValidation(t *testing.T) {
 	}
 	if _, err := Rank(ix, nil, EXP, Options{K: 1}); err == nil {
 		t.Error("empty samples accepted")
+	}
+	for _, w := range [][]float64{{0.5}, {0.5, 0.1, 0.1}} {
+		samples := append(paperSamples(), sampling.Sample{W: w, Q: 1})
+		if _, err := Rank(ix, samples, EXP, Options{K: 1}); err == nil {
+			t.Errorf("EXP accepted a %d-dim sample in a 2-dim pool", len(w))
+		}
 	}
 }
 
