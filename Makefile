@@ -9,13 +9,8 @@ GO ?= go
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# The second line runs TKP's and MPO's fan-out of per-sample searches
-# both ways under the race detector (EXP runs one search under the pool's
-# mean vector): at -cpu 1 every search runs on its caller, at 4 helpers
-# take the idle cores and retire as other callers start.
 race:
 	$(GO) test -short -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/ranking ./internal/core
 
 # lint always runs the gofmt check (fails listing any tracked .go file
 # gofmt would rewrite) and go vet; staticcheck and govulncheck run when

@@ -593,9 +593,8 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 // search under the pool's mean weight vector. TKP's and MPO's per-sample
 // searches run through the batched pipeline — duplicate weight vectors are
 // searched once, vectors seen in an earlier round are served from the
-// shared result cache, and the remainder runs on this goroutine plus
-// helpers on otherwise idle cores (see ranking.Rank and Stats' Rank*
-// counters).
+// shared result cache, and the remainder runs on this goroutine (see
+// ranking.Rank and Stats' Rank* counters).
 //
 // The catalogue epoch is resolved once at entry and pinned for the whole
 // call: sampling, ranking, cache keys, and the exploration tail all use

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -47,18 +46,10 @@ func slateKey(s *Slate) string {
 	return out
 }
 
-// recommendAt runs one Recommend at the given GOMAXPROCS: at 1 the
-// per-sample searches run one after another on the caller, above 1 helpers
-// may take the idle cores.
-func recommendAt(procs int, e *Engine) (*Slate, error) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return e.Recommend()
-}
-
-// TestRecommendCachedMatchesUncached drives a cached engine searching on 4
-// cores and an uncached engine searching on one through identical
-// elicitation rounds: every slate must be bit-identical — the engine-level
-// face of the ranking oracle property (Quantum 0 keeps the pipeline exact).
+// TestRecommendCachedMatchesUncached drives a cached engine and an
+// uncached engine through identical elicitation rounds: every slate must be
+// bit-identical — the engine-level face of the ranking oracle property
+// (Quantum 0 keeps the pipeline exact).
 func TestRecommendCachedMatchesUncached(t *testing.T) {
 	for _, sem := range []ranking.Semantics{ranking.EXP, ranking.TKP, ranking.MPO} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -71,11 +62,11 @@ func TestRecommendCachedMatchesUncached(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 4; round++ {
-				ps, err := recommendAt(1, plain)
+				ps, err := plain.Recommend()
 				if err != nil {
 					t.Fatalf("%v seed %d round %d: plain: %v", sem, seed, round, err)
 				}
-				cs, err := recommendAt(4, cached)
+				cs, err := cached.Recommend()
 				if err != nil {
 					t.Fatalf("%v seed %d round %d: cached: %v", sem, seed, round, err)
 				}
@@ -143,11 +134,9 @@ func TestSharedCacheInvalidateKeepsServing(t *testing.T) {
 }
 
 // TestConcurrentRecommendSharedIndex runs many engines over one shared
-// index and result cache from parallel goroutines (run with -race), so
-// their searches contend for cores: each caller's helpers retire as other
-// callers start searching. It then replays each session in isolation, on
-// one core with caching disabled: concurrent cross-session cache sharing
-// and the fan-out must not change anyone's slates.
+// index and result cache from parallel goroutines (run with -race). It
+// then replays each session in isolation with caching disabled: concurrent
+// cross-session cache sharing must not change anyone's slates.
 func TestConcurrentRecommendSharedIndex(t *testing.T) {
 	const sessions = 8
 	sh, err := NewShared(pipelineConfig(t, ranking.EXP, 0, 1))
@@ -201,7 +190,7 @@ func TestConcurrentRecommendSharedIndex(t *testing.T) {
 		}
 		var slate *Slate
 		for round := 0; round < 3; round++ {
-			slate, err = recommendAt(1, eng)
+			slate, err = eng.Recommend()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,9 @@ const sessionRounds = 10
 //     (sum/max/sum/max/sum), prior N(0.5, 0.15), exact weights, the head
 //     set and partition built before the timer starts.
 //
-// login is a new engine's first Recommend. A round answers the last slate
+// login is a new engine's first Recommend; login_tkp is the same under
+// TKP, whose per-sample searches run one after another on the caller
+// through dedup and the (emptied) cache. A round answers the last slate
 // with a Click, reads Stats (as the server's click handler does) and
 // fetches the next slate. The clicker picks the slate's best package under
 // a hidden utility drawn from the prior (consistent), a random shown
@@ -81,13 +83,14 @@ func BenchmarkSession(b *testing.B) {
 				sh.Index().Heads()
 				sh.Index().EnsurePartition(0)
 			}
-			// login starts session s: its engine, first slate, hidden
-			// utility and clicker stream.
-			login := func(b *testing.B, s int) (*Engine, *Slate, []float64, *rand.Rand) {
+			// login starts session s under sem: its engine, first slate,
+			// hidden utility and clicker stream.
+			login := func(b *testing.B, s int, sem ranking.Semantics) (*Engine, *Slate, []float64, *rand.Rand) {
 				eng, err := sh.NewEngine(int64(s + 1))
 				if err != nil {
 					b.Fatal(err)
 				}
+				eng.cfg.Semantics = sem
 				slate, err := eng.Recommend()
 				if err != nil {
 					b.Fatal(err)
@@ -95,15 +98,20 @@ func BenchmarkSession(b *testing.B) {
 				clicker := rand.New(rand.NewSource(int64(s + 1)))
 				return eng, slate, prior.Sample(clicker), clicker
 			}
-			b.Run("login", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					sh.SearchCache().Invalidate()
-					b.StartTimer()
-					login(b, i)
-				}
-			})
+			for _, l := range []struct {
+				name string
+				sem  ranking.Semantics
+			}{{"login", ranking.EXP}, {"login_tkp", ranking.TKP}} {
+				b.Run(l.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						sh.SearchCache().Invalidate()
+						b.StartTimer()
+						login(b, i, l.sem)
+					}
+				})
+			}
 			for _, round := range []struct {
 				name  string
 				noise int // a random click every noise rounds (1: always; 0: never)
@@ -120,7 +128,7 @@ func BenchmarkSession(b *testing.B) {
 						if i%sessionRounds == 0 {
 							b.StopTimer()
 							sh.SearchCache().Invalidate()
-							eng, slate, hidden, clicker = login(b, i/sessionRounds)
+							eng, slate, hidden, clicker = login(b, i/sessionRounds, ranking.EXP)
 							b.StartTimer()
 						}
 						chosen := slate.All[0]

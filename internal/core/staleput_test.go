@@ -37,8 +37,8 @@ func liveSearchOpts() search.Options {
 	return so
 }
 
-// cacheKeyPrefix is the batched pipeline's key prefix (see
-// ranking.groupResults): the catalogue epoch.
+// cacheKeyPrefix is the per-vector step's key prefix (see
+// ranking.newSearcher): the catalogue epoch.
 func cacheKeyPrefix(catEpoch uint64) string {
 	var ep [8]byte
 	binary.LittleEndian.PutUint64(ep[:], catEpoch)

@@ -1,22 +1,19 @@
-// The batched per-sample execution pipeline behind Rank's TKP and MPO:
-// sample weight vectors are canonicalized (optionally quantized),
-// deduplicated so each distinct vector runs Top-k-Pkg once, probed against
-// the result cache, and only the surviving searches run — on the calling
-// goroutine, plus helpers on cores no other search holds (see
-// runSearches). Results fan back out to every duplicate, and aggregation
-// runs in sample order, so the final slate does not depend on which
-// goroutine ran which search. The elicitation loop re-ranks the whole pool
-// every round even though feedback invalidates only a fraction of samples
-// and many survivors induce identical top-k lists; this pipeline makes
-// both kinds of redundancy free. EXP's one mean vector takes it too.
+// The per-vector step behind Rank, and the batched pipeline TKP and MPO run
+// it through. Each distinct weight vector takes one step: probe the result
+// cache under its epoch-keyed key, search on a miss, put the result. EXP
+// takes one step under the pool's mean vector. TKP and MPO first
+// canonicalize (optionally quantize) every sample and dedup, so each
+// distinct canonical vector takes its step once and every duplicate shares
+// the result. The steps run in sample order on the calling goroutine. The
+// elicitation loop re-ranks the whole pool every round even though feedback
+// invalidates only a fraction of samples and many survivors induce
+// identical top-k lists; dedup and the cache make both kinds of redundancy
+// free.
 package ranking
 
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"toppkg/internal/feature"
 	"toppkg/internal/sampling"
@@ -65,155 +62,82 @@ func WeightKey(w []float64) string {
 	return string(b)
 }
 
-// groupResults produces the per-sample search results for Rank through the
-// batched pipeline, returning them indexed like samples. opts.Metrics, when
-// non-nil, is overwritten with this call's counters.
-func groupResults(ix *search.Index, profile *feature.Profile, samples []sampling.Sample, so search.Options, opts Options) ([]search.Result, error) {
-	m := opts.Metrics
-	if m == nil {
-		m = &Metrics{}
-	}
-	*m = Metrics{Samples: len(samples)}
+// searcher runs the per-vector step for one Rank call and counts it in m.
+type searcher struct {
+	ix     *search.Index
+	so     search.Options
+	cache  *Cache // nil without a cache or with predicate options
+	prefix string // epoch ‖ so.CacheKey() ‖ "|", ahead of every WeightKey
+	m      *Metrics
+}
 
-	// Canonicalize and dedup: groupOf[i] is sample i's group, reps[g] the
-	// canonical vector searched for group g.
-	groupOf := make([]int, len(samples))
-	var reps [][]float64
-	var keys []string
-	index := make(map[string]int, len(samples))
+// newSearcher prepares the step for a Rank call over n samples.
+// opts.Metrics, when non-nil, is overwritten with this call's counters.
+func newSearcher(ix *search.Index, so search.Options, opts Options, n int) *searcher {
+	s := &searcher{ix: ix, so: so, m: opts.Metrics}
+	if s.m == nil {
+		s.m = &Metrics{}
+	}
+	*s.m = Metrics{Samples: n}
+	if opts.Cache != nil {
+		// Predicate options are not keyable: their results must not be
+		// reused. The catalogue epoch the index was built from guards
+		// every key: a search pinned to a superseded epoch Puts under
+		// keys no later Get asks for (see Cache).
+		if optsKey, ok := so.CacheKey(); ok {
+			var ep [8]byte
+			binary.LittleEndian.PutUint64(ep[:], opts.Epoch)
+			s.cache, s.prefix = opts.Cache, string(ep[:])+optsKey+"|"
+		}
+	}
+	return s
+}
+
+// result returns the Top-k-Pkg result for the canonical vector w, whose
+// WeightKey is key: from the cache when it holds one, else from a search
+// whose result it then puts.
+func (s *searcher) result(w []float64, key string) (search.Result, error) {
+	s.m.Distinct++
+	if s.cache != nil {
+		key = s.prefix + key
+		if res, ok := s.cache.Get(key); ok {
+			s.m.CacheHits++
+			return res, nil
+		}
+	}
+	s.m.Searches++
+	u, err := feature.NewUtility(s.ix.Space().Profile, w)
+	if err != nil {
+		return search.Result{}, err
+	}
+	res, err := s.ix.TopK(u, s.so)
+	if err == nil && s.cache != nil {
+		s.cache.Put(key, res)
+	}
+	return res, err
+}
+
+// groupResults returns TKP's or MPO's per-sample search results, indexed
+// like samples: a canonical vector takes the per-vector step where it first
+// appears, and every later duplicate shares that result. The first error
+// stops the loop, so only the steps before it ran.
+func groupResults(ix *search.Index, samples []sampling.Sample, so search.Options, opts Options) ([]search.Result, error) {
+	s := newSearcher(ix, so, opts, len(samples))
+	out := make([]search.Result, len(samples))
+	first := make(map[string]int, len(samples)) // WeightKey → first sample with it
 	for i := range samples {
 		cw := Canonical(samples[i].W, opts.Quantum)
 		k := WeightKey(cw)
-		g, ok := index[k]
-		if !ok {
-			g = len(reps)
-			index[k] = g
-			reps = append(reps, cw)
-			keys = append(keys, k)
-		}
-		groupOf[i] = g
-	}
-	m.Distinct = len(reps)
-
-	// Probe the cache; only missing groups go to the workers.
-	results := make([]search.Result, len(reps))
-	todo := make([]int, 0, len(reps))
-	cache := opts.Cache
-	var keyPrefix string
-	if cache != nil {
-		optsKey, keyable := so.CacheKey()
-		if !keyable {
-			cache = nil // predicate options: results must not be reused
-		} else {
-			// The catalogue epoch the index was built from guards every
-			// key: a search pinned to a superseded epoch Puts under keys
-			// no later Get asks for (see Cache).
-			var ep [8]byte
-			binary.LittleEndian.PutUint64(ep[:], opts.Epoch)
-			keyPrefix = string(ep[:]) + optsKey + "|"
-		}
-	}
-	for g := range reps {
-		if cache != nil {
-			keys[g] = keyPrefix + keys[g] // the full key, for Get and Put alike
-			if res, ok := cache.Get(keys[g]); ok {
-				results[g] = res
-				m.CacheHits++
-				continue
-			}
-		}
-		todo = append(todo, g)
-	}
-	m.Searches = len(todo)
-
-	if err := runSearches(ix, profile, reps, todo, results, so); err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		for _, g := range todo {
-			cache.Put(keys[g], results[g])
-		}
-	}
-
-	// Fan the group results back out to every sample.
-	out := make([]search.Result, len(samples))
-	for i, g := range groupOf {
-		out[i] = results[g]
-	}
-	return out, nil
-}
-
-// searching counts, process-wide, the goroutines running per-sample
-// searches: every runSearches caller with searches left to claim, plus its
-// helpers. It is the fan-out's only view of load.
-var searching atomic.Int64
-
-// helperStarted, when a test sets it, is called on every helper start with
-// the count that helper's claim raised searching to.
-var helperStarted func(count int64)
-
-// runSearches executes Top-k-Pkg for the groups listed in todo, filling
-// results[g]. The searches are independent. The caller always searches
-// inline, and helpers join it on idle cores only: a helper starts only
-// while searching is below GOMAXPROCS, claimed by compare-and-swap, so it
-// never takes a core another search holds. Before each search it claims, a
-// helper checks the count again and retires once it is above GOMAXPROCS,
-// i.e. once another request has started searching. At GOMAXPROCS 1 no
-// helper starts and todo runs in order on the caller. The first error stops
-// every worker from claiming another search. Callers aggregate in sample
-// order, so slates do not depend on which worker ran which search.
-func runSearches(ix *search.Index, profile *feature.Profile, reps [][]float64, todo []int, results []search.Result, so search.Options) error {
-	if len(todo) == 0 {
-		return nil
-	}
-	procs := int64(runtime.GOMAXPROCS(0))
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64 // todo[next] is the next search to claim
-		failed   atomic.Bool
-		firstErr error // written once, by the worker that sets failed
-	)
-	work := func(helper bool) {
-		for !failed.Load() && !(helper && searching.Load() > procs) {
-			i := int(next.Add(1) - 1)
-			if i >= len(todo) {
-				return
-			}
-			g := todo[i]
-			u, err := feature.NewUtility(profile, reps[g])
-			if err == nil {
-				results[g], err = ix.TopK(u, so)
-			}
-			if err != nil {
-				if failed.CompareAndSwap(false, true) {
-					firstErr = err
-				}
-				return
-			}
-		}
-	}
-	searching.Add(1)
-	for helpers := 0; helpers < len(todo)-1; {
-		n := searching.Load()
-		if n >= procs {
-			break
-		}
-		if !searching.CompareAndSwap(n, n+1) {
+		if j, ok := first[k]; ok {
+			out[i] = out[j]
 			continue
 		}
-		if helperStarted != nil {
-			helperStarted(n + 1)
+		res, err := s.result(cw, k)
+		if err != nil {
+			return nil, err
 		}
-		helpers++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer searching.Add(-1)
-			work(true)
-		}()
+		first[k] = i
+		out[i] = res
 	}
-	work(false)
-	searching.Add(-1)
-	wg.Wait()
-	return firstErr
+	return out, nil
 }

@@ -20,7 +20,7 @@ const DefaultCacheSize = 4096
 // Cache is a thread-safe LRU over per-weight-vector search results, shared
 // by every engine serving one catalogue (results depend only on the shared
 // immutable index). Callers key every entry by the catalogue epoch its
-// index was built from (see groupResults), and that key alone keeps a
+// index was built from (see newSearcher), and that key alone keeps a
 // result from being served for another epoch: a cache serves one
 // catalogue, whose epoch IDs never repeat, so a Put from a search pinned
 // to a superseded epoch lands under keys no later Get asks for. The owner

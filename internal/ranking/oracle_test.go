@@ -137,11 +137,9 @@ func sameRanked(a, b []Ranked) bool {
 
 // TestPipelineMatchesOracle is the batching pipeline's correctness
 // contract: for ≥200 seeded trials under the per-sample semantics (TKP and
-// MPO), the batched pipeline
-// (dedup → cache → searches fanned out at GOMAXPROCS 3, then 1) returns
-// slates bit-identical to the unbatched sequential path AND to the
-// brute-force enumeration oracle (MaxQueue: -1, the exhaustive queue), cold
-// and warm. The per-sample lists are additionally cross-checked against an
+// MPO), the batched pipeline (dedup → cache) returns slates bit-identical
+// to the unbatched path AND to the brute-force enumeration oracle
+// (MaxQueue: -1, the exhaustive queue), cold and warm. The per-sample lists are additionally cross-checked against an
 // independent full-enumeration implementation.
 func TestPipelineMatchesOracle(t *testing.T) {
 	const trials = 210
@@ -176,33 +174,31 @@ func TestPipelineMatchesOracle(t *testing.T) {
 					trial, sem, describe(oracle), describe(base))
 			}
 
-			// Pipeline: dedup + cache (cold then warm) + fan-out.
+			// Pipeline: dedup + cache, cold then warm.
 			for pass := 0; pass < 2; pass++ {
-				for _, procs := range []int{3, 1} {
-					var m Metrics
-					popts := opts
-					popts.Cache = cache
-					popts.Metrics = &m
-					got, err := rankAt(procs, tr.ix, tr.samples, sem, popts)
-					if err != nil {
-						t.Fatalf("trial %d %v pass %d procs %d: %v", trial, sem, pass, procs, err)
-					}
-					if !sameRanked(got, base) {
-						t.Fatalf("trial %d %v pass %d procs %d: pipeline slate differs:\npipeline %s\nplain    %s",
-							trial, sem, pass, procs, describe(got), describe(base))
-					}
-					if m.Samples != len(tr.samples) || m.Distinct > m.Samples {
-						t.Fatalf("trial %d %v: bad metrics %+v", trial, sem, m)
-					}
-					if tr.dups > 0 && m.Distinct == m.Samples {
-						t.Fatalf("trial %d %v: %d injected duplicates not deduped: %+v", trial, sem, tr.dups, m)
-					}
-					if pass > 0 || procs == 1 {
-						// The first (fanned-out, cold) run filled the cache
-						// for this semantics' options.
-						if m.CacheHits != m.Distinct || m.Searches != 0 {
-							t.Fatalf("trial %d %v pass %d procs %d: warm run searched: %+v", trial, sem, pass, procs, m)
-						}
+				var m Metrics
+				popts := opts
+				popts.Cache = cache
+				popts.Metrics = &m
+				got, err := Rank(tr.ix, tr.samples, sem, popts)
+				if err != nil {
+					t.Fatalf("trial %d %v pass %d: %v", trial, sem, pass, err)
+				}
+				if !sameRanked(got, base) {
+					t.Fatalf("trial %d %v pass %d: pipeline slate differs:\npipeline %s\nplain    %s",
+						trial, sem, pass, describe(got), describe(base))
+				}
+				if m.Samples != len(tr.samples) || m.Distinct > m.Samples {
+					t.Fatalf("trial %d %v: bad metrics %+v", trial, sem, m)
+				}
+				if tr.dups > 0 && m.Distinct == m.Samples {
+					t.Fatalf("trial %d %v: %d injected duplicates not deduped: %+v", trial, sem, tr.dups, m)
+				}
+				if pass > 0 {
+					// The cold run filled the cache for this semantics'
+					// options.
+					if m.CacheHits != m.Distinct || m.Searches != 0 {
+						t.Fatalf("trial %d %v pass %d: warm run searched: %+v", trial, sem, pass, m)
 					}
 				}
 			}

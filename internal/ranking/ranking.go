@@ -5,11 +5,14 @@
 // q(w) replacing unit counts for weighted samples (§3.2.1). U(p, w) =
 // w · v(p) is linear in w, so EXP's expected utility is U(p, w̄) under the
 // pool's mean vector w̄ = Σ q·w / Σ q: one Top-k-Pkg search. TKP and MPO
-// combine per-sample Top-k-Pkg results (§4).
+// combine per-sample Top-k-Pkg results (§4). Every search runs on the
+// calling goroutine; the result cache is the one structure shared across
+// callers.
 package ranking
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -100,13 +103,11 @@ type Options struct {
 }
 
 // Rank computes the top-k packages under the given semantics from a pool of
-// weight-vector samples. Each sample contributes its importance weight.
-// EXP runs one search (see expected); TKP and MPO search per sample through
-// the batched pipeline (dedup → cache → search, see groupResults). The
-// caller runs those searches itself, helped by goroutines on cores no other
-// search holds; helpers step back when another caller starts searching, and
-// at GOMAXPROCS 1 none start (see runSearches). Aggregation runs in sample
-// order, so the result is the same at every GOMAXPROCS and identical to the
+// weight-vector samples. Each sample contributes its importance weight,
+// which must be finite and non-negative, with a positive, finite sum. EXP
+// runs one search (see expected); TKP and MPO search per sample through
+// the batched pipeline (dedup → cache, see groupResults). Every search runs
+// on the caller, in sample order, so the result is identical to the
 // one-search-per-sample path whenever Quantum is 0.
 func Rank(ix *search.Index, samples []sampling.Sample, sem Semantics, opts Options) ([]Ranked, error) {
 	if opts.K <= 0 {
@@ -115,10 +116,22 @@ func Rank(ix *search.Index, samples []sampling.Sample, sem Semantics, opts Optio
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("ranking: no samples")
 	}
-	if sem == EXP {
-		return expected(ix, samples, opts)
+	// Σq normalises every score. One weight of 0 is legal: an importance
+	// weight can underflow.
+	var totalQ float64
+	for i, s := range samples {
+		if !(s.Q >= 0) || math.IsInf(s.Q, 1) {
+			return nil, fmt.Errorf("ranking: sample %d has importance weight %g", i, s.Q)
+		}
+		totalQ += s.Q
 	}
-	results, err := groupResults(ix, ix.Space().Profile, samples, searchOptions(sem, opts), opts)
+	if !(totalQ > 0) || math.IsInf(totalQ, 1) {
+		return nil, fmt.Errorf("ranking: importance weights sum to %g", totalQ)
+	}
+	if sem == EXP {
+		return expected(ix, samples, totalQ, opts)
+	}
+	results, err := groupResults(ix, samples, searchOptions(sem, opts), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -130,9 +143,8 @@ func Rank(ix *search.Index, samples []sampling.Sample, sem Semantics, opts Optio
 // refresh of an unchanged pool probes the cache with the same bits, and it
 // is searched unquantized. The metrics count the pool's samples as ranked
 // and w̄ as the one distinct vector.
-func expected(ix *search.Index, samples []sampling.Sample, opts Options) ([]Ranked, error) {
+func expected(ix *search.Index, samples []sampling.Sample, totalQ float64, opts Options) ([]Ranked, error) {
 	mean := make([]float64, ix.Space().Profile.Dims())
-	var totalQ float64
 	for i, s := range samples {
 		if len(s.W) != len(mean) {
 			return nil, fmt.Errorf("ranking: sample %d has %d dims, profile has %d", i, len(s.W), len(mean))
@@ -140,21 +152,16 @@ func expected(ix *search.Index, samples []sampling.Sample, opts Options) ([]Rank
 		for j, w := range s.W {
 			mean[j] += s.Q * w
 		}
-		totalQ += s.Q
 	}
 	for j := range mean {
 		mean[j] /= totalQ
 	}
-	opts.Quantum = 0
-	results, err := groupResults(ix, ix.Space().Profile, []sampling.Sample{{W: mean}}, searchOptions(EXP, opts), opts)
-	if opts.Metrics != nil {
-		opts.Metrics.Samples = len(samples)
-	}
+	res, err := newSearcher(ix, searchOptions(EXP, opts), opts, len(samples)).result(mean, WeightKey(mean))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Ranked, len(results[0].Packages))
-	for i, sc := range results[0].Packages {
+	out := make([]Ranked, len(res.Packages))
+	for i, sc := range res.Packages {
 		out[i] = Ranked{Pkg: sc.Pkg, Score: sc.Utility}
 	}
 	return out, nil

@@ -2,9 +2,13 @@ package ranking
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
+	"toppkg/internal/dataset"
 	"toppkg/internal/feature"
+	"toppkg/internal/pkgspace"
 	"toppkg/internal/sampling"
 	"toppkg/internal/search"
 )
@@ -202,6 +206,132 @@ func TestRankValidation(t *testing.T) {
 			t.Errorf("EXP accepted a %d-dim sample in a 2-dim pool", len(w))
 		}
 	}
+	// Importance weights: each finite and non-negative, Σq positive and
+	// finite. A lone zero weight stays legal (it can underflow).
+	unweighted := paperSamples()
+	for i := range unweighted {
+		unweighted[i].Q = 0
+	}
+	withQ := func(q float64) []sampling.Sample {
+		return append(paperSamples(), sampling.Sample{W: []float64{0.2, 0.2}, Q: q})
+	}
+	overflow := paperSamples()
+	overflow[0].Q, overflow[1].Q = math.MaxFloat64, math.MaxFloat64
+	bad := map[string][]sampling.Sample{
+		"all-zero weights": unweighted,
+		"negative weight":  withQ(-0.1),
+		"NaN weight":       withQ(math.NaN()),
+		"+Inf weight":      withQ(math.Inf(1)),
+		"-Inf weight":      withQ(math.Inf(-1)),
+		"overflowing sum":  overflow,
+	}
+	for _, sem := range []Semantics{EXP, TKP, MPO} {
+		opts := Options{K: 2, Search: search.Options{ExpandAll: true}}
+		for name, samples := range bad {
+			if got, err := Rank(ix, samples, sem, opts); err == nil {
+				t.Errorf("%v accepted a pool with %s: %s", sem, name, describe(got))
+			}
+		}
+		if _, err := Rank(ix, withQ(0), sem, opts); err != nil {
+			t.Errorf("%v rejected one zero weight: %v", sem, err)
+		}
+	}
+}
+
+// oneItemPool is a one-item space at φ 1, where a search calls its
+// Candidate predicate exactly once, and n distinct positive weight vectors.
+func oneItemPool(t *testing.T, n int) (*search.Index, []sampling.Sample) {
+	t.Helper()
+	sp, err := feature.NewSpace([]feature.Item{{ID: 0, Values: []float64{0.5, 0.25}}},
+		feature.SimpleProfile(feature.AggSum, feature.AggSum), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	samples := make([]sampling.Sample, n)
+	for i := range samples {
+		samples[i] = sampling.Sample{W: []float64{0.1 + rng.Float64(), 0.1 + rng.Float64()}, Q: 1}
+	}
+	return search.NewIndex(sp), samples
+}
+
+// TestRankStopsAtFirstError: the per-sample searches run in sample order,
+// and the first error stops them. A sample of the wrong dimension at
+// position i returns NewUtility's error after exactly the i searches
+// before it; each search calls the counting predicate once, and the
+// predicate keeps the cache out of the way.
+func TestRankStopsAtFirstError(t *testing.T) {
+	ix, good := oneItemPool(t, 30)
+	var searched int
+	opts := Options{K: 1, Cache: NewCache(64), Search: exactOptions}
+	opts.Search.Candidate = func(*feature.Space, pkgspace.Package) bool {
+		searched++
+		return true
+	}
+	for _, sem := range []Semantics{TKP, MPO} {
+		for _, i := range []int{0, 1, 17, 29} {
+			samples := append([]sampling.Sample(nil), good...)
+			samples[i].W = []float64{1, 1, 1}
+			_, wantErr := feature.NewUtility(ix.Space().Profile, samples[i].W)
+			searched = 0
+			_, err := Rank(ix, samples, sem, opts)
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%v bad sample %d: Rank error = %v, want %v", sem, i, err, wantErr)
+			}
+			if searched != i {
+				t.Errorf("%v bad sample %d: %d searches ran, want the %d before it", sem, i, searched, i)
+			}
+		}
+	}
+}
+
+// servePool is the serving shape: uniform 1k items under the mixed
+// sum/avg/max/min/sum profile at φ 3, 30 weight vectors from the
+// origin-centred prior, K 3 and the serving beam.
+func servePool(t *testing.T) (*search.Index, []sampling.Sample, Options) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(28))
+	profile := feature.SimpleProfile(feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin, feature.AggSum)
+	sp, err := feature.NewSpace(dataset.UNI(1000, 5, rng), profile, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]sampling.Sample, 30)
+	for i := range samples {
+		w := make([]float64, 5)
+		for j := range w {
+			w[j] = 0.5 * rng.NormFloat64()
+		}
+		samples[i] = sampling.Sample{W: w, Q: 1}
+	}
+	return search.NewIndex(sp), samples, Options{K: 3, Search: search.Options{MaxQueue: 128, MaxAccessed: 500}}
+}
+
+// TestConcurrentRankSharedCache: 8 callers rank TKP at once on one index
+// and one shared result cache (run with -race), and every slate equals the
+// sequential uncached slate.
+func TestConcurrentRankSharedCache(t *testing.T) {
+	const callers = 8
+	ix, samples, opts := servePool(t)
+	want, err := Rank(ix, samples, TKP, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = NewCache(64)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := Rank(ix, samples, TKP, opts)
+			if err != nil {
+				t.Error(err)
+			} else if !sameRanked(got, want) {
+				t.Errorf("concurrent slate %s != sequential slate %s", describe(got), describe(want))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSemanticsString(t *testing.T) {
