@@ -16,7 +16,7 @@
 // With -mutable-catalog the item set is live: admin requests mutate it and
 // a background rebuilder swaps in fresh epochs without blocking serving:
 //
-//	serve -mutable-catalog -rebuild-coalesce 20ms
+//	serve -mutable-catalog
 //	curl -X POST localhost:8080/catalog/items -d '{"items":[{"id":9000,"name":"new","values":[1,2,3,4,5]}]}'
 //	curl -X DELETE localhost:8080/catalog/items/9000
 //	curl localhost:8080/catalog             # epoch, item count, rebuild stats
@@ -64,8 +64,6 @@ func main() {
 		cache    = flag.Int("cache", ranking.DefaultCacheSize, "shared Top-k-Pkg result cache entries (negative disables)")
 		quantum  = flag.Float64("quantum", 0, "weight quantization step for TKP/MPO per-sample dedup/caching (0 = exact, bit-identical slates; EXP searches its mean vector exactly)")
 		mutable  = flag.Bool("mutable-catalog", false, "serve a live catalogue: enable POST/DELETE /catalog/items with epoch-swapped index rebuilds")
-		coalesce = flag.Duration("rebuild-coalesce", catalog.DefaultCoalesce, "how long the rebuilder waits for a mutation burst to settle before building the next epoch (negative: rebuild synchronously on every batch)")
-		deltaThr = flag.Int("delta-threshold", catalog.DefaultDeltaThreshold, "max distinct items changed since the current epoch for the next build to take the incremental delta path (negative disables delta builds)")
 		pprof    = flag.String("pprof", "", "mount net/http/pprof on this separate listen address (e.g. localhost:6060); empty disables")
 		readTO   = flag.Duration("read-timeout", server.DefaultReadTimeout, "max duration for reading an entire request incl. body (negative disables)")
 		writeTO  = flag.Duration("write-timeout", server.DefaultWriteTimeout, "max duration for writing a response (negative disables)")
@@ -107,11 +105,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cycle := []feature.Agg{feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin}
-	aggs := make([]feature.Agg, *features)
-	for i := range aggs {
-		aggs[i] = cycle[i%len(cycle)]
-	}
 	cacheSize := *cache
 	if cacheSize == 0 {
 		// core treats 0 as "default size"; map an explicit -cache 0 to the
@@ -120,7 +113,7 @@ func main() {
 	}
 	cfg := core.Config{
 		Items:           data,
-		Profile:         feature.SimpleProfile(aggs...),
+		Profile:         feature.CycledProfile(*features),
 		MaxPackageSize:  *phi,
 		K:               *k,
 		Semantics:       semantics,
@@ -140,8 +133,6 @@ func main() {
 			Profile:        cfg.Profile,
 			MaxPackageSize: *phi,
 			Items:          data,
-			Coalesce:       *coalesce,
-			DeltaThreshold: *deltaThr,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -63,7 +63,7 @@ func run(kind string, items, features, phi, k, randomN, samples int,
 	if err != nil {
 		return err
 	}
-	profile := alternatingProfile(features)
+	profile := feature.CycledProfile(features)
 	eng, err := core.New(core.Config{
 		Items:          data,
 		Profile:        profile,
@@ -121,17 +121,6 @@ func run(kind string, items, features, phi, k, randomN, samples int,
 	fmt.Printf("session stats: feedback=%d active_constraints=%d replaced=%d cycles_skipped=%d\n",
 		st.Feedback, st.ConstraintsActive, st.SamplesReplaced, st.CyclesSkipped)
 	return nil
-}
-
-// alternatingProfile mirrors the experiment harness: sum, avg, max, min
-// cycling over the features.
-func alternatingProfile(m int) *feature.Profile {
-	cycle := []feature.Agg{feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin}
-	aggs := make([]feature.Agg, m)
-	for i := range aggs {
-		aggs[i] = cycle[i%len(cycle)]
-	}
-	return feature.SimpleProfile(aggs...)
 }
 
 func fmtVec(w []float64) string {

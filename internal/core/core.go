@@ -468,9 +468,6 @@ func (sh *Shared) NewEngine(seed int64) (*Engine, error) {
 	if cfg.Prior == nil {
 		cfg.Prior = gaussmix.DefaultPrior(cfg.Profile.Dims(), 1, rng)
 	}
-	if cfg.Prior.Dims() != cfg.Profile.Dims() {
-		return nil, fmt.Errorf("core: prior has %d dims, profile has %d", cfg.Prior.Dims(), cfg.Profile.Dims())
-	}
 	return &Engine{
 		cfg:   cfg,
 		sh:    sh,
@@ -517,17 +514,6 @@ func (e *Engine) sampler(cs []prefgraph.Constraint) *sampling.MCMC {
 	v := sampling.NewValidator(e.cfg.Profile.Dims(), cs)
 	v.Psi = e.cfg.Psi
 	return &sampling.MCMC{Prior: e.cfg.Prior, V: v}
-}
-
-// lazySampler builds its sampler on the first draw: maintenance draws only
-// to replace violators, so feedback the whole pool satisfies derives no
-// constraint set.
-type lazySampler func() *sampling.MCMC
-
-func (f lazySampler) Name() string { return "mcmc" }
-
-func (f lazySampler) Sample(rng *rand.Rand, n int) (sampling.Result, error) {
-	return f().Sample(rng, n)
 }
 
 // ensureSamples draws the initial pool, if none exists yet, under the
@@ -766,7 +752,11 @@ func (e *Engine) record(winner, loser pkgspace.Package) error {
 		diff[i] = wv[i] - lv[i]
 	}
 	c := prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff}
-	replaced, work, err := e.pool.Apply(c, lazySampler(func() *sampling.MCMC { return e.sampler(cs.reduced()) }), e.rng)
+	// Apply draws only to replace violators, so feedback the whole pool
+	// satisfies derives no constraint set.
+	replaced, work, err := e.pool.Apply(c, func(n int) (sampling.Result, error) {
+		return e.sampler(cs.reduced()).Sample(e.rng, n)
+	})
 	e.stats.MaintenanceWork += work
 	e.stats.SamplesReplaced += replaced
 	if err != nil {

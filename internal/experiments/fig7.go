@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"toppkg/internal/feature"
 	"toppkg/internal/gaussmix"
 	"toppkg/internal/maintain"
 	"toppkg/internal/pkgspace"
@@ -58,8 +59,8 @@ func Fig7(p Params) ([]Table, error) {
 		if i == j {
 			continue
 		}
-		ui := dot(wStar, vecs[i])
-		uj := dot(wStar, vecs[j])
+		ui := feature.Dot(wStar, vecs[i])
+		uj := feature.Dot(wStar, vecs[j])
 		if ui == uj {
 			continue
 		}
@@ -195,12 +196,4 @@ func scaledFig7Buckets(nSamples int) []int {
 		}
 	}
 	return out
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -6,6 +6,7 @@ import (
 
 	"toppkg/internal/core"
 	"toppkg/internal/dataset"
+	"toppkg/internal/feature"
 	"toppkg/internal/search"
 	"toppkg/internal/simulate"
 	"toppkg/internal/stats"
@@ -53,7 +54,7 @@ func Fig8(p Params) ([]Table, error) {
 		for u := 0; u < users; u++ {
 			eng, err := core.New(core.Config{
 				Items:          items,
-				Profile:        defaultProfile(m),
+				Profile:        feature.CycledProfile(m),
 				MaxPackageSize: 5,
 				K:              5,
 				RandomCount:    5,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"toppkg/internal/gaussmix"
 	"toppkg/internal/ranking"
@@ -75,22 +76,11 @@ func Quality(p Params) ([]Table, error) {
 			l := lists[key]
 			t.Rows = append(t.Rows, cells(
 				key,
-				join(l, " "),
+				"{"+strings.Join(l, "} {")+"}",
 				fmt.Sprintf("%.2f", stats.Jaccard(ref, l)),
 				fmt.Sprintf("%.2f", stats.KendallTau(ref, l)),
 			))
 		}
 	}
 	return []Table{t}, nil
-}
-
-func join(xs []string, sep string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += sep
-		}
-		out += "{" + x + "}"
-	}
-	return out
 }

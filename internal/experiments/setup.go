@@ -37,25 +37,13 @@ func (p Params) rng(offset int64) *rand.Rand {
 	return rand.New(rand.NewSource(p.Seed + offset*1_000_003))
 }
 
-// defaultProfile builds the paper's implicit profile for synthetic data:
-// alternating aggregations (sum, avg, max, min, …) over m features, which
-// exercises every aggregate class.
-func defaultProfile(m int) *feature.Profile {
-	aggs := make([]feature.Agg, m)
-	cycle := []feature.Agg{feature.AggSum, feature.AggAvg, feature.AggMax, feature.AggMin}
-	for i := range aggs {
-		aggs[i] = cycle[i%len(cycle)]
-	}
-	return feature.SimpleProfile(aggs...)
-}
-
 // buildSpace generates a dataset and wraps it into a feature space.
 func buildSpace(kind string, n, m, maxSize int, rng *rand.Rand) (*feature.Space, error) {
 	items, err := dataset.Generate(kind, n, m, rng)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := feature.NewSpace(items, defaultProfile(m), maxSize)
+	sp, err := feature.NewSpace(items, feature.CycledProfile(m), maxSize)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s space: %w", kind, err)
 	}

@@ -3,7 +3,12 @@
 // pruning (Fig. 5), overall time performance (Fig. 6), sample quality
 // (§5.4), sample maintenance (Fig. 7), and elicitation effectiveness
 // (Fig. 8). Each experiment returns text tables that cmd/experiments
-// prints; bench_test.go exercises the same workloads under testing.B.
+// prints. The root bench_test.go times one kernel per figure under
+// testing.B at sizes of its own, not these workloads: BenchmarkFig6TopKPkg
+// runs the default 512-wide beam with no access budget on 20k items, where
+// Fig. 6 ranks under a 32-wide beam and a 100-item budget on a scaled 100k;
+// BenchmarkFig7Maintenance draws its pool at std 0.3, where Fig. 7 uses
+// 0.45.
 //
 // Absolute times differ from the paper (different hardware and language —
 // the authors used Python); the reproduced quantity is the shape: which

@@ -121,6 +121,18 @@ func SimpleProfile(aggs ...Agg) *Profile {
 	return MustProfile(len(aggs), entries...)
 }
 
+// CycledProfile is the SimpleProfile of m features whose aggregations cycle
+// sum, avg, max, min — the implicit profile the paper's experiments use on
+// synthetic data, which exercises every aggregate class.
+func CycledProfile(m int) *Profile {
+	cycle := []Agg{AggSum, AggAvg, AggMax, AggMin}
+	aggs := make([]Agg, m)
+	for i := range aggs {
+		aggs[i] = cycle[i%len(cycle)]
+	}
+	return SimpleProfile(aggs...)
+}
+
 // Dims returns the number of utility dimensions (profile entries).
 func (p *Profile) Dims() int { return len(p.entries) }
 

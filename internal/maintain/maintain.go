@@ -11,7 +11,6 @@ package maintain
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"toppkg/internal/prefgraph"
 	"toppkg/internal/sampling"
@@ -162,14 +161,15 @@ func (p *Pool) Index() *topk.Pool {
 // Invalidate drops the TA index (call after mutating Samples directly).
 func (p *Pool) Invalidate() { p.index = nil }
 
-// Apply finds the samples violating constraint c, replaces them with fresh
-// draws from s, and returns the number replaced and the checker work.
-func (p *Pool) Apply(c prefgraph.Constraint, s sampling.Sampler, rng *rand.Rand) (replaced, work int, err error) {
+// Apply finds the samples violating constraint c, replaces them with the n
+// fresh samples draw(n) returns, and returns the number replaced and the
+// checker work. It calls draw only when some sample violates c.
+func (p *Pool) Apply(c prefgraph.Constraint, draw func(n int) (sampling.Result, error)) (replaced, work int, err error) {
 	viol, work := (&Hybrid{P: p.Index()}).Violators(Query(c))
 	if len(viol) == 0 {
 		return 0, work, nil
 	}
-	res, err := s.Sample(rng, len(viol))
+	res, err := draw(len(viol))
 	if err != nil {
 		return 0, work, fmt.Errorf("maintain: replacing %d violators: %w", len(viol), err)
 	}

@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -215,7 +216,8 @@ func TestPoolApplyReplacesViolators(t *testing.T) {
 	prior := gaussmix.DefaultPrior(2, 1, rng)
 	v := sampling.NewValidator(2, []prefgraph.Constraint{c})
 	s := &sampling.Rejection{Prior: prior, V: v}
-	replaced, work, err := p.Apply(c, s, rng)
+	draw := func(n int) (sampling.Result, error) { return s.Sample(rng, n) }
+	replaced, work, err := p.Apply(c, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestPoolApplyReplacesViolators(t *testing.T) {
 		}
 	}
 	// A second Apply of the same constraint replaces nothing.
-	replaced2, _, err := p.Apply(c, s, rng)
+	replaced2, _, err := p.Apply(c, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,8 @@ func TestPoolApplyKeepsValidSamples(t *testing.T) {
 	}
 	prior := gaussmix.DefaultPrior(2, 1, rng)
 	v := sampling.NewValidator(2, []prefgraph.Constraint{c})
-	replaced, _, err := p.Apply(c, &sampling.Rejection{Prior: prior, V: v}, rng)
+	s := &sampling.Rejection{Prior: prior, V: v}
+	replaced, _, err := p.Apply(c, func(n int) (sampling.Result, error) { return s.Sample(rng, n) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +282,40 @@ func TestPoolApplyKeepsValidSamples(t *testing.T) {
 				t.Fatalf("valid sample %d was touched", i)
 			}
 		}
+	}
+}
+
+// TestPoolApplyDrawsOnlyForViolators: Apply never calls draw when every
+// sample satisfies the constraint, and otherwise calls it once for exactly
+// the violators.
+func TestPoolApplyDrawsOnlyForViolators(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	samples := randomSamples(rng, 300, 2)
+	for _, s := range samples {
+		s.W[0] = math.Abs(s.W[0])
+	}
+	c := constraint(1, 0) // violators have w[0] < 0: none here
+	p := NewPool(samples)
+	replaced, work, err := p.Apply(c, func(n int) (sampling.Result, error) {
+		t.Fatalf("draw(%d) called with no violator", n)
+		return sampling.Result{}, nil
+	})
+	if err != nil || replaced != 0 || work == 0 {
+		t.Fatalf("Apply = (%d, %d, %v), want (0, >0, nil)", replaced, work, err)
+	}
+
+	samples[7].W[0], samples[42].W[0] = -0.5, -0.25
+	p.Invalidate()
+	calls := 0
+	replaced, _, err = p.Apply(c, func(n int) (sampling.Result, error) {
+		calls++
+		if n != 2 {
+			t.Errorf("draw(%d), want draw(2)", n)
+		}
+		return sampling.Result{Samples: randomSamples(rng, n, 2)}, nil
+	})
+	if err != nil || replaced != 2 || calls != 1 {
+		t.Fatalf("Apply = (%d, _, %v) after %d draws, want (2, _, nil) after 1", replaced, err, calls)
 	}
 }
 

@@ -109,30 +109,6 @@ func MinCount(min int, test func(feature.Item) bool) Predicate {
 	}
 }
 
-// MaxCount returns a predicate allowing at most max members satisfying the
-// item test.
-func MaxCount(max int, test func(feature.Item) bool) Predicate {
-	return func(s *feature.Space, p Package) bool {
-		n := 0
-		for _, id := range p.IDs {
-			if test(s.Items[id]) {
-				n++
-				if n > max {
-					return false
-				}
-			}
-		}
-		return true
-	}
-}
-
-// SizeBetween returns a predicate restricting the package size to [lo, hi].
-func SizeBetween(lo, hi int) Predicate {
-	return func(_ *feature.Space, p Package) bool {
-		return p.Size() >= lo && p.Size() <= hi
-	}
-}
-
 // All combines predicates conjunctively.
 func All(preds ...Predicate) Predicate {
 	return func(s *feature.Space, p Package) bool {

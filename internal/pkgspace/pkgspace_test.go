@@ -130,7 +130,7 @@ func TestBruteForceTopKWithPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only singletons allowed.
-	top := BruteForceTopK(sp, u, 2, SizeBetween(1, 1))
+	top := BruteForceTopK(sp, u, 2, func(_ *feature.Space, p Package) bool { return p.Size() == 1 })
 	if len(top) != 2 || top[0].Pkg.Size() != 1 || top[1].Pkg.Size() != 1 {
 		t.Fatalf("predicate ignored: %v", top)
 	}
@@ -142,6 +142,20 @@ func TestBruteForceTopKWithPredicate(t *testing.T) {
 func TestPredicates(t *testing.T) {
 	sp := space(t, 3)
 	cheap := func(it feature.Item) bool { return it.Values[0] <= 0.4 }
+	maxCheap := func(max int) Predicate {
+		return func(s *feature.Space, p Package) bool {
+			n := 0
+			for _, id := range p.IDs {
+				if cheap(s.Items[id]) {
+					n++
+				}
+			}
+			return n <= max
+		}
+	}
+	sizeBetween := func(lo, hi int) Predicate {
+		return func(_ *feature.Space, p Package) bool { return p.Size() >= lo && p.Size() <= hi }
+	}
 	p := New(0, 1, 2)
 	if !MinCount(2, cheap)(sp, p) {
 		t.Error("MinCount(2, cheap) should pass: t2, t3 are cheap")
@@ -149,16 +163,16 @@ func TestPredicates(t *testing.T) {
 	if MinCount(3, cheap)(sp, p) {
 		t.Error("MinCount(3, cheap) should fail")
 	}
-	if !MaxCount(2, cheap)(sp, p) {
-		t.Error("MaxCount(2, cheap) should pass")
+	if !maxCheap(2)(sp, p) {
+		t.Error("maxCheap(2) should pass")
 	}
-	if MaxCount(1, cheap)(sp, p) {
-		t.Error("MaxCount(1, cheap) should fail")
+	if maxCheap(1)(sp, p) {
+		t.Error("maxCheap(1) should fail")
 	}
-	if !All(MinCount(1, cheap), SizeBetween(2, 3))(sp, p) {
+	if !All(MinCount(1, cheap), sizeBetween(2, 3))(sp, p) {
 		t.Error("All conjunctive failed")
 	}
-	if All(MinCount(1, cheap), SizeBetween(1, 2))(sp, p) {
+	if All(MinCount(1, cheap), sizeBetween(1, 2))(sp, p) {
 		t.Error("All should fail on size")
 	}
 }

@@ -334,7 +334,7 @@ func TestCandidatePredicate(t *testing.T) {
 	// Only size-2 packages are acceptable.
 	res, err := ix.TopK(mustUtility(t, sp, 0.5, 0.1), Options{
 		K:         2,
-		Candidate: pkgspace.SizeBetween(2, 2),
+		Candidate: func(_ *feature.Space, p pkgspace.Package) bool { return p.Size() == 2 },
 	})
 	if err != nil {
 		t.Fatal(err)

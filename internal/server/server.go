@@ -163,27 +163,36 @@ func pkgJSON(sp *feature.Space, p pkgspace.Package, score float64) PackageJSON {
 	return PackageJSON{Items: append([]int(nil), p.IDs...), Names: names, Score: score}
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var out SlateJSON
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		slate, err := eng.Recommend()
-		if err != nil {
-			return err
-		}
-		out.Epoch = slate.Epoch
-		for _, rec := range slate.Recommended {
-			out.Recommended = append(out.Recommended, pkgJSON(slate.Space, rec.Pkg, rec.Score))
-		}
-		for _, p := range slate.Random {
-			out.Random = append(out.Random, pkgJSON(slate.Space, p, 0))
-		}
-		return nil
+// serveSession runs f on the session's engine and writes what it returns,
+// or its error under statusFor.
+func (s *Server) serveSession(w http.ResponseWriter, r *http.Request, f func(*core.Engine) (any, error)) {
+	var out any
+	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) (err error) {
+		out, err = f(eng)
+		return err
 	})
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, out)
+}
+
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
+	s.serveSession(w, r, func(eng *core.Engine) (any, error) {
+		slate, err := eng.Recommend()
+		if err != nil {
+			return nil, err
+		}
+		out := SlateJSON{Epoch: slate.Epoch}
+		for _, rec := range slate.Recommended {
+			out.Recommended = append(out.Recommended, pkgJSON(slate.Space, rec.Pkg, rec.Score))
+		}
+		for _, p := range slate.Random {
+			out.Random = append(out.Random, pkgJSON(slate.Space, p, 0))
+		}
+		return out, nil
+	})
 }
 
 // ClickRequest is the wire form of implicit click feedback.
@@ -194,8 +203,7 @@ type ClickRequest struct {
 
 func (s *Server) handleClick(w http.ResponseWriter, r *http.Request) {
 	var req ClickRequest
-	if err := decodeBody(w, r, &req, s.maxBody); err != nil {
-		httpError(w, statusFor(err), err)
+	if !decode(w, r, &req, s.maxBody) {
 		return
 	}
 	if len(req.Chosen) == 0 || len(req.Shown) == 0 {
@@ -207,17 +215,12 @@ func (s *Server) handleClick(w http.ResponseWriter, r *http.Request) {
 	for i, ids := range req.Shown {
 		shown[i] = pkgspace.New(ids...)
 	}
-	var st core.Stats
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		err := eng.Click(chosen, shown)
-		st = eng.Stats()
-		return err
+	s.serveSession(w, r, func(eng *core.Engine) (any, error) {
+		if err := eng.Click(chosen, shown); err != nil {
+			return nil, err
+		}
+		return eng.Stats(), nil
 	})
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, st)
 }
 
 // FeedbackRequest is the wire form of one explicit pairwise preference.
@@ -228,48 +231,24 @@ type FeedbackRequest struct {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
-	if err := decodeBody(w, r, &req, s.maxBody); err != nil {
-		httpError(w, statusFor(err), err)
+	if !decode(w, r, &req, s.maxBody) {
 		return
 	}
 	winner, loser := pkgspace.New(req.Winner...), pkgspace.New(req.Loser...)
-	var st core.Stats
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		err := eng.Feedback(winner, loser)
-		st = eng.Stats()
-		return err
+	s.serveSession(w, r, func(eng *core.Engine) (any, error) {
+		if err := eng.Feedback(winner, loser); err != nil {
+			return nil, err
+		}
+		return eng.Stats(), nil
 	})
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var st core.Stats
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		st = eng.Stats()
-		return nil
-	})
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, st)
+	s.serveSession(w, r, func(eng *core.Engine) (any, error) { return eng.Stats(), nil })
 }
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	var snap *core.Snapshot
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) error {
-		snap = eng.Snapshot()
-		return nil
-	})
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, snap)
+	s.serveSession(w, r, func(eng *core.Engine) (any, error) { return eng.Snapshot(), nil })
 }
 
 func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
@@ -278,22 +257,16 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		snapLimit = minSnapshotBodyBytes
 	}
 	var snap core.Snapshot
-	if err := decodeBody(w, r, &snap, snapLimit); err != nil {
-		httpError(w, statusFor(err), err)
+	if !decode(w, r, &snap, snapLimit) {
 		return
 	}
-	var report core.RestoreReport
-	err := s.mgr.Do(r.PathValue("id"), func(eng *core.Engine) (err error) {
-		if report, err = eng.Restore(&snap); err != nil {
-			return badRequest{err}
+	s.serveSession(w, r, func(eng *core.Engine) (any, error) {
+		report, err := eng.Restore(&snap)
+		if err != nil {
+			return nil, badRequest{err}
 		}
-		return nil
+		return report, nil
 	})
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, report)
 }
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -373,20 +346,25 @@ func (s *Server) handleCatalogGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.catalogStatus())
 }
 
-// parseWait interprets the ?wait query parameter: absent or empty means
-// async (false); anything else must satisfy strconv.ParseBool. Unparseable
-// values (?wait=yes) are the client's error — previously they were
-// silently treated as false, turning an intended blocking call async.
-func parseWait(r *http.Request) (bool, error) {
+// mutation vets a catalogue mutation before anything commits: a static
+// catalogue answers 409, and a ?wait that is present but not a
+// strconv.ParseBool value answers 400 (?wait=yes must not quietly turn an
+// intended blocking call async). Otherwise it reports whether to wait.
+func (s *Server) mutation(w http.ResponseWriter, r *http.Request) (wait, ok bool) {
+	if s.cat == nil {
+		httpError(w, http.StatusConflict, errStaticCatalog)
+		return false, false
+	}
 	raw := r.URL.Query().Get("wait")
 	if raw == "" {
-		return false, nil
+		return false, true
 	}
 	wait, err := strconv.ParseBool(raw)
 	if err != nil {
-		return false, fmt.Errorf("invalid wait parameter %q (want a boolean)", raw)
+		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid wait parameter %q (want a boolean)", raw))
+		return false, false
 	}
-	return wait, nil
+	return wait, true
 }
 
 // finishMutation acknowledges a committed catalogue mutation. With wait
@@ -412,18 +390,12 @@ func (s *Server) finishMutation(w http.ResponseWriter, wait bool, extra map[stri
 }
 
 func (s *Server) handleCatalogUpsert(w http.ResponseWriter, r *http.Request) {
-	if s.cat == nil {
-		httpError(w, http.StatusConflict, errStaticCatalog)
-		return
-	}
-	wait, err := parseWait(r)
-	if err != nil { // reject before committing the batch
-		httpError(w, http.StatusBadRequest, err)
+	wait, ok := s.mutation(w, r)
+	if !ok {
 		return
 	}
 	var req UpsertRequest
-	if err := decodeBody(w, r, &req, s.maxBody); err != nil {
-		httpError(w, statusFor(err), err)
+	if !decode(w, r, &req, s.maxBody) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -444,13 +416,8 @@ func (s *Server) handleCatalogUpsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCatalogDelete(w http.ResponseWriter, r *http.Request) {
-	if s.cat == nil {
-		httpError(w, http.StatusConflict, errStaticCatalog)
-		return
-	}
-	wait, err := parseWait(r)
-	if err != nil { // reject before committing the delete
-		httpError(w, http.StatusBadRequest, err)
+	wait, ok := s.mutation(w, r)
+	if !ok {
 		return
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -478,29 +445,31 @@ type badRequest struct{ err error }
 func (b badRequest) Error() string { return b.err.Error() }
 func (b badRequest) Unwrap() error { return b.err }
 
-// decodeBody parses a JSON request body under a size cap, preserving the
-// MaxBytesReader error so oversized payloads map to 413 rather than 400.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return err
-		}
-		return badRequest{fmt.Errorf("invalid JSON body: %w", err)}
+// decode parses a JSON request body under a size cap; on failure it
+// writes the error — 413 for an oversized payload, 400 for any other — and
+// reports false.
+func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	}
+	return false
 }
 
 // statusFor maps errors to HTTP statuses: invalid input is 400 — among it
 // the engine's feedback rejections (a self-preference, a click on a
 // package not shown, and a package that is empty, names an item outside
 // the slate's epoch or holds more than φ items) — unknown sessions 404,
-// contradictory feedback is the client's inconsistency (409), oversized
-// bodies 413, everything else internal.
+// contradictory feedback is the client's inconsistency (409), everything
+// else internal.
 func statusFor(err error) int {
 	var br badRequest
-	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &br):
 		return http.StatusBadRequest
@@ -512,8 +481,6 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, prefgraph.ErrCycle):
 		return http.StatusConflict
-	case errors.As(err, &tooLarge):
-		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusInternalServerError
 }

@@ -189,14 +189,19 @@ func TestWriteJSONEncodeError(t *testing.T) {
 }
 
 // TestErrorPaths table-drives the HTTP error surface: unknown sessions,
-// malformed bodies, invalid IDs, wrong methods, oversized payloads. Every
-// JSON-producing error must carry the {"error": ...} shape.
+// malformed bodies, invalid IDs on every session route, wrong methods,
+// oversized payloads. Every JSON-producing error must carry the
+// {"error": ...} shape.
 func TestErrorPaths(t *testing.T) {
 	bigShown := make([][]int, 0, 40000)
 	for i := 0; i < 40000; i++ {
 		bigShown = append(bigShown, []int{i % 40, (i + 1) % 40})
 	}
 	oversized, err := json.Marshal(ClickRequest{Chosen: []int{0}, Shown: bigShown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversizedFeedback, err := json.Marshal(FeedbackRequest{Winner: make([]int, 40000), Loser: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +232,13 @@ func TestErrorPaths(t *testing.T) {
 		{"snapshot wrong version", "POST", "/sessions/a/snapshot", `{"version":99}`, http.StatusBadRequest, true},
 		{"snapshot sample outside the weight box", "POST", "/sessions/u2/snapshot", `{"version":2,"samples":[[1e308,1e308]],"weights":[1]}`, http.StatusBadRequest, true},
 		{"oversized click payload", "POST", "/sessions/a/click", string(oversized), http.StatusRequestEntityTooLarge, true},
+		{"oversized feedback payload", "POST", "/sessions/a/feedback", string(oversizedFeedback), http.StatusRequestEntityTooLarge, true},
+		{"malformed feedback JSON", "POST", "/sessions/a/feedback", "{bad", http.StatusBadRequest, true},
+		{"invalid session id recommend", "GET", "/sessions/.hidden/recommend", "", http.StatusBadRequest, true},
+		{"invalid session id click", "POST", "/sessions/.hidden/click", `{"chosen":[1],"shown":[[1],[2]]}`, http.StatusBadRequest, true},
+		{"invalid session id feedback", "POST", "/sessions/.hidden/feedback", `{"winner":[1],"loser":[2]}`, http.StatusBadRequest, true},
+		{"invalid session id snapshot get", "GET", "/sessions/.hidden/snapshot", "", http.StatusBadRequest, true},
+		{"invalid session id snapshot post", "POST", "/sessions/.hidden/snapshot", `{"version":2}`, http.StatusBadRequest, true},
 		{"wrong method recommend", "POST", "/sessions/a/recommend", "{}", http.StatusMethodNotAllowed, false},
 		{"wrong method click", "GET", "/sessions/a/click", "", http.StatusMethodNotAllowed, false},
 		{"unknown route", "GET", "/nope", "", http.StatusNotFound, false},

@@ -102,7 +102,7 @@ func RunSession(e *core.Engine, u *User, cfg SessionConfig, rng *rand.Rand) (Ses
 		if err != nil {
 			return res, fmt.Errorf("simulate: round %d: %w", round, err)
 		}
-		key := listKey(slate.Recommended)
+		key := strings.Join(ranking.Signatures(slate.Recommended), ";")
 		if key == prevKey && key != "" {
 			run++
 			if run >= stable-1 {
@@ -134,12 +134,4 @@ func RunSession(e *core.Engine, u *User, cfg SessionConfig, rng *rand.Rand) (Ses
 		}
 	}
 	return res, nil
-}
-
-func listKey(rs []ranking.Ranked) string {
-	parts := make([]string, len(rs))
-	for i := range rs {
-		parts[i] = rs[i].Pkg.Signature()
-	}
-	return strings.Join(parts, ";")
 }

@@ -103,14 +103,10 @@ type Set struct {
 	axes    []axis
 	members []int32 // ascending dense item IDs
 	bits    []uint64
-	n       int
 }
 
 // Len returns the number of head items.
 func (s *Set) Len() int { return len(s.members) }
-
-// Universe returns the item count of the space the set was computed over.
-func (s *Set) Universe() int { return s.n }
 
 // Members returns the head item IDs in ascending order (do not mutate).
 func (s *Set) Members() []int32 { return s.members }
@@ -142,7 +138,7 @@ func newSet(axes []axis, members []int32, n int) *Set {
 	for _, id := range members {
 		bits[uint32(id)>>6] |= 1 << (uint32(id) & 63)
 	}
-	return &Set{axes: axes, members: members, bits: bits, n: n}
+	return &Set{axes: axes, members: members, bits: bits}
 }
 
 // Heads computes the head set of a space from scratch with the sort-first
