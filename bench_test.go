@@ -415,7 +415,6 @@ func BenchmarkAblationPosteriorUpdate(b *testing.B) {
 	}
 	sp := benchSpace(b, "uni", 1000, d, 3)
 	cs := benchConstraints(b, sp, 1, 16)
-	c := cs[0]
 
 	b.Run("maintenance", func(b *testing.B) {
 		v := sampling.NewValidator(d, cs)
@@ -425,7 +424,7 @@ func BenchmarkAblationPosteriorUpdate(b *testing.B) {
 			pool := maintain.NewPool(append([]sampling.Sample(nil), samples...))
 			rng := rand.New(rand.NewSource(17))
 			b.StartTimer()
-			if _, _, err := pool.Apply(c, func(n int) (sampling.Result, error) { return s.Sample(rng, n) }); err != nil {
+			if _, _, err := pool.Apply(cs[:1], func(n int) (sampling.Result, error) { return s.Sample(rng, n) }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -34,9 +34,11 @@ import (
 
 // Config configures an Engine. Zero values select the paper's defaults, and
 // New rejects negative sizes and a Psi outside [0, 1]. The rest of the
-// paper's choices are fixed: the §3.2.2 Metropolis sampler at its fixed
-// tuning, TKP's σ = K, transitive reduction of the preference graph (§3.3)
-// and the hybrid maintenance checker at γ = 0.025 (§3.4).
+// paper's choices are fixed: the sampler (sampling.Draw: exact rejection
+// draws from the prior while they pay, the §3.2.2 Metropolis chain at its
+// fixed tuning otherwise), TKP's σ = K, transitive reduction of the
+// preference graph (§3.3) and the hybrid maintenance checker at γ = 0.025
+// (§3.4), run once per click over all the preferences it adds.
 type Config struct {
 	// Items is the item set T (required).
 	Items []feature.Item
@@ -82,7 +84,9 @@ type Config struct {
 type Stats struct {
 	// Feedback is the number of pairwise preferences recorded.
 	Feedback int
-	// ConstraintsActive is the size of the reduced constraint set in use.
+	// ConstraintsActive is the size of the reduced constraint set in use,
+	// counted by the preference graph as edges arrive (never derived to be
+	// read).
 	ConstraintsActive int
 	// CyclesSkipped counts preferences dropped because they contradicted
 	// earlier feedback.
@@ -90,17 +94,19 @@ type Stats struct {
 	// SamplesReplaced counts pool samples invalidated by feedback and
 	// redrawn (§3.4).
 	SamplesReplaced int
-	// ReplacementFailures counts feedback events whose violating samples
-	// could not be replaced because the valid region has (nearly) vanished
-	// — e.g. inconsistent feedback from a noisy user on a noise-free
-	// engine. The stale samples are kept; configure Psi < 1 to tolerate
-	// noise instead (§7).
+	// ReplacementFailures counts clicks and feedbacks whose violating
+	// samples could not be replaced because the valid region has vanished:
+	// under Psi = 1 the constraint set's cone has no interior point, e.g.
+	// after inconsistent feedback from a noisy user. The stale samples are
+	// kept; with Psi < 1 the noise model tolerates such feedback (§7) and
+	// the count stays 0.
 	ReplacementFailures int
-	// InitialSampleFallbacks counts pool draws that exhausted the sampler's
-	// attempt budget — the accumulated feedback admits (almost) no valid
-	// weight vector, e.g. after catalogue churn moved the package vectors
-	// of old preferences into contradiction — and were completed with
-	// constraint-free prior draws instead of failing the recommend.
+	// InitialSampleFallbacks counts first pools the sampler could not draw
+	// — under Psi = 1 the accumulated feedback's cone has no interior
+	// point, e.g. after catalogue churn moved the package vectors of old
+	// preferences into contradiction — and that were completed with
+	// constraint-free prior draws instead of failing the recommend. With
+	// Psi < 1 it stays 0.
 	InitialSampleFallbacks int
 	// MaintenanceWork accumulates the checker's sample examinations.
 	MaintenanceWork int
@@ -158,13 +164,16 @@ type Engine struct {
 	graph *prefgraph.Graph
 	pool  *maintain.Pool
 	stats Stats
+	// draws counts sampler runs: initial pools and one per maintenance pass
+	// that found violators.
+	draws int
 	// cs is the stored preferences as the pinned epoch derives them: the
 	// epoch of the most recent slate (or restore), else the one current at
 	// first use. Clicks and pairwise feedback refer to packages the user
 	// was shown, so their dense item IDs resolve in that epoch, not in
 	// whatever the catalogue has swapped to since, and the pool satisfies
 	// its derived constraint set. Nil until first use; adopt is the only
-	// way an epoch gets pinned.
+	// way an epoch gets pinned, and record the only way the set grows.
 	cs *constraintSet
 }
 
@@ -259,7 +268,7 @@ func (v epochView) vector(p pkgspace.Package) []float64 {
 // them: graph is the engine's own when the epoch reads every preference
 // whole; the drop counts say what the derivation lost otherwise. The epoch
 // is held without its search index, so an idle session does not keep a
-// retired epoch's index in memory. A nil graph marks a set to derive again.
+// retired epoch's index in memory.
 type constraintSet struct {
 	ep                         epochView
 	graph                      *prefgraph.Graph
@@ -331,14 +340,10 @@ func (e *Engine) adopt(ep epochView, poolHash uint64) {
 
 // pinned returns the stored preferences as the pinned epoch derives them.
 // First use pins the current epoch, so a click arriving before any
-// Recommend validates and vectorizes all its packages in one epoch; a set
-// that a feedback marked stale is derived again here.
+// Recommend validates and vectorizes all its packages in one epoch.
 func (e *Engine) pinned() *constraintSet {
-	switch {
-	case e.cs == nil:
+	if e.cs == nil {
 		e.adopt(e.sh.epoch(), 0)
-	case e.cs.graph == nil:
-		e.cs = e.constraintsAt(e.cs.ep)
 	}
 	return e.cs
 }
@@ -497,7 +502,7 @@ func (e *Engine) Space() *feature.Space { return e.sh.epoch().space }
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	if e.cs != nil {
-		s.ConstraintsActive = len(e.pinned().reduced())
+		s.ConstraintsActive = e.cs.graph.ReducedEdges()
 	}
 	return s
 }
@@ -509,11 +514,13 @@ func (e *Engine) Stats() Stats {
 // its click would misread (or reject) the slate's item IDs.
 func (e *Engine) FeedbackSpace() *feature.Space { return e.pinned().ep.space }
 
-// sampler is the §3.2.2 Metropolis walk over the constraint set cs.
-func (e *Engine) sampler(cs []prefgraph.Constraint) *sampling.MCMC {
+// draw is the engine's one sampler run: n samples from the prior
+// restricted by the constraint set cs under the noise model (sampling.Draw).
+func (e *Engine) draw(cs []prefgraph.Constraint, n int) (sampling.Result, error) {
 	v := sampling.NewValidator(e.cfg.Profile.Dims(), cs)
 	v.Psi = e.cfg.Psi
-	return &sampling.MCMC{Prior: e.cfg.Prior, V: v}
+	e.draws++
+	return sampling.Draw(e.cfg.Prior, v, e.rng, n)
 }
 
 // ensureSamples draws the initial pool, if none exists yet, under the
@@ -522,7 +529,7 @@ func (e *Engine) ensureSamples() error {
 	if e.pool != nil {
 		return nil
 	}
-	res, err := e.sampler(e.pinned().reduced()).Sample(e.rng, e.cfg.SampleCount)
+	res, err := e.draw(e.pinned().reduced(), e.cfg.SampleCount)
 	e.stats.SampleAttempts += res.Attempts
 	if err != nil {
 		if !errors.Is(err, sampling.ErrTooManyRejections) {
@@ -531,7 +538,7 @@ func (e *Engine) ensureSamples() error {
 		// The feedback set leaves (almost) no valid weight vectors — e.g.
 		// preferences read under a later catalogue epoch now contradict
 		// each other, or a noisy user answered inconsistently. Mirror the
-		// maintenance path in applyConstraint: degrade rather than fail
+		// maintenance path in record: degrade rather than fail
 		// the interaction. Keep whatever the sampler did accept and top
 		// the pool up with prior draws — the §7 noise model's limit: under
 		// total inconsistency the posterior collapses to the prior.
@@ -587,7 +594,8 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 // the same coherent snapshot even if the live catalogue swaps
 // mid-request. The slate records the epoch (and its space) it was
 // computed against, and feedback on the slate is read in it: the engine
-// adopts a new epoch, keeping the pool as Restore does.
+// adopts a new epoch, keeping the pool as Restore does. A search that finds
+// no package returns ErrEmptySlate.
 func (e *Engine) Recommend() (*Slate, error) {
 	ep := e.sh.epoch()
 	if cs := e.pinned(); cs.ep.id != ep.id {
@@ -613,6 +621,9 @@ func (e *Engine) Recommend() (*Slate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ranking: %w", err)
 	}
+	if len(ranked) == 0 {
+		return nil, ErrEmptySlate
+	}
 	slate := &Slate{Recommended: ranked, Epoch: ep.id, Space: ep.space}
 	seen := make(map[string]bool, len(ranked)+e.cfg.RandomCount)
 	for _, r := range ranked {
@@ -636,6 +647,11 @@ func (e *Engine) Recommend() (*Slate, error) {
 func (e *Engine) RandomPackage() pkgspace.Package {
 	return pkgspace.Random(e.rng, len(e.Space().Items), e.cfg.MaxPackageSize)
 }
+
+// ErrEmptySlate is Recommend's answer when the search finds no package
+// for the slate (every package fails Search.Candidate): a slate with no
+// recommendation is never served as a success.
+var ErrEmptySlate = errors.New("core: no package qualifies for the slate")
 
 // ErrChosenNotShown rejects a click on a package that is not among the
 // packages shown with it.
@@ -676,7 +692,9 @@ func (e *Engine) checkPackages(pkgs ...pkgspace.Package) error {
 // names an item outside the feedback epoch or holds more than φ items
 // returns ErrInvalidPackage or ErrPackageTooLarge. Preferences
 // contradicting earlier feedback are skipped and counted in
-// Stats.CyclesSkipped, mirroring the paper's cycle resolution.
+// Stats.CyclesSkipped, mirroring the paper's cycle resolution. The click's
+// preferences are one setwise choice, so they are maintained as one batch:
+// one pass over the pool and at most one replacement draw (see record).
 func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error {
 	if !slices.ContainsFunc(shown, func(p pkgspace.Package) bool { return pkgspace.Equal(p, chosen) }) {
 		return ErrChosenNotShown
@@ -684,19 +702,13 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 	if err := e.checkPackages(shown...); err != nil { // chosen is among them
 		return err
 	}
+	losers := make([]pkgspace.Package, 0, len(shown)-1)
 	for _, p := range shown {
-		if p.Signature() == chosen.Signature() {
-			continue
-		}
-		if err := e.record(chosen, p); err != nil {
-			if errors.Is(err, prefgraph.ErrCycle) {
-				e.stats.CyclesSkipped++
-				continue
-			}
-			return err
+		if p.Signature() != chosen.Signature() {
+			losers = append(losers, p)
 		}
 	}
-	return nil
+	return e.record(chosen, losers, true)
 }
 
 // Feedback records a single pairwise preference winner ≻ loser, updates the
@@ -717,24 +729,82 @@ func (e *Engine) Feedback(winner, loser pkgspace.Package) error {
 	if err := e.checkPackages(winner, loser); err != nil {
 		return err
 	}
-	return e.record(winner, loser)
+	return e.record(winner, []pkgspace.Package{loser}, false)
 }
 
-// record is Feedback after its package check.
-func (e *Engine) record(winner, loser pkgspace.Package) error {
+// record is Click and Feedback after their package checks: it records
+// winner ≻ loser for every loser, then maintains the pool once against
+// every preference it recorded. A preference closing a cycle is skipped
+// and counted when skipCycles is set (a click) and ends the recording
+// otherwise (explicit feedback returns the error).
+//
+// Maintenance runs on the pinned set plus the new edges. When the pinned
+// epoch drops some stored preference, a derivation takes preferences in
+// stable-ID order, so deriving the stored edges with the new ones may
+// differ from that: the pinned set is derived afresh once they are in. The
+// samples satisfying every new constraint are already draws from the new
+// target, so only the violators of some new constraint are replaced, all
+// from one draw.
+func (e *Engine) record(winner pkgspace.Package, losers []pkgspace.Package, skipCycles bool) error {
 	cs := e.pinned()
-	wv, lv := pkgspace.Vector(cs.ep.space, winner), pkgspace.Vector(cs.ep.space, loser)
-	sw, sl := cs.ep.stablePkg(winner), cs.ep.stablePkg(loser)
-	if cs.graph != e.graph {
-		// Maintenance runs on the derived set plus the new edge. A
-		// derivation takes preferences in stable-ID order, so deriving the
-		// stored edges with the new one may differ from that: the pinned
-		// set is derived afresh on its next read.
-		e.cs = &constraintSet{ep: cs.ep}
-		if err := cs.graph.AddPreference(sw, sl); err != nil {
+	derived := cs.graph != e.graph
+	wv, sw := pkgspace.Vector(cs.ep.space, winner), cs.ep.stablePkg(winner)
+	edges := cs.graph.Edges()
+	var added []prefgraph.Constraint
+	var err error
+	for _, loser := range losers {
+		sl := cs.ep.stablePkg(loser)
+		if err = e.addEdge(cs.graph, derived, sw, sl); err != nil {
+			if skipCycles && errors.Is(err, prefgraph.ErrCycle) {
+				e.stats.CyclesSkipped++
+				err = nil
+				continue
+			}
+			break
+		}
+		lv := pkgspace.Vector(cs.ep.space, loser)
+		diff := make([]float64, len(wv))
+		for i := range diff {
+			diff[i] = wv[i] - lv[i]
+		}
+		added = append(added, prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff})
+	}
+	if cs.graph.Edges() != edges {
+		cs.red = nil
+	}
+	if derived {
+		e.cs = e.constraintsAt(cs.ep)
+	}
+	if e.pool == nil || len(added) == 0 {
+		return err // a pool not yet drawn will be drawn under the derived set
+	}
+	// Apply draws only to replace violators, so feedback the whole pool
+	// satisfies derives no constraint set.
+	replaced, work, merr := e.pool.Apply(added, func(n int) (sampling.Result, error) {
+		return e.draw(cs.reduced(), n)
+	})
+	e.stats.MaintenanceWork += work
+	e.stats.SamplesReplaced += replaced
+	if merr != nil {
+		if !errors.Is(merr, sampling.ErrTooManyRejections) {
+			return fmt.Errorf("core: feedback maintenance: %w", merr)
+		}
+		// The feedback set leaves no valid weight vector (under ψ = 1 its
+		// cone has no interior point): keep the stale samples rather than
+		// fail the interaction. The paper assumes consistent feedback
+		// (§2.1); Psi < 1 is the principled alternative under noise (§7).
+		e.stats.ReplacementFailures++
+	}
+	return err
+}
+
+// addEdge records sw ≻ sl in the stored graph, and first in g when g is a
+// derived set (a preference must fit the derived graph too).
+func (e *Engine) addEdge(g *prefgraph.Graph, derived bool, sw, sl pkgspace.Package) error {
+	if derived {
+		if err := g.AddPreference(sw, sl); err != nil {
 			return err
 		}
-		cs.red = nil
 	}
 	edges := e.graph.Edges()
 	if err := e.graph.AddPreference(sw, sl); err != nil {
@@ -742,33 +812,6 @@ func (e *Engine) record(winner, loser pkgspace.Package) error {
 	}
 	if e.graph.Edges() > edges {
 		e.stats.Feedback++
-		cs.red = nil // a pinned set reading every preference whole stays whole
-	}
-	if e.pool == nil {
-		return nil // pool will be drawn under the derived constraint set
-	}
-	diff := make([]float64, len(wv))
-	for i := range diff {
-		diff[i] = wv[i] - lv[i]
-	}
-	c := prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff}
-	// Apply draws only to replace violators, so feedback the whole pool
-	// satisfies derives no constraint set.
-	replaced, work, err := e.pool.Apply(c, func(n int) (sampling.Result, error) {
-		return e.sampler(cs.reduced()).Sample(e.rng, n)
-	})
-	e.stats.MaintenanceWork += work
-	e.stats.SamplesReplaced += replaced
-	if err != nil {
-		if errors.Is(err, sampling.ErrTooManyRejections) {
-			// The feedback set leaves (almost) no valid weight vectors: keep
-			// the stale samples rather than fail the interaction. The paper
-			// assumes consistent feedback (§2.1); Psi < 1 is the principled
-			// alternative under noise (§7).
-			e.stats.ReplacementFailures++
-			return nil
-		}
-		return fmt.Errorf("core: feedback maintenance: %w", err)
 	}
 	return nil
 }

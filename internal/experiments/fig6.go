@@ -90,7 +90,7 @@ func fig6Point(p Params, kind string, nItems, features, samples, prefs int, incl
 	if includeIS {
 		samplers = append(samplers, &sampling.Importance{Prior: prior, V: v})
 	}
-	samplers = append(samplers, &sampling.MCMC{Prior: prior, V: v, InitAttempts: 1000000})
+	samplers = append(samplers, &sampling.MCMC{Prior: prior, V: v})
 
 	var rows [][]string
 	for _, s := range samplers {

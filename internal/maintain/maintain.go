@@ -161,11 +161,24 @@ func (p *Pool) Index() *topk.Pool {
 // Invalidate drops the TA index (call after mutating Samples directly).
 func (p *Pool) Invalidate() { p.index = nil }
 
-// Apply finds the samples violating constraint c, replaces them with the n
-// fresh samples draw(n) returns, and returns the number replaced and the
-// checker work. It calls draw only when some sample violates c.
-func (p *Pool) Apply(c prefgraph.Constraint, draw func(n int) (sampling.Result, error)) (replaced, work int, err error) {
-	viol, work := (&Hybrid{P: p.Index()}).Violators(Query(c))
+// Apply finds the samples violating any constraint of cs — one checker
+// pass per constraint, all over one index — replaces them with the n fresh
+// samples one draw(n) returns, and returns the number replaced and the
+// checker work. It calls draw only when some sample violates some
+// constraint of cs: the samples that satisfy them all are kept as they are.
+func (p *Pool) Apply(cs []prefgraph.Constraint, draw func(n int) (sampling.Result, error)) (replaced, work int, err error) {
+	var viol []int
+	seen := make([]bool, len(p.Samples))
+	for _, c := range cs {
+		idx, w := (&Hybrid{P: p.Index()}).Violators(Query(c))
+		work += w
+		for _, i := range idx {
+			if !seen[i] {
+				seen[i] = true
+				viol = append(viol, i)
+			}
+		}
+	}
 	if len(viol) == 0 {
 		return 0, work, nil
 	}

@@ -3,6 +3,7 @@ package maintain
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,7 +218,7 @@ func TestPoolApplyReplacesViolators(t *testing.T) {
 	v := sampling.NewValidator(2, []prefgraph.Constraint{c})
 	s := &sampling.Rejection{Prior: prior, V: v}
 	draw := func(n int) (sampling.Result, error) { return s.Sample(rng, n) }
-	replaced, work, err := p.Apply(c, draw)
+	replaced, work, err := p.Apply([]prefgraph.Constraint{c}, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestPoolApplyReplacesViolators(t *testing.T) {
 		}
 	}
 	// A second Apply of the same constraint replaces nothing.
-	replaced2, _, err := p.Apply(c, draw)
+	replaced2, _, err := p.Apply([]prefgraph.Constraint{c}, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestPoolApplyKeepsValidSamples(t *testing.T) {
 	prior := gaussmix.DefaultPrior(2, 1, rng)
 	v := sampling.NewValidator(2, []prefgraph.Constraint{c})
 	s := &sampling.Rejection{Prior: prior, V: v}
-	replaced, _, err := p.Apply(c, func(n int) (sampling.Result, error) { return s.Sample(rng, n) })
+	replaced, _, err := p.Apply([]prefgraph.Constraint{c}, func(n int) (sampling.Result, error) { return s.Sample(rng, n) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestPoolApplyDrawsOnlyForViolators(t *testing.T) {
 	}
 	c := constraint(1, 0) // violators have w[0] < 0: none here
 	p := NewPool(samples)
-	replaced, work, err := p.Apply(c, func(n int) (sampling.Result, error) {
+	replaced, work, err := p.Apply([]prefgraph.Constraint{c}, func(n int) (sampling.Result, error) {
 		t.Fatalf("draw(%d) called with no violator", n)
 		return sampling.Result{}, nil
 	})
@@ -307,7 +308,7 @@ func TestPoolApplyDrawsOnlyForViolators(t *testing.T) {
 	samples[7].W[0], samples[42].W[0] = -0.5, -0.25
 	p.Invalidate()
 	calls := 0
-	replaced, _, err = p.Apply(c, func(n int) (sampling.Result, error) {
+	replaced, _, err = p.Apply([]prefgraph.Constraint{c}, func(n int) (sampling.Result, error) {
 		calls++
 		if n != 2 {
 			t.Errorf("draw(%d), want draw(2)", n)
@@ -316,6 +317,47 @@ func TestPoolApplyDrawsOnlyForViolators(t *testing.T) {
 	})
 	if err != nil || replaced != 2 || calls != 1 {
 		t.Fatalf("Apply = (%d, _, %v) after %d draws, want (2, _, nil) after 1", replaced, err, calls)
+	}
+}
+
+// TestPoolApplyOneDrawForSeveralConstraints: with several new constraints
+// Apply calls draw once, for every sample violating at least one of them
+// (each counted once), and keeps every sample that satisfies them all.
+func TestPoolApplyOneDrawForSeveralConstraints(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	samples := randomSamples(rng, 400, 3)
+	cs := []prefgraph.Constraint{constraint(1, 0, 0), constraint(0, 1, 0), constraint(1, 1, 0)}
+	var want []int
+	kept := map[int][]float64{}
+	for i, s := range samples {
+		if slices.ContainsFunc(cs, func(c prefgraph.Constraint) bool { return c.Violates(s.W) }) {
+			want = append(want, i)
+		} else {
+			kept[i] = append([]float64(nil), s.W...)
+		}
+	}
+	p := NewPool(samples)
+	calls := 0
+	replaced, work, err := p.Apply(cs, func(n int) (sampling.Result, error) {
+		calls++
+		res := sampling.Result{}
+		for i := 0; i < n; i++ {
+			res.Samples = append(res.Samples, sampling.Sample{W: []float64{0.5, 0.5, 0.5}, Q: 1})
+		}
+		return res, nil
+	})
+	if err != nil || calls != 1 || replaced != len(want) || work == 0 {
+		t.Fatalf("Apply = (%d, %d, %v) after %d draws, want (%d, >0, nil) after 1", replaced, work, err, calls, len(want))
+	}
+	for _, i := range want {
+		if p.Samples[i].W[0] != 0.5 {
+			t.Fatalf("violator %d was not replaced", i)
+		}
+	}
+	for i, w := range kept {
+		if !slices.Equal(p.Samples[i].W, w) {
+			t.Fatalf("sample %d satisfies every constraint but was touched", i)
+		}
 	}
 }
 

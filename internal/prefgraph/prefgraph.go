@@ -60,7 +60,37 @@ type Graph struct {
 	nodes []pkgspace.Package
 	index map[string]int // signature → node id
 	out   []map[int]bool // adjacency: out[u][v] == true iff edge u→v
-	edges int
+	// reach[u] is the set of nodes reachable from u by one edge or more:
+	// the transitive closure, kept up to date by AddPreference.
+	reach []bitset
+	// irredundant[u] counts u's out-edges not implied by a longer path;
+	// reduced is their sum, the size of the transitive reduction.
+	irredundant []int
+	edges       int
+	reduced     int
+}
+
+// bitset is a growable set of node ids.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64)) != 0 }
+
+func (b bitset) with(i int) bitset {
+	for len(b) <= i/64 {
+		b = append(b, 0)
+	}
+	b[i/64] |= 1 << (i % 64)
+	return b
+}
+
+func (b bitset) union(o bitset) bitset {
+	for len(b) < len(o) {
+		b = append(b, 0)
+	}
+	for i, w := range o {
+		b[i] |= w
+	}
+	return b
 }
 
 // New returns an empty preference graph.
@@ -70,6 +100,10 @@ func New() *Graph {
 
 // Edges returns the number of preference edges currently stored.
 func (g *Graph) Edges() int { return g.edges }
+
+// ReducedEdges returns the number of edges the transitive reduction keeps:
+// the length of Constraints(true, ·), read without deriving it.
+func (g *Graph) ReducedEdges() int { return g.reduced }
 
 // Packages returns the recorded packages in node order (do not mutate).
 func (g *Graph) Packages() []pkgspace.Package { return g.nodes }
@@ -82,6 +116,8 @@ func (g *Graph) nodeID(p pkgspace.Package) int {
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, p)
 	g.out = append(g.out, make(map[int]bool))
+	g.reach = append(g.reach, nil)
+	g.irredundant = append(g.irredundant, 0)
 	g.index[sig] = id
 	return id
 }
@@ -97,40 +133,32 @@ func (g *Graph) AddPreference(winner, loser pkgspace.Package) error {
 	if g.out[u][v] {
 		return nil
 	}
-	if g.reachable(v, u, -1, -1) {
+	if g.reach[v].has(u) {
 		return fmt.Errorf("%w: %s ≻ %s contradicts recorded preferences", ErrCycle, winner, loser)
 	}
 	g.out[u][v] = true
 	g.edges++
-	return nil
-}
-
-// reachable reports whether dst is reachable from src, optionally ignoring
-// the single edge banU→banV (pass -1,-1 for none).
-func (g *Graph) reachable(src, dst, banU, banV int) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []int{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := range g.out[u] {
-			if u == banU && v == banV {
-				continue
-			}
-			if v == dst {
-				return true
-			}
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
+	// u and every node reaching it now reach v and all v reaches. Only their
+	// out-edges can change status: an edge a→b turns redundant when some
+	// other successor of a comes to reach b, and that successor reaches u.
+	var closed []int
+	for a := range g.nodes {
+		if a == u || g.reach[a].has(u) {
+			g.reach[a] = g.reach[a].with(v).union(g.reach[v])
+			closed = append(closed, a)
 		}
 	}
-	return false
+	for _, a := range closed {
+		n := 0
+		for b := range g.out[a] {
+			if !g.redundant(a, b) {
+				n++
+			}
+		}
+		g.reduced += n - g.irredundant[a]
+		g.irredundant[a] = n
+	}
+	return nil
 }
 
 // Constraints materializes the current preference edges as half-space
@@ -174,9 +202,15 @@ func (g *Graph) targets(u int) []int {
 	return ts
 }
 
-// redundant reports whether edge u→v is implied by a longer path u⇝v.
+// redundant reports whether edge u→v is implied by a longer path u⇝v: one
+// leaving u by another edge.
 func (g *Graph) redundant(u, v int) bool {
-	return g.reachable(u, v, u, v)
+	for w := range g.out[u] {
+		if w != v && g.reach[w].has(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // Preferences enumerates every stored edge as (winner, loser) package

@@ -245,3 +245,79 @@ func TestConstraintsReadCallerVectors(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalClosureMatchesReference: preferences arrive in random
+// order, cycles among them, and after every one the graph's cycle verdict,
+// its reduced constraint set and ReducedEdges agree with a reference that
+// recomputes the closure from the stored edges (Warshall) and keeps an
+// edge u→v iff no other successor of u reaches v.
+func TestIncrementalClosureMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(12)
+		g := New()
+		vs := vectors{}
+		for i := 0; i < n; i++ {
+			vs[pkgspace.New(i).Signature()] = vec(float64(i))
+		}
+		adj := make([][]bool, n)
+		for i := range adj {
+			adj[i] = make([]bool, n)
+		}
+		closure := func() [][]bool {
+			m := make([][]bool, n)
+			for i := range m {
+				m[i] = append([]bool(nil), adj[i]...)
+			}
+			for k := 0; k < n; k++ {
+				for i := 0; i < n; i++ {
+					if m[i][k] {
+						for j := 0; j < n; j++ {
+							m[i][j] = m[i][j] || m[k][j]
+						}
+					}
+				}
+			}
+			return m
+		}
+		for step := 0; step < 3*n; step++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if u == v {
+				continue
+			}
+			wantCycle := closure()[v][u]
+			err := g.AddPreference(pkgspace.New(u), pkgspace.New(v))
+			if gotCycle := errors.Is(err, ErrCycle); gotCycle != wantCycle {
+				t.Fatalf("seed %d step %d: %d≻%d cycle verdict %v, reference %v", seed, step, u, v, gotCycle, wantCycle)
+			}
+			if err == nil {
+				adj[u][v] = true
+			}
+			m := closure()
+			want := map[[2]int]bool{}
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					if !adj[a][b] {
+						continue
+					}
+					implied := false
+					for w := 0; w < n; w++ {
+						implied = implied || (w != b && adj[a][w] && m[w][b])
+					}
+					if !implied {
+						want[[2]int{a, b}] = true
+					}
+				}
+			}
+			got := g.Constraints(true, vs.of)
+			if len(got) != len(want) || g.ReducedEdges() != len(want) {
+				t.Fatalf("seed %d step %d: reduced %d, ReducedEdges %d, reference %d", seed, step, len(got), g.ReducedEdges(), len(want))
+			}
+			for _, c := range got {
+				if !want[[2]int{c.Winner.IDs[0], c.Loser.IDs[0]}] {
+					t.Fatalf("seed %d step %d: kept %s≻%s, which a longer path implies", seed, step, c.Winner, c.Loser)
+				}
+			}
+		}
+	}
+}

@@ -3,10 +3,11 @@
 // the convex region consistent with all elicited preferences. Three
 // strategies are provided — rejection sampling (§3.1), importance sampling
 // with a polytope center approximated on the flat grid of Figure 3b
-// (§3.2.1), and Metropolis–Hastings MCMC (§3.2.2), which serving uses — plus
-// the effective-number-of-samples diagnostic and the noisy-feedback model of
-// §7. Each strategy runs at one fixed tuning (the constants below); only
-// MCMC's initial-state budget is settable.
+// (§3.2.1), and Metropolis–Hastings MCMC (§3.2.2) — plus the
+// effective-number-of-samples diagnostic and the noisy-feedback model of §7.
+// Each strategy runs at one fixed tuning (the constants below). Draw is what
+// the engine samples with: exact rejection draws while they pay, the MCMC
+// chain otherwise.
 package sampling
 
 import (
@@ -68,14 +69,15 @@ const (
 	// mcmcThin keeps one MCMC state every mcmcThin steps to reduce
 	// autocorrelation (the paper's step length δ). There is no burn-in: a
 	// start found by rejection from the prior is already an exact draw from
-	// the target, and a start that came from repairToValid is not burned in
-	// either.
+	// the target, and a start that came from repairToValid or an interior
+	// point is not burned in either.
 	mcmcThin = 5
 )
 
 // ErrTooManyRejections is returned when a sampler's attempt budget is
 // exhausted before n valid samples were found (the valid region has
-// negligible prior mass).
+// negligible prior mass), and by MCMC under the noise-free model when the
+// valid cone has no interior point.
 var ErrTooManyRejections = errors.New("sampling: attempt budget exhausted")
 
 // Validator checks weight vectors against the feedback constraint set and
@@ -136,9 +138,20 @@ func (v *Validator) Valid(w []float64, rng *rand.Rand) bool {
 		}
 		return true
 	}
-	x := v.Violations(w)
+	return v.accept(v.Violations(w), rng)
+}
+
+// soft reports whether the noise model is in force (0 < Psi < 1).
+func (v *Validator) soft() bool { return v.Psi > 0 && v.Psi < 1 }
+
+// accept is the noise model's verdict on an in-box vector violating x
+// constraints: rejected with probability 1−(1−Psi)^x.
+func (v *Validator) accept(x int, rng *rand.Rand) bool {
 	if x == 0 {
 		return true
+	}
+	if !v.soft() {
+		return false
 	}
 	pReject := 1 - math.Pow(1-v.Psi, float64(x))
 	return rng.Float64() >= pReject
@@ -233,66 +246,32 @@ func (s *Importance) Sample(rng *rand.Rand, n int) (Result, error) {
 type MCMC struct {
 	Prior *gaussmix.Mixture
 	V     *Validator
-	// InitAttempts bounds the rejection draws used to find the first valid
-	// state (default 200000).
-	InitAttempts int
 }
 
 // Name implements Sampler.
 func (m *MCMC) Name() string { return "mcmc" }
 
-// Sample implements Sampler.
+// Sample implements Sampler: the chain from the first state start finds.
 func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
-	initA := m.InitAttempts
-	if initA <= 0 {
-		initA = 200000
-	}
-	d := m.Prior.Dims()
-	res := Result{Samples: make([]Sample, 0, n)}
+	return m.sampleFrom(rng, nil, n)
+}
 
-	// Find the first valid state by rejection from the prior (§5.1),
-	// falling back to constraint repair when the valid region is too small
-	// to hit by luck (high dimensionality and/or heavy feedback): starting
-	// from the least-violating draw, project onto violated half-spaces
-	// (perceptron-style) until valid — the region is a convex cone
-	// (Lemma 2), so the projections converge whenever it has an interior.
-	cur := make([]float64, d)
-	best := make([]float64, d)
-	bestViol := int(^uint(0) >> 1)
-	found := false
-	rejectionTries := initA / 10
-	if rejectionTries < 1000 {
-		rejectionTries = 1000
-	}
-	for i := 0; i < rejectionTries; i++ {
-		m.Prior.SampleInto(rng, cur)
-		res.Attempts++
-		if m.V.Valid(cur, rng) {
-			found = true
-			break
+// sampleFrom runs the chain for n samples from state w, a point of the
+// box the target gives positive density; a nil w runs the initial-state
+// search first.
+func (m *MCMC) sampleFrom(rng *rand.Rand, w []float64, n int) (Result, error) {
+	res := Result{Samples: make([]Sample, 0, n)}
+	cur := make([]float64, m.Prior.Dims())
+	if w == nil {
+		if !m.start(rng, cur, &res) {
+			return res, fmt.Errorf("%w: mcmc: the valid cone has no interior point", ErrTooManyRejections)
 		}
-		if v := m.V.Violations(cur); v < bestViol && m.V.InBox(cur) {
-			bestViol = v
-			copy(best, cur)
-		}
-	}
-	if !found {
-		if bestViol == int(^uint(0)>>1) {
-			// Every draw fell outside the box; restart from the origin.
-			for j := range best {
-				best[j] = 0
-			}
-		}
-		copy(cur, best)
-		found = repairToValid(cur, m.V, rng)
-	}
-	if !found {
-		return res, fmt.Errorf("%w: mcmc found no valid initial state after %d attempts and repair",
-			ErrTooManyRejections, rejectionTries)
+	} else {
+		copy(cur, w)
 	}
 	curLog := m.Prior.LogPDF(cur)
 
-	prop := make([]float64, d)
+	prop := make([]float64, len(cur))
 	steps := 0
 	for len(res.Samples) < n {
 		// Propose uniformly within the L2 ball of radius mcmcStep around
@@ -319,29 +298,104 @@ func (m *MCMC) Sample(rng *rand.Rand, n int) (Result, error) {
 	return res, nil
 }
 
+// start finds the chain's first state into cur, counting its prior draws
+// in res. It first decides whether the valid cone has an interior point
+// (interior); under the noise-free model a cone without one fails here,
+// before any draw. Then it tries mcmcThin prior draws — the chain's cost
+// of one sample — and an accepted one is an exact draw from the target.
+// Failing that, it repairs the least-violating in-box draw by projection
+// onto the violated half-spaces (repairToValid), whose iterates the noise
+// model may accept on the way, and takes the interior point if the repair
+// stalls or no draw fell in the box. Under noise a cone without an
+// interior point still has a target, positive on the whole box, and the
+// least-violating draw (or the origin, which violates nothing) is the
+// start: the search then never fails.
+func (m *MCMC) start(rng *rand.Rand, cur []float64, res *Result) bool {
+	witness, feasible := interior(len(cur), m.V.Constraints)
+	if !feasible && !m.V.soft() {
+		return false
+	}
+	best := make([]float64, len(cur))
+	bestViol := -1
+	for i := 0; i < mcmcThin; i++ {
+		m.Prior.SampleInto(rng, cur)
+		res.Attempts++
+		if m.V.Valid(cur, rng) {
+			return true
+		}
+		if !m.V.InBox(cur) {
+			continue
+		}
+		if v := m.V.Violations(cur); bestViol < 0 || v < bestViol {
+			bestViol = v
+			copy(best, cur)
+		}
+	}
+	copy(cur, best)
+	if feasible && (bestViol < 0 || !repairToValid(cur, m.V, rng)) {
+		copy(cur, witness)
+	}
+	return true
+}
+
+// Draw is the engine's sampler. It draws i.i.d. from the prior and keeps
+// what the validator accepts — exact by Lemma 1 (§3.1) — while that costs
+// fewer attempts per sample than the chain's mcmcThin steps, and runs the
+// §3.2.2 chain for the rest. The chain starts from the last accepted draw,
+// an exact draw from the target, when there is one, and from MCMC's
+// initial-state search otherwise.
+func Draw(prior *gaussmix.Mixture, v *Validator, rng *rand.Rand, n int) (Result, error) {
+	res := Result{Samples: make([]Sample, 0, n)}
+	w := make([]float64, prior.Dims())
+	for len(res.Samples) < n && res.Attempts < mcmcThin*(len(res.Samples)+1) {
+		prior.SampleInto(rng, w)
+		res.Attempts++
+		if v.Valid(w, rng) {
+			res.Samples = append(res.Samples, Sample{W: append([]float64(nil), w...), Q: 1})
+		}
+	}
+	if len(res.Samples) == n {
+		return res, nil
+	}
+	var start []float64
+	if k := len(res.Samples); k > 0 {
+		start = res.Samples[k-1].W
+	}
+	rest, err := (&MCMC{Prior: prior, V: v}).sampleFrom(rng, start, n-len(res.Samples))
+	res.Samples = append(res.Samples, rest.Samples...)
+	res.Attempts += rest.Attempts
+	return res, err
+}
+
 // repairToValid iteratively projects w onto the half-spaces of violated
-// constraints (with a small overshoot, clamped to the weight box) until it
-// satisfies all of them. Returns false if no valid point was reached.
+// constraints (with a small overshoot, clamped to the weight box) until v
+// accepts it: once it violates nothing, or earlier when the noise model
+// accepts an iterate. Returns false if no iterate was accepted.
 func repairToValid(w []float64, v *Validator, rng *rand.Rand) bool {
 	const maxSteps = 20000
 	for step := 0; step < maxSteps; step++ {
 		var worst *prefgraph.Constraint
 		worstMargin := 0.0
+		violated := 0
 		for i := range v.Constraints {
 			c := &v.Constraints[i]
 			margin := 0.0
 			for j, diff := range c.Diff {
 				margin += diff * w[j]
 			}
+			if margin < 0 {
+				violated++
+			}
 			if margin < worstMargin {
 				worstMargin = margin
 				worst = c
 			}
 		}
+		if v.InBox(w) && (worst == nil || v.soft()) && v.accept(violated, rng) {
+			return true
+		}
 		if worst == nil {
-			// All constraints hold; jitter slightly into the interior so the
-			// chain does not start exactly on a face.
-			return v.Valid(w, rng)
+			return false // outside the box with nothing to project onto
 		}
 		norm2 := 0.0
 		for _, diff := range worst.Diff {

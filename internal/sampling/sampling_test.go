@@ -396,7 +396,7 @@ func TestMCMCRepairInitialization(t *testing.T) {
 		cs = append(cs, constraint(diff...))
 	}
 	v := NewValidator(d, cs)
-	ms := &MCMC{Prior: prior(d), V: v, InitAttempts: 5000}
+	ms := &MCMC{Prior: prior(d), V: v}
 	res, err := ms.Sample(rand.New(rand.NewSource(42)), 50)
 	if err != nil {
 		t.Fatalf("repair-backed MCMC failed: %v", err)

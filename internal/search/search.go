@@ -51,9 +51,12 @@ type Options struct {
 	MaxAccessed int
 	// Candidate, when non-nil, filters which packages may enter the result
 	// (the schema predicates of §7). Packages failing it are still expanded,
-	// since predicates such as "at least two novels" are not anti-monotone.
-	// The package it is handed is the run's scratch: valid for the call
-	// only, so a predicate must not keep it.
+	// since predicates such as "at least two novels" are not anti-monotone:
+	// a predicate run grows every package as ExpandAll does, because line 3
+	// would stop a package that must grow to pass, such as a cart that
+	// needs a second novel that lowers its utility. The package it is
+	// handed is the run's scratch: valid for the call only, so a predicate
+	// must not keep it.
 	Candidate pkgspace.Predicate
 	// DisableDominancePrune turns off the skyline head filter. The filter
 	// only engages when the utility is monotone for the profile (positive
@@ -498,6 +501,9 @@ func (ix *Index) TopK(u *feature.Utility, opts Options) (Result, error) {
 	}
 	if len(u.W) != ix.space.Dims() {
 		return Result{}, fmt.Errorf("search: utility has %d dims, space has %d", len(u.W), ix.space.Dims())
+	}
+	if opts.Candidate != nil {
+		opts.ExpandAll = true
 	}
 	if ps := ix.partitionFor(u, opts); ps != nil {
 		return ix.topKPartitioned(u, opts, ps)

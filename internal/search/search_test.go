@@ -582,3 +582,68 @@ func TestMaxAccessedBudgetCoversOrphanDrain(t *testing.T) {
 		}
 	}
 }
+
+// TestPredicateMatchesBruteForcePaperMode: a run with a §7 predicate
+// returns the brute-force top-k of the packages passing it, in paper mode
+// (no ExpandAll) as in ExpandAll mode, for weights of both signs on sum,
+// avg, max and min profiles. Predicates that are not anti-monotone ("at
+// least two odd items") need packages grown with items that lower their
+// utility, which line 3 alone never grows.
+func TestPredicateMatchesBruteForcePaperMode(t *testing.T) {
+	odd := func(it feature.Item) bool { return it.ID%2 == 1 }
+	preds := []struct {
+		name string
+		pred pkgspace.Predicate
+	}{
+		{"two-odd", pkgspace.MinCount(2, odd)},
+		{"three-odd", pkgspace.MinCount(3, odd)},
+		{"size-3", func(_ *feature.Space, p pkgspace.Package) bool { return p.Size() == 3 }},
+	}
+	profiles := [][]feature.Agg{
+		{feature.AggSum, feature.AggAvg},
+		{feature.AggSum, feature.AggMax, feature.AggMin},
+		{feature.AggAvg, feature.AggSum, feature.AggAvg},
+	}
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 60; trial++ {
+		aggs := profiles[trial%len(profiles)]
+		n := 8 + rng.Intn(7)
+		items := make([]feature.Item, n)
+		for i := range items {
+			vals := make([]float64, len(aggs))
+			for j := range vals {
+				vals[j] = rng.Float64()
+			}
+			items[i] = feature.Item{ID: i, Values: vals}
+		}
+		sp, err := feature.NewSpace(items, feature.SimpleProfile(aggs...), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]float64, len(aggs))
+		for j := range w {
+			w[j] = rng.Float64()*2 - 1
+		}
+		u := mustUtility(t, sp, w...)
+		ix := NewIndex(sp)
+		for _, pr := range preds {
+			want := pkgspace.BruteForceTopK(sp, u, 3, pr.pred)
+			for _, expandAll := range []bool{false, true} {
+				res, err := ix.TopK(u, Options{K: 3, MaxQueue: -1, ExpandAll: expandAll, Candidate: pr.pred})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Packages) != len(want) {
+					t.Fatalf("trial %d %s (ExpandAll %v, w %.3f): %d packages, brute force %d",
+						trial, pr.name, expandAll, w, len(res.Packages), len(want))
+				}
+				for i := range want {
+					if got := res.Packages[i]; math.Abs(got.Utility-want[i].Utility) > 1e-9 || !pr.pred(sp, got.Pkg) {
+						t.Fatalf("trial %d %s (ExpandAll %v, w %.3f) rank %d: %s u=%.6f, brute force %s u=%.6f",
+							trial, pr.name, expandAll, w, i, got.Pkg, got.Utility, want[i].Pkg, want[i].Utility)
+					}
+				}
+			}
+		}
+	}
+}
