@@ -40,8 +40,9 @@ bench-check:
 	for w in serve_static serve_churn serve_hot large_uni large_cor; do \
 	  bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 --quick || exit 1; done
 
-# fuzz-smoke: the five fuzz targets for 10 s each (FuzzPadKernel holds the
-# one pad kernel to Algorithm 3 unfused under every pad mode), then under
+# fuzz-smoke: the six fuzz targets for 10 s each (FuzzPadKernel holds the
+# one pad kernel to Algorithm 3 unfused under every pad mode, FuzzOrder the
+# epoch builds' radix order kernel to a comparison sort), then under
 # the race detector the stale-Put property, the catalogue's one-builder suites three
 # times over (TestClose*, TestFlush*, TestConcurrent* — including
 # synchronous mutators racing each other — and TestDeltaBuildsRaceReaders),
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSkylineDelta$$' -fuzztime 10s ./internal/skyline
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionDelta$$' -fuzztime 10s ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzPadKernel$$' -fuzztime 10s ./internal/feature
+	$(GO) test -run '^$$' -fuzz '^FuzzOrder$$' -fuzztime 10s ./internal/feature
 	$(GO) test -race -run '^TestStalePutNeverServedAcrossSwaps$$' -count=1 ./internal/core
 	$(GO) test -race -count=3 -run '^(TestClose|TestFlush|TestConcurrent|TestDeltaBuildsRaceReaders)' ./internal/catalog
 	$(GO) test -race -count=3 -run '^(TestConcurrentEvictionChurn|TestRestoreWhileSnapshotInFlight|TestDeleteRacesInFlightEviction|TestEviction)' ./internal/session

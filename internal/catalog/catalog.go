@@ -83,8 +83,8 @@ type Config struct {
 	// DeltaThreshold bounds how many distinct stable IDs may have changed
 	// since the current epoch for the next build to splice the parent's
 	// search index (O(batch·log n) comparisons, see rebuildLocked); larger
-	// change sets sort a fresh index (O(n log n)). 0 selects
-	// DefaultDeltaThreshold; negative disables delta builds entirely.
+	// change sets order a fresh index (linear radix passes per list). 0
+	// selects DefaultDeltaThreshold; negative disables delta builds entirely.
 	DeltaThreshold int
 }
 
@@ -520,11 +520,11 @@ func (c *Catalog) Close() {
 // change set within the delta threshold builds the epoch's index by
 // splicing the merge into the parent's sorted lists (search.NewIndexFrom)
 // and carries the parent's head set and partition forward; that costs
-// O(batch·log n) comparisons plus O(n) copying instead of O(n log n)
-// sorting, and is bit-identical to sorting afresh — the delta property and
-// fuzz suites assert it. A larger change set sorts afresh and, when the
-// parent had them, builds the head set and partition afresh before install
-// (rebuildDerived). Either way the feature space is built from the merged
+// O(batch·log n) comparisons plus O(n) copying instead of a fresh radix
+// order of every list, and is bit-identical to building afresh — the delta
+// property and fuzz suites assert it. A larger change set builds the index
+// afresh and, when the parent had them, the head set and partition too
+// before install (rebuildDerived). Either way the feature space is built from the merged
 // items (feature.NewSpace), so a delta build fails only where a full one
 // would. A change set that nets out keeps the installed epoch. Called
 // with c.mu held by the builder goroutine; returns with it released.

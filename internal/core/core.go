@@ -516,11 +516,15 @@ func (e *Engine) FeedbackSpace() *feature.Space { return e.pinned().ep.space }
 
 // draw is the engine's one sampler run: n samples from the prior
 // restricted by the constraint set cs under the noise model (sampling.Draw).
+// Its attempts count toward SampleAttempts whether it draws a first pool or
+// a click's replacements.
 func (e *Engine) draw(cs []prefgraph.Constraint, n int) (sampling.Result, error) {
 	v := sampling.NewValidator(e.cfg.Profile.Dims(), cs)
 	v.Psi = e.cfg.Psi
 	e.draws++
-	return sampling.Draw(e.cfg.Prior, v, e.rng, n)
+	res, err := sampling.Draw(e.cfg.Prior, v, e.rng, n)
+	e.stats.SampleAttempts += res.Attempts
+	return res, err
 }
 
 // ensureSamples draws the initial pool, if none exists yet, under the
@@ -530,7 +534,6 @@ func (e *Engine) ensureSamples() error {
 		return nil
 	}
 	res, err := e.draw(e.pinned().reduced(), e.cfg.SampleCount)
-	e.stats.SampleAttempts += res.Attempts
 	if err != nil {
 		if !errors.Is(err, sampling.ErrTooManyRejections) {
 			return fmt.Errorf("core: initial sampling: %w", err)

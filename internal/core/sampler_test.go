@@ -201,3 +201,47 @@ func TestClickIsOneMaintenancePass(t *testing.T) {
 		}
 	}
 }
+
+// TestClickCountsReplacementAttempts: a click that draws replacements adds
+// that draw's attempts to SampleAttempts — at least one per accepted sample,
+// so at least the samples it replaced — and a click that draws nothing adds
+// none. Before, only first pools were counted. The user is consistent, so
+// every draw succeeds.
+func TestClickCountsReplacementAttempts(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	e := suiteEngine(t, 5, 1, 3, rng)
+	hidden := []float64{0.6, -0.2, 0.4, 0.1, -0.5}
+	utility := func(p pkgspace.Package) float64 { return feature.Dot(hidden, pkgspace.Vector(e.FeedbackSpace(), p)) }
+	drew := 0
+	for round := 0; round < 15; round++ {
+		slate, err := e.Recommend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen := slate.All[0]
+		for _, p := range slate.All {
+			if utility(p) > utility(chosen) {
+				chosen = p
+			}
+		}
+		draws, attempts, replaced := e.draws, e.stats.SampleAttempts, e.stats.SamplesReplaced
+		if err := e.Click(chosen, slate.All); err != nil {
+			t.Fatal(err)
+		}
+		if e.stats.ReplacementFailures != 0 {
+			t.Fatalf("round %d: a consistent click's draw failed", round)
+		}
+		dAttempts, dReplaced := e.stats.SampleAttempts-attempts, e.stats.SamplesReplaced-replaced
+		switch {
+		case e.draws == draws && dAttempts != 0:
+			t.Fatalf("round %d: a click that drew nothing added %d attempts", round, dAttempts)
+		case e.draws > draws && (dReplaced == 0 || dAttempts < dReplaced):
+			t.Fatalf("round %d: a click replaced %d samples and added %d attempts", round, dReplaced, dAttempts)
+		case e.draws > draws:
+			drew++
+		}
+	}
+	if drew == 0 {
+		t.Fatal("no click drew replacements")
+	}
+}

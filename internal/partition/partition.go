@@ -20,6 +20,7 @@ package partition
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"toppkg/internal/feature"
@@ -125,26 +126,27 @@ func Build(sp *feature.Space, k int) *Partition {
 		Assign: make([]int32, n),
 		Gen:    1,
 	}
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
+	// The items in node order: position i holds item ids[i] and its
+	// coordinates on every axis at rows[i*d : i*d+d]. A split permutes both
+	// together, so each node is one contiguous block of both arrays, and its
+	// widest-axis scan and median selection read no item out of place.
+	d := len(axes)
+	nr := &nodeRows{ids: make([]int32, n), rows: make([]float64, n*d), d: d, keys: make([]uint64, n), cand: make([]uint64, 0, n)}
+	for i := range nr.ids {
+		nr.ids[i] = int32(i)
 	}
-	// Precompute the coordinate matrix once; splits only permute ids.
-	coords := make([][]float64, len(axes))
 	for a, ax := range axes {
-		col := make([]float64, n)
 		for i := int32(0); i < int32(n); i++ {
-			col[i] = coord(sp, ax, i)
+			nr.rows[int(i)*d+a] = coord(sp, ax, i)
 		}
-		coords[a] = col
 	}
 	next := int32(0)
-	var split func(ids []int32, k int)
-	split = func(ids []int32, k int) {
-		if k <= 1 || len(ids) <= 1 || len(axes) == 0 {
+	var split func(lo, hi, k int)
+	split = func(lo, hi, k int) {
+		if k <= 1 || hi-lo <= 1 || d == 0 {
 			c := next
 			next++
-			for _, id := range ids {
+			for _, id := range nr.ids[lo:hi] {
 				p.Assign[id] = c
 			}
 			return
@@ -152,90 +154,149 @@ func Build(sp *feature.Space, k int) *Partition {
 		// Widest oriented spread picks the split axis (ties to the lower
 		// axis index).
 		best, bestSpread := 0, math.Inf(-1)
-		for a := range axes {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, id := range ids {
-				v := coords[a][id]
-				if v < lo {
-					lo = v
+		block := nr.rows[lo*d : hi*d]
+		for a := 0; a < d; a++ {
+			low, high := math.Inf(1), math.Inf(-1)
+			for r := a; r < len(block); r += d {
+				v := block[r]
+				if v < low {
+					low = v
 				}
-				if v > hi {
-					hi = v
+				if v > high {
+					high = v
 				}
 			}
-			if s := hi - lo; s > bestSpread {
+			if s := high - low; s > bestSpread {
 				best, bestSpread = a, s
 			}
 		}
 		kl := k / 2
-		cut := len(ids) * kl / k
-		selectByCoord(ids, coords[best], cut)
-		split(ids[:cut], kl)
-		split(ids[cut:], k-kl)
+		cut := (hi - lo) * kl / k
+		nr.selectCut(lo, hi, best, lo+cut)
+		split(lo, lo+cut, kl)
+		split(lo+cut, hi, k-kl)
 	}
-	split(ids, k)
+	split(0, n, k)
 	p.K = int(next) // degenerate inputs may produce fewer leaves
 	p.derive(sp, nil)
 	return p
 }
 
-// selectByCoord partially sorts ids so positions [0,cut) hold the cut
-// smallest elements under (coordinate, id) order — a quickselect with a
-// totally ordered key, so the resulting two sides are unique regardless of
-// pivot internals.
-func selectByCoord(ids []int32, col []float64, cut int) {
-	if cut <= 0 || cut >= len(ids) {
+// nodeRows is Build's node-ordered item table: ids with their coordinate
+// rows, d coordinates each, permuted together, and the selection's scratch.
+type nodeRows struct {
+	ids    []int32
+	rows   []float64
+	d      int
+	keys   []uint64 // a node's order keys on its split axis, by position
+	cand   []uint64 // the keys still in the running for the cut's
+	tied   []int32  // a node's ids whose key is the cut's
+	counts [1 << selectDigit]int32
+}
+
+// selectDigit is the widest digit of selectCut's narrowing rounds, and
+// selectSort the candidate count at which it sorts what is left instead.
+const (
+	selectDigit = 11
+	selectSort  = 64
+)
+
+// selectCut moves the cut−lo smallest of positions [lo,hi) under
+// (coordinate on axis, id) to [lo,cut). The order is total, so the two sides
+// are unique whatever the method. A radix select over the coordinates' order
+// keys (feature.OrderKey, the radix kernel's) narrows, one digit at a time
+// from the highest bit any two keys differ in, to the cut's key and how many
+// positions holding it go left, those with the smallest ids; one
+// two-pointer pass then moves every position that goes left to the front.
+func (nr *nodeRows) selectCut(lo, hi, axis, cut int) {
+	if cut <= lo || cut >= hi {
 		return
 	}
-	lo, hi := 0, len(ids)-1
-	less := func(a, b int32) bool {
-		va, vb := col[a], col[b]
-		if va != vb {
-			return va < vb
-		}
-		return a < b
+	keys := nr.keys[:hi-lo]
+	var diff uint64
+	for i := range keys {
+		keys[i] = feature.OrderKey(nr.rows[(lo+i)*nr.d+axis])
+		diff |= keys[i] ^ keys[0]
 	}
-	for hi > lo {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && less(ids[j], ids[j-1]); j-- {
-					ids[j], ids[j-1] = ids[j-1], ids[j]
-				}
+	need := cut - lo // left positions not yet placed below pivot
+	shift := bits.Len64(diff)
+	// The cut's key shares the bits above shift with every key. (At shift 64
+	// none is known: a uint64 shifted by 64 is 0, so the mask clears all.)
+	pivot := keys[0] &^ (1<<shift - 1)
+	cand := keys
+	for shift > 0 && len(cand) > selectSort {
+		// About one bucket per candidate, up to selectDigit bits.
+		w := min(selectDigit, shift, bits.Len(uint(len(cand))))
+		shift -= w
+		mask := uint64(1)<<w - 1
+		counts := nr.counts[:1<<w]
+		clear(counts)
+		for _, k := range cand {
+			counts[k>>shift&mask]++
+		}
+		b := 0
+		for need > int(counts[b]) {
+			need -= int(counts[b])
+			b++
+		}
+		kept := nr.cand[:0]
+		for _, k := range cand {
+			if k>>shift&mask == uint64(b) {
+				kept = append(kept, k)
 			}
+		}
+		cand = kept
+		pivot |= uint64(b) << shift
+	}
+	if shift > 0 { // few candidates left: sort them and read the cut's key
+		cand = append(nr.cand[:0], cand...)
+		slices.Sort(cand)
+		pivot = cand[need-1]
+		first, _ := slices.BinarySearch(cand, pivot)
+		last, _ := slices.BinarySearch(cand, pivot+1)
+		cand, need = cand[first:last], need-first
+	}
+	// Every candidate now holds pivot; need of them go left, smallest id first.
+	idMax := int32(math.MaxInt32)
+	if need < len(cand) {
+		tied := nr.tied[:0]
+		for i, k := range keys {
+			if k == pivot {
+				tied = append(tied, nr.ids[lo+i])
+			}
+		}
+		slices.Sort(tied)
+		idMax, nr.tied = tied[need-1], tied
+	}
+	// Every position goes left or right by its key and id. keys stays
+	// aligned with the positions the scans have yet to read: a swap moves
+	// two positions both scans are done with.
+	left := func(i int) bool {
+		k := keys[i-lo]
+		return k < pivot || k == pivot && nr.ids[i] <= idMax
+	}
+	i, j := lo, hi-1
+	for {
+		for i <= j && left(i) {
+			i++
+		}
+		for i <= j && !left(j) {
+			j--
+		}
+		if i > j {
 			return
 		}
-		mid := lo + (hi-lo)/2
-		if less(ids[mid], ids[lo]) {
-			ids[mid], ids[lo] = ids[lo], ids[mid]
-		}
-		if less(ids[hi], ids[lo]) {
-			ids[hi], ids[lo] = ids[lo], ids[hi]
-		}
-		if less(ids[hi], ids[mid]) {
-			ids[hi], ids[mid] = ids[mid], ids[hi]
-		}
-		ids[lo], ids[mid] = ids[mid], ids[lo]
-		pivot := ids[lo]
-		i, j := lo, hi+1
-		for {
-			for i++; i <= hi && less(ids[i], pivot); i++ {
-			}
-			for j--; less(pivot, ids[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			ids[i], ids[j] = ids[j], ids[i]
-		}
-		ids[lo], ids[j] = ids[j], ids[lo]
-		switch {
-		case j == cut:
-			return
-		case j < cut:
-			lo = j + 1
-		default:
-			hi = j - 1
-		}
+		nr.swap(i, j)
+		i, j = i+1, j-1
+	}
+}
+
+// swap exchanges positions i and j, id and row.
+func (nr *nodeRows) swap(i, j int) {
+	nr.ids[i], nr.ids[j] = nr.ids[j], nr.ids[i]
+	ri, rj := nr.rows[i*nr.d:i*nr.d+nr.d], nr.rows[j*nr.d:j*nr.d+nr.d]
+	for a := range ri {
+		ri[a], rj[a] = rj[a], ri[a]
 	}
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -102,6 +103,62 @@ func TestBuildDeterministic(t *testing.T) {
 	a, b := Build(sp, 14), Build(sp, 14)
 	if !slices.Equal(a.Assign, b.Assign) || !slices.Equal(a.Reps, b.Reps) {
 		t.Fatal("Build is not deterministic on equal inputs")
+	}
+}
+
+// TestSelectCutMatchesSort holds Build's radix select to a comparison sort:
+// on random blocks of a node table — coarse grids full of ties, both zeros,
+// one repeated value, and spread values — every cut leaves exactly the
+// positions a (coordinate, id) sort puts below it on the cut's side, and
+// moves each row with its id.
+func TestSelectCutMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	values := []func() float64{
+		func() float64 { return float64(rng.Intn(5)) / 4 },
+		func() float64 { return []float64{0, math.Copysign(0, -1), -0.5, 0.5}[rng.Intn(4)] },
+		func() float64 { return -1.25 },
+		func() float64 { return rng.NormFloat64() },
+	}
+	for trial := 0; trial < 400; trial++ {
+		n, d := 1+rng.Intn(300), 1+rng.Intn(4)
+		value := values[trial%len(values)]
+		nr := &nodeRows{ids: make([]int32, n), rows: make([]float64, n*d), d: d, keys: make([]uint64, n)}
+		for i := range nr.ids {
+			nr.ids[i] = int32(rng.Intn(1000))
+			for a := 0; a < d; a++ {
+				nr.rows[i*d+a] = value()
+			}
+		}
+		rowOf := map[int32][]float64{}
+		for i, id := range nr.ids {
+			if _, dup := rowOf[id]; dup {
+				nr.ids[i] = int32(1000 + i) // ids are unique, as dense ids are
+				id = nr.ids[i]
+			}
+			rowOf[id] = slices.Clone(nr.rows[i*d : i*d+d])
+		}
+		lo := rng.Intn(n)
+		hi := lo + 1 + rng.Intn(n-lo)
+		axis, cut := rng.Intn(d), lo+rng.Intn(hi-lo+1)
+		want := slices.Clone(nr.ids[lo:hi])
+		slices.SortFunc(want, func(a, b int32) int {
+			if va, vb := rowOf[a][axis], rowOf[b][axis]; va != vb {
+				return cmp.Compare(va, vb)
+			}
+			return cmp.Compare(a, b)
+		})
+		nr.selectCut(lo, hi, axis, cut)
+		left, wantLeft := slices.Clone(nr.ids[lo:cut]), want[:cut-lo]
+		slices.Sort(left)
+		slices.Sort(wantLeft)
+		if !slices.Equal(left, wantLeft) {
+			t.Fatalf("trial %d: left side %v, want %v", trial, left, wantLeft)
+		}
+		for i, id := range nr.ids {
+			if !slices.Equal(nr.rows[i*d:i*d+d], rowOf[id]) {
+				t.Fatalf("trial %d: row of id %d moved without it", trial, id)
+			}
+		}
 	}
 }
 

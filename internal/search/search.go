@@ -199,18 +199,25 @@ func (ix *Index) PeekHeads() *skyline.Set { return ix.heads.Load() }
 // observes two different head sets.
 func (ix *Index) SetHeads(s *skyline.Set) { ix.heads.CompareAndSwap(nil, s) }
 
-// NewIndex sorts the items of sp once per profile entry, scanning the
-// per-feature columns rather than chasing item rows.
+// NewIndex orders the items of sp once per profile entry with the radix
+// kernel (feature.Order), scanning the per-feature columns rather than
+// chasing item rows. The lists share one scratch, and an item is an orphan
+// when every listed dimension's column holds null for it — possible only
+// when each such column has a null.
 func NewIndex(sp *feature.Space) *Index {
 	dims := sp.Dims()
 	ix := &Index{space: sp, asc: make([][]int32, dims)}
-	inSome := make([]bool, sp.N())
+	scratch := make([]int32, sp.N())
+	var cols [][]float64 // the listed dimensions' columns
+	mayOrphan := true    // whether some item may be null on all of them
 	for d := 0; d < dims; d++ {
 		e := sp.Profile.Entry(d)
 		if e.Agg == feature.AggNull {
 			continue
 		}
 		col := sp.Col(e.Feature)
+		cols = append(cols, col)
+		mayOrphan = mayOrphan && sp.HasNull(e.Feature)
 		nonNull := 0
 		for _, v := range col {
 			if !feature.IsNull(v) {
@@ -221,14 +228,16 @@ func NewIndex(sp *feature.Space) *Index {
 		for i, v := range col {
 			if !feature.IsNull(v) {
 				ids = append(ids, int32(i))
-				inSome[i] = true
 			}
 		}
-		slices.SortFunc(ids, cmpByValue(col))
+		feature.Order(ids, col, false, scratch)
 		ix.asc[d] = ids
 	}
-	for i := range inSome {
-		if !inSome[i] {
+	if !mayOrphan {
+		return ix
+	}
+	for i := range sp.N() {
+		if !slices.ContainsFunc(cols, func(col []float64) bool { return !feature.IsNull(col[i]) }) {
 			ix.orphans = append(ix.orphans, int32(i))
 		}
 	}
@@ -237,7 +246,9 @@ func NewIndex(sp *feature.Space) *Index {
 
 // cmpByValue is the total order every dimension list uses: ascending by
 // the items' value in the feature column, ties broken by dense ID. Lists
-// exclude null values, so the comparison never sees NaN.
+// exclude null values, so the comparison never sees NaN. NewIndex reaches
+// the order through the radix kernel; mergeList's small batches and the
+// tests compare with this.
 func cmpByValue(col []float64) func(a, b int32) int {
 	return func(a, b int32) int {
 		va, vb := col[a], col[b]

@@ -7,7 +7,6 @@ package skyline
 
 import (
 	"slices"
-	"sort"
 
 	"toppkg/internal/feature"
 )
@@ -142,8 +141,9 @@ func newSet(axes []axis, members []int32, n int) *Set {
 }
 
 // Heads computes the head set of a space from scratch with the sort-first
-// window scan over the space's columns: O(n log n) for the presort plus
-// O(n·s·d) window comparisons where s is the running skyline size.
+// window scan over the space's columns: a linear radix presort by oriented
+// row sum (feature.Order) plus O(n·s·d) window comparisons where s is the
+// running skyline size.
 func Heads(sp *feature.Space) *Set {
 	axes := profileAxes(sp.Profile)
 	n := sp.N()
@@ -170,13 +170,7 @@ func Heads(sp *feature.Space) *Set {
 		keys[i] = k
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if keys[ia] != keys[ib] {
-			return keys[ia] > keys[ib]
-		}
-		return ia < ib
-	})
+	feature.Order(order, keys, true, nil) // key descending, ties by ascending id
 	var window []int32
 	for _, i := range order {
 		v := rows[int(i)*d : int(i)*d+d]
