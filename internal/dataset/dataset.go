@@ -189,8 +189,12 @@ func NBASelect(items []feature.Item, nFeatures int) []feature.Item {
 }
 
 // Generate dispatches by dataset name: "uni", "pwr", "cor", "ant" (n×m) or
-// "nba" (fixed size; m selects the first m of the 10 chosen features).
+// "nba" (fixed size; m selects the first m of NBASelect's 17 features). It
+// rejects m < 1, and m > NBAFeatures for "nba".
 func Generate(kind string, n, m int, rng *rand.Rand) ([]feature.Item, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("dataset: %d features, need at least 1", m)
+	}
 	switch kind {
 	case "uni", "UNI":
 		return UNI(n, m, rng), nil
@@ -201,6 +205,9 @@ func Generate(kind string, n, m int, rng *rand.Rand) ([]feature.Item, error) {
 	case "ant", "ANT":
 		return ANT(n, m, rng), nil
 	case "nba", "NBA":
+		if m > NBAFeatures {
+			return nil, fmt.Errorf("dataset: nba has %d features, %d asked", NBAFeatures, m)
+		}
 		return NBASelect(NBA(rng), m), nil
 	}
 	return nil, fmt.Errorf("dataset: unknown kind %q", kind)

@@ -3,6 +3,8 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"toppkg/internal/feature"
@@ -173,6 +175,22 @@ func TestGenerateDispatch(t *testing.T) {
 	}
 	if _, err := Generate("zipf", 10, 2, rng); err == nil {
 		t.Error("unknown kind accepted")
+	}
+	// A feature count the kind cannot supply is an error, not items of
+	// another width that a profile over m dimensions later rejects.
+	for _, kind := range kinds {
+		for _, m := range []int{0, -1} {
+			if _, err := Generate(kind, 10, m, rng); err == nil {
+				t.Errorf("Generate(%s, m=%d) accepted", kind, m)
+			}
+		}
+	}
+	if items, err := Generate("nba", 10, NBAFeatures, rng); err != nil || len(items[0].Values) != NBAFeatures {
+		t.Errorf("Generate(nba, m=%d): err %v", NBAFeatures, err)
+	}
+	_, err := Generate("nba", 10, NBAFeatures+3, rng)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(NBAFeatures)) {
+		t.Errorf("Generate(nba, m=%d) = %v, want an error naming the limit %d", NBAFeatures+3, err, NBAFeatures)
 	}
 }
 

@@ -733,7 +733,7 @@ func TestPartitionRefineAllocIndependentOfN(t *testing.T) {
 }
 
 // TestNewIndexAllocatesListsOnce: a build allocates its sorted lists at their
-// final size — d·n ids plus the O(n) orphan marks — not the four-to-five
+// final size — d·n ids plus the n-entry radix scratch — not the four-to-five
 // times that which growing each list from nil leaves behind as garbage
 // (9.5 MB for 2 MB of lists at 100k items, enough to tip a large set-up into
 // another GC cycle).

@@ -115,16 +115,13 @@ func (s *Set) Contains(id int32) bool {
 	return s.bits[uint32(id)>>6]&(1<<(uint32(id)&63)) != 0
 }
 
-// profileAxes extracts the active axes of a profile.
+// profileAxes extracts the active axes of a profile: its non-Ignore
+// ProfileDirs, in dimension order.
 func profileAxes(p *feature.Profile) []axis {
 	var axes []axis
-	for d := 0; d < p.Dims(); d++ {
-		e := p.Entry(d)
-		switch e.Agg {
-		case feature.AggSum, feature.AggMax:
-			axes = append(axes, axis{feat: e.Feature})
-		case feature.AggMin:
-			axes = append(axes, axis{feat: e.Feature, smaller: true})
+	for d, dir := range ProfileDirs(p) {
+		if dir != Ignore {
+			axes = append(axes, axis{feat: p.Entry(d).Feature, smaller: dir == Smaller})
 		}
 	}
 	return axes

@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit the experiments
 // need: summaries, rank-correlation and set-overlap measures for comparing
-// top-k lists across samplers and semantics (§5.4), and a χ² distance
-// estimate between weighted sample pools (§3.2.1).
+// top-k lists across samplers and semantics (§5.4).
 package stats
 
 import (
