@@ -64,7 +64,12 @@ bench-check:
 # the barren round and package verdicts (TestBarren*) and the recycling of
 # run memory across searches and goroutines (TestRecycledRunMemoryBitIdentical,
 # early exits interleaved, and TestResultsOutliveRecycledMemory: a result
-# aliases nothing the pool hands to the next search).
+# aliases nothing the pool hands to the next search), and the epoch
+# builds at one worker and at four: TestEpochBuildDigest (every list, head
+# set and partition bit for bit), TestOrderColumnsMatchesComparisonSort (the
+# index lists sorted concurrently), TestHeadsMatchesBruteForce (the
+# pivot-masked head scan) and TestBuildDeterministic (the partition's
+# concurrent subtrees and derivation against one worker's).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
@@ -79,3 +84,7 @@ fuzz-smoke:
 	$(GO) test -race -count=3 -run '^TestEvictRestore' ./internal/session
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
 	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical|TestResultsOutliveRecycledMemory)' -count=1 ./internal/search
+	$(GO) test -race -cpu 1,4 -run '^TestEpochBuildDigest$$' -count=1 ./internal/search
+	$(GO) test -race -cpu 1,4 -run '^TestOrderColumnsMatchesComparisonSort$$' -count=1 ./internal/feature
+	$(GO) test -race -cpu 1,4 -run '^TestHeadsMatchesBruteForce$$' -count=1 ./internal/skyline
+	$(GO) test -race -cpu 1,4 -run '^TestBuildDeterministic$$' -count=1 ./internal/partition

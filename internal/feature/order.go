@@ -80,3 +80,72 @@ func Order(ids []int32, keys []float64, desc bool, scratch []int32) {
 		copy(ids, src)
 	}
 }
+
+// OrderColumns fills each lists[j] with the ids of the non-null values of
+// cols[j], ascending, and sorts it as Order does, ascending by value: the
+// sorted lists of an index. Each lists[j] must be exactly as long as its
+// column's non-null count, and scratch at least as long as the longest
+// list.
+//
+// Above BuildGrain items the lists sort concurrently, one per goroutine, on
+// up to Workers goroutines, in rounds. A sort's working space is scratch or
+// the storage of a list a later round fills, so the rounds allocate nothing
+// beyond what one sort at a time would. In each round, in list order, a list
+// sorts unless it lends its storage, taking scratch if that is free and
+// else the storage of a later list long enough that neither sorts nor lends
+// yet.
+func OrderColumns(cols [][]float64, lists [][]int32, scratch []int32) {
+	n := 0
+	for _, col := range cols {
+		n = max(n, len(col))
+	}
+	workers := Workers(n)
+	pending := make([]int, len(lists))
+	for j := range pending {
+		pending[j] = j
+	}
+	type job struct {
+		list    int
+		scratch []int32
+	}
+	lent := make([]bool, len(lists))
+	for len(pending) > 0 {
+		var round []job
+		var later []int
+		free := true // until this round gives scratch out
+		for p, j := range pending {
+			if lent[j] || len(round) == workers {
+				later = append(later, j)
+				continue
+			}
+			s := job{list: j}
+			if free {
+				s.scratch, free = scratch, false
+			} else {
+				for _, o := range pending[p+1:] {
+					if !lent[o] && len(lists[o]) >= len(lists[j]) {
+						s.scratch, lent[o] = lists[o], true
+						break
+					}
+				}
+			}
+			if s.scratch == nil {
+				later = append(later, j)
+				continue
+			}
+			round = append(round, s)
+		}
+		Parallel(len(round), func(w int) {
+			j := round[w].list
+			ids := lists[j][:0]
+			for i, v := range cols[j] {
+				if !IsNull(v) {
+					ids = append(ids, int32(i))
+				}
+			}
+			Order(ids, cols[j], false, round[w].scratch)
+		})
+		clear(lent)
+		pending = later
+	}
+}

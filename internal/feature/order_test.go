@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -98,6 +99,65 @@ func TestOrderMatchesComparisonSort(t *testing.T) {
 				}
 			}
 			checkOrder(t, gapped, keys, g.name+"/gapped")
+		}
+	}
+}
+
+// TestOrderColumnsMatchesComparisonSort holds OrderColumns to the
+// comparison sort of each column's non-null ids, below and above
+// BuildGrain, at one worker and at four: columns of different null counts
+// (so a list cannot borrow a shorter list's storage), an all-null column,
+// runs of one value, a constant column and palette keys.
+func TestOrderColumnsMatchesComparisonSort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(2))
+	gens := []func(i int) float64{
+		func(i int) float64 { return orderPalette[(i/97)%len(orderPalette)] },
+		func(i int) float64 {
+			if i%3 == 0 {
+				return Null
+			}
+			return float64(rng.Intn(9)-4) / 4
+		},
+		func(int) float64 { return Null },
+		func(i int) float64 {
+			if i%5 == 0 {
+				return Null
+			}
+			return rng.Float64()
+		},
+		func(int) float64 { return math.Copysign(0, -1) },
+		func(int) float64 { return orderPalette[rng.Intn(len(orderPalette))] },
+		func(int) float64 { return rng.NormFloat64() },
+	}
+	for _, n := range []int{1000, 3*BuildGrain + 7} {
+		cols := make([][]float64, len(gens))
+		for j, gen := range gens {
+			cols[j] = make([]float64, n)
+			for i := range cols[j] {
+				cols[j][i] = gen(i)
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			lists := make([][]int32, len(cols))
+			var want [][]int32
+			for j, col := range cols {
+				var ids []int32
+				for i, v := range col {
+					if !IsNull(v) {
+						ids = append(ids, int32(i))
+					}
+				}
+				lists[j] = make([]int32, len(ids))
+				want = append(want, orderReference(ids, col, false))
+			}
+			OrderColumns(cols, lists, make([]int32, n))
+			for j := range lists {
+				if !slices.Equal(lists[j], want[j]) {
+					t.Fatalf("n=%d procs=%d column %d: OrderColumns %v, comparison sort %v", n, procs, j, head(lists[j]), head(want[j]))
+				}
+			}
 		}
 	}
 }

@@ -108,7 +108,9 @@ func DefaultClusters(n int) int {
 // Build clusters the space into k groups (k <= 0 selects DefaultClusters)
 // by recursive widest-axis median splits over the oriented coordinates.
 // Deterministic: splits order by (coordinate, id), so equal inputs build
-// equal partitions.
+// equal partitions. Above feature.BuildGrain items the two sides of a split
+// build concurrently, on at most feature.Workers goroutines in all, to the
+// partition one goroutine builds.
 func Build(sp *feature.Space, k int) *Partition {
 	n := sp.N()
 	if k <= 0 {
@@ -121,6 +123,9 @@ func Build(sp *feature.Space, k int) *Partition {
 		k = 1
 	}
 	axes := activeAxes(sp.Profile)
+	if len(axes) == 0 {
+		k = 1 // no axis to split on
+	}
 	p := &Partition{
 		K:      k,
 		Assign: make([]int32, n),
@@ -131,7 +136,7 @@ func Build(sp *feature.Space, k int) *Partition {
 	// together, so each node is one contiguous block of both arrays, and its
 	// widest-axis scan and median selection read no item out of place.
 	d := len(axes)
-	nr := &nodeRows{ids: make([]int32, n), rows: make([]float64, n*d), d: d, keys: make([]uint64, n), cand: make([]uint64, 0, n)}
+	nr := (&nodeRows{ids: make([]int32, n), rows: make([]float64, n*d), d: d}).fork(n)
 	for i := range nr.ids {
 		nr.ids[i] = int32(i)
 	}
@@ -140,14 +145,11 @@ func Build(sp *feature.Space, k int) *Partition {
 			nr.rows[int(i)*d+a] = coord(sp, ax, i)
 		}
 	}
-	next := int32(0)
-	var split func(lo, hi, k int)
-	split = func(lo, hi, k int) {
-		if k <= 1 || hi-lo <= 1 || d == 0 {
-			c := next
-			next++
+	var split func(nr *nodeRows, lo, hi, k int, first int32, workers int)
+	split = func(nr *nodeRows, lo, hi, k int, first int32, workers int) {
+		if k <= 1 || hi-lo <= 1 {
 			for _, id := range nr.ids[lo:hi] {
-				p.Assign[id] = c
+				p.Assign[id] = first
 			}
 			return
 		}
@@ -173,13 +175,38 @@ func Build(sp *feature.Space, k int) *Partition {
 		kl := k / 2
 		cut := (hi - lo) * kl / k
 		nr.selectCut(lo, hi, best, lo+cut)
-		split(lo, lo+cut, kl)
-		split(lo+cut, hi, k-kl)
+		right := first + leaves(cut, kl)
+		if workers < 2 || hi-lo < feature.BuildGrain {
+			split(nr, lo, lo+cut, kl, first, 1)
+			split(nr, lo+cut, hi, k-kl, right, 1)
+			return
+		}
+		// The two sides share the table's disjoint stretches; the right one
+		// gets its own selection scratch.
+		wl := workers / 2
+		feature.Parallel(2, func(side int) {
+			if side == 0 {
+				split(nr, lo, lo+cut, kl, first, wl)
+			} else {
+				split(nr.fork(hi-lo-cut), lo+cut, hi, k-kl, right, workers-wl)
+			}
+		})
 	}
-	split(0, n, k)
-	p.K = int(next) // degenerate inputs may produce fewer leaves
+	split(nr, 0, n, k, 0, feature.Workers(n))
+	p.K = int(leaves(n, k)) // degenerate inputs may produce fewer leaves
 	p.derive(sp, nil)
 	return p
+}
+
+// leaves counts the leaves Build's split of n items into k clusters makes,
+// splits of a single item or a single cluster being leaves.
+func leaves(n, k int) int32 {
+	if k <= 1 || n <= 1 {
+		return 1
+	}
+	kl := k / 2
+	cut := n * kl / k
+	return leaves(cut, kl) + leaves(n-cut, k-kl)
 }
 
 // nodeRows is Build's node-ordered item table: ids with their coordinate
@@ -192,6 +219,12 @@ type nodeRows struct {
 	cand   []uint64 // the keys still in the running for the cut's
 	tied   []int32  // a node's ids whose key is the cut's
 	counts [1 << selectDigit]int32
+}
+
+// fork returns a table over the same ids and rows with its own selection
+// scratch, for nodes of up to n items.
+func (nr *nodeRows) fork(n int) *nodeRows {
+	return &nodeRows{ids: nr.ids, rows: nr.rows, d: nr.d, keys: make([]uint64, n), cand: make([]uint64, 0, n)}
 }
 
 // selectDigit is the widest digit of selectCut's narrowing rounds, and
@@ -302,7 +335,9 @@ func (nr *nodeRows) swap(i, j int) {
 
 // derive (re)computes Members and, for the clusters listed in only (nil =
 // all), the bounds and representative from Assign — the canonical
-// derivation incremental maintenance must reproduce exactly.
+// derivation incremental maintenance must reproduce exactly. Above
+// feature.BuildGrain rescanned members the clusters rescan on
+// feature.Workers goroutines, each taking a run of them.
 func (p *Partition) derive(sp *feature.Space, only []int32) {
 	n := len(p.Assign)
 	counts := make([]int32, p.K)
@@ -338,34 +373,46 @@ func (p *Partition) derive(sp *feature.Space, only []int32) {
 			rescan[c] = int32(c)
 		}
 	}
-	for _, c := range rescan {
-		mins := make([]float64, dims)
-		maxs := make([]float64, dims)
-		anyNull := make([]bool, dims)
-		ms := members[c]
-		for d := 0; d < dims; d++ {
-			e := sp.Profile.Entry(d)
-			if e.Agg == feature.AggNull {
-				mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
-				continue
-			}
-			lo, hi, nonNull := sp.ColStats(e.Feature, ms)
-			mins[d], maxs[d] = lo, hi
-			anyNull[d] = nonNull < len(ms)
-		}
-		p.Mins[c], p.Maxs[c], p.AnyNull[c] = mins, maxs, anyNull
-		p.Reps[c] = representative(sp, ms)
+	// The rescanned clusters' bounds get one fresh backing per call: a
+	// partition Apply cloned from this one may alias the old ones.
+	mins := make([]float64, len(rescan)*dims)
+	maxs := make([]float64, len(rescan)*dims)
+	anyNull := make([]bool, len(rescan)*dims)
+	for r, c := range rescan {
+		lo, hi := r*dims, (r+1)*dims
+		p.Mins[c], p.Maxs[c], p.AnyNull[c] = mins[lo:hi:hi], maxs[lo:hi:hi], anyNull[lo:hi:hi]
 	}
+	scanned := 0
+	for _, c := range rescan {
+		scanned += len(members[c])
+	}
+	axes := activeAxes(sp.Profile)
+	workers := feature.Workers(scanned)
+	feature.Parallel(workers, func(w int) {
+		for _, c := range rescan[len(rescan)*w/workers : len(rescan)*(w+1)/workers] {
+			ms := members[c]
+			for d := 0; d < dims; d++ {
+				e := sp.Profile.Entry(d)
+				if e.Agg == feature.AggNull {
+					p.Mins[c][d], p.Maxs[c][d] = math.Inf(1), math.Inf(-1)
+					continue
+				}
+				lo, hi, nonNull := sp.ColStats(e.Feature, ms)
+				p.Mins[c][d], p.Maxs[c][d] = lo, hi
+				p.AnyNull[c][d] = nonNull < len(ms)
+			}
+			p.Reps[c] = representative(sp, axes, ms)
+		}
+	})
 }
 
 // representative picks the member with the largest oriented raw-value sum
 // (nulls contribute 0), ties to the smaller id; -1 for an empty cluster.
 // Scale-free by construction — see Partition.Reps.
-func representative(sp *feature.Space, members []int32) int32 {
+func representative(sp *feature.Space, axes []axisInfo, members []int32) int32 {
 	if len(members) == 0 {
 		return -1
 	}
-	axes := activeAxes(sp.Profile)
 	best, bestKey := members[0], math.Inf(-1)
 	for _, id := range members {
 		key := 0.0

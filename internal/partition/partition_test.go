@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -98,11 +99,34 @@ func TestBuildInvariants(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministic: equal inputs build equal partitions. Above
+// feature.BuildGrain items Build splits subtrees and the derivation across
+// goroutines; on a coarse grid full of ties, with nulls, four workers must
+// build the partition one builds, leaf numbering, bounds and
+// representatives included.
 func TestBuildDeterministic(t *testing.T) {
 	sp := buildSpace(t, 200, 3, 9, true)
 	a, b := Build(sp, 14), Build(sp, 14)
 	if !slices.Equal(a.Assign, b.Assign) || !slices.Equal(a.Reps, b.Reps) {
 		t.Fatal("Build is not deterministic on equal inputs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sp = buildSpace(t, 3*feature.BuildGrain, 4, 9, true)
+	for _, k := range []int{0, 45} {
+		runtime.GOMAXPROCS(1)
+		one := Build(sp, k)
+		runtime.GOMAXPROCS(4)
+		four := Build(sp, k)
+		if one.K != four.K || !slices.Equal(one.Assign, four.Assign) || !slices.Equal(one.Reps, four.Reps) {
+			t.Fatalf("k=%d: four workers built K=%d, one worker K=%d, or other clusters", k, four.K, one.K)
+		}
+		for c := 0; c < one.K; c++ {
+			if !slices.Equal(one.Mins[c], four.Mins[c]) || !slices.Equal(one.Maxs[c], four.Maxs[c]) ||
+				!slices.Equal(one.AnyNull[c], four.AnyNull[c]) {
+				t.Fatalf("k=%d cluster %d: bounds differ between one and four workers", k, c)
+			}
+		}
+		assertDerived(t, sp, four)
 	}
 }
 

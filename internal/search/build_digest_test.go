@@ -14,15 +14,18 @@ import (
 
 // TestEpochBuildDigest pins, bit for bit, what an epoch's builds produce:
 // NewIndex's per-dimension lists and orphans, the skyline head set, and
-// partition.Build's Assign, Reps, Mins and Maxs at the default cluster count
-// and at 45 clusters. Every search, slate and session reads these, so a
-// rewrite of a build kernel must leave the digests as they are. The rows
-// cover uniform and correlated data (whose clamping makes runs of exact 0s
-// and 1s, so ties), a null-bearing uniform space with orphans, and
+// partition.Build's Assign, Reps, Mins, Maxs and AnyNull at the default
+// cluster count and at 45 clusters. Every search, slate and session reads
+// these, so a rewrite of a build kernel must leave the digests as they are.
+// The rows cover uniform and correlated data (whose clamping makes runs of
+// exact 0s and 1s, so ties), a null-bearing uniform space with orphans, and
 // anti-correlated data under the monotone profile, whose skyline is large.
 // The other rows' profile reads every orientation: sum and max (larger is
-// better), min (smaller is better) and avg (no direction). The constants
-// were captured from the comparison-sort builds the radix kernels replaced.
+// better), min (smaller is better) and avg (no direction). Every row is
+// above feature.BuildGrain, so a run at -cpu 1 pins the one-goroutine
+// builds and one at -cpu 4 the split ones. The constants were captured from
+// the one-goroutine builds before they split across cores, builds that
+// kept the bits of the comparison sorts the radix kernels replaced.
 func TestEpochBuildDigest(t *testing.T) {
 	every := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggMin, feature.AggAvg, feature.AggSum}
 	mono := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggSum, feature.AggMax, feature.AggSum}
@@ -33,10 +36,10 @@ func TestEpochBuildDigest(t *testing.T) {
 		aggs  []feature.Agg
 		want  uint64
 	}{
-		{"uni", 20000, false, every, 0x35c24221b99d45a3},
-		{"cor", 20000, false, every, 0xdf46fade772a1ecc},
-		{"uni", 20000, true, every, 0xde90bcd99cb7d66f},
-		{"ant", 5000, false, mono, 0x7c606a00995975f4},
+		{"uni", 20000, false, every, 0xa8ba1e681d705b23},
+		{"cor", 20000, false, every, 0x6cd771512795650c},
+		{"uni", 20000, true, every, 0x2446bd3a7a584b53},
+		{"ant", 5000, false, mono, 0xbcce91e482d95bd4},
 	}
 	for _, row := range rows {
 		items, err := dataset.Generate(row.kind, row.n, 5, rand.New(rand.NewSource(7)))
@@ -84,6 +87,11 @@ func TestEpochBuildDigest(t *testing.T) {
 				for d := range p.Mins[c] {
 					put(math.Float64bits(p.Mins[c][d]))
 					put(math.Float64bits(p.Maxs[c][d]))
+					if p.AnyNull[c][d] {
+						put(1)
+					} else {
+						put(0)
+					}
 				}
 			}
 		}

@@ -200,15 +200,15 @@ func (ix *Index) PeekHeads() *skyline.Set { return ix.heads.Load() }
 func (ix *Index) SetHeads(s *skyline.Set) { ix.heads.CompareAndSwap(nil, s) }
 
 // NewIndex orders the items of sp once per profile entry with the radix
-// kernel (feature.Order), scanning the per-feature columns rather than
-// chasing item rows. The lists share one scratch, and an item is an orphan
-// when every listed dimension's column holds null for it — possible only
-// when each such column has a null.
+// kernel (feature.OrderColumns), scanning the per-feature columns rather
+// than chasing item rows. The lists share one scratch, and an item is an
+// orphan when every listed dimension's column holds null for it — possible
+// only when each such column has a null.
 func NewIndex(sp *feature.Space) *Index {
 	dims := sp.Dims()
 	ix := &Index{space: sp, asc: make([][]int32, dims)}
-	scratch := make([]int32, sp.N())
 	var cols [][]float64 // the listed dimensions' columns
+	var lists [][]int32  // and their lists
 	mayOrphan := true    // whether some item may be null on all of them
 	for d := 0; d < dims; d++ {
 		e := sp.Profile.Entry(d)
@@ -216,7 +216,6 @@ func NewIndex(sp *feature.Space) *Index {
 			continue
 		}
 		col := sp.Col(e.Feature)
-		cols = append(cols, col)
 		mayOrphan = mayOrphan && sp.HasNull(e.Feature)
 		nonNull := 0
 		for _, v := range col {
@@ -224,15 +223,11 @@ func NewIndex(sp *feature.Space) *Index {
 				nonNull++
 			}
 		}
-		ids := make([]int32, 0, nonNull) // exact: growing from nil leaves 4× the list as garbage
-		for i, v := range col {
-			if !feature.IsNull(v) {
-				ids = append(ids, int32(i))
-			}
-		}
-		feature.Order(ids, col, false, scratch)
-		ix.asc[d] = ids
+		ix.asc[d] = make([]int32, nonNull) // exact: growing from nil leaves 4× the list as garbage
+		cols = append(cols, col)
+		lists = append(lists, ix.asc[d])
 	}
+	feature.OrderColumns(cols, lists, make([]int32, sp.N()))
 	if !mayOrphan {
 		return ix
 	}

@@ -6,6 +6,7 @@
 package skyline
 
 import (
+	"math"
 	"slices"
 
 	"toppkg/internal/feature"
@@ -54,26 +55,28 @@ type axis struct {
 	smaller bool
 }
 
-// orientedRow fills buf with the item's oriented values on the active
-// axes: sign-flipped so that larger is always better, nulls mapped to the
-// worst oriented value. With this encoding dominance is the plain
-// "all ≥, one >" test regardless of direction.
+// oriented maps a raw value on the axis to its oriented value: sign-flipped
+// so that larger is always better, nulls mapped to the worst oriented value.
+// With this encoding dominance is the plain "all ≥, one >" test regardless
+// of direction.
+func (ax axis) oriented(v float64) float64 {
+	switch {
+	case feature.IsNull(v):
+		if ax.smaller {
+			return -nullWorst
+		}
+		return 0
+	case ax.smaller:
+		return -v
+	}
+	return v
+}
+
+// orientedRow fills buf with the item's oriented values on the active axes.
 func orientedRow(sp *feature.Space, axes []axis, id int32, buf []float64) []float64 {
 	buf = buf[:len(axes)]
 	for a, ax := range axes {
-		v := sp.Col(ax.feat)[id]
-		switch {
-		case feature.IsNull(v):
-			if ax.smaller {
-				buf[a] = -nullWorst
-			} else {
-				buf[a] = 0
-			}
-		case ax.smaller:
-			buf[a] = -v
-		default:
-			buf[a] = v
-		}
+		buf[a] = ax.oriented(sp.Col(ax.feat)[id])
 	}
 	return buf
 }
@@ -141,6 +144,14 @@ func newSet(axes []axis, members []int32, n int) *Set {
 // window scan over the space's columns: a linear radix presort by oriented
 // row sum (feature.Order) plus O(n·s·d) window comparisons where s is the
 // running skyline size.
+//
+// A pivot filters the scan: the item whose smallest per-axis normalised
+// oriented value is largest. Each item carries a mask of the axes on which
+// it is at least the pivot's value. An item with an empty mask is strictly
+// below the pivot everywhere, so dominated: it is dropped before the
+// presort. And s can dominate t only when mask(t) ⊆ mask(s): on an axis
+// where t is at least the pivot and s is below it, s is below t. So the
+// mask skips only pairs where dominance is impossible.
 func Heads(sp *feature.Space) *Set {
 	axes := profileAxes(sp.Profile)
 	n := sp.N()
@@ -155,41 +166,149 @@ func Heads(sp *feature.Space) *Set {
 		return newSet(axes, members, n)
 	}
 	d := len(axes)
-	rows := make([]float64, n*d)
-	keys := make([]float64, n)
-	order := make([]int32, n)
-	for i := 0; i < n; i++ {
-		row := orientedRow(sp, axes, int32(i), rows[i*d:(i+1)*d])
-		k := 0.0
-		for _, v := range row {
-			k += v
+	kept, masks := pivotFilter(sp, axes)
+	// The kept items' rows and keys, by position in kept.
+	rows := make([]float64, len(kept)*d)
+	keys := make([]float64, len(kept))
+	for p, id := range kept {
+		for _, v := range orientedRow(sp, axes, id, rows[p*d:p*d+d]) {
+			keys[p] += v
 		}
-		keys[i] = k
-		order[i] = int32(i)
+	}
+	order := make([]int32, len(kept))
+	for p := range order {
+		order[p] = int32(p)
 	}
 	feature.Order(order, keys, true, nil) // key descending, ties by ascending id
-	var window []int32
-	for _, i := range order {
-		v := rows[int(i)*d : int(i)*d+d]
-		dominated := false
-		for _, j := range window {
-			if domOriented(rows[int(j)*d:int(j)*d+d], v) {
-				dominated = true
-				break
+	win := window{d: d}
+	for _, p := range order {
+		win.offer(kept[p], masks[p], keys[p], rows[int(p)*d:int(p)*d+d])
+	}
+	return newSet(axes, win.ids, n)
+}
+
+// pivotFilter picks the pivot (see Heads) and returns, ascending, the items
+// not strictly below it on every axis, with their masks: bit a%64 set when
+// the item's value on axis a is at least the pivot's. Above
+// feature.BuildGrain items each pass splits the items into contiguous runs,
+// one per feature.Workers goroutine.
+func pivotFilter(sp *feature.Space, axes []axis) (kept []int32, masks []uint64) {
+	n, d := sp.N(), len(axes)
+	cols := make([][]float64, d)
+	for a, ax := range axes {
+		cols[a] = sp.Col(ax.feat)[:n]
+	}
+	workers := feature.Workers(n)
+	run := func(w int) (lo, hi int) { return n * w / workers, n * (w + 1) / workers }
+	// Each axis's span scales it to [0, 1]; an axis every item shares says
+	// nothing about the pivot.
+	lows, highs := make([]float64, workers*d), make([]float64, workers*d)
+	feature.Parallel(workers, func(w int) {
+		from, to := run(w)
+		for a, ax := range axes {
+			low, high := math.Inf(1), math.Inf(-1)
+			for _, v := range cols[a][from:to] {
+				o := ax.oriented(v)
+				low, high = min(low, o), max(high, o)
+			}
+			lows[w*d+a], highs[w*d+a] = low, high
+		}
+	})
+	var spread []int
+	lo, scale := make([]float64, d), make([]float64, d)
+	for a := range axes {
+		low, high := math.Inf(1), math.Inf(-1)
+		for w := 0; w < workers; w++ {
+			low, high = min(low, lows[w*d+a]), max(high, highs[w*d+a])
+		}
+		if high > low {
+			spread = append(spread, a)
+			lo[a], scale[a] = low, 1/(high-low)
+		}
+	}
+	pivots, bests := make([]int, workers), make([]float64, workers)
+	feature.Parallel(workers, func(w int) {
+		from, to := run(w)
+		pivot, best := from, math.Inf(-1)
+		for i := from; i < to; i++ {
+			least := math.Inf(1)
+			for _, a := range spread {
+				least = min(least, (axes[a].oriented(cols[a][i])-lo[a])*scale[a])
+			}
+			if least > best {
+				pivot, best = i, least
 			}
 		}
-		if dominated {
+		pivots[w], bests[w] = pivot, best
+	})
+	pivot := pivots[0]
+	for w := 1; w < workers; w++ {
+		if bests[w] > bests[0] {
+			pivot, bests[0] = pivots[w], bests[w]
+		}
+	}
+	p := orientedRow(sp, axes, int32(pivot), make([]float64, d))
+	keptRuns, maskRuns := make([][]int32, workers), make([][]uint64, workers)
+	feature.Parallel(workers, func(w int) {
+		from, to := run(w)
+		for i := from; i < to; i++ {
+			var m uint64
+			below := true
+			for a, ax := range axes {
+				if ax.oriented(cols[a][i]) >= p[a] {
+					below = false
+					m |= 1 << (a & 63)
+				}
+			}
+			if !below {
+				keptRuns[w] = append(keptRuns[w], int32(i))
+				maskRuns[w] = append(maskRuns[w], m)
+			}
+		}
+	})
+	return slices.Concat(keptRuns...), slices.Concat(maskRuns...)
+}
+
+// window is one scan's running skyline in scan order: its items' ids,
+// masks, keys (oriented row sums, non-increasing) and rows, the rows
+// contiguous.
+type window struct {
+	d     int
+	ids   []int32
+	masks []uint64
+	keys  []float64
+	rows  []float64
+}
+
+func (w *window) row(j int) []float64 { return w.rows[j*w.d : j*w.d+w.d] }
+
+// offer adds item id, of key k no greater than any window item's, to the
+// window unless a window item dominates it, evicting the window items it
+// dominates. Those can only be the ones of key k, at the window's end: an
+// item that dominates another has at least its (rounded) sum.
+func (w *window) offer(id int32, m uint64, k float64, v []float64) {
+	for j, mj := range w.masks {
+		if m&^mj == 0 && domOriented(w.row(j), v) {
+			return
+		}
+	}
+	tail := len(w.ids)
+	for tail > 0 && w.keys[tail-1] == k {
+		tail--
+	}
+	out := tail
+	for j := tail; j < len(w.ids); j++ {
+		if w.masks[j]&^m == 0 && domOriented(v, w.row(j)) {
 			continue
 		}
-		out := window[:0]
-		for _, j := range window {
-			if !domOriented(v, rows[int(j)*d:int(j)*d+d]) {
-				out = append(out, j)
-			}
-		}
-		window = append(out, i)
+		w.ids[out], w.masks[out], w.keys[out] = w.ids[j], w.masks[j], w.keys[j]
+		copy(w.rows[out*w.d:], w.row(j))
+		out++
 	}
-	return newSet(axes, window, n)
+	w.ids = append(w.ids[:out], id)
+	w.masks = append(w.masks[:out], m)
+	w.keys = append(w.keys[:out], k)
+	w.rows = append(w.rows[:out*w.d], v...)
 }
 
 // Apply derives the head set of a child space from this (parent) set after

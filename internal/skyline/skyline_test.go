@@ -40,59 +40,57 @@ func TestItemsWithNulls(t *testing.T) {
 }
 
 // TestHeadsMatchesBruteForce holds Heads to the O(n²) definition of a head
-// set on small random spaces: an item is a head iff no other item's oriented
-// row is at least as good everywhere and better somewhere. The values sit on
-// a coarse grid (ties and exact duplicates), a tenth are null, and the
-// profiles mix sum, max and min axes with avg ones the head set ignores.
+// set (bruteHeads: an item is a head iff no other item's oriented row is at
+// least as good everywhere and better somewhere) on random spaces:
+// small ones, and ones above feature.BuildGrain. The values sit on a
+// coarse grid (ties, exact duplicates, and items tied with the pivot on
+// some axes), a tenth are null — on min axes too, where a null is the
+// worst value — and the profiles mix sum, max and min axes with avg ones
+// the head set ignores. An all-equal space, where no item dominates
+// another, closes the list.
 func TestHeadsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	aggs := []feature.Agg{feature.AggSum, feature.AggMax, feature.AggMin, feature.AggAvg}
-	for trial := 0; trial < 300; trial++ {
+	space := func(n int, dims []feature.Agg, value func() float64) ([]feature.Item, *feature.Space) {
+		items := make([]feature.Item, n)
+		for i := range items {
+			vals := make([]float64, len(dims))
+			for j := range vals {
+				vals[j] = value()
+			}
+			items[i] = feature.Item{ID: i, Values: vals}
+		}
+		sp, err := feature.NewSpace(items, feature.SimpleProfile(dims...), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return items, sp
+	}
+	grid := func() float64 {
+		if rng.Intn(10) == 0 {
+			return feature.Null
+		}
+		return float64(rng.Intn(6)) / 2
+	}
+	for trial := 0; trial < 306; trial++ {
 		n, m := 1+rng.Intn(80), 1+rng.Intn(4)
+		if trial >= 300 {
+			n, m = feature.BuildGrain+rng.Intn(1000), 2+rng.Intn(3)
+		}
 		dims := make([]feature.Agg, m)
 		for d := range dims {
 			dims[d] = aggs[rng.Intn(len(aggs))]
 		}
-		items := make([]feature.Item, n)
-		for i := range items {
-			vals := make([]float64, m)
-			for j := range vals {
-				if rng.Intn(10) == 0 {
-					vals[j] = feature.Null
-				} else {
-					vals[j] = float64(rng.Intn(6)) / 2
-				}
-			}
-			items[i] = feature.Item{ID: i, Values: vals}
+		if trial >= 300 {
+			dims[0] = feature.AggMin // a min axis, nulls on it
 		}
-		p := feature.SimpleProfile(dims...)
-		sp, err := feature.NewSpace(items, p, 3)
-		if err != nil {
-			t.Fatal(err)
+		items, sp := space(n, dims, grid)
+		if got, want := Heads(sp).Members(), bruteHeads(items, ProfileDirs(sp.Profile)); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, %v): Heads %v, brute force %v", trial, n, dims, got, want)
 		}
-		axes := profileAxes(p)
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = orientedRow(sp, axes, int32(i), make([]float64, len(axes)))
-		}
-		var want []int32
-		for i := range rows {
-			dominated := false
-			for j := range rows {
-				better := false
-				worse := false
-				for a := range axes {
-					better = better || rows[j][a] > rows[i][a]
-					worse = worse || rows[j][a] < rows[i][a]
-				}
-				dominated = dominated || better && !worse
-			}
-			if !dominated {
-				want = append(want, int32(i))
-			}
-		}
-		if got := Heads(sp).Members(); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (%v): Heads %v, brute force %v", trial, dims, got, want)
-		}
+	}
+	_, sp := space(feature.BuildGrain+1, []feature.Agg{feature.AggSum, feature.AggMin, feature.AggMax}, func() float64 { return 0.5 })
+	if got := Heads(sp).Len(); got != sp.N() {
+		t.Fatalf("all-equal space: %d heads of %d items", got, sp.N())
 	}
 }
