@@ -69,7 +69,12 @@ bench-check:
 # set and partition bit for bit), TestOrderColumnsMatchesComparisonSort (the
 # index lists sorted concurrently), TestHeadsMatchesBruteForce (the
 # pivot-masked head scan) and TestBuildDeterministic (the partition's
-# concurrent subtrees and derivation against one worker's).
+# concurrent subtrees and derivation against one worker's), and the
+# search's own pins: TestSearchDigest (packages, utility bits and every
+# Result counter on the serving shapes, the partitioned 100k beams
+# included) and TestHeadScreenMatchesExact (the membership screen's
+# division-free estimate against headBound, and headBelow against the
+# exact comparison).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
@@ -85,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^TestPartition' -count=3 ./internal/search
 	$(GO) test -race -run '^(TestBeamTraceGolden|TestBarren|TestRecycledRunMemoryBitIdentical|TestResultsOutliveRecycledMemory)' -count=1 ./internal/search
 	$(GO) test -race -cpu 1,4 -run '^TestEpochBuildDigest$$' -count=1 ./internal/search
+	$(GO) test -race -cpu 1,4 -run '^(TestSearchDigest|TestHeadScreenMatchesExact)$$' -count=1 ./internal/search
 	$(GO) test -race -cpu 1,4 -run '^TestOrderColumnsMatchesComparisonSort$$' -count=1 ./internal/feature
 	$(GO) test -race -cpu 1,4 -run '^TestHeadsMatchesBruteForce$$' -count=1 ./internal/skyline
 	$(GO) test -race -cpu 1,4 -run '^TestBuildDeterministic$$' -count=1 ./internal/partition

@@ -163,7 +163,13 @@ type Engine struct {
 	// constraint set cs's epoch derives from it (see constraintsAt).
 	graph *prefgraph.Graph
 	pool  *maintain.Pool
-	stats Stats
+	// poolHash is constraintsHash of the reduced constraint set the pool
+	// satisfies — the pinned set's, taken when the pool is drawn or
+	// maintained (poolSet), or the snapshot's for a restored pool — so a
+	// catalogue swap compares it with the new epoch's set without rebuilding
+	// the old one. Meaningless while pool is nil.
+	poolHash uint64
+	stats    Stats
 	// draws counts sampler runs: initial pools and one per maintenance pass
 	// that found violators.
 	draws int
@@ -274,6 +280,7 @@ type constraintSet struct {
 	graph                      *prefgraph.Graph
 	droppedItems, droppedPrefs int
 	red                        []prefgraph.Constraint // reduced(), once read
+	vecs                       [][]float64            // the packages' vectors in ep, by graph node
 }
 
 // constraintsAt derives the constraint set of the stored preferences under
@@ -317,10 +324,11 @@ func (e *Engine) constraintsAt(ep epochView) *constraintSet {
 
 // reduced is the transitively reduced constraint set (§3.3), each
 // half-space taken from the epoch's package vectors. It is memoised; a
-// caller changing graph clears red.
+// caller changing graph clears red, and the set built again reuses the
+// vectors of the packages it already had.
 func (cs *constraintSet) reduced() []prefgraph.Constraint {
 	if cs.red == nil {
-		cs.red = cs.graph.Constraints(true, cs.ep.vector)
+		cs.red = cs.graph.ConstraintsCached(true, &cs.vecs, cs.ep.vector)
 	}
 	return cs.red
 }
@@ -333,9 +341,20 @@ func (cs *constraintSet) reduced() []prefgraph.Constraint {
 func (e *Engine) adopt(ep epochView, poolHash uint64) {
 	ep.ix = nil
 	e.cs = e.constraintsAt(ep)
-	if e.pool != nil && poolHash != constraintsHash(e.cs.reduced()) {
+	if e.pool == nil {
+		return
+	}
+	if h := constraintsHash(e.cs.reduced()); h == poolHash {
+		e.poolHash = h
+	} else {
 		e.pool = nil
 	}
+}
+
+// poolSet records that the pool satisfies the pinned set, keeping the set's
+// hash with it. The set's reduction is built here if nothing built it yet.
+func (e *Engine) poolSet() {
+	e.poolHash = constraintsHash(e.cs.reduced())
 }
 
 // pinned returns the stored preferences as the pinned epoch derives them.
@@ -549,6 +568,7 @@ func (e *Engine) ensureSamples() error {
 		res.Samples = e.fillFromPrior(res.Samples)
 	}
 	e.pool = maintain.NewPool(res.Samples)
+	e.poolSet()
 	return nil
 }
 
@@ -602,7 +622,7 @@ func (e *Engine) Samples() ([]sampling.Sample, error) {
 func (e *Engine) Recommend() (*Slate, error) {
 	ep := e.sh.epoch()
 	if cs := e.pinned(); cs.ep.id != ep.id {
-		e.adopt(ep, constraintsHash(cs.reduced()))
+		e.adopt(ep, e.poolHash)
 	}
 	if err := e.ensureSamples(); err != nil {
 		return nil, err
@@ -628,15 +648,15 @@ func (e *Engine) Recommend() (*Slate, error) {
 		return nil, ErrEmptySlate
 	}
 	slate := &Slate{Recommended: ranked, Epoch: ep.id, Space: ep.space}
-	seen := make(map[string]bool, len(ranked)+e.cfg.RandomCount)
+	slate.All = make([]pkgspace.Package, 0, len(ranked)+e.cfg.RandomCount)
 	for _, r := range ranked {
 		slate.All = append(slate.All, r.Pkg)
-		seen[r.Pkg.Signature()] = true
 	}
+	// A slate is at most K + RandomCount packages: scanning them is the
+	// duplicate check.
 	for tries := 0; len(slate.Random) < e.cfg.RandomCount && tries < 50*e.cfg.RandomCount; tries++ {
 		p := pkgspace.Random(e.rng, len(ep.space.Items), e.cfg.MaxPackageSize)
-		if sig := p.Signature(); !seen[sig] {
-			seen[sig] = true
+		if !slices.ContainsFunc(slate.All, func(q pkgspace.Package) bool { return pkgspace.Equal(p, q) }) {
 			slate.Random = append(slate.Random, p)
 			slate.All = append(slate.All, p)
 		}
@@ -707,7 +727,7 @@ func (e *Engine) Click(chosen pkgspace.Package, shown []pkgspace.Package) error 
 	}
 	losers := make([]pkgspace.Package, 0, len(shown)-1)
 	for _, p := range shown {
-		if p.Signature() != chosen.Signature() {
+		if !pkgspace.Equal(p, chosen) {
 			losers = append(losers, p)
 		}
 	}
@@ -772,14 +792,21 @@ func (e *Engine) record(winner pkgspace.Package, losers []pkgspace.Package, skip
 		}
 		added = append(added, prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff})
 	}
-	if cs.graph.Edges() != edges {
+	changed := cs.graph.Edges() != edges
+	if changed {
 		cs.red = nil
 	}
 	if derived {
 		e.cs = e.constraintsAt(cs.ep)
 	}
-	if e.pool == nil || len(added) == 0 {
+	if e.pool == nil {
 		return err // a pool not yet drawn will be drawn under the derived set
+	}
+	if changed || derived {
+		defer e.poolSet() // after the maintenance pass, whose draw may build the set
+	}
+	if len(added) == 0 {
+		return err
 	}
 	// Apply draws only to replace violators, so feedback the whole pool
 	// satisfies derives no constraint set.

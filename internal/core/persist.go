@@ -81,7 +81,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		})
 	}
 	if e.pool != nil {
-		s.ConstraintsHash = constraintsHash(e.pinned().reduced())
+		s.ConstraintsHash = e.poolHash
 		for _, smp := range e.pool.Samples {
 			s.Samples = append(s.Samples, append([]float64(nil), smp.W...))
 			s.Weights = append(s.Weights, smp.Q)

@@ -18,8 +18,10 @@ import (
 const sessionRounds = 10
 
 // BenchmarkSession times one session's interactions on two serving shapes,
-// with the settings cmd/serve ships: K 3, φ 3, 30 samples, ψ 0.9 and the
-// serving beam (MaxQueue 128, MaxAccessed 500), EXP ranking.
+// with the settings the benchmark's serving stacks run (bench/spec.go): K 3,
+// φ 3, 30 samples, ψ 0.9 and the serving beam (MaxQueue 128, MaxAccessed
+// 500), EXP ranking. cmd/serve ships the same but for ψ, whose -psi flag
+// defaults to 1 (hard constraints).
 //   - serve_static: uniform 1k items, the mixed profile
 //     (sum/avg/max/min/sum over five features), the origin-centred prior
 //     and weight quantum 0.05;

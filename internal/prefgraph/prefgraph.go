@@ -126,7 +126,7 @@ func (g *Graph) nodeID(p pkgspace.Package) int {
 // nothing) if the preference contradicts the transitive closure of
 // existing preferences. Duplicate preferences are no-ops.
 func (g *Graph) AddPreference(winner, loser pkgspace.Package) error {
-	if winner.Signature() == loser.Signature() {
+	if pkgspace.Equal(winner, loser) {
 		return fmt.Errorf("%w %s", ErrSelfPreference, winner)
 	}
 	u, v := g.nodeID(winner), g.nodeID(loser)
@@ -168,12 +168,24 @@ func (g *Graph) AddPreference(winner, loser pkgspace.Package) error {
 // are omitted via transitive reduction; the full set is returned
 // otherwise. The graph itself is not modified.
 func (g *Graph) Constraints(reduced bool, vec func(pkgspace.Package) []float64) []Constraint {
-	vecs := make([][]float64, len(g.nodes))
+	var vecs [][]float64
+	return g.ConstraintsCached(reduced, &vecs, vec)
+}
+
+// ConstraintsCached is Constraints keeping the package vectors in *vecs,
+// indexed by node: a vector taken once is reused by every later call given
+// the same cache. Nodes are only ever appended, so the cache stays valid
+// for as long as vec's values do (one catalogue epoch's).
+func (g *Graph) ConstraintsCached(reduced bool, vecs *[][]float64, vec func(pkgspace.Package) []float64) []Constraint {
+	if n := len(g.nodes) - len(*vecs); n > 0 {
+		*vecs = append(*vecs, make([][]float64, n)...)
+	}
+	cache := *vecs
 	vecOf := func(u int) []float64 {
-		if vecs[u] == nil {
-			vecs[u] = vec(g.nodes[u])
+		if cache[u] == nil {
+			cache[u] = vec(g.nodes[u])
 		}
-		return vecs[u]
+		return cache[u]
 	}
 	var out []Constraint
 	for u := range g.out {

@@ -18,24 +18,29 @@ import (
 // barrenAuditor is the test side of Index.barrenAudit, which hands it every
 // round a verdict is taken in.
 //
-// On a barren round (need = +∞), which runs elided, it works out from the
-// run's state before the round what the full round's sweep would leave —
-// refresh, bound drop, keep, against an ηlo no child can move — and fails if
-// any package the sweep keeps could create its child with the item, if the
-// elided round created a child or touched the heap, or if Q+ without its
-// dead packages and the ones bounding ≤ ηlo is not exactly the sweep's
-// survivors (order, bound bits, boundRound), or its ηup not theirs.
+// On a barren round, which runs elided, it works out from the run's state
+// before the round what the full round's sweep would leave — refresh, bound
+// drop, keep, against an ηlo no child can move — and fails if any package
+// the sweep keeps could create its child with the item, if the elided round
+// created a child or touched the heap, or if Q+ without its dead packages and
+// the ones bounding ≤ ηlo is not exactly the sweep's survivors (order, bound
+// bits, boundRound), or its ηup not theirs. A round elided because need is
+// above ηup must also leave the full round nothing to score: every live
+// package bounds below need.
 //
-// On a round with the package verdict in effect (need finite) expand scores
-// every queued package, and the auditor evaluates every package the verdict
-// rules out — ScoreAfter and growBound, as expand would have — and fails if
-// the child could be created, or if the claim the verdict rests on breaks:
-// max(gu, bound) ≤ p.bound − Δ(t), with Δ(t) taken here from the cursors and
-// the profile, not from the run's constants.
+// On every round it checks the membership screen's estimate against
+// headBound (headBelow). Wherever the package verdict is in effect (need
+// finite) — on an elided round, and on a full round, where expand then
+// scores every queued package — the auditor evaluates every package the
+// verdict rules out — ScoreAfter and growBound, as expand would have — and
+// fails if the child could be created, or if the claim the verdict rests on
+// breaks: max(gu, bound) ≤ p.bound − Δ(t), with Δ(t) taken here from the
+// cursors and the profile, not from the run's constants.
 type barrenAuditor struct {
 	t       *testing.T
 	label   string
 	barren  int // round verdicts seen
+	verdict int // of them, elided because need is above ηup
 	refresh int // of them, with at least one lazy bound refresh in the sweep
 	share   barrenShare
 }
@@ -91,22 +96,40 @@ type queuedPkg struct {
 
 // setBarrenAudit hooks (nil: unhooks) every run over ix, the sketch phase's
 // over the representatives' index included.
-func setBarrenAudit(ix *Index, hook func(*run, int32, float64) func()) {
+func setBarrenAudit(ix *Index, hook func(*run, int32, float64, bool) func()) {
 	ix.barrenAudit = hook
 	if ps := ix.part.Load(); ps != nil {
 		ps.sketch.barrenAudit = hook
 	}
 }
 
-func (a *barrenAuditor) audit(r *run, item int32, need float64) func() {
+func (a *barrenAuditor) audit(r *run, item int32, need float64, elided bool) func() {
 	if !r.cands.full() {
 		a.t.Errorf("%s: a verdict without a full heap", a.label)
 	}
-	if need < posInf {
+	// The membership screen, here on every path a run takes, a refine's
+	// masked walk included (TestHeadScreenMatchesExact crosses the profiles).
+	if r.screen {
+		if est, hb := r.headEst(item), r.headBound(item); math.Abs(est-hb) > r.slack/1e5 {
+			a.t.Errorf("%s: item %d: membership estimate %v, headBound %v, slack %v", a.label, item, est, hb, r.slack)
+		}
+	}
+	if need > negInf {
 		a.auditPackages(r, item, need)
+	}
+	if !elided {
 		return func() {}
 	}
 	a.barren++
+	if need > r.etaUp {
+		a.verdict++
+		for _, p := range r.qPlus {
+			if !p.dead && p.bound >= need {
+				a.t.Errorf("%s: round %d elided by the package verdict, but package %v bounds %v ≥ need %v (ηup %v)",
+					a.label, r.round+1, p.ids, p.bound, need, r.etaUp)
+			}
+		}
+	}
 	etaLo := r.cands.kthUtility()
 	created := r.created
 	heap := slices.Clone(r.cands.xs) // ids too: a root replacement reuses its slot's block
@@ -296,6 +319,7 @@ func TestBarrenVerdictSound(t *testing.T) {
 		}},
 	}
 	verdicts := map[string]int{} // per axis value: barren rounds audited
+	byNeed := map[string]int{}   // per axis value: of them, elided by the package verdict
 	ruledOut := map[string]int{} // per axis value: ruled-out packages audited
 	refreshes, refined := 0, 0
 	for _, monotone := range []bool{false, true} {
@@ -350,6 +374,7 @@ func TestBarrenVerdictSound(t *testing.T) {
 									fmt.Sprintf("beamed=%t", beamed), fmt.Sprintf("sketch=%t", sketch), mode.name,
 								} {
 									verdicts[axis] += a.barren
+									byNeed[axis] += a.verdict
 									ruledOut[axis] += a.share.ruledOut
 								}
 								refreshes += a.refresh
@@ -376,6 +401,9 @@ func TestBarrenVerdictSound(t *testing.T) {
 		if (ruledOut[axis] == 0) != (axis == "nulls=true") {
 			t.Errorf("%d packages ruled out and audited with %s", ruledOut[axis], axis)
 		}
+		if (byNeed[axis] == 0) != (axis == "nulls=true") {
+			t.Errorf("%d rounds elided by the package verdict and audited with %s", byNeed[axis], axis)
+		}
 	}
 	if refreshes == 0 {
 		t.Error("no audited barren round refreshed a queued bound")
@@ -384,22 +412,25 @@ func TestBarrenVerdictSound(t *testing.T) {
 		t.Error("no barren verdict audited inside a sketch-refine search")
 	}
 	t.Logf("audited barren rounds per axis value: %v; %d with a bound refresh, %d inside sketch-refine searches", verdicts, refreshes, refined)
+	t.Logf("of them, elided by the package verdict: %v", byNeed)
 	t.Logf("audited ruled-out packages per axis value: %v", ruledOut)
 }
 
 // TestBarrenShareServeShape guards the gain where it is claimed: on the
 // serve_static shape (uniform 1k, the mixed profile, origin prior, the
-// serving beam) most rounds of a search must take the barren path — measured
-// at three in four, and every one of them counted here is elided in
-// production — and a search must allocate no more than barrenShapeAllocs.
+// serving beam) most rounds of a search must take the barren path — by the
+// package verdict (need above ηup) or the membership bound; measured at 83 %,
+// where the membership bound alone made three in four, and every one of them
+// counted here is elided in production — and a search must allocate no more
+// than barrenShapeAllocs.
 func TestBarrenShareServeShape(t *testing.T) {
 	sp := barrenSpace(t, "uni", 1000, barrenMixed, false)
 	ix := NewIndex(sp)
 	opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
 	rng := rand.New(rand.NewSource(7))
 	barren, rounds := 0, 0
-	ix.barrenAudit = func(_ *run, _ int32, need float64) func() {
-		if need == posInf {
+	ix.barrenAudit = func(_ *run, _ int32, _ float64, elided bool) func() {
+		if elided {
 			barren++
 		}
 		return func() {}
@@ -422,8 +453,8 @@ func TestBarrenShareServeShape(t *testing.T) {
 	ix.barrenAudit = nil
 	share := float64(barren) / float64(rounds)
 	t.Logf("%d of %d rounds barren (%.0f %%)", barren, rounds, 100*share)
-	if share < 0.60 {
-		t.Errorf("only %.0f %% of rounds took the barren path on the serve_static shape, want ≥ 60 %%", 100*share)
+	if share < 0.80 {
+		t.Errorf("only %.0f %% of rounds took the barren path on the serve_static shape, want ≥ 80 %%", 100*share)
 	}
 	guardSearchAllocs(t, "serve_static", ix, us, opts, barrenShapeAllocs)
 }
@@ -489,8 +520,10 @@ func TestBarrenPackageShare(t *testing.T) {
 			t.Fatal("no partition")
 		}
 		var share barrenShare
-		setBarrenAudit(ix, func(r *run, _ int32, need float64) func() {
-			if need < posInf {
+		setBarrenAudit(ix, func(r *run, item int32, need float64, _ bool) func() {
+			// The rounds the membership bound leaves, as before the round
+			// verdict took the package verdict's all-ruled-out rounds.
+			if need > negInf && !(r.headBound(item) < r.cands.kthUtility()) {
 				share.count(r, need, nil)
 			}
 			return func() {}

@@ -12,9 +12,11 @@ import (
 // BenchmarkTopK times one plain beam search on the serve_static shape: a
 // uniform 1k-item catalogue under the mixed profile (sum/avg/max/min/sum
 // over five features, φ 3 — avg and min keep it non-monotone, so neither
-// dominance pruning nor the partition engages), K 3, the serving beam
-// (MaxQueue 128, MaxAccessed 500) and a fixed set of weight vectors drawn
-// from the origin-centred prior N(0, 0.5) the engine starts from.
+// dominance pruning nor the partition engages), K 3 and the serving beam
+// (MaxQueue 128, MaxAccessed 500), over a fixed set of weight vectors from
+// the origin-centred prior N(0, 0.5) the engine starts from: single draws
+// (draw) and means of 30 draws (pool_mean), the vector an EXP recommend
+// searches under with the engine's 30-sample pool.
 //
 //	go test -run '^$' -bench '^BenchmarkTopK$' ./internal/search
 func BenchmarkTopK(b *testing.B) {
@@ -29,20 +31,28 @@ func BenchmarkTopK(b *testing.B) {
 	}
 	ix := NewIndex(sp)
 	prior := gaussmix.Gaussian([]float64{0, 0, 0, 0, 0}, 0.5)
-	rng := rand.New(rand.NewSource(2))
-	us := make([]*feature.Utility, 64)
-	for i := range us {
-		if us[i], err = feature.NewUtility(mixed, prior.Sample(rng)); err != nil {
-			b.Fatal(err)
+	for _, draws := range []int{1, 30} {
+		name := "draw"
+		if draws > 1 {
+			name = "pool_mean"
 		}
-	}
-	opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.TopK(us[i%len(us)], opts); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			us := make([]*feature.Utility, 64)
+			for i := range us {
+				if us[i], err = feature.NewUtility(mixed, poolMean(prior, rng, draws)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			opts := Options{K: 3, MaxQueue: 128, MaxAccessed: 500}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.TopK(us[i%len(us)], opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -161,12 +161,12 @@ type Index struct {
 	// borrow seenSrc's — so a pool only ever serves runs over the index whose
 	// space its states and plans were made for.
 	memPool sync.Pool
-	// barrenAudit is set only by tests (barren_test.go): called with the item
-	// and need on every round a verdict is taken in, and the returned func
-	// after it. need is +∞ on a barren round, which runs elided as it would
-	// unaudited; a finite need (the package verdict) makes expand score every
-	// queued package instead of the ones need admits.
-	barrenAudit func(r *run, item int32, need float64) func()
+	// barrenAudit is set only by tests (barren_test.go): called with the item,
+	// its need and whether the round is elided on every round a verdict is
+	// taken in, and the returned func after it. An elided round runs as it
+	// would unaudited; on a full round a finite need (the package verdict)
+	// makes expand score every queued package instead of the ones need admits.
+	barrenAudit func(r *run, item int32, need float64, elided bool) func()
 }
 
 // seenSet is a stamped membership set over dense item IDs: item i is a
@@ -316,6 +316,7 @@ type runMem struct {
 	stScratch  []*feature.State
 	guScratch  []float64
 	drain      []int32
+	headBuf    []float64 // backs headRows once built
 	emptyState *feature.State
 	// The refine's: the bounding run's cluster mask and scored clusters, and
 	// the context the refine run reads them through.
@@ -363,6 +364,15 @@ type run struct {
 	heads     *skyline.Set
 	initModes []uint8
 	domPruned int
+
+	// The membership screen (headBelow): with every init mode PadTau and no
+	// skip dimension (screen), headBound is the max over pad counts j = 0..φ−1
+	// of a form affine in the item's list values, a_j + Σ c_j,l·t_l, frozen
+	// with τ. headRows (runMem) holds the φ rows [a_j, c_j,0, …] once the
+	// run first screens a draw — nil until then, so a run that never screens
+	// never builds them.
+	screen   bool
+	headRows []float64
 
 	// Sketch-refine context (nil for plain runs): pc carries the sketch
 	// floor L, the partition and the refine's opened-cluster mask. floorL
@@ -636,6 +646,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 		r.initModes = r.initBuf
 	}
 	r.initTaus = append(r.initTaus[:0], r.padTaus...)
+	r.screen = r.padModes == nil && len(r.skipDims) == 0
 	if !opts.DisableDominancePrune && u.SetMonotone(ix.space.Profile) {
 		r.heads = ix.Heads()
 	}
@@ -644,7 +655,7 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 
 // exec runs the prepared trace to completion.
 //
-// A run takes one membership bound per drawn item, hb = headBound(item): it
+// A run has one membership bound per drawn item, hb = headBound(item): it
 // dominates the utility and the extension bound of every package containing
 // the item (list tops bound every item, so the argument is
 // upperExp's own and holds for any profile). hb strictly below the k-th best
@@ -658,8 +669,14 @@ func (ix *Index) newRun(u *feature.Utility, opts Options, pc *partCtx) (r *run, 
 //     package, so the round is elided — it runs only the bound refreshes due
 //     in it (elide), not expand's sweep of Q+.
 //
-// On a round not barren as a whole, with the heap full and every pad descriptor
-// PadTau, expand takes the same verdict per queued package, from its own bound.
+// With the heap full and every pad descriptor PadTau, expand takes the same
+// verdict per queued package from its own bound: a package bounding below
+// need(item) creates no child (expand). A need above ηup, which bounds every
+// live package, rules out all of them, so the round is barren as well; exec
+// tests that first, for one pass over the lists and no division, and takes
+// hb — through its screen (headBelow) — only when it fails, or for the
+// dominance skip's non-head draws. Every test only chooses between paths
+// that leave the same trace.
 //
 // The candidates stay in the run's heap, which result copies out; the run's
 // memory goes back to its index only after that (returnMem), so the next
@@ -699,25 +716,32 @@ func (r *run) exec() {
 		}
 		r.seen.marks[item] = r.seen.stamp
 		r.accessed++
-		hb := r.headBound(item)
+		etaLo := r.cands.kthUtility()
 		// Dominance skip (consequence 1). While the heap is not full ηlo is
 		// -Inf and nothing is skipped (unless a sketch floor is active, which
-		// is a sound k-th stand-in from the start).
-		if r.heads != nil && !r.heads.Contains(item) && hb < max(r.cands.kthUtility(), r.floorL) {
-			r.domPruned++
-			if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
-				r.truncated = true
-				break
+		// is a sound k-th stand-in from the start). A draw it keeps has
+		// hb ≥ ηlo, so its round is not barren by consequence 2.
+		bounded := false
+		if r.heads != nil && !r.heads.Contains(item) {
+			if r.headBelow(item, max(etaLo, r.floorL)) {
+				r.domPruned++
+				if opts.MaxAccessed > 0 && r.accessed >= opts.MaxAccessed {
+					r.truncated = true
+					break
+				}
+				continue
 			}
-			continue
+			bounded = true
 		}
-		// Barren round (consequence 2): against ηlo alone, −∞ until the heap
-		// fills — until then every child is created, whatever floorL says.
-		var etaLo, etaUp float64
-		if hb < r.cands.kthUtility() {
-			etaLo, etaUp = r.elide(item)
+		// Barren round: by the package verdict, or (consequence 2) against ηlo
+		// alone, −∞ until the heap fills — until then every child is created,
+		// whatever floorL says.
+		need := r.need(item)
+		var etaUp float64
+		if need > r.etaUp || !bounded && r.headBelow(item, etaLo) {
+			etaLo, etaUp = r.elide(item, need)
 		} else {
-			etaLo, etaUp = r.expand(int(item))
+			etaLo, etaUp = r.expand(int(item), need)
 		}
 		if etaUp <= etaLo || len(r.qPlus) == 0 {
 			break
@@ -748,7 +772,7 @@ func (r *run) exec() {
 			}
 			r.seen.marks[o] = r.seen.stamp
 			r.accessed++
-			etaLo, etaUp := r.expand(int(o))
+			etaLo, etaUp := r.expand(int(o), r.need(o))
 			if etaUp <= etaLo || len(r.qPlus) == 0 {
 				break
 			}
@@ -795,6 +819,87 @@ func (r *run) headBound(id int32) float64 {
 		b = ext
 	}
 	return b
+}
+
+// headBelow reports whether headBound(id) < bar. On a screened run it decides
+// from headEst when the estimate clears the bar by more than the slack, and
+// takes the exact bound only when it does not: the estimate and headBound are
+// two float evaluations of one real value, each a sum of the same D terms
+// bounded as expand's four kernel values are, so they differ by under
+// slack/10⁵ (newRun) and a clearance of the slack decides the exact test.
+func (r *run) headBelow(id int32, bar float64) bool {
+	if bar == negInf {
+		return false // hb is finite
+	}
+	if r.screen {
+		est := r.headEst(id)
+		if est+r.slack < bar {
+			return true
+		}
+		if est-r.slack >= bar {
+			return false
+		}
+	}
+	return r.headBound(id) < bar
+}
+
+// headEst evaluates the membership forms (headRows, built on first use) at
+// the item: max over j of a_j + Σ c_j,l·t_l, with no division.
+func (r *run) headEst(id int32) float64 {
+	if r.headRows == nil {
+		r.buildHeadRows()
+	}
+	n := len(r.lists) + 1
+	best := negInf
+	for rows := r.headRows; len(rows) > 0; rows = rows[n:] {
+		f := rows[0]
+		for li := range r.lists {
+			f += rows[1+li] * r.lists[li].col[id]
+		}
+		if f > best {
+			best = f
+		}
+	}
+	return best
+}
+
+// buildHeadRows writes the membership forms: the singleton padded j times
+// against the frozen τ₀ scores, per list with ws = w/scale, (t + jτ₀)·ws for
+// sum, (t + jτ₀)·ws/(1+j) for avg, and for max and min (j ≥ 1) ws times
+// whichever of t and τ₀ the aggregate keeps. τ₀ is the list's best drawable
+// value, so that is τ₀ for max on a descending list or min on an ascending
+// one, and t otherwise; j = 0 is the singleton's own score, Σ t·ws.
+func (r *run) buildHeadRows() {
+	sp := r.ix.space
+	n := len(r.lists) + 1
+	rows := resize(r.headBuf, sp.MaxSize*n)
+	for j := range sp.MaxSize {
+		row := rows[j*n : (j+1)*n]
+		row[0] = 0
+		for li := range r.lists {
+			lc := &r.lists[li]
+			tau, c := r.initTaus[li], r.u.W[lc.dim]/sp.Scale(lc.dim)
+			switch sp.Profile.Entry(lc.dim).Agg {
+			case feature.AggSum:
+				row[0] += float64(j) * tau * c
+			case feature.AggAvg:
+				c /= float64(1 + j)
+				row[0] += float64(j) * tau * c
+			case feature.AggMax:
+				if j > 0 && lc.desc {
+					row[0] += tau * c
+					c = 0
+				}
+			case feature.AggMin:
+				if j > 0 && !lc.desc {
+					row[0] += tau * c
+					c = 0
+				}
+			}
+			row[1+li] = c
+		}
+	}
+	r.headBuf, r.headRows = rows, rows
 }
 
 // closed reports whether the beamed refine's cluster mask excludes the item
@@ -878,18 +983,32 @@ func (r *run) setPadMode(li int, mode uint8) {
 	r.fastPad = false
 }
 
+// need returns the package verdict's bar for the drawn item (expand): −∞
+// unless, on two preconditions — a full heap, every pad descriptor PadTau
+// (r.fastPad) — it is ηlo − slack + Δ(t), Δ(t) = Σ_sum w(τ−t)/scale +
+// Σ_avg w(τ−t)/(scale·φ) ≥ 0 being what the item falls short of τ by.
+func (r *run) need(item int32) float64 {
+	if !r.fastPad || !r.cands.full() {
+		return negInf
+	}
+	need := r.cands.kthUtility() - r.slack
+	for li := range r.lists {
+		lc := &r.lists[li]
+		need += lc.gap * (lc.tau - lc.col[item])
+	}
+	return need
+}
+
 // expand implements Algorithm 4 for the newly accessed item on a round that
 // is not barren (exec), returning the updated (ηlo, ηup) thresholds. It
 // sweeps Q+ — lazy bound refresh, bound drops, the re-check of every queued
 // package, and the release of the packages elided rounds found dead — but
-// only a package whose bound reaches `need` is scored against the item and
-// may create its child; queue, counters and thresholds come out as the full
-// round would leave them. need is −∞ unless, on two preconditions — a full
-// heap, every pad descriptor PadTau (r.fastPad) — it is ηlo − slack + Δ(t),
-// Δ(t) = Σ_sum w(τ−t)/scale + Σ_avg w(τ−t)/(scale·φ) ≥ 0 being what the item
-// falls short of τ by: p ∪ {t} padded j times scores at least that much below
-// p padded j+1 times, so max(gu, growBound(p, t)) ≤ p.bound − Δ(t), and below
-// ηlo, which only rises, no child is created (README, "Barren packages").
+// only a package whose bound reaches need (run.need) is scored against the
+// item and may create its child; queue, counters and thresholds come out as
+// the full round would leave them. p ∪ {t} padded j times scores at least
+// Δ(t) below p padded j+1 times, so max(gu, growBound(p, t)) ≤ p.bound −
+// Δ(t), and below ηlo, which only rises, no child is created (README,
+// "Barren packages").
 //
 // Two deliberate corrections to the paper's pseudo-code:
 //
@@ -905,20 +1024,12 @@ func (r *run) setPadMode(li int, mode uint8) {
 //     avg: marginals increase toward zero as the average converges to τ,
 //     so one pad can lose while two pads win when another dimension
 //     compensates.
-func (r *run) expand(item int) (etaLo, etaUp float64) {
+func (r *run) expand(item int, need float64) (etaLo, etaUp float64) {
 	phi := r.ix.space.MaxSize
 	etaUp = negInf
 	etaLo = r.cands.kthUtility()
-	need := negInf
-	if r.fastPad && r.cands.full() {
-		need = etaLo - r.slack
-		for li := range r.lists {
-			lc := &r.lists[li]
-			need += lc.gap * (lc.tau - lc.col[item])
-		}
-	}
 	if need > negInf && r.ix.barrenAudit != nil {
-		defer r.ix.barrenAudit(r, int32(item), need)()
+		defer r.ix.barrenAudit(r, int32(item), need, false)()
 		need = negInf
 	}
 
@@ -1044,10 +1155,11 @@ func (r *run) expand(item int) (etaLo, etaUp float64) {
 // no higher than ηlo means every package left would have been dropped: Q+
 // is emptied, as the sweep would have left it. Trace, counters, queue order
 // and every bound's bits are the full round's (TestBarrenVerdictSound).
-func (r *run) elide(item int32) (etaLo, etaUp float64) {
+// need is the item's package verdict bar, which only the audit reads.
+func (r *run) elide(item int32, need float64) (etaLo, etaUp float64) {
 	etaLo = r.cands.kthUtility()
 	if r.ix.barrenAudit != nil {
-		defer r.ix.barrenAudit(r, item, posInf)()
+		defer r.ix.barrenAudit(r, item, need, true)()
 	}
 	r.round++
 	rescan := false
