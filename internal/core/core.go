@@ -76,7 +76,9 @@ type Config struct {
 	// vector is searched exactly. 0 keeps slates bit-identical to the
 	// unbatched path; > 0 trades exactness for more dedup/cache hits.
 	WeightQuantum float64
-	// Seed seeds the engine's random stream (default 1).
+	// Seed seeds the engine's random stream (default 1): a splitmix64
+	// generator, so equal seeds replay equal sessions. Shared.NewEngine
+	// overrides it per session (session.SeedFor derives one per ID).
 	Seed int64
 }
 
@@ -482,13 +484,15 @@ func (sh *Shared) SearchCache() *ranking.Cache { return sh.cache }
 // NewEngine derives an independent engine over the shared space and index:
 // its own random stream, preference graph, and sample pool. seed
 // differentiates sessions; 0 falls back to the shared config's seed, so
-// Shared{cfg}.NewEngine(0) behaves exactly like New(cfg).
+// Shared{cfg}.NewEngine(0) behaves exactly like New(cfg). The stream is a
+// splitmix64 generator: 8 bytes of state, seeded in O(1), so a login pays
+// nothing for it and a resident session keeps nothing more of it.
 func (sh *Shared) NewEngine(seed int64) (*Engine, error) {
 	cfg := sh.cfg
 	if seed != 0 {
 		cfg.Seed = seed
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(&splitmix64{state: uint64(cfg.Seed)})
 	if cfg.Prior == nil {
 		cfg.Prior = gaussmix.DefaultPrior(cfg.Profile.Dims(), 1, rng)
 	}
@@ -499,6 +503,23 @@ func (sh *Shared) NewEngine(seed int64) (*Engine, error) {
 		graph: prefgraph.New(),
 	}, nil
 }
+
+// splitmix64 is Steele, Lea and Flood's SplitMix64 as a rand.Source64: a
+// Weyl sequence through a 64-bit finalizer. math/rand's own source keeps
+// 607 words and seeds them in a loop; this one keeps one.
+type splitmix64 struct{ state uint64 }
+
+func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }
+
+func (s *splitmix64) Uint64() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // New validates the configuration and builds an engine. Sampling is lazy:
 // the pool is drawn on the first Recommend. Callers creating many engines

@@ -92,18 +92,16 @@ func ExampleEngine_playlist() {
 	// Output:
 	// playlist elicitation — hidden taste: cheap, well-rated, popular
 	// ----------------------------------------------------------------
-	// round  1: best playlist {187, 514, 761, 790, 791, 797} EXP=0.086 trueU=0.003
-	// round  2: best playlist {285}              EXP=0.540 trueU=0.865
-	// round  3: best playlist {0, 24, 66, 383, 429, 777} EXP=0.458 trueU=0.762
-	// round  4: best playlist {66, 429}          EXP=0.670 trueU=0.871
-	// round  5: best playlist {429}              EXP=0.570 trueU=0.879
-	// round  6: best playlist {429}              EXP=0.570 trueU=0.879
+	// round  1: best playlist {43}               EXP=0.031 trueU=0.075
+	// round  2: best playlist {85}               EXP=0.136 trueU=0.780
+	// round  3: best playlist {85}               EXP=0.243 trueU=0.780
+	// round  4: best playlist {85}               EXP=0.243 trueU=0.780
 	// recommendations stable — stopping.
 	//
 	// final playlist:
-	//   song429    price $0.99 rating 5.0 plays 120k dur 407s
-	// total price $0.99, avg rating 5.00/5
-	// stats: 33 feedbacks, 566 samples replaced, 33 active constraints
+	//   song085    price $0.99 rating 4.9 plays 70k dur 123s
+	// total price $0.99, avg rating 4.93/5
+	// stats: 18 feedbacks, 277 samples replaced, 18 active constraints
 }
 
 // makeSongs synthesizes a catalogue with realistic structure: ratings and
@@ -186,8 +184,8 @@ func ExampleEngine_shoppingcart() {
 	//   (answers swing wildly with the guessed budget)
 	//
 	// elicited-utility approach (≥2 novels per cart):
-	//   round 1: {16, 22}       price $31.38 novels 2 trueU 0.179
-	//   round 2: {9, 11}        price $68.53 novels 2 trueU 0.707
+	//   round 1: {4, 9, 14, 40} price $160.19 novels 3 trueU 0.534
+	//   round 2: {4, 9, 14, 41} price $154.51 novels 2 trueU 0.556
 	//   round 3: {9, 11}        price $68.53 novels 2 trueU 0.707
 	//   round 4: {9, 11}        price $68.53 novels 2 trueU 0.707
 	//   round 5: {9, 11}        price $68.53 novels 2 trueU 0.707
