@@ -167,9 +167,9 @@ type Engine struct {
 	pool  *maintain.Pool
 	// poolHash is constraintsHash of the reduced constraint set the pool
 	// satisfies — the pinned set's, taken when the pool is drawn or
-	// maintained (poolSet), or the snapshot's for a restored pool — so a
-	// catalogue swap compares it with the new epoch's set without rebuilding
-	// the old one. Meaningless while pool is nil.
+	// maintained (ensureSamples, record), or the snapshot's for a restored
+	// pool — so a catalogue swap compares it with the new epoch's set without
+	// rebuilding the old one. Meaningless while pool is nil.
 	poolHash uint64
 	stats    Stats
 	// draws counts sampler runs: initial pools and one per maintenance pass
@@ -204,6 +204,7 @@ type Shared struct {
 	ix    *search.Index
 	cat   *catalog.Catalog // live catalogue (nil for static)
 	cache *ranking.Cache
+	keys  [ranking.MPO + 1]string // ranking.SearchKey by semantics, taken once
 }
 
 // epochView is one resolved, coherent catalogue epoch: everything a single
@@ -281,8 +282,7 @@ type constraintSet struct {
 	ep                         epochView
 	graph                      *prefgraph.Graph
 	droppedItems, droppedPrefs int
-	red                        []prefgraph.Constraint // reduced(), once read
-	vecs                       [][]float64            // the packages' vectors in ep, by graph node
+	vecs                       prefgraph.VectorCache // the packages' vectors in ep, by graph node
 }
 
 // constraintsAt derives the constraint set of the stored preferences under
@@ -296,12 +296,14 @@ type constraintSet struct {
 // graph, constraint order included.
 func (e *Engine) constraintsAt(ep epochView) *constraintSet {
 	absent := func(s int) bool { _, ok := ep.denseID(s); return !ok }
-	if !slices.ContainsFunc(e.graph.Packages(), func(p pkgspace.Package) bool {
-		return p.Size() > ep.space.MaxSize || slices.ContainsFunc(p.IDs, absent)
+	prefs := e.graph.Preferences()
+	if !slices.ContainsFunc(prefs, func(pr [2]pkgspace.Package) bool {
+		return slices.ContainsFunc(pr[:], func(p pkgspace.Package) bool {
+			return p.Size() > ep.space.MaxSize || slices.ContainsFunc(p.IDs, absent)
+		})
 	}) {
 		return &constraintSet{ep: ep, graph: e.graph}
 	}
-	prefs := e.graph.Preferences()
 	slices.SortFunc(prefs, func(a, b [2]pkgspace.Package) int {
 		return cmp.Or(slices.Compare(a[0].IDs, b[0].IDs), slices.Compare(a[1].IDs, b[1].IDs))
 	})
@@ -324,15 +326,12 @@ func (e *Engine) constraintsAt(ep epochView) *constraintSet {
 	return cs
 }
 
-// reduced is the transitively reduced constraint set (§3.3), each
-// half-space taken from the epoch's package vectors. It is memoised; a
-// caller changing graph clears red, and the set built again reuses the
-// vectors of the packages it already had.
+// reduced builds the transitively reduced constraint set (§3.3), each
+// half-space taken from the epoch's package vectors. A session keeps the
+// vectors, not the set: the set is built when a draw or a pool hash needs
+// it, and reuses the vectors of the packages it already had.
 func (cs *constraintSet) reduced() []prefgraph.Constraint {
-	if cs.red == nil {
-		cs.red = cs.graph.ConstraintsCached(true, &cs.vecs, cs.ep.vector)
-	}
-	return cs.red
+	return cs.graph.ConstraintsCached(true, &cs.vecs, cs.ep.vector)
 }
 
 // adopt pins epoch ep: the stored preferences are derived under it, and a
@@ -351,12 +350,6 @@ func (e *Engine) adopt(ep epochView, poolHash uint64) {
 	} else {
 		e.pool = nil
 	}
-}
-
-// poolSet records that the pool satisfies the pinned set, keeping the set's
-// hash with it. The set's reduction is built here if nothing built it yet.
-func (e *Engine) poolSet() {
-	e.poolHash = constraintsHash(e.cs.reduced())
 }
 
 // pinned returns the stored preferences as the pinned epoch derives them.
@@ -403,6 +396,11 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.Prior != nil && cfg.Prior.Dims() != cfg.Profile.Dims() {
 		return cfg, fmt.Errorf("core: prior has %d dims, profile has %d", cfg.Prior.Dims(), cfg.Profile.Dims())
 	}
+	if cfg.Prior == nil {
+		// One component at the origin draws nothing from its generator.
+		// Engines only read a prior, so all of a Shared's engines share it.
+		cfg.Prior = gaussmix.DefaultPrior(cfg.Profile.Dims(), 1, nil)
+	}
 	return cfg, nil
 }
 
@@ -426,12 +424,8 @@ func NewShared(cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Shared{
-		cfg:   cfg,
-		space: space,
-		ix:    search.NewIndex(space),
-		cache: newCache(cfg),
-	}, nil
+	sh := &Shared{cfg: cfg, space: space, ix: search.NewIndex(space), cache: newCache(cfg)}
+	return sh.keyed(), nil
 }
 
 // NewLiveShared builds a Shared over a mutable catalogue: engines resolve
@@ -459,7 +453,25 @@ func NewLiveShared(cfg Config, cat *catalog.Catalog) (*Shared, error) {
 		// to a superseded epoch can Put after this drop and never be read.
 		cat.Subscribe(func(*catalog.Epoch, *catalog.ChangeSet) { sh.cache.Invalidate() })
 	}
-	return sh, nil
+	return sh.keyed(), nil
+}
+
+// rankOptions are the ranking options every engine of sh recommends
+// under, but for the call's cache epoch and metrics.
+func (sh *Shared) rankOptions(sem ranking.Semantics) ranking.Options {
+	opts := ranking.Options{K: sh.cfg.K, Sigma: sh.cfg.K, Search: sh.cfg.Search, Quantum: sh.cfg.WeightQuantum, Cache: sh.cache}
+	if int(sem) < len(sh.keys) {
+		opts.SearchKey = sh.keys[sem]
+	}
+	return opts
+}
+
+// keyed takes each semantics' search key once, so no Recommend formats one.
+func (sh *Shared) keyed() *Shared {
+	for sem := range sh.keys {
+		sh.keys[sem], _ = ranking.SearchKey(ranking.Semantics(sem), sh.rankOptions(ranking.EXP))
+	}
+	return sh
 }
 
 // Space exposes the current epoch's feature space.
@@ -492,14 +504,10 @@ func (sh *Shared) NewEngine(seed int64) (*Engine, error) {
 	if seed != 0 {
 		cfg.Seed = seed
 	}
-	rng := rand.New(&splitmix64{state: uint64(cfg.Seed)})
-	if cfg.Prior == nil {
-		cfg.Prior = gaussmix.DefaultPrior(cfg.Profile.Dims(), 1, rng)
-	}
 	return &Engine{
 		cfg:   cfg,
 		sh:    sh,
-		rng:   rng,
+		rng:   rand.New(&splitmix64{state: uint64(cfg.Seed)}),
 		graph: prefgraph.New(),
 	}, nil
 }
@@ -573,7 +581,8 @@ func (e *Engine) ensureSamples() error {
 	if e.pool != nil {
 		return nil
 	}
-	res, err := e.draw(e.pinned().reduced(), e.cfg.SampleCount)
+	red := e.pinned().reduced()
+	res, err := e.draw(red, e.cfg.SampleCount)
 	if err != nil {
 		if !errors.Is(err, sampling.ErrTooManyRejections) {
 			return fmt.Errorf("core: initial sampling: %w", err)
@@ -589,7 +598,7 @@ func (e *Engine) ensureSamples() error {
 		res.Samples = e.fillFromPrior(res.Samples)
 	}
 	e.pool = maintain.NewPool(res.Samples)
-	e.poolSet()
+	e.poolHash = constraintsHash(red)
 	return nil
 }
 
@@ -649,15 +658,9 @@ func (e *Engine) Recommend() (*Slate, error) {
 		return nil, err
 	}
 	var m ranking.Metrics
-	ranked, err := ranking.Rank(ep.ix, e.pool.Samples, e.cfg.Semantics, ranking.Options{
-		K:       e.cfg.K,
-		Sigma:   e.cfg.K,
-		Search:  e.cfg.Search,
-		Quantum: e.cfg.WeightQuantum,
-		Cache:   e.sh.cache,
-		Epoch:   ep.id,
-		Metrics: &m,
-	})
+	opts := e.sh.rankOptions(e.cfg.Semantics)
+	opts.Epoch, opts.Metrics = ep.id, &m
+	ranked, err := ranking.Rank(ep.ix, e.pool.Samples, e.cfg.Semantics, opts)
 	e.stats.RankSamples += m.Samples
 	e.stats.RankDistinct += m.Distinct
 	e.stats.RankCacheHits += m.CacheHits
@@ -814,17 +817,23 @@ func (e *Engine) record(winner pkgspace.Package, losers []pkgspace.Package, skip
 		added = append(added, prefgraph.Constraint{Winner: sw, Loser: sl, Diff: diff})
 	}
 	changed := cs.graph.Edges() != edges
-	if changed {
-		cs.red = nil
-	}
 	if derived {
 		e.cs = e.constraintsAt(cs.ep)
 	}
 	if e.pool == nil {
 		return err // a pool not yet drawn will be drawn under the derived set
 	}
+	// The pool satisfies the pinned set once maintained: keep its hash. A
+	// stored graph is the pinned one, so the set a replacement draw built
+	// is the set to hash.
+	var red []prefgraph.Constraint
 	if changed || derived {
-		defer e.poolSet() // after the maintenance pass, whose draw may build the set
+		defer func() {
+			if red == nil || derived {
+				red = e.cs.reduced()
+			}
+			e.poolHash = constraintsHash(red)
+		}()
 	}
 	if len(added) == 0 {
 		return err
@@ -832,7 +841,8 @@ func (e *Engine) record(winner pkgspace.Package, losers []pkgspace.Package, skip
 	// Apply draws only to replace violators, so feedback the whole pool
 	// satisfies derives no constraint set.
 	replaced, work, merr := e.pool.Apply(added, func(n int) (sampling.Result, error) {
-		return e.draw(cs.reduced(), n)
+		red = cs.reduced()
+		return e.draw(red, n)
 	})
 	e.stats.MaintenanceWork += work
 	e.stats.SamplesReplaced += replaced

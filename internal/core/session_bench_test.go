@@ -31,7 +31,10 @@ const sessionRounds = 10
 //
 // login is a new engine's first Recommend; login_tkp is the same under
 // TKP, whose per-sample searches run one after another on the caller
-// through dedup and the (emptied) cache. A round answers the last slate
+// through dedup and the (emptied) cache; login_hit is a new engine's first
+// Recommend that the result cache answers (a returning session: one of 64
+// seeds, each logged in once before the timer starts), the path most
+// logins of a large population take. A round answers the last slate
 // with a Click, reads Stats (as the server's click handler does) and
 // fetches the next slate. The clicker picks the slate's best package under
 // a hidden utility drawn from the prior (consistent), a random shown
@@ -85,9 +88,8 @@ func BenchmarkSession(b *testing.B) {
 				sh.Index().Heads()
 				sh.Index().EnsurePartition(0)
 			}
-			// login starts session s under sem: its engine, first slate,
-			// hidden utility and clicker stream.
-			login := func(b *testing.B, s int, sem ranking.Semantics) (*Engine, *Slate, []float64, *rand.Rand) {
+			// login starts session s under sem: its engine and first slate.
+			login := func(b *testing.B, s int, sem ranking.Semantics) (*Engine, *Slate) {
 				eng, err := sh.NewEngine(int64(s + 1))
 				if err != nil {
 					b.Fatal(err)
@@ -97,8 +99,7 @@ func BenchmarkSession(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				clicker := rand.New(rand.NewSource(int64(s + 1)))
-				return eng, slate, prior.Sample(clicker), clicker
+				return eng, slate
 			}
 			for _, l := range []struct {
 				name string
@@ -114,6 +115,20 @@ func BenchmarkSession(b *testing.B) {
 					}
 				})
 			}
+			b.Run("login_hit", func(b *testing.B) {
+				const seeds = 64
+				sh.SearchCache().Invalidate()
+				for s := 0; s < seeds; s++ {
+					login(b, s, ranking.EXP)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if eng, _ := login(b, i%seeds, ranking.EXP); eng.Stats().RankCacheHits != 1 {
+						b.Fatal("a returning session's login missed the result cache")
+					}
+				}
+			})
 			for _, round := range []struct {
 				name  string
 				noise int // a random click every noise rounds (1: always; 0: never)
@@ -130,7 +145,10 @@ func BenchmarkSession(b *testing.B) {
 						if i%sessionRounds == 0 {
 							b.StopTimer()
 							sh.SearchCache().Invalidate()
-							eng, slate, hidden, clicker = login(b, i/sessionRounds, ranking.EXP)
+							s := i / sessionRounds
+							eng, slate = login(b, s, ranking.EXP)
+							clicker = rand.New(rand.NewSource(int64(s + 1)))
+							hidden = prior.Sample(clicker)
 							b.StartTimer()
 						}
 						chosen := slate.All[0]

@@ -138,10 +138,10 @@ func (h *Hybrid) Violators(q []float64) ([]int, int) {
 // violators found by the hybrid checker are replaced by fresh samples from
 // the (already feedback-aware) sampler, per §3.4 — the retained samples
 // still follow the prior restricted to the valid region, so only
-// replacements must be drawn.
+// replacements must be drawn. It keeps no index between feedbacks: a
+// resident session holds its samples and nothing derived from them.
 type Pool struct {
 	Samples []sampling.Sample
-	index   *topk.Pool
 }
 
 // NewPool wraps an initial sample set.
@@ -149,28 +149,18 @@ func NewPool(samples []sampling.Sample) *Pool {
 	return &Pool{Samples: samples}
 }
 
-// Index returns the TA index over the current samples, building it if
-// needed.
-func (p *Pool) Index() *topk.Pool {
-	if p.index == nil {
-		p.index = topk.NewPool(sampling.Weights(p.Samples))
-	}
-	return p.index
-}
-
-// Invalidate drops the TA index (call after mutating Samples directly).
-func (p *Pool) Invalidate() { p.index = nil }
-
 // Apply finds the samples violating any constraint of cs — one checker
-// pass per constraint, all over one index — replaces them with the n fresh
-// samples one draw(n) returns, and returns the number replaced and the
-// checker work. It calls draw only when some sample violates some
-// constraint of cs: the samples that satisfy them all are kept as they are.
+// pass per constraint, all over one TA index built for the call — replaces
+// them with the n fresh samples one draw(n) returns, and returns the number
+// replaced and the checker work. It calls draw only when some sample
+// violates some constraint of cs: the samples that satisfy them all are
+// kept as they are.
 func (p *Pool) Apply(cs []prefgraph.Constraint, draw func(n int) (sampling.Result, error)) (replaced, work int, err error) {
 	var viol []int
 	seen := make([]bool, len(p.Samples))
+	ix := topk.NewPool(sampling.Weights(p.Samples))
 	for _, c := range cs {
-		idx, w := (&Hybrid{P: p.Index()}).Violators(Query(c))
+		idx, w := (&Hybrid{P: ix}).Violators(Query(c))
 		work += w
 		for _, i := range idx {
 			if !seen[i] {
@@ -189,6 +179,5 @@ func (p *Pool) Apply(cs []prefgraph.Constraint, draw func(n int) (sampling.Resul
 	for i, vi := range viol {
 		p.Samples[vi] = res.Samples[i]
 	}
-	p.Invalidate()
 	return len(viol), work, nil
 }

@@ -258,7 +258,7 @@ func TestPoolApplyKeepsValidSamples(t *testing.T) {
 		}
 	}
 	p := NewPool(samples)
-	naive, _ := (&Naive{P: p.Index()}).Violators(Query(c))
+	naive, _ := (&Naive{P: topk.NewPool(sampling.Weights(samples))}).Violators(Query(c))
 	if len(naive)+len(validBefore) != len(samples) {
 		t.Fatalf("naive found %d violators, %d of %d samples are valid", len(naive), len(validBefore), len(samples))
 	}
@@ -306,7 +306,6 @@ func TestPoolApplyDrawsOnlyForViolators(t *testing.T) {
 	}
 
 	samples[7].W[0], samples[42].W[0] = -0.5, -0.25
-	p.Invalidate()
 	calls := 0
 	replaced, _, err = p.Apply([]prefgraph.Constraint{c}, func(n int) (sampling.Result, error) {
 		calls++
@@ -358,18 +357,5 @@ func TestPoolApplyOneDrawForSeveralConstraints(t *testing.T) {
 		if !slices.Equal(p.Samples[i].W, w) {
 			t.Fatalf("sample %d satisfies every constraint but was touched", i)
 		}
-	}
-}
-
-func TestPoolIndexInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	p := NewPool(randomSamples(rng, 50, 2))
-	idx1 := p.Index()
-	if p.Index() != idx1 {
-		t.Error("index not cached")
-	}
-	p.Invalidate()
-	if p.Index() == idx1 {
-		t.Error("index not rebuilt after Invalidate")
 	}
 }

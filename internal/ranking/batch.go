@@ -84,7 +84,11 @@ func newSearcher(ix *search.Index, so search.Options, opts Options, n int) *sear
 		// reused. The catalogue epoch the index was built from guards
 		// every key: a search pinned to a superseded epoch Puts under
 		// keys no later Get asks for (see Cache).
-		if optsKey, ok := so.CacheKey(); ok {
+		optsKey, ok := opts.SearchKey, opts.SearchKey != ""
+		if !ok {
+			optsKey, ok = so.CacheKey()
+		}
+		if ok {
 			var ep [8]byte
 			binary.LittleEndian.PutUint64(ep[:], opts.Epoch)
 			s.cache, s.prefix = opts.Cache, string(ep[:])+optsKey+"|"

@@ -314,3 +314,29 @@ func TestPredicateOptionsBypassCache(t *testing.T) {
 		t.Errorf("predicate results were cached: %d entries", cache.Len())
 	}
 }
+
+// TestKeptSearchKeyMatchesDerived: a search key kept by the caller
+// (SearchKey, taken once) addresses the same cache entries as the key Rank
+// derives per call, under every semantics, TKP's σ > K widening included.
+func TestKeptSearchKeyMatchesDerived(t *testing.T) {
+	tr := newOracleTrial(t, 98)
+	for _, sem := range []Semantics{EXP, TKP, MPO} {
+		cache := NewCache(256)
+		opts := Options{K: 2, Sigma: 3, Cache: cache, Search: exactOptions}
+		if _, err := Rank(tr.ix, tr.samples, sem, opts); err != nil {
+			t.Fatal(err)
+		}
+		key, ok := SearchKey(sem, opts)
+		if !ok {
+			t.Fatalf("%s: options without a predicate have no key", sem)
+		}
+		var m Metrics
+		opts.SearchKey, opts.Metrics = key, &m
+		if _, err := Rank(tr.ix, tr.samples, sem, opts); err != nil {
+			t.Fatal(err)
+		}
+		if m.CacheHits != m.Distinct || m.Searches != 0 {
+			t.Errorf("%s: with the kept key %d of %d vectors hit, %d searched", sem, m.CacheHits, m.Distinct, m.Searches)
+		}
+	}
+}

@@ -100,6 +100,17 @@ type Options struct {
 	// Metrics, when non-nil, is overwritten with the pipeline counters of
 	// this call.
 	Metrics *Metrics
+	// SearchKey, when not empty, is SearchKey of the call's semantics and
+	// options, kept by a caller that ranks under them again and again;
+	// empty derives it per call.
+	SearchKey string
+}
+
+// SearchKey is the result-cache key of the search options Rank runs under
+// sem and opts (search.Options.CacheKey); ok is false when they carry a
+// predicate.
+func SearchKey(sem Semantics, opts Options) (key string, ok bool) {
+	return searchOptions(sem, opts).CacheKey()
 }
 
 // Rank computes the top-k packages under the given semantics from a pool of
