@@ -74,7 +74,10 @@ bench-check:
 # Result counter on the serving shapes, the partitioned 100k beams
 # included) and TestHeadScreenMatchesExact (the membership screen's
 # division-free estimate against headBound, and headBelow against the
-# exact comparison).
+# exact comparison), and a session's evidence: TestSessionDigest (slates,
+# score bits, Stats, snapshots and pools of a fixed op stream at ψ 1 and
+# 0.9) and TestGraphMatchesMapOracle (the flat preference graph against
+# the map-based one it replaced, call for call).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEpoch$$' -fuzztime 10s ./internal/catalog
@@ -94,3 +97,4 @@ fuzz-smoke:
 	$(GO) test -race -cpu 1,4 -run '^TestOrderColumnsMatchesComparisonSort$$' -count=1 ./internal/feature
 	$(GO) test -race -cpu 1,4 -run '^TestHeadsMatchesBruteForce$$' -count=1 ./internal/skyline
 	$(GO) test -race -cpu 1,4 -run '^TestBuildDeterministic$$' -count=1 ./internal/partition
+	$(GO) test -race -run '^(TestSessionDigest|TestGraphMatchesMapOracle)$$' -count=1 ./internal/core ./internal/prefgraph

@@ -456,8 +456,8 @@ func NewLiveShared(cfg Config, cat *catalog.Catalog) (*Shared, error) {
 	return sh.keyed(), nil
 }
 
-// rankOptions are the ranking options every engine of sh recommends
-// under, but for the call's cache epoch and metrics.
+// rankOptions are the ranking options every engine of sh recommends under
+// sem, but for the call's cache epoch and metrics.
 func (sh *Shared) rankOptions(sem ranking.Semantics) ranking.Options {
 	opts := ranking.Options{K: sh.cfg.K, Sigma: sh.cfg.K, Search: sh.cfg.Search, Quantum: sh.cfg.WeightQuantum, Cache: sh.cache}
 	if int(sem) < len(sh.keys) {
@@ -469,7 +469,7 @@ func (sh *Shared) rankOptions(sem ranking.Semantics) ranking.Options {
 // keyed takes each semantics' search key once, so no Recommend formats one.
 func (sh *Shared) keyed() *Shared {
 	for sem := range sh.keys {
-		sh.keys[sem], _ = ranking.SearchKey(ranking.Semantics(sem), sh.rankOptions(ranking.EXP))
+		sh.keys[sem], _ = ranking.SearchKey(ranking.Semantics(sem), sh.rankOptions(ranking.Semantics(sem)))
 	}
 	return sh
 }
@@ -823,9 +823,9 @@ func (e *Engine) record(winner pkgspace.Package, losers []pkgspace.Package, skip
 	if e.pool == nil {
 		return err // a pool not yet drawn will be drawn under the derived set
 	}
-	// The pool satisfies the pinned set once maintained: keep its hash. A
-	// stored graph is the pinned one, so the set a replacement draw built
-	// is the set to hash.
+	// Once maintained, the pool satisfies the pinned set: keep its hash,
+	// taken from the set the replacement draw built unless the pinned set
+	// was derived afresh.
 	var red []prefgraph.Constraint
 	if changed || derived {
 		defer func() {
